@@ -1,13 +1,14 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
 Subcommands: mesh, fom, pod, rom, errors, convergence, tables, check.
-PODROM_THREADS caps worker parallelism (the current implementation is
-single-flow; the variable is honored as an upper bound of 1..N).
+PODROM_THREADS, when set, must be a positive integer. It is only validated:
+nothing in podrom runs in parallel.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -25,15 +26,14 @@ PIPELINE_ERROR = 1
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.q is not None:
-        cfg.q = args.q
-    if args.M is not None:
-        cfg.M = args.M
-    if args.r is not None:
-        cfg.r_grid = (args.r,)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    overrides = {
+        "q": args.q,
+        "M": args.M,
+        "r_grid": None if args.r is None else (args.r,),
+        "out_dir": args.out,
+    }
+    # replace() re-runs RunConfig's validation on the overridden values
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _fom_stem(cfg):
@@ -178,8 +178,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     threads = os.environ.get("PODROM_THREADS")
-    if threads is not None and int(threads) < 1:
-        print("PODROM_THREADS must be positive", file=sys.stderr)
+    if threads is not None and not (threads.strip().isdecimal() and int(threads) >= 1):
+        print(f"PODROM_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
         return USAGE_ERROR
     try:
         cfg = _load_config(args)

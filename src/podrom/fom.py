@@ -9,7 +9,6 @@ vanish on constrained dofs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .bdf import (
     implicit_step,
     run_bootstrap,
 )
-from .linalg import CsrMatrix, block_csr
+from .linalg import CsrMatrix, block_plan
 from .mesh_fem import (
     FeSpace,
     assemble_load,
@@ -120,7 +119,14 @@ class FomOperator:
         self.mass = space.mass_matrix()
         self.stiff = space.stiffness_matrix()
         self.mask = np.tile(space.dirichlet_mask, self.nc)
-        self._jac_cache = None
+        # block-Jacobian pattern, values laid out as assemble_reaction_jacobian_system's
+        # (a, b) blocks; Dirichlet rows and columns are eliminated onto a unit diagonal
+        blocks = [(a, b) for a in range(self.nc) for b in range(self.nc)]
+        self._jac_plan = block_plan(space.pattern, blocks, self.nc)
+        ri = self._jac_plan.pattern.row_indices()
+        ci = self._jac_plan.pattern.col_indices
+        self._jac_eliminated = self.mask[ri] | self.mask[ci]
+        self._jac_unit = (ri == ci) & self.mask[ri]
 
     def split(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.nc, self.n)
@@ -170,24 +176,13 @@ class FomOperator:
 
     def jacobian(self, candidate, c0_over_dt) -> CsrMatrix:
         gp = assemble_reaction_jacobian_system(self.space, self.split(candidate), self.system.g_prime)
-        blocks = {}
         for a in range(self.nc):
-            for b in range(self.nc):
-                vals = gp[a, b]
-                if a == b:
-                    vals = vals + c0_over_dt * self.mass.values
-                    vals = vals + self.system.diffusion[a] * self.stiff.values
-                blocks[(a, b)] = vals
-        jac = block_csr(self.space.pattern, blocks, self.nc)
-        if self._jac_cache is None:
-            ri, ci = jac.row_indices(), jac.col_indices
-            keep = ~(self.mask[ri] | self.mask[ci])
-            diag_sel = (ri == ci) & self.mask[ri]
-            self._jac_cache = (keep, diag_sel)
-        keep, diag_sel = self._jac_cache
-        jac.values[~keep] = 0.0
-        jac.values[diag_sel] = 1.0
-        return jac
+            gp[a, a] += c0_over_dt * self.mass.values
+            gp[a, a] += self.system.diffusion[a] * self.stiff.values
+        vals = self._jac_plan.assemble(gp.ravel())
+        vals[self._jac_eliminated] = 0.0
+        vals[self._jac_unit] = 1.0
+        return self._jac_plan.csr(vals)
 
 
 def _check_divides(dt: float, t_end: float) -> int:

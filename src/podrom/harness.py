@@ -6,7 +6,7 @@ r-refinement, temporal-order and starting-value studies.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,7 @@ from .fom import (
 )
 from .mesh_fem import FeSpace, build_mesh, build_space, interpolate
 from .pod import H10, W0_ZERO, PodBasis, build_pod_basis, project
-from .rom import (
-    RomSystem,
-    RomTrajectory,
-    rom_assemble,
-    rom_integrate,
-)
+from .rom import RomSystem, rom_assemble, rom_integrate
 
 DEFAULT_T = 7.090636  # integration window used by the desk-scale protocol
 DEFAULT_M_SWEEP = (64, 128, 256, 512, 1024)

@@ -1,10 +1,11 @@
 """Dense and sparse linear algebra kernels.
 
 Dense matrices are plain 2-D numpy arrays. Sparse matrices use a minimal
-CSR container with deterministic assembly from COO triplets. The
-eigensolver is a cyclic Jacobi iteration (the matrices it sees are small,
-dense and symmetric), the sparse iterative solver is BiCGStab with an
-optional Jacobi preconditioner.
+CSR container; every COO -> CSR conversion goes through one sort/segment
+plan (``coo_plan``), which callers with fixed indices build once and refill.
+The symmetric eigensolve and the dense direct solve are numpy's LAPACK
+routines; the sparse iterative solver is BiCGStab with an optional Jacobi
+preconditioner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 
 class SingularMatrixError(Exception):
-    """Raised when a direct solve meets a pivot at working precision zero."""
+    """Raised when a direct solve meets a matrix singular to working precision."""
 
     def __init__(self, pivot: float):
         super().__init__(f"matrix is singular to working precision (pivot {pivot:.3e})")
@@ -64,7 +65,7 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.values)
 
-    # row index per stored entry; cached because matvec needs it repeatedly
+    # row index per stored entry, cached
     _row_of_entry: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def row_indices(self) -> np.ndarray:
@@ -77,21 +78,8 @@ class CsrMatrix:
     @staticmethod
     def from_coo(rows: int, cols: int, ri, ci, vals) -> "CsrMatrix":
         """Build CSR from triplets, summing duplicates, columns sorted per row."""
-        ri = np.asarray(ri, dtype=np.int64)
-        ci = np.asarray(ci, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((ci, ri))
-        ri, ci, vals = ri[order], ci[order], vals[order]
-        if len(ri):
-            new = np.ones(len(ri), dtype=bool)
-            new[1:] = (ri[1:] != ri[:-1]) | (ci[1:] != ci[:-1])
-            starts = np.flatnonzero(new)
-            summed = np.add.reduceat(vals, starts)
-            ri, ci, vals = ri[starts], ci[starts], summed
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(offsets, ri + 1, 1)
-        offsets = np.cumsum(offsets)
-        return CsrMatrix(rows, cols, offsets, ci, vals)
+        plan = coo_plan(rows, cols, ri, ci)
+        return plan.csr(plan.assemble(vals))
 
     @staticmethod
     def identity(n: int) -> "CsrMatrix":
@@ -121,12 +109,64 @@ def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != a.cols:
         raise ValueError(f"dimension mismatch: matrix has {a.cols} cols, vector {x.shape[0]}")
-    rows = a.row_indices()
-    if x.ndim == 1:
-        return np.bincount(rows, weights=a.values * x[a.col_indices], minlength=a.rows)
-    out = np.zeros((a.rows, x.shape[1]))
-    np.add.at(out, rows, a.values[:, None] * x[a.col_indices])
+    products = a.values.reshape((-1,) + (1,) * (x.ndim - 1)) * x[a.col_indices]
+    # reduceat would give an empty row the entry at its start, so only the
+    # non-empty rows are reduced
+    starts = a.row_offsets[:-1]
+    filled = starts < a.row_offsets[1:]
+    out = np.zeros((a.rows,) + x.shape[1:])
+    out[filled] = np.add.reduceat(products, starts[filled], axis=0)
     return out
+
+
+@dataclass
+class CooPlan:
+    """Sort/segment plan coalescing COO triplets with fixed indices into CSR.
+
+    ``assemble`` sums the triplet values landing on each stored entry of
+    ``pattern``; ``csr`` wraps pattern-aligned values in a matrix sharing the
+    pattern's index arrays.
+    """
+
+    order: np.ndarray  # triplets in row-major (row, col) order
+    starts: np.ndarray  # first sorted triplet of each stored entry
+    pattern: CsrMatrix  # the coalesced structure, values zero
+
+    def assemble(self, vals) -> np.ndarray:
+        return np.add.reduceat(np.asarray(vals, dtype=np.float64)[self.order], self.starts)
+
+    def csr(self, values: np.ndarray) -> CsrMatrix:
+        p = self.pattern
+        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values)
+
+
+def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
+    """The CooPlan of a (rows x cols) matrix with triplet indices ``ri``, ``ci``."""
+    ri = np.asarray(ri, dtype=np.int64)
+    ci = np.asarray(ci, dtype=np.int64)
+    order = np.lexsort((ci, ri))
+    rs, cs = ri[order], ci[order]
+    new = np.ones(len(rs), dtype=bool)
+    new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
+    starts = np.flatnonzero(new)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(rs[starts], minlength=rows))
+    pattern = CsrMatrix(rows, cols, offsets, cs[starts], np.zeros(len(starts)))
+    return CooPlan(order, starts, pattern)
+
+
+def block_plan(pattern: CsrMatrix, keys, n_blocks: int) -> CooPlan:
+    """CooPlan of an (n_blocks x n_blocks) block matrix whose blocks ``keys``
+    share one scalar pattern, for values concatenated block by block."""
+    n = pattern.rows
+    ri = pattern.row_indices()
+    ci = pattern.col_indices
+    return coo_plan(
+        n_blocks * n,
+        n_blocks * n,
+        np.concatenate([ri + bi * n for bi, _ in keys]),
+        np.concatenate([ci + bj * n for _, bj in keys]),
+    )
 
 
 def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
@@ -135,21 +175,13 @@ def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
     ``blocks`` maps (bi, bj) to a value array aligned with ``pattern.values``;
     missing blocks are structurally zero.
     """
-    n = pattern.rows
-    ri = pattern.row_indices()
-    ci = pattern.col_indices
-    rr, cc, vv = [], [], []
-    for (bi, bj), vals in sorted(blocks.items()):
-        rr.append(ri + bi * n)
-        cc.append(ci + bj * n)
-        vv.append(np.asarray(vals, dtype=np.float64))
-    return CsrMatrix.from_coo(
-        n_blocks * n, n_blocks * n, np.concatenate(rr), np.concatenate(cc), np.concatenate(vv)
-    )
+    keys = sorted(blocks)
+    plan = block_plan(pattern, keys, n_blocks)
+    return plan.csr(plan.assemble(np.concatenate([blocks[k] for k in keys])))
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigendecomposition (cyclic Jacobi)
+# symmetric eigendecomposition
 # ---------------------------------------------------------------------------
 
 
@@ -159,48 +191,17 @@ class EigenDecomposition:
     eigenvectors: np.ndarray  # columns aligned with eigenvalues
 
 
-def sym_eigen(a: np.ndarray, max_sweeps: int = 50) -> EigenDecomposition:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations."""
+def sym_eigen(a: np.ndarray) -> EigenDecomposition:
+    """Full spectrum of a symmetric matrix (LAPACK), eigenvalues descending."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eigen requires a square matrix")
     scale = np.linalg.norm(a)
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
         raise ValueError("sym_eigen requires a symmetric matrix")
-    n = a.shape[0]
-    A = 0.5 * (a + a.T)
-    V = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(A.diagonal().copy(), V)
-    fro = np.linalg.norm(A)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(A.diagonal()))
-        if off <= 1e-15 * max(fro, 1e-300):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    lam = A.diagonal().copy()
+    lam, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(lam[order], V[:, order])
+    return EigenDecomposition(lam[order], vecs[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,12 @@ def sym_eigen(a: np.ndarray, max_sweeps: int = 50) -> EigenDecomposition:
 
 
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting."""
+    """Solve a x = b (LAPACK LU with partial pivoting).
+
+    Raises SingularMatrixError, carrying the smallest singular value as the
+    pivot, when a is singular to working precision: that value is at most
+    n eps times the largest.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -217,23 +223,13 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("right-hand side does not conform")
-    one_dim = b.ndim == 1
-    lu = a.copy()
-    x = b.reshape(n, -1).astype(np.float64).copy()
-    tiny = 1e-300 + 1e-16 * np.linalg.norm(a)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) <= tiny:
-            raise SingularMatrixError(abs(lu[piv, k]))
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        m = lu[k + 1 :, k] / lu[k, k]
-        lu[k + 1 :, k:] -= np.outer(m, lu[k, k:])
-        x[k + 1 :] -= np.outer(m, x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x[:, 0] if one_dim else x
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:  # the SVD fails on non-finite entries
+        raise SingularMatrixError(float("nan")) from None
+    if sv[-1] <= n * np.finfo(np.float64).eps * sv[0]:
+        raise SingularMatrixError(float(sv[-1]))
+    return np.linalg.solve(a, b)
 
 
 # ---------------------------------------------------------------------------

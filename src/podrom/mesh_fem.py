@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CsrMatrix
+from .linalg import CooPlan, CsrMatrix, coo_plan
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -201,38 +201,26 @@ class FeSpace:
             self._cache[key] = (area, nvals, pgrads, qcoords)
         return self._cache[key]
 
-    def _coo_plan(self):
-        """Sort/segment plan turning element matrices into one shared CSR pattern."""
+    def _coo_plan(self) -> CooPlan:
+        """Plan turning element matrices into one shared CSR pattern."""
         key = "coo_plan"
         if key not in self._cache:
-            ne, nloc = self.cell_dofs.shape
+            nloc = self.cell_dofs.shape[1]
             ri = np.repeat(self.cell_dofs, nloc, axis=1).ravel()
             ci = np.tile(self.cell_dofs, (1, nloc)).ravel()
-            order = np.lexsort((ci, ri))
-            rs, cs = ri[order], ci[order]
-            new = np.ones(len(rs), dtype=bool)
-            new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-            starts = np.flatnonzero(new)
-            offsets = np.zeros(self.n_dof + 1, dtype=np.int64)
-            np.add.at(offsets, rs[starts] + 1, 1)
-            pattern = CsrMatrix(
-                self.n_dof, self.n_dof, np.cumsum(offsets), cs[starts], np.zeros(len(starts))
-            )
-            self._cache[key] = (order, starts, pattern)
+            self._cache[key] = coo_plan(self.n_dof, self.n_dof, ri, ci)
         return self._cache[key]
 
     def assemble_from_element_matrices(self, elem_mats: np.ndarray) -> np.ndarray:
         """Coalesce (ne, nloc, nloc) element matrices into pattern-aligned values."""
-        order, starts, _ = self._coo_plan()
-        return np.add.reduceat(elem_mats.ravel()[order], starts)
+        return self._coo_plan().assemble(elem_mats.ravel())
 
     @property
     def pattern(self) -> CsrMatrix:
-        return self._coo_plan()[2]
+        return self._coo_plan().pattern
 
     def csr_from_values(self, values: np.ndarray) -> CsrMatrix:
-        p = self.pattern
-        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values)
+        return self._coo_plan().csr(values)
 
     # -- cached operators ----------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mmio
-from .fom import Trajectory, save_trajectory, load_trajectory
+from .fom import Trajectory
 from .linalg import CsrMatrix, block_csr, sym_eigen
 from .mesh_fem import FeSpace
 

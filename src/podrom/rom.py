@@ -24,7 +24,6 @@ from .bdf import (
     run_bootstrap,
 )
 from .fom import FomOperator, ReactionSystem, Trajectory
-from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace, assemble_reaction_jacobian_system
 from .pod import InvalidRankError, PodBasis, project
 

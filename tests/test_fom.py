@@ -7,6 +7,7 @@ import pytest
 
 from podrom.bdf import NewtonConfig
 from podrom.fom import (
+    FomOperator,
     ReactionSystem,
     brusselator_system,
     equilibrium_state,
@@ -17,7 +18,14 @@ from podrom.fom import (
     reference_trajectory,
     save_trajectory,
 )
-from podrom.mesh_fem import build_mesh, build_space, interpolate, norms
+from podrom.linalg import block_csr
+from podrom.mesh_fem import (
+    assemble_reaction_jacobian_system,
+    build_mesh,
+    build_space,
+    interpolate,
+    norms,
+)
 
 
 def small_space(n_side=4, degree=1, dirichlet="gamma1"):
@@ -177,6 +185,33 @@ class TestIntegratorInterface:
         mask = space.dirichlet_mask
         assert np.all(traj.states[:, 0, mask] == 1.0)
         assert np.all(traj.states[:, 1, mask] == 3.0)
+
+    def test_jacobian_matches_block_assembly(self):
+        # reference: the block matrix assembled from COO triplets, Dirichlet
+        # rows and columns zeroed and a unit diagonal put on constrained dofs
+        space = small_space(4, 2)
+        sys = brusselator_system(0.002)
+        op = FomOperator(sys, space)
+        w = perturbed_equilibrium(space, 0.3).ravel()
+        c0 = 137.0 / 60.0 / 0.05
+        gp = assemble_reaction_jacobian_system(space, op.split(w), sys.g_prime)
+        blocks = {}
+        for a in range(2):
+            for b in range(2):
+                vals = gp[a, b]
+                if a == b:
+                    vals = vals + c0 * op.mass.values
+                    vals = vals + sys.diffusion[a] * op.stiff.values
+                blocks[(a, b)] = vals
+        ref = block_csr(space.pattern, blocks, 2)
+        ri, ci = ref.row_indices(), ref.col_indices
+        ref.values[op.mask[ri] | op.mask[ci]] = 0.0
+        ref.values[(ri == ci) & op.mask[ri]] = 1.0
+        for _ in range(2):  # the pattern is reused across calls
+            jac = op.jacobian(w, c0)
+            assert np.array_equal(jac.row_offsets, ref.row_offsets)
+            assert np.array_equal(jac.col_indices, ref.col_indices)
+            assert np.array_equal(jac.values, ref.values)
 
     def test_unstable_equilibrium_perturbation_grows(self):
         space = small_space(8, 2)

@@ -212,10 +212,12 @@ class TestCli:
         assert cli.main(["tables", "--which", "nonsense"]) == cli.USAGE_ERROR
         missing = str(tmp_path / "nope.cfg")
         assert cli.main(["mesh", "--config", missing]) == cli.USAGE_ERROR
+        assert cli.main(["fom", "--M", "0", "--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
 
     def test_threads_guard(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PODROM_THREADS", "0")
-        assert cli.main(["check"]) == cli.USAGE_ERROR
+        for bad in ("0", "abc"):
+            monkeypatch.setenv("PODROM_THREADS", bad)
+            assert cli.main(["check"]) == cli.USAGE_ERROR
         monkeypatch.setenv("PODROM_THREADS", "2")
         assert cli.main(["check"]) == 0
 

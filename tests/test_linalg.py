@@ -93,6 +93,14 @@ def random_csr(rng, rows, cols, density=0.2):
     return CsrMatrix.from_coo(rows, cols, ri, ci, dense[ri, ci]), dense
 
 
+def csr_with_empty_rows(rng, cols):
+    """7-row matrix whose first, middle two and last rows are empty."""
+    _, dense = random_csr(rng, 7, cols, density=0.6)
+    dense[[0, 3, 4, 6]] = 0.0
+    ri, ci = np.nonzero(dense)
+    return CsrMatrix.from_coo(7, cols, ri, ci, dense[ri, ci]), dense
+
+
 # ---------------------------------------------------------------------------
 # sym_eigen
 # ---------------------------------------------------------------------------
@@ -166,6 +174,8 @@ class TestCsr:
         a, dense = random_csr(rng, 20, 20)
         x = rng.standard_normal(20)
         assert np.max(np.abs(a.matvec(x) - dense @ x)) < 1e-14
+        a, dense = csr_with_empty_rows(rng, 20)
+        assert np.max(np.abs(a.matvec(x) - dense @ x)) < 1e-14
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
@@ -192,6 +202,8 @@ class TestCsr:
         rng = np.random.default_rng(13)
         a, dense = random_csr(rng, 8, 6)
         x = rng.standard_normal((6, 4))
+        assert np.max(np.abs(csr_matvec(a, x) - dense @ x)) < 1e-13
+        a, dense = csr_with_empty_rows(rng, 6)
         assert np.max(np.abs(csr_matvec(a, x) - dense @ x)) < 1e-13
 
     def test_block_csr(self):
@@ -245,10 +257,11 @@ class TestDenseLu:
         assert np.max(np.abs(a @ x - b)) < 1e-12
 
     def test_singular_raises_with_pivot(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError) as exc:
-            dense_lu_solve(a, np.array([1.0, 1.0]))
-        assert exc.value.pivot >= 0.0
+        # exactly singular, and singular to working precision
+        for a in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 4.0 + 1e-15]]):
+            with pytest.raises(SingularMatrixError) as exc:
+                dense_lu_solve(np.array(a), np.array([1.0, 1.0]))
+            assert exc.value.pivot >= 0.0
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
