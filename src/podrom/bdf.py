@@ -228,7 +228,9 @@ def implicit_step(
     Newton iterates on the increment d = u^n - u^{n-1}; ``residual`` and
     ``jacobian`` take the candidate increment (the BDF history contribution
     is the caller's responsibility inside ``residual``). The solution
-    returned is newest history state plus the converged increment.
+    returned is newest history state plus the converged increment. The
+    residual computed for the convergence check drives the next update, so
+    k updates take k + 1 residual evaluations.
     """
     if len(history) < scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
@@ -237,11 +239,11 @@ def implicit_step(
         d = extrapolate_increment(states)
     else:
         d = np.zeros_like(states[0])
+    r = residual(d)
     for it in range(1, cfg.max_iter + 1):
+        d = d + _solve_linear(jacobian(d), -r)
         r = residual(d)
-        j = jacobian(d)
-        d = d + _solve_linear(j, -r)
-        res_norm = float(np.linalg.norm(residual(d)))
+        res_norm = float(np.linalg.norm(r))
         if res_norm <= cfg.tol:
             return states[0] + d, it
     raise ConvergenceError(f"Newton did not converge in {cfg.max_iter} iterations", res_norm)

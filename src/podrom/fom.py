@@ -313,7 +313,8 @@ def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
 
 def load_trajectory(stem: str, space: FeSpace | None = None) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
-    rebuilt from the header when not supplied."""
+    rebuilt from the header when not supplied. A component file whose shape
+    disagrees with the header's n_dof and M raises ValueError."""
     header = {}
     with open(stem + ".traj") as fh:
         for line in fh:
@@ -326,9 +327,17 @@ def load_trajectory(stem: str, space: FeSpace | None = None) -> tuple:
     if space is None:
         space = build_space(build_mesh(int(header["n_side"])), int(header["degree"]))
     states = np.empty((m + 1, n_comp, space.n_dof))
+    expected = (int(header["n_dof"]), m + 1)
+    if expected[0] != space.n_dof:
+        raise ValueError(f"{stem}.traj: n_dof = {expected[0]}, but the space has {space.n_dof} dofs")
     for c in range(n_comp):
-        mat = mmio.read(stem + f".comp{c}.mtx")
-        states[:, c, :] = np.asarray(mat).T
+        path = stem + f".comp{c}.mtx"
+        mat = np.asarray(mmio.read(path))
+        if mat.shape != expected:
+            raise ValueError(
+                f"{path}: expected shape {expected} (n_dof x M + 1 from {stem}.traj), found {mat.shape}"
+            )
+        states[:, c, :] = mat.T
     return Trajectory(dt * np.arange(m + 1), states, dt, space), header
 
 

@@ -299,6 +299,13 @@ def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
     return np.bincount(space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dof)
 
 
+def quadrature_rule(space: FeSpace):
+    """Physical points (ne, nq, 2) and weights area_e * w_q (ne, nq) of the
+    rule every assembly routine integrates with."""
+    area, _, _, qcoords = space._geometry()
+    return qcoords, area[:, None] * space.quad.weights[None, :]
+
+
 def _states_at_quadrature(space: FeSpace, states: np.ndarray) -> np.ndarray:
     """Interpolate (n_comp, n_dof) nodal fields at quadrature points -> (n_comp, ne, nq)."""
     _, nvals, _, _ = space._geometry()

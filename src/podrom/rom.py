@@ -2,9 +2,13 @@
 r-dimensional coordinate space, BDF-q time loop with bootstrapped or
 projected starting values, and lifting back to nodal space.
 
-The nonlinearity is the exact Galerkin projection: candidates are lifted to
-the full nodal space, the reaction term is assembled there and contracted
-with the modes (no hyperreduction).
+The nonlinearity is the exact Galerkin projection, evaluated at the
+quadrature points of the finite-element rule (no hyperreduction): the modes
+and the lift are interpolated there once, so a candidate is formed as
+u_q = lift_q + Phi_q c, the reaction g(u_q) is weighted by area x quadrature
+weight and contracted with Phi_q. No nodal field is lifted or assembled per
+Newton step; the cost is O(nc * ne * nq * r) per residual and
+O(nc^2 * ne * nq * r) per Jacobian.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .bdf import (
     implicit_step,
     run_bootstrap,
 )
-from .fom import FomOperator, ReactionSystem, Trajectory
-from .mesh_fem import FeSpace, assemble_reaction_jacobian_system
+from .fom import ReactionSystem, Trajectory
+from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
 
 
@@ -37,9 +41,12 @@ class RomSystem:
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
+    modes_q: np.ndarray  # (r, nc, nqp): the modes at the nqp = ne * nq quadrature points
+    lift_q: np.ndarray  # (nc, nqp): the lift at the quadrature points
+    quad_weights: np.ndarray  # (nqp,): element area x reference weight
+    quad_points: np.ndarray  # (nqp, 2): physical coordinates, for the forcing
     system: ReactionSystem
     space: FeSpace
-    op: FomOperator
 
     @property
     def modes(self) -> np.ndarray:
@@ -63,36 +70,62 @@ def rom_assemble(
     system: ReactionSystem,
     lift: np.ndarray | None = None,
 ) -> RomSystem:
-    """Reduced operators by triple products over the first r modes."""
+    """Reduced operators by triple products over the first r modes, and the
+    modes and lift at the quadrature points for the reduced nonlinearity."""
     if r > basis.d_r:
         raise InvalidRankError(f"rank {r} exceeds basis dimension {basis.d_r}")
-    op = FomOperator(system, space)
+    nc, n = system.n_components, space.n_dof
     phi = basis.modes[:, :r]
-    if lift is None:
-        lift = np.zeros(op.dim)
-    mphi = np.column_stack([op.mass_apply(phi[:, j]) for j in range(r)])
-    aphi_unit = np.empty_like(phi)
-    aphi_nu = np.empty_like(phi)
-    for j in range(r):
-        comps = op.split(phi[:, j])
-        aphi_unit[:, j] = np.concatenate([op.stiff.matvec(c) for c in comps])
-        aphi_nu[:, j] = op.diffusion_apply(phi[:, j])
+    lift = np.zeros(nc * n) if lift is None else np.asarray(lift, dtype=np.float64)
+    mass, stiff = space.mass_matrix(), space.stiffness_matrix()
+    phi_c = phi.reshape(nc, n, r)
+    mphi = np.concatenate([mass.matvec(p) for p in phi_c])
+    aphi = np.concatenate([stiff.matvec(p) for p in phi_c])
+    nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), n)
+    alift = np.concatenate([stiff.matvec(c) for c in lift.reshape(nc, n)])
+    points, weights = quadrature_rule(space)
+    modes_q = _states_at_quadrature(space, phi_c.transpose(2, 0, 1).reshape(r * nc, n))
+    lift_q = _states_at_quadrature(space, lift.reshape(nc, n))
     return RomSystem(
         r,
         basis,
         phi.T @ mphi,
-        phi.T @ aphi_unit,
-        phi.T @ aphi_nu,
-        phi.T @ op.diffusion_apply(np.asarray(lift, dtype=np.float64)),
-        np.asarray(lift, dtype=np.float64),
+        phi.T @ aphi,
+        phi.T @ (nu[:, None] * aphi),
+        phi.T @ (nu * alift),
+        lift,
+        np.ascontiguousarray(modes_q.reshape(r, nc, -1)),
+        lift_q.reshape(nc, -1),
+        weights.ravel(),
+        points.reshape(-1, 2),
         system,
         space,
-        op,
     )
 
 
 def lift_to_nodal(romsys: RomSystem, coords: np.ndarray) -> np.ndarray:
     return romsys.lift + romsys.modes @ np.asarray(coords, dtype=np.float64)
+
+
+def _state_at_quadrature(romsys: RomSystem, coords: np.ndarray) -> np.ndarray:
+    """u_q = lift_q + Phi_q c, shape (nc, ne * nq)."""
+    return romsys.lift_q + np.tensordot(coords, romsys.modes_q, axes=1)
+
+
+def _project_quadrature(romsys: RomSystem, values: np.ndarray) -> np.ndarray:
+    """Phi_q^T (w . values) for (nc, ne * nq) values at the quadrature points."""
+    weighted = romsys.quad_weights * values
+    return romsys.modes_q.reshape(romsys.r, -1) @ weighted.ravel()
+
+
+def _reduced_load(romsys: RomSystem, t: float) -> np.ndarray:
+    """Phi^T f(t), by the quadrature ``assemble_load`` uses."""
+    x, y = romsys.quad_points[:, 0], romsys.quad_points[:, 1]
+    vals = np.zeros_like(romsys.lift_q)
+    for c, f in enumerate(romsys.system.forcing):
+        if f is not None:
+            vals[c] = f(x, y, t)
+    return _project_quadrature(romsys, vals)
 
 
 def rom_residual(
@@ -113,9 +146,10 @@ def rom_residual(
         raise ValueError(f"history must hold {scheme.q} coordinate vectors")
     bdf_dt = bdf_increment_form(scheme, increment, history, dt)
     candidate = np.asarray(history[0], dtype=np.float64) + increment
-    full = lift_to_nodal(romsys, candidate)
-    phi = romsys.modes
-    nonlinear = phi.T @ (romsys.op.reaction(full) - romsys.op.load(t_n))
+    uq = _state_at_quadrature(romsys, candidate)
+    nonlinear = _project_quadrature(romsys, romsys.system.g(uq))
+    if romsys.system.forcing is not None:
+        nonlinear -= _reduced_load(romsys, t_n)
     return (
         romsys.reduced_mass @ bdf_dt
         + romsys.reduced_diffusion @ candidate
@@ -125,17 +159,12 @@ def rom_residual(
 
 
 def rom_jacobian(romsys: RomSystem, scheme: BdfScheme, candidate: np.ndarray, dt: float):
-    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + Phi^T g'(lifted) Phi."""
-    full = lift_to_nodal(romsys, candidate)
-    op = romsys.op
-    gp = assemble_reaction_jacobian_system(romsys.space, op.split(full), romsys.system.g_prime)
-    phi_c = romsys.modes.reshape(op.nc, op.n, romsys.r)
-    jac_nl = np.zeros((romsys.r, romsys.r))
-    for a in range(op.nc):
-        acc = np.zeros((op.n, romsys.r))
-        for b in range(op.nc):
-            acc += romsys.space.csr_from_values(gp[a, b]).matvec(phi_c[b])
-        jac_nl += phi_c[a].reshape(op.n, romsys.r).T @ acc
+    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + sum_ab Phi_q[a]^T diag(w g'_ab) Phi_q[b]."""
+    uq = _state_at_quadrature(romsys, candidate)
+    wgp = romsys.quad_weights * np.asarray(romsys.system.g_prime(uq), dtype=np.float64)
+    # inner[j, a] = sum_b w g'_ab Phi_q[j, b]; the quadrature-point axis is innermost
+    inner = np.einsum("abk,jbk->jak", wgp, romsys.modes_q)
+    jac_nl = romsys.modes_q.reshape(romsys.r, -1) @ inner.reshape(romsys.r, -1).T
     return (
         (scheme.delta_f[0] / dt) * romsys.reduced_mass
         + romsys.reduced_diffusion
@@ -238,7 +267,7 @@ def rom_integrate(
 def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
     """Lift a reduced trajectory back to stacked nodal states."""
     nodal = rt.coords @ romsys.modes.T + romsys.lift[None, :]
-    states = nodal.reshape(len(rt.times), romsys.op.nc, romsys.op.n)
+    states = nodal.reshape(len(rt.times), romsys.system.n_components, romsys.space.n_dof)
     return Trajectory(rt.times, states, rt.dt, romsys.space)
 
 

@@ -29,7 +29,6 @@ from podrom.pod import (
     L2,
     W0_INITIAL,
     W0_MEAN,
-    W0_ZERO,
     build_pod_basis,
     build_snapshots,
     correlation_matrix,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from podrom.bdf import (
     ETA,
-    BdfScheme,
     History,
     NewtonConfig,
     UnsupportedOrderError,
@@ -224,6 +223,30 @@ class TestImplicitStep:
         )
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
+
+    def test_residual_evaluations_are_updates_plus_one(self):
+        # u' = -u^3 by BDF-1 from u = 1: Newton needs several updates, and the
+        # residual of each update's convergence check drives the next one
+        scheme = bdf_coefficients(1)
+        h = History(1)
+        h.push(np.array([1.0]), 0)
+        dt = 0.5
+        calls = []
+
+        def residual(d):
+            calls.append(d.copy())
+            return d / dt + (1.0 + d) ** 3
+
+        def jacobian(d):
+            return np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
+
+        cfg = NewtonConfig(tol=1e-13, predictor="previous")
+        sol, iters = implicit_step(scheme, h, dt, residual, jacobian, cfg)
+        assert iters >= 2
+        assert len(calls) == iters + 1
+        # every residual is taken at a new iterate
+        assert len({c[0] for c in calls}) == len(calls)
+        assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
 
     def test_nonconvergence_raises(self):
         scheme = bdf_coefficients(1)

@@ -237,3 +237,25 @@ class TestPersistence:
         assert back.space.n_dof == space.n_dof
         assert np.array_equal(back.states, traj.states)
         assert np.allclose(back.times, traj.times, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("M", "4", r"comp0\.mtx: expected shape \(\d+, 5\).*found \(\d+, 4\)"),
+            ("M", "2", r"comp0\.mtx: expected shape \(\d+, 3\).*found \(\d+, 4\)"),
+            ("n_dof", "7", r"run\.traj: n_dof = 7, but the space has \d+ dofs"),
+        ],
+    )
+    def test_header_disagreeing_with_files_raises(self, tmp_path, key, value, message):
+        space = small_space(3, 2)
+        sys = brusselator_system(0.002)
+        traj = fom_integrate(sys, space, perturbed_equilibrium(space), 0.1, 0.3, 2)
+        stem = str(tmp_path / "run")
+        save_trajectory(traj, stem)
+        with open(stem + ".traj") as fh:
+            lines = fh.read().splitlines()
+        with open(stem + ".traj", "w") as fh:
+            for line in lines:
+                fh.write(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_trajectory(stem)

@@ -240,3 +240,9 @@ class TestCli:
         assert any(p.suffix == ".traj" for p in rom_files)
         csv_lines = (out_dir / "errors_vs_r.csv").read_text().splitlines()
         assert csv_lines[1].startswith("r,")
+        # a header that disagrees with the stored states is a usage error
+        traj_file = out_dir / "fom.traj"
+        traj_file.write_text(traj_file.read_text().replace("M = 8", "M = 9"))
+        capsys.readouterr()
+        assert cli.main(["pod", *args]) == cli.USAGE_ERROR
+        assert "fom.comp0.mtx: expected shape" in capsys.readouterr().err

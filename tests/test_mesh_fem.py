@@ -8,7 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from podrom.linalg import dense_lu_solve, krylov_solve, sym_eigen
+from podrom.linalg import krylov_solve, sym_eigen
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,

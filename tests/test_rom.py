@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from podrom.bdf import bdf_coefficients
+from podrom.bdf import bdf_coefficients, bdf_increment_form
 from podrom.fom import (
     brusselator_system,
     equilibrium_state,
@@ -16,10 +16,16 @@ from podrom.fom import (
     heat_system,
     perturbed_equilibrium,
 )
-from podrom.mesh_fem import build_mesh, build_space, interpolate, norms
+from podrom.mesh_fem import (
+    assemble_load,
+    assemble_reaction_jacobian_system,
+    assemble_reaction_system,
+    build_mesh,
+    build_space,
+    interpolate,
+)
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom.rom import (
-    RomSystem,
     lift_to_nodal,
     newton_tolerance,
     rom_assemble,
@@ -43,13 +49,52 @@ def brusselator_setup(n_side=4, m=16, t_end=1.6, w0_mode=W0_ZERO, r=None):
     return traj, snaps, basis, romsys
 
 
+def forced_heat_setup():
+    # P1, cubic reaction and a time-dependent forcing: exercises the load path
+    space = build_space(build_mesh(6), 1, dirichlet="all")
+    sys = heat_system(
+        0.1,
+        forcing=lambda x, y, t: (1.0 + t) * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y),
+        reaction=lambda u: u**3,
+        reaction_prime=lambda u: 3.0 * u**2,
+    )
+    u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
+    traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
+    snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
+    return rom_assemble(basis, min(4, basis.d_r), space, sys, lift=snaps.mean)
+
+
+def nodal_nonlinearity(romsys, coords, t):
+    """Phi^T (G(lift + Phi c) - F(t)) by nodal assembly."""
+    space, sys = romsys.space, romsys.system
+    full = lift_to_nodal(romsys, coords).reshape(sys.n_components, space.n_dof)
+    vec = assemble_reaction_system(space, full, sys.g)
+    for c, f in enumerate(sys.forcing or []):
+        if f is not None:
+            vec[c] -= assemble_load(space, f, t)
+    return romsys.modes.T @ vec.ravel()
+
+
+def nodal_reaction_jacobian(romsys, coords):
+    """Phi^T G'(lift + Phi c) Phi by nodal assembly and sparse products."""
+    space, sys = romsys.space, romsys.system
+    nc, n = sys.n_components, space.n_dof
+    full = lift_to_nodal(romsys, coords).reshape(nc, n)
+    gp = assemble_reaction_jacobian_system(space, full, sys.g_prime)
+    phi_c = romsys.modes.reshape(nc, n, romsys.r)
+    return sum(
+        phi_c[a].T @ space.csr_from_values(gp[a, b]).matvec(phi_c[b])
+        for a in range(nc)
+        for b in range(nc)
+    )
+
+
 class TestAssembly:
     def test_reduced_operators_match_dense_oracle(self):
         traj, snaps, basis, romsys = brusselator_setup()
         phi = romsys.modes
-        op = romsys.op
-        md = op.mass.to_dense()
-        ad = op.stiff.to_dense()
+        md = romsys.space.mass_matrix().to_dense()
+        ad = romsys.space.stiffness_matrix().to_dense()
         big_m = np.kron(np.eye(2), md)
         big_a_unit = np.kron(np.eye(2), ad)
         big_a_nu = np.kron(np.diag(romsys.system.diffusion), ad)
@@ -122,6 +167,31 @@ class TestResidualAndJacobian:
             rm = rom_residual(romsys, scheme, history, d0 - e, 0.3, dt)
             fd[:, j] = (rp - rm) / (2 * eps)
         assert np.max(np.abs(jac - fd)) < 1e-5
+
+    @pytest.mark.parametrize("setup", ["brusselator_p2", "forced_heat_p1"])
+    def test_quadrature_points_match_nodal_assembly(self, setup):
+        romsys = brusselator_setup()[3] if setup == "brusselator_p2" else forced_heat_setup()
+        scheme = bdf_coefficients(3)
+        dt, t = 0.1, 0.3
+        rng = np.random.default_rng(2)
+        history = [0.1 * rng.standard_normal(romsys.r) for _ in range(3)]
+        d0 = 0.05 * rng.standard_normal(romsys.r)
+        candidate = history[0] + d0
+
+        nonlinear = nodal_nonlinearity(romsys, candidate, t)
+        want = (
+            romsys.reduced_mass @ bdf_increment_form(scheme, d0, history, dt)
+            + romsys.reduced_diffusion @ candidate
+            + romsys.diffusion_lift
+            + nonlinear
+        )
+        got = rom_residual(romsys, scheme, history, d0, t, dt)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(nonlinear)
+
+        jac_nl = nodal_reaction_jacobian(romsys, candidate)
+        want = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion + jac_nl
+        got = rom_jacobian(romsys, scheme, candidate, dt)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(jac_nl)
 
     def test_history_length_guard(self):
         _, _, _, romsys = brusselator_setup()
