@@ -1,5 +1,7 @@
 """BDF-q machinery: coefficients, first-difference form, starting-value
-bootstrapping and a generic implicit step driven by Newton's method.
+bootstrapping, a generic implicit step driven by Newton's method, and
+``integrate``, the one BDF-q time loop that the full-order and the reduced
+model both run through their residual and Jacobian callbacks.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -9,9 +11,9 @@ sum(delta) = 0 and the first-difference weights hold exactly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,9 +128,10 @@ def bootstrap_plan(q: int, dt: float):
 def run_bootstrap(q: int, dt: float, u0: np.ndarray, stepper):
     """Execute a bootstrap plan and return the q-1 starting values at t_1..t_{q-1}.
 
-    ``stepper(scheme, history, step, t_new)`` advances one implicit step.
-    All segment steps divide dt, so sample times are exact grid hits; times
-    are tracked as integer multiples of the finest step.
+    ``stepper(scheme, history, step, t_new)`` advances one implicit step from
+    the ``scheme.q`` previous states, newest first. All segment steps divide
+    dt, so sample times are exact grid hits; times are tracked as integer
+    multiples of the finest step.
     """
     plan = bootstrap_plan(q, dt)
     if not plan:
@@ -140,11 +143,9 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, stepper):
         k = round(step / s_min)
         scheme = bdf_coefficients(order)
         for _ in range(count):
-            hist = History(order)
-            for j in range(order - 1, -1, -1):
-                hist.push(states[t_units - j * k], index=order - 1 - j)
+            history = [states[t_units - j * k] for j in range(order)]
             t_units += k
-            states[t_units] = stepper(scheme, hist, step, t_units * s_min)
+            states[t_units] = stepper(scheme, history, step, t_units * s_min)
     k_dt = round(dt / s_min)
     return [states[j * k_dt] for j in range(1, q)]
 
@@ -160,27 +161,6 @@ class NewtonConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-class History:
-    """Ring of the q most recent states, newest first."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self._states = deque(maxlen=depth)
-        self._index = None
-
-    def push(self, state, index: int):
-        if self._index is not None and index != self._index + 1:
-            raise ValueError("time indices must be consecutive")
-        self._index = index
-        self._states.appendleft(np.asarray(state, dtype=np.float64))
-
-    def states(self):
-        return list(self._states)
-
-    def __len__(self):
-        return len(self._states)
 
 
 def extrapolate(history_states) -> np.ndarray:
@@ -217,7 +197,7 @@ def _solve_linear(jac, rhs):
 
 def implicit_step(
     scheme: BdfScheme,
-    history: History,
+    history: list,
     dt: float,
     residual,
     jacobian,
@@ -225,25 +205,84 @@ def implicit_step(
 ):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
-    Newton iterates on the increment d = u^n - u^{n-1}; ``residual`` and
+    ``history`` holds the q previous states, newest first. Newton iterates
+    on the increment d = u^n - u^{n-1}; ``residual`` and
     ``jacobian`` take the candidate increment (the BDF history contribution
     is the caller's responsibility inside ``residual``). The solution
     returned is newest history state plus the converged increment. The
     residual computed for the convergence check drives the next update, so
     k updates take k + 1 residual evaluations.
     """
-    if len(history) < scheme.q:
+    if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
-    states = history.states()
     if cfg.predictor == "local-extrapolation":
-        d = extrapolate_increment(states)
+        d = extrapolate_increment(history)
     else:
-        d = np.zeros_like(states[0])
+        d = np.zeros_like(history[0])
     r = residual(d)
     for it in range(1, cfg.max_iter + 1):
         d = d + _solve_linear(jacobian(d), -r)
         r = residual(d)
         res_norm = float(np.linalg.norm(r))
         if res_norm <= cfg.tol:
-            return states[0] + d, it
+            return history[0] + d, it
     raise ConvergenceError(f"Newton did not converge in {cfg.max_iter} iterations", res_norm)
+
+
+def integrate(q: int, dt: float, t_end: float, starting, residual, jacobian, newton):
+    """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
+
+    ``starting`` is [u_0], whose q - 1 further starting values are
+    bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
+    enters through ``residual(scheme, history, d, t, step)``, its residual at
+    the candidate history[0] + d for the previous states ``history`` (newest
+    first), and ``jacobian(scheme, candidate, step)``; ``newton(order, step)``
+    gives the NewtonConfig of each segment, resolved once per segment.
+
+    Returns (states u_0..u_M, Newton updates per main-loop step n = q..M,
+    Newton updates per bootstrap step). A ConvergenceError is re-raised
+    naming the order, the step and the time where Newton or the linear
+    solve failed, with its residual kept.
+    """
+    m_steps = t_end / dt
+    if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
+        raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
+    m_steps = round(m_steps)
+    config = lru_cache(maxsize=None)(newton)
+    boot_counts = []
+
+    def advance(scheme, history, step, t, n=None):
+        try:
+            return implicit_step(
+                scheme,
+                history,
+                step,
+                lambda d: residual(scheme, history, d, t, step),
+                lambda d: jacobian(scheme, history[0] + d, step),
+                config(scheme.q, step),
+            )
+        except ConvergenceError as exc:
+            where = "bootstrap step" if n is None else f"step n = {n}"
+            raise ConvergenceError(
+                f"BDF-{scheme.q} {where} at t = {t:.6g} (step size {step:.6g}): {exc.message}",
+                exc.residual,
+            ) from exc
+
+    def boot_step(scheme, history, step, t):
+        sol, iters = advance(scheme, history, step, t)
+        boot_counts.append(iters)
+        return sol
+
+    states = [np.asarray(u, dtype=np.float64) for u in starting]
+    if len(states) == 1 and q > 1:
+        states += run_bootstrap(q, dt, states[0], boot_step)
+    elif len(states) != q:
+        raise ValueError(f"expected 1 or {q} starting values, got {len(states)}")
+    del states[m_steps + 1 :]
+    scheme = bdf_coefficients(q)
+    counts = []
+    for n in range(len(states), m_steps + 1):
+        sol, iters = advance(scheme, states[: -q - 1 : -1], dt, n * dt, n)
+        states.append(sol)
+        counts.append(iters)
+    return states, counts, boot_counts

@@ -1,6 +1,6 @@
-"""Full-order model: BDF-q/Newton integration of the semi-discrete Galerkin
-system for scalar or two-component reaction-diffusion problems, snapshot
-trajectories on a uniform grid, and tight reference solves.
+"""Full-order model: BDF-q/Newton integration (by ``bdf.integrate``) of the
+semi-discrete Galerkin system for scalar or two-component reaction-diffusion
+problems, snapshot trajectories on a uniform grid, and tight reference solves.
 
 Nonhomogeneous Dirichlet data on gamma1 is enforced by elimination at every
 step: candidate states carry the prescribed boundary values, Newton updates
@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mmio
-from .bdf import (
-    BdfScheme,
-    History,
-    NewtonConfig,
-    bdf_coefficients,
-    bdf_increment_form,
-    implicit_step,
-    run_bootstrap,
-)
+from .bdf import NewtonConfig, bdf_increment_form, integrate
 from .linalg import CsrMatrix, block_plan
 from .mesh_fem import (
     FeSpace,
@@ -150,14 +142,6 @@ class FomOperator:
                     out[c * self.n : (c + 1) * self.n] = assemble_load(self.space, f, t)
         return out
 
-    def dirichlet_state(self) -> np.ndarray:
-        """Stacked vector holding the boundary values at constrained dofs."""
-        out = np.zeros(self.dim)
-        for c, val in enumerate(self.system.dirichlet_values):
-            seg = out[c * self.n : (c + 1) * self.n]
-            seg[self.space.dirichlet_mask] = val
-        return out
-
     def residual(self, increment, hist_states, scheme, dt, t):
         """Algebraic residual of one BDF step at candidate u^{n-1} + increment.
 
@@ -185,13 +169,6 @@ class FomOperator:
         return self._jac_plan.csr(vals)
 
 
-def _check_divides(dt: float, t_end: float) -> int:
-    m = t_end / dt
-    if abs(m - round(m)) > 1e-12 * max(1.0, m):
-        raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
-    return round(m)
-
-
 def fom_integrate(
     system: ReactionSystem,
     space: FeSpace,
@@ -209,49 +186,18 @@ def fom_integrate(
     """
     if newton is None:
         newton = NewtonConfig(tol=1e-10)
-    m_steps = _check_divides(dt, t_end)
     op = FomOperator(system, space)
-    u0 = np.asarray(u0, dtype=np.float64)
-    w0 = u0.reshape(op.dim).copy()
-
-    def stepper(scheme: BdfScheme, history: History, step: float, t_new: float):
-        c0 = scheme.delta_f[0] / step
-        hist_states = history.states()
-        sol, _ = implicit_step(
-            scheme,
-            history,
-            step,
-            lambda d: op.residual(d, hist_states, scheme, step, t_new),
-            lambda d: op.jacobian(hist_states[0] + d, c0),
-            newton,
-        )
-        return sol
-
-    starting = run_bootstrap(q, dt, w0, stepper) if q > 1 else []
-    states = [w0] + starting
-    if len(states) > m_steps + 1:
-        states = states[: m_steps + 1]
-    scheme = bdf_coefficients(q)
-    hist = History(q)
-    for i, s in enumerate(states):
-        hist.push(s, i)
-    for n in range(len(states), m_steps + 1):
-        t_new = n * dt
-        c0 = scheme.delta_f[0] / dt
-        hist_states = hist.states()
-        sol, _ = implicit_step(
-            scheme,
-            hist,
-            dt,
-            lambda d: op.residual(d, hist_states, scheme, dt, t_new),
-            lambda d: op.jacobian(hist_states[0] + d, c0),
-            newton,
-        )
-        states.append(sol)
-        hist.push(sol, n)
-    times = dt * np.arange(m_steps + 1)
-    arr = np.array(states).reshape(m_steps + 1, op.nc, op.n)
-    return Trajectory(times, arr, dt, space)
+    states, _, _ = integrate(
+        q,
+        dt,
+        t_end,
+        [np.asarray(u0, dtype=np.float64).reshape(op.dim)],
+        lambda scheme, history, d, t, step: op.residual(d, history, scheme, step, t),
+        lambda scheme, candidate, step: op.jacobian(candidate, scheme.delta_f[0] / step),
+        lambda order, step: newton,
+    )
+    arr = np.array(states).reshape(len(states), op.nc, op.n)
+    return Trajectory(dt * np.arange(len(states)), arr, dt, space)
 
 
 def reference_trajectory(
@@ -313,14 +259,19 @@ def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
 
 def load_trajectory(stem: str, space: FeSpace | None = None) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
-    rebuilt from the header when not supplied. A component file whose shape
-    disagrees with the header's n_dof and M raises ValueError."""
+    rebuilt from the header when not supplied. A header key the load needs
+    that is missing, or a component file whose shape disagrees with the
+    header's n_dof and M, raises ValueError."""
     header = {}
     with open(stem + ".traj") as fh:
         for line in fh:
             if "=" in line:
                 k, v = line.split("=", 1)
                 header[k.strip()] = v.strip()
+    needed = ["dt", "M", "components", "n_dof"] + (["n_side", "degree"] if space is None else [])
+    missing = [k for k in needed if k not in header]
+    if missing:
+        raise ValueError(f"{stem}.traj: missing header key(s) {', '.join(missing)}")
     dt = float(header["dt"])
     m = int(header["M"])
     n_comp = int(header["components"])

@@ -28,6 +28,7 @@ class ConvergenceError(Exception):
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
+        self.message = message
         self.residual = residual
 
 
@@ -99,9 +100,6 @@ class CsrMatrix:
         on_diag = self.row_indices() == self.col_indices
         d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
-
-    def scaled(self, c: float) -> "CsrMatrix":
-        return CsrMatrix(self.rows, self.cols, self.row_offsets, self.col_indices, c * self.values)
 
 
 def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,9 @@ W0_ZERO = "zero-after-mean-subtraction"
 H10 = "H10"
 L2 = "L2"
 
+#: correlation eigenvalues below RANK_TOL * lambda_1 are numerically zero
+RANK_TOL = 1e-12
+
 #: Poincare constant upper bound on the unit square, reporting only.
 POINCARE_UNIT_SQUARE = 1.0 / (np.pi * np.sqrt(2.0))
 
@@ -112,19 +115,18 @@ def pod_basis(
     k: np.ndarray,
     gram: CsrMatrix,
     inner_product: str = H10,
-    rank_tol: float = 1e-12,
     r: int | None = None,
 ) -> PodBasis:
     """Eigenpairs of the correlation matrix and the induced orthonormal modes.
 
-    Eigenvalues below rank_tol * lambda_1 are discarded as numerically zero;
+    Eigenvalues below RANK_TOL * lambda_1 are discarded as numerically zero;
     an explicit ``r`` truncates further.
     """
     eig = sym_eigen(k)
     lam = eig.eigenvalues
     if len(lam) == 0 or lam[0] <= 0:
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
-    d_r = int(np.sum(lam > rank_tol * lam[0]))
+    d_r = int(np.sum(lam > RANK_TOL * lam[0]))
     if d_r == 0:
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
     if r is not None:
@@ -148,14 +150,13 @@ def build_pod_basis(
     tau: float = 1.0,
     w0_mode: str = W0_ZERO,
     inner_product: str = H10,
-    rank_tol: float = 1e-12,
 ):
     """Convenience pipeline: snapshots -> correlation matrix -> basis."""
     snaps = build_snapshots(traj, tau, w0_mode)
     n_comp = traj.states.shape[1]
     gram = gram_matrix(traj.space, inner_product, n_comp)
     k = correlation_matrix(snaps, gram)
-    basis = pod_basis(snaps, k, gram, inner_product, rank_tol)
+    basis = pod_basis(snaps, k, gram, inner_product)
     return snaps, basis
 
 

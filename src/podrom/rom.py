@@ -1,6 +1,6 @@
 """Fully discrete POD-ROM: reduced operators, residual/Jacobian in the
-r-dimensional coordinate space, BDF-q time loop with bootstrapped or
-projected starting values, and lifting back to nodal space.
+r-dimensional coordinate space, BDF-q integration by ``bdf.integrate`` from
+bootstrapped or projected starting values, and lifting back to nodal space.
 
 The nonlinearity is the exact Galerkin projection, evaluated at the
 quadrature points of the finite-element rule (no hyperreduction): the modes
@@ -14,19 +14,12 @@ O(nc^2 * ne * nq * r) per Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import mmio
-from .bdf import (
-    BdfScheme,
-    History,
-    NewtonConfig,
-    bdf_coefficients,
-    bdf_increment_form,
-    implicit_step,
-    run_bootstrap,
-)
+from .bdf import BdfScheme, NewtonConfig, bdf_increment_form, integrate
 from .fom import ReactionSystem, Trajectory
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
@@ -191,71 +184,41 @@ def rom_integrate(
     t_end: float,
     init,
     newton_tol_rule="step-coupled",
-    max_iter: int = 25,
 ) -> RomTrajectory:
     """BDF-q time loop in reduced coordinates.
 
     ``init`` is ("project_fom", Trajectory) to take the q starting values as
     projections of full-order states, or ("bootstrap", coords0) to bootstrap
     them from the reduced initial condition with lower-order integrations.
+    Each segment's Newton tolerance follows ``newton_tol_rule`` at its own
+    step size and order.
     """
-    m_steps = round(t_end / dt)
-    if abs(m_steps * dt - t_end) > 1e-12 * max(1.0, t_end):
-        raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
-    scheme = bdf_coefficients(q)
-
-    def make_step(sub_scheme: BdfScheme, hist_states, step: float, t_new: float, tol: float):
-        # hist_states in chronological order (oldest first)
-        cfg = NewtonConfig(tol=tol, max_iter=max_iter)
-        hist = History(sub_scheme.q)
-        for i, s in enumerate(hist_states):
-            hist.push(s, i)
-        newest = hist.states()[0]
-        return implicit_step(
-            sub_scheme,
-            hist,
-            step,
-            lambda d: rom_residual(romsys, sub_scheme, hist.states(), d, t_new, step),
-            lambda d: rom_jacobian(romsys, sub_scheme, newest + d, step),
-            cfg,
-        )
-
-    boot_counts: list[int] = []
     mode, payload = init
     if mode == "project_fom":
         traj: Trajectory = payload
         grid = traj.times
-        coords = []
+        starting = []
         for j in range(q):
             t_j = j * dt
             idx = int(np.argmin(np.abs(grid - t_j)))
             if abs(grid[idx] - t_j) > 1e-10 * max(1.0, t_end):
                 raise ValueError(f"full-order grid does not contain t_{j} = {t_j}")
-            coords.append(_project_coords(romsys, traj.stacked()[idx]))
+            starting.append(_project_coords(romsys, traj.stacked()[idx]))
     elif mode == "bootstrap":
-        c0 = np.asarray(payload, dtype=np.float64)
-
-        def boot_stepper(sub_scheme, history, step, t_new):
-            tol = newton_tolerance(newton_tol_rule, step, sub_scheme.q)
-            sol, iters = make_step(sub_scheme, list(reversed(history.states())), step, t_new, tol)
-            boot_counts.append(iters)
-            return sol
-
-        starting = run_bootstrap(q, dt, c0, boot_stepper) if q > 1 else []
-        coords = [c0] + starting
+        starting = [payload]
     else:
         raise ValueError(f"unknown init mode {mode!r}")
-
-    coords = coords[: m_steps + 1]
-    counts = []
-    tol = newton_tolerance(newton_tol_rule, dt, q)
-    for n in range(len(coords), m_steps + 1):
-        hist_states = coords[-q:]
-        sol, iters = make_step(scheme, hist_states, dt, n * dt, tol)
-        coords.append(sol)
-        counts.append(iters)
+    coords, counts, boot_counts = integrate(
+        q,
+        dt,
+        t_end,
+        starting,
+        partial(rom_residual, romsys),
+        partial(rom_jacobian, romsys),
+        lambda order, step: NewtonConfig(tol=newton_tolerance(newton_tol_rule, step, order)),
+    )
     return RomTrajectory(
-        dt * np.arange(m_steps + 1),
+        dt * np.arange(len(coords)),
         np.array(coords),
         dt,
         q,

@@ -1,6 +1,6 @@
 """BDF coefficients and stepping: exact rational identities, polynomial
 exactness, the first-difference decomposition (property-tested), bootstrap
-plans, and scalar convergence orders."""
+plans, the time-loop driver, and scalar convergence orders."""
 
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from podrom import bdf
 from podrom.bdf import (
     ETA,
-    History,
     NewtonConfig,
     UnsupportedOrderError,
     bdf_apply,
@@ -22,8 +22,10 @@ from podrom.bdf import (
     extrapolate,
     extrapolate_increment,
     implicit_step,
+    integrate,
     run_bootstrap,
 )
+from podrom.linalg import ConvergenceError
 
 
 class TestCoefficients:
@@ -160,23 +162,6 @@ class TestBootstrapPlan:
             bootstrap_plan(3, 0.0)
 
 
-class TestHistory:
-    def test_ring_depth_and_order(self):
-        h = History(2)
-        h.push(np.array([0.0]), 0)
-        h.push(np.array([1.0]), 1)
-        h.push(np.array([2.0]), 2)
-        states = h.states()
-        assert len(states) == 2
-        assert states[0][0] == 2.0  # newest first
-
-    def test_rejects_nonconsecutive_indices(self):
-        h = History(3)
-        h.push(np.zeros(1), 0)
-        with pytest.raises(ValueError):
-            h.push(np.zeros(1), 2)
-
-
 class TestExtrapolate:
     def test_polynomial_reproduction(self):
         # degree k-1 polynomials are extrapolated exactly by k points
@@ -195,31 +180,34 @@ class TestExtrapolate:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def scalar_step_factory(scheme, lam, dt):
-    """Newton callbacks for u' = lam u in increment form."""
+def scalar_callbacks(lam):
+    """Driver callbacks for u' = lam u in increment form."""
 
-    def make(hist_states):
-        def residual(d):
-            bdf_dt = bdf_increment_form(scheme, d, hist_states, dt)
-            return bdf_dt - lam * (hist_states[0] + d)
+    def residual(scheme, history, d, t, step):
+        return bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
 
-        def jacobian(d):
-            return np.array([[float(scheme.delta_f[0]) / dt - lam]])
+    def jacobian(scheme, candidate, step):
+        return np.array([[float(scheme.delta_f[0]) / step - lam]])
 
-        return residual, jacobian
+    return residual, jacobian
 
-    return make
+
+def tight(order, step):
+    return NewtonConfig(tol=1e-14)
 
 
 class TestImplicitStep:
     def test_affine_residual_one_iteration(self):
         scheme = bdf_coefficients(1)
-        h = History(1)
-        h.push(np.array([1.0]), 0)
-        make = scalar_step_factory(scheme, -1.0, 0.1)
-        residual, jacobian = make(h.states())
+        h = [np.array([1.0])]
+        residual, jacobian = scalar_callbacks(-1.0)
         sol, iters = implicit_step(
-            scheme, h, 0.1, residual, jacobian, NewtonConfig(tol=1e-12)
+            scheme,
+            h,
+            0.1,
+            lambda d: residual(scheme, h, d, 0.1, 0.1),
+            lambda d: jacobian(scheme, h[0] + d, 0.1),
+            NewtonConfig(tol=1e-12),
         )
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
@@ -228,8 +216,7 @@ class TestImplicitStep:
         # u' = -u^3 by BDF-1 from u = 1: Newton needs several updates, and the
         # residual of each update's convergence check drives the next one
         scheme = bdf_coefficients(1)
-        h = History(1)
-        h.push(np.array([1.0]), 0)
+        h = [np.array([1.0])]
         dt = 0.5
         calls = []
 
@@ -250,8 +237,7 @@ class TestImplicitStep:
 
     def test_nonconvergence_raises(self):
         scheme = bdf_coefficients(1)
-        h = History(1)
-        h.push(np.array([1.0]), 0)
+        h = [np.array([1.0])]
 
         def residual(d):
             return np.array([1.0])  # unsatisfiable
@@ -259,28 +245,20 @@ class TestImplicitStep:
         def jacobian(d):
             return np.array([[1.0]])
 
-        from podrom.linalg import ConvergenceError
-
         with pytest.raises(ConvergenceError):
             implicit_step(scheme, h, 0.1, residual, jacobian, NewtonConfig(tol=1e-12, max_iter=3))
 
+    def test_history_must_match_order(self):
+        scheme = bdf_coefficients(2)
+        with pytest.raises(ValueError):
+            implicit_step(scheme, [np.zeros(1)], 0.1, None, None, NewtonConfig(tol=1e-12))
 
-def integrate_scalar(q, lam, dt, t_end, u0=1.0, exact_start=True):
-    """BDF-q on u' = lam u with exact starting values."""
-    scheme = bdf_coefficients(q)
-    m = round(t_end / dt)
-    vals = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)] if exact_start else None
-    hist = History(q)
-    for j, v in enumerate(vals):
-        hist.push(v, j)
-    make = scalar_step_factory(scheme, lam, dt)
-    out = list(vals)
-    for n in range(q, m + 1):
-        residual, jacobian = make(hist.states())
-        sol, _ = implicit_step(scheme, hist, dt, residual, jacobian, NewtonConfig(tol=1e-14))
-        out.append(sol)
-        hist.push(sol, n)
-    return np.array(out)[:, 0]
+
+def integrate_scalar(q, lam, dt, t_end, u0=1.0):
+    """BDF-q on u' = lam u from the exact starting values u0 exp(lam t_j), j < q."""
+    starting = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)]
+    states, _, _ = integrate(q, dt, t_end, starting, *scalar_callbacks(lam), tight)
+    return np.array(states)[:, 0]
 
 
 class TestScalarConvergence:
@@ -303,11 +281,17 @@ class TestRunBootstrap:
         lam = -2.0
         q = 3
         dt = 0.01
+        residual, jacobian = scalar_callbacks(lam)
 
         def stepper(scheme, history, step, t_new):
-            make = scalar_step_factory(scheme, lam, step)
-            residual, jacobian = make(history.states())
-            sol, _ = implicit_step(scheme, history, step, residual, jacobian, NewtonConfig(1e-14))
+            sol, _ = implicit_step(
+                scheme,
+                history,
+                step,
+                lambda d: residual(scheme, history, d, t_new, step),
+                lambda d: jacobian(scheme, history[0] + d, step),
+                NewtonConfig(1e-14),
+            )
             return sol
 
         starting = run_bootstrap(q, dt, np.array([1.0]), stepper)
@@ -316,3 +300,59 @@ class TestRunBootstrap:
             exact = np.exp(lam * j * dt)
             # order-(q-1) at step dt^{q/(q-1)} gives error ~ dt^q per value
             assert abs(v[0] - exact) < 10 * dt**q
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("t_end", [1.0, 0.4, 0.2])  # M = 10, M = 4, M = 2
+    def test_implicit_steps_match_the_plan(self, monkeypatch, q, t_end):
+        # perfbench's traced step count relies on this; the driver must also
+        # reach implicit_step and run_bootstrap through the bdf module
+        dt = 0.1
+        calls = {"implicit_step": 0, "run_bootstrap": 0}
+        for name in calls:
+            original = getattr(bdf, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bdf, name, counted)
+        m = round(t_end / dt)
+        boot = sum(count for _, _, count in bootstrap_plan(q, dt)) if q > 1 else 0
+        main = max(0, m - q + 1)
+        states, counts, boot_counts = integrate(
+            q, dt, t_end, [np.array([1.0])], *scalar_callbacks(-2.0), tight
+        )
+        assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
+        assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
+        # with the q starting values given, nothing is bootstrapped
+        calls.update(implicit_step=0, run_bootstrap=0)
+        given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
+        states, counts, boot_counts = integrate(q, dt, t_end, given, *scalar_callbacks(-2.0), tight)
+        assert calls == {"implicit_step": main, "run_bootstrap": 0}
+        assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
+
+    @pytest.mark.parametrize(
+        "t_fail, where",
+        [(0.3, "BDF-2 step n = 3 at t = 0.3 (step size 0.1)"),
+         (0.1, "BDF-1 bootstrap step at t = 0.1 (step size 0.1)")],
+    )
+    def test_failure_names_order_step_and_time(self, t_fail, where):
+        residual, jacobian = scalar_callbacks(-2.0)
+
+        def failing(scheme, history, d, t, step):
+            if abs(t - t_fail) < 1e-12:
+                return np.array([1.0])  # unsatisfiable
+            return residual(scheme, history, d, t, step)
+
+        with pytest.raises(ConvergenceError) as info:
+            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, jacobian, tight)
+        assert str(info.value).startswith(where + ": Newton did not converge")
+        assert info.value.residual == 1.0
+        assert isinstance(info.value.__cause__, ConvergenceError)
+
+    def test_rejects_wrong_number_of_starting_values(self):
+        residual, jacobian = scalar_callbacks(-2.0)
+        with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
+            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, residual, jacobian, tight)

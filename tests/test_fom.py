@@ -244,6 +244,7 @@ class TestPersistence:
             ("M", "4", r"comp0\.mtx: expected shape \(\d+, 5\).*found \(\d+, 4\)"),
             ("M", "2", r"comp0\.mtx: expected shape \(\d+, 3\).*found \(\d+, 4\)"),
             ("n_dof", "7", r"run\.traj: n_dof = 7, but the space has \d+ dofs"),
+            ("M", None, r"run\.traj: missing header key\(s\) M$"),
         ],
     )
     def test_header_disagreeing_with_files_raises(self, tmp_path, key, value, message):
@@ -256,6 +257,9 @@ class TestPersistence:
             lines = fh.read().splitlines()
         with open(stem + ".traj", "w") as fh:
             for line in lines:
-                fh.write(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n")
+                if not line.startswith(f"{key} ="):
+                    fh.write(line + "\n")
+                elif value is not None:  # None deletes the line
+                    fh.write(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=message):
             load_trajectory(stem)

@@ -240,9 +240,20 @@ class TestCli:
         assert any(p.suffix == ".traj" for p in rom_files)
         csv_lines = (out_dir / "errors_vs_r.csv").read_text().splitlines()
         assert csv_lines[1].startswith("r,")
+        # an unattainable Newton tolerance is a pipeline failure that names
+        # the order, the step and the time where Newton gave up
+        strict = tmp_path / "strict.cfg"
+        strict.write_text(cfg.read_text() + "newton_rule = 1e-30\n")
+        capsys.readouterr()
+        assert cli.main(["rom", "--config", str(strict), "--q", "1"]) == cli.PIPELINE_ERROR
+        assert "BDF-1 step n = 1 at t = 0.1 (step size 0.1)" in capsys.readouterr().err
         # a header that disagrees with the stored states is a usage error
         traj_file = out_dir / "fom.traj"
         traj_file.write_text(traj_file.read_text().replace("M = 8", "M = 9"))
         capsys.readouterr()
         assert cli.main(["pod", *args]) == cli.USAGE_ERROR
         assert "fom.comp0.mtx: expected shape" in capsys.readouterr().err
+        # so is a header that lacks a key the load needs
+        traj_file.write_text(traj_file.read_text().replace("M = 9\n", ""))
+        assert cli.main(["pod", *args]) == cli.USAGE_ERROR
+        assert "fom.traj: missing header key(s) M" in capsys.readouterr().err
