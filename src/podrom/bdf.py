@@ -190,7 +190,7 @@ def extrapolate_increment(history_states) -> np.ndarray:
 
 def _solve_linear(jac, rhs):
     if isinstance(jac, CsrMatrix):
-        x, _ = krylov_solve(jac, rhs, tol=1e-13, preconditioner="jacobi")
+        x, _ = krylov_solve(jac, rhs, tol=1e-13)
         return x
     return dense_lu_solve(np.asarray(jac), rhs)
 

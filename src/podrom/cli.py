@@ -1,6 +1,10 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
 Subcommands: mesh, fom, pod, rom, errors, convergence, tables, check.
+`fom` writes the snapshot trajectory fom.traj. `pod` is export-only: it
+writes the modes, the eigenvalues, the snapshots and the mean, and no
+subcommand reads them back. `rom` and `errors` read only fom.traj and the
+config, and rebuild the same POD from them deterministically.
 PODROM_THREADS, when set, must be a positive integer. It is only validated:
 nothing in podrom runs in parallel.
 """
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import harness, pod as pod_mod, rom as rom_mod
 from .bdf import bdf_apply, bdf_apply_as_differences, bdf_coefficients
-from .fom import fom_integrate, load_trajectory, save_trajectory
+from .fom import Trajectory, fom_integrate, load_trajectory, save_trajectory
 from .harness import RunConfig, build_desk_setup, parse_config
 from .mesh_fem import build_mesh, build_space, export_mesh
 
@@ -139,8 +143,6 @@ def cmd_check(cfg: RunConfig) -> int:
     print(f"bdf identities: {'FAIL' if failures else 'ok'}")
 
     # synthetic snapshot set on a small mesh: tail identity and orthonormality
-    from .fom import Trajectory
-
     space = build_space(build_mesh(4), 1)
     m_small = 12
     states = rng.standard_normal((m_small + 1, 1, space.n_dof))

@@ -1,6 +1,6 @@
 """Full-order model: BDF-q/Newton integration (by ``bdf.integrate``) of the
 semi-discrete Galerkin system for scalar or two-component reaction-diffusion
-problems, snapshot trajectories on a uniform grid, and tight reference solves.
+problems, and snapshot trajectories on a uniform grid.
 
 Nonhomogeneous Dirichlet data on gamma1 is enforced by elimination at every
 step: candidate states carry the prescribed boundary values, Newton updates
@@ -200,25 +200,6 @@ def fom_integrate(
     return Trajectory(dt * np.arange(len(states)), arr, dt, space)
 
 
-def reference_trajectory(
-    system: ReactionSystem,
-    space: FeSpace,
-    u0: np.ndarray,
-    t_end: float,
-    m_out: int,
-    refine: int = 256,
-) -> Trajectory:
-    """Tight reference: BDF-5 at step t_end / (refine * m_out), tolerance 1e-12,
-    subsampled onto the m_out-point output grid.
-
-    Surrogate for an adaptive variable-order reference integrator.
-    """
-    dt_fine = t_end / (refine * m_out)
-    fine = fom_integrate(system, space, u0, dt_fine, t_end, 5, NewtonConfig(tol=1e-12))
-    idx = np.arange(0, refine * m_out + 1, refine)
-    return Trajectory(fine.times[idx], fine.states[idx], t_end / m_out, space)
-
-
 def equilibrium_state(system: ReactionSystem, space: FeSpace) -> np.ndarray:
     """Constant-per-component state at the Dirichlet values, shape (n_comp, n_dof)."""
     return np.array(
@@ -299,7 +280,6 @@ __all__ = [
     "brusselator_system",
     "heat_system",
     "fom_integrate",
-    "reference_trajectory",
     "equilibrium_state",
     "perturbed_equilibrium",
     "save_trajectory",

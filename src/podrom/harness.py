@@ -1,6 +1,7 @@
-"""Measurement layer and pipeline orchestration: error norms against
-references, convergence-slope estimation, and the CSV tables behind the
-r-refinement, temporal-order and starting-value studies.
+"""Run configuration and pipeline orchestration: the validated config, the
+desk setup (FOM snapshot run and POD), and the studies behind the
+r-refinement, temporal-order and starting-value CSV tables, with
+convergence-slope estimation.
 """
 
 from __future__ import annotations
@@ -19,11 +20,23 @@ from .fom import (
     perturbed_equilibrium,
 )
 from .mesh_fem import FeSpace, build_mesh, build_space, interpolate
-from .pod import H10, W0_ZERO, PodBasis, build_pod_basis, project
-from .rom import RomSystem, rom_assemble, rom_integrate
+from .pod import (
+    H10,
+    INNER_PRODUCTS,
+    L2,
+    W0_MODES,
+    W0_ZERO,
+    PodBasis,
+    build_pod_basis,
+    gram_matrix,
+    project,
+)
+from .rom import RomSystem, initial_coords, rom_assemble, rom_integrate
 
 DEFAULT_T = 7.090636  # integration window used by the desk-scale protocol
 DEFAULT_M_SWEEP = (64, 128, 256, 512, 1024)
+#: the configurable systems, each built from its diffusion coefficient nu
+SYSTEMS = {"brusselator": brusselator_system, "heat": heat_system}
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +62,23 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_side < 1 or self.nu <= 0 or self.T <= 0 or self.M < 1 or self.tau <= 0:
-            raise ValueError("all physical parameters must be positive")
+        positive = (self.nu, self.T, self.tau)
+        if self.n_side < 1 or self.M < 1 or not all(0 < x < np.inf for x in positive):
+            raise ValueError("n_side and M must be positive, and nu, T and tau positive and finite")
+        if self.degree not in (1, 2):
+            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
         if not 1 <= self.q <= 5:
             raise ValueError("q must be in 1..5")
+        if not self.r_grid or min(self.r_grid) < 1:
+            raise ValueError(f"r_grid ranks must be at least 1, got {self.r_grid}")
+        for key, allowed in (
+            ("system", tuple(SYSTEMS)),
+            ("w0_mode", W0_MODES),
+            ("inner_product", INNER_PRODUCTS),
+        ):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -82,26 +108,6 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # error measurement
 # ---------------------------------------------------------------------------
-
-
-def compare_trajectories(a: Trajectory, b: Trajectory, space: FeSpace, nu: float, start: int = 0):
-    """(max L2, max H1-seminorm, time-integrated nu-weighted H1) of a - b
-    over indices start..M."""
-    if len(a.times) != len(b.times) or abs(a.dt - b.dt) > 1e-12 * max(a.dt, b.dt):
-        raise ValueError("trajectories are not on the same grid")
-    m = space.mass_matrix()
-    k = space.stiffness_matrix()
-    max_l2 = max_h1 = integ = 0.0
-    ea = a.stacked()
-    eb = b.stacked()
-    for n in range(start, len(a.times)):
-        e = (ea[n] - eb[n]).reshape(a.states.shape[1], -1)
-        l2sq = sum(float(c @ m.matvec(c)) for c in e)
-        h1sq = sum(float(c @ k.matvec(c)) for c in e)
-        max_l2 = max(max_l2, l2sq)
-        max_h1 = max(max_h1, h1sq)
-        integ += a.dt * nu * h1sq
-    return np.sqrt(max_l2), np.sqrt(max_h1), integ
 
 
 def estimate_order(errors):
@@ -149,11 +155,7 @@ class DeskSetup:
 
 
 def make_system(cfg: RunConfig):
-    if cfg.system == "brusselator":
-        return brusselator_system(cfg.nu)
-    if cfg.system == "heat":
-        return heat_system(cfg.nu)
-    raise ValueError(f"unknown system {cfg.system!r}")
+    return SYSTEMS[cfg.system](cfg.nu)
 
 
 def initial_state(cfg: RunConfig, space: FeSpace):
@@ -178,11 +180,6 @@ def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> Desk
 
 def make_rom(setup: DeskSetup, r: int) -> RomSystem:
     return rom_assemble(setup.basis, r, setup.space, setup.system, setup.lift)
-
-
-def initial_coords(romsys: RomSystem, nodal0: np.ndarray) -> np.ndarray:
-    coeffs, _ = project(romsys.basis, romsys.r, nodal0.reshape(-1) - romsys.lift)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +259,21 @@ def r_refinement_study(
     t_end = fom_fine.times[-1]
     m = fom_fine.n_steps
     dt = fom_fine.dt
-    fluct = fom_fine.stacked() - setup.lift[None, :]
+    fluct = (fom_fine.stacked() - setup.lift[None, :]).T  # (dim, M+1)
     gram = setup.basis.gram_operator
-    mass_gram = None
+    mass_gram = gram_matrix(setup.space, L2, setup.system.n_components)
     rows = []
     for r in r_values:
         romsys = make_rom(setup, r)
-        if mass_gram is None:
-            from .pod import L2, gram_matrix
-
-            mass_gram = gram_matrix(setup.space, L2, setup.system.n_components)
         coords0 = initial_coords(romsys, fom_fine.states[0])
         rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
-        phi = romsys.modes
-        proj_coords = (gram.matvec(fluct.T).T @ phi)  # (M+1, r)
-        resid = fluct.T - phi @ proj_coords.T
+        proj_coords, proj = project(setup.basis, r, fluct)  # (r, M+1), (dim, M+1)
+        resid = fluct - proj
         proj_h1_sq = np.sum(resid * gram.matvec(resid), axis=0)
         proj_l2_sq = np.sum(resid * mass_gram.matvec(resid), axis=0)
         pod_l2 = pod_h1 = 0.0
         for n in range(q, m + 1):
-            l2, h1 = _reduced_norms(romsys, rt.coords[n] - proj_coords[n])
+            l2, h1 = _reduced_norms(romsys, rt.coords[n] - proj_coords[:, n])
             pod_l2 = max(pod_l2, l2)
             pod_h1 = max(pod_h1, h1)
         rows.append(

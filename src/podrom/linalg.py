@@ -4,7 +4,7 @@ Dense matrices are plain 2-D numpy arrays. Sparse matrices use a minimal
 CSR container; every COO -> CSR conversion goes through one sort/segment
 plan (``coo_plan``), which callers with fixed indices build once and refill.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
-routines; the sparse iterative solver is BiCGStab with an optional Jacobi
+routines; the sparse iterative solver is BiCGStab with a Jacobi
 preconditioner.
 """
 
@@ -81,11 +81,6 @@ class CsrMatrix:
         """Build CSR from triplets, summing duplicates, columns sorted per row."""
         plan = coo_plan(rows, cols, ri, ci)
         return plan.csr(plan.assemble(vals))
-
-    @staticmethod
-    def identity(n: int) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return csr_matvec(self, x)
@@ -240,10 +235,9 @@ def krylov_solve(
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    preconditioner: str = "jacobi",
-    x0: np.ndarray | None = None,
 ):
-    """BiCGStab iterate with ||a x - b|| <= tol * ||b||.
+    """Jacobi-preconditioned BiCGStab iterate with ||a x - b|| <= tol * ||b||,
+    started from zero.
 
     Returns (x, iteration_count). Raises ConvergenceError on breakdown or
     iteration exhaustion.
@@ -258,19 +252,13 @@ def krylov_solve(
     n = a.rows
     if max_iter is None:
         max_iter = 10 * n
-    if preconditioner == "jacobi":
-        d = a.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        apply_m = lambda v: v / d
-    elif preconditioner == "none":
-        apply_m = lambda v: v
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
+    d = a.diagonal()
+    d = np.where(np.abs(d) > 0, d, 1.0)  # the Jacobi preconditioner
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), 0
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(n)
     r = b - a.matvec(x)
     if np.linalg.norm(r) <= tol * bnorm:
         return x, 0
@@ -284,7 +272,7 @@ def krylov_solve(
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * v)
-        p_hat = apply_m(p)
+        p_hat = p / d
         v = a.matvec(p_hat)
         denom = r_hat @ v
         if denom == 0.0:
@@ -294,7 +282,7 @@ def krylov_solve(
         if np.linalg.norm(s) <= tol * bnorm:
             x = x + alpha * p_hat
             return x, it
-        s_hat = apply_m(s)
+        s_hat = s / d
         t = a.matvec(s_hat)
         tt = t @ t
         if tt == 0.0:

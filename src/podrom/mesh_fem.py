@@ -353,50 +353,9 @@ def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prim
     return out
 
 
-def assemble_reaction(space: FeSpace, state: np.ndarray, g) -> np.ndarray:
-    """Vector with entries int g(u_h) phi_i for a scalar nodal field."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (space.n_dof,):
-        raise ValueError("state length must equal n_dof")
-    return assemble_reaction_system(space, state[None, :], lambda u: g(u))[0]
-
-
-def assemble_reaction_jacobian(space: FeSpace, state: np.ndarray, g_prime) -> CsrMatrix:
-    """Matrix with entries int g'(u_h) phi_i phi_j, on the mass pattern."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (space.n_dof,):
-        raise ValueError("state length must equal n_dof")
-    vals = assemble_reaction_jacobian_system(
-        space, state[None, :], lambda u: g_prime(u)[None, ...]
-    )
-    return space.csr_from_values(vals[0, 0])
-
-
 def interpolate(space: FeSpace, f) -> np.ndarray:
     """Nodal values f(dof_coords)."""
     return np.asarray(f(space.dof_coords[:, 0], space.dof_coords[:, 1]), dtype=np.float64)
-
-
-def apply_dirichlet(space: FeSpace, system: CsrMatrix, rhs: np.ndarray, lift: np.ndarray):
-    """Symmetric elimination of Dirichlet dofs; solution equals lift on gamma1.
-
-    Works for block systems whose size is a multiple of n_dof (the mask is
-    tiled per component). Returns (constrained CsrMatrix, adjusted rhs).
-    """
-    if system.rows % space.n_dof != 0:
-        raise ValueError("system size is not a multiple of n_dof")
-    n_comp = system.rows // space.n_dof
-    mask = np.tile(space.dirichlet_mask, n_comp)
-    lift_full = np.where(mask, np.asarray(lift, dtype=np.float64), 0.0)
-    rhs = np.asarray(rhs, dtype=np.float64) - system.matvec(lift_full)
-    rhs[mask] = lift_full[mask]
-    ri = system.row_indices()
-    ci = system.col_indices
-    keep = ~(mask[ri] | mask[ci])
-    rr = np.concatenate([ri[keep], np.flatnonzero(mask)])
-    cc = np.concatenate([ci[keep], np.flatnonzero(mask)])
-    vv = np.concatenate([system.values[keep], np.ones(int(mask.sum()))])
-    return CsrMatrix.from_coo(system.rows, system.cols, rr, cc, vv), rhs
 
 
 def norms(space: FeSpace, v: np.ndarray):

@@ -1,76 +1,42 @@
-"""Matrix Market exchange format I/O.
+"""Matrix Market exchange format I/O for dense arrays.
 
-Sparse matrices are written in coordinate format (general or symmetric,
-lower triangle stored), dense matrices in array format. Values use 17
-significant digits so doubles round-trip bit-exactly.
+Dense matrices are written in array format (column-major). Values use 17
+significant digits so doubles round-trip bit-exactly. Only the array layout
+is read; a coordinate-layout file raises ValueError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import CsrMatrix
-
 _FMT = "%.17g"
 
 
-def write_csr(path, a: CsrMatrix, symmetric: bool = False, comments: list[str] | None = None):
-    rows = a.row_indices()
-    cols = a.col_indices
-    vals = a.values
-    if symmetric:
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    kind = "symmetric" if symmetric else "general"
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
-        for line in comments or []:
-            fh.write(f"%{line}\n")
-        fh.write(f"{a.rows} {a.cols} {len(vals)}\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r + 1} {c + 1} {_FMT % v}\n")
-
-
-def write_dense(path, a: np.ndarray, comments: list[str] | None = None):
+def write_dense(path, a: np.ndarray):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
-        for line in comments or []:
-            fh.write(f"%{line}\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for v in a.flatten(order="F"):
             fh.write(f"{_FMT % v}\n")
 
 
-def read(path):
-    """Read a Matrix Market file; returns CsrMatrix (coordinate) or ndarray (array)."""
+def read(path) -> np.ndarray:
+    """Read a Matrix Market array-layout file into a 2-D ndarray."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) < 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
             raise ValueError(f"{path}: not a Matrix Market file")
-        layout, dtype, kind = header[2], header[3], header[4]
+        layout, dtype = header[2], header[3]
         if dtype != "real":
             raise ValueError(f"{path}: only real matrices are supported")
+        if layout != "array":
+            raise ValueError(f"{path}: unsupported layout {layout!r}")
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
         sizes = line.split()
         body = fh.read().split()
-    if layout == "array":
-        m, n = int(sizes[0]), int(sizes[1])
-        vals = np.array(body, dtype=np.float64)
-        return vals.reshape((m, n), order="F")
-    if layout != "coordinate":
-        raise ValueError(f"{path}: unsupported layout {layout!r}")
-    m, n, nnz = int(sizes[0]), int(sizes[1]), int(sizes[2])
-    data = np.array(body)
-    ri = data[0::3].astype(np.int64) - 1
-    ci = data[1::3].astype(np.int64) - 1
-    vals = data[2::3].astype(np.float64)
-    if len(vals) != nnz:
-        raise ValueError(f"{path}: expected {nnz} entries, found {len(vals)}")
-    if kind == "symmetric":
-        off = ri != ci
-        ri, ci = np.concatenate([ri, ci[off]]), np.concatenate([ci, ri[off]])
-        vals = np.concatenate([vals, vals[off]])
-    return CsrMatrix.from_coo(m, n, ri, ci, vals)
+    m, n = int(sizes[0]), int(sizes[1])
+    vals = np.array(body, dtype=np.float64)
+    return vals.reshape((m, n), order="F")

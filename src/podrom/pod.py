@@ -1,6 +1,7 @@
 """Snapshot sets of tau-scaled first-order difference quotients, correlation
 matrices in the H^1_0 (or L^2) inner product, POD modes, projectors and the
-eigenvalue-tail identities.
+eigenvalue-tail identities. Every projection onto the modes goes through
+``project``, which holds the one rank check 0 <= r <= d_r.
 
 With N = M + 1 snapshots the first column is sqrt(N) w0 (w0 = initial state,
 trajectory mean, or identically zero after mean subtraction) and columns
@@ -22,9 +23,11 @@ from .mesh_fem import FeSpace
 W0_INITIAL = "initial"
 W0_MEAN = "mean"
 W0_ZERO = "zero-after-mean-subtraction"
+W0_MODES = (W0_INITIAL, W0_MEAN, W0_ZERO)
 
 H10 = "H10"
 L2 = "L2"
+INNER_PRODUCTS = (H10, L2)
 
 #: correlation eigenvalues below RANK_TOL * lambda_1 are numerically zero
 RANK_TOL = 1e-12
@@ -95,7 +98,12 @@ def build_snapshots(traj: Trajectory, tau: float, w0_mode: str = W0_ZERO) -> Sna
 
 def gram_matrix(space: FeSpace, inner_product: str, n_components: int) -> CsrMatrix:
     """Block-diagonal stiffness (H10) or mass (L2) operator for stacked fields."""
-    scalar = space.stiffness_matrix() if inner_product == H10 else space.mass_matrix()
+    if inner_product == H10:
+        scalar = space.stiffness_matrix()
+    elif inner_product == L2:
+        scalar = space.mass_matrix()
+    else:
+        raise ValueError(f"unknown inner product {inner_product!r}, expected {H10} or {L2}")
     if n_components == 1:
         return scalar
     blocks = {(c, c): scalar.values for c in range(n_components)}
@@ -161,44 +169,38 @@ def build_pod_basis(
 
 
 def project(basis: PodBasis, r: int, v: np.ndarray):
-    """Best approximation in span of the first r modes; returns
-    (coefficients, reconstruction)."""
-    if r > basis.d_r:
-        raise InvalidRankError(f"rank {r} exceeds basis dimension {basis.d_r}")
+    """Best approximation in span of the first r modes, 0 <= r <= d_r, of a
+    vector or of the columns of a matrix; returns (coefficients,
+    reconstruction)."""
+    if not 0 <= r <= basis.d_r:
+        raise InvalidRankError(f"rank {r} is outside 0..{basis.d_r}, the basis dimension")
     phi = basis.modes[:, :r]
     coeffs = phi.T @ basis.gram_operator.matvec(np.asarray(v, dtype=np.float64))
     return coeffs, phi @ coeffs
 
 
+def _tail_energy(snaps: SnapshotSet, basis: PodBasis, r: int) -> np.ndarray:
+    """Entrywise products e * (G e) of the projection errors e = (I - P^r) y_j;
+    column j sums to ||(I - P^r) y_j||_X^2."""
+    resid = snaps.columns - project(basis, r, snaps.columns)[1]
+    return resid * basis.gram_operator.matvec(resid)
+
+
 def tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
     """Both sides of the projection identity: the mean-square projection error
     of the snapshot columns versus the eigenvalue tail sum_{k>r} lambda_k."""
-    if r > basis.d_r:
-        raise InvalidRankError(f"rank {r} exceeds basis dimension {basis.d_r}")
-    y = snaps.columns
-    phi = basis.modes[:, :r]
-    gy = basis.gram_operator.matvec(y)
-    resid = y - phi @ (phi.T @ gy)
-    lhs = float(np.sum(resid * basis.gram_operator.matvec(resid))) / snaps.n_snapshots
-    rhs = float(np.sum(basis.eigenvalues[r:]))
-    return lhs, rhs
+    lhs = float(np.sum(_tail_energy(snaps, basis, r))) / snaps.n_snapshots
+    return lhs, float(np.sum(basis.eigenvalues[r:]))
 
 
 def split_tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
     """Tail identity with the w0 column and the difference columns separated:
     ||(I-P^r) w0||_X^2 + (tau^2 / (N dt^2)) sum_j ||(I-P^r) D u(t_j)||_X^2."""
-    if r > basis.d_r:
-        raise InvalidRankError(f"rank {r} exceeds basis dimension {basis.d_r}")
-    y = snaps.columns
     n = snaps.n_snapshots
-    phi = basis.modes[:, :r]
-    resid = y - phi @ (phi.T @ basis.gram_operator.matvec(y))
-    sq = np.sum(resid * basis.gram_operator.matvec(resid), axis=0)
+    sq = np.sum(_tail_energy(snaps, basis, r), axis=0)
     w0_term = sq[0] / n  # (sqrt(N) w0 scaling)^2 / N = ||(I-P^r) w0||^2
     diff_term = float(np.sum(sq[1:])) / n  # = (tau^2 / (N dt^2)) sum ||(I-P^r) D u||^2
-    lhs = float(w0_term + diff_term)
-    rhs = float(np.sum(basis.eigenvalues[r:]))
-    return lhs, rhs
+    return float(w0_term + diff_term), float(np.sum(basis.eigenvalues[r:]))
 
 
 def pointwise_projection_report(
@@ -208,7 +210,6 @@ def pointwise_projection_report(
     tau: float,
     w0_mode: str,
     mean: np.ndarray | None = None,
-    mass_gram: CsrMatrix | None = None,
 ):
     """Measured pointwise projection maxima against the eigenvalue-tail bound.
 
@@ -220,11 +221,9 @@ def pointwise_projection_report(
     u = traj.stacked()
     if mean is not None:
         u = u - mean[None, :]
-    phi = basis.modes[:, :r]
-    resid = u.T - phi @ (phi.T @ basis.gram_operator.matvec(u.T))
+    resid = u.T - project(basis, r, u.T)[1]
     h1_sq = np.sum(resid * basis.gram_operator.matvec(resid), axis=0)
-    if mass_gram is None:
-        mass_gram = gram_matrix(traj.space, L2, traj.states.shape[1])
+    mass_gram = gram_matrix(traj.space, L2, traj.states.shape[1])
     l2_sq = np.sum(resid * mass_gram.matvec(resid), axis=0)
     t_total = traj.times[-1] - traj.times[0]
     tail = float(np.sum(basis.eigenvalues[r:]))
@@ -240,7 +239,7 @@ def pointwise_projection_report(
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# export (``podrom pod``); nothing in the pipeline reads these files back
 # ---------------------------------------------------------------------------
 
 
@@ -252,20 +251,6 @@ def save_basis(basis: PodBasis, stem: str):
             fh.write(f"{lam:.17g}\n")
 
 
-def load_basis(stem: str, gram: CsrMatrix) -> PodBasis:
-    modes = np.asarray(mmio.read(stem + ".modes.mtx"))
-    eigenvalues = []
-    inner_product = H10
-    with open(stem + ".eigs.txt") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                if "inner_product" in line:
-                    inner_product = line.split("=", 1)[1].strip()
-                continue
-            eigenvalues.append(float(line))
-    return PodBasis(inner_product, np.array(eigenvalues), modes, gram)
-
-
 def save_snapshots(snaps: SnapshotSet, stem: str):
     mmio.write_dense(stem + ".snaps.mtx", snaps.columns)
     mmio.write_dense(stem + ".mean.mtx", snaps.mean[:, None])
@@ -273,14 +258,3 @@ def save_snapshots(snaps: SnapshotSet, stem: str):
         fh.write(f"tau = {snaps.tau:.17g}\n")
         fh.write(f"dt = {snaps.dt:.17g}\n")
         fh.write(f"w0_mode = {snaps.w0_mode}\n")
-
-
-def load_snapshots(stem: str) -> SnapshotSet:
-    cols = np.asarray(mmio.read(stem + ".snaps.mtx"))
-    mean = np.asarray(mmio.read(stem + ".mean.mtx"))[:, 0]
-    meta = {}
-    with open(stem + ".snapmeta") as fh:
-        for line in fh:
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
-    return SnapshotSet(cols, float(meta["tau"]), float(meta["dt"]), meta["w0_mode"], mean)

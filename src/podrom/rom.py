@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mmio
 from .bdf import BdfScheme, NewtonConfig, bdf_increment_form, integrate
-from .fom import ReactionSystem, Trajectory
+from .fom import ReactionSystem, Trajectory, save_trajectory
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
 
@@ -65,8 +65,8 @@ def rom_assemble(
 ) -> RomSystem:
     """Reduced operators by triple products over the first r modes, and the
     modes and lift at the quadrature points for the reduced nonlinearity."""
-    if r > basis.d_r:
-        raise InvalidRankError(f"rank {r} exceeds basis dimension {basis.d_r}")
+    if not 1 <= r <= basis.d_r:
+        raise InvalidRankError(f"rank {r} is outside 1..{basis.d_r}, the basis dimension")
     nc, n = system.n_components, space.n_dof
     phi = basis.modes[:, :r]
     lift = np.zeros(nc * n) if lift is None else np.asarray(lift, dtype=np.float64)
@@ -94,10 +94,6 @@ def rom_assemble(
         system,
         space,
     )
-
-
-def lift_to_nodal(romsys: RomSystem, coords: np.ndarray) -> np.ndarray:
-    return romsys.lift + romsys.modes @ np.asarray(coords, dtype=np.float64)
 
 
 def _state_at_quadrature(romsys: RomSystem, coords: np.ndarray) -> np.ndarray:
@@ -172,8 +168,10 @@ def newton_tolerance(rule, dt: float, q: int) -> float:
     return float(rule)
 
 
-def _project_coords(romsys: RomSystem, nodal: np.ndarray) -> np.ndarray:
-    coeffs, _ = project(romsys.basis, romsys.r, nodal - romsys.lift)
+def initial_coords(romsys: RomSystem, nodal: np.ndarray) -> np.ndarray:
+    """Reduced coordinates of a nodal state, stacked or (nc, n_dof): the
+    coefficients of P^r (nodal - lift)."""
+    coeffs, _ = project(romsys.basis, romsys.r, np.reshape(nodal, -1) - romsys.lift)
     return coeffs
 
 
@@ -203,7 +201,7 @@ def rom_integrate(
             idx = int(np.argmin(np.abs(grid - t_j)))
             if abs(grid[idx] - t_j) > 1e-10 * max(1.0, t_end):
                 raise ValueError(f"full-order grid does not contain t_{j} = {t_j}")
-            starting.append(_project_coords(romsys, traj.stacked()[idx]))
+            starting.append(initial_coords(romsys, traj.stacked()[idx]))
     elif mode == "bootstrap":
         starting = [payload]
     else:
@@ -236,8 +234,6 @@ def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
 
 def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str, newton_rule="step-coupled"):
     """Trajectory text format plus ROM header line and Newton counts CSV."""
-    from .fom import save_trajectory
-
     traj = rom_to_nodal_trajectory(romsys, rt)
     save_trajectory(traj, stem, extra={"r": romsys.r, "q": rt.q, "newton_rule": newton_rule})
     mmio.write_dense(stem + ".coords.mtx", rt.coords.T)

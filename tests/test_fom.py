@@ -1,6 +1,6 @@
 """Full-order model: reaction-system arithmetic, equilibrium preservation,
-heat decay against the closed form, temporal self-convergence orders, the
-tight reference integrator, persistence, and boundary handling."""
+heat decay against the closed form, temporal self-convergence orders, tight
+BDF-5 solves, persistence, and boundary handling."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from podrom.fom import (
     heat_system,
     load_trajectory,
     perturbed_equilibrium,
-    reference_trajectory,
     save_trajectory,
 )
 from podrom.linalg import block_csr
@@ -142,6 +141,8 @@ class TestTemporalSelfConvergence:
 
 
 class TestReferenceTrajectory:
+    """Tight BDF-5 solves (Newton tolerance 1e-12), as the studies' references use."""
+
     def test_single_interior_dof_closed_form(self):
         # n_side = 2, P1, fully clamped: one interior dof, so the Galerkin
         # system is the scalar ODE m u' + nu a u = 0
@@ -155,7 +156,8 @@ class TestReferenceTrajectory:
         u0 = np.zeros((1, space.n_dof))
         u0[0, i] = 1.0
         t_end = 0.5
-        traj = reference_trajectory(heat_system(nu), space, u0, t_end, 5, refine=64)
+        tight = NewtonConfig(tol=1e-12)
+        traj = fom_integrate(heat_system(nu), space, u0, t_end / 320, t_end, 5, tight)
         exact = np.exp(-nu * a / m * t_end)
         assert abs(traj.states[-1, 0, i] - exact) < 1e-9
 
@@ -163,7 +165,7 @@ class TestReferenceTrajectory:
         space = small_space(2, 1)
         sys = brusselator_system(0.002)
         eq = equilibrium_state(sys, space)
-        traj = reference_trajectory(sys, space, eq, 0.2, 4, refine=8)
+        traj = fom_integrate(sys, space, eq, 0.05, 0.2, 5, NewtonConfig(tol=1e-12))
         assert traj.n_steps == 4
         assert traj.dt == pytest.approx(0.05)
         assert np.allclose(traj.times, 0.05 * np.arange(5), atol=1e-14)

@@ -1,16 +1,18 @@
-"""Study harness and CLI: error measurement against quadratic-form oracles,
-order estimation, config parsing, CSV determinism, spatial convergence of the
-manufactured solution, and the command-line pipeline."""
+"""Study harness and CLI: order estimation, L2 errors against exact fields,
+config parsing and validation (with fuzzing), CSV determinism, spatial
+convergence of the manufactured solution, and the command-line pipeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from podrom import cli
-from podrom.fom import Trajectory
+from podrom import cli, mmio
+from podrom.fom import load_trajectory
 from podrom.harness import (
+    SYSTEMS,
     RunConfig,
     build_desk_setup,
-    compare_trajectories,
     emit_convergence_csv,
     emit_r_refinement_csv,
     emit_starting_values_csv,
@@ -24,43 +26,7 @@ from podrom.harness import (
     temporal_convergence_study,
 )
 from podrom.mesh_fem import build_mesh, build_space, interpolate
-
-
-def random_trajectory(space, m=4, n_comp=1, seed=0, dt=0.25):
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((m + 1, n_comp, space.n_dof))
-    return Trajectory(dt * np.arange(m + 1), states, dt, space)
-
-
-class TestCompareTrajectories:
-    def test_identical_is_zero(self):
-        space = build_space(build_mesh(3), 1)
-        a = random_trajectory(space)
-        assert compare_trajectories(a, a, space, 0.5) == (0.0, 0.0, 0.0)
-
-    def test_against_quadratic_form_oracle(self):
-        space = build_space(build_mesh(3), 2)
-        a = random_trajectory(space, n_comp=2, seed=1)
-        b = random_trajectory(space, n_comp=2, seed=2)
-        nu = 0.3
-        max_l2, max_h1, integ = compare_trajectories(a, b, space, nu, start=1)
-        md = space.mass_matrix().to_dense()
-        kd = space.stiffness_matrix().to_dense()
-        l2s, h1s = [], []
-        for n in range(1, 5):
-            e = a.states[n] - b.states[n]
-            l2s.append(sum(float(c @ md @ c) for c in e))
-            h1s.append(sum(float(c @ kd @ c) for c in e))
-        assert max_l2 == pytest.approx(np.sqrt(max(l2s)), rel=1e-12)
-        assert max_h1 == pytest.approx(np.sqrt(max(h1s)), rel=1e-12)
-        assert integ == pytest.approx(a.dt * nu * sum(h1s), rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        space = build_space(build_mesh(3), 1)
-        a = random_trajectory(space, m=4)
-        b = random_trajectory(space, m=5)
-        with pytest.raises(ValueError):
-            compare_trajectories(a, b, space, 1.0)
+from podrom.pod import INNER_PRODUCTS, W0_MODES
 
 
 class TestEstimateOrder:
@@ -98,6 +64,36 @@ class TestL2ErrorVsExact:
         f = lambda x, y: np.zeros_like(x)
         err = l2_error_vs_exact(space, interpolate(space, lambda x, y: np.ones_like(x)), f)
         assert err == pytest.approx(1.0, rel=1e-12)
+
+
+TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+FLOATS = st.one_of(st.floats(0, 10).map(repr), st.sampled_from(("-1", "nan", "inf", "1e400")))
+#: per key, values that are mostly valid, with near misses mixed in
+CONFIG_VALUES = {
+    "n_side": st.integers(-1, 40).map(str),
+    "M": st.integers(-1, 40).map(str),
+    "seed": st.integers(-1, 40).map(str),
+    "degree": st.integers(0, 3).map(str),
+    "q": st.integers(0, 6).map(str),
+    "nu": FLOATS,
+    "T": FLOATS,
+    "tau": FLOATS,
+    "r_grid": st.lists(st.integers(-2, 20), max_size=4).map(lambda v: ", ".join(map(str, v))),
+    "system": st.sampled_from(tuple(SYSTEMS) + ("Heat", "bogus")),
+    "w0_mode": st.sampled_from(W0_MODES + ("zero", "bogus")),
+    "inner_product": st.sampled_from(INNER_PRODUCTS + ("h10", "l2")),
+    "newton_rule": TEXT,
+    "out_dir": TEXT,
+}
+CONFIG_LINE = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: CONFIG_VALUES[key].map(lambda v: f"{key} = {v}")
+)
+#: up to five key lines and at most one line of arbitrary text, in any order
+CONFIG_TEXT = (
+    st.tuples(st.lists(CONFIG_LINE, max_size=5), st.lists(TEXT, max_size=1))
+    .flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    .map("\n".join)
+)
 
 
 class TestParseConfig:
@@ -141,6 +137,33 @@ class TestParseConfig:
             RunConfig(q=6)
         with pytest.raises(ValueError):
             RunConfig(nu=-1.0)
+        for bad in (
+            {"nu": float("nan")},
+            {"T": float("inf")},
+            {"degree": 3},
+            {"r_grid": (4, 0)},
+            {"r_grid": ()},
+        ):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
+        for key in ("system", "w0_mode", "inner_product"):
+            with pytest.raises(ValueError, match=key):
+                RunConfig(**{key: "bogus"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(CONFIG_TEXT)
+    def test_fuzz_parse_config(self, tmp_path_factory, text):
+        # any text either parses to a valid RunConfig or raises ValueError
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = parse_config(str(path))
+        except ValueError:
+            return
+        assert cfg.system in SYSTEMS
+        assert cfg.w0_mode in W0_MODES and cfg.inner_product in INNER_PRODUCTS
+        assert cfg.degree in (1, 2) and 1 <= cfg.q <= 5
+        assert cfg.r_grid and min(cfg.r_grid) >= 1
 
 
 def tiny_cfg(**overrides):
@@ -213,6 +236,18 @@ class TestCli:
         missing = str(tmp_path / "nope.cfg")
         assert cli.main(["mesh", "--config", missing]) == cli.USAGE_ERROR
         assert cli.main(["fom", "--M", "0", "--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
+        # a mistyped enumerated value or a rank below 1 is rejected before any
+        # run, with a message that names the key
+        out = str(tmp_path / "out")
+        for line, key in (("inner_product = h10", "inner_product"), ("w0_mode = bogus", "w0_mode")):
+            bad.write_text(line + "\n")
+            capsys.readouterr()
+            assert cli.main(["fom", "--config", str(bad), "--out", out]) == cli.USAGE_ERROR
+            assert key in capsys.readouterr().err
+        for rank in ("0", "-3"):
+            assert cli.main(["rom", "--r", rank, "--out", out]) == cli.USAGE_ERROR
+            assert f"r_grid ranks must be at least 1, got ({rank},)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_threads_guard(self, tmp_path, monkeypatch):
         for bad in ("0", "abc"):
@@ -240,6 +275,20 @@ class TestCli:
         assert any(p.suffix == ".traj" for p in rom_files)
         csv_lines = (out_dir / "errors_vs_r.csv").read_text().splitlines()
         assert csv_lines[1].startswith("r,")
+        # `pod` only exports: its modes are the basis that `rom` and `errors`
+        # rebuild from fom.traj and the config, and `rom` runs without them
+        traj, _ = load_trajectory(str(out_dir / "fom"))
+        setup = build_desk_setup(parse_config(str(cfg)), fom_traj=traj)
+        assert np.array_equal(mmio.read(out_dir / "pod.modes.mtx"), setup.basis.modes)
+        coords_path = out_dir / "rom_q2_r3_M8.coords.mtx"
+        coords = mmio.read(coords_path)
+        pod_files = list(out_dir.glob("pod.*"))
+        assert len(pod_files) == 5
+        for path in pod_files:
+            path.unlink()
+        coords_path.unlink()
+        assert cli.main(["rom", *args]) == 0
+        assert np.array_equal(mmio.read(coords_path), coords)
         # an unattainable Newton tolerance is a pipeline failure that names
         # the order, the step and the time where Newton gave up
         strict = tmp_path / "strict.cfg"

@@ -1,0 +1,66 @@
+"""Source hygiene: no module in the package imports a name it never uses.
+
+Names imported from ``__future__`` and names a module lists in ``__all__``
+(a deliberate re-export) are exempt. A name counts as used when it appears
+as an identifier anywhere in the module, including string annotations.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import podrom
+
+MODULES = sorted(Path(podrom.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree):
+    """{bound name: line} for every import statement of the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            # a quoted annotation such as "CsrMatrix" names its type in a string
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    lines = imported_names(tree)
+    unused = set(lines) - used_names(tree) - exported_names(tree)
+    assert not unused, ", ".join(f"{name} (line {lines[name]})" for name in sorted(unused))

@@ -8,15 +8,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from podrom.linalg import krylov_solve, sym_eigen
+from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
-    apply_dirichlet,
     assemble_load,
     assemble_mass,
-    assemble_reaction,
-    assemble_reaction_jacobian,
+    assemble_reaction_jacobian_system,
+    assemble_reaction_system,
     assemble_stiffness,
     build_mesh,
     build_space,
@@ -24,6 +23,22 @@ from podrom.mesh_fem import (
     norms,
     quadrature_for_degree,
 )
+
+
+def apply_dirichlet(space, system, rhs, lift):
+    """Symmetric elimination of the Dirichlet dofs of a scalar system: the
+    solution equals lift on gamma1. Returns (constrained CsrMatrix, rhs)."""
+    mask = space.dirichlet_mask
+    lift_full = np.where(mask, np.asarray(lift, dtype=np.float64), 0.0)
+    rhs = np.asarray(rhs, dtype=np.float64) - system.matvec(lift_full)
+    rhs[mask] = lift_full[mask]
+    ri = system.row_indices()
+    ci = system.col_indices
+    keep = ~(mask[ri] | mask[ci])
+    rr = np.concatenate([ri[keep], np.flatnonzero(mask)])
+    cc = np.concatenate([ci[keep], np.flatnonzero(mask)])
+    vv = np.concatenate([system.values[keep], np.ones(int(mask.sum()))])
+    return CsrMatrix.from_coo(system.rows, system.cols, rr, cc, vv), rhs
 
 
 class TestMesh:
@@ -186,13 +201,13 @@ class TestReaction:
     def test_zero_g(self):
         space = build_space(build_mesh(3), 2)
         state = np.random.default_rng(0).standard_normal(space.n_dof)
-        out = assemble_reaction(space, state, lambda u: np.zeros_like(u))
+        out = assemble_reaction_system(space, state[None], lambda u: np.zeros_like(u))[0]
         assert np.array_equal(out, np.zeros(space.n_dof))
 
     def test_constant_g_gives_load(self):
         space = build_space(build_mesh(3), 2)
         state = np.zeros(space.n_dof)
-        out = assemble_reaction(space, state, lambda u: np.ones_like(u))
+        out = assemble_reaction_system(space, state[None], lambda u: np.ones_like(u))[0]
         m = assemble_mass(space)
         col_sums = m.matvec(np.ones(space.n_dof))
         assert np.max(np.abs(out - col_sums)) < 1e-13
@@ -201,14 +216,15 @@ class TestReaction:
         space = build_space(build_mesh(4), 1)
         rng = np.random.default_rng(1)
         state = rng.standard_normal(space.n_dof)
-        out = assemble_reaction(space, state, lambda u: u)
+        out = assemble_reaction_system(space, state[None], lambda u: u)[0]
         m = assemble_mass(space)
         assert np.max(np.abs(out - m.matvec(state))) < 1e-12
 
     def test_jacobian_constant_gprime_is_mass(self):
         space = build_space(build_mesh(3), 2)
         state = np.zeros(space.n_dof)
-        j = assemble_reaction_jacobian(space, state, lambda u: np.ones_like(u))
+        gp = lambda u: np.ones_like(u)[None]  # (1, 1, ne, nq) partials
+        j = space.csr_from_values(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         m = assemble_mass(space)
         assert np.max(np.abs(j.to_dense() - m.to_dense())) < 1e-12
 
@@ -217,13 +233,13 @@ class TestReaction:
         rng = np.random.default_rng(2)
         state = rng.standard_normal(space.n_dof)
         g = lambda u: u**3 - np.sin(u)
-        gp = lambda u: 3 * u**2 - np.cos(u)
-        j = assemble_reaction_jacobian(space, state, gp)
+        gp = lambda u: (3 * u**2 - np.cos(u))[None]  # (1, 1, ne, nq) partials
+        j = space.csr_from_values(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         direction = rng.standard_normal(space.n_dof)
         eps = 1e-6
         fd = (
-            assemble_reaction(space, state + eps * direction, g)
-            - assemble_reaction(space, state - eps * direction, g)
+            assemble_reaction_system(space, (state + eps * direction)[None], g)[0]
+            - assemble_reaction_system(space, (state - eps * direction)[None], g)[0]
         ) / (2 * eps)
         jd = j.matvec(direction)
         assert np.linalg.norm(fd - jd) <= 1e-5 * max(1.0, np.linalg.norm(jd))

@@ -1,11 +1,10 @@
 """Matrix Market round trips: values must survive write/read bit-exactly
-(17 significant decimal digits)."""
+(17 significant decimal digits). Only the dense array layout is supported."""
 
 import numpy as np
 import pytest
 
 from podrom import mmio
-from podrom.linalg import CsrMatrix
 
 
 def test_dense_roundtrip_bit_exact(tmp_path):
@@ -26,43 +25,26 @@ def test_dense_vector_column(tmp_path):
     assert np.array_equal(back[:, 0], v)
 
 
-def test_csr_general_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    dense = rng.standard_normal((6, 5)) * (rng.random((6, 5)) < 0.4)
-    ri, ci = np.nonzero(dense)
-    a = CsrMatrix.from_coo(6, 5, ri, ci, dense[ri, ci])
-    path = tmp_path / "a.mtx"
-    mmio.write_csr(path, a)
-    back = mmio.read(path)
-    assert isinstance(back, CsrMatrix)
-    assert np.array_equal(back.to_dense(), a.to_dense())
-
-
-def test_csr_symmetric_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    dense = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
-    dense = dense + dense.T
-    ri, ci = np.nonzero(dense)
-    a = CsrMatrix.from_coo(6, 6, ri, ci, dense[ri, ci])
-    path = tmp_path / "s.mtx"
-    mmio.write_csr(path, a, symmetric=True)
-    # the file stores only the lower triangle
-    n_stored = sum(1 for line in open(path) if not line.startswith("%")) - 1
-    assert n_stored < a.nnz
-    back = mmio.read(path)
-    assert np.array_equal(back.to_dense(), a.to_dense())
-
-
 def test_comments_are_skipped(tmp_path):
-    a = CsrMatrix.identity(3)
     path = tmp_path / "c.mtx"
-    mmio.write_csr(path, a, comments=[" produced by a test"])
-    back = mmio.read(path)
-    assert np.array_equal(back.to_dense(), np.eye(3))
+    path.write_text(
+        "%%MatrixMarket matrix array real general\n"
+        "% produced by a test\n"
+        "%\n"
+        "2 2\n1\n2\n3\n4.5\n"
+    )
+    assert np.array_equal(mmio.read(path), [[1.0, 3.0], [2.0, 4.5]])
 
 
 def test_rejects_non_matrix_market(tmp_path):
     path = tmp_path / "junk.mtx"
     path.write_text("hello world\n1 2 3\n")
     with pytest.raises(ValueError):
+        mmio.read(path)
+
+
+def test_rejects_coordinate_layout(tmp_path):
+    path = tmp_path / "s.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
+    with pytest.raises(ValueError, match="unsupported layout 'coordinate'"):
         mmio.read(path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from podrom.fom import Trajectory, brusselator_system, fom_integrate, perturbed_equilibrium
+from podrom import mmio
 from podrom.linalg import CsrMatrix
 from podrom.mesh_fem import build_mesh, build_space
 from podrom.pod import (
@@ -20,8 +21,6 @@ from podrom.pod import (
     build_snapshots,
     correlation_matrix,
     gram_matrix,
-    load_basis,
-    load_snapshots,
     pod_basis,
     pointwise_projection_report,
     project,
@@ -39,6 +38,11 @@ def toy_trajectory(states_2d, dt=0.5, n_side=2, degree=1):
     assert arr.shape[2] == space.n_dof
     times = dt * np.arange(arr.shape[0])
     return Trajectory(times, arr, dt, space), space
+
+
+def eye_csr(n):
+    idx = np.arange(n)
+    return CsrMatrix.from_coo(n, n, idx, idx, np.ones(n))
 
 
 def brusselator_trajectory(n_side=4, m=16, t_end=1.6):
@@ -115,7 +119,16 @@ class TestCorrelationMatrix:
         traj, space = toy_trajectory(np.zeros((2, 9)))
         snaps = build_snapshots(traj, 1.0, W0_INITIAL)
         with pytest.raises(ValueError):
-            correlation_matrix(snaps, CsrMatrix.identity(5))
+            correlation_matrix(snaps, eye_csr(5))
+
+    def test_unknown_inner_product_rejected(self):
+        # the names are case-sensitive: "h10" is not silently the L2 product
+        traj, space = toy_trajectory(np.zeros((2, 9)))
+        for name in ("h10", "l2", "H1"):
+            with pytest.raises(ValueError, match="unknown inner product"):
+                gram_matrix(space, name, 1)
+        with pytest.raises(ValueError, match="unknown inner product"):
+            build_pod_basis(traj, inner_product="h10")
 
 
 class TestPodBasis:
@@ -127,7 +140,7 @@ class TestPodBasis:
         n = 3
         snaps_cols = np.sqrt(n) * qmat
         snaps = _raw_snaps(snaps_cols)
-        gram = CsrMatrix.identity(12)
+        gram = eye_csr(12)
         k = correlation_matrix(snaps, gram)
         basis = pod_basis(snaps, k, gram)
         assert np.allclose(basis.eigenvalues, 1.0, atol=1e-12)
@@ -189,7 +202,7 @@ class TestPodBasis:
 
     def test_degenerate_snapshots(self):
         snaps = _raw_snaps(np.zeros((9, 3)))
-        gram = CsrMatrix.identity(9)
+        gram = eye_csr(9)
         k = correlation_matrix(snaps, gram)
         with pytest.raises(DegenerateSnapshotsError):
             pod_basis(snaps, k, gram)
@@ -228,8 +241,14 @@ class TestProjection:
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
         _, basis = build_pod_basis(traj)
+        v = np.zeros(basis.modes.shape[0])
         with pytest.raises(InvalidRankError):
-            project(basis, basis.d_r + 1, np.zeros(basis.modes.shape[0]))
+            project(basis, basis.d_r + 1, v)
+        # a negative rank is not a slice from the end of the modes
+        with pytest.raises(InvalidRankError):
+            project(basis, -2, v)
+        coeffs, rec = project(basis, 0, v + 1.0)
+        assert coeffs.shape == (0,) and np.array_equal(rec, np.zeros_like(v))
 
 
 class TestTailIdentities:
@@ -285,28 +304,40 @@ class TestPointwiseBound:
                 assert max_h1 <= prev_h1 * (1 + 1e-12)
                 prev_h1 = max_h1
 
+    def test_rank_guard(self):
+        traj, _ = brusselator_trajectory()
+        snaps, basis = build_pod_basis(traj)
+        with pytest.raises(InvalidRankError):
+            pointwise_projection_report(traj, basis, basis.d_r + 1, 1.0, W0_ZERO, mean=snaps.mean)
+        with pytest.raises(InvalidRankError):
+            tail_identity_check(snaps, basis, -1)
+
 
 class TestPersistence:
+    """``podrom pod`` exports these files; nothing in the pipeline reads them."""
+
     def test_snapshot_round_trip(self, tmp_path):
         traj, _ = brusselator_trajectory()
         snaps = build_snapshots(traj, 1.7, W0_ZERO)
         stem = str(tmp_path / "s")
         save_snapshots(snaps, stem)
-        back = load_snapshots(stem)
-        assert np.array_equal(back.columns, snaps.columns)
-        assert np.array_equal(back.mean, snaps.mean)
-        assert back.tau == snaps.tau and back.dt == snaps.dt
-        assert back.w0_mode == snaps.w0_mode
+        assert np.array_equal(mmio.read(stem + ".snaps.mtx"), snaps.columns)
+        assert np.array_equal(mmio.read(stem + ".mean.mtx")[:, 0], snaps.mean)
+        meta = dict(
+            (s.strip() for s in line.split("=", 1)) for line in open(stem + ".snapmeta")
+        )
+        assert float(meta["tau"]) == snaps.tau and float(meta["dt"]) == snaps.dt
+        assert meta["w0_mode"] == snaps.w0_mode
 
     def test_basis_round_trip(self, tmp_path):
         traj, _ = brusselator_trajectory()
         _, basis = build_pod_basis(traj)
         stem = str(tmp_path / "b")
         save_basis(basis, stem)
-        back = load_basis(stem, basis.gram_operator)
-        assert back.inner_product == basis.inner_product
-        assert np.array_equal(back.modes, basis.modes)
-        assert np.array_equal(back.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(mmio.read(stem + ".modes.mtx"), basis.modes)
+        lines = open(stem + ".eigs.txt").read().splitlines()
+        assert lines[0] == f"# inner_product = {basis.inner_product}"
+        assert np.array_equal(np.array(lines[1:], dtype=np.float64), basis.eigenvalues)
 
 
 def _raw_snaps(columns):

@@ -26,7 +26,8 @@ from podrom.mesh_fem import (
 )
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom.rom import (
-    lift_to_nodal,
+    RomTrajectory,
+    initial_coords,
     newton_tolerance,
     rom_assemble,
     rom_integrate,
@@ -64,10 +65,17 @@ def forced_heat_setup():
     return rom_assemble(basis, min(4, basis.d_r), space, sys, lift=snaps.mean)
 
 
+def lifted(romsys, coords):
+    """The stacked nodal state of one coordinate vector, by ``rom_to_nodal_trajectory``."""
+    empty = np.zeros(0, dtype=np.int64)
+    rt = RomTrajectory(np.zeros(1), np.atleast_2d(coords), 1.0, 1, empty, empty)
+    return rom_to_nodal_trajectory(romsys, rt).stacked()[0]
+
+
 def nodal_nonlinearity(romsys, coords, t):
     """Phi^T (G(lift + Phi c) - F(t)) by nodal assembly."""
     space, sys = romsys.space, romsys.system
-    full = lift_to_nodal(romsys, coords).reshape(sys.n_components, space.n_dof)
+    full = (romsys.lift + romsys.modes @ coords).reshape(sys.n_components, space.n_dof)
     vec = assemble_reaction_system(space, full, sys.g)
     for c, f in enumerate(sys.forcing or []):
         if f is not None:
@@ -79,7 +87,7 @@ def nodal_reaction_jacobian(romsys, coords):
     """Phi^T G'(lift + Phi c) Phi by nodal assembly and sparse products."""
     space, sys = romsys.space, romsys.system
     nc, n = sys.n_components, space.n_dof
-    full = lift_to_nodal(romsys, coords).reshape(nc, n)
+    full = (romsys.lift + romsys.modes @ coords).reshape(nc, n)
     gp = assemble_reaction_jacobian_system(space, full, sys.g_prime)
     phi_c = romsys.modes.reshape(nc, n, romsys.r)
     return sum(
@@ -119,6 +127,9 @@ class TestAssembly:
         traj, snaps, basis, _ = brusselator_setup()
         with pytest.raises(InvalidRankError):
             rom_assemble(basis, basis.d_r + 1, traj.space, brusselator_system(0.002))
+        for r in (0, -2):
+            with pytest.raises(InvalidRankError):
+                rom_assemble(basis, r, traj.space, brusselator_system(0.002))
 
 
 class TestLift:
@@ -126,13 +137,16 @@ class TestLift:
         _, _, basis, romsys = brusselator_setup()
         rng = np.random.default_rng(0)
         c = rng.standard_normal(romsys.r)
-        nodal = lift_to_nodal(romsys, c)
+        nodal = lifted(romsys, c)
         back, _ = project(basis, romsys.r, nodal - romsys.lift)
         assert np.max(np.abs(back - c)) < 1e-9
+        # initial_coords takes the state stacked or per component
+        assert np.array_equal(initial_coords(romsys, nodal), back)
+        assert np.array_equal(initial_coords(romsys, nodal.reshape(2, -1)), back)
 
     def test_zero_coords_give_lift(self):
         _, _, _, romsys = brusselator_setup()
-        assert np.array_equal(lift_to_nodal(romsys, np.zeros(romsys.r)), romsys.lift)
+        assert np.array_equal(lifted(romsys, np.zeros(romsys.r)), romsys.lift)
 
 
 class TestResidualAndJacobian:
@@ -283,7 +297,7 @@ class TestPersistence:
         rt = rom_integrate(romsys, 2, 0.2, 1.6, ("project_fom", traj))
         nodal = rom_to_nodal_trajectory(romsys, rt)
         assert nodal.states.shape == (9, 2, traj.space.n_dof)
-        want = lift_to_nodal(romsys, rt.coords[3])
+        want = romsys.lift + romsys.modes @ rt.coords[3]
         assert np.allclose(nodal.states[3].ravel(), want, atol=1e-14)
         stem = str(tmp_path / "rom")
         save_rom_trajectory(romsys, rt, stem)
