@@ -28,56 +28,88 @@ from .mesh_fem import (
 
 @dataclass
 class ReactionSystem:
-    """Reaction-diffusion system u_t - nu Lap(u) + g(u) = f per component."""
+    """Reaction-diffusion system u_t - nu Lap(u) + g(u) = f per component,
+    with a polynomial reaction g_c(u) = sum_m coefficients[c, m] prod_k u_k^exponents[m, k].
+    """
 
     n_components: int
     diffusion: tuple  # nu per component
-    g: callable  # (n_comp, ...) values -> (n_comp, ...) reaction terms
-    g_prime: callable  # (n_comp, ...) -> (n_comp, n_comp, ...) partials
+    exponents: np.ndarray  # (n_mono, nc): the power of each component in each monomial
+    coefficients: np.ndarray  # (nc, n_mono): the coefficient of each monomial in each g_c
     forcing: list | None = None  # per-component f(x, y, t), None entries are zero
     dirichlet_values: tuple = ()
 
     def __post_init__(self):
         if any(nu <= 0 for nu in self.diffusion):
             raise ValueError("diffusion coefficients must be positive")
+        nc = self.n_components
+        self.exponents = np.asarray(self.exponents, dtype=np.int64).reshape(-1, nc)
+        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        if np.any(self.exponents < 0):
+            raise ValueError("monomial exponents must be nonnegative")
+        if self.coefficients.shape != (nc, len(self.exponents)):
+            raise ValueError(
+                f"coefficients must have shape {(nc, len(self.exponents))}, "
+                f"got {self.coefficients.shape}"
+            )
+        # d g_a / d u_b: the monomials with u_b's power lowered by one, and
+        # the coefficients times that power, per b
+        self._derivatives = [
+            (np.maximum(self.exponents - np.eye(nc, dtype=np.int64)[b], 0),
+             self.coefficients * self.exponents[:, b])
+            for b in range(nc)
+        ]
+
+    @property
+    def degree(self) -> int:
+        """The highest total degree of a monomial; 0 without any."""
+        return int(self.exponents.sum(axis=1).max(initial=0))
+
+    def g(self, u: np.ndarray) -> np.ndarray:
+        """Reaction terms, (n_comp, ...) values -> (n_comp, ...)."""
+        return _polynomial(self.coefficients, self.exponents, u)
+
+    def g_prime(self, u: np.ndarray) -> np.ndarray:
+        """Partial derivatives, (n_comp, ...) values -> (n_comp, n_comp, ...)."""
+        return np.stack([_polynomial(c, e, u) for e, c in self._derivatives], axis=1)
+
+
+def _polynomial(coefficients: np.ndarray, exponents: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m coefficients[:, m] prod_k u[k]^exponents[m, k] for (nc, ...) values u."""
+    u = np.asarray(u, dtype=np.float64)
+    monomials = np.ones((len(exponents),) + u.shape[1:])
+    for m, powers in enumerate(exponents):
+        for k, p in enumerate(powers):
+            if p:
+                monomials[m] *= u[k] ** p
+    return np.tensordot(coefficients, monomials, axes=1)
 
 
 def brusselator_system(nu: float) -> ReactionSystem:
-    """Brusselator with diffusion, folded into u_t - nu Lap(u) + g(u) = 0.
+    """Brusselator with diffusion, folded into u_t - nu Lap(u) + g(u) = 0:
+    g_u = -(1 + u^2 v - 4u), g_v = -(3u - u^2 v).
 
     Dirichlet values u = 1, v = 3 on gamma1; natural condition on gamma2.
     The (u, v) = (1, 3) state is an unstable equilibrium.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-
-    def g(uv):
-        u, v = uv[0], uv[1]
-        return np.stack([-(1.0 + u * u * v - 4.0 * u), -(3.0 * u - u * u * v)])
-
-    def g_prime(uv):
-        u, v = uv[0], uv[1]
-        return np.stack(
-            [
-                np.stack([-(2.0 * u * v - 4.0), -(u * u)]),
-                np.stack([-(3.0 - 2.0 * u * v), u * u]),
-            ]
-        )
-
-    return ReactionSystem(2, (nu, nu), g, g_prime, None, (1.0, 3.0))
+    exponents = [(0, 0), (1, 0), (2, 1)]  # 1, u, u^2 v
+    coefficients = [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)]
+    return ReactionSystem(2, (nu, nu), exponents, coefficients, None, (1.0, 3.0))
 
 
-def heat_system(nu: float, forcing=None, reaction=None, reaction_prime=None) -> ReactionSystem:
-    """Scalar diffusion system, optionally with a reaction term and forcing."""
+def heat_system(nu: float, forcing=None, reaction: dict | None = None) -> ReactionSystem:
+    """Scalar diffusion system, optionally with forcing and a polynomial
+    reaction g(u) = sum_p reaction[p] u^p (e.g. {3: 1.0} for u^3)."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    g = reaction if reaction is not None else (lambda u: np.zeros_like(u))
-    gp = reaction_prime if reaction_prime is not None else (lambda u: np.zeros_like(u))
+    powers = sorted(reaction or {})
     return ReactionSystem(
         1,
         (nu,),
-        lambda u: g(u[0])[None, ...],
-        lambda u: gp(u[0])[None, None, ...],
+        [(p,) for p in powers],
+        [[reaction[p] for p in powers]],
         [forcing] if forcing is not None else None,
         (0.0,),
     )

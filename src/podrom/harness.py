@@ -79,6 +79,16 @@ class RunConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        if self.newton_rule != "step-coupled":
+            try:
+                tol = float(self.newton_rule)
+            except ValueError:
+                tol = np.nan
+            if not 0 < tol < np.inf:
+                raise ValueError(
+                    "newton_rule must be step-coupled or a positive finite number, "
+                    f"got {self.newton_rule!r}"
+                )
 
 
 def parse_config(path: str) -> RunConfig:

@@ -202,12 +202,16 @@ def sym_eigen(a: np.ndarray) -> EigenDecomposition:
 # ---------------------------------------------------------------------------
 
 
+_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b (LAPACK LU with partial pivoting).
 
-    Raises SingularMatrixError, carrying the smallest singular value as the
-    pivot, when a is singular to working precision: that value is at most
-    n eps times the largest.
+    When the solve fails, or its solution is non-finite or grows beyond
+    ||b|| / (sqrt(eps) ||a||), an SVD decides: SingularMatrixError, carrying
+    the smallest singular value as the pivot, is raised when a is singular
+    to working precision, i.e. that value is at most n eps times the largest.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -216,13 +220,25 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("right-hand side does not conform")
+    failure = None
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        failure = exc
+    else:
+        # a finite solution whose growth ||a|| ||x|| / ||b|| stays below
+        # 1 / sqrt(eps) rules out a matrix singular to working precision
+        if np.linalg.norm(a) * np.linalg.norm(x) * _SQRT_EPS <= np.linalg.norm(b):
+            return x
     try:
         sv = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:  # the SVD fails on non-finite entries
         raise SingularMatrixError(float("nan")) from None
     if sv[-1] <= n * np.finfo(np.float64).eps * sv[0]:
         raise SingularMatrixError(float(sv[-1]))
-    return np.linalg.solve(a, b)
+    if failure is not None:
+        raise failure
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +275,9 @@ def krylov_solve(
     if bnorm == 0.0:
         return np.zeros(n), 0
     x = np.zeros(n)
-    r = b - a.matvec(x)
-    if np.linalg.norm(r) <= tol * bnorm:
+    if bnorm <= tol * bnorm:  # the zero start already meets the tolerance
         return x, 0
+    r = b.copy()  # the residual of the zero start
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = p = np.zeros(n)

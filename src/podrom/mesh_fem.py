@@ -222,6 +222,15 @@ class FeSpace:
     def csr_from_values(self, values: np.ndarray) -> CsrMatrix:
         return self._coo_plan().csr(values)
 
+    def _weighted_basis_products(self) -> np.ndarray:
+        """(nq, nloc^2) reference products w_q N_i(q) N_j(q), row-major in (i, j)."""
+        key = "weighted_basis_products"
+        if key not in self._cache:
+            _, nvals, _, _ = self._geometry()
+            prods = self.quad.weights[:, None, None] * nvals[:, :, None] * nvals[:, None, :]
+            self._cache[key] = prods.reshape(len(nvals), -1)
+        return self._cache[key]
+
     # -- cached operators ----------------------------------------------------
 
     def mass_matrix(self) -> CsrMatrix:
@@ -339,17 +348,16 @@ def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prim
     ``g_prime`` maps (n_comp, ...) values to (n_comp, n_comp, ...) partial
     derivatives. Returns (n_comp, n_comp, nnz) values on ``space.pattern``.
     """
-    area, nvals, _, _ = space._geometry()
+    area, _, _, _ = space._geometry()
     uq = _states_at_quadrature(space, states)
     dq = np.asarray(g_prime(uq), dtype=np.float64)  # (n_comp, n_comp, ne, nq)
+    # element matrices of every block at once: (.., ne, nq) @ (nq, nloc^2)
+    elem = (dq @ space._weighted_basis_products()) * area[:, None]
     n_comp = states.shape[0]
-    nnz = space.pattern.nnz
-    out = np.empty((n_comp, n_comp, nnz))
+    out = np.empty((n_comp, n_comp, space.pattern.nnz))
     for a in range(n_comp):
         for b in range(n_comp):
-            elem = np.einsum("q,eq,qi,qj->eij", space.quad.weights, dq[a, b], nvals, nvals)
-            elem *= area[:, None, None]
-            out[a, b] = space.assemble_from_element_matrices(elem)
+            out[a, b] = space.assemble_from_element_matrices(elem[a, b])
     return out
 
 

@@ -2,17 +2,26 @@
 r-dimensional coordinate space, BDF-q integration by ``bdf.integrate`` from
 bootstrapped or projected starting values, and lifting back to nodal space.
 
-The nonlinearity is the exact Galerkin projection, evaluated at the
-quadrature points of the finite-element rule (no hyperreduction): the modes
-and the lift are interpolated there once, so a candidate is formed as
-u_q = lift_q + Phi_q c, the reaction g(u_q) is weighted by area x quadrature
-weight and contracted with Phi_q. No nodal field is lifted or assembled per
-Newton step; the cost is O(nc * ne * nq * r) per residual and
-O(nc^2 * ne * nq * r) per Jacobian.
+The nonlinearity is the exact Galerkin projection of the polynomial
+reaction (no hyperreduction), precomputed as one reduced tensor (tensorial
+POD). Every monomial is padded to the reaction's degree D with a constant
+pseudo-variable, so with c_hat = (1, c) and the augmented fields
+[lift_k; Phi_k] each component is u_k = [lift_k; Phi_k] . c_hat, and
+
+    Phi^T g(lift + Phi c) = T . c_hat^D,   T: (r, r + 1, ..., r + 1),
+
+with T symmetric in its D slots and contracted over the quadrature points
+of the finite-element rule once, in ``rom_assemble``. Online, the reaction
+costs O(r (r + 1)^D) per residual and per Jacobian, independent of the mesh.
+Only a forced system keeps arrays sized by the quadrature points: its load
+Phi^T f(t) is projected by quadrature at O(nc * ne * nq * r) per residual,
+because f(x, y, t) is arbitrary.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,6 +33,10 @@ from .fom import ReactionSystem, Trajectory, save_trajectory
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
 
+#: the tensor build takes the quadrature points in blocks whose factors hold at
+#: most this many entries (32 MB), so its memory does not grow with the mesh
+_BUILD_BLOCK_ENTRIES = 1 << 22
+
 
 @dataclass
 class RomSystem:
@@ -34,10 +47,9 @@ class RomSystem:
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
-    modes_q: np.ndarray  # (r, nc, nqp): the modes at the nqp = ne * nq quadrature points
-    lift_q: np.ndarray  # (nc, nqp): the lift at the quadrature points
-    quad_weights: np.ndarray  # (nqp,): element area x reference weight
-    quad_points: np.ndarray  # (nqp, 2): physical coordinates, for the forcing
+    reaction_tensor: np.ndarray | None  # (r, r + 1, ...): T, None without a reaction
+    load_modes: np.ndarray | None  # (r, nc * nqp): weight x modes at the quadrature points
+    load_points: np.ndarray | None  # (nqp, 2): their physical coordinates; forced systems only
     system: ReactionSystem
     space: FeSpace
 
@@ -64,7 +76,7 @@ def rom_assemble(
     lift: np.ndarray | None = None,
 ) -> RomSystem:
     """Reduced operators by triple products over the first r modes, and the
-    modes and lift at the quadrature points for the reduced nonlinearity."""
+    reduced reaction tensor from the modes and lift at the quadrature points."""
     if not 1 <= r <= basis.d_r:
         raise InvalidRankError(f"rank {r} is outside 1..{basis.d_r}, the basis dimension")
     nc, n = system.n_components, space.n_dof
@@ -77,8 +89,11 @@ def rom_assemble(
     nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), n)
     alift = np.concatenate([stiff.matvec(c) for c in lift.reshape(nc, n)])
     points, weights = quadrature_rule(space)
+    weights = weights.ravel()
     modes_q = _states_at_quadrature(space, phi_c.transpose(2, 0, 1).reshape(r * nc, n))
-    lift_q = _states_at_quadrature(space, lift.reshape(nc, n))
+    modes_q = modes_q.reshape(r, nc, -1)
+    lift_q = _states_at_quadrature(space, lift.reshape(nc, n)).reshape(nc, -1)
+    forced = system.forcing is not None
     return RomSystem(
         r,
         basis,
@@ -87,34 +102,71 @@ def rom_assemble(
         phi.T @ (nu[:, None] * aphi),
         phi.T @ (nu * alift),
         lift,
-        np.ascontiguousarray(modes_q.reshape(r, nc, -1)),
-        lift_q.reshape(nc, -1),
-        weights.ravel(),
-        points.reshape(-1, 2),
+        _reaction_tensor(system, modes_q, lift_q, weights),
+        (weights * modes_q).reshape(r, -1) if forced else None,
+        points.reshape(-1, 2) if forced else None,
         system,
         space,
     )
 
 
-def _state_at_quadrature(romsys: RomSystem, coords: np.ndarray) -> np.ndarray:
-    """u_q = lift_q + Phi_q c, shape (nc, ne * nq)."""
-    return romsys.lift_q + np.tensordot(coords, romsys.modes_q, axes=1)
+def _row_products(first: np.ndarray, factors) -> np.ndarray:
+    """Pointwise products first[i] * prod_s factors[s][j_s] over the last
+    (quadrature-point) axis, rows flattened row-major in (i, j_1, ...)."""
+    out = first
+    for f in factors:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, out.shape[-1])
+    return out
 
 
-def _project_quadrature(romsys: RomSystem, values: np.ndarray) -> np.ndarray:
-    """Phi_q^T (w . values) for (nc, ne * nq) values at the quadrature points."""
-    weighted = romsys.quad_weights * values
-    return romsys.modes_q.reshape(romsys.r, -1) @ weighted.ravel()
+def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
+    """The symmetric tensor T with Phi^T g(lift + Phi c) = T . (1, c)^D.
+
+    ``modes_q`` is (r, nc, nqp), ``lift_q`` (nc, nqp) and ``weights``
+    (nqp,). A monomial of degree d fills the slots [i, j_1..j_d, 0, ..., 0]
+    with sum_q w_q psi_i(q) prod_s [lift_k_s; Phi_k_s][j_s](q), where psi
+    combines the modes' components by the monomial's coefficients; the
+    symmetrisation then spreads the constant slots over all positions.
+    """
+    if not len(system.exponents):
+        return None
+    r, nc, nqp = modes_q.shape
+    degree = system.degree
+    fields = [np.vstack([lift_q[k], modes_q[:, k]]) for k in range(nc)]
+    tensor = np.zeros((r,) + (r + 1,) * degree)
+    for powers, coefs in zip(system.exponents, system.coefficients.T):
+        slots = [fields[k] for k, p in enumerate(powers) for _ in range(p)]
+        d, half = len(slots), len(slots) // 2
+        psi = weights * np.einsum("c,icq->iq", coefs, modes_q)
+        rows = r * (r + 1) ** half + (r + 1) ** (d - half)
+        block = max(1, _BUILD_BLOCK_ENTRIES // rows)
+        part = np.zeros((r * (r + 1) ** half, (r + 1) ** (d - half)))
+        for q0 in range(0, nqp, block):
+            qs = slice(q0, q0 + block)
+            cut = [f[:, qs] for f in slots]
+            left = _row_products(psi[:, qs], cut[:half])
+            right = _row_products(np.ones((1, left.shape[1])), cut[half:])
+            part += left @ right.T
+        tensor[(slice(None),) * (d + 1) + (0,) * (degree - d)] += part.reshape((r,) + (r + 1,) * d)
+    perms = itertools.permutations(range(1, degree + 1))
+    return sum(tensor.transpose((0,) + p) for p in perms) / math.factorial(degree)
+
+
+def _contract(tensor: np.ndarray, chat: np.ndarray, times: int) -> np.ndarray:
+    """``tensor`` contracted with ``chat`` in its last ``times`` slots."""
+    for _ in range(times):
+        tensor = (tensor.reshape(-1, len(chat)) @ chat).reshape(tensor.shape[:-1])
+    return tensor
 
 
 def _reduced_load(romsys: RomSystem, t: float) -> np.ndarray:
     """Phi^T f(t), by the quadrature ``assemble_load`` uses."""
-    x, y = romsys.quad_points[:, 0], romsys.quad_points[:, 1]
-    vals = np.zeros_like(romsys.lift_q)
+    x, y = romsys.load_points[:, 0], romsys.load_points[:, 1]
+    vals = np.zeros((romsys.system.n_components, len(x)))
     for c, f in enumerate(romsys.system.forcing):
         if f is not None:
             vals[c] = f(x, y, t)
-    return _project_quadrature(romsys, vals)
+    return romsys.load_modes @ vals.ravel()
 
 
 def rom_residual(
@@ -135,30 +187,28 @@ def rom_residual(
         raise ValueError(f"history must hold {scheme.q} coordinate vectors")
     bdf_dt = bdf_increment_form(scheme, increment, history, dt)
     candidate = np.asarray(history[0], dtype=np.float64) + increment
-    uq = _state_at_quadrature(romsys, candidate)
-    nonlinear = _project_quadrature(romsys, romsys.system.g(uq))
-    if romsys.system.forcing is not None:
-        nonlinear -= _reduced_load(romsys, t_n)
-    return (
+    residual = (
         romsys.reduced_mass @ bdf_dt
         + romsys.reduced_diffusion @ candidate
         + romsys.diffusion_lift
-        + nonlinear
     )
+    tensor = romsys.reaction_tensor
+    if tensor is not None:
+        residual += _contract(tensor, np.concatenate(([1.0], candidate)), tensor.ndim - 1)
+    if romsys.system.forcing is not None:
+        residual -= _reduced_load(romsys, t_n)
+    return residual
 
 
 def rom_jacobian(romsys: RomSystem, scheme: BdfScheme, candidate: np.ndarray, dt: float):
-    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + sum_ab Phi_q[a]^T diag(w g'_ab) Phi_q[b]."""
-    uq = _state_at_quadrature(romsys, candidate)
-    wgp = romsys.quad_weights * np.asarray(romsys.system.g_prime(uq), dtype=np.float64)
-    # inner[j, a] = sum_b w g'_ab Phi_q[j, b]; the quadrature-point axis is innermost
-    inner = np.einsum("abk,jbk->jak", wgp, romsys.modes_q)
-    jac_nl = romsys.modes_q.reshape(romsys.r, -1) @ inner.reshape(romsys.r, -1).T
-    return (
-        (scheme.delta_f[0] / dt) * romsys.reduced_mass
-        + romsys.reduced_diffusion
-        + jac_nl
-    )
+    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + D (T . (1, c)^(D-1))[:, 1:]."""
+    jac = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
+    tensor = romsys.reaction_tensor
+    if tensor is not None and tensor.ndim > 1:
+        degree = tensor.ndim - 1
+        chat = np.concatenate(([1.0], candidate))
+        jac += degree * _contract(tensor, chat, degree - 1)[:, 1:]
+    return jac
 
 
 def newton_tolerance(rule, dt: float, q: int) -> float:

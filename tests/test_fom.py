@@ -58,6 +58,34 @@ class TestBrusselatorSystem:
             fd = (sys.g(uv + bump) - sys.g(uv - bump)) / (2 * eps)
             assert np.max(np.abs(jac[:, b] - fd)) < 1e-7
 
+    def test_tables_give_hand_written_values(self):
+        # u^2 v with coefficient 2 in g_u, and -u^3 in g_v
+        sys = ReactionSystem(2, (1.0, 1.0), [(2, 1), (3, 0)], [(2.0, 0.0), (0.0, -1.0)])
+        rng = np.random.default_rng(4)
+        uv = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
+        u, v = uv
+        assert sys.degree == 3
+        assert np.allclose(sys.g(uv), np.stack([2.0 * u * u * v, -(u**3)]), rtol=1e-15, atol=0)
+        want = np.stack([
+            np.stack([4.0 * u * v, 2.0 * u * u]),
+            np.stack([-3.0 * u * u, np.zeros_like(u)]),
+        ])
+        assert np.allclose(sys.g_prime(uv), want, rtol=1e-15, atol=0)
+        heat = heat_system(1.0, reaction={3: 1.0})
+        assert heat.degree == 3
+        assert np.allclose(heat.g(uv[:1]), uv[:1] ** 3, rtol=1e-15, atol=0)
+        assert np.allclose(heat.g_prime(uv[:1]), 3.0 * uv[:1][None] ** 2, rtol=1e-15, atol=0)
+        linear = heat_system(1.0)
+        assert linear.degree == 0
+        assert np.array_equal(linear.g(uv[:1]), np.zeros((1, 3, 4)))
+        assert np.array_equal(linear.g_prime(uv[:1]), np.zeros((1, 1, 3, 4)))
+
+    def test_rejects_malformed_tables(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ReactionSystem(1, (1.0,), [(-1,)], [[1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0]])
+
     def test_stores_diffusion_and_boundary_values(self):
         sys = brusselator_system(0.004)
         assert sys.diffusion == (0.004, 0.004)
@@ -69,7 +97,7 @@ class TestBrusselatorSystem:
         with pytest.raises(ValueError):
             heat_system(-1.0)
         with pytest.raises(ValueError):
-            ReactionSystem(1, (0.0,), lambda u: u, lambda u: u)
+            ReactionSystem(1, (0.0,), [(1,)], [[1.0]])
 
 
 class TestEquilibrium:
@@ -121,11 +149,7 @@ class TestTemporalSelfConvergence:
         # cubic reaction exercises Newton; errors measured against a much
         # finer run on the same mesh so only the time discretization matters
         space = small_space(4, 1)
-        sys = heat_system(
-            0.05,
-            reaction=lambda u: u**3,
-            reaction_prime=lambda u: 3.0 * u * u,
-        )
+        sys = heat_system(0.05, reaction={3: 1.0})
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
         t_end = 0.5
         fine = fom_integrate(sys, space, u0, t_end / 2560, t_end, 5, NewtonConfig(tol=1e-13))

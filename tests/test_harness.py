@@ -82,7 +82,7 @@ CONFIG_VALUES = {
     "system": st.sampled_from(tuple(SYSTEMS) + ("Heat", "bogus")),
     "w0_mode": st.sampled_from(W0_MODES + ("zero", "bogus")),
     "inner_product": st.sampled_from(INNER_PRODUCTS + ("h10", "l2")),
-    "newton_rule": TEXT,
+    "newton_rule": st.one_of(st.sampled_from(("step-coupled", "Step-coupled", "paper")), FLOATS, TEXT),
     "out_dir": TEXT,
 }
 CONFIG_LINE = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
@@ -111,7 +111,7 @@ class TestParseConfig:
             "r_grid = 4, 8\n"
             "tau = 2.0\n"
             "w0_mode = mean\n"
-            "newton_rule = paper\n"
+            "newton_rule = 1e-9\n"
             "out_dir = results\n"
         )
         cfg = parse_config(str(path))
@@ -119,6 +119,7 @@ class TestParseConfig:
         assert cfg.nu == 0.004 and cfg.T == 3.5 and cfg.tau == 2.0
         assert cfg.r_grid == (4, 8)
         assert cfg.w0_mode == "mean" and cfg.out_dir == "results"
+        assert cfg.newton_rule == "1e-9"
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -146,9 +147,13 @@ class TestParseConfig:
         ):
             with pytest.raises(ValueError):
                 RunConfig(**bad)
-        for key in ("system", "w0_mode", "inner_product"):
+        for key in ("system", "w0_mode", "inner_product", "newton_rule"):
             with pytest.raises(ValueError, match=key):
                 RunConfig(**{key: "bogus"})
+        for rule in ("0", "-1e-9", "nan", "inf", "1e400"):
+            with pytest.raises(ValueError, match="newton_rule"):
+                RunConfig(newton_rule=rule)
+        assert RunConfig(newton_rule="1e-12").newton_rule == "1e-12"
 
     @settings(max_examples=150, deadline=None)
     @given(CONFIG_TEXT)
@@ -164,6 +169,7 @@ class TestParseConfig:
         assert cfg.w0_mode in W0_MODES and cfg.inner_product in INNER_PRODUCTS
         assert cfg.degree in (1, 2) and 1 <= cfg.q <= 5
         assert cfg.r_grid and min(cfg.r_grid) >= 1
+        assert cfg.newton_rule == "step-coupled" or 0 < float(cfg.newton_rule) < np.inf
 
 
 def tiny_cfg(**overrides):
@@ -239,7 +245,11 @@ class TestCli:
         # a mistyped enumerated value or a rank below 1 is rejected before any
         # run, with a message that names the key
         out = str(tmp_path / "out")
-        for line, key in (("inner_product = h10", "inner_product"), ("w0_mode = bogus", "w0_mode")):
+        for line, key in (
+            ("inner_product = h10", "inner_product"),
+            ("w0_mode = bogus", "w0_mode"),
+            ("newton_rule = paper", "newton_rule"),
+        ):
             bad.write_text(line + "\n")
             capsys.readouterr()
             assert cli.main(["fom", "--config", str(bad), "--out", out]) == cli.USAGE_ERROR

@@ -56,8 +56,7 @@ def forced_heat_setup():
     sys = heat_system(
         0.1,
         forcing=lambda x, y, t: (1.0 + t) * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y),
-        reaction=lambda u: u**3,
-        reaction_prime=lambda u: 3.0 * u**2,
+        reaction={3: 1.0},
     )
     u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
     traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
@@ -182,9 +181,16 @@ class TestResidualAndJacobian:
             fd[:, j] = (rp - rm) / (2 * eps)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
-    @pytest.mark.parametrize("setup", ["brusselator_p2", "forced_heat_p1"])
+    @pytest.mark.parametrize("setup", ["brusselator_p2", "brusselator_p2_full_rank", "forced_heat_p1"])
     def test_quadrature_points_match_nodal_assembly(self, setup):
-        romsys = brusselator_setup()[3] if setup == "brusselator_p2" else forced_heat_setup()
+        if setup == "forced_heat_p1":
+            romsys = forced_heat_setup()
+        else:
+            _, snaps, basis, romsys = brusselator_setup()
+            if setup == "brusselator_p2_full_rank":
+                # every mode, about a nonzero lift
+                assert np.linalg.norm(snaps.mean) > 0
+                romsys = rom_assemble(basis, basis.d_r, romsys.space, romsys.system, snaps.mean)
         scheme = bdf_coefficients(3)
         dt, t = 0.1, 0.3
         rng = np.random.default_rng(2)
@@ -206,6 +212,26 @@ class TestResidualAndJacobian:
         want = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion + jac_nl
         got = rom_jacobian(romsys, scheme, candidate, dt)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(jac_nl)
+
+    def test_online_arrays_do_not_depend_on_the_mesh(self):
+        # an unforced system: the same rank on two meshes gives online arrays of
+        # the same shapes, none sized by the ne * nq quadrature points
+        shapes = []
+        for n_side in (4, 8):
+            traj, snaps, basis, _ = brusselator_setup(n_side=n_side)
+            romsys = rom_assemble(basis, 5, traj.space, brusselator_system(0.002), snaps.mean)
+            n_points = len(traj.space.mesh.triangles) * len(traj.space.quad.weights)
+            arrays = {
+                name: value
+                for name, value in vars(romsys).items()
+                if isinstance(value, np.ndarray) and name != "lift"
+            }
+            assert romsys.load_modes is None and romsys.load_points is None
+            for name, value in list(arrays.items()) + [("lift", romsys.lift)]:
+                assert n_points not in value.shape, name
+            shapes.append({name: value.shape for name, value in arrays.items()})
+        assert shapes[0] == shapes[1]
+        assert shapes[0]["reaction_tensor"] == (5, 6, 6, 6)
 
     def test_history_length_guard(self):
         _, _, _, romsys = brusselator_setup()
