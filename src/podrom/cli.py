@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import unicodedata
 
 import numpy as np
 
@@ -164,6 +165,13 @@ def cmd_check(cfg: RunConfig) -> int:
     return PIPELINE_ERROR if failures else 0
 
 
+def _is_positive_integer(text: str) -> bool:
+    """Decimal digits, not all zero; judged digit by digit, since int() refuses
+    strings longer than sys.get_int_max_str_digits()."""
+    digits = text.strip()
+    return digits.isdecimal() and any(unicodedata.decimal(d) for d in digits)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="podrom", description=__doc__)
     parser.add_argument("subcommand", choices=[
@@ -180,7 +188,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     threads = os.environ.get("PODROM_THREADS")
-    if threads is not None and not (threads.strip().isdecimal() and int(threads) >= 1):
+    if threads is not None and not _is_positive_integer(threads):
         print(f"PODROM_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
         return USAGE_ERROR
     try:

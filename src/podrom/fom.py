@@ -15,11 +15,11 @@ import numpy as np
 
 from . import mmio
 from .bdf import NewtonConfig, bdf_increment_form, integrate
-from .linalg import CsrMatrix, block_plan
+from .linalg import CsrMatrix, coo_plan
 from .mesh_fem import (
     FeSpace,
+    _reaction_jacobian_elements,
     assemble_load,
-    assemble_reaction_jacobian_system,
     assemble_reaction_system,
     build_mesh,
     build_space,
@@ -143,12 +143,27 @@ class FomOperator:
         self.mass = space.mass_matrix()
         self.stiff = space.stiffness_matrix()
         self.mask = np.tile(space.dirichlet_mask, self.nc)
-        # block-Jacobian pattern, values laid out as assemble_reaction_jacobian_system's
-        # (a, b) blocks; Dirichlet rows and columns are eliminated onto a unit diagonal
-        blocks = [(a, b) for a in range(self.nc) for b in range(self.nc)]
-        self._jac_plan = block_plan(space.pattern, blocks, self.nc)
-        ri = self._jac_plan.pattern.row_indices()
-        ci = self._jac_plan.pattern.col_indices
+        # one plan from the element matrices of all nc^2 reaction blocks, in
+        # the block-major order _reaction_jacobian_elements gives them, to the
+        # block Jacobian
+        nc, n, dim = self.nc, self.n, self.dim
+        rows, cols = space._element_entries()
+        shift = n * np.arange(nc)
+        self._jac_plan = coo_plan(
+            dim,
+            dim,
+            (np.repeat(shift, nc)[:, None] + rows).ravel(),
+            (np.tile(shift, nc)[:, None] + cols).ravel(),
+        )
+        ri, ci = self._jac_plan.pattern.row_indices(), self._jac_plan.pattern.col_indices
+        # the entries of space.pattern within each diagonal block (a, a): CSR
+        # entries are sorted by row * dim + col
+        scalar = space.pattern
+        keys = scalar.row_indices() * dim + scalar.col_indices
+        self._jac_diagonal_blocks = [
+            np.searchsorted(ri * dim + ci, keys + a * n * (dim + 1)) for a in range(nc)
+        ]
+        # Dirichlet rows and columns are eliminated onto a unit diagonal
         self._jac_eliminated = self.mask[ri] | self.mask[ci]
         self._jac_unit = (ri == ci) & self.mask[ri]
 
@@ -191,11 +206,11 @@ class FomOperator:
         return r
 
     def jacobian(self, candidate, c0_over_dt) -> CsrMatrix:
-        gp = assemble_reaction_jacobian_system(self.space, self.split(candidate), self.system.g_prime)
-        for a in range(self.nc):
-            gp[a, a] += c0_over_dt * self.mass.values
-            gp[a, a] += self.system.diffusion[a] * self.stiff.values
-        vals = self._jac_plan.assemble(gp.ravel())
+        elem = _reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
+        vals = self._jac_plan.assemble(elem.ravel())
+        for a, block in enumerate(self._jac_diagonal_blocks):
+            vals[block] += c0_over_dt * self.mass.values
+            vals[block] += self.system.diffusion[a] * self.stiff.values
         vals[self._jac_eliminated] = 0.0
         vals[self._jac_unit] = 1.0
         return self._jac_plan.csr(vals)

@@ -19,7 +19,14 @@ from .fom import (
     heat_system,
     perturbed_equilibrium,
 )
-from .mesh_fem import FeSpace, build_mesh, build_space, interpolate
+from .mesh_fem import (
+    FeSpace,
+    _states_at_quadrature,
+    build_mesh,
+    build_space,
+    interpolate,
+    quadrature_rule,
+)
 from .pod import (
     H10,
     INNER_PRODUCTS,
@@ -142,10 +149,9 @@ def estimate_order(errors):
 
 def l2_error_vs_exact(space: FeSpace, nodal: np.ndarray, exact) -> float:
     """Quadrature L2 norm of u_h - u for a scalar field and exact u(x, y)."""
-    area, nvals, _, qc = space._geometry()
-    uh = np.einsum("el,ql->eq", nodal[space.cell_dofs], nvals)
-    diff = uh - exact(qc[..., 0], qc[..., 1])
-    return float(np.sqrt(np.einsum("e,q,eq->", area, space.quad.weights, diff**2)))
+    qc, weights = quadrature_rule(space)
+    diff = _states_at_quadrature(space, nodal[None])[0] - exact(qc[..., 0], qc[..., 1])
+    return float(np.sqrt(np.sum(weights * diff**2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Dense and sparse linear algebra kernels.
 
 Dense matrices are plain 2-D numpy arrays. Sparse matrices use a minimal
-CSR container; every COO -> CSR conversion goes through one sort/segment
-plan (``coo_plan``), which callers with fixed indices build once and refill.
+CSR container; every COO -> CSR conversion goes through one plan
+(``coo_plan``) that maps each triplet to its stored entry once, so callers
+with fixed indices refill it with one ``bincount``. The matvec reduces the
+products of each row with one ``reduceat``; a 2-D operand goes through in
+column chunks of bounded size.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the sparse iterative solver is BiCGStab with a Jacobi
 preconditioner.
@@ -37,6 +40,16 @@ class ConvergenceError(Exception):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _RowFacts:
+    """Facts of a CSR pattern, computed once and shared by every matrix
+    that a CooPlan refills on it."""
+
+    of_entry: np.ndarray  # the row of each stored entry
+    full: bool  # every row holds an entry
+    diagonal: np.ndarray  # the stored entries on the diagonal
+
+
 @dataclass
 class CsrMatrix:
     """Compressed sparse row matrix with sorted column indices per row."""
@@ -46,6 +59,7 @@ class CsrMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    _row_facts: _RowFacts | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -66,15 +80,17 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.values)
 
-    # row index per stored entry, cached
-    _row_of_entry: np.ndarray | None = field(default=None, repr=False, compare=False)
+    def _rows(self) -> _RowFacts:
+        if self._row_facts is None:
+            counts = np.diff(self.row_offsets)
+            of_entry = np.repeat(np.arange(self.rows, dtype=np.int64), counts)
+            self._row_facts = _RowFacts(
+                of_entry, bool(np.all(counts > 0)), np.flatnonzero(of_entry == self.col_indices)
+            )
+        return self._row_facts
 
     def row_indices(self) -> np.ndarray:
-        if self._row_of_entry is None:
-            self._row_of_entry = np.repeat(
-                np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets)
-            )
-        return self._row_of_entry
+        return self._rows().of_entry
 
     @staticmethod
     def from_coo(rows: int, cols: int, ri, ci, vals) -> "CsrMatrix":
@@ -92,9 +108,14 @@ class CsrMatrix:
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(min(self.rows, self.cols))
-        on_diag = self.row_indices() == self.col_indices
+        on_diag = self._rows().diagonal
         d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
+
+
+#: a 2-D product gathers its operand in column chunks of at most this many
+#: entries (2 MB), so its temporary does not grow with the number of columns
+_MATVEC_BLOCK_ENTRIES = 1 << 18
 
 
 def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -102,35 +123,49 @@ def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != a.cols:
         raise ValueError(f"dimension mismatch: matrix has {a.cols} cols, vector {x.shape[0]}")
-    products = a.values.reshape((-1,) + (1,) * (x.ndim - 1)) * x[a.col_indices]
+    if x.ndim == 1:
+        return _row_sums(a, a.values * np.take(x, a.col_indices))
+    columns = x.reshape(a.cols, -1)
+    out = np.empty((a.rows, columns.shape[1]))
+    width = max(1, _MATVEC_BLOCK_ENTRIES // max(a.nnz, 1))
+    for j in range(0, columns.shape[1], width):
+        products = np.take(columns[:, j : j + width], a.col_indices, axis=0)
+        products *= a.values[:, None]
+        out[:, j : j + width] = _row_sums(a, products)
+    return out.reshape((a.rows,) + x.shape[1:])
+
+
+def _row_sums(a: CsrMatrix, products: np.ndarray) -> np.ndarray:
+    """Sums over the stored entries of each row of ``products`` (one per entry)."""
+    starts = a.row_offsets[:-1]
+    if a._rows().full:
+        return np.add.reduceat(products, starts, axis=0)
     # reduceat would give an empty row the entry at its start, so only the
     # non-empty rows are reduced
-    starts = a.row_offsets[:-1]
     filled = starts < a.row_offsets[1:]
-    out = np.zeros((a.rows,) + x.shape[1:])
+    out = np.zeros((a.rows,) + products.shape[1:])
     out[filled] = np.add.reduceat(products, starts[filled], axis=0)
     return out
 
 
 @dataclass
 class CooPlan:
-    """Sort/segment plan coalescing COO triplets with fixed indices into CSR.
+    """Scatter plan coalescing COO triplets with fixed indices into CSR.
 
-    ``assemble`` sums the triplet values landing on each stored entry of
-    ``pattern``; ``csr`` wraps pattern-aligned values in a matrix sharing the
-    pattern's index arrays.
+    ``assemble`` sums, in triplet order, the values landing on each stored
+    entry of ``pattern``; ``csr`` wraps pattern-aligned values in a matrix
+    sharing the pattern's index arrays and row facts.
     """
 
-    order: np.ndarray  # triplets in row-major (row, col) order
-    starts: np.ndarray  # first sorted triplet of each stored entry
+    entry: np.ndarray  # the stored entry each triplet lands on
     pattern: CsrMatrix  # the coalesced structure, values zero
 
     def assemble(self, vals) -> np.ndarray:
-        return np.add.reduceat(np.asarray(vals, dtype=np.float64)[self.order], self.starts)
+        return np.bincount(self.entry, weights=vals, minlength=self.pattern.nnz)
 
     def csr(self, values: np.ndarray) -> CsrMatrix:
         p = self.pattern
-        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values)
+        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values, p._rows())
 
 
 def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
@@ -142,24 +177,12 @@ def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
     new = np.ones(len(rs), dtype=bool)
     new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
     starts = np.flatnonzero(new)
+    entry = np.empty(len(rs), dtype=np.int64)
+    entry[order] = np.cumsum(new) - 1
     offsets = np.zeros(rows + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(np.bincount(rs[starts], minlength=rows))
     pattern = CsrMatrix(rows, cols, offsets, cs[starts], np.zeros(len(starts)))
-    return CooPlan(order, starts, pattern)
-
-
-def block_plan(pattern: CsrMatrix, keys, n_blocks: int) -> CooPlan:
-    """CooPlan of an (n_blocks x n_blocks) block matrix whose blocks ``keys``
-    share one scalar pattern, for values concatenated block by block."""
-    n = pattern.rows
-    ri = pattern.row_indices()
-    ci = pattern.col_indices
-    return coo_plan(
-        n_blocks * n,
-        n_blocks * n,
-        np.concatenate([ri + bi * n for bi, _ in keys]),
-        np.concatenate([ci + bj * n for _, bj in keys]),
-    )
+    return CooPlan(entry, pattern)
 
 
 def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
@@ -169,7 +192,14 @@ def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
     missing blocks are structurally zero.
     """
     keys = sorted(blocks)
-    plan = block_plan(pattern, keys, n_blocks)
+    n = pattern.rows
+    ri, ci = pattern.row_indices(), pattern.col_indices
+    plan = coo_plan(
+        n_blocks * n,
+        n_blocks * n,
+        np.concatenate([ri + bi * n for bi, _ in keys]),
+        np.concatenate([ci + bj * n for _, bj in keys]),
+    )
     return plan.csr(plan.assemble(np.concatenate([blocks[k] for k in keys])))
 
 

@@ -5,8 +5,13 @@ split into gamma1 = {x=1} u {y=1} (Dirichlet, closed: shared corners
 belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann).
 
 Assembly is vectorized over elements: each FeSpace precomputes element
-dof maps, physical basis gradients at quadrature points and a COO -> CSR
-coalescing plan, so every assembled operator shares one sparsity pattern.
+dof maps, physical basis gradients at quadrature points, the weights
+area_e * w_q of its quadrature rule and a COO -> CSR coalescing plan, so
+every assembled operator shares one sparsity pattern. The per-step kernels
+are matmuls: fields at the quadrature points are ``u[:, cell_dofs] @ N^T``,
+reaction element vectors ``(g(u_q) * w) @ N`` and reaction-Jacobian element
+blocks ``(g'(u_q) * w) @ P``, with N the (nq, nloc) basis values and P the
+(nq, nloc^2) basis products at the reference quadrature points.
 """
 
 from __future__ import annotations
@@ -201,14 +206,17 @@ class FeSpace:
             self._cache[key] = (area, nvals, pgrads, qcoords)
         return self._cache[key]
 
+    def _element_entries(self):
+        """Row and column dofs of the entries of the (ne, nloc, nloc) element
+        matrices, flattened."""
+        dofs, nloc = self.cell_dofs, self.cell_dofs.shape[1]
+        return np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
+
     def _coo_plan(self) -> CooPlan:
         """Plan turning element matrices into one shared CSR pattern."""
         key = "coo_plan"
         if key not in self._cache:
-            nloc = self.cell_dofs.shape[1]
-            ri = np.repeat(self.cell_dofs, nloc, axis=1).ravel()
-            ci = np.tile(self.cell_dofs, (1, nloc)).ravel()
-            self._cache[key] = coo_plan(self.n_dof, self.n_dof, ri, ci)
+            self._cache[key] = coo_plan(self.n_dof, self.n_dof, *self._element_entries())
         return self._cache[key]
 
     def assemble_from_element_matrices(self, elem_mats: np.ndarray) -> np.ndarray:
@@ -222,13 +230,20 @@ class FeSpace:
     def csr_from_values(self, values: np.ndarray) -> CsrMatrix:
         return self._coo_plan().csr(values)
 
-    def _weighted_basis_products(self) -> np.ndarray:
-        """(nq, nloc^2) reference products w_q N_i(q) N_j(q), row-major in (i, j)."""
-        key = "weighted_basis_products"
+    def _quadrature_weights(self) -> np.ndarray:
+        """(ne, nq) weights area_e * w_q of the physical quadrature rule."""
+        key = "quadrature_weights"
+        if key not in self._cache:
+            area = self._geometry()[0]
+            self._cache[key] = area[:, None] * self.quad.weights[None, :]
+        return self._cache[key]
+
+    def _basis_products(self) -> np.ndarray:
+        """(nq, nloc^2) reference products N_i(q) N_j(q), row-major in (i, j)."""
+        key = "basis_products"
         if key not in self._cache:
             _, nvals, _, _ = self._geometry()
-            prods = self.quad.weights[:, None, None] * nvals[:, :, None] * nvals[:, None, :]
-            self._cache[key] = prods.reshape(len(nvals), -1)
+            self._cache[key] = (nvals[:, :, None] * nvals[:, None, :]).reshape(len(nvals), -1)
         return self._cache[key]
 
     # -- cached operators ----------------------------------------------------
@@ -301,25 +316,22 @@ def assemble_stiffness(space: FeSpace) -> CsrMatrix:
 
 def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
     """Load vector with entries int f phi_i; f maps (x, y [, t]) -> values."""
-    area, nvals, _, qc = space._geometry()
+    _, nvals, _, qc = space._geometry()
     fx = f(qc[..., 0], qc[..., 1]) if t is None else f(qc[..., 0], qc[..., 1], t)
-    fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), qc.shape[:2])
-    elem = area[:, None] * np.einsum("q,eq,qi->ei", space.quad.weights, fx, nvals)
+    elem = (np.asarray(fx, dtype=np.float64) * space._quadrature_weights()) @ nvals
     return np.bincount(space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dof)
 
 
 def quadrature_rule(space: FeSpace):
     """Physical points (ne, nq, 2) and weights area_e * w_q (ne, nq) of the
     rule every assembly routine integrates with."""
-    area, _, _, qcoords = space._geometry()
-    return qcoords, area[:, None] * space.quad.weights[None, :]
+    return space._geometry()[3], space._quadrature_weights()
 
 
 def _states_at_quadrature(space: FeSpace, states: np.ndarray) -> np.ndarray:
     """Interpolate (n_comp, n_dof) nodal fields at quadrature points -> (n_comp, ne, nq)."""
     _, nvals, _, _ = space._geometry()
-    local = states[:, space.cell_dofs]  # (n_comp, ne, nloc)
-    return np.einsum("cel,ql->ceq", local, nvals)
+    return np.take(states, space.cell_dofs, axis=1) @ nvals.T
 
 
 def assemble_reaction_system(space: FeSpace, states: np.ndarray, g) -> np.ndarray:
@@ -328,18 +340,19 @@ def assemble_reaction_system(space: FeSpace, states: np.ndarray, g) -> np.ndarra
     ``states`` is (n_comp, n_dof); ``g`` maps (n_comp, ...) values to
     (n_comp, ...) values pointwise. Returns (n_comp, n_dof).
     """
-    area, nvals, _, _ = space._geometry()
-    uq = _states_at_quadrature(space, states)
-    gq = np.asarray(g(uq), dtype=np.float64)
-    elem = np.einsum("q,ceq,qi->cei", space.quad.weights, gq, nvals)
-    elem *= area[None, :, None]
-    n_comp = states.shape[0]
-    out = np.empty((n_comp, space.n_dof))
-    for c in range(n_comp):
-        out[c] = np.bincount(
-            space.cell_dofs.ravel(), weights=elem[c].ravel(), minlength=space.n_dof
-        )
-    return out
+    _, nvals, _, _ = space._geometry()
+    gq = np.asarray(g(_states_at_quadrature(space, states)), dtype=np.float64)
+    elem = (gq * space._quadrature_weights()) @ nvals  # (n_comp, ne, nloc)
+    n_comp, n = states.shape[0], space.n_dof
+    rows = space.cell_dofs.ravel() + n * np.arange(n_comp)[:, None]
+    return np.bincount(rows.ravel(), weights=elem.ravel(), minlength=n_comp * n).reshape(n_comp, n)
+
+
+def _reaction_jacobian_elements(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
+    """Element matrices of every block of the reaction Jacobian,
+    (n_comp, n_comp, ne, nloc^2) with each matrix row-major in (i, j)."""
+    dq = np.asarray(g_prime(_states_at_quadrature(space, states)), dtype=np.float64)
+    return (dq * space._quadrature_weights()) @ space._basis_products()
 
 
 def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
@@ -348,11 +361,7 @@ def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prim
     ``g_prime`` maps (n_comp, ...) values to (n_comp, n_comp, ...) partial
     derivatives. Returns (n_comp, n_comp, nnz) values on ``space.pattern``.
     """
-    area, _, _, _ = space._geometry()
-    uq = _states_at_quadrature(space, states)
-    dq = np.asarray(g_prime(uq), dtype=np.float64)  # (n_comp, n_comp, ne, nq)
-    # element matrices of every block at once: (.., ne, nq) @ (nq, nloc^2)
-    elem = (dq @ space._weighted_basis_products()) * area[:, None]
+    elem = _reaction_jacobian_elements(space, states, g_prime)
     n_comp = states.shape[0]
     out = np.empty((n_comp, n_comp, space.pattern.nnz))
     for a in range(n_comp):

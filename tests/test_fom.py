@@ -239,6 +239,42 @@ class TestIntegratorInterface:
             assert np.array_equal(jac.col_indices, ref.col_indices)
             assert np.array_equal(jac.values, ref.values)
 
+    @pytest.mark.parametrize(
+        "degree, system",
+        [
+            (1, brusselator_system(0.002)),
+            (1, heat_system(0.5, reaction={3: 1.0})),
+            (2, heat_system(0.5, reaction={3: 1.0})),
+        ],
+        ids=["brusselator-P1", "cubic-heat-P1", "cubic-heat-P2"],
+    )
+    def test_jacobian_matches_block_assembly_per_system(self, degree, system):
+        # the block-assembly reference of the test above, for a scalar system
+        # and for P1
+        space = small_space(4, degree)
+        op = FomOperator(system, space)
+        rng = np.random.default_rng(degree)
+        w = (equilibrium_state(system, space) + 0.3 * rng.standard_normal((op.nc, op.n))).ravel()
+        w[op.mask] = np.repeat(system.dirichlet_values, op.n)[op.mask]
+        c0 = 3.0 / 2.0 / 0.05
+        gp = assemble_reaction_jacobian_system(space, op.split(w), system.g_prime)
+        blocks = {}
+        for a in range(op.nc):
+            for b in range(op.nc):
+                vals = gp[a, b]
+                if a == b:
+                    vals = vals + c0 * op.mass.values
+                    vals = vals + system.diffusion[a] * op.stiff.values
+                blocks[(a, b)] = vals
+        ref = block_csr(space.pattern, blocks, op.nc)
+        ri, ci = ref.row_indices(), ref.col_indices
+        ref.values[op.mask[ri] | op.mask[ci]] = 0.0
+        ref.values[(ri == ci) & op.mask[ri]] = 1.0
+        jac = op.jacobian(w, c0)
+        assert np.array_equal(jac.row_offsets, ref.row_offsets)
+        assert np.array_equal(jac.col_indices, ref.col_indices)
+        assert np.array_equal(jac.values, ref.values)
+
     def test_unstable_equilibrium_perturbation_grows(self):
         space = small_space(8, 2)
         sys = brusselator_system(0.002)

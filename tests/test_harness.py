@@ -1,10 +1,15 @@
 """Study harness and CLI: order estimation, L2 errors against exact fields,
 config parsing and validation (with fuzzing), CSV determinism, spatial
-convergence of the manufactured solution, and the command-line pipeline."""
+convergence of the manufactured solution, and the command-line pipeline
+(with fuzzed overrides and PODROM_THREADS values)."""
+
+import contextlib
+import io
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from podrom import cli, mmio
@@ -85,6 +90,12 @@ CONFIG_VALUES = {
     "newton_rule": st.one_of(st.sampled_from(("step-coupled", "Step-coupled", "paper")), FLOATS, TEXT),
     "out_dir": TEXT,
 }
+#: command-line override values: integers near the valid ranges, or any text
+OVERRIDE = st.one_of(st.integers(-3, 1100).map(str), TEXT)
+#: environment values: any text the environment can hold
+ENV_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
+)
 CONFIG_LINE = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
     lambda key: CONFIG_VALUES[key].map(lambda v: f"{key} = {v}")
 )
@@ -265,6 +276,37 @@ class TestCli:
             assert cli.main(["check"]) == cli.USAGE_ERROR
         monkeypatch.setenv("PODROM_THREADS", "2")
         assert cli.main(["check"]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries({flag: st.none() | OVERRIDE for flag in ("--q", "--M", "--r")}),
+        st.one_of(st.none(), st.integers(-2, 64).map(str), ENV_TEXT),
+    )
+    @example({"--q": None, "--M": None, "--r": None}, "1" * 5000)  # more digits than int() converts
+    def test_fuzz_overrides_and_threads(self, tmp_path_factory, overrides, threads):
+        # any override strings and PODROM_THREADS value give 0 or a usage
+        # error with a message, never an exception
+        base = tmp_path_factory.getbasetemp()
+        cfg = base / "fuzz-mesh.cfg"
+        cfg.write_text("n_side = 2\n")
+        argv = ["mesh", "--config", str(cfg), "--out", str(base / "fuzz-mesh")]
+        for flag, value in overrides.items():
+            if value is not None:
+                argv += [flag, value]
+        saved = os.environ.pop("PODROM_THREADS", None)
+        if threads is not None:
+            os.environ["PODROM_THREADS"] = threads
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.environ.pop("PODROM_THREADS", None)
+            if saved is not None:
+                os.environ["PODROM_THREADS"] = saved
+        assert code in (0, cli.USAGE_ERROR)
+        if code == cli.USAGE_ERROR:
+            assert err.getvalue().strip()
 
     def test_pipeline_chain(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

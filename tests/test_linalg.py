@@ -7,6 +7,7 @@ paths.
 import numpy as np
 import pytest
 
+from podrom import linalg
 from podrom.linalg import (
     ConvergenceError,
     CsrMatrix,
@@ -210,6 +211,24 @@ class TestCsr:
         assert np.max(np.abs(csr_matvec(a, x) - dense @ x)) < 1e-13
         a, dense = csr_with_empty_rows(rng, 6)
         assert np.max(np.abs(csr_matvec(a, x) - dense @ x)) < 1e-13
+
+    def test_chunked_matrix_matvec_is_columnwise(self):
+        # more columns than one chunk of the bounded 2-D product: each column
+        # equals its 1-D product bit for bit, with and without empty first,
+        # middle and last rows
+        rng = np.random.default_rng(19)
+        n = 1200
+        _, dense = random_csr(rng, n, n, density=0.05)
+        for empty in ([], [0, n // 2, n - 1]):
+            dense[empty] = 0.0
+            ri, ci = np.nonzero(dense)
+            a = CsrMatrix.from_coo(n, n, ri, ci, dense[ri, ci])
+            width = max(1, linalg._MATVEC_BLOCK_ENTRIES // a.nnz)
+            x = rng.standard_normal((n, 3 * width + 1))
+            out = csr_matvec(a, x)
+            columns = np.column_stack([csr_matvec(a, np.ascontiguousarray(c)) for c in x.T])
+            assert np.array_equal(out, columns)
+            assert np.max(np.abs(out - dense @ x)) < 1e-12
 
     def test_block_csr(self):
         rng = np.random.default_rng(17)

@@ -8,10 +8,12 @@ from math import factorial
 import numpy as np
 import pytest
 
+from podrom.fom import brusselator_system
 from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
+    _states_at_quadrature,
     assemble_load,
     assemble_mass,
     assemble_reaction_jacobian_system,
@@ -243,6 +245,60 @@ class TestReaction:
         ) / (2 * eps)
         jd = j.matvec(direction)
         assert np.linalg.norm(fd - jd) <= 1e-5 * max(1.0, np.linalg.norm(jd))
+
+
+class TestQuadratureKernels:
+    """The matmul kernels against the einsum formulas they replaced."""
+
+    @staticmethod
+    def fields(degree):
+        space = build_space(build_mesh(5), degree)
+        rng = np.random.default_rng(degree)
+        states = np.array([1.0, 3.0])[:, None] + 0.3 * rng.standard_normal((2, space.n_dof))
+        return space, states, brusselator_system(0.002)
+
+    @staticmethod
+    def close(new, old):
+        return np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_states_at_quadrature(self, degree):
+        space, states, _ = self.fields(degree)
+        _, nvals, _, _ = space._geometry()
+        old = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
+        assert self.close(_states_at_quadrature(space, states), old)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_reaction_vectors(self, degree):
+        space, states, system = self.fields(degree)
+        area, nvals, _, _ = space._geometry()
+        uq = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
+        elem = np.einsum("q,ceq,qi->cei", space.quad.weights, system.g(uq), nvals)
+        elem *= area[None, :, None]
+        dofs = space.cell_dofs.ravel()
+        old = np.array([np.bincount(dofs, weights=e.ravel(), minlength=space.n_dof) for e in elem])
+        assert self.close(assemble_reaction_system(space, states, system.g), old)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_reaction_jacobian_blocks(self, degree):
+        space, states, system = self.fields(degree)
+        area, nvals, _, _ = space._geometry()
+        uq = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
+        elem = np.einsum("q,abeq,qi,qj->abeij", space.quad.weights, system.g_prime(uq), nvals, nvals)
+        elem *= area[:, None, None]
+        # scatter every element matrix into dense blocks, then read them off
+        # on the shared pattern
+        n, nloc = space.n_dof, space.cell_dofs.shape[1]
+        rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
+        cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+        ri, ci = space.pattern.row_indices(), space.pattern.col_indices
+        old = np.empty((2, 2, space.pattern.nnz))
+        for a in range(2):
+            for b in range(2):
+                dense = np.zeros((n, n))
+                np.add.at(dense, (rows, cols), elem[a, b].ravel())
+                old[a, b] = dense[ri, ci]
+        assert self.close(assemble_reaction_jacobian_system(space, states, system.g_prime), old)
 
 
 class TestInterpolate:
