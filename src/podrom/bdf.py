@@ -6,6 +6,13 @@ model both run through their residual and Jacobian callbacks.
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
 sum(delta) = 0 and the first-difference weights hold exactly.
+
+A history is a (q, dim) array of states, newest first (a list of q vectors
+is accepted too), and ``integrate`` fills one preallocated (M + 1, dim)
+trajectory whose main-loop histories are views of it. Every BDF-q
+combination is then one product over the history: the derivative is
+delta @ u, its first-difference form alpha @ (u[:-1] - u[1:]), and the
+predictor w @ h with the extrapolation weights w.
 """
 
 from __future__ import annotations
@@ -61,25 +68,23 @@ def bdf_coefficients(q: int) -> BdfScheme:
     )
 
 
+def _history(states, length: int) -> np.ndarray:
+    """``states`` (a (length, dim) array or a list of vectors) as one array."""
+    states = np.asarray(states, dtype=np.float64)
+    if len(states) != length:
+        raise ValueError(f"expected {length} states, got {len(states)}")
+    return states
+
+
 def bdf_apply(scheme: BdfScheme, states, dt: float) -> np.ndarray:
     """(1/dt) sum_i delta_i u^{n-i} for q+1 states ordered newest first."""
-    if len(states) != scheme.q + 1:
-        raise ValueError(f"expected {scheme.q + 1} states, got {len(states)}")
-    acc = scheme.delta_f[0] * np.asarray(states[0], dtype=np.float64)
-    for d, u in zip(scheme.delta_f[1:], states[1:]):
-        acc = acc + d * np.asarray(u, dtype=np.float64)
-    return acc / dt
+    return scheme.delta_f @ _history(states, scheme.q + 1) / dt
 
 
 def bdf_apply_as_differences(scheme: BdfScheme, states, dt: float) -> np.ndarray:
     """Same derivative, written as weighted first-order differences."""
-    if len(states) != scheme.q + 1:
-        raise ValueError(f"expected {scheme.q + 1} states, got {len(states)}")
-    acc = None
-    for j, a in enumerate(scheme.alpha_f):
-        diff = np.asarray(states[j], dtype=np.float64) - np.asarray(states[j + 1], dtype=np.float64)
-        acc = a * diff if acc is None else acc + a * diff
-    return acc / dt
+    u = _history(states, scheme.q + 1)
+    return scheme.alpha_f @ (u[:-1] - u[1:]) / dt
 
 
 def bdf_increment_form(scheme: BdfScheme, increment, hist_states, dt: float) -> np.ndarray:
@@ -90,13 +95,9 @@ def bdf_increment_form(scheme: BdfScheme, increment, hist_states, dt: float) -> 
     u^n first and subtracting would quantize the difference at the ulp of the
     full state, which the 1/dt factor amplifies.
     """
-    acc = scheme.alpha_f[0] * np.asarray(increment, dtype=np.float64)
-    for j in range(1, scheme.q):
-        diff = np.asarray(hist_states[j - 1], dtype=np.float64) - np.asarray(
-            hist_states[j], dtype=np.float64
-        )
-        acc = acc + scheme.alpha_f[j] * diff
-    return acc / dt
+    h = _history(hist_states, scheme.q)
+    alpha = scheme.alpha_f
+    return (alpha[0] * increment + alpha[1:] @ (h[:-1] - h[1:])) / dt
 
 
 def bootstrap_plan(q: int, dt: float):
@@ -129,9 +130,9 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, stepper):
     """Execute a bootstrap plan and return the q-1 starting values at t_1..t_{q-1}.
 
     ``stepper(scheme, history, step, t_new)`` advances one implicit step from
-    the ``scheme.q`` previous states, newest first. All segment steps divide
-    dt, so sample times are exact grid hits; times are tracked as integer
-    multiples of the finest step.
+    the ``scheme.q`` previous states, a (q, dim) array, newest first. All
+    segment steps divide dt, so sample times are exact grid hits; times are
+    tracked as integer multiples of the finest step.
     """
     plan = bootstrap_plan(q, dt)
     if not plan:
@@ -143,7 +144,7 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, stepper):
         k = round(step / s_min)
         scheme = bdf_coefficients(order)
         for _ in range(count):
-            history = [states[t_units - j * k] for j in range(order)]
+            history = np.array([states[t_units - j * k] for j in range(order)])
             t_units += k
             states[t_units] = stepper(scheme, history, step, t_units * s_min)
     k_dt = round(dt / s_min)
@@ -163,14 +164,19 @@ class NewtonConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+@lru_cache(maxsize=None)
+def _extrapolation_weights(k: int) -> np.ndarray:
+    """Weights of the degree k-1 extrapolation through k uniform points,
+    read-only because the cache hands the same array to every caller."""
+    weights = np.array([(-1.0) ** j * math.comb(k, j + 1) for j in range(k)])
+    weights.flags.writeable = False
+    return weights
+
+
 def extrapolate(history_states) -> np.ndarray:
     """Polynomial extrapolation through k uniform history points to the next one."""
-    k = len(history_states)
-    acc = None
-    for j, u in enumerate(history_states):
-        w = (-1.0) ** j * math.comb(k, j + 1)
-        acc = w * u if acc is None else acc + w * u
-    return acc
+    h = np.asarray(history_states, dtype=np.float64)
+    return _extrapolation_weights(len(h)) @ h
 
 
 def extrapolate_increment(history_states) -> np.ndarray:
@@ -179,13 +185,8 @@ def extrapolate_increment(history_states) -> np.ndarray:
     The extrapolation weights sum to one, so the predictor increment is a
     combination of history differences and stays small at small steps.
     """
-    k = len(history_states)
-    newest = np.asarray(history_states[0], dtype=np.float64)
-    acc = np.zeros_like(newest)
-    for j in range(1, k):
-        w = (-1.0) ** j * math.comb(k, j + 1)
-        acc = acc + w * (np.asarray(history_states[j], dtype=np.float64) - newest)
-    return acc
+    h = np.asarray(history_states, dtype=np.float64)
+    return _extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
 
 
 def _solve_linear(jac, rhs):
@@ -235,14 +236,17 @@ def integrate(q: int, dt: float, t_end: float, starting, residual, jacobian, new
     ``starting`` is [u_0], whose q - 1 further starting values are
     bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
     enters through ``residual(scheme, history, d, t, step)``, its residual at
-    the candidate history[0] + d for the previous states ``history`` (newest
-    first), and ``jacobian(scheme, candidate, step)``; ``newton(order, step)``
-    gives the NewtonConfig of each segment, resolved once per segment.
+    the candidate history[0] + d for the previous states ``history``, a
+    (q, dim) array, newest first, and ``jacobian(scheme, candidate, step)``;
+    ``newton(order, step)`` gives the NewtonConfig of each segment, resolved
+    once per segment. In the main loop ``history`` is a view of the
+    trajectory itself, so callbacks must not write to it.
 
-    Returns (states u_0..u_M, Newton updates per main-loop step n = q..M,
-    Newton updates per bootstrap step). A ConvergenceError is re-raised
-    naming the order, the step and the time where Newton or the linear
-    solve failed, with its residual kept.
+    Returns (states, an (M + 1, dim) array of u_0..u_M, Newton updates per
+    main-loop step n = q..M, Newton updates per bootstrap step). When
+    M < q - 1 the states are the first M + 1 starting values. A
+    ConvergenceError is re-raised naming the order, the step and the time
+    where Newton or the linear solve failed, with its residual kept.
     """
     m_steps = t_end / dt
     if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
@@ -273,16 +277,16 @@ def integrate(q: int, dt: float, t_end: float, starting, residual, jacobian, new
         boot_counts.append(iters)
         return sol
 
-    states = [np.asarray(u, dtype=np.float64) for u in starting]
-    if len(states) == 1 and q > 1:
-        states += run_bootstrap(q, dt, states[0], boot_step)
-    elif len(states) != q:
-        raise ValueError(f"expected 1 or {q} starting values, got {len(states)}")
-    del states[m_steps + 1 :]
+    if len(starting) == 1 and q > 1:
+        starting = [starting[0]] + run_bootstrap(q, dt, starting[0], boot_step)
+    elif len(starting) != q:
+        raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
+    states = np.empty((m_steps + 1,) + np.shape(starting[0]))
+    states[:q] = starting[: m_steps + 1]
     scheme = bdf_coefficients(q)
     counts = []
-    for n in range(len(states), m_steps + 1):
-        sol, iters = advance(scheme, states[: -q - 1 : -1], dt, n * dt, n)
-        states.append(sol)
+    for n in range(q, m_steps + 1):
+        sol, iters = advance(scheme, states[n - q : n][::-1], dt, n * dt, n)
+        states[n] = sol
         counts.append(iters)
     return states, counts, boot_counts

@@ -243,8 +243,7 @@ def fom_integrate(
         lambda scheme, candidate, step: op.jacobian(candidate, scheme.delta_f[0] / step),
         lambda order, step: newton,
     )
-    arr = np.array(states).reshape(len(states), op.nc, op.n)
-    return Trajectory(dt * np.arange(len(states)), arr, dt, space)
+    return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)
 
 
 def equilibrium_state(system: ReactionSystem, space: FeSpace) -> np.ndarray:

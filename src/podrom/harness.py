@@ -167,7 +167,7 @@ class DeskSetup:
     fom_traj: Trajectory
     snaps: object
     basis: PodBasis
-    lift: np.ndarray
+    lift: np.ndarray  # the snapshots' stored mean: zero unless w0_mode is W0_ZERO
 
 
 def make_system(cfg: RunConfig):
@@ -190,8 +190,7 @@ def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> Desk
         dt = cfg.T / cfg.M
         fom_traj = fom_integrate(system, space, initial_state(cfg, space), dt, cfg.T, cfg.q)
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
-    lift = snaps.mean if cfg.w0_mode == W0_ZERO else np.zeros(fom_traj.stacked().shape[1])
-    return DeskSetup(cfg, space, system, fom_traj, snaps, basis, lift)
+    return DeskSetup(cfg, space, system, fom_traj, snaps, basis, snaps.mean)
 
 
 def make_rom(setup: DeskSetup, r: int) -> RomSystem:
@@ -204,9 +203,10 @@ def make_rom(setup: DeskSetup, r: int) -> RomSystem:
 
 
 def _reduced_norms(romsys: RomSystem, d: np.ndarray):
-    """(L2, H1) norms of the lifted coordinate difference Phi d."""
-    l2 = float(np.sqrt(max(0.0, d @ romsys.reduced_mass @ d)))
-    h1 = float(np.sqrt(max(0.0, d @ romsys.reduced_stiffness @ d)))
+    """(L2, H1) norms of the lifted coordinate differences Phi d, one per
+    row of ``d``."""
+    l2 = np.sqrt(np.maximum(0.0, np.sum((d @ romsys.reduced_mass) * d, axis=1)))
+    h1 = np.sqrt(np.maximum(0.0, np.sum((d @ romsys.reduced_stiffness) * d, axis=1)))
     return l2, h1
 
 
@@ -237,25 +237,14 @@ def temporal_convergence_study(
         for m in m_values:
             dt = t_end / m
             rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
-            stride = m_ref // m
-            ref_coords = ref.coords[::stride]
-            max_l2 = max_h1 = 0.0
-            for n in range(q, m + 1):
-                l2, h1 = _reduced_norms(romsys, rt.coords[n] - ref_coords[n])
-                max_l2 = max(max_l2, l2)
-                max_h1 = max(max_h1, h1)
-            start_l2 = start_h1 = 0.0
-            for n in range(1, q):
-                l2, h1 = _reduced_norms(romsys, rt.coords[n] - ref_coords[n])
-                start_l2 = max(start_l2, l2)
-                start_h1 = max(start_h1, h1)
+            l2, h1 = _reduced_norms(romsys, rt.coords - ref.coords[:: m_ref // m])
             rows.append(
                 {
                     "M": m,
-                    "max_l2": max_l2,
-                    "max_h1": max_h1,
-                    "start_l2": start_l2,
-                    "start_h1": start_h1,
+                    "max_l2": float(l2[q:].max(initial=0.0)),
+                    "max_h1": float(h1[q:].max(initial=0.0)),
+                    "start_l2": float(l2[1:q].max(initial=0.0)),
+                    "start_h1": float(h1[1:q].max(initial=0.0)),
                     "newton_counts": rt.newton_iteration_counts,
                 }
             )
@@ -273,7 +262,6 @@ def r_refinement_study(
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
     the projection errors (I - P^r) u_h(t_n), on the fine FOM grid."""
     t_end = fom_fine.times[-1]
-    m = fom_fine.n_steps
     dt = fom_fine.dt
     fluct = (fom_fine.stacked() - setup.lift[None, :]).T  # (dim, M+1)
     gram = setup.basis.gram_operator
@@ -287,16 +275,12 @@ def r_refinement_study(
         resid = fluct - proj
         proj_h1_sq = np.sum(resid * gram.matvec(resid), axis=0)
         proj_l2_sq = np.sum(resid * mass_gram.matvec(resid), axis=0)
-        pod_l2 = pod_h1 = 0.0
-        for n in range(q, m + 1):
-            l2, h1 = _reduced_norms(romsys, rt.coords[n] - proj_coords[:, n])
-            pod_l2 = max(pod_l2, l2)
-            pod_h1 = max(pod_h1, h1)
+        pod_l2, pod_h1 = _reduced_norms(romsys, rt.coords - proj_coords.T)
         rows.append(
             {
                 "r": r,
-                "pod_l2": pod_l2,
-                "pod_h1": pod_h1,
+                "pod_l2": float(pod_l2[q:].max(initial=0.0)),
+                "pod_h1": float(pod_h1[q:].max(initial=0.0)),
                 "proj_l2": float(np.sqrt(np.max(proj_l2_sq[q:]))),
                 "proj_h1": float(np.sqrt(np.max(proj_h1_sq[q:]))),
             }

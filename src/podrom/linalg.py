@@ -65,12 +65,14 @@ class CsrMatrix:
         self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        if len(self.col_indices) != len(self.values):
+            raise ValueError("col_indices and values must have equal length")
+        if self._row_facts is not None:
+            return  # the index arrays are those of a pattern already checked
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows + 1")
         if np.any(np.diff(self.row_offsets) < 0):
             raise ValueError("row_offsets must be nondecreasing")
-        if len(self.col_indices) != len(self.values):
-            raise ValueError("col_indices and values must have equal length")
         if len(self.col_indices) and (
             self.col_indices.min() < 0 or self.col_indices.max() >= self.cols
         ):
@@ -154,7 +156,8 @@ class CooPlan:
 
     ``assemble`` sums, in triplet order, the values landing on each stored
     entry of ``pattern``; ``csr`` wraps pattern-aligned values in a matrix
-    sharing the pattern's index arrays and row facts.
+    sharing the pattern's index arrays and row facts, so only the length of
+    the values is checked again.
     """
 
     entry: np.ndarray  # the stored entry each triplet lands on

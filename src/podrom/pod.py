@@ -146,10 +146,8 @@ def pod_basis(
     n = snaps.n_snapshots
     modes = snaps.columns @ (vecs / (np.sqrt(n) * np.sqrt(lam))[None, :])
     # deterministic sign: largest-magnitude entry of each mode made positive
-    for j in range(d_r):
-        i = int(np.argmax(np.abs(modes[:, j])))
-        if modes[i, j] < 0:
-            modes[:, j] = -modes[:, j]
+    largest = modes[np.argmax(np.abs(modes), axis=0), np.arange(d_r)]
+    modes[:, largest < 0] *= -1.0
     return PodBasis(inner_product, lam.copy(), modes, gram)
 
 

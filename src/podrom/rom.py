@@ -183,10 +183,8 @@ def rom_residual(
     discrete derivative is evaluated in first-difference form from the
     increment, keeping the residual floor independent of dt.
     """
-    if len(history) != scheme.q:
-        raise ValueError(f"history must hold {scheme.q} coordinate vectors")
     bdf_dt = bdf_increment_form(scheme, increment, history, dt)
-    candidate = np.asarray(history[0], dtype=np.float64) + increment
+    candidate = history[0] + increment
     residual = (
         romsys.reduced_mass @ bdf_dt
         + romsys.reduced_diffusion @ candidate
@@ -267,7 +265,7 @@ def rom_integrate(
     )
     return RomTrajectory(
         dt * np.arange(len(coords)),
-        np.array(coords),
+        coords,
         dt,
         q,
         np.array(counts, dtype=np.int64),

@@ -2,6 +2,7 @@
 exactness, the first-difference decomposition (property-tested), bootstrap
 plans, the time-loop driver, and scalar convergence orders."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,30 @@ class TestApply:
         a = bdf_apply(s, seq, dt)
         b = bdf_apply_as_differences(s, seq, dt)
         assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(a))
+
+    @pytest.mark.parametrize("dim", [1, 10, 4356])
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_list_and_view_histories_agree_bitwise(self, q, dim):
+        # the time loop passes a negative-stride view of its trajectory; the
+        # two kernels it calls give the same bits as for a list of copies
+        rng = np.random.default_rng(10 * q + dim)
+        trajectory = rng.standard_normal((q + 2, dim))
+        view = trajectory[1 : q + 1][::-1]
+        assert view.strides[0] < 0
+        listed = [row.copy() for row in view]
+        s = bdf_coefficients(q)
+        inc = rng.standard_normal(dim)
+        got = bdf_increment_form(s, inc, view, 0.01)
+        assert np.array_equal(bdf_increment_form(s, inc, listed, 0.01), got)
+        predictor = extrapolate_increment(view)
+        assert np.array_equal(extrapolate_increment(listed), predictor)
+        # and both agree with the sums written out state by state
+        diffs = [listed[j - 1] - listed[j] for j in range(1, q)]
+        loop = (s.alpha_f[0] * inc + sum(a * d for a, d in zip(s.alpha_f[1:], diffs))) / 0.01
+        assert np.linalg.norm(got - loop) <= 1e-14 * np.linalg.norm(loop)
+        weights = [(-1.0) ** j * math.comb(q, j + 1) for j in range(q)]
+        loop = sum(w * (u - listed[0]) for w, u in zip(weights[1:], listed[1:]))
+        assert np.linalg.norm(predictor - loop) <= 1e-14 * max(1.0, np.linalg.norm(loop))
 
     def test_increment_form_matches(self):
         rng = np.random.default_rng(4)
@@ -258,7 +283,7 @@ def integrate_scalar(q, lam, dt, t_end, u0=1.0):
     """BDF-q on u' = lam u from the exact starting values u0 exp(lam t_j), j < q."""
     starting = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)]
     states, _, _ = integrate(q, dt, t_end, starting, *scalar_callbacks(lam), tight)
-    return np.array(states)[:, 0]
+    return states[:, 0]
 
 
 class TestScalarConvergence:
@@ -326,12 +351,16 @@ class TestIntegrate:
         )
         assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
+        # one preallocated trajectory, also when M < q - 1 cuts the start
+        assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)
         # with the q starting values given, nothing is bootstrapped
         calls.update(implicit_step=0, run_bootstrap=0)
         given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
         states, counts, boot_counts = integrate(q, dt, t_end, given, *scalar_callbacks(-2.0), tight)
         assert calls == {"implicit_step": main, "run_bootstrap": 0}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
+        assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)
+        assert np.array_equal(states[:q], given[: m + 1])
 
     @pytest.mark.parametrize(
         "t_fail, where",

@@ -32,6 +32,7 @@ from podrom.harness import (
 )
 from podrom.mesh_fem import build_mesh, build_space, interpolate
 from podrom.pod import INNER_PRODUCTS, W0_MODES
+from podrom.rom import rom_integrate
 
 
 class TestEstimateOrder:
@@ -224,6 +225,32 @@ class TestStudies:
         for row in rows:
             assert row["start_l2"] <= row["max_l2"]
             assert np.all(row["newton_counts"] >= 1)
+
+    def test_convergence_rows_match_per_step_norms(self):
+        # each row is a maximum of sqrt(d M d) (L2) and sqrt(d A d) (H1) over
+        # d = u_r^n - u_ref(t_n), for n = q..M (max_*) and n = 1..q-1 (start_*);
+        # at q 1 the start range is empty
+        setup = build_desk_setup(tiny_cfg())
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        results = temporal_convergence_study(
+            romsys, coords0, 1.6, q_values=(1, 3), m_values=(8, 16), ref_factor=4
+        )
+        ref = rom_integrate(romsys, 5, 1.6 / 64, 1.6, ("bootstrap", coords0), 1e-12)
+        norms = {"l2": romsys.reduced_mass, "h1": romsys.reduced_stiffness}
+        for q, rows in results.items():
+            for row in rows:
+                m = row["M"]
+                rt = rom_integrate(romsys, q, 1.6 / m, 1.6, ("bootstrap", coords0))
+                want = dict.fromkeys(("max_l2", "max_h1", "start_l2", "start_h1"), 0.0)
+                for n in range(1, m + 1):
+                    d = rt.coords[n] - ref.coords[n * (64 // m)]
+                    for norm, mat in norms.items():
+                        key = ("max_" if n >= q else "start_") + norm
+                        want[key] = max(want[key], float(np.sqrt(d @ mat @ d)))
+                for key, value in want.items():
+                    assert abs(row[key] - value) <= 1e-14 * value, (q, m, key)
+                assert q > 1 or row["start_l2"] == row["start_h1"] == 0.0
 
     def test_r_refinement_monotone_projection(self):
         setup = build_desk_setup(tiny_cfg(M=24, T=2.4))

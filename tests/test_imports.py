@@ -1,4 +1,5 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no module in the package imports a name it never uses,
+and no function assigns a local name it never reads.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -64,3 +65,27 @@ def test_no_unused_imports(path):
     lines = imported_names(tree)
     unused = set(lines) - used_names(tree) - exported_names(tree)
     assert not unused, ", ".join(f"{name} (line {lines[name]})" for name in sorted(unused))
+
+
+def unread_locals(func):
+    """Names ``func`` assigns but never reads, reads by nested functions
+    included. ``_``, and names declared global or nonlocal, are exempt."""
+    stored, read, declared = set(), set(), {"_"}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return stored - read - declared
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    tree = ast.parse(path.read_text())
+    found = [
+        f"{node.name}: {name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in sorted(unread_locals(node))
+    ]
+    assert not found, ", ".join(found)

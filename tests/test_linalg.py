@@ -230,6 +230,19 @@ class TestCsr:
             assert np.array_equal(out, columns)
             assert np.max(np.abs(out - dense @ x)) < 1e-12
 
+    def test_plan_refill_checks_only_the_values(self):
+        # a CooPlan refill shares its pattern's index arrays, checked when the
+        # plan was built, so only the length of the values is checked again;
+        # a direct construction still checks the indices
+        plan = linalg.coo_plan(2, 3, [0, 0, 1], [2, 0, 1])
+        refill = plan.csr(np.array([1.0, 2.0, 3.0]))
+        assert refill.col_indices is plan.pattern.col_indices
+        assert np.array_equal(refill.to_dense(), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        with pytest.raises(ValueError, match="equal length"):
+            plan.csr(np.zeros(4))
+        with pytest.raises(ValueError, match="column index out of range"):
+            CsrMatrix(2, 3, [0, 2, 3], [0, 3, 1], np.ones(3))
+
     def test_block_csr(self):
         rng = np.random.default_rng(17)
         pattern, dense = random_csr(rng, 5, 5, density=0.4)
