@@ -5,7 +5,8 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from podrom.bdf import NewtonConfig
+from podrom import bdf
+from podrom.bdf import NewtonConfig, bdf_coefficients
 from podrom.fom import (
     FomOperator,
     ReactionSystem,
@@ -17,7 +18,8 @@ from podrom.fom import (
     perturbed_equilibrium,
     save_trajectory,
 )
-from podrom.linalg import block_csr
+from podrom.harness import DEFAULT_T
+from podrom.linalg import block_csr, krylov_solve
 from podrom.mesh_fem import (
     assemble_reaction_jacobian_system,
     build_mesh,
@@ -47,16 +49,28 @@ class TestBrusselatorSystem:
         assert g[1, 0] == pytest.approx(-(6.0 - 4.0 * 0.5))
 
     def test_jacobian_matches_finite_differences(self):
-        sys = brusselator_system(0.002)
         rng = np.random.default_rng(3)
-        uv = rng.uniform(0.5, 3.0, size=(2, 5))
-        jac = sys.g_prime(uv)
-        eps = 1e-6
-        for b in range(2):
-            bump = np.zeros_like(uv)
-            bump[b] = eps
-            fd = (sys.g(uv + bump) - sys.g(uv - bump)) / (2 * eps)
-            assert np.max(np.abs(jac[:, b] - fd)) < 1e-7
+        for sys in (brusselator_system(0.002), heat_system(1.0, reaction={3: 1.0})):
+            nc = sys.n_components
+            uv = rng.uniform(0.5, 3.0, size=(nc, 5))
+            jac = sys.g_prime(uv)
+            assert jac.shape == (nc, nc, 5)
+            eps = 1e-6
+            for b in range(nc):
+                bump = np.zeros_like(uv)
+                bump[b] = eps
+                fd = (sys.g(uv + bump) - sys.g(uv - bump)) / (2 * eps)
+                assert np.max(np.abs(jac[:, b] - fd)) < 1e-7
+
+    def test_partials_match_hand_written_brusselator(self):
+        sys = brusselator_system(0.002)
+        u, v = np.random.default_rng(6).uniform(0.5, 3.0, size=(2, 50, 6))
+        want = np.stack([
+            np.stack([4.0 - 2.0 * u * v, -u * u]),
+            np.stack([2.0 * u * v - 3.0, u * u]),
+        ])
+        err = np.max(np.abs(sys.g_prime(np.stack([u, v])) - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
 
     def test_tables_give_hand_written_values(self):
         # u^2 v with coefficient 2 in g_u, and -u^3 in g_v
@@ -194,6 +208,62 @@ class TestReferenceTrajectory:
         assert traj.dt == pytest.approx(0.05)
         assert np.allclose(traj.times, 0.05 * np.arange(5), atol=1e-14)
         assert np.max(np.abs(traj.states - eq[None])) < 1e-10
+
+
+class TestInexactNewton:
+    """The FOM's Newton updates are solved by BiCGStab to the forcing-term
+    tolerance clip(FORCING tol / ||rhs||, 1e-13, 0.5), relative; Newton's
+    own stopping test on the true residual keeps every stored state within
+    the Newton tolerance."""
+
+    TOL = 1e-10
+
+    @pytest.fixture(scope="class")
+    def jacobian(self):
+        space = small_space(8, 2)
+        op = FomOperator(brusselator_system(0.002), space)
+        w = perturbed_equilibrium(space, 0.2).ravel()
+        return op.jacobian(w, bdf_coefficients(5).delta_f[0] / 0.05)
+
+    # 1e-12: the 0.5 clip; 1e-6: the forcing term itself; 1e4: the 1e-13 clip
+    @pytest.mark.parametrize(
+        "scale, relative", [(1e-12, 0.5), (1e-6, 1e-5), (1e4, 1e-13)]
+    )
+    def test_forcing_rule(self, jacobian, monkeypatch, scale, relative):
+        asked = []
+
+        def recording(a, b, tol):
+            asked.append(tol)
+            return krylov_solve(a, b, tol=tol)
+
+        monkeypatch.setattr(bdf, "krylov_solve", recording)
+        rhs = np.random.default_rng(7).standard_normal(jacobian.rows)
+        rhs *= scale / np.linalg.norm(rhs)
+        x = bdf._solve_linear(jacobian, rhs, self.TOL)
+        assert asked == [pytest.approx(relative, rel=1e-12)]
+        bound = max(bdf.FORCING * self.TOL, 1e-13 * scale)
+        assert np.linalg.norm(jacobian.matvec(x) - rhs) <= bound * (1 + 1e-12)
+
+    def test_zero_right_hand_side(self, jacobian):
+        x = bdf._solve_linear(jacobian, np.zeros(jacobian.rows), self.TOL)
+        assert np.array_equal(x, np.zeros(jacobian.rows))
+
+    def test_stored_states_meet_their_bdf_equations(self):
+        q, m = 5, 32
+        space = small_space(8, 2)
+        sys = brusselator_system(0.002)
+        dt = DEFAULT_T / 128
+        traj = fom_integrate(sys, space, perturbed_equilibrium(space, 0.2), dt, m * dt, q)
+        op = FomOperator(sys, space)
+        scheme = bdf_coefficients(q)
+        states = traj.stacked()
+        worst = max(
+            np.linalg.norm(
+                op.residual(states[n] - states[n - 1], states[n - q : n][::-1], scheme, dt, traj.times[n])
+            )
+            for n in range(q, m + 1)
+        )
+        assert worst <= 2 * self.TOL
 
 
 class TestIntegratorInterface:

@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses,
-and no function assigns a local name it never reads.
+no function assigns a local name it never reads, and every target that
+perfbench's tracer wraps still exists.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -7,6 +8,7 @@ as an identifier anywhere in the module, including string annotations.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import podrom
 
 MODULES = sorted(Path(podrom.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def imported_names(tree):
@@ -89,3 +92,23 @@ def test_no_unread_locals(path):
         for name in sorted(unread_locals(node))
     ]
     assert not found, ", ".join(found)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_target():
+    """A traced target that no longer resolves drops its per-layer metrics
+    from the benchmark's result line, so deleting or renaming one must be a
+    deliberate change to the benchmark, made together with it."""
+    tracing = load_tracing()
+    missing = [
+        f"{module}.{path}"
+        for _, module, path, _, _ in tracing.TARGETS
+        if tracing._resolve(module, path) is None
+    ]
+    assert not missing, ", ".join(missing)
