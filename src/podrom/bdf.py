@@ -1,7 +1,7 @@
 """BDF-q machinery: coefficients, first-difference form, starting-value
 bootstrapping, a generic implicit step driven by Newton's method, and
 ``integrate``, the one BDF-q time loop that the full-order and the reduced
-model both run through their residual and Jacobian callbacks.
+model both run through one linearisation callback.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -12,7 +12,7 @@ is accepted too), and ``integrate`` fills one preallocated (M + 1, dim)
 trajectory whose main-loop histories are views of it. Every BDF-q
 combination is then one product over the history: the derivative is
 delta @ u, its first-difference form alpha @ (u[:-1] - u[1:]), and the
-predictor w @ h with the extrapolation weights w.
+predictor increment w[1:] @ (h[1:] - h[0]) with the extrapolation weights w.
 """
 
 from __future__ import annotations
@@ -179,14 +179,9 @@ def _extrapolation_weights(k: int) -> np.ndarray:
     return weights
 
 
-def extrapolate(history_states) -> np.ndarray:
-    """Polynomial extrapolation through k uniform history points to the next one."""
-    h = np.asarray(history_states, dtype=np.float64)
-    return _extrapolation_weights(len(h)) @ h
-
-
 def extrapolate_increment(history_states) -> np.ndarray:
-    """extrapolate(states) - states[0], evaluated in difference form.
+    """The polynomial extrapolation through k uniform history points to the
+    next one, minus states[0], evaluated in difference form.
 
     The extrapolation weights sum to one, so the predictor increment is a
     combination of history differences and stays small at small steps.
@@ -208,23 +203,18 @@ def _solve_linear(jac, rhs, tol: float):
     return dense_lu_solve(np.asarray(jac), rhs)
 
 
-def implicit_step(
-    scheme: BdfScheme,
-    history: np.ndarray,
-    dt: float,
-    residual,
-    jacobian,
-    cfg: NewtonConfig,
-):
+def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, cfg: NewtonConfig):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
     ``history`` holds the q previous states, newest first. Newton iterates
-    on the increment d = u^n - u^{n-1}; ``residual`` and
-    ``jacobian`` take the candidate increment (the BDF history contribution
-    is the caller's responsibility inside ``residual``). The solution
-    returned is newest history state plus the converged increment. The
-    residual computed for the convergence check drives the next update, so
-    k updates take k + 1 residual evaluations.
+    on the increment d = u^n - u^{n-1}. ``linearise(d)`` returns the
+    residual at the candidate history[0] + d (the BDF history contribution
+    is the caller's responsibility) and a zero-argument ``jacobian()`` that
+    builds the Jacobian at the same candidate from what the residual already
+    formed. The solution returned is the newest history state plus the
+    converged increment. The linearisation computed for the convergence
+    check drives the next update, so k updates take k + 1 linearisations
+    and k Jacobian builds.
 
     Newton stops when the true nonlinear residual is at most ``cfg.tol``.
     With a sparse (FOM) Jacobian each update is inexact: BiCGStab solves
@@ -238,24 +228,25 @@ def implicit_step(
         d = extrapolate_increment(history)
     else:
         d = np.zeros_like(history[0])
-    r = residual(d)
+    r, jacobian = linearise(d)
     for it in range(1, cfg.max_iter + 1):
-        d = d + _solve_linear(jacobian(d), -r, cfg.tol)
-        r = residual(d)
+        d = d + _solve_linear(jacobian(), -r, cfg.tol)
+        r, jacobian = linearise(d)
         res_norm = float(np.linalg.norm(r))
         if res_norm <= cfg.tol:
             return history[0] + d, it
     raise ConvergenceError(f"Newton did not converge in {cfg.max_iter} iterations", res_norm)
 
 
-def integrate(q: int, dt: float, t_end: float, starting, residual, jacobian, newton):
+def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
 
     ``starting`` is [u_0], whose q - 1 further starting values are
     bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
-    enters through ``residual(scheme, history, d, t, step)``, its residual at
-    the candidate history[0] + d for the previous states ``history``, a
-    (q, dim) array, newest first, and ``jacobian(scheme, candidate, step)``;
+    enters through one callback, ``linearise(scheme, history, d, t, step)``:
+    for the previous states ``history``, a (q, dim) array, newest first, it
+    returns the residual at the candidate history[0] + d and a zero-argument
+    ``jacobian()`` at that candidate (see ``implicit_step``).
     ``newton(order, step)`` gives the NewtonConfig of each segment, resolved
     once per segment. In the main loop ``history`` is a view of the
     trajectory itself, so callbacks must not write to it.
@@ -278,9 +269,7 @@ def integrate(q: int, dt: float, t_end: float, starting, residual, jacobian, new
             return implicit_step(
                 scheme,
                 history,
-                step,
-                lambda d: residual(scheme, history, d, t, step),
-                lambda d: jacobian(scheme, history[0] + d, step),
+                lambda d: linearise(scheme, history, d, t, step),
                 config(scheme.q, step),
             )
         except ConvergenceError as exc:

@@ -223,6 +223,12 @@ class FomOperator:
         r[self.mask] = 0.0
         return r
 
+    def linearise(self, scheme, hist_states, increment, t, dt):
+        """``bdf.integrate``'s callback: the residual at u^{n-1} + increment
+        and a ``jacobian()`` at the same candidate."""
+        r = self.residual(increment, hist_states, scheme, dt, t)
+        return r, lambda: self.jacobian(hist_states[0] + increment, scheme.delta_f[0] / dt)
+
     def jacobian(self, candidate, c0_over_dt) -> CsrMatrix:
         elem = _reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
         vals = self._jac_plan.assemble(elem.ravel())
@@ -259,8 +265,7 @@ def fom_integrate(
         dt,
         t_end,
         [np.asarray(u0, dtype=np.float64).reshape(op.dim)],
-        lambda scheme, history, d, t, step: op.residual(d, history, scheme, step, t),
-        lambda scheme, candidate, step: op.jacobian(candidate, scheme.delta_f[0] / step),
+        op.linearise,
         lambda order, step: newton,
     )
     return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)

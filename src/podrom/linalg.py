@@ -13,6 +13,7 @@ preconditioner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,8 +261,11 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         failure = exc
     else:
         # a finite solution whose growth ||a|| ||x|| / ||b|| stays below
-        # 1 / sqrt(eps) rules out a matrix singular to working precision
-        if np.linalg.norm(a) * np.linalg.norm(x) * _SQRT_EPS <= np.linalg.norm(b):
+        # 1 / sqrt(eps) rules out a matrix singular to working precision;
+        # vdot flattens, so each is a Frobenius norm without np.linalg.norm's
+        # dispatch
+        growth = math.sqrt(np.vdot(a, a)) * math.sqrt(np.vdot(x, x)) * _SQRT_EPS
+        if growth <= math.sqrt(np.vdot(b, b)):
             return x
     try:
         sv = np.linalg.svd(a, compute_uv=False)

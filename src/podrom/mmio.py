@@ -17,8 +17,8 @@ def write_dense(path, a: np.ndarray):
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for v in a.flatten(order="F"):
-            fh.write(f"{_FMT % v}\n")
+        values = a.ravel(order="F").tolist()
+        fh.write((_FMT + "\n") * len(values) % tuple(values))
 
 
 def read(path) -> np.ndarray:

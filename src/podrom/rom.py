@@ -11,17 +11,29 @@ pseudo-variable, so with c_hat = (1, c) and the augmented fields
     Phi^T g(lift + Phi c) = T . c_hat^D,   T: (r, r + 1, ..., r + 1),
 
 with T symmetric in its D slots and contracted over the quadrature points
-of the finite-element rule once, in ``rom_assemble``. Online, the reaction
-costs O(r (r + 1)^D) per residual and per Jacobian, independent of the mesh.
-Only a forced system keeps arrays sized by the quadrature points: its load
-Phi^T f(t) is projected by quadrature at O(nc * ne * nq * r) per residual,
-because f(x, y, t) is arbitrary.
+of the finite-element rule once, in ``rom_assemble``. A constant-only
+reaction is stored at D = 1. T is kept with its last slot free and its
+other D - 1 slots compressed to sorted index tuples, multiplicities folded
+in (the compressed Kronecker storage of operator inference, Peherstorfer &
+Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc.
+Online, one linearisation forms
+
+    S = T . c_hat^(D - 1) = (Tc @ m(c_hat)).reshape(r, r + 1)
+
+from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
+S c_hat and its Jacobian D S[:, 1:]. That costs O(r (r + 1) C(r + D - 1, D - 1))
+per linearisation, independent of the mesh, and a step of one Newton update
+takes two linearisations and one Jacobian build. Only a forced system keeps
+arrays sized by the quadrature points: its load Phi^T f(t) is projected by
+quadrature at O(nc * ne * nq * r) per residual, because f(x, y, t) is
+arbitrary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,7 +59,8 @@ class RomSystem:
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
-    reaction_tensor: np.ndarray | None  # (r, r + 1, ...): T, None without a reaction
+    reaction_tensor: np.ndarray | None  # (r (r + 1), C(r + D - 1, D - 1)): Tc, None without a reaction
+    reaction_monomials: np.ndarray | None  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
     load_modes: np.ndarray | None  # (r, nc * nqp): weight x modes at the quadrature points
     load_points: np.ndarray | None  # (nqp, 2): their physical coordinates; forced systems only
     system: ReactionSystem
@@ -94,6 +107,8 @@ def rom_assemble(
     modes_q = modes_q.reshape(r, nc, -1)
     lift_q = _states_at_quadrature(space, lift.reshape(nc, n)).reshape(nc, -1)
     forced = system.forcing is not None
+    tensor = _reaction_tensor(system, modes_q, lift_q, weights)
+    reaction, monomials = (None, None) if tensor is None else _compress(tensor)
     return RomSystem(
         r,
         basis,
@@ -102,7 +117,8 @@ def rom_assemble(
         phi.T @ (nu[:, None] * aphi),
         phi.T @ (nu * alift),
         lift,
-        _reaction_tensor(system, modes_q, lift_q, weights),
+        reaction,
+        monomials,
         (weights * modes_q).reshape(r, -1) if forced else None,
         points.reshape(-1, 2) if forced else None,
         system,
@@ -126,12 +142,13 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     (nqp,). A monomial of degree d fills the slots [i, j_1..j_d, 0, ..., 0]
     with sum_q w_q psi_i(q) prod_s [lift_k_s; Phi_k_s][j_s](q), where psi
     combines the modes' components by the monomial's coefficients; the
-    symmetrisation then spreads the constant slots over all positions.
+    symmetrisation then spreads the constant slots over all positions. A
+    constant-only reaction gets one slot, D = 1.
     """
     if not len(system.exponents):
         return None
     r, nc, nqp = modes_q.shape
-    degree = system.degree
+    degree = max(system.degree, 1)
     fields = [np.vstack([lift_q[k], modes_q[:, k]]) for k in range(nc)]
     tensor = np.zeros((r,) + (r + 1,) * degree)
     for powers, coefs in zip(system.exponents, system.coefficients.T):
@@ -152,11 +169,20 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     return sum(tensor.transpose((0,) + p) for p in perms) / math.factorial(degree)
 
 
-def _contract(tensor: np.ndarray, chat: np.ndarray, times: int) -> np.ndarray:
-    """``tensor`` contracted with ``chat`` in its last ``times`` slots."""
-    for _ in range(times):
-        tensor = (tensor.reshape(-1, len(chat)) @ chat).reshape(tensor.shape[:-1])
-    return tensor
+def _compress(tensor: np.ndarray):
+    """(Tc, index) for the symmetric T: Tc[(i, j), t] is T[i, t_1, ..., t_(D-1), j]
+    times the number of distinct orderings of the sorted tuple t, the
+    column t of ``index``, so that T . c_hat^(D-1) = Tc @ prod(c_hat[index])."""
+    r, n, k = tensor.shape[0], tensor.shape[-1], tensor.ndim - 2
+    tuples = list(itertools.combinations_with_replacement(range(n), k))
+    orderings = [
+        math.factorial(k) // math.prod(math.factorial(c) for c in Counter(t).values())
+        for t in tuples
+    ]
+    index = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
+    flat = index @ n ** np.arange(k - 1, -1, -1)
+    tc = tensor.reshape(r, n**k, n)[:, flat, :] * np.array(orderings, dtype=np.float64)[:, None]
+    return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1)), np.ascontiguousarray(index.T)
 
 
 def _reduced_load(romsys: RomSystem, t: float) -> np.ndarray:
@@ -169,6 +195,16 @@ def _reduced_load(romsys: RomSystem, t: float) -> np.ndarray:
     return romsys.load_modes @ vals.ravel()
 
 
+def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray | None:
+    """S = T . (1, c)^(D-1), an (r, r + 1) array, or None without a reaction:
+    the reduced reaction at c is S (1, c), its Jacobian D S[:, 1:]."""
+    if romsys.reaction_tensor is None:
+        return None
+    chat = np.concatenate(([1.0], candidate))
+    monomials = np.multiply.reduce(chat.take(romsys.reaction_monomials))
+    return (romsys.reaction_tensor @ monomials).reshape(romsys.r, -1)
+
+
 def rom_residual(
     romsys: RomSystem,
     scheme: BdfScheme,
@@ -176,8 +212,10 @@ def rom_residual(
     increment: np.ndarray,
     t_n: float,
     dt: float,
+    slope: np.ndarray | None,
 ) -> np.ndarray:
-    """Reduced residual at candidate coordinates history[0] + increment.
+    """Reduced residual at candidate coordinates history[0] + increment, with
+    ``slope`` the ``reaction_slope`` there.
 
     ``history`` holds the q previous coordinate vectors, newest first; the
     discrete derivative is evaluated in first-difference form from the
@@ -190,23 +228,35 @@ def rom_residual(
         + romsys.reduced_diffusion @ candidate
         + romsys.diffusion_lift
     )
-    tensor = romsys.reaction_tensor
-    if tensor is not None:
-        residual += _contract(tensor, np.concatenate(([1.0], candidate)), tensor.ndim - 1)
+    if slope is not None:
+        residual += slope[:, 0] + slope[:, 1:] @ candidate
     if romsys.system.forcing is not None:
         residual -= _reduced_load(romsys, t_n)
     return residual
 
 
-def rom_jacobian(romsys: RomSystem, scheme: BdfScheme, candidate: np.ndarray, dt: float):
-    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + D (T . (1, c)^(D-1))[:, 1:]."""
+def rom_jacobian(romsys: RomSystem, scheme: BdfScheme, dt: float, slope: np.ndarray | None):
+    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + D S[:, 1:], with ``slope``
+    the ``reaction_slope`` S at the candidate."""
     jac = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
-    tensor = romsys.reaction_tensor
-    if tensor is not None and tensor.ndim > 1:
-        degree = tensor.ndim - 1
-        chat = np.concatenate(([1.0], candidate))
-        jac += degree * _contract(tensor, chat, degree - 1)[:, 1:]
+    if slope is not None:
+        jac += (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
     return jac
+
+
+def rom_linearise(
+    romsys: RomSystem,
+    scheme: BdfScheme,
+    history,
+    increment: np.ndarray,
+    t_n: float,
+    dt: float,
+):
+    """``bdf.integrate``'s callback: the residual at history[0] + increment and
+    a ``jacobian()`` at the same candidate, both from one ``reaction_slope``."""
+    slope = reaction_slope(romsys, history[0] + increment)
+    residual = rom_residual(romsys, scheme, history, increment, t_n, dt, slope)
+    return residual, partial(rom_jacobian, romsys, scheme, dt, slope)
 
 
 def newton_tolerance(rule, dt: float, q: int) -> float:
@@ -259,8 +309,7 @@ def rom_integrate(
         dt,
         t_end,
         starting,
-        partial(rom_residual, romsys),
-        partial(rom_jacobian, romsys),
+        partial(rom_linearise, romsys),
         lambda order, step: NewtonConfig(tol=newton_tolerance(newton_tol_rule, step, order)),
     )
     return RomTrajectory(

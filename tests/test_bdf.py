@@ -20,7 +20,6 @@ from podrom.bdf import (
     bdf_coefficients,
     bdf_increment_form,
     bootstrap_plan,
-    extrapolate,
     extrapolate_increment,
     implicit_step,
     integrate,
@@ -187,6 +186,13 @@ class TestBootstrapPlan:
             bootstrap_plan(3, 0.0)
 
 
+def extrapolate(history_states):
+    """Polynomial extrapolation through k uniform history points to the next
+    one, by the weights of ``extrapolate_increment``."""
+    h = np.asarray(history_states, dtype=np.float64)
+    return bdf._extrapolation_weights(len(h)) @ h
+
+
 class TestExtrapolate:
     def test_polynomial_reproduction(self):
         # degree k-1 polynomials are extrapolated exactly by k points
@@ -205,16 +211,14 @@ class TestExtrapolate:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def scalar_callbacks(lam):
-    """Driver callbacks for u' = lam u in increment form."""
+def scalar_linearise(lam):
+    """Time-loop callback for u' = lam u in increment form."""
 
-    def residual(scheme, history, d, t, step):
-        return bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
+    def linearise(scheme, history, d, t, step):
+        residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
+        return residual, lambda: np.array([[float(scheme.delta_f[0]) / step - lam]])
 
-    def jacobian(scheme, candidate, step):
-        return np.array([[float(scheme.delta_f[0]) / step - lam]])
-
-    return residual, jacobian
+    return linearise
 
 
 def tight(order, step):
@@ -225,14 +229,9 @@ class TestImplicitStep:
     def test_affine_residual_one_iteration(self):
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
-        residual, jacobian = scalar_callbacks(-1.0)
+        linearise = scalar_linearise(-1.0)
         sol, iters = implicit_step(
-            scheme,
-            h,
-            0.1,
-            lambda d: residual(scheme, h, d, 0.1, 0.1),
-            lambda d: jacobian(scheme, h[0] + d, 0.1),
-            NewtonConfig(tol=1e-12),
+            scheme, h, lambda d: linearise(scheme, h, d, 0.1, 0.1), NewtonConfig(tol=1e-12)
         )
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
@@ -245,44 +244,73 @@ class TestImplicitStep:
         dt = 0.5
         calls = []
 
-        def residual(d):
+        def linearise(d):
             calls.append(d.copy())
-            return d / dt + (1.0 + d) ** 3
-
-        def jacobian(d):
-            return np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
+            return d / dt + (1.0 + d) ** 3, lambda: np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
 
         cfg = NewtonConfig(tol=1e-13, predictor="previous")
-        sol, iters = implicit_step(scheme, h, dt, residual, jacobian, cfg)
+        sol, iters = implicit_step(scheme, h, linearise, cfg)
         assert iters >= 2
         assert len(calls) == iters + 1
         # every residual is taken at a new iterate
         assert len({c[0] for c in calls}) == len(calls)
         assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
 
+    @pytest.mark.parametrize("updates", [1, 2, 3])
+    def test_linearisations_are_updates_plus_one_and_jacobians_updates(self, updates):
+        # u' = -u^3 by BDF-1 from u = 1, with the tolerance set between the
+        # residuals of the iterates so that Newton stops after ``updates``
+        scheme = bdf_coefficients(1)
+        h = [np.array([1.0])]
+        dt = 0.5
+
+        def residual(d):
+            return d / dt + (1.0 + d) ** 3
+
+        def jacobian(d):
+            return np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
+
+        d, norms = np.zeros(1), []
+        for _ in range(updates + 1):
+            norms.append(abs(residual(d)[0]))
+            d = d - np.linalg.solve(jacobian(d), residual(d))
+        tol = np.sqrt(norms[updates] * norms[updates - 1])
+        counts = {"linearise": 0, "jacobian": 0}
+
+        def linearise(d):
+            counts["linearise"] += 1
+
+            def build():
+                counts["jacobian"] += 1
+                return jacobian(d)
+
+            return residual(d), build
+
+        cfg = NewtonConfig(tol=tol, predictor="previous")
+        _, iters = implicit_step(scheme, h, linearise, cfg)
+        assert iters == updates
+        assert counts == {"linearise": updates + 1, "jacobian": updates}
+
     def test_nonconvergence_raises(self):
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
 
-        def residual(d):
-            return np.array([1.0])  # unsatisfiable
-
-        def jacobian(d):
-            return np.array([[1.0]])
+        def linearise(d):
+            return np.array([1.0]), lambda: np.array([[1.0]])  # unsatisfiable
 
         with pytest.raises(ConvergenceError):
-            implicit_step(scheme, h, 0.1, residual, jacobian, NewtonConfig(tol=1e-12, max_iter=3))
+            implicit_step(scheme, h, linearise, NewtonConfig(tol=1e-12, max_iter=3))
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
         with pytest.raises(ValueError):
-            implicit_step(scheme, [np.zeros(1)], 0.1, None, None, NewtonConfig(tol=1e-12))
+            implicit_step(scheme, [np.zeros(1)], None, NewtonConfig(tol=1e-12))
 
 
 def integrate_scalar(q, lam, dt, t_end, u0=1.0):
     """BDF-q on u' = lam u from the exact starting values u0 exp(lam t_j), j < q."""
     starting = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)]
-    states, _, _ = integrate(q, dt, t_end, starting, *scalar_callbacks(lam), tight)
+    states, _, _ = integrate(q, dt, t_end, starting, scalar_linearise(lam), tight)
     return states[:, 0]
 
 
@@ -306,16 +334,11 @@ class TestRunBootstrap:
         lam = -2.0
         q = 3
         dt = 0.01
-        residual, jacobian = scalar_callbacks(lam)
+        linearise = scalar_linearise(lam)
 
         def stepper(scheme, history, step, t_new):
             sol, _ = implicit_step(
-                scheme,
-                history,
-                step,
-                lambda d: residual(scheme, history, d, t_new, step),
-                lambda d: jacobian(scheme, history[0] + d, step),
-                NewtonConfig(1e-14),
+                scheme, history, lambda d: linearise(scheme, history, d, t_new, step), NewtonConfig(1e-14)
             )
             return sol
 
@@ -347,7 +370,7 @@ class TestIntegrate:
         boot = sum(count for _, _, count in bootstrap_plan(q, dt)) if q > 1 else 0
         main = max(0, m - q + 1)
         states, counts, boot_counts = integrate(
-            q, dt, t_end, [np.array([1.0])], *scalar_callbacks(-2.0), tight
+            q, dt, t_end, [np.array([1.0])], scalar_linearise(-2.0), tight
         )
         assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
@@ -356,7 +379,7 @@ class TestIntegrate:
         # with the q starting values given, nothing is bootstrapped
         calls.update(implicit_step=0, run_bootstrap=0)
         given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
-        states, counts, boot_counts = integrate(q, dt, t_end, given, *scalar_callbacks(-2.0), tight)
+        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearise(-2.0), tight)
         assert calls == {"implicit_step": main, "run_bootstrap": 0}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
         assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)
@@ -368,20 +391,20 @@ class TestIntegrate:
          (0.1, "BDF-1 bootstrap step at t = 0.1 (step size 0.1)")],
     )
     def test_failure_names_order_step_and_time(self, t_fail, where):
-        residual, jacobian = scalar_callbacks(-2.0)
+        linearise = scalar_linearise(-2.0)
 
         def failing(scheme, history, d, t, step):
+            residual, jacobian = linearise(scheme, history, d, t, step)
             if abs(t - t_fail) < 1e-12:
-                return np.array([1.0])  # unsatisfiable
-            return residual(scheme, history, d, t, step)
+                return np.array([1.0]), jacobian  # unsatisfiable
+            return residual, jacobian
 
         with pytest.raises(ConvergenceError) as info:
-            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, jacobian, tight)
+            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, tight)
         assert str(info.value).startswith(where + ": Newton did not converge")
         assert info.value.residual == 1.0
         assert isinstance(info.value.__cause__, ConvergenceError)
 
     def test_rejects_wrong_number_of_starting_values(self):
-        residual, jacobian = scalar_callbacks(-2.0)
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
-            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, residual, jacobian, tight)
+            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearise(-2.0), tight)

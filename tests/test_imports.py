@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
-no function assigns a local name it never reads, and every target that
-perfbench's tracer wraps still exists.
+no function assigns a local name it never reads, every target that
+perfbench's tracer wraps still exists, and the time loop's work passes
+through the traced names.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -9,11 +10,13 @@ as an identifier anywhere in the module, including string annotations.
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import podrom
+from podrom import bdf, fom, mesh_fem, pod, rom
 
 MODULES = sorted(Path(podrom.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -112,3 +115,45 @@ def test_tracer_finds_every_target():
         if tracing._resolve(module, path) is None
     ]
     assert not missing, ", ".join(missing)
+
+
+def traced(tracing, call):
+    """(call's result, spans per name, implicit_step's Newton updates in call
+    order) with perfbench's tracer installed around ``call``."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = call()
+    finally:
+        tracer.uninstall()
+    updates = [s[4] for s in tracer.spans if s[0] == "bdf.implicit_step"]
+    return result, Counter(s[0] for s in tracer.spans), updates
+
+
+def test_tracer_counts_every_linearisation():
+    """perfbench reads the model's work from the traced names: a time loop
+    that bypassed rom_residual, FomOperator.residual or implicit_step would
+    report fewer calls there, and 0 implicit_step calls fail a traced unit."""
+    tracing = load_tracing()
+    space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
+    system = fom.brusselator_system(0.002)
+    q, m, t_end = 3, 8, 1.6
+    dt = t_end / m
+    u0 = fom.perturbed_equilibrium(space)
+
+    traj, calls, updates = traced(tracing, lambda: fom.fom_integrate(system, space, u0, dt, t_end, q))
+    steps = sum(count for _, _, count in bdf.bootstrap_plan(q, dt)) + m - q + 1
+    assert calls["bdf.implicit_step"] == len(updates) == steps
+    assert calls["fom.FomOperator.residual"] == sum(updates) + steps
+    assert calls["fom.FomOperator.jacobian"] == sum(updates) > 0
+
+    snaps, basis = pod.build_pod_basis(traj, 1.0, pod.W0_ZERO, pod.H10)
+    romsys = rom.rom_assemble(basis, 4, space, system, snaps.mean)
+    coords0 = rom.initial_coords(romsys, traj.states[0])
+    rt, calls, updates = traced(
+        tracing, lambda: rom.rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0))
+    )
+    assert updates == [*rt.bootstrap_iteration_counts, *rt.newton_iteration_counts]
+    assert calls["bdf.implicit_step"] == len(updates) == steps
+    assert calls["rom.rom_residual"] == sum(updates) + steps
+    assert calls["rom.rom_jacobian"] == sum(updates) > 0

@@ -48,3 +48,16 @@ def test_rejects_coordinate_layout(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
     with pytest.raises(ValueError, match="unsupported layout 'coordinate'"):
         mmio.read(path)
+
+
+def test_written_text_is_one_17_digit_value_per_line(tmp_path):
+    # the reference: the header, the shape, then "%.17g" of each value in
+    # column-major order, one per line
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((33, 5)) * np.exp(rng.standard_normal((33, 5)) * 20)
+    a[:6, 0] = [0.0, -0.0, 1e-300, 5e-324, np.inf, -np.inf]
+    path = tmp_path / "a.mtx"
+    mmio.write_dense(path, a)
+    want = ["%%MatrixMarket matrix array real general", "33 5"]
+    want += ["%.17g" % v for v in a.flatten(order="F")]
+    assert path.read_text().split("\n") == want + [""]

@@ -17,22 +17,25 @@ from podrom.fom import (
     perturbed_equilibrium,
 )
 from podrom.mesh_fem import (
+    _states_at_quadrature,
     assemble_load,
     assemble_reaction_jacobian_system,
     assemble_reaction_system,
     build_mesh,
     build_space,
     interpolate,
+    quadrature_rule,
 )
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom.rom import (
     RomTrajectory,
+    _reaction_tensor,
     initial_coords,
     newton_tolerance,
+    reaction_slope,
     rom_assemble,
     rom_integrate,
-    rom_jacobian,
-    rom_residual,
+    rom_linearise,
     rom_to_nodal_trajectory,
     save_rom_trajectory,
 )
@@ -62,6 +65,40 @@ def forced_heat_setup():
     traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
     snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
     return rom_assemble(basis, min(4, basis.d_r), space, sys, lift=snaps.mean)
+
+
+def heat_reaction_setup(power, r=None):
+    # P1 heat with the single monomial reaction 0.7 u^power, about the snapshot mean
+    space = build_space(build_mesh(4), 1, dirichlet="all")
+    sys = heat_system(0.1, reaction={power: 0.7})
+    u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
+    traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
+    snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
+    return rom_assemble(basis, basis.d_r if r is None else r, space, sys, lift=snaps.mean)
+
+
+def full_reaction_tensor(romsys):
+    """The symmetric reduced reaction tensor T, (r, r + 1, ..., r + 1), before
+    ``rom_assemble`` compresses it."""
+    space, nc, r = romsys.space, romsys.system.n_components, romsys.r
+    phi_c = romsys.modes.reshape(nc, space.n_dof, r)
+    modes_q = _states_at_quadrature(space, phi_c.transpose(2, 0, 1).reshape(r * nc, -1))
+    lift_q = _states_at_quadrature(space, romsys.lift.reshape(nc, -1))
+    _, weights = quadrature_rule(space)
+    return _reaction_tensor(romsys.system, modes_q.reshape(r, nc, -1), lift_q.reshape(nc, -1), weights.ravel())
+
+
+def contract(tensor, chat, times):
+    """``tensor`` contracted with ``chat`` in its last ``times`` slots, slot by slot."""
+    for _ in range(times):
+        tensor = (tensor.reshape(-1, len(chat)) @ chat).reshape(tensor.shape[:-1])
+    return tensor
+
+
+def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
+    """The residual and the Jacobian of one ``rom_linearise``."""
+    residual, jacobian = rom_linearise(romsys, scheme, history, increment, t, dt)
+    return residual, jacobian()
 
 
 def lifted(romsys, coords):
@@ -159,7 +196,7 @@ class TestResidualAndJacobian:
         romsys = rom_assemble(basis, r, space, sys)
         scheme = bdf_coefficients(2)
         dt = 0.05
-        jac = rom_jacobian(romsys, scheme, np.zeros(r), dt)
+        _, jac = residual_and_jacobian(romsys, scheme, [np.zeros(r)] * 2, np.zeros(r), 0.0, dt)
         want = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
         assert np.max(np.abs(jac - want)) < 1e-12
 
@@ -170,14 +207,14 @@ class TestResidualAndJacobian:
         rng = np.random.default_rng(1)
         history = [0.1 * rng.standard_normal(romsys.r) for _ in range(3)]
         d0 = 0.05 * rng.standard_normal(romsys.r)
-        jac = rom_jacobian(romsys, scheme, history[0] + d0, dt)
+        _, jac = residual_and_jacobian(romsys, scheme, history, d0, 0.3, dt)
         eps = 1e-6
         fd = np.empty_like(jac)
         for j in range(romsys.r):
             e = np.zeros(romsys.r)
             e[j] = eps
-            rp = rom_residual(romsys, scheme, history, d0 + e, 0.3, dt)
-            rm = rom_residual(romsys, scheme, history, d0 - e, 0.3, dt)
+            rp, _ = rom_linearise(romsys, scheme, history, d0 + e, 0.3, dt)
+            rm, _ = rom_linearise(romsys, scheme, history, d0 - e, 0.3, dt)
             fd[:, j] = (rp - rm) / (2 * eps)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
@@ -205,13 +242,12 @@ class TestResidualAndJacobian:
             + romsys.diffusion_lift
             + nonlinear
         )
-        got = rom_residual(romsys, scheme, history, d0, t, dt)
+        got, jac = residual_and_jacobian(romsys, scheme, history, d0, t, dt)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(nonlinear)
 
         jac_nl = nodal_reaction_jacobian(romsys, candidate)
         want = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion + jac_nl
-        got = rom_jacobian(romsys, scheme, candidate, dt)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(jac_nl)
+        assert np.linalg.norm(jac - want) <= 1e-13 * np.linalg.norm(jac_nl)
 
     def test_online_arrays_do_not_depend_on_the_mesh(self):
         # an unforced system: the same rank on two meshes gives online arrays of
@@ -231,13 +267,49 @@ class TestResidualAndJacobian:
                 assert n_points not in value.shape, name
             shapes.append({name: value.shape for name, value in arrays.items()})
         assert shapes[0] == shapes[1]
-        assert shapes[0]["reaction_tensor"] == (5, 6, 6, 6)
+        assert shapes[0]["reaction_tensor"] == (30, 21)
 
     def test_history_length_guard(self):
         _, _, _, romsys = brusselator_setup()
         scheme = bdf_coefficients(3)
         with pytest.raises(ValueError):
-            rom_residual(romsys, scheme, [np.zeros(romsys.r)] * 2, np.zeros(romsys.r), 0.1, 0.1)
+            rom_linearise(romsys, scheme, [np.zeros(romsys.r)] * 2, np.zeros(romsys.r), 0.1, 0.1)
+
+    @pytest.mark.parametrize("rank", ["1", "d_r"])
+    @pytest.mark.parametrize("setup", ["heat_u0", "heat_u1", "heat_u2", "heat_u3", "brusselator"])
+    def test_compressed_tensor_matches_full_contraction(self, setup, rank):
+        # D = 0 (stored at D = 1), 1, 2, 3 for the heat reactions, D = 3 for
+        # the Brusselator
+        if setup == "brusselator":
+            _, snaps, basis, romsys = brusselator_setup()
+            r = 1 if rank == "1" else basis.d_r
+            romsys = rom_assemble(basis, r, romsys.space, romsys.system, snaps.mean)
+        else:
+            romsys = heat_reaction_setup(int(setup[-1]), 1 if rank == "1" else None)
+        tensor = full_reaction_tensor(romsys)
+        degree = tensor.ndim - 1
+        assert degree == max(romsys.system.degree, 1)
+        scheme = bdf_coefficients(2)
+        dt = 0.1
+        rng = np.random.default_rng(3)
+        history = [0.3 * rng.standard_normal(romsys.r) for _ in range(2)]
+        d0 = 0.05 * rng.standard_normal(romsys.r)
+        chat = np.concatenate(([1.0], history[0] + d0))
+
+        want = contract(tensor, chat, degree - 1)
+        got = reaction_slope(romsys, history[0] + d0)
+        assert got.shape == (romsys.r, romsys.r + 1)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+        reaction = contract(tensor, chat, degree)
+        base = romsys.reduced_mass @ bdf_increment_form(scheme, d0, history, dt)
+        base += romsys.reduced_diffusion @ chat[1:] + romsys.diffusion_lift
+        residual, jac = residual_and_jacobian(romsys, scheme, history, d0, 0.2, dt)
+        assert np.linalg.norm(residual - (base + reaction)) <= 1e-13 * np.linalg.norm(reaction)
+
+        jac_nl = degree * want[:, 1:]
+        base = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
+        assert np.linalg.norm(jac - (base + jac_nl)) <= 1e-13 * np.linalg.norm(jac_nl)
 
 
 class TestNewtonTolerance:
