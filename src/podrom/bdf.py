@@ -1,7 +1,9 @@
-"""BDF-q machinery: coefficients, first-difference form, starting-value
-bootstrapping, a generic implicit step driven by Newton's method, and
-``integrate``, the one BDF-q time loop that the full-order and the reduced
-model both run through one linearisation callback.
+"""BDF-q machinery: coefficients, first-difference form, a generic implicit
+step driven by Newton's method, and ``integrate``, the one BDF-q time loop
+that the full-order and the reduced model both run through one
+linearisation callback. Each model owns its Newton solve; the loop does not
+know which model it steps. Starting values are bootstrapped by running the
+same loop once per segment of ``bootstrap_plan``.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -24,19 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import CsrMatrix, ConvergenceError, dense_lu_solve, krylov_solve
-
-#: multiplier constants making the shifted-test-function energy argument work
-#: for BDF-q, q <= 5; stored to four significant digits (reporting only).
-ETA = {1: 0.0, 2: 0.0, 3: 0.0769, 4: 0.2878, 5: 0.8097}
+from .linalg import ConvergenceError
 
 MAX_ORDER = 5
-
-#: forcing term of the inexact Newton update (Dembo, Eisenstat & Steihaug,
-#: SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput.
-#: 17, 1996): an iterative linear solve only has to reach FORCING times the
-#: Newton tolerance, since Newton tests the true nonlinear residual anyway
-FORCING = 0.1
 
 
 class UnsupportedOrderError(ValueError):
@@ -47,7 +39,6 @@ class UnsupportedOrderError(ValueError):
 class BdfScheme:
     q: int
     delta: tuple  # Fractions, delta_0..delta_q
-    eta: float
     alpha: tuple  # Fractions, alpha_0..alpha_{q-1}
     delta_f: np.ndarray = field(compare=False, default=None)
     alpha_f: np.ndarray = field(compare=False, default=None)
@@ -67,7 +58,6 @@ def bdf_coefficients(q: int) -> BdfScheme:
     return BdfScheme(
         q,
         tuple(delta),
-        ETA[q],
         tuple(alpha),
         delta_f=np.array([float(d) for d in delta]),
         alpha_f=np.array([float(a) for a in alpha]),
@@ -132,31 +122,6 @@ def bootstrap_plan(q: int, dt: float):
     return plan
 
 
-def run_bootstrap(q: int, dt: float, u0: np.ndarray, stepper):
-    """Execute a bootstrap plan and return the q-1 starting values at t_1..t_{q-1}.
-
-    ``stepper(scheme, history, step, t_new)`` advances one implicit step from
-    the ``scheme.q`` previous states, a (q, dim) array, newest first. All
-    segment steps divide dt, so sample times are exact grid hits; times are
-    tracked as integer multiples of the finest step.
-    """
-    plan = bootstrap_plan(q, dt)
-    if not plan:
-        return []
-    s_min = plan[0][1]
-    states = {0: np.asarray(u0, dtype=np.float64)}
-    t_units = 0
-    for order, step, count in plan:
-        k = round(step / s_min)
-        scheme = bdf_coefficients(order)
-        for _ in range(count):
-            history = np.array([states[t_units - j * k] for j in range(order)])
-            t_units += k
-            states[t_units] = stepper(scheme, history, step, t_units * s_min)
-    k_dt = round(dt / s_min)
-    return [states[j * k_dt] for j in range(1, q)]
-
-
 @dataclass
 class NewtonConfig:
     tol: float
@@ -190,37 +155,22 @@ def extrapolate_increment(history_states) -> np.ndarray:
     return _extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
 
 
-def _solve_linear(jac, rhs, tol: float):
-    """The Newton update J x = rhs. A sparse (FOM) Jacobian is solved inexactly
-    by BiCGStab to ||J x - rhs|| <= FORCING * tol, clipped to a relative
-    1e-13..0.5; a dense (ROM) Jacobian is solved directly."""
-    if isinstance(jac, CsrMatrix):
-        rhs_norm = float(np.linalg.norm(rhs))
-        # a zero right-hand side is solved by zero at any tolerance
-        rel = min(max(FORCING * tol / rhs_norm, 1e-13), 0.5) if rhs_norm > 0.0 else 0.5
-        x, _ = krylov_solve(jac, rhs, tol=rel)
-        return x
-    return dense_lu_solve(np.asarray(jac), rhs)
-
-
 def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, cfg: NewtonConfig):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
     ``history`` holds the q previous states, newest first. Newton iterates
     on the increment d = u^n - u^{n-1}. ``linearise(d)`` returns the
     residual at the candidate history[0] + d (the BDF history contribution
-    is the caller's responsibility) and a zero-argument ``jacobian()`` that
-    builds the Jacobian at the same candidate from what the residual already
-    formed. The solution returned is the newest history state plus the
-    converged increment. The linearisation computed for the convergence
-    check drives the next update, so k updates take k + 1 linearisations
-    and k Jacobian builds.
+    is the caller's responsibility) and ``solve(rhs, tol)``, which returns
+    the Newton update J^{-1} rhs for the Jacobian J at the same candidate,
+    built only when called from what the residual already formed. The
+    solution returned is the newest history state plus the converged
+    increment. The linearisation computed for the convergence check drives
+    the next update, so k updates take k + 1 linearisations and k solves.
 
     Newton stops when the true nonlinear residual is at most ``cfg.tol``.
-    With a sparse (FOM) Jacobian each update is inexact: BiCGStab solves
-    J x = -r only to clip(FORCING * tol / ||r||, 1e-13, 0.5) relative, an
-    absolute FORCING * tol unless clipped, which leaves the stopping test
-    and so every accepted state's tolerance unchanged.
+    ``solve`` receives that tolerance, so a model may solve its update
+    inexactly (the FOM does) without changing the stopping test.
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
@@ -228,10 +178,10 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, cfg: Newton
         d = extrapolate_increment(history)
     else:
         d = np.zeros_like(history[0])
-    r, jacobian = linearise(d)
+    r, solve = linearise(d)
     for it in range(1, cfg.max_iter + 1):
-        d = d + _solve_linear(jacobian(), -r, cfg.tol)
-        r, jacobian = linearise(d)
+        d = d + solve(-r, cfg.tol)
+        r, solve = linearise(d)
         res_norm = float(np.linalg.norm(r))
         if res_norm <= cfg.tol:
             return history[0] + d, it
@@ -245,11 +195,11 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
     enters through one callback, ``linearise(scheme, history, d, t, step)``:
     for the previous states ``history``, a (q, dim) array, newest first, it
-    returns the residual at the candidate history[0] + d and a zero-argument
-    ``jacobian()`` at that candidate (see ``implicit_step``).
-    ``newton(order, step)`` gives the NewtonConfig of each segment, resolved
-    once per segment. In the main loop ``history`` is a view of the
-    trajectory itself, so callbacks must not write to it.
+    returns the residual at the candidate history[0] + d and the Newton
+    ``solve(rhs, tol)`` at that candidate (see ``implicit_step``).
+    ``newton(order, step)`` gives the NewtonConfig, resolved once per call.
+    ``history`` is a view of the trajectory itself, so callbacks must not
+    write to it.
 
     Returns (states, an (M + 1, dim) array of u_0..u_M, Newton updates per
     main-loop step n = q..M, Newton updates per bootstrap step). When
@@ -261,39 +211,53 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
     m_steps = round(m_steps)
-    config = lru_cache(maxsize=None)(newton)
     boot_counts = []
-
-    def advance(scheme, history, step, t, n=None):
-        try:
-            return implicit_step(
-                scheme,
-                history,
-                lambda d: linearise(scheme, history, d, t, step),
-                config(scheme.q, step),
-            )
-        except ConvergenceError as exc:
-            where = "bootstrap step" if n is None else f"step n = {n}"
-            raise ConvergenceError(
-                f"BDF-{scheme.q} {where} at t = {t:.6g} (step size {step:.6g}): {exc.message}",
-                exc.residual,
-            ) from exc
-
-    def boot_step(scheme, history, step, t):
-        sol, iters = advance(scheme, history, step, t)
-        boot_counts.append(iters)
-        return sol
-
     if len(starting) == 1 and q > 1:
-        starting = [starting[0]] + run_bootstrap(q, dt, starting[0], boot_step)
+        later, boot_counts = run_bootstrap(q, dt, starting[0], linearise, newton)
+        starting = [starting[0], *later]
     elif len(starting) != q:
         raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
     states = np.empty((m_steps + 1,) + np.shape(starting[0]))
     states[:q] = starting[: m_steps + 1]
     scheme = bdf_coefficients(q)
+    cfg = newton(q, dt)
     counts = []
     for n in range(q, m_steps + 1):
-        sol, iters = advance(scheme, states[n - q : n][::-1], dt, n * dt, n)
-        states[n] = sol
+        history, t = states[n - q : n][::-1], n * dt
+        try:
+            states[n], iters = implicit_step(
+                scheme, history, lambda d: linearise(scheme, history, d, t, dt), cfg
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"BDF-{q} step n = {n} at t = {t:.6g} (step size {dt:.6g}): {exc.message}",
+                exc.residual,
+            ) from exc
         counts.append(iters)
     return states, counts, boot_counts
+
+
+def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, newton):
+    """The q - 1 starting values at t_1..t_{q-1} from u0, a (q - 1, dim)
+    array, and the Newton updates per bootstrap step.
+
+    Each segment (order, step, count) of ``bootstrap_plan`` is one
+    ``integrate`` call from t = 0, started from the previous segment's states
+    taken at its own step; every step divides the next one and dt, so each
+    sample is a grid hit. A ConvergenceError is re-raised with "bootstrap"
+    before the order, step, time and step size ``integrate`` names.
+    """
+    plan = bootstrap_plan(q, dt)
+    states, boot_counts = np.asarray(u0, dtype=np.float64)[None], []
+    prev_step = plan[0][1] if plan else dt
+    for order, step, count in plan:
+        starting = states[:: round(step / prev_step)][:order]
+        try:
+            states, updates, _ = integrate(
+                order, step, (order - 1 + count) * step, starting, linearise, newton
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"bootstrap {exc.message}", exc.residual) from exc
+        boot_counts += updates
+        prev_step = step
+    return states[:: round(dt / prev_step)][1:q], boot_counts

@@ -87,7 +87,8 @@ def cmd_rom(cfg: RunConfig) -> int:
     stem = os.path.join(cfg.out_dir, f"rom_q{cfg.q}_r{r}_M{cfg.M}")
     rom_mod.save_rom_trajectory(romsys, rt, stem, cfg.newton_rule)
     counts = rt.newton_iteration_counts
-    print(f"wrote {stem}.traj (Newton iterations: min {counts.min()}, max {counts.max()})")
+    summary = f"min {counts.min()}, max {counts.max()}" if counts.size else "none, M < q"
+    print(f"wrote {stem}.traj (Newton iterations: {summary})")
     return 0
 
 

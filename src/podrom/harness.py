@@ -281,8 +281,8 @@ def r_refinement_study(
                 "r": r,
                 "pod_l2": float(pod_l2[q:].max(initial=0.0)),
                 "pod_h1": float(pod_h1[q:].max(initial=0.0)),
-                "proj_l2": float(np.sqrt(np.max(proj_l2_sq[q:]))),
-                "proj_h1": float(np.sqrt(np.max(proj_h1_sq[q:]))),
+                "proj_l2": float(np.sqrt(proj_l2_sq[q:].max(initial=0.0))),
+                "proj_h1": float(np.sqrt(proj_h1_sq[q:].max(initial=0.0))),
             }
         )
     return rows

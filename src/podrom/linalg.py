@@ -104,11 +104,6 @@ class CsrMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return csr_matvec(self, x)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        out[self.row_indices(), self.col_indices] = self.values
-        return out
-
     def diagonal(self) -> np.ndarray:
         d = np.zeros(min(self.rows, self.cols))
         on_diag = self._rows().diagonal

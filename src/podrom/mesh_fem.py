@@ -374,17 +374,3 @@ def interpolate(space: FeSpace, f) -> np.ndarray:
     """Nodal values f(dof_coords)."""
     return np.asarray(f(space.dof_coords[:, 0], space.dof_coords[:, 1]), dtype=np.float64)
 
-
-def norms(space: FeSpace, v: np.ndarray):
-    """(L2 norm, H1 seminorm) of a nodal field; multi-component fields are
-    stacked and the quadratic forms summed over components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        if v.size % space.n_dof != 0:
-            raise ValueError("vector length must be a multiple of n_dof")
-        v = v.reshape(-1, space.n_dof)
-    m = space.mass_matrix()
-    a = space.stiffness_matrix()
-    l2sq = sum(float(c @ m.matvec(c)) for c in v)
-    h1sq = sum(float(c @ a.matvec(c)) for c in v)
-    return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))

@@ -123,12 +123,10 @@ def pod_basis(
     k: np.ndarray,
     gram: CsrMatrix,
     inner_product: str = H10,
-    r: int | None = None,
 ) -> PodBasis:
     """Eigenpairs of the correlation matrix and the induced orthonormal modes.
 
-    Eigenvalues below RANK_TOL * lambda_1 are discarded as numerically zero;
-    an explicit ``r`` truncates further.
+    Eigenvalues below RANK_TOL * lambda_1 are discarded as numerically zero.
     """
     eig = sym_eigen(k)
     lam = eig.eigenvalues
@@ -137,10 +135,6 @@ def pod_basis(
     d_r = int(np.sum(lam > RANK_TOL * lam[0]))
     if d_r == 0:
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
-    if r is not None:
-        if r > d_r:
-            raise InvalidRankError(f"requested rank {r} exceeds numerical rank {d_r}")
-        d_r = r
     lam = lam[:d_r]
     vecs = eig.eigenvectors[:, :d_r]
     n = snaps.n_snapshots

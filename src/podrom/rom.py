@@ -42,6 +42,7 @@ import numpy as np
 from . import mmio
 from .bdf import BdfScheme, NewtonConfig, bdf_increment_form, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
+from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
 
@@ -253,10 +254,11 @@ def rom_linearise(
     dt: float,
 ):
     """``bdf.integrate``'s callback: the residual at history[0] + increment and
-    a ``jacobian()`` at the same candidate, both from one ``reaction_slope``."""
+    ``solve(rhs, tol)``, the Newton update by a direct solve with the Jacobian
+    at the same candidate, both from one ``reaction_slope``."""
     slope = reaction_slope(romsys, history[0] + increment)
     residual = rom_residual(romsys, scheme, history, increment, t_n, dt, slope)
-    return residual, partial(rom_jacobian, romsys, scheme, dt, slope)
+    return residual, lambda rhs, tol: dense_lu_solve(rom_jacobian(romsys, scheme, dt, slope), rhs)
 
 
 def newton_tolerance(rule, dt: float, q: int) -> float:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from podrom import bdf
 from podrom.bdf import (
-    ETA,
     NewtonConfig,
     UnsupportedOrderError,
     bdf_apply,
@@ -32,7 +31,6 @@ class TestCoefficients:
     def test_q1_backward_euler(self):
         s = bdf_coefficients(1)
         assert s.delta == (Fraction(1), Fraction(-1))
-        assert s.eta == 0.0
 
     def test_q2(self):
         s = bdf_coefficients(2)
@@ -43,10 +41,6 @@ class TestCoefficients:
         s = bdf_coefficients(3)
         assert s.delta == (Fraction(11, 6), Fraction(-3), Fraction(3, 2), Fraction(-1, 3))
         assert s.alpha == (Fraction(11, 6), Fraction(-7, 6), Fraction(1, 3))
-        assert s.eta == 0.0769
-
-    def test_eta_table(self):
-        assert ETA == {1: 0.0, 2: 0.0, 3: 0.0769, 4: 0.2878, 5: 0.8097}
 
     def test_exact_rational_identities(self):
         for q in range(1, 6):
@@ -216,7 +210,7 @@ def scalar_linearise(lam):
 
     def linearise(scheme, history, d, t, step):
         residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
-        return residual, lambda: np.array([[float(scheme.delta_f[0]) / step - lam]])
+        return residual, lambda rhs, tol: rhs / (float(scheme.delta_f[0]) / step - lam)
 
     return linearise
 
@@ -246,7 +240,7 @@ class TestImplicitStep:
 
         def linearise(d):
             calls.append(d.copy())
-            return d / dt + (1.0 + d) ** 3, lambda: np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
+            return d / dt + (1.0 + d) ** 3, lambda rhs, tol: rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
 
         cfg = NewtonConfig(tol=1e-13, predictor="previous")
         sol, iters = implicit_step(scheme, h, linearise, cfg)
@@ -280,11 +274,11 @@ class TestImplicitStep:
         def linearise(d):
             counts["linearise"] += 1
 
-            def build():
+            def solve(rhs, tol):
                 counts["jacobian"] += 1
-                return jacobian(d)
+                return np.linalg.solve(jacobian(d), rhs)
 
-            return residual(d), build
+            return residual(d), solve
 
         cfg = NewtonConfig(tol=tol, predictor="previous")
         _, iters = implicit_step(scheme, h, linearise, cfg)
@@ -296,7 +290,7 @@ class TestImplicitStep:
         h = [np.array([1.0])]
 
         def linearise(d):
-            return np.array([1.0]), lambda: np.array([[1.0]])  # unsatisfiable
+            return np.array([1.0]), lambda rhs, tol: rhs  # unsatisfiable
 
         with pytest.raises(ConvergenceError):
             implicit_step(scheme, h, linearise, NewtonConfig(tol=1e-12, max_iter=3))
@@ -329,25 +323,70 @@ class TestScalarConvergence:
             assert abs(slopes[0] - q) < 0.2, f"q={q}: slope {slopes[0]}"
 
 
+def dict_bootstrap(q, dt, u0, linearise, newton):
+    """The dict-based bootstrap loop ``run_bootstrap`` replaced, kept as its
+    oracle: states keyed by integer multiples of the finest step, each
+    history gathered from the dict, one implicit step at a time."""
+    plan = bootstrap_plan(q, dt)
+    if not plan:
+        return [], []
+    s_min = plan[0][1]
+    states = {0: np.asarray(u0, dtype=np.float64)}
+    t_units, counts = 0, []
+    for order, step, count in plan:
+        k = round(step / s_min)
+        scheme = bdf_coefficients(order)
+        for _ in range(count):
+            history = np.array([states[t_units - j * k] for j in range(order)])
+            t_units += k
+            t = t_units * s_min
+            sol, iters = implicit_step(
+                scheme, history, lambda d: linearise(scheme, history, d, t, step), newton(order, step)
+            )
+            states[t_units] = sol
+            counts.append(iters)
+    k_dt = round(dt / s_min)
+    return [states[j * k_dt] for j in range(1, q)], counts
+
+
 class TestRunBootstrap:
     def test_values_land_on_grid(self):
         lam = -2.0
         q = 3
         dt = 0.01
-        linearise = scalar_linearise(lam)
-
-        def stepper(scheme, history, step, t_new):
-            sol, _ = implicit_step(
-                scheme, history, lambda d: linearise(scheme, history, d, t_new, step), NewtonConfig(1e-14)
-            )
-            return sol
-
-        starting = run_bootstrap(q, dt, np.array([1.0]), stepper)
+        starting, counts = run_bootstrap(q, dt, np.array([1.0]), scalar_linearise(lam), tight)
         assert len(starting) == q - 1
+        assert len(counts) == sum(count for _, _, count in bootstrap_plan(q, dt))
         for j, v in enumerate(starting, start=1):
             exact = np.exp(lam * j * dt)
             # order-(q-1) at step dt^{q/(q-1)} gives error ~ dt^q per value
             assert abs(v[0] - exact) < 10 * dt**q
+
+    @pytest.mark.parametrize("dt", [0.05, 0.0125])
+    @pytest.mark.parametrize("q", range(2, 6))
+    def test_matches_the_dict_loop(self, q, dt):
+        # u' = -2 u + sin(3 t) + u^2 / 4 per component, so the times matter,
+        # at a tolerance that takes one to three Newton updates per step
+        def linearise(scheme, history, d, t, step):
+            u = history[0] + d
+            residual = bdf_increment_form(scheme, d, history, step) + 2.0 * u - np.sin(3.0 * t) - u**2 / 4
+
+            def solve(rhs, tol):
+                return rhs / (float(scheme.delta_f[0]) / step + 2.0 - u / 2)
+
+            return residual, solve
+
+        def newton(order, step):
+            return NewtonConfig(tol=1e-13)
+
+        u0 = np.array([1.0, -0.5])
+        got, got_counts = run_bootstrap(q, dt, u0, linearise, newton)
+        want, want_counts = dict_bootstrap(q, dt, u0, linearise, newton)
+        assert got_counts == want_counts
+        assert len(got) == len(want) == q - 1
+        # a segment's times are n * step, the dict loop's t_units * s_min;
+        # the two may differ in the last bit, which moves the values by rounding
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestIntegrate:
@@ -388,7 +427,7 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "t_fail, where",
         [(0.3, "BDF-2 step n = 3 at t = 0.3 (step size 0.1)"),
-         (0.1, "BDF-1 bootstrap step at t = 0.1 (step size 0.1)")],
+         (0.1, "bootstrap BDF-1 step n = 1 at t = 0.1 (step size 0.1)")],
     )
     def test_failure_names_order_step_and_time(self, t_fail, where):
         linearise = scalar_linearise(-2.0)

@@ -5,7 +5,8 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from podrom import bdf
+from helpers import as_dense, norms
+from podrom import fom
 from podrom.bdf import NewtonConfig, bdf_coefficients
 from podrom.fom import (
     FomOperator,
@@ -25,7 +26,6 @@ from podrom.mesh_fem import (
     build_mesh,
     build_space,
     interpolate,
-    norms,
 )
 
 
@@ -188,8 +188,8 @@ class TestReferenceTrajectory:
         free = ~space.dirichlet_mask
         assert free.sum() == 1
         i = int(np.flatnonzero(free)[0])
-        m = space.mass_matrix().to_dense()[i, i]
-        a = space.stiffness_matrix().to_dense()[i, i]
+        m = as_dense(space.mass_matrix())[i, i]
+        a = as_dense(space.stiffness_matrix())[i, i]
         nu = 0.3
         u0 = np.zeros((1, space.n_dof))
         u0[0, i] = 1.0
@@ -219,33 +219,39 @@ class TestInexactNewton:
     TOL = 1e-10
 
     @pytest.fixture(scope="class")
-    def jacobian(self):
+    def linearised(self):
+        """The FOM's Newton ``solve`` at a perturbed state, and the Jacobian
+        it solves with."""
         space = small_space(8, 2)
         op = FomOperator(brusselator_system(0.002), space)
         w = perturbed_equilibrium(space, 0.2).ravel()
-        return op.jacobian(w, bdf_coefficients(5).delta_f[0] / 0.05)
+        scheme, dt = bdf_coefficients(5), 0.05
+        _, solve = op.linearise(scheme, np.array([w] * 5), np.zeros_like(w), 0.0, dt)
+        return solve, op.jacobian(w, scheme.delta_f[0] / dt)
 
     # 1e-12: the 0.5 clip; 1e-6: the forcing term itself; 1e4: the 1e-13 clip
     @pytest.mark.parametrize(
         "scale, relative", [(1e-12, 0.5), (1e-6, 1e-5), (1e4, 1e-13)]
     )
-    def test_forcing_rule(self, jacobian, monkeypatch, scale, relative):
+    def test_forcing_rule(self, linearised, monkeypatch, scale, relative):
+        solve, jacobian = linearised
         asked = []
 
         def recording(a, b, tol):
             asked.append(tol)
             return krylov_solve(a, b, tol=tol)
 
-        monkeypatch.setattr(bdf, "krylov_solve", recording)
+        monkeypatch.setattr(fom, "krylov_solve", recording)
         rhs = np.random.default_rng(7).standard_normal(jacobian.rows)
         rhs *= scale / np.linalg.norm(rhs)
-        x = bdf._solve_linear(jacobian, rhs, self.TOL)
+        x = solve(rhs, self.TOL)
         assert asked == [pytest.approx(relative, rel=1e-12)]
-        bound = max(bdf.FORCING * self.TOL, 1e-13 * scale)
+        bound = max(fom.FORCING * self.TOL, 1e-13 * scale)
         assert np.linalg.norm(jacobian.matvec(x) - rhs) <= bound * (1 + 1e-12)
 
-    def test_zero_right_hand_side(self, jacobian):
-        x = bdf._solve_linear(jacobian, np.zeros(jacobian.rows), self.TOL)
+    def test_zero_right_hand_side(self, linearised):
+        solve, jacobian = linearised
+        x = solve(np.zeros(jacobian.rows), self.TOL)
         assert np.array_equal(x, np.zeros(jacobian.rows))
 
     def test_stored_states_meet_their_bdf_equations(self):

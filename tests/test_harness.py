@@ -335,6 +335,30 @@ class TestCli:
         if code == cli.USAGE_ERROR:
             assert err.getvalue().strip()
 
+    @pytest.fixture
+    def short_run(self, tmp_path):
+        """A BDF-5 snapshot run of M = 4 < q steps, so no main-loop step."""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"T = 1.0\nM = 4\nn_side = 4\nr_grid = 2\nout_dir = {tmp_path / 'out'}\n")
+        args = ["--config", str(cfg)]
+        assert cli.main(["fom", *args]) == 0
+        return args, tmp_path / "out"
+
+    def test_rom_with_fewer_steps_than_the_order(self, short_run, capsys):
+        args, out_dir = short_run
+        capsys.readouterr()
+        assert cli.main(["rom", *args]) == 0
+        assert "Newton iterations: none, M < q" in capsys.readouterr().out
+        assert (out_dir / "rom_q5_r2_M4.traj").exists()
+
+    def test_errors_with_fewer_steps_than_the_order(self, short_run, capsys):
+        args, out_dir = short_run
+        capsys.readouterr()
+        assert cli.main(["errors", *args]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out_dir / "errors_vs_r.csv").read_text().splitlines()
+        assert rows[-1] == "2,0,0,0,0"
+
     def test_pipeline_chain(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

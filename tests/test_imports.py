@@ -133,7 +133,9 @@ def traced(tracing, call):
 def test_tracer_counts_every_linearisation():
     """perfbench reads the model's work from the traced names: a time loop
     that bypassed rom_residual, FomOperator.residual or implicit_step would
-    report fewer calls there, and 0 implicit_step calls fail a traced unit."""
+    report fewer calls there, and 0 implicit_step calls fail a traced unit.
+    Each model's Newton solve runs one linear solve per Jacobian, and a
+    bootstrapped run is one run_bootstrap span, so its time is one wall time."""
     tracing = load_tracing()
     space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
     system = fom.brusselator_system(0.002)
@@ -146,6 +148,8 @@ def test_tracer_counts_every_linearisation():
     assert calls["bdf.implicit_step"] == len(updates) == steps
     assert calls["fom.FomOperator.residual"] == sum(updates) + steps
     assert calls["fom.FomOperator.jacobian"] == sum(updates) > 0
+    assert calls["linalg.krylov_solve"] == calls["fom.FomOperator.jacobian"]
+    assert calls["bdf.run_bootstrap"] == 1
 
     snaps, basis = pod.build_pod_basis(traj, 1.0, pod.W0_ZERO, pod.H10)
     romsys = rom.rom_assemble(basis, 4, space, system, snaps.mean)
@@ -157,3 +161,5 @@ def test_tracer_counts_every_linearisation():
     assert calls["bdf.implicit_step"] == len(updates) == steps
     assert calls["rom.rom_residual"] == sum(updates) + steps
     assert calls["rom.rom_jacobian"] == sum(updates) > 0
+    assert calls["linalg.dense_lu_solve"] == calls["rom.rom_jacobian"]
+    assert calls["bdf.run_bootstrap"] == 1

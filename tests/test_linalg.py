@@ -7,6 +7,7 @@ paths.
 import numpy as np
 import pytest
 
+from helpers import as_dense
 from podrom import linalg
 from podrom.linalg import (
     ConvergenceError,
@@ -193,7 +194,7 @@ class TestCsr:
 
     def test_duplicate_triplets_are_summed(self):
         a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
-        assert np.allclose(a.to_dense(), [[0.0, 5.0], [4.0, 0.0]])
+        assert np.allclose(as_dense(a), [[0.0, 5.0], [4.0, 0.0]])
 
     def test_column_indices_sorted_within_rows(self):
         a = CsrMatrix.from_coo(2, 3, [0, 0, 1], [2, 0, 1], [1.0, 2.0, 3.0])
@@ -237,7 +238,7 @@ class TestCsr:
         plan = linalg.coo_plan(2, 3, [0, 0, 1], [2, 0, 1])
         refill = plan.csr(np.array([1.0, 2.0, 3.0]))
         assert refill.col_indices is plan.pattern.col_indices
-        assert np.array_equal(refill.to_dense(), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        assert np.array_equal(as_dense(refill), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
         with pytest.raises(ValueError, match="equal length"):
             plan.csr(np.zeros(4))
         with pytest.raises(ValueError, match="column index out of range"):
@@ -254,7 +255,7 @@ class TestCsr:
         expect = np.zeros((10, 10))
         expect[:5, :5] = dense
         expect[5:, :5] = lower
-        assert np.max(np.abs(big.to_dense() - expect)) < 1e-14
+        assert np.max(np.abs(as_dense(big) - expect)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,7 @@ class TestKrylov:
         a = laplacian_1d(n)
         b = np.ones(n)
         x, _ = krylov_solve(a, b, tol=1e-12)
-        oracle = dense_lu_solve(a.to_dense(), b)
+        oracle = dense_lu_solve(as_dense(a), b)
         assert np.linalg.norm(a.matvec(x) - b) <= 1e-12 * np.linalg.norm(b) * 1.001
         assert np.max(np.abs(x - oracle)) < 1e-7  # Laplacian condition number ~ n^2
 

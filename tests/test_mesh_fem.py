@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from helpers import as_dense, norms
 from podrom.fom import brusselator_system
 from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
 from podrom.mesh_fem import (
@@ -22,7 +23,6 @@ from podrom.mesh_fem import (
     build_mesh,
     build_space,
     interpolate,
-    norms,
     quadrature_for_degree,
 )
 
@@ -149,7 +149,7 @@ class TestMass:
         # the P1 element mass matrix of a triangle of area A is
         # A/6 on the diagonal, A/12 off it, so global entries are sums
         space = build_space(build_mesh(1), 1)
-        m = assemble_mass(space).to_dense()
+        m = as_dense(assemble_mass(space))
         area = 0.5
         # vertices 1 (=(1,0)) and 2 (=(0,1)) each belong to one triangle
         assert abs(m[1, 1] - area / 6) < 1e-14
@@ -160,7 +160,7 @@ class TestMass:
 
     def test_symmetry_and_positive_definite(self):
         space = build_space(build_mesh(3), 2)
-        m = assemble_mass(space).to_dense()
+        m = as_dense(assemble_mass(space))
         assert np.max(np.abs(m - m.T)) < 1e-14
         lam = sym_eigen(m).eigenvalues
         assert lam[-1] > 0
@@ -179,7 +179,7 @@ class TestStiffness:
         # matrix [[1,-1/2,-1/2],[-1/2,1/2,0],[-1/2,0,1/2]] with the right
         # angle at the first vertex
         space = build_space(build_mesh(1), 1)
-        a = assemble_stiffness(space).to_dense()
+        a = as_dense(assemble_stiffness(space))
         # dof 1 = (1,0): right-angle coupling only within the lower triangle
         assert abs(a[1, 1] - 1.0) < 1e-14
         assert abs(a[1, 0] + 0.5) < 1e-14
@@ -187,7 +187,7 @@ class TestStiffness:
 
     def test_symmetry(self):
         space = build_space(build_mesh(3), 2)
-        a = assemble_stiffness(space).to_dense()
+        a = as_dense(assemble_stiffness(space))
         assert np.max(np.abs(a - a.T)) < 1e-14
 
     def test_dirichlet_eliminated_positive_definite(self):
@@ -195,7 +195,7 @@ class TestStiffness:
         a, rhs = apply_dirichlet(
             space, assemble_stiffness(space), np.zeros(space.n_dof), np.zeros(space.n_dof)
         )
-        lam = sym_eigen(a.to_dense()).eigenvalues
+        lam = sym_eigen(as_dense(a)).eigenvalues
         assert lam[-1] > 0
 
 
@@ -228,7 +228,7 @@ class TestReaction:
         gp = lambda u: np.ones_like(u)[None]  # (1, 1, ne, nq) partials
         j = space.csr_from_values(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         m = assemble_mass(space)
-        assert np.max(np.abs(j.to_dense() - m.to_dense())) < 1e-12
+        assert np.max(np.abs(as_dense(j) - as_dense(m))) < 1e-12
 
     def test_jacobian_matches_finite_differences(self):
         space = build_space(build_mesh(3), 2)
@@ -334,7 +334,7 @@ class TestDirichletAndNorms:
         a, rhs = apply_dirichlet(
             space, assemble_stiffness(space), np.zeros(space.n_dof), np.zeros(space.n_dof)
         )
-        dense = a.to_dense()
+        dense = as_dense(a)
         for i in np.flatnonzero(space.dirichlet_mask):
             row = np.zeros(space.n_dof)
             row[i] = 1.0

@@ -5,6 +5,7 @@ properties, the eigenvalue-tail identities, pointwise bounds, persistence."""
 import numpy as np
 import pytest
 
+from helpers import as_dense
 from podrom.fom import Trajectory, brusselator_system, fom_integrate, perturbed_equilibrium
 from podrom import mmio
 from podrom.linalg import CsrMatrix
@@ -12,6 +13,7 @@ from podrom.mesh_fem import build_mesh, build_space
 from podrom.pod import (
     H10,
     L2,
+    RANK_TOL,
     W0_INITIAL,
     W0_MEAN,
     W0_ZERO,
@@ -99,7 +101,7 @@ class TestCorrelationMatrix:
         gram = gram_matrix(space, H10, 2)
         k = correlation_matrix(snaps, gram)
         y = snaps.columns
-        dense = y.T @ gram.to_dense() @ y / snaps.n_snapshots
+        dense = y.T @ as_dense(gram) @ y / snaps.n_snapshots
         assert np.max(np.abs(k - dense)) < 1e-12 * max(1.0, np.max(np.abs(dense)))
         assert np.max(np.abs(k - k.T)) < 1e-13 * max(1.0, np.max(np.abs(k)))
 
@@ -190,15 +192,17 @@ class TestPodBasis:
         assert np.max(np.abs(b2.modes[:, :r] - b1.modes[:, :r])) < 1e-7
 
     def test_rank_control(self):
+        # the basis keeps the numerical rank: every eigenvalue above
+        # RANK_TOL * lambda_1, each with its mode; callers truncate by r
         traj, _ = brusselator_trajectory()
         snaps, basis = build_pod_basis(traj)
-        truncated_snaps, _ = build_pod_basis(traj)
         gram = basis.gram_operator
         k = correlation_matrix(snaps, gram)
-        b = pod_basis(snaps, k, gram, r=4)
-        assert b.d_r == 4
-        with pytest.raises(InvalidRankError):
-            pod_basis(snaps, k, gram, r=snaps.n_snapshots + 1)
+        lam = np.linalg.eigvalsh(k)[::-1]
+        b = pod_basis(snaps, k, gram)
+        assert 4 < b.d_r == np.sum(lam > RANK_TOL * lam[0]) <= snaps.n_snapshots
+        assert b.modes.shape == (snaps.columns.shape[0], b.d_r)
+        assert np.allclose(b.eigenvalues, lam[: b.d_r], rtol=0.0, atol=1e-12 * lam[0])
 
     def test_degenerate_snapshots(self):
         snaps = _raw_snaps(np.zeros((9, 3)))
@@ -224,7 +228,7 @@ class TestProjection:
         v = rng.standard_normal(basis.modes.shape[0])
         r = 5
         phi = basis.modes[:, :r]
-        gd = basis.gram_operator.to_dense()
+        gd = as_dense(basis.gram_operator)
         want = np.linalg.solve(phi.T @ gd @ phi, phi.T @ gd @ v)
         coeffs, _ = project(basis, r, v)
         assert np.max(np.abs(coeffs - want)) < 1e-9

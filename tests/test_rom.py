@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import as_dense
 from podrom.bdf import bdf_coefficients, bdf_increment_form
 from podrom.fom import (
     brusselator_system,
@@ -26,6 +27,7 @@ from podrom.mesh_fem import (
     interpolate,
     quadrature_rule,
 )
+from podrom.linalg import dense_lu_solve
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom.rom import (
     RomTrajectory,
@@ -35,6 +37,7 @@ from podrom.rom import (
     reaction_slope,
     rom_assemble,
     rom_integrate,
+    rom_jacobian,
     rom_linearise,
     rom_to_nodal_trajectory,
     save_rom_trajectory,
@@ -96,9 +99,12 @@ def contract(tensor, chat, times):
 
 
 def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
-    """The residual and the Jacobian of one ``rom_linearise``."""
-    residual, jacobian = rom_linearise(romsys, scheme, history, increment, t, dt)
-    return residual, jacobian()
+    """The residual of one ``rom_linearise`` and the Jacobian its ``solve``
+    solves with, checked on the residual as right-hand side."""
+    residual, solve = rom_linearise(romsys, scheme, history, increment, t, dt)
+    jacobian = rom_jacobian(romsys, scheme, dt, reaction_slope(romsys, history[0] + increment))
+    assert np.array_equal(solve(residual, 1.0), dense_lu_solve(jacobian, residual))
+    return residual, jacobian
 
 
 def lifted(romsys, coords):
@@ -137,8 +143,8 @@ class TestAssembly:
     def test_reduced_operators_match_dense_oracle(self):
         traj, snaps, basis, romsys = brusselator_setup()
         phi = romsys.modes
-        md = romsys.space.mass_matrix().to_dense()
-        ad = romsys.space.stiffness_matrix().to_dense()
+        md = as_dense(romsys.space.mass_matrix())
+        ad = as_dense(romsys.space.stiffness_matrix())
         big_m = np.kron(np.eye(2), md)
         big_a_unit = np.kron(np.eye(2), ad)
         big_a_nu = np.kron(np.diag(romsys.system.diffusion), ad)
