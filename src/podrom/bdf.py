@@ -29,6 +29,8 @@ import numpy as np
 from .linalg import ConvergenceError
 
 MAX_ORDER = 5
+#: Newton updates one implicit step may take before it fails
+MAX_NEWTON_ITER = 25
 
 
 class UnsupportedOrderError(ValueError):
@@ -122,19 +124,6 @@ def bootstrap_plan(q: int, dt: float):
     return plan
 
 
-@dataclass
-class NewtonConfig:
-    tol: float
-    max_iter: int = 25
-    predictor: str = "local-extrapolation"  # or "previous"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
 @lru_cache(maxsize=None)
 def _extrapolation_weights(k: int) -> np.ndarray:
     """Weights of the degree k-1 extrapolation through k uniform points,
@@ -155,40 +144,40 @@ def extrapolate_increment(history_states) -> np.ndarray:
     return _extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
 
 
-def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, cfg: NewtonConfig):
+def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
     ``history`` holds the q previous states, newest first. Newton iterates
-    on the increment d = u^n - u^{n-1}. ``linearise(d)`` returns the
-    residual at the candidate history[0] + d (the BDF history contribution
-    is the caller's responsibility) and ``solve(rhs, tol)``, which returns
-    the Newton update J^{-1} rhs for the Jacobian J at the same candidate,
-    built only when called from what the residual already formed. The
-    solution returned is the newest history state plus the converged
-    increment. The linearisation computed for the convergence check drives
-    the next update, so k updates take k + 1 linearisations and k solves.
+    on the increment d = u^n - u^{n-1}, started from the predictor, the
+    polynomial extrapolation through the history (at q = 1 the previous
+    state). ``linearise(d)`` returns the residual at the candidate
+    history[0] + d (the BDF history contribution is the caller's
+    responsibility) and ``solve(rhs, tol)``, which returns the Newton update
+    J^{-1} rhs for the Jacobian J at the same candidate, built only when
+    called from what the residual already formed. The solution returned is
+    the newest history state plus the converged increment. The
+    linearisation computed for the convergence check drives the next
+    update, so k updates take k + 1 linearisations and k solves.
 
-    Newton stops when the true nonlinear residual is at most ``cfg.tol``.
-    ``solve`` receives that tolerance, so a model may solve its update
-    inexactly (the FOM does) without changing the stopping test.
+    Newton stops when the true nonlinear residual is at most ``tol``, and
+    fails after MAX_NEWTON_ITER updates. ``solve`` receives that tolerance,
+    so a model may solve its update inexactly (the FOM does) without
+    changing the stopping test.
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
-    if cfg.predictor == "local-extrapolation":
-        d = extrapolate_increment(history)
-    else:
-        d = np.zeros_like(history[0])
+    d = extrapolate_increment(history)
     r, solve = linearise(d)
-    for it in range(1, cfg.max_iter + 1):
-        d = d + solve(-r, cfg.tol)
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        d = d + solve(-r, tol)
         r, solve = linearise(d)
         res_norm = float(np.linalg.norm(r))
-        if res_norm <= cfg.tol:
+        if res_norm <= tol:
             return history[0] + d, it
-    raise ConvergenceError(f"Newton did not converge in {cfg.max_iter} iterations", res_norm)
+    raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
-def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
+def integrate(q: int, dt: float, t_end: float, starting, linearise, tol):
     """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
 
     ``starting`` is [u_0], whose q - 1 further starting values are
@@ -197,7 +186,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     for the previous states ``history``, a (q, dim) array, newest first, it
     returns the residual at the candidate history[0] + d and the Newton
     ``solve(rhs, tol)`` at that candidate (see ``implicit_step``).
-    ``newton(order, step)`` gives the NewtonConfig, resolved once per call.
+    ``tol(order, step)`` gives the Newton tolerance, resolved once per call
+    and rejected with a ValueError before any step unless it is positive.
     ``history`` is a view of the trajectory itself, so callbacks must not
     write to it.
 
@@ -211,22 +201,24 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
     m_steps = round(m_steps)
+    tolerance = tol(q, dt)
+    if not tolerance > 0:
+        raise ValueError(f"the Newton tolerance must be positive, got {tolerance}")
     boot_counts = []
     if len(starting) == 1 and q > 1:
-        later, boot_counts = run_bootstrap(q, dt, starting[0], linearise, newton)
+        later, boot_counts = run_bootstrap(q, dt, starting[0], linearise, tol)
         starting = [starting[0], *later]
     elif len(starting) != q:
         raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
     states = np.empty((m_steps + 1,) + np.shape(starting[0]))
     states[:q] = starting[: m_steps + 1]
     scheme = bdf_coefficients(q)
-    cfg = newton(q, dt)
     counts = []
     for n in range(q, m_steps + 1):
         history, t = states[n - q : n][::-1], n * dt
         try:
             states[n], iters = implicit_step(
-                scheme, history, lambda d: linearise(scheme, history, d, t, dt), cfg
+                scheme, history, lambda d: linearise(scheme, history, d, t, dt), tolerance
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -237,7 +229,7 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, newton):
     return states, counts, boot_counts
 
 
-def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, newton):
+def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, tol):
     """The q - 1 starting values at t_1..t_{q-1} from u0, a (q - 1, dim)
     array, and the Newton updates per bootstrap step.
 
@@ -254,7 +246,7 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, newton):
         starting = states[:: round(step / prev_step)][:order]
         try:
             states, updates, _ = integrate(
-                order, step, (order - 1 + count) * step, starting, linearise, newton
+                order, step, (order - 1 + count) * step, starting, linearise, tol
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"bootstrap {exc.message}", exc.residual) from exc

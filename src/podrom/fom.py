@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mmio
-from .bdf import NewtonConfig, bdf_increment_form, integrate
+from .bdf import bdf_increment_form, integrate
 from .linalg import CsrMatrix, coo_plan, krylov_solve
 from .mesh_fem import (
     FeSpace,
@@ -271,18 +271,16 @@ def fom_integrate(
     dt: float,
     t_end: float,
     q: int,
-    newton: NewtonConfig | None = None,
+    tol: float = 1e-10,
 ) -> Trajectory:
     """Integrate on the uniform grid j dt, j = 0..M, with BDF-q/Newton.
 
-    Starting values are bootstrapped at order q; the Newton tolerance is a
-    fixed 1e-10 by default (snapshots are offline and must be accurate
-    regardless of dt). Each Newton update is solved inexactly by
-    ``newton_update``, while Newton's own test on the true residual
-    ||r|| <= tol is unchanged.
+    Starting values are bootstrapped at order q; the Newton tolerance ``tol``
+    is the same at every order and step, 1e-10 by default (snapshots are
+    offline and must be accurate regardless of dt). Each Newton update is
+    solved inexactly by ``newton_update``, while Newton's own test on the
+    true residual ||r|| <= tol is unchanged.
     """
-    if newton is None:
-        newton = NewtonConfig(tol=1e-10)
     op = FomOperator(system, space)
     states, _, _ = integrate(
         q,
@@ -290,7 +288,7 @@ def fom_integrate(
         t_end,
         [np.asarray(u0, dtype=np.float64).reshape(op.dim)],
         op.linearise,
-        lambda order, step: newton,
+        lambda order, step: tol,
     )
     return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)
 

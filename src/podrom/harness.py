@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import NewtonConfig
 from .fom import (
     Trajectory,
     brusselator_system,
@@ -167,7 +166,6 @@ class DeskSetup:
     fom_traj: Trajectory
     snaps: object
     basis: PodBasis
-    lift: np.ndarray  # the snapshots' stored mean: zero unless w0_mode is W0_ZERO
 
 
 def make_system(cfg: RunConfig):
@@ -190,11 +188,11 @@ def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> Desk
         dt = cfg.T / cfg.M
         fom_traj = fom_integrate(system, space, initial_state(cfg, space), dt, cfg.T, cfg.q)
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
-    return DeskSetup(cfg, space, system, fom_traj, snaps, basis, snaps.mean)
+    return DeskSetup(cfg, space, system, fom_traj, snaps, basis)
 
 
 def make_rom(setup: DeskSetup, r: int) -> RomSystem:
-    return rom_assemble(setup.basis, r, setup.space, setup.system, setup.lift)
+    return rom_assemble(setup.basis, r, setup.space, setup.system, setup.snaps.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +258,11 @@ def r_refinement_study(
     newton_rule="step-coupled",
 ):
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
-    the projection errors (I - P^r) u_h(t_n), on the fine FOM grid."""
+    the projection errors (I - P^r) u_h(t_n) over the main-loop steps
+    n = q..M of the fine FOM grid, NaN when M < q."""
     t_end = fom_fine.times[-1]
     dt = fom_fine.dt
-    fluct = (fom_fine.stacked() - setup.lift[None, :]).T  # (dim, M+1)
+    fluct = (fom_fine.stacked() - setup.snaps.mean[None, :]).T  # (dim, M+1)
     gram = setup.basis.gram_operator
     mass_gram = gram_matrix(setup.space, L2, setup.system.n_components)
     rows = []
@@ -279,13 +278,19 @@ def r_refinement_study(
         rows.append(
             {
                 "r": r,
-                "pod_l2": float(pod_l2[q:].max(initial=0.0)),
-                "pod_h1": float(pod_h1[q:].max(initial=0.0)),
-                "proj_l2": float(np.sqrt(proj_l2_sq[q:].max(initial=0.0))),
-                "proj_h1": float(np.sqrt(proj_h1_sq[q:].max(initial=0.0))),
+                "pod_l2": _main_loop_max(pod_l2, q),
+                "pod_h1": _main_loop_max(pod_h1, q),
+                "proj_l2": float(np.sqrt(_main_loop_max(proj_l2_sq, q))),
+                "proj_h1": float(np.sqrt(_main_loop_max(proj_h1_sq, q))),
             }
         )
     return rows
+
+
+def _main_loop_max(values: np.ndarray, q: int) -> float:
+    """Largest of values[q:], the main-loop steps, floored at 0, or NaN when
+    M < q leaves no main-loop step to compare."""
+    return float(values[q:].max(initial=0.0)) if len(values) > q else np.nan
 
 
 def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1, q: int = 3):
@@ -302,7 +307,7 @@ def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1
         space = build_space(build_mesh(n_side), 2)
         u0 = interpolate(space, lambda x, y: exact(x, y, 0.0))[None, :]
         dt = t_end / 100
-        traj = fom_integrate(system, space, u0, dt, t_end, q, NewtonConfig(tol=1e-12))
+        traj = fom_integrate(system, space, u0, dt, t_end, q, tol=1e-12)
         err = l2_error_vs_exact(space, traj.states[-1, 0], lambda x, y: exact(x, y, t_end))
         out.append((1.0 / n_side, err))
     return out

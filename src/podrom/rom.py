@@ -1,6 +1,6 @@
 """Fully discrete POD-ROM: reduced operators, residual/Jacobian in the
 r-dimensional coordinate space, BDF-q integration by ``bdf.integrate`` from
-bootstrapped or projected starting values, and lifting back to nodal space.
+bootstrapped starting values, and lifting back to nodal space.
 
 The nonlinearity is the exact Galerkin projection of the polynomial
 reaction (no hyperreduction), precomputed as one reduced tensor (tensorial
@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from . import mmio
-from .bdf import BdfScheme, NewtonConfig, bdf_increment_form, integrate
+from .bdf import BdfScheme, bdf_increment_form, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
 from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
@@ -285,34 +285,21 @@ def rom_integrate(
 ) -> RomTrajectory:
     """BDF-q time loop in reduced coordinates.
 
-    ``init`` is ("project_fom", Trajectory) to take the q starting values as
-    projections of full-order states, or ("bootstrap", coords0) to bootstrap
-    them from the reduced initial condition with lower-order integrations.
-    Each segment's Newton tolerance follows ``newton_tol_rule`` at its own
-    step size and order.
+    ``init`` is ("bootstrap", coords0): the q - 1 further starting values
+    are bootstrapped from the reduced initial condition coords0 with
+    lower-order integrations. Each segment's Newton tolerance follows
+    ``newton_tol_rule`` at its own step size and order.
     """
-    mode, payload = init
-    if mode == "project_fom":
-        traj: Trajectory = payload
-        grid = traj.times
-        starting = []
-        for j in range(q):
-            t_j = j * dt
-            idx = int(np.argmin(np.abs(grid - t_j)))
-            if abs(grid[idx] - t_j) > 1e-10 * max(1.0, t_end):
-                raise ValueError(f"full-order grid does not contain t_{j} = {t_j}")
-            starting.append(initial_coords(romsys, traj.stacked()[idx]))
-    elif mode == "bootstrap":
-        starting = [payload]
-    else:
+    mode, coords0 = init
+    if mode != "bootstrap":
         raise ValueError(f"unknown init mode {mode!r}")
     coords, counts, boot_counts = integrate(
         q,
         dt,
         t_end,
-        starting,
+        [coords0],
         partial(rom_linearise, romsys),
-        lambda order, step: NewtonConfig(tol=newton_tolerance(newton_tol_rule, step, order)),
+        lambda order, step: newton_tolerance(newton_tol_rule, step, order),
     )
     return RomTrajectory(
         dt * np.arange(len(coords)),

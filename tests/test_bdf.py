@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from podrom import bdf
 from podrom.bdf import (
-    NewtonConfig,
+    MAX_NEWTON_ITER,
     UnsupportedOrderError,
     bdf_apply,
     bdf_apply_as_differences,
@@ -216,7 +216,7 @@ def scalar_linearise(lam):
 
 
 def tight(order, step):
-    return NewtonConfig(tol=1e-14)
+    return 1e-14
 
 
 class TestImplicitStep:
@@ -224,9 +224,7 @@ class TestImplicitStep:
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
         linearise = scalar_linearise(-1.0)
-        sol, iters = implicit_step(
-            scheme, h, lambda d: linearise(scheme, h, d, 0.1, 0.1), NewtonConfig(tol=1e-12)
-        )
+        sol, iters = implicit_step(scheme, h, lambda d: linearise(scheme, h, d, 0.1, 0.1), 1e-12)
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
 
@@ -242,8 +240,8 @@ class TestImplicitStep:
             calls.append(d.copy())
             return d / dt + (1.0 + d) ** 3, lambda rhs, tol: rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
 
-        cfg = NewtonConfig(tol=1e-13, predictor="previous")
-        sol, iters = implicit_step(scheme, h, linearise, cfg)
+        # at BDF-1 the predictor is the previous value, so Newton starts from d = 0
+        sol, iters = implicit_step(scheme, h, linearise, 1e-13)
         assert iters >= 2
         assert len(calls) == iters + 1
         # every residual is taken at a new iterate
@@ -280,25 +278,28 @@ class TestImplicitStep:
 
             return residual(d), solve
 
-        cfg = NewtonConfig(tol=tol, predictor="previous")
-        _, iters = implicit_step(scheme, h, linearise, cfg)
+        # at BDF-1 the predictor is the previous value, as in the iterates above
+        _, iters = implicit_step(scheme, h, linearise, tol)
         assert iters == updates
         assert counts == {"linearise": updates + 1, "jacobian": updates}
 
     def test_nonconvergence_raises(self):
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
+        calls = []
 
         def linearise(d):
+            calls.append(d)
             return np.array([1.0]), lambda rhs, tol: rhs  # unsatisfiable
 
-        with pytest.raises(ConvergenceError):
-            implicit_step(scheme, h, linearise, NewtonConfig(tol=1e-12, max_iter=3))
+        with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITER} iterations"):
+            implicit_step(scheme, h, linearise, 1e-12)
+        assert len(calls) == MAX_NEWTON_ITER + 1
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
         with pytest.raises(ValueError):
-            implicit_step(scheme, [np.zeros(1)], None, NewtonConfig(tol=1e-12))
+            implicit_step(scheme, [np.zeros(1)], None, 1e-12)
 
 
 def integrate_scalar(q, lam, dt, t_end, u0=1.0):
@@ -323,7 +324,7 @@ class TestScalarConvergence:
             assert abs(slopes[0] - q) < 0.2, f"q={q}: slope {slopes[0]}"
 
 
-def dict_bootstrap(q, dt, u0, linearise, newton):
+def dict_bootstrap(q, dt, u0, linearise, tol):
     """The dict-based bootstrap loop ``run_bootstrap`` replaced, kept as its
     oracle: states keyed by integer multiples of the finest step, each
     history gathered from the dict, one implicit step at a time."""
@@ -341,7 +342,7 @@ def dict_bootstrap(q, dt, u0, linearise, newton):
             t_units += k
             t = t_units * s_min
             sol, iters = implicit_step(
-                scheme, history, lambda d: linearise(scheme, history, d, t, step), newton(order, step)
+                scheme, history, lambda d: linearise(scheme, history, d, t, step), tol(order, step)
             )
             states[t_units] = sol
             counts.append(iters)
@@ -376,12 +377,12 @@ class TestRunBootstrap:
 
             return residual, solve
 
-        def newton(order, step):
-            return NewtonConfig(tol=1e-13)
+        def tol(order, step):
+            return 1e-13
 
         u0 = np.array([1.0, -0.5])
-        got, got_counts = run_bootstrap(q, dt, u0, linearise, newton)
-        want, want_counts = dict_bootstrap(q, dt, u0, linearise, newton)
+        got, got_counts = run_bootstrap(q, dt, u0, linearise, tol)
+        want, want_counts = dict_bootstrap(q, dt, u0, linearise, tol)
         assert got_counts == want_counts
         assert len(got) == len(want) == q - 1
         # a segment's times are n * step, the dict loop's t_units * s_min;
@@ -443,6 +444,21 @@ class TestIntegrate:
         assert str(info.value).startswith(where + ": Newton did not converge")
         assert info.value.residual == 1.0
         assert isinstance(info.value.__cause__, ConvergenceError)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    @pytest.mark.parametrize("n_starting", [1, 3])
+    def test_rejects_a_tolerance_that_is_not_positive(self, bad, n_starting):
+        # bootstrapped or given the q starting values, no step is taken
+        calls = []
+
+        def linearise(scheme, history, d, t, step):
+            calls.append(t)
+            return scalar_linearise(-2.0)(scheme, history, d, t, step)
+
+        starting = [np.array([1.0])] * n_starting
+        with pytest.raises(ValueError, match="Newton tolerance must be positive"):
+            integrate(3, 0.1, 1.0, starting, linearise, lambda order, step: bad)
+        assert calls == []
 
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):

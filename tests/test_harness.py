@@ -357,7 +357,8 @@ class TestCli:
         assert cli.main(["errors", *args]) == 0
         assert capsys.readouterr().err == ""
         rows = (out_dir / "errors_vs_r.csv").read_text().splitlines()
-        assert rows[-1] == "2,0,0,0,0"
+        # no main-loop step is compared, which must not read as "exact"
+        assert rows[-1] == "2,nan,nan,nan,nan"
 
     def test_pipeline_chain(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

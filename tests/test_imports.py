@@ -1,7 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no function assigns a local name it never reads, every target that
-perfbench's tracer wraps still exists, and the time loop's work passes
-through the traced names.
+perfbench's tracer wraps still exists, the time loop's work passes
+through the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -20,6 +20,7 @@ from podrom import bdf, fom, mesh_fem, pod, rom
 
 MODULES = sorted(Path(podrom.__file__).parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def imported_names(tree):
@@ -97,11 +98,15 @@ def test_no_unread_locals(path):
     assert not found, ", ".join(found)
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench(TRACING)
 
 
 def test_tracer_finds_every_target():
@@ -163,3 +168,19 @@ def test_tracer_counts_every_linearisation():
     assert calls["rom.rom_jacobian"] == sum(updates) > 0
     assert calls["linalg.dense_lu_solve"] == calls["rom.rom_jacobian"]
     assert calls["bdf.run_bootstrap"] == 1
+
+
+@pytest.mark.parametrize("name", ["offline", "online", "sweep"])
+def test_benchmark_workloads_run_on_a_small_mesh(name, tmp_path):
+    """perfbench calls the package through its workloads, with the call
+    forms they use fixed; a changed signature or a failed check must show
+    here, not first in a benchmark run."""
+    workloads = load_perfbench(WORKLOADS)
+
+    class Small(workloads.WORKLOADS[name]):
+        n_side = 4
+
+    workload = Small(str(tmp_path))
+    state = workload.setup(0.1)
+    problems, _ = workload.check(state, workload.run(state))
+    assert not problems, problems
