@@ -1,9 +1,11 @@
 """BDF-q machinery: coefficients, first-difference form, a generic implicit
 step driven by Newton's method, and ``integrate``, the one BDF-q time loop
-that the full-order and the reduced model both run through one
-linearisation callback. Each model owns its Newton solve; the loop does not
-know which model it steps. Starting values are bootstrapped by running the
-same loop once per segment of ``bootstrap_plan``.
+that the full-order and the reduced model both run through one two-level
+linearisation callback: the model forms what is fixed for a run once per
+``integrate`` call, what is fixed for a step once per step, and only the
+rest at each Newton candidate. Each model owns its Newton solve; the loop
+does not know which model it steps. Starting values are bootstrapped by
+running the same loop once per segment of ``bootstrap_plan``.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -150,12 +152,13 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     ``history`` holds the q previous states, newest first. Newton iterates
     on the increment d = u^n - u^{n-1}, started from the predictor, the
     polynomial extrapolation through the history (at q = 1 the previous
-    state). ``linearise(d)`` returns the residual at the candidate
-    history[0] + d (the BDF history contribution is the caller's
-    responsibility) and ``solve(rhs, tol)``, which returns the Newton update
-    J^{-1} rhs for the Jacobian J at the same candidate, built only when
-    called from what the residual already formed. The solution returned is
-    the newest history state plus the converged increment. The
+    state). ``linearise(d)``, the model's callback for this step, returns
+    the residual at the candidate history[0] + d and ``solve(rhs, tol)``,
+    which returns the Newton update J^{-1} rhs for the Jacobian J at the
+    same candidate, built only when called from what the residual already
+    formed. What is fixed for the step (the BDF history term, the time) is
+    bound into ``linearise`` before the first candidate. The solution
+    returned is the newest history state plus the converged increment. The
     linearisation computed for the convergence check drives the next
     update, so k updates take k + 1 linearisations and k solves.
 
@@ -177,15 +180,19 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
-def integrate(q: int, dt: float, t_end: float, starting, linearise, tol):
+def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
 
     ``starting`` is [u_0], whose q - 1 further starting values are
     bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
-    enters through one callback, ``linearise(scheme, history, d, t, step)``:
-    for the previous states ``history``, a (q, dim) array, newest first, it
-    returns the residual at the candidate history[0] + d and the Newton
-    ``solve(rhs, tol)`` at that candidate (see ``implicit_step``).
+    enters through a callback at two levels. ``linearisation(scheme, dt)`` is
+    called once per run, where the model forms its per-run constants, and
+    returns ``at_step(history, t)``. That is called once per implicit step,
+    for the previous states ``history``, a (q, dim) array, newest first, and
+    the new time t, where the model forms its per-step constants, and
+    returns ``linearise(d)``: the residual at the candidate history[0] + d
+    and the Newton ``solve(rhs, tol)`` at that candidate (see
+    ``implicit_step``).
     ``tol(order, step)`` gives the Newton tolerance, resolved once per call
     and rejected with a ValueError before any step unless it is positive.
     ``history`` is a view of the trajectory itself, so callbacks must not
@@ -206,20 +213,19 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, tol):
         raise ValueError(f"the Newton tolerance must be positive, got {tolerance}")
     boot_counts = []
     if len(starting) == 1 and q > 1:
-        later, boot_counts = run_bootstrap(q, dt, starting[0], linearise, tol)
+        later, boot_counts = run_bootstrap(q, dt, starting[0], linearisation, tol)
         starting = [starting[0], *later]
     elif len(starting) != q:
         raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
     states = np.empty((m_steps + 1,) + np.shape(starting[0]))
     states[:q] = starting[: m_steps + 1]
     scheme = bdf_coefficients(q)
+    at_step = linearisation(scheme, dt)
     counts = []
     for n in range(q, m_steps + 1):
         history, t = states[n - q : n][::-1], n * dt
         try:
-            states[n], iters = implicit_step(
-                scheme, history, lambda d: linearise(scheme, history, d, t, dt), tolerance
-            )
+            states[n], iters = implicit_step(scheme, history, at_step(history, t), tolerance)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"BDF-{q} step n = {n} at t = {t:.6g} (step size {dt:.6g}): {exc.message}",
@@ -229,7 +235,7 @@ def integrate(q: int, dt: float, t_end: float, starting, linearise, tol):
     return states, counts, boot_counts
 
 
-def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, tol):
+def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearisation, tol):
     """The q - 1 starting values at t_1..t_{q-1} from u0, a (q - 1, dim)
     array, and the Newton updates per bootstrap step.
 
@@ -246,7 +252,7 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearise, tol):
         starting = states[:: round(step / prev_step)][:order]
         try:
             states, updates, _ = integrate(
-                order, step, (order - 1 + count) * step, starting, linearise, tol
+                order, step, (order - 1 + count) * step, starting, linearisation, tol
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"bootstrap {exc.message}", exc.residual) from exc

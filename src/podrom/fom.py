@@ -10,6 +10,7 @@ vanish on constrained dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,17 +231,21 @@ class FomOperator:
         r[self.mask] = 0.0
         return r
 
-    def linearise(self, scheme, hist_states, increment, t, dt):
-        """``bdf.integrate``'s callback: the residual at u^{n-1} + increment
-        and ``solve(rhs, tol)``, the inexact Newton update (``newton_update``)
-        with the Jacobian at the same candidate."""
-        r = self.residual(increment, hist_states, scheme, dt, t)
+    def linearisation(self, scheme, dt):
+        """``bdf.integrate``'s callback. Nothing is formed per run or per
+        step: ``at_step(hist_states, t)`` returns ``linearise(increment)``,
+        the residual at u^{n-1} + increment and ``solve(rhs, tol)``, the
+        inexact Newton update (``newton_update``) with the Jacobian at the
+        same candidate."""
 
-        def solve(rhs, tol):
-            jac = self.jacobian(hist_states[0] + increment, scheme.delta_f[0] / dt)
-            return newton_update(jac, rhs, tol)
+        def linearise(hist_states, t, increment):
+            def solve(rhs, tol):
+                jac = self.jacobian(hist_states[0] + increment, scheme.delta_f[0] / dt)
+                return newton_update(jac, rhs, tol)
 
-        return r, solve
+            return self.residual(increment, hist_states, scheme, dt, t), solve
+
+        return lambda hist_states, t: partial(linearise, hist_states, t)
 
     def jacobian(self, candidate, c0_over_dt) -> CsrMatrix:
         elem = _reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
@@ -287,7 +292,7 @@ def fom_integrate(
         dt,
         t_end,
         [np.asarray(u0, dtype=np.float64).reshape(op.dim)],
-        op.linearise,
+        op.linearisation,
         lambda order, step: tol,
     )
     return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)

@@ -23,10 +23,14 @@ Online, one linearisation forms
 from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
 S c_hat and its Jacobian D S[:, 1:]. That costs O(r (r + 1) C(r + D - 1, D - 1))
 per linearisation, independent of the mesh, and a step of one Newton update
-takes two linearisations and one Jacobian build. Only a forced system keeps
-arrays sized by the quadrature points: its load Phi^T f(t) is projected by
-quadrature at O(nc * ne * nq * r) per residual, because f(x, y, t) is
-arbitrary.
+takes two linearisations and one Jacobian build. What no candidate changes
+is formed before the first one (``rom_linearisation``): per run the linear
+part K = (delta_0/dt) M_r + D_r of the Jacobian, per step the BDF history
+term with the constant part of the residual, so a candidate d costs
+K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. Only a forced system
+keeps arrays sized by the quadrature points: its load Phi^T f(t) is
+projected by quadrature at O(nc * ne * nq * r) per step, because f(x, y, t)
+is arbitrary.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from . import mmio
-from .bdf import BdfScheme, bdf_increment_form, integrate
+from .bdf import BdfScheme, _history, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
 from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
@@ -206,59 +210,58 @@ def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray | Non
     return (romsys.reaction_tensor @ monomials).reshape(romsys.r, -1)
 
 
-def rom_residual(
-    romsys: RomSystem,
-    scheme: BdfScheme,
-    history,
-    increment: np.ndarray,
-    t_n: float,
-    dt: float,
-    slope: np.ndarray | None,
-) -> np.ndarray:
-    """Reduced residual at candidate coordinates history[0] + increment, with
-    ``slope`` the ``reaction_slope`` there.
+def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate, slope):
+    """Reduced residual K d + fixed + S (1, c) at the candidate c = history[0]
+    + d, with K = ``stiffness`` and ``fixed`` the per-run and per-step terms of
+    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at c.
 
-    ``history`` holds the q previous coordinate vectors, newest first; the
-    discrete derivative is evaluated in first-difference form from the
-    increment, keeping the residual floor independent of dt.
+    The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
+    the increment, keeping the residual floor independent of dt.
     """
-    bdf_dt = bdf_increment_form(scheme, increment, history, dt)
-    candidate = history[0] + increment
-    residual = (
-        romsys.reduced_mass @ bdf_dt
-        + romsys.reduced_diffusion @ candidate
-        + romsys.diffusion_lift
-    )
+    residual = stiffness @ increment + fixed
     if slope is not None:
         residual += slope[:, 0] + slope[:, 1:] @ candidate
-    if romsys.system.forcing is not None:
-        residual -= _reduced_load(romsys, t_n)
     return residual
 
 
-def rom_jacobian(romsys: RomSystem, scheme: BdfScheme, dt: float, slope: np.ndarray | None):
-    """(delta_0/dt) Phi^T M Phi + Phi^T nu A Phi + D S[:, 1:], with ``slope``
-    the ``reaction_slope`` S at the candidate."""
-    jac = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
-    if slope is not None:
-        jac += (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
-    return jac
+def rom_jacobian(romsys: RomSystem, stiffness: np.ndarray, slope: np.ndarray | None):
+    """K + D S[:, 1:] with K = ``stiffness``, (delta_0/dt) M_r + D_r, and
+    ``slope`` the ``reaction_slope`` S at the candidate. The sum is a new
+    array: K is shared by every candidate of the run and is never written."""
+    if slope is None:
+        return stiffness
+    return stiffness + (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
 
 
-def rom_linearise(
-    romsys: RomSystem,
-    scheme: BdfScheme,
-    history,
-    increment: np.ndarray,
-    t_n: float,
-    dt: float,
-):
-    """``bdf.integrate``'s callback: the residual at history[0] + increment and
-    ``solve(rhs, tol)``, the Newton update by a direct solve with the Jacobian
-    at the same candidate, both from one ``reaction_slope``."""
-    slope = reaction_slope(romsys, history[0] + increment)
-    residual = rom_residual(romsys, scheme, history, increment, t_n, dt, slope)
-    return residual, lambda rhs, tol: dense_lu_solve(rom_jacobian(romsys, scheme, dt, slope), rhs)
+def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
+    """``bdf.integrate``'s two-level callback.
+
+    Per run it forms K = (delta_0/dt) M_r + D_r. Per step, ``at_step(history,
+    t)`` checks that ``history`` holds the q previous coordinate vectors,
+    newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
+    D_r h_0 + diffusion_lift - Phi^T f(t). Per candidate, ``linearise(d)``
+    forms one ``reaction_slope`` at h_0 + d, the residual from it and
+    ``solve(rhs, tol)``, a direct solve with the Jacobian at that candidate.
+    """
+    stiffness = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
+    weights = scheme.alpha_f[1:] / dt
+
+    def at_step(history, t):
+        h = _history(history, scheme.q)
+        fixed = romsys.reduced_mass @ (weights @ (h[:-1] - h[1:]))
+        fixed += romsys.reduced_diffusion @ h[0] + romsys.diffusion_lift
+        if romsys.system.forcing is not None:
+            fixed -= _reduced_load(romsys, t)
+
+        def linearise(d):
+            candidate = h[0] + d
+            slope = reaction_slope(romsys, candidate)
+            residual = rom_residual(stiffness, fixed, d, candidate, slope)
+            return residual, lambda rhs, tol: dense_lu_solve(rom_jacobian(romsys, stiffness, slope), rhs)
+
+        return linearise
+
+    return at_step
 
 
 def newton_tolerance(rule, dt: float, q: int) -> float:
@@ -298,7 +301,7 @@ def rom_integrate(
         dt,
         t_end,
         [coords0],
-        partial(rom_linearise, romsys),
+        partial(rom_linearisation, romsys),
         lambda order, step: newton_tolerance(newton_tol_rule, step, order),
     )
     return RomTrajectory(

@@ -205,14 +205,20 @@ class TestExtrapolate:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def scalar_linearise(lam):
+def scalar_linearisation(lam):
     """Time-loop callback for u' = lam u in increment form."""
 
-    def linearise(scheme, history, d, t, step):
-        residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
-        return residual, lambda rhs, tol: rhs / (float(scheme.delta_f[0]) / step - lam)
+    def linearisation(scheme, step):
+        def at_step(history, t):
+            def linearise(d):
+                residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
+                return residual, lambda rhs, tol: rhs / (float(scheme.delta_f[0]) / step - lam)
 
-    return linearise
+            return linearise
+
+        return at_step
+
+    return linearisation
 
 
 def tight(order, step):
@@ -223,8 +229,8 @@ class TestImplicitStep:
     def test_affine_residual_one_iteration(self):
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
-        linearise = scalar_linearise(-1.0)
-        sol, iters = implicit_step(scheme, h, lambda d: linearise(scheme, h, d, 0.1, 0.1), 1e-12)
+        linearise = scalar_linearisation(-1.0)(scheme, 0.1)(h, 0.1)
+        sol, iters = implicit_step(scheme, h, linearise, 1e-12)
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
 
@@ -305,7 +311,7 @@ class TestImplicitStep:
 def integrate_scalar(q, lam, dt, t_end, u0=1.0):
     """BDF-q on u' = lam u from the exact starting values u0 exp(lam t_j), j < q."""
     starting = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)]
-    states, _, _ = integrate(q, dt, t_end, starting, scalar_linearise(lam), tight)
+    states, _, _ = integrate(q, dt, t_end, starting, scalar_linearisation(lam), tight)
     return states[:, 0]
 
 
@@ -324,7 +330,7 @@ class TestScalarConvergence:
             assert abs(slopes[0] - q) < 0.2, f"q={q}: slope {slopes[0]}"
 
 
-def dict_bootstrap(q, dt, u0, linearise, tol):
+def dict_bootstrap(q, dt, u0, linearisation, tol):
     """The dict-based bootstrap loop ``run_bootstrap`` replaced, kept as its
     oracle: states keyed by integer multiples of the finest step, each
     history gathered from the dict, one implicit step at a time."""
@@ -337,13 +343,11 @@ def dict_bootstrap(q, dt, u0, linearise, tol):
     for order, step, count in plan:
         k = round(step / s_min)
         scheme = bdf_coefficients(order)
+        at_step = linearisation(scheme, step)
         for _ in range(count):
             history = np.array([states[t_units - j * k] for j in range(order)])
             t_units += k
-            t = t_units * s_min
-            sol, iters = implicit_step(
-                scheme, history, lambda d: linearise(scheme, history, d, t, step), tol(order, step)
-            )
+            sol, iters = implicit_step(scheme, history, at_step(history, t_units * s_min), tol(order, step))
             states[t_units] = sol
             counts.append(iters)
     k_dt = round(dt / s_min)
@@ -355,7 +359,7 @@ class TestRunBootstrap:
         lam = -2.0
         q = 3
         dt = 0.01
-        starting, counts = run_bootstrap(q, dt, np.array([1.0]), scalar_linearise(lam), tight)
+        starting, counts = run_bootstrap(q, dt, np.array([1.0]), scalar_linearisation(lam), tight)
         assert len(starting) == q - 1
         assert len(counts) == sum(count for _, _, count in bootstrap_plan(q, dt))
         for j, v in enumerate(starting, start=1):
@@ -368,21 +372,27 @@ class TestRunBootstrap:
     def test_matches_the_dict_loop(self, q, dt):
         # u' = -2 u + sin(3 t) + u^2 / 4 per component, so the times matter,
         # at a tolerance that takes one to three Newton updates per step
-        def linearise(scheme, history, d, t, step):
-            u = history[0] + d
-            residual = bdf_increment_form(scheme, d, history, step) + 2.0 * u - np.sin(3.0 * t) - u**2 / 4
+        def linearisation(scheme, step):
+            def at_step(history, t):
+                def linearise(d):
+                    u = history[0] + d
+                    residual = bdf_increment_form(scheme, d, history, step) + 2.0 * u - np.sin(3.0 * t) - u**2 / 4
 
-            def solve(rhs, tol):
-                return rhs / (float(scheme.delta_f[0]) / step + 2.0 - u / 2)
+                    def solve(rhs, tol):
+                        return rhs / (float(scheme.delta_f[0]) / step + 2.0 - u / 2)
 
-            return residual, solve
+                    return residual, solve
+
+                return linearise
+
+            return at_step
 
         def tol(order, step):
             return 1e-13
 
         u0 = np.array([1.0, -0.5])
-        got, got_counts = run_bootstrap(q, dt, u0, linearise, tol)
-        want, want_counts = dict_bootstrap(q, dt, u0, linearise, tol)
+        got, got_counts = run_bootstrap(q, dt, u0, linearisation, tol)
+        want, want_counts = dict_bootstrap(q, dt, u0, linearisation, tol)
         assert got_counts == want_counts
         assert len(got) == len(want) == q - 1
         # a segment's times are n * step, the dict loop's t_units * s_min;
@@ -410,7 +420,7 @@ class TestIntegrate:
         boot = sum(count for _, _, count in bootstrap_plan(q, dt)) if q > 1 else 0
         main = max(0, m - q + 1)
         states, counts, boot_counts = integrate(
-            q, dt, t_end, [np.array([1.0])], scalar_linearise(-2.0), tight
+            q, dt, t_end, [np.array([1.0])], scalar_linearisation(-2.0), tight
         )
         assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
@@ -419,11 +429,45 @@ class TestIntegrate:
         # with the q starting values given, nothing is bootstrapped
         calls.update(implicit_step=0, run_bootstrap=0)
         given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
-        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearise(-2.0), tight)
+        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearisation(-2.0), tight)
         assert calls == {"implicit_step": main, "run_bootstrap": 0}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
         assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)
         assert np.array_equal(states[:q], given[: m + 1])
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_callback_levels_are_called_once_per_run_step_and_candidate(self, q):
+        # per integrate call (one per bootstrap segment, one for the main
+        # loop), per implicit step, and per Newton candidate: one per update
+        # plus the predictor of each step
+        dt, t_end = 0.1, 1.0
+        calls = {"run": [], "step": 0, "linearise": 0}
+        model = scalar_linearisation(-2.0)
+
+        def linearisation(scheme, step):
+            calls["run"].append((scheme.q, step))
+            at_step = model(scheme, step)
+
+            def counted_step(history, t):
+                calls["step"] += 1
+                linearise = at_step(history, t)
+
+                def counted(d):
+                    calls["linearise"] += 1
+                    return linearise(d)
+
+                return counted
+
+            return counted_step
+
+        _, counts, boot_counts = integrate(q, dt, t_end, [np.array([1.0])], linearisation, tight)
+        plan = bootstrap_plan(q, dt)
+        assert len(calls["run"]) == len(plan) + 1
+        assert calls["run"] == [(order, step) for order, step, _ in plan] + [(q, dt)]
+        steps = len(counts) + len(boot_counts)
+        assert steps == sum(count for _, _, count in plan) + round(t_end / dt) - q + 1
+        assert calls["step"] == steps
+        assert calls["linearise"] == sum(counts) + sum(boot_counts) + steps
 
     @pytest.mark.parametrize(
         "t_fail, where",
@@ -431,13 +475,16 @@ class TestIntegrate:
          (0.1, "bootstrap BDF-1 step n = 1 at t = 0.1 (step size 0.1)")],
     )
     def test_failure_names_order_step_and_time(self, t_fail, where):
-        linearise = scalar_linearise(-2.0)
+        def failing(scheme, step):
+            at_step = scalar_linearisation(-2.0)(scheme, step)
 
-        def failing(scheme, history, d, t, step):
-            residual, jacobian = linearise(scheme, history, d, t, step)
-            if abs(t - t_fail) < 1e-12:
-                return np.array([1.0]), jacobian  # unsatisfiable
-            return residual, jacobian
+            def failing_step(history, t):
+                linearise = at_step(history, t)
+                if abs(t - t_fail) < 1e-12:
+                    return lambda d: (np.array([1.0]), linearise(d)[1])  # unsatisfiable
+                return linearise
+
+            return failing_step
 
         with pytest.raises(ConvergenceError) as info:
             integrate(2, 0.1, 1.0, [np.array([1.0])], failing, tight)
@@ -451,15 +498,15 @@ class TestIntegrate:
         # bootstrapped or given the q starting values, no step is taken
         calls = []
 
-        def linearise(scheme, history, d, t, step):
-            calls.append(t)
-            return scalar_linearise(-2.0)(scheme, history, d, t, step)
+        def linearisation(scheme, step):
+            calls.append(step)
+            return scalar_linearisation(-2.0)(scheme, step)
 
         starting = [np.array([1.0])] * n_starting
         with pytest.raises(ValueError, match="Newton tolerance must be positive"):
-            integrate(3, 0.1, 1.0, starting, linearise, lambda order, step: bad)
+            integrate(3, 0.1, 1.0, starting, linearisation, lambda order, step: bad)
         assert calls == []
 
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
-            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearise(-2.0), tight)
+            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), tight)

@@ -232,7 +232,7 @@ class TestInexactNewton:
         op = FomOperator(brusselator_system(0.002), space)
         w = perturbed_equilibrium(space, 0.2).ravel()
         scheme, dt = bdf_coefficients(5), 0.05
-        _, solve = op.linearise(scheme, np.array([w] * 5), np.zeros_like(w), 0.0, dt)
+        _, solve = op.linearisation(scheme, dt)(np.array([w] * 5), 0.0)(np.zeros_like(w))
         return solve, op.jacobian(w, scheme.delta_f[0] / dt)
 
     # 1e-12: the 0.5 clip; 1e-6: the forcing term itself; 1e4: the 1e-13 clip

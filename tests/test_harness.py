@@ -252,6 +252,26 @@ class TestStudies:
                     assert abs(row[key] - value) <= 1e-14 * value, (q, m, key)
                 assert q > 1 or row["start_l2"] == row["start_h1"] == 0.0
 
+    def test_convergence_row_without_main_loop_steps_is_nan(self, tmp_path):
+        # at q 5, M 4 every step is a starting value: the main-loop maxima are
+        # NaN, not 0, and the CSV leaves the pairwise orders next to it blank
+        setup = build_desk_setup(tiny_cfg())
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        results = temporal_convergence_study(
+            romsys, coords0, 1.6, q_values=(5,), m_values=(4, 8), ref_factor=4
+        )
+        short, full = results[5]
+        assert np.isnan(short["max_l2"]) and np.isnan(short["max_h1"])
+        assert short["start_l2"] > 0 and short["start_h1"] > 0
+        assert np.isfinite(full["max_l2"]) and full["max_l2"] > 0
+        conv = tmp_path / "conv.csv"
+        emit_convergence_csv(str(conv), results, 1.6)
+        rows = [line.split(",") for line in conv.read_text().splitlines() if line[0].isdigit()]
+        assert [row[:2] for row in rows] == [["5", "4"], ["5", "8"]]
+        assert rows[0][3:5] == ["nan", "nan"]
+        assert rows[0][-1] == rows[1][-1] == ""
+
     def test_r_refinement_monotone_projection(self):
         setup = build_desk_setup(tiny_cfg(M=24, T=2.4))
         rows = r_refinement_study(setup, setup.fom_traj, (2, 4, 6), q=2)

@@ -29,16 +29,17 @@ from podrom.mesh_fem import (
 )
 from podrom.linalg import dense_lu_solve
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
+from podrom import rom
 from podrom.rom import (
     RomTrajectory,
     _reaction_tensor,
+    _reduced_load,
     initial_coords,
     newton_tolerance,
     reaction_slope,
     rom_assemble,
     rom_integrate,
-    rom_jacobian,
-    rom_linearise,
+    rom_linearisation,
     rom_to_nodal_trajectory,
     save_rom_trajectory,
 )
@@ -98,13 +99,28 @@ def contract(tensor, chat, times):
     return tensor
 
 
+def solved_jacobian(solve, rhs):
+    """The matrix one ROM ``solve(rhs, tol)`` hands to dense_lu_solve, copied
+    at the call, checked to give the same update."""
+    seen = []
+
+    def recording(a, b):
+        seen.append(a.copy())
+        return dense_lu_solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rom, "dense_lu_solve", recording)
+        update = solve(rhs, 1.0)
+    [jacobian] = seen
+    assert np.array_equal(update, dense_lu_solve(jacobian, rhs))
+    return jacobian
+
+
 def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
-    """The residual of one ``rom_linearise`` and the Jacobian its ``solve``
-    solves with, checked on the residual as right-hand side."""
-    residual, solve = rom_linearise(romsys, scheme, history, increment, t, dt)
-    jacobian = rom_jacobian(romsys, scheme, dt, reaction_slope(romsys, history[0] + increment))
-    assert np.array_equal(solve(residual, 1.0), dense_lu_solve(jacobian, residual))
-    return residual, jacobian
+    """The residual of one ``rom_linearisation`` candidate and the Jacobian its
+    ``solve`` solves with, on the residual as right-hand side."""
+    residual, solve = rom_linearisation(romsys, scheme, dt)(history, t)(increment)
+    return residual, solved_jacobian(solve, residual)
 
 
 def lifted(romsys, coords):
@@ -216,12 +232,11 @@ class TestResidualAndJacobian:
         _, jac = residual_and_jacobian(romsys, scheme, history, d0, 0.3, dt)
         eps = 1e-6
         fd = np.empty_like(jac)
+        linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
         for j in range(romsys.r):
             e = np.zeros(romsys.r)
             e[j] = eps
-            rp, _ = rom_linearise(romsys, scheme, history, d0 + e, 0.3, dt)
-            rm, _ = rom_linearise(romsys, scheme, history, d0 - e, 0.3, dt)
-            fd[:, j] = (rp - rm) / (2 * eps)
+            fd[:, j] = (linearise(d0 + e)[0] - linearise(d0 - e)[0]) / (2 * eps)
         assert np.max(np.abs(jac - fd)) < 1e-5
 
     @pytest.mark.parametrize("setup", ["brusselator_p2", "brusselator_p2_full_rank", "forced_heat_p1"])
@@ -276,10 +291,47 @@ class TestResidualAndJacobian:
         assert shapes[0]["reaction_tensor"] == (30, 21)
 
     def test_history_length_guard(self):
+        # checked once per step, before any candidate
         _, _, _, romsys = brusselator_setup()
-        scheme = bdf_coefficients(3)
-        with pytest.raises(ValueError):
-            rom_linearise(romsys, scheme, [np.zeros(romsys.r)] * 2, np.zeros(romsys.r), 0.1, 0.1)
+        at_step = rom_linearisation(romsys, bdf_coefficients(3), 0.1)
+        with pytest.raises(ValueError, match="expected 3 states, got 2"):
+            at_step([np.zeros(romsys.r)] * 2, 0.1)
+
+    @pytest.mark.parametrize("setup", ["brusselator", "forced_heat"])
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_per_run_and_per_step_terms(self, setup, q):
+        # two candidates of one step share the per-run K and the per-step
+        # term: each residual matches the increment form, and each Jacobian
+        # the closed form at its own candidate, so K is never updated in
+        # place; q 1 has an empty history term
+        romsys = forced_heat_setup() if setup == "forced_heat" else brusselator_setup()[3]
+        scheme = bdf_coefficients(q)
+        dt, t = 0.1, 0.3
+        rng = np.random.default_rng(20 + q)
+        history = 0.1 * rng.standard_normal((q, romsys.r))
+        linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+        degree = max(romsys.system.degree, 1)
+        for d in 0.05 * rng.standard_normal((2, romsys.r)):
+            candidate = history[0] + d
+            slope = reaction_slope(romsys, candidate)
+            want = (
+                romsys.reduced_mass @ bdf_increment_form(scheme, d, history, dt)
+                + romsys.reduced_diffusion @ candidate
+                + romsys.diffusion_lift
+                + slope[:, 0]
+                + slope[:, 1:] @ candidate
+            )
+            if romsys.system.forcing is not None:
+                want -= _reduced_load(romsys, t)
+            residual, solve = linearise(d)
+            assert np.linalg.norm(residual - want) <= 1e-13 * np.linalg.norm(want)
+            jac = solved_jacobian(solve, residual)
+            closed = (
+                (scheme.delta_f[0] / dt) * romsys.reduced_mass
+                + romsys.reduced_diffusion
+                + degree * slope[:, 1:]
+            )
+            assert np.linalg.norm(jac - closed) <= 1e-13 * np.linalg.norm(closed)
 
     @pytest.mark.parametrize("rank", ["1", "d_r"])
     @pytest.mark.parametrize("setup", ["heat_u0", "heat_u1", "heat_u2", "heat_u3", "brusselator"])
