@@ -10,12 +10,11 @@ vanish on constrained dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import mmio
-from .bdf import bdf_increment_form, integrate
+from .bdf import _extrapolation_weights, bdf_increment_form, integrate
 from .linalg import CsrMatrix, coo_plan, krylov_solve
 from .mesh_fem import (
     FeSpace,
@@ -190,8 +189,8 @@ class FomOperator:
             np.searchsorted(ri * dim + ci, keys + a * n * (dim + 1)) for a in range(nc)
         ]
         # Dirichlet rows and columns are eliminated onto a unit diagonal
-        self._jac_eliminated = self.mask[ri] | self.mask[ci]
-        self._jac_unit = (ri == ci) & self.mask[ri]
+        self._jac_eliminated = np.flatnonzero(self.mask[ri] | self.mask[ci])
+        self._jac_eliminated_values = (ri == ci)[self._jac_eliminated].astype(np.float64)
 
     def split(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.nc, self.n)
@@ -232,40 +231,80 @@ class FomOperator:
         return r
 
     def linearisation(self, scheme, dt):
-        """``bdf.integrate``'s callback. Nothing is formed per run or per
-        step: ``at_step(hist_states, t)`` returns ``linearise(increment)``,
-        the residual at u^{n-1} + increment and ``solve(rhs, tol)``, the
-        inexact Newton update (``newton_update``) with the Jacobian at the
-        same candidate."""
+        """``bdf.integrate``'s callback. Per run it forms the Jacobian's
+        linear part (``jacobian_linear_part``); per step, ``at_step(hist_states,
+        t)`` returns ``linearise(increment)``: the residual at u^{n-1} +
+        increment and ``solve(rhs, tol)``, the inexact Newton update
+        (``newton_update``) with the Jacobian at the same candidate.
 
-        def linearise(hist_states, t, increment):
-            def solve(rhs, tol):
-                jac = self.jacobian(hist_states[0] + increment, scheme.delta_f[0] / dt)
-                return newton_update(jac, rhs, tol)
+        The first update of a step starts BiCGStab from the polynomial
+        extrapolation of the first updates of the run's previous three steps
+        (of all of them on its second and third step); the run's first step
+        and every later update of a step start from zero. On the desk run
+        (n_side 16, q 5, M 128) BiCGStab took 996 iterations from zero, 821,
+        719 and 662 from the extrapolation through one, two and three steps.
+        """
+        linear_part = self.jacobian_linear_part(scheme.delta_f[0] / dt)
+        firsts = []  # the first updates of the run's last three steps, newest first
 
-            return self.residual(increment, hist_states, scheme, dt, t), solve
+        def at_step(hist_states, t):
+            start = _extrapolation_weights(len(firsts)) @ np.array(firsts) if firsts else None
+            first = True
 
-        return lambda hist_states, t: partial(linearise, hist_states, t)
+            def linearise(increment):
+                def solve(rhs, tol):
+                    nonlocal first
+                    jac = self.jacobian(hist_states[0] + increment, linear_part)
+                    if not first:
+                        return newton_update(jac, rhs, tol)
+                    first = False
+                    x = newton_update(jac, rhs, tol, start)
+                    firsts[:] = [x, *firsts[:2]]
+                    return x
 
-    def jacobian(self, candidate, c0_over_dt) -> CsrMatrix:
+                return self.residual(increment, hist_states, scheme, dt, t), solve
+
+            return linearise
+
+        return at_step
+
+    def jacobian_linear_part(self, c0_over_dt) -> tuple:
+        """The Jacobian's linear part, fixed for a run: (c0_over_dt M, nu K)
+        in each diagonal block, as two pattern-aligned value arrays that
+        ``jacobian`` adds one after the other, so each entry is summed as
+        (reaction + c0_over_dt M) + nu K, the order of the block assembly;
+        adding c0_over_dt M + nu K as one array would move entries at
+        rounding level."""
+        mass, diffusion = np.zeros((2, self._jac_plan.pattern.nnz))
+        for a, block in enumerate(self._jac_diagonal_blocks):
+            mass[block] = c0_over_dt * self.mass.values
+            diffusion[block] = self.system.diffusion[a] * self.stiff.values
+        return mass, diffusion
+
+    def jacobian(self, candidate, linear_part) -> CsrMatrix:
+        """The Jacobian at ``candidate``: one ``bincount`` of the reaction
+        element matrices, plus ``linear_part`` (``jacobian_linear_part``), with
+        the Dirichlet rows and columns set onto a unit diagonal."""
         elem = _reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
         vals = self._jac_plan.assemble(elem.ravel())
-        for a, block in enumerate(self._jac_diagonal_blocks):
-            vals[block] += c0_over_dt * self.mass.values
-            vals[block] += self.system.diffusion[a] * self.stiff.values
-        vals[self._jac_eliminated] = 0.0
-        vals[self._jac_unit] = 1.0
+        for part in linear_part:
+            vals += part
+        vals[self._jac_eliminated] = self._jac_eliminated_values
         return self._jac_plan.csr(vals)
 
 
-def newton_update(jac: CsrMatrix, rhs: np.ndarray, tol: float) -> np.ndarray:
+def newton_update(
+    jac: CsrMatrix, rhs: np.ndarray, tol: float, x0: np.ndarray | None = None
+) -> np.ndarray:
     """J^{-1} rhs by BiCGStab, inexactly: to ||J x - rhs|| <= FORCING * tol,
     clipped to a relative 1e-13..0.5, so the Newton test on the true
-    residual, ||r|| <= tol, decides every accepted state as before."""
+    residual, ||r|| <= tol, decides every accepted state as before. BiCGStab
+    starts from ``x0``, or from zero when it is None; the start does not
+    change the tolerance, which stays relative to ||rhs||."""
     rhs_norm = float(np.linalg.norm(rhs))
     # a zero right-hand side is solved by zero at any tolerance
     rel = min(max(FORCING * tol / rhs_norm, 1e-13), 0.5) if rhs_norm > 0.0 else 0.5
-    x, _ = krylov_solve(jac, rhs, tol=rel)
+    x, _ = krylov_solve(jac, rhs, tol=rel, x0=x0)
     return x
 
 

@@ -283,20 +283,31 @@ def krylov_solve(
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
+    x0: np.ndarray | None = None,
 ):
     """Jacobi-preconditioned BiCGStab iterate with ||a x - b|| <= tol * ||b||,
-    started from zero.
+    started from ``x0``, or from zero when it is None. The test stays
+    relative to ||b||, whatever the start; b = 0 is solved by zero.
 
-    Returns (x, iteration_count). Raises ConvergenceError on breakdown or
-    iteration exhaustion.
+    Returns (x, iteration_count); a start that already meets the tolerance
+    is returned with 0 iterations. Raises ValueError for a non-conforming
+    operand or a tolerance that is not positive, and ConvergenceError at once
+    for a non-finite b or x0, and on breakdown or iteration exhaustion.
     """
     if a.rows != a.cols:
         raise ValueError("krylov_solve requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != a.cols:
+    if b.shape != (a.cols,):
         raise ValueError("right-hand side does not conform")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != b.shape:
+            raise ValueError(f"x0 has shape {x0.shape}, expected {b.shape}")
+    for name, v in (("right-hand side", b), ("start", x0)):
+        if v is not None and not np.all(np.isfinite(v)):
+            raise ConvergenceError(f"BiCGStab given a non-finite {name}", float("nan"))
     n = a.rows
     if max_iter is None:
         max_iter = 10 * n
@@ -306,10 +317,14 @@ def krylov_solve(
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), 0
-    x = np.zeros(n)
-    if bnorm <= tol * bnorm:  # the zero start already meets the tolerance
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()  # the residual of the zero start
+    else:
+        x = x0.copy()
+        r = b - a.matvec(x)
+    if np.linalg.norm(r) <= tol * bnorm:  # the start already meets the tolerance
         return x, 0
-    r = b.copy()  # the residual of the zero start
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = p = np.zeros(n)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import as_dense, norms
 from podrom import fom
-from podrom.bdf import bdf_coefficients
+from podrom.bdf import bdf_coefficients, bootstrap_plan, integrate
 from podrom.fom import (
     FomOperator,
     ReactionSystem,
@@ -20,7 +20,7 @@ from podrom.fom import (
     save_trajectory,
 )
 from podrom.harness import DEFAULT_T
-from podrom.linalg import block_csr, krylov_solve
+from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
     assemble_reaction_jacobian_system,
     build_mesh,
@@ -223,6 +223,8 @@ class TestInexactNewton:
     the Newton tolerance."""
 
     TOL = 1e-10
+    # the run of the tests below: 32 steps of T/128 at q 5
+    Q, M, DT = 5, 32, DEFAULT_T / 128
 
     @pytest.fixture(scope="class")
     def linearised(self):
@@ -233,7 +235,7 @@ class TestInexactNewton:
         w = perturbed_equilibrium(space, 0.2).ravel()
         scheme, dt = bdf_coefficients(5), 0.05
         _, solve = op.linearisation(scheme, dt)(np.array([w] * 5), 0.0)(np.zeros_like(w))
-        return solve, op.jacobian(w, scheme.delta_f[0] / dt)
+        return solve, op.jacobian(w, op.jacobian_linear_part(scheme.delta_f[0] / dt))
 
     # 1e-12: the 0.5 clip; 1e-6: the forcing term itself; 1e4: the 1e-13 clip
     @pytest.mark.parametrize(
@@ -243,9 +245,9 @@ class TestInexactNewton:
         solve, jacobian = linearised
         asked = []
 
-        def recording(a, b, tol):
+        def recording(a, b, tol, x0=None):
             asked.append(tol)
-            return krylov_solve(a, b, tol=tol)
+            return krylov_solve(a, b, tol=tol, x0=x0)
 
         monkeypatch.setattr(fom, "krylov_solve", recording)
         rhs = np.random.default_rng(7).standard_normal(jacobian.rows)
@@ -260,22 +262,69 @@ class TestInexactNewton:
         x = solve(np.zeros(jacobian.rows), self.TOL)
         assert np.array_equal(x, np.zeros(jacobian.rows))
 
+    def worst_step_residual(self, op, states, dt):
+        """The largest BDF-Q residual of the main-loop states of a run."""
+        q, scheme = self.Q, bdf_coefficients(self.Q)
+        return max(
+            np.linalg.norm(
+                op.residual(states[n] - states[n - 1], states[n - q : n][::-1], scheme, dt, n * dt)
+            )
+            for n in range(q, len(states))
+        )
+
     def test_stored_states_meet_their_bdf_equations(self):
-        q, m = 5, 32
         space = small_space(8, 2)
         sys = brusselator_system(0.002)
-        dt = DEFAULT_T / 128
-        traj = fom_integrate(sys, space, perturbed_equilibrium(space, 0.2), dt, m * dt, q)
-        op = FomOperator(sys, space)
-        scheme = bdf_coefficients(q)
-        states = traj.stacked()
-        worst = max(
-            np.linalg.norm(
-                op.residual(states[n] - states[n - 1], states[n - q : n][::-1], scheme, dt, traj.times[n])
-            )
-            for n in range(q, m + 1)
+        traj = fom_integrate(
+            sys, space, perturbed_equilibrium(space, 0.2), self.DT, self.M * self.DT, self.Q
         )
-        assert worst <= 2 * self.TOL
+        assert self.worst_step_residual(FomOperator(sys, space), traj.stacked(), self.DT) <= 2 * self.TOL
+
+    def counted_run(self, monkeypatch, dt, keep_start):
+        """A run over the window of self.M steps of self.DT in steps of
+        ``dt``, through a ``krylov_solve`` that counts; ``keep_start`` False
+        drops every start. Returns its states, its BiCGStab iterations, the
+        number of solves given no start, and the Newton updates per step."""
+        space = small_space(8, 2)
+        op = FomOperator(brusselator_system(0.002), space)
+        iterations, unstarted = [], []
+
+        def counting(a, b, tol, x0=None):
+            unstarted.append(x0 is None)
+            x, its = krylov_solve(a, b, tol=tol, x0=x0 if keep_start else None)
+            iterations.append(its)
+            return x, its
+
+        monkeypatch.setattr(fom, "krylov_solve", counting)
+        u0 = perturbed_equilibrium(space, 0.2).ravel()
+        tol = lambda order, step: self.TOL
+        states, counts, boot_counts = integrate(
+            self.Q, dt, self.M * self.DT, [u0], op.linearisation, tol
+        )
+        assert self.worst_step_residual(op, states, dt) <= 2 * self.TOL
+        return states, sum(iterations), sum(unstarted), counts + boot_counts
+
+    def runs(self, dt):
+        """The ``integrate`` calls of one run: its bootstrap segments and its main loop."""
+        return len(bootstrap_plan(self.Q, dt)) + 1
+
+    def test_warm_start_saves_krylov_iterations(self, monkeypatch):
+        """Each step's first update starts BiCGStab from the extrapolated
+        first updates of earlier steps of its run: 347 iterations against
+        557 from zero on this run; both runs meet their BDF equations."""
+        _, warm, unstarted, updates = self.counted_run(monkeypatch, self.DT, True)
+        _, cold, _, _ = self.counted_run(monkeypatch, self.DT, False)
+        assert warm <= 0.8 * cold, (warm, cold)
+        assert unstarted == self.runs(self.DT) + sum(updates) - len(updates)
+
+    def test_only_each_steps_first_update_is_started(self, monkeypatch):
+        """The first step of each run (the bootstrap segments and the main
+        loop) and every later update of a step start BiCGStab from zero. At
+        steps of T/32, 13 steps of the run take two or three updates."""
+        dt = 4 * self.DT
+        _, _, unstarted, updates = self.counted_run(monkeypatch, dt, True)
+        assert sum(updates) - len(updates) >= 10
+        assert unstarted == self.runs(dt) + sum(updates) - len(updates)
 
 
 class TestIntegratorInterface:
@@ -284,6 +333,14 @@ class TestIntegratorInterface:
         sys = heat_system(1.0)
         with pytest.raises(ValueError):
             fom_integrate(sys, space, np.zeros((1, space.n_dof)), 0.3, 1.0, 1)
+
+    def test_non_finite_residual_names_the_step(self):
+        # a load that turns NaN after t = 0.25 reaches BiCGStab as a NaN
+        # right-hand side at the step to t = 0.3, which fails at once
+        space = small_space(2, 1)
+        sys = heat_system(1.0, forcing=lambda x, y, t: np.full_like(x, np.nan if t > 0.25 else 0.0))
+        with pytest.raises(ConvergenceError, match=r"BDF-1 step n = 3 at t = 0\.3 .*non-finite"):
+            fom_integrate(sys, space, np.zeros((1, space.n_dof)), 0.1, 0.5, 1)
 
     def test_dirichlet_trace_held_exactly(self):
         space = small_space(4, 2)
@@ -316,7 +373,7 @@ class TestIntegratorInterface:
         ref.values[op.mask[ri] | op.mask[ci]] = 0.0
         ref.values[(ri == ci) & op.mask[ri]] = 1.0
         for _ in range(2):  # the pattern is reused across calls
-            jac = op.jacobian(w, c0)
+            jac = op.jacobian(w, op.jacobian_linear_part(c0))
             assert np.array_equal(jac.row_offsets, ref.row_offsets)
             assert np.array_equal(jac.col_indices, ref.col_indices)
             assert np.array_equal(jac.values, ref.values)
@@ -352,7 +409,7 @@ class TestIntegratorInterface:
         ri, ci = ref.row_indices(), ref.col_indices
         ref.values[op.mask[ri] | op.mask[ci]] = 0.0
         ref.values[(ri == ci) & op.mask[ri]] = 1.0
-        jac = op.jacobian(w, c0)
+        jac = op.jacobian(w, op.jacobian_linear_part(c0))
         assert np.array_equal(jac.row_offsets, ref.row_offsets)
         assert np.array_equal(jac.col_indices, ref.col_indices)
         assert np.array_equal(jac.values, ref.values)

@@ -364,3 +364,59 @@ class TestKrylov:
             krylov_solve(a, np.ones(5), tol=-1.0)
         with pytest.raises(ValueError):
             krylov_solve(a, np.ones(6))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            krylov_solve(laplacian_1d(5), np.ones(5), tol=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["b", "x0"])
+    def test_non_finite_input_raises_before_any_matvec(self, monkeypatch, bad, where):
+        # a non-finite b used to run all 10 n iterations before it raised
+        n = 200
+        a = laplacian_1d(n)
+        vecs = {"b": np.ones(n), "x0": np.zeros(n)}
+        vecs[where][n // 2] = bad
+        matvecs = []
+        monkeypatch.setattr(linalg, "csr_matvec", lambda *args: matvecs.append(1))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            krylov_solve(a, vecs["b"], tol=1e-10, x0=vecs["x0"])
+        assert matvecs == []
+
+    def test_exact_start_takes_no_iterations(self):
+        a = laplacian_1d(30)
+        b = np.random.default_rng(5).standard_normal(30)
+        exact = dense_lu_solve(as_dense(a), b)
+        x, iters = krylov_solve(a, b, tol=1e-10, x0=exact)
+        assert iters == 0
+        assert np.array_equal(x, exact)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+    def test_start_meets_the_tolerance_relative_to_b(self, scale):
+        # a start far worse than zero (scale 1e3) still ends at tol * ||b||
+        n = 40
+        a = laplacian_1d(n)
+        rng = np.random.default_rng(9)
+        b = rng.standard_normal(n)
+        x0 = dense_lu_solve(as_dense(a), b) + scale * rng.standard_normal(n)
+        x, iters = krylov_solve(a, b, tol=1e-10, x0=x0)
+        assert iters > 0
+        assert np.linalg.norm(a.matvec(x) - b) <= 1e-10 * np.linalg.norm(b) * 1.001
+
+    def test_start_leaves_no_trace_on_the_caller(self):
+        a = laplacian_1d(10)
+        x0 = np.ones(10)
+        x, _ = krylov_solve(a, np.arange(10.0), tol=1e-10, x0=x0)
+        assert np.array_equal(x0, np.ones(10))
+        assert x is not x0
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
+    def test_start_of_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="x0 has shape"):
+            krylov_solve(laplacian_1d(10), np.ones(10), x0=np.ones(shape))
+
+    def test_zero_rhs_gives_zero_whatever_the_start(self):
+        x, iters = krylov_solve(laplacian_1d(10), np.zeros(10), x0=np.arange(10.0))
+        assert np.array_equal(x, np.zeros(10))
+        assert iters == 0
