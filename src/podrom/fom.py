@@ -19,7 +19,7 @@ from .linalg import CsrMatrix, coo_plan, krylov_solve
 from .mesh_fem import (
     FeSpace,
     _reaction_jacobian_elements,
-    assemble_load,
+    assemble_load_system,
     assemble_reaction_system,
     build_mesh,
     build_space,
@@ -47,8 +47,10 @@ class ReactionSystem:
     dirichlet_values: tuple = ()
 
     def __post_init__(self):
-        if any(nu <= 0 for nu in self.diffusion):
-            raise ValueError("diffusion coefficients must be positive")
+        if not all(0 < nu < np.inf for nu in self.diffusion):
+            raise ValueError(
+                f"diffusion coefficients must be positive and finite, got {self.diffusion}"
+            )
         nc = self.n_components
         self.exponents = np.asarray(self.exponents, dtype=np.int64).reshape(-1, nc)
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -117,8 +119,8 @@ def brusselator_system(nu: float) -> ReactionSystem:
     Dirichlet values u = 1, v = 3 on gamma1; natural condition on gamma2.
     The (u, v) = (1, 3) state is an unstable equilibrium.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < np.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     exponents = [(0, 0), (1, 0), (2, 1)]  # 1, u, u^2 v
     coefficients = [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)]
     return ReactionSystem(2, (nu, nu), exponents, coefficients, None, (1.0, 3.0))
@@ -127,8 +129,8 @@ def brusselator_system(nu: float) -> ReactionSystem:
 def heat_system(nu: float, forcing=None, reaction: dict | None = None) -> ReactionSystem:
     """Scalar diffusion system, optionally with forcing and a polynomial
     reaction g(u) = sum_p reaction[p] u^p (e.g. {3: 1.0} for u^3)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < np.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     powers = sorted(reaction or {})
     return ReactionSystem(
         1,
@@ -165,8 +167,10 @@ class FomOperator:
         self.nc = system.n_components
         self.n = space.n_dof
         self.dim = self.nc * self.n
-        self.mass = space.mass_matrix()
-        self.stiff = space.stiffness_matrix()
+        self.mass = space.mass_matrix(self.nc)
+        self.stiff = space.stiffness_matrix(self.nc)
+        # nu per stacked dof, applied after the stiffness product
+        self.nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), self.n)
         self.mask = np.tile(space.dirichlet_mask, self.nc)
         # one plan from the element matrices of all nc^2 reaction blocks, in
         # the block-major order _reaction_jacobian_elements gives them, to the
@@ -181,13 +185,12 @@ class FomOperator:
             (np.tile(shift, nc)[:, None] + cols).ravel(),
         )
         ri, ci = self._jac_plan.pattern.row_indices(), self._jac_plan.pattern.col_indices
-        # the entries of space.pattern within each diagonal block (a, a): CSR
-        # entries are sorted by row * dim + col
-        scalar = space.pattern
-        keys = scalar.row_indices() * dim + scalar.col_indices
-        self._jac_diagonal_blocks = [
-            np.searchsorted(ri * dim + ci, keys + a * n * (dim + 1)) for a in range(nc)
-        ]
+        # the entries of the stacked mass and stiffness (block-diagonal, one
+        # pattern) within the block Jacobian: CSR entries are sorted by
+        # row * dim + col
+        self._jac_linear_entries = np.searchsorted(
+            ri * dim + ci, self.mass.row_indices() * dim + self.mass.col_indices
+        )
         # Dirichlet rows and columns are eliminated onto a unit diagonal
         self._jac_eliminated = np.flatnonzero(self.mask[ri] | self.mask[ci])
         self._jac_eliminated_values = (ri == ci)[self._jac_eliminated].astype(np.float64)
@@ -195,38 +198,22 @@ class FomOperator:
     def split(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.nc, self.n)
 
-    def mass_apply(self, w: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.mass.matvec(c) for c in self.split(w)])
-
-    def diffusion_apply(self, w: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [nu * self.stiff.matvec(c) for nu, c in zip(self.system.diffusion, self.split(w))]
-        )
-
     def reaction(self, w: np.ndarray) -> np.ndarray:
         return assemble_reaction_system(self.space, self.split(w), self.system.g).ravel()
 
-    def load(self, t: float) -> np.ndarray:
-        out = np.zeros(self.dim)
-        if self.system.forcing is not None:
-            for c, f in enumerate(self.system.forcing):
-                if f is not None:
-                    out[c * self.n : (c + 1) * self.n] = assemble_load(self.space, f, t)
-        return out
-
     def residual(self, increment, hist_states, scheme, dt, t):
-        """Algebraic residual of one BDF step at candidate u^{n-1} + increment.
+        """Algebraic residual M bdf_dt + nu (K u) + G(u) - F(t) of one BDF
+        step at the candidate u = u^{n-1} + increment, with M and K the
+        stacked mass and stiffness.
 
-        The discrete derivative is evaluated in first-difference form from
-        the increment, keeping the residual floor independent of dt."""
+        The discrete derivative bdf_dt is evaluated in first-difference form
+        from the increment, keeping the residual floor independent of dt."""
         bdf_dt = bdf_increment_form(scheme, increment, hist_states, dt)
         candidate = hist_states[0] + increment
-        r = (
-            self.mass_apply(bdf_dt)
-            + self.diffusion_apply(candidate)
-            + self.reaction(candidate)
-            - self.load(t)
-        )
+        r = self.mass.matvec(bdf_dt) + self.nu * self.stiff.matvec(candidate)
+        r += self.reaction(candidate)
+        if self.system.forcing is not None:
+            r -= assemble_load_system(self.space, self.system.forcing, t)
         r[self.mask] = 0.0
         return r
 
@@ -276,9 +263,8 @@ class FomOperator:
         adding c0_over_dt M + nu K as one array would move entries at
         rounding level."""
         mass, diffusion = np.zeros((2, self._jac_plan.pattern.nnz))
-        for a, block in enumerate(self._jac_diagonal_blocks):
-            mass[block] = c0_over_dt * self.mass.values
-            diffusion[block] = self.system.diffusion[a] * self.stiff.values
+        mass[self._jac_linear_entries] = c0_over_dt * self.mass.values
+        diffusion[self._jac_linear_entries] = self.nu[self.stiff.row_indices()] * self.stiff.values
         return mass, diffusion
 
     def jacobian(self, candidate, linear_part) -> CsrMatrix:

@@ -222,9 +222,13 @@ def temporal_convergence_study(
 
     Returns a dict keyed by q with rows (M, max_l2, max_h1, start_l2,
     start_h1, newton_counts); max_l2 and max_h1 are NaN when M < q leaves
-    no main-loop step.
+    no main-loop step. Raises ValueError, before any run, for an M that
+    does not divide the reference's M.
     """
     m_ref = ref_factor * max(m_values)
+    for m in m_values:
+        if m_ref % m:
+            raise ValueError(f"M = {m} does not divide m_ref = ref_factor * max(M) = {m_ref}")
     # the reference solve gets a fixed tight tolerance: the step-coupled rule
     # would demand residuals below roundoff at the reference step size
     ref = rom_integrate(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CooPlan, CsrMatrix, coo_plan
+from .linalg import CooPlan, CsrMatrix, block_csr, coo_plan
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -248,15 +248,28 @@ class FeSpace:
 
     # -- cached operators ----------------------------------------------------
 
-    def mass_matrix(self) -> CsrMatrix:
-        if "mass" not in self._cache:
-            self._cache["mass"] = assemble_mass(self)
-        return self._cache["mass"]
+    def mass_matrix(self, n_components: int = 1) -> CsrMatrix:
+        """The mass matrix, block-diagonal over ``n_components`` stacked fields."""
+        return self._stacked("mass", assemble_mass, n_components)
 
-    def stiffness_matrix(self) -> CsrMatrix:
-        if "stiffness" not in self._cache:
-            self._cache["stiffness"] = assemble_stiffness(self)
-        return self._cache["stiffness"]
+    def stiffness_matrix(self, n_components: int = 1) -> CsrMatrix:
+        """The stiffness matrix, block-diagonal over ``n_components`` stacked fields."""
+        return self._stacked("stiffness", assemble_stiffness, n_components)
+
+    def _stacked(self, kind: str, assemble, n_components: int) -> CsrMatrix:
+        """The scalar operator ``assemble(self)`` in each diagonal block of an
+        (n_components x n_components) block matrix, built once per count."""
+        key = (kind, n_components)
+        if key not in self._cache:
+            if n_components == 1:
+                self._cache[key] = assemble(self)
+            elif n_components > 1:
+                scalar = self._stacked(kind, assemble, 1).values
+                blocks = {(c, c): scalar for c in range(n_components)}
+                self._cache[key] = block_csr(self.pattern, blocks, n_components)
+            else:
+                raise ValueError(f"n_components must be at least 1, got {n_components}")
+        return self._cache[key]
 
 
 def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
@@ -320,6 +333,15 @@ def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
     fx = f(qc[..., 0], qc[..., 1]) if t is None else f(qc[..., 0], qc[..., 1], t)
     elem = (np.asarray(fx, dtype=np.float64) * space._quadrature_weights()) @ nvals
     return np.bincount(space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dof)
+
+
+def assemble_load_system(space: FeSpace, forcing, t: float) -> np.ndarray:
+    """Stacked load of a multi-component system: ``assemble_load`` at time t
+    per component of ``forcing``, a list of f(x, y, t) whose None entries
+    are zero."""
+    return np.concatenate(
+        [np.zeros(space.n_dof) if f is None else assemble_load(space, f, t) for f in forcing]
+    )
 
 
 def quadrature_rule(space: FeSpace):

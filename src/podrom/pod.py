@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mmio
 from .fom import Trajectory
-from .linalg import CsrMatrix, block_csr, sym_eigen
+from .linalg import CsrMatrix, sym_eigen
 from .mesh_fem import FeSpace
 
 W0_INITIAL = "initial"
@@ -71,8 +71,8 @@ class PodBasis:
 
 def build_snapshots(traj: Trajectory, tau: float, w0_mode: str = W0_ZERO) -> SnapshotSet:
     """Assemble the N = M + 1 snapshot columns from a trajectory."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if traj.n_steps < 1:
         raise ValueError("trajectory needs at least one interval")
     u = traj.stacked()  # (M + 1, dim)
@@ -97,17 +97,12 @@ def build_snapshots(traj: Trajectory, tau: float, w0_mode: str = W0_ZERO) -> Sna
 
 
 def gram_matrix(space: FeSpace, inner_product: str, n_components: int) -> CsrMatrix:
-    """Block-diagonal stiffness (H10) or mass (L2) operator for stacked fields."""
+    """The space's stacked stiffness (H10) or mass (L2) operator."""
     if inner_product == H10:
-        scalar = space.stiffness_matrix()
-    elif inner_product == L2:
-        scalar = space.mass_matrix()
-    else:
-        raise ValueError(f"unknown inner product {inner_product!r}, expected {H10} or {L2}")
-    if n_components == 1:
-        return scalar
-    blocks = {(c, c): scalar.values for c in range(n_components)}
-    return block_csr(space.pattern, blocks, n_components)
+        return space.stiffness_matrix(n_components)
+    if inner_product == L2:
+        return space.mass_matrix(n_components)
+    raise ValueError(f"unknown inner product {inner_product!r}, expected {H10} or {L2}")
 
 
 def correlation_matrix(snaps: SnapshotSet, gram: CsrMatrix) -> np.ndarray:

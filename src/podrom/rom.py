@@ -28,9 +28,9 @@ is formed before the first one (``rom_linearisation``): per run the linear
 part K = (delta_0/dt) M_r + D_r of the Jacobian, per step the BDF history
 term with the constant part of the residual, so a candidate d costs
 K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. Only a forced system
-keeps arrays sized by the quadrature points: its load Phi^T f(t) is
-projected by quadrature at O(nc * ne * nq * r) per step, because f(x, y, t)
-is arbitrary.
+does mesh-sized work online: its per-step term takes Phi^T F(t) from the
+nodal load the FOM assembles (``assemble_load_system``), at O(nc (ne nq +
+n_dof r)) per step, because f(x, y, t) is arbitrary.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from . import mmio
 from .bdf import BdfScheme, _history, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
 from .linalg import dense_lu_solve
-from .mesh_fem import FeSpace, _states_at_quadrature, quadrature_rule
+from .mesh_fem import FeSpace, _states_at_quadrature, assemble_load_system, quadrature_rule
 from .pod import InvalidRankError, PodBasis, project
 
 #: the tensor build takes the quadrature points in blocks whose factors hold at
@@ -66,8 +66,6 @@ class RomSystem:
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
     reaction_tensor: np.ndarray | None  # (r (r + 1), C(r + D - 1, D - 1)): Tc, None without a reaction
     reaction_monomials: np.ndarray | None  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
-    load_modes: np.ndarray | None  # (r, nc * nqp): weight x modes at the quadrature points
-    load_points: np.ndarray | None  # (nqp, 2): their physical coordinates; forced systems only
     system: ReactionSystem
     space: FeSpace
 
@@ -100,18 +98,14 @@ def rom_assemble(
     nc, n = system.n_components, space.n_dof
     phi = basis.modes[:, :r]
     lift = np.zeros(nc * n) if lift is None else np.asarray(lift, dtype=np.float64)
-    mass, stiff = space.mass_matrix(), space.stiffness_matrix()
-    phi_c = phi.reshape(nc, n, r)
-    mphi = np.concatenate([mass.matvec(p) for p in phi_c])
-    aphi = np.concatenate([stiff.matvec(p) for p in phi_c])
+    stiff = space.stiffness_matrix(nc)
+    mphi = space.mass_matrix(nc).matvec(phi)
+    aphi = stiff.matvec(phi)
+    alift = stiff.matvec(lift)
     nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), n)
-    alift = np.concatenate([stiff.matvec(c) for c in lift.reshape(nc, n)])
-    points, weights = quadrature_rule(space)
-    weights = weights.ravel()
-    modes_q = _states_at_quadrature(space, phi_c.transpose(2, 0, 1).reshape(r * nc, n))
-    modes_q = modes_q.reshape(r, nc, -1)
+    weights = quadrature_rule(space)[1].ravel()
+    modes_q = _states_at_quadrature(space, phi.T.reshape(r * nc, n)).reshape(r, nc, -1)
     lift_q = _states_at_quadrature(space, lift.reshape(nc, n)).reshape(nc, -1)
-    forced = system.forcing is not None
     tensor = _reaction_tensor(system, modes_q, lift_q, weights)
     reaction, monomials = (None, None) if tensor is None else _compress(tensor)
     return RomSystem(
@@ -124,8 +118,6 @@ def rom_assemble(
         lift,
         reaction,
         monomials,
-        (weights * modes_q).reshape(r, -1) if forced else None,
-        points.reshape(-1, 2) if forced else None,
         system,
         space,
     )
@@ -190,16 +182,6 @@ def _compress(tensor: np.ndarray):
     return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1)), np.ascontiguousarray(index.T)
 
 
-def _reduced_load(romsys: RomSystem, t: float) -> np.ndarray:
-    """Phi^T f(t), by the quadrature ``assemble_load`` uses."""
-    x, y = romsys.load_points[:, 0], romsys.load_points[:, 1]
-    vals = np.zeros((romsys.system.n_components, len(x)))
-    for c, f in enumerate(romsys.system.forcing):
-        if f is not None:
-            vals[c] = f(x, y, t)
-    return romsys.load_modes @ vals.ravel()
-
-
 def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray | None:
     """S = T . (1, c)^(D-1), an (r, r + 1) array, or None without a reaction:
     the reduced reaction at c is S (1, c), its Jacobian D S[:, 1:]."""
@@ -239,9 +221,10 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
     Per run it forms K = (delta_0/dt) M_r + D_r. Per step, ``at_step(history,
     t)`` checks that ``history`` holds the q previous coordinate vectors,
     newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
-    D_r h_0 + diffusion_lift - Phi^T f(t). Per candidate, ``linearise(d)``
-    forms one ``reaction_slope`` at h_0 + d, the residual from it and
-    ``solve(rhs, tol)``, a direct solve with the Jacobian at that candidate.
+    D_r h_0 + diffusion_lift - Phi^T F(t), F the stacked nodal load of a
+    forced system. Per candidate, ``linearise(d)`` forms one
+    ``reaction_slope`` at h_0 + d, the residual from it and ``solve(rhs,
+    tol)``, a direct solve with the Jacobian at that candidate.
     """
     stiffness = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
     weights = scheme.alpha_f[1:] / dt
@@ -251,7 +234,7 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
         fixed = romsys.reduced_mass @ (weights @ (h[:-1] - h[1:]))
         fixed += romsys.reduced_diffusion @ h[0] + romsys.diffusion_lift
         if romsys.system.forcing is not None:
-            fixed -= _reduced_load(romsys, t)
+            fixed -= romsys.modes.T @ assemble_load_system(romsys.space, romsys.system.forcing, t)
 
         def linearise(d):
             candidate = h[0] + d

@@ -12,15 +12,12 @@ def as_dense(a) -> np.ndarray:
 
 
 def norms(space, v):
-    """(L2 norm, H1 seminorm) of a nodal field; multi-component fields are
-    stacked and the quadratic forms summed over components."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        if v.size % space.n_dof != 0:
-            raise ValueError("vector length must be a multiple of n_dof")
-        v = v.reshape(-1, space.n_dof)
-    m = space.mass_matrix()
-    a = space.stiffness_matrix()
-    l2sq = sum(float(c @ m.matvec(c)) for c in v)
-    h1sq = sum(float(c @ a.matvec(c)) for c in v)
+    """(L2 norm, H1 seminorm) of a nodal field; a multi-component field,
+    stacked or (n_comp, n_dof), by the space's stacked mass and stiffness."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if v.size % space.n_dof != 0:
+        raise ValueError("vector length must be a multiple of n_dof")
+    nc = v.size // space.n_dof
+    l2sq = float(v @ space.mass_matrix(nc).matvec(v))
+    h1sq = float(v @ space.stiffness_matrix(nc).matvec(v))
     return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import as_dense, norms
 from podrom import fom
-from podrom.bdf import bdf_coefficients, bootstrap_plan, integrate
+from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, integrate
 from podrom.fom import (
     FomOperator,
     ReactionSystem,
@@ -22,7 +22,9 @@ from podrom.fom import (
 from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
+    assemble_load,
     assemble_reaction_jacobian_system,
+    assemble_reaction_system,
     build_mesh,
     build_space,
     interpolate,
@@ -112,6 +114,14 @@ class TestBrusselatorSystem:
             heat_system(-1.0)
         with pytest.raises(ValueError):
             ReactionSystem(1, (0.0,), [(1,)], [[1.0]])
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_diffusion_that_is_not_positive_and_finite(self, nu):
+        for make in (brusselator_system, heat_system):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                make(nu)
+        with pytest.raises(ValueError, match="diffusion coefficients must be positive and finite"):
+            ReactionSystem(2, (1.0, nu), [(1, 0)], [[1.0], [0.0]])
 
 
 class TestEquilibrium:
@@ -351,6 +361,52 @@ class TestIntegratorInterface:
         assert np.all(traj.states[:, 0, mask] == 1.0)
         assert np.all(traj.states[:, 1, mask] == 3.0)
 
+    @pytest.mark.parametrize(
+        "degree, system",
+        [
+            (2, brusselator_system(0.002)),
+            (1, heat_system(0.5, forcing=lambda x, y, t: (1.0 + t) * x * y, reaction={3: 1.0})),
+            (
+                2,
+                ReactionSystem(
+                    2,
+                    (0.01, 0.03),
+                    [(0, 0), (1, 0), (2, 1)],
+                    [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)],
+                    [None, lambda x, y, t: np.cos(t) * (x - y)],
+                    (1.0, 3.0),
+                ),
+            ),
+        ],
+        ids=["brusselator-P2", "forced-cubic-heat-P1", "one-forced-component-P2"],
+    )
+    def test_residual_matches_per_component_formula(self, degree, system):
+        # oracle: the scalar mass and stiffness applied component by
+        # component, nu after the product, minus each component's load
+        space = small_space(4, degree)
+        op = FomOperator(system, space)
+        scheme = bdf_coefficients(3)
+        dt, t = 0.1, 0.3
+        rng = np.random.default_rng(degree + op.nc)
+        base = equilibrium_state(system, space).ravel()
+        history = [base + 0.1 * rng.standard_normal(op.dim) for _ in range(3)]
+        increment = 0.05 * rng.standard_normal(op.dim)
+        bdf_dt = op.split(bdf_increment_form(scheme, increment, history, dt))
+        candidate = op.split(history[0] + increment)
+        reaction = assemble_reaction_system(space, candidate, system.g)
+        forcing = system.forcing or [None] * op.nc
+        want = []
+        for c in range(op.nc):
+            term = space.mass_matrix().matvec(bdf_dt[c])
+            term = term + system.diffusion[c] * space.stiffness_matrix().matvec(candidate[c])
+            term = term + reaction[c]
+            if forcing[c] is not None:
+                term = term - assemble_load(space, forcing[c], t)
+            want.append(term)
+        want = np.concatenate(want)
+        want[op.mask] = 0.0
+        assert np.array_equal(op.residual(increment, history, scheme, dt, t), want)
+
     def test_jacobian_matches_block_assembly(self):
         # reference: the block matrix assembled from COO triplets, Dirichlet
         # rows and columns zeroed and a unit diagonal put on constrained dofs
@@ -365,8 +421,8 @@ class TestIntegratorInterface:
             for b in range(2):
                 vals = gp[a, b]
                 if a == b:
-                    vals = vals + c0 * op.mass.values
-                    vals = vals + sys.diffusion[a] * op.stiff.values
+                    vals = vals + c0 * space.mass_matrix().values
+                    vals = vals + sys.diffusion[a] * space.stiffness_matrix().values
                 blocks[(a, b)] = vals
         ref = block_csr(space.pattern, blocks, 2)
         ri, ci = ref.row_indices(), ref.col_indices
@@ -402,8 +458,8 @@ class TestIntegratorInterface:
             for b in range(op.nc):
                 vals = gp[a, b]
                 if a == b:
-                    vals = vals + c0 * op.mass.values
-                    vals = vals + system.diffusion[a] * op.stiff.values
+                    vals = vals + c0 * space.mass_matrix().values
+                    vals = vals + system.diffusion[a] * space.stiffness_matrix().values
                 blocks[(a, b)] = vals
         ref = block_csr(space.pattern, blocks, op.nc)
         ri, ci = ref.row_indices(), ref.col_indices

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from podrom import cli, mmio
+from podrom import cli, harness, mmio
 from podrom.fom import load_trajectory
 from podrom.harness import (
     SYSTEMS,
@@ -271,6 +271,18 @@ class TestStudies:
         assert [row[:2] for row in rows] == [["5", "4"], ["5", "8"]]
         assert rows[0][3:5] == ["nan", "nan"]
         assert rows[0][-1] == rows[1][-1] == ""
+
+    def test_convergence_study_rejects_m_not_dividing_the_reference(self, monkeypatch):
+        # ref_factor 2 x max M 32 = 64, which M 24 does not divide: rejected
+        # before the reference run, not by a broadcast error after it
+        setup = build_desk_setup(tiny_cfg(M=32, T=3.2))
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        runs = []
+        monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=r"M = 24 does not divide m_ref .* = 64"):
+            temporal_convergence_study(romsys, coords0, 3.2, m_values=(24, 32), ref_factor=2)
+        assert runs == []
 
     def test_r_refinement_monotone_projection(self):
         setup = build_desk_setup(tiny_cfg(M=24, T=2.4))

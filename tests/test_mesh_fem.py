@@ -16,6 +16,7 @@ from podrom.mesh_fem import (
     GAMMA2,
     _states_at_quadrature,
     assemble_load,
+    assemble_load_system,
     assemble_mass,
     assemble_reaction_jacobian_system,
     assemble_reaction_system,
@@ -197,6 +198,46 @@ class TestStiffness:
         )
         lam = sym_eigen(as_dense(a)).eigenvalues
         assert lam[-1] > 0
+
+
+class TestStackedOperators:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("nc", [1, 2, 3])
+    def test_match_per_component_scalar_products(self, degree, nc):
+        space = build_space(build_mesh(3), degree)
+        n = space.n_dof
+        rng = np.random.default_rng(10 * degree + nc)
+        vector = rng.standard_normal(nc * n)
+        columns = rng.standard_normal((nc * n, 4))
+        for stacked, scalar in (
+            (space.mass_matrix(nc), space.mass_matrix()),
+            (space.stiffness_matrix(nc), space.stiffness_matrix()),
+        ):
+            assert (stacked.rows, stacked.cols) == (nc * n, nc * n)
+            want = np.concatenate([scalar.matvec(c) for c in vector.reshape(nc, n)])
+            assert np.array_equal(stacked.matvec(vector), want)
+            want = np.concatenate([scalar.matvec(c) for c in columns.reshape(nc, n, 4)])
+            assert np.array_equal(stacked.matvec(columns), want)
+
+    def test_built_once_per_count(self):
+        space = build_space(build_mesh(2), 2)
+        for nc in (1, 2, 3):
+            assert space.mass_matrix(nc) is space.mass_matrix(nc)
+            assert space.stiffness_matrix(nc) is space.stiffness_matrix(nc)
+        assert space.mass_matrix() is space.mass_matrix(1)
+        assert space.mass_matrix(2) is not space.stiffness_matrix(2)
+
+    def test_rejects_a_count_below_one(self):
+        space = build_space(build_mesh(2), 1)
+        with pytest.raises(ValueError, match="n_components must be at least 1"):
+            space.mass_matrix(0)
+
+    def test_load_system_stacks_component_loads(self):
+        space = build_space(build_mesh(3), 2)
+        f = lambda x, y, t: t * x + y
+        load = assemble_load_system(space, [None, f, f], 0.5)
+        want = np.concatenate([np.zeros(space.n_dof)] + [assemble_load(space, f, 0.5)] * 2)
+        assert np.array_equal(load, want)
 
 
 class TestReaction:

@@ -95,6 +95,12 @@ class TestSnapshotConstruction:
         with pytest.raises(ValueError):
             build_snapshots(short, 1.0, W0_INITIAL)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_tau_that_is_not_positive_and_finite(self, tau):
+        traj, _ = toy_trajectory(np.eye(9)[:3])
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            build_snapshots(traj, tau, W0_ZERO)
+
 
 class TestCorrelationMatrix:
     def test_against_dense_triple_product(self):
@@ -124,6 +130,14 @@ class TestCorrelationMatrix:
         snaps = build_snapshots(traj, 1.0, W0_INITIAL)
         with pytest.raises(ValueError):
             correlation_matrix(snaps, eye_csr(5))
+
+    def test_gram_operator_is_the_spaces_stacked_operator(self):
+        # a selector over the operators the space caches: nothing is built per call
+        space = build_space(build_mesh(2), 2)
+        for nc in (1, 2):
+            assert gram_matrix(space, H10, nc) is space.stiffness_matrix(nc)
+            assert gram_matrix(space, L2, nc) is space.mass_matrix(nc)
+            assert gram_matrix(space, H10, nc) is gram_matrix(space, H10, nc)
 
     def test_unknown_inner_product_rejected(self):
         # the names are case-sensitive: "h10" is not silently the L2 product
