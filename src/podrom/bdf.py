@@ -68,7 +68,7 @@ def bdf_coefficients(q: int) -> BdfScheme:
     )
 
 
-def _history(states, length: int) -> np.ndarray:
+def as_history(states, length: int) -> np.ndarray:
     """``states`` (a (length, dim) array or a list of vectors) as one array."""
     states = np.asarray(states, dtype=np.float64)
     if len(states) != length:
@@ -78,12 +78,12 @@ def _history(states, length: int) -> np.ndarray:
 
 def bdf_apply(scheme: BdfScheme, states, dt: float) -> np.ndarray:
     """(1/dt) sum_i delta_i u^{n-i} for q+1 states ordered newest first."""
-    return scheme.delta_f @ _history(states, scheme.q + 1) / dt
+    return scheme.delta_f @ as_history(states, scheme.q + 1) / dt
 
 
 def bdf_apply_as_differences(scheme: BdfScheme, states, dt: float) -> np.ndarray:
     """Same derivative, written as weighted first-order differences."""
-    u = _history(states, scheme.q + 1)
+    u = as_history(states, scheme.q + 1)
     return scheme.alpha_f @ (u[:-1] - u[1:]) / dt
 
 
@@ -95,7 +95,7 @@ def bdf_increment_form(scheme: BdfScheme, increment, hist_states, dt: float) -> 
     u^n first and subtracting would quantize the difference at the ulp of the
     full state, which the 1/dt factor amplifies.
     """
-    h = _history(hist_states, scheme.q)
+    h = as_history(hist_states, scheme.q)
     alpha = scheme.alpha_f
     return (alpha[0] * increment + alpha[1:] @ (h[:-1] - h[1:])) / dt
 
@@ -127,7 +127,7 @@ def bootstrap_plan(q: int, dt: float):
 
 
 @lru_cache(maxsize=None)
-def _extrapolation_weights(k: int) -> np.ndarray:
+def extrapolation_weights(k: int) -> np.ndarray:
     """Weights of the degree k-1 extrapolation through k uniform points,
     read-only because the cache hands the same array to every caller."""
     weights = np.array([(-1.0) ** j * math.comb(k, j + 1) for j in range(k)])
@@ -143,7 +143,7 @@ def extrapolate_increment(history_states) -> np.ndarray:
     combination of history differences and stays small at small steps.
     """
     h = np.asarray(history_states, dtype=np.float64)
-    return _extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
+    return extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
 
 
 def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float):

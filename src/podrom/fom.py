@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mmio
-from .bdf import _extrapolation_weights, bdf_increment_form, integrate
+from .bdf import bdf_increment_form, extrapolation_weights, integrate
 from .linalg import CsrMatrix, coo_plan, krylov_solve
 from .mesh_fem import (
     FeSpace,
-    _reaction_jacobian_elements,
     assemble_load_system,
     assemble_reaction_system,
     build_mesh,
     build_space,
+    reaction_jacobian_elements,
 )
 
 
@@ -173,10 +173,12 @@ class FomOperator:
         self.nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), self.n)
         self.mask = np.tile(space.dirichlet_mask, self.nc)
         # one plan from the element matrices of all nc^2 reaction blocks, in
-        # the block-major order _reaction_jacobian_elements gives them, to the
-        # block Jacobian
+        # the block-major order reaction_jacobian_elements gives them, to the
+        # block Jacobian; each element entry's row and column are those of
+        # the stored entry the space's plan maps it to
         nc, n, dim = self.nc, self.n, self.dim
-        rows, cols = space._element_entries()
+        rows = space.plan.pattern.row_indices()[space.plan.entry]
+        cols = space.plan.pattern.col_indices[space.plan.entry]
         shift = n * np.arange(nc)
         self._jac_plan = coo_plan(
             dim,
@@ -235,7 +237,7 @@ class FomOperator:
         firsts = []  # the first updates of the run's last three steps, newest first
 
         def at_step(hist_states, t):
-            start = _extrapolation_weights(len(firsts)) @ np.array(firsts) if firsts else None
+            start = extrapolation_weights(len(firsts)) @ np.array(firsts) if firsts else None
             first = True
 
             def linearise(increment):
@@ -271,7 +273,7 @@ class FomOperator:
         """The Jacobian at ``candidate``: one ``bincount`` of the reaction
         element matrices, plus ``linear_part`` (``jacobian_linear_part``), with
         the Dirichlet rows and columns set onto a unit diagonal."""
-        elem = _reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
+        elem = reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
         vals = self._jac_plan.assemble(elem.ravel())
         for part in linear_part:
             vals += part
@@ -361,26 +363,24 @@ def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
         mmio.write_dense(stem + f".comp{c}.mtx", traj.states[:, c, :].T)
 
 
-def load_trajectory(stem: str, space: FeSpace | None = None) -> tuple:
+def load_trajectory(stem: str) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
-    rebuilt from the header when not supplied. A header key the load needs
-    that is missing, or a component file whose shape disagrees with the
-    header's n_dof and M, raises ValueError."""
+    rebuilt from the header. A header key the load needs that is missing, or
+    a component file whose shape disagrees with the header's n_dof and M,
+    raises ValueError."""
     header = {}
     with open(stem + ".traj") as fh:
         for line in fh:
             if "=" in line:
                 k, v = line.split("=", 1)
                 header[k.strip()] = v.strip()
-    needed = ["dt", "M", "components", "n_dof"] + (["n_side", "degree"] if space is None else [])
-    missing = [k for k in needed if k not in header]
+    missing = [k for k in ("dt", "M", "components", "n_dof", "n_side", "degree") if k not in header]
     if missing:
         raise ValueError(f"{stem}.traj: missing header key(s) {', '.join(missing)}")
     dt = float(header["dt"])
     m = int(header["M"])
     n_comp = int(header["components"])
-    if space is None:
-        space = build_space(build_mesh(int(header["n_side"])), int(header["degree"]))
+    space = build_space(build_mesh(int(header["n_side"])), int(header["degree"]))
     states = np.empty((m + 1, n_comp, space.n_dof))
     expected = (int(header["n_dof"]), m + 1)
     if expected[0] != space.n_dof:

@@ -18,14 +18,7 @@ from .fom import (
     heat_system,
     perturbed_equilibrium,
 )
-from .mesh_fem import (
-    FeSpace,
-    _states_at_quadrature,
-    build_mesh,
-    build_space,
-    interpolate,
-    quadrature_rule,
-)
+from .mesh_fem import FeSpace, build_mesh, build_space, interpolate
 from .pod import (
     H10,
     INNER_PRODUCTS,
@@ -98,7 +91,9 @@ class RunConfig:
 
 
 def parse_config(path: str) -> RunConfig:
-    """Flat key = value file with # comments."""
+    """Flat key = value file with # comments. Each value is read as the type
+    of its RunConfig field's default; a tuple as comma-separated entries."""
+    defaults = vars(RunConfig())
     kwargs = {}
     with open(path) as fh:
         for raw in fh:
@@ -108,16 +103,13 @@ def parse_config(path: str) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key in ("n_side", "degree", "M", "q", "seed"):
-                kwargs[key] = int(val)
-            elif key in ("nu", "T", "tau"):
-                kwargs[key] = float(val)
-            elif key == "r_grid":
-                kwargs[key] = tuple(int(v) for v in val.split(","))
-            elif key in ("system", "w0_mode", "inner_product", "newton_rule", "out_dir"):
-                kwargs[key] = val
-            else:
+            if key not in defaults:
                 raise ValueError(f"unknown config key: {key}")
+            default = defaults[key]
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(v) for v in val.split(","))
+            else:
+                kwargs[key] = type(default)(val)
     return RunConfig(**kwargs)
 
 
@@ -148,9 +140,9 @@ def estimate_order(errors):
 
 def l2_error_vs_exact(space: FeSpace, nodal: np.ndarray, exact) -> float:
     """Quadrature L2 norm of u_h - u for a scalar field and exact u(x, y)."""
-    qc, weights = quadrature_rule(space)
-    diff = _states_at_quadrature(space, nodal[None])[0] - exact(qc[..., 0], qc[..., 1])
-    return float(np.sqrt(np.sum(weights * diff**2)))
+    qc = space.quadrature_points
+    diff = space.at_quadrature(nodal[None])[0] - exact(qc[..., 0], qc[..., 1])
+    return float(np.sqrt(np.sum(space.quadrature_weights * diff**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +173,21 @@ def initial_state(cfg: RunConfig, space: FeSpace):
 
 
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:
-    """FOM snapshot run plus POD basis per the configured protocol."""
-    space = build_space(build_mesh(cfg.n_side), cfg.degree)
+    """FOM snapshot run plus POD basis per the configured protocol; a given
+    ``fom_traj`` brings its own space, which must have the config's n_side,
+    degree and number of components (ValueError otherwise)."""
     system = make_system(cfg)
     if fom_traj is None:
+        space = build_space(build_mesh(cfg.n_side), cfg.degree)
         dt = cfg.T / cfg.M
         fom_traj = fom_integrate(system, space, initial_state(cfg, space), dt, cfg.T, cfg.q)
+    space, nc = fom_traj.space, fom_traj.states.shape[1]
+    if (space.mesh.n_side, space.degree, nc) != (cfg.n_side, cfg.degree, system.n_components):
+        raise ValueError(
+            f"the FOM trajectory has n_side = {space.mesh.n_side}, degree = {space.degree} "
+            f"and {nc} component(s), but the config gives n_side = {cfg.n_side}, degree = "
+            f"{cfg.degree} and system = {cfg.system} with {system.n_components}"
+        )
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
     return DeskSetup(cfg, space, system, fom_traj, snaps, basis)
 
@@ -323,8 +324,8 @@ def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x, digits=6):
-    return f"{x:.{digits}g}"
+def _fmt(x):
+    return f"{x:.6g}"
 
 
 def write_csv(path, header_comment, columns, rows):

@@ -4,19 +4,22 @@ The mesh is uniform with southwest-northeast diagonals. The boundary is
 split into gamma1 = {x=1} u {y=1} (Dirichlet, closed: shared corners
 belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann).
 
-Assembly is vectorized over elements: each FeSpace precomputes element
-dof maps, physical basis gradients at quadrature points, the weights
-area_e * w_q of its quadrature rule and a COO -> CSR coalescing plan, so
-every assembled operator shares one sparsity pattern. The per-step kernels
-are matmuls: fields at the quadrature points are ``u[:, cell_dofs] @ N^T``,
-reaction element vectors ``(g(u_q) * w) @ N`` and reaction-Jacobian element
-blocks ``(g'(u_q) * w) @ P``, with N the (nq, nloc) basis values and P the
-(nq, nloc^2) basis products at the reference quadrature points.
+Assembly is vectorized over elements. Each FeSpace owns its element data
+as attributes formed on first use: the element ``area``, the reference
+``basis_values`` N (nq, nloc) and ``basis_products`` P (nq, nloc^2), the
+physical ``quadrature_points`` and ``quadrature_weights`` area_e * w_q,
+and ``plan``, the COO -> CSR plan of the one sparsity pattern every
+assembled operator shares. The per-step kernels are matmuls: fields at the
+quadrature points are ``space.at_quadrature(u)`` = ``u[:, cell_dofs] @
+N^T``, reaction and load vectors ``(v * w) @ N`` scattered by one
+``bincount``, and reaction-Jacobian element blocks ``(g'(u_q) * w) @ P``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,77 +177,49 @@ class FeSpace:
     n_dof: int
     cell_dofs: np.ndarray  # (n_tri, nloc)
     quad: Quadrature
-    _cache: dict = field(default_factory=dict, repr=False)
+    _operators: dict = field(default_factory=dict, repr=False)  # (kind, n_components) -> CsrMatrix
 
-    # -- assembly plan -------------------------------------------------------
+    # -- element data, formed on first use -----------------------------------
 
-    def _geometry(self):
-        key = "geometry"
-        if key not in self._cache:
-            tri = self.mesh.triangles
-            p = self.mesh.vertices
-            p0, p1, p2 = p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]]
-            j11 = p1[:, 0] - p0[:, 0]
-            j12 = p2[:, 0] - p0[:, 0]
-            j21 = p1[:, 1] - p0[:, 1]
-            j22 = p2[:, 1] - p0[:, 1]
-            det = j11 * j22 - j12 * j21
-            area = 0.5 * det
-            # inverse transpose of the affine Jacobian, per element
-            jinv_t = np.empty((len(tri), 2, 2))
-            jinv_t[:, 0, 0] = j22 / det
-            jinv_t[:, 0, 1] = -j21 / det
-            jinv_t[:, 1, 0] = -j12 / det
-            jinv_t[:, 1, 1] = j11 / det
-            nvals = _basis_values(self.degree, self.quad.points)  # (nq, nloc)
-            rgrads = _basis_ref_grads(self.degree, self.quad.points)  # (nq, nloc, 2)
-            # physical gradients: (ne, nq, nloc, 2)
-            pgrads = np.einsum("eab,qlb->eqla", jinv_t, rgrads)
-            # physical quadrature coordinates: (ne, nq, 2)
-            verts = np.stack([p0, p1, p2], axis=1)  # (ne, 3, 2)
-            qcoords = np.einsum("qv,eva->eqa", self.quad.points, verts)
-            self._cache[key] = (area, nvals, pgrads, qcoords)
-        return self._cache[key]
+    @cached_property
+    def area(self) -> np.ndarray:
+        """(ne,) element areas."""
+        p = self.mesh.vertices[self.mesh.triangles]  # (ne, 3, 2)
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        return 0.5 * (e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1])
 
-    def _element_entries(self):
-        """Row and column dofs of the entries of the (ne, nloc, nloc) element
-        matrices, flattened."""
-        dofs, nloc = self.cell_dofs, self.cell_dofs.shape[1]
-        return np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
+    @cached_property
+    def basis_values(self) -> np.ndarray:
+        """(nq, nloc) basis values N at the reference quadrature points."""
+        return _basis_values(self.degree, self.quad.points)
 
-    def _coo_plan(self) -> CooPlan:
-        """Plan turning element matrices into one shared CSR pattern."""
-        key = "coo_plan"
-        if key not in self._cache:
-            self._cache[key] = coo_plan(self.n_dof, self.n_dof, *self._element_entries())
-        return self._cache[key]
+    @cached_property
+    def quadrature_points(self) -> np.ndarray:
+        """(ne, nq, 2) physical quadrature points."""
+        return np.einsum("qv,eva->eqa", self.quad.points, self.mesh.vertices[self.mesh.triangles])
 
-    def assemble_from_element_matrices(self, elem_mats: np.ndarray) -> np.ndarray:
-        """Coalesce (ne, nloc, nloc) element matrices into pattern-aligned values."""
-        return self._coo_plan().assemble(elem_mats.ravel())
-
-    @property
-    def pattern(self) -> CsrMatrix:
-        return self._coo_plan().pattern
-
-    def csr_from_values(self, values: np.ndarray) -> CsrMatrix:
-        return self._coo_plan().csr(values)
-
-    def _quadrature_weights(self) -> np.ndarray:
+    @cached_property
+    def quadrature_weights(self) -> np.ndarray:
         """(ne, nq) weights area_e * w_q of the physical quadrature rule."""
-        key = "quadrature_weights"
-        if key not in self._cache:
-            area = self._geometry()[0]
-            self._cache[key] = area[:, None] * self.quad.weights[None, :]
-        return self._cache[key]
+        return self.area[:, None] * self.quad.weights[None, :]
 
-    def _basis_products(self) -> np.ndarray:
-        """(nq, nloc^2) reference products N_i(q) N_j(q), row-major in (i, j)."""
-        key = "basis_products"
-        if key not in self._cache:
-            _, nvals, _, _ = self._geometry()
-            self._cache[key] = (nvals[:, :, None] * nvals[:, None, :]).reshape(len(nvals), -1)
-        return self._cache[key]
+    @cached_property
+    def basis_products(self) -> np.ndarray:
+        """(nq, nloc^2) products N_i(q) N_j(q), row-major in (i, j)."""
+        n = self.basis_values
+        return (n[:, :, None] * n[:, None, :]).reshape(len(n), -1)
+
+    @cached_property
+    def plan(self) -> CooPlan:
+        """The plan coalescing the entries of (ne, nloc, nloc) element
+        matrices, flattened, into the one CSR pattern of every operator."""
+        dofs, nloc = self.cell_dofs, self.cell_dofs.shape[1]
+        rows, cols = np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
+        return coo_plan(self.n_dof, self.n_dof, rows, cols)
+
+    def at_quadrature(self, states: np.ndarray) -> np.ndarray:
+        """(n_comp, n_dof) nodal fields at the quadrature points, (n_comp, ne, nq)."""
+        return np.take(states, self.cell_dofs, axis=1) @ self.basis_values.T
 
     # -- cached operators ----------------------------------------------------
 
@@ -260,16 +235,16 @@ class FeSpace:
         """The scalar operator ``assemble(self)`` in each diagonal block of an
         (n_components x n_components) block matrix, built once per count."""
         key = (kind, n_components)
-        if key not in self._cache:
+        if key not in self._operators:
             if n_components == 1:
-                self._cache[key] = assemble(self)
+                self._operators[key] = assemble(self)
             elif n_components > 1:
                 scalar = self._stacked(kind, assemble, 1).values
                 blocks = {(c, c): scalar for c in range(n_components)}
-                self._cache[key] = block_csr(self.pattern, blocks, n_components)
+                self._operators[key] = block_csr(self.plan.pattern, blocks, n_components)
             else:
                 raise ValueError(f"n_components must be at least 1, got {n_components}")
-        return self._cache[key]
+        return self._operators[key]
 
 
 def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
@@ -314,25 +289,41 @@ def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
 
 
 def assemble_mass(space: FeSpace) -> CsrMatrix:
-    area, nvals, _, _ = space._geometry()
+    nvals = space.basis_values
     ref = np.einsum("q,qi,qj->ij", space.quad.weights, nvals, nvals)
-    elem = area[:, None, None] * ref[None, :, :]
-    return space.csr_from_values(space.assemble_from_element_matrices(elem))
+    elem = space.area[:, None, None] * ref[None, :, :]
+    return space.plan.csr(space.plan.assemble(elem.ravel()))
 
 
 def assemble_stiffness(space: FeSpace) -> CsrMatrix:
-    area, _, pgrads, _ = space._geometry()
+    p = space.mesh.vertices[space.mesh.triangles]  # (ne, 3, 2)
+    (j11, j21), (j12, j22) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
+    det = 2.0 * space.area
+    # inverse transpose of the affine Jacobian, per element
+    jinv_t = np.stack([j22, -j21, -j12, j11], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    rgrads = _basis_ref_grads(space.degree, space.quad.points)  # (nq, nloc, 2)
+    pgrads = np.einsum("eab,qlb->eqla", jinv_t, rgrads)  # (ne, nq, nloc, 2)
     elem = np.einsum("q,eqia,eqja->eij", space.quad.weights, pgrads, pgrads)
-    elem *= area[:, None, None]
-    return space.csr_from_values(space.assemble_from_element_matrices(elem))
+    elem *= space.area[:, None, None]
+    return space.plan.csr(space.plan.assemble(elem.ravel()))
+
+
+def _integrate_against_basis(space: FeSpace, values: np.ndarray) -> np.ndarray:
+    """int v phi_i for each field v of ``values`` (..., ne, nq) at the
+    quadrature points: element vectors (v * w) @ N, then one ``bincount``
+    over all fields; shape (..., n_dof)."""
+    elem = (values * space.quadrature_weights) @ space.basis_values  # (..., ne, nloc)
+    fields, n = elem.shape[:-2], space.n_dof
+    rows = space.cell_dofs.ravel() + n * np.arange(math.prod(fields))[:, None]
+    sums = np.bincount(rows.ravel(), weights=elem.ravel(), minlength=rows.shape[0] * n)
+    return sums.reshape(fields + (n,))
 
 
 def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
     """Load vector with entries int f phi_i; f maps (x, y [, t]) -> values."""
-    _, nvals, _, qc = space._geometry()
+    qc = space.quadrature_points
     fx = f(qc[..., 0], qc[..., 1]) if t is None else f(qc[..., 0], qc[..., 1], t)
-    elem = (np.asarray(fx, dtype=np.float64) * space._quadrature_weights()) @ nvals
-    return np.bincount(space.cell_dofs.ravel(), weights=elem.ravel(), minlength=space.n_dof)
+    return _integrate_against_basis(space, np.asarray(fx, dtype=np.float64))
 
 
 def assemble_load_system(space: FeSpace, forcing, t: float) -> np.ndarray:
@@ -344,51 +335,35 @@ def assemble_load_system(space: FeSpace, forcing, t: float) -> np.ndarray:
     )
 
 
-def quadrature_rule(space: FeSpace):
-    """Physical points (ne, nq, 2) and weights area_e * w_q (ne, nq) of the
-    rule every assembly routine integrates with."""
-    return space._geometry()[3], space._quadrature_weights()
-
-
-def _states_at_quadrature(space: FeSpace, states: np.ndarray) -> np.ndarray:
-    """Interpolate (n_comp, n_dof) nodal fields at quadrature points -> (n_comp, ne, nq)."""
-    _, nvals, _, _ = space._geometry()
-    return np.take(states, space.cell_dofs, axis=1) @ nvals.T
-
-
 def assemble_reaction_system(space: FeSpace, states: np.ndarray, g) -> np.ndarray:
     """Vectors with entries int g_c(u) phi_i for a multi-component state.
 
     ``states`` is (n_comp, n_dof); ``g`` maps (n_comp, ...) values to
     (n_comp, ...) values pointwise. Returns (n_comp, n_dof).
     """
-    _, nvals, _, _ = space._geometry()
-    gq = np.asarray(g(_states_at_quadrature(space, states)), dtype=np.float64)
-    elem = (gq * space._quadrature_weights()) @ nvals  # (n_comp, ne, nloc)
-    n_comp, n = states.shape[0], space.n_dof
-    rows = space.cell_dofs.ravel() + n * np.arange(n_comp)[:, None]
-    return np.bincount(rows.ravel(), weights=elem.ravel(), minlength=n_comp * n).reshape(n_comp, n)
+    gq = np.asarray(g(space.at_quadrature(states)), dtype=np.float64)
+    return _integrate_against_basis(space, gq)
 
 
-def _reaction_jacobian_elements(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
+def reaction_jacobian_elements(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
     """Element matrices of every block of the reaction Jacobian,
     (n_comp, n_comp, ne, nloc^2) with each matrix row-major in (i, j)."""
-    dq = np.asarray(g_prime(_states_at_quadrature(space, states)), dtype=np.float64)
-    return (dq * space._quadrature_weights()) @ space._basis_products()
+    dq = np.asarray(g_prime(space.at_quadrature(states)), dtype=np.float64)
+    return (dq * space.quadrature_weights) @ space.basis_products
 
 
 def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
     """Pattern-aligned value blocks of the reaction Jacobian.
 
     ``g_prime`` maps (n_comp, ...) values to (n_comp, n_comp, ...) partial
-    derivatives. Returns (n_comp, n_comp, nnz) values on ``space.pattern``.
+    derivatives. Returns (n_comp, n_comp, nnz) values on ``space.plan.pattern``.
     """
-    elem = _reaction_jacobian_elements(space, states, g_prime)
+    elem = reaction_jacobian_elements(space, states, g_prime)
     n_comp = states.shape[0]
-    out = np.empty((n_comp, n_comp, space.pattern.nnz))
+    out = np.empty((n_comp, n_comp, space.plan.pattern.nnz))
     for a in range(n_comp):
         for b in range(n_comp):
-            out[a, b] = space.assemble_from_element_matrices(elem[a, b])
+            out[a, b] = space.plan.assemble(elem[a, b].ravel())
     return out
 
 

@@ -44,10 +44,10 @@ from functools import partial
 import numpy as np
 
 from . import mmio
-from .bdf import BdfScheme, _history, integrate
+from .bdf import BdfScheme, as_history, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
 from .linalg import dense_lu_solve
-from .mesh_fem import FeSpace, _states_at_quadrature, assemble_load_system, quadrature_rule
+from .mesh_fem import FeSpace, assemble_load_system
 from .pod import InvalidRankError, PodBasis, project
 
 #: the tensor build takes the quadrature points in blocks whose factors hold at
@@ -103,10 +103,9 @@ def rom_assemble(
     aphi = stiff.matvec(phi)
     alift = stiff.matvec(lift)
     nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), n)
-    weights = quadrature_rule(space)[1].ravel()
-    modes_q = _states_at_quadrature(space, phi.T.reshape(r * nc, n)).reshape(r, nc, -1)
-    lift_q = _states_at_quadrature(space, lift.reshape(nc, n)).reshape(nc, -1)
-    tensor = _reaction_tensor(system, modes_q, lift_q, weights)
+    modes_q = space.at_quadrature(phi.T.reshape(r * nc, n)).reshape(r, nc, -1)
+    lift_q = space.at_quadrature(lift.reshape(nc, n)).reshape(nc, -1)
+    tensor = _reaction_tensor(system, modes_q, lift_q, space.quadrature_weights.ravel())
     reaction, monomials = (None, None) if tensor is None else _compress(tensor)
     return RomSystem(
         r,
@@ -230,7 +229,7 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
     weights = scheme.alpha_f[1:] / dt
 
     def at_step(history, t):
-        h = _history(history, scheme.q)
+        h = as_history(history, scheme.q)
         fixed = romsys.reduced_mass @ (weights @ (h[:-1] - h[1:]))
         fixed += romsys.reduced_diffusion @ h[0] + romsys.diffusion_lift
         if romsys.system.forcing is not None:

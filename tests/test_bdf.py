@@ -184,7 +184,7 @@ def extrapolate(history_states):
     """Polynomial extrapolation through k uniform history points to the next
     one, by the weights of ``extrapolate_increment``."""
     h = np.asarray(history_states, dtype=np.float64)
-    return bdf._extrapolation_weights(len(h)) @ h
+    return bdf.extrapolation_weights(len(h)) @ h
 
 
 class TestExtrapolate:

@@ -424,7 +424,7 @@ class TestIntegratorInterface:
                     vals = vals + c0 * space.mass_matrix().values
                     vals = vals + sys.diffusion[a] * space.stiffness_matrix().values
                 blocks[(a, b)] = vals
-        ref = block_csr(space.pattern, blocks, 2)
+        ref = block_csr(space.plan.pattern, blocks, 2)
         ri, ci = ref.row_indices(), ref.col_indices
         ref.values[op.mask[ri] | op.mask[ci]] = 0.0
         ref.values[(ri == ci) & op.mask[ri]] = 1.0
@@ -461,7 +461,7 @@ class TestIntegratorInterface:
                     vals = vals + c0 * space.mass_matrix().values
                     vals = vals + system.diffusion[a] * space.stiffness_matrix().values
                 blocks[(a, b)] = vals
-        ref = block_csr(space.pattern, blocks, op.nc)
+        ref = block_csr(space.plan.pattern, blocks, op.nc)
         ri, ci = ref.row_indices(), ref.col_indices
         ref.values[op.mask[ri] | op.mask[ci]] = 0.0
         ref.values[(ri == ci) & op.mask[ri]] = 1.0

@@ -167,6 +167,16 @@ class TestParseConfig:
                 RunConfig(newton_rule=rule)
         assert RunConfig(newton_rule="1e-12").newton_rule == "1e-12"
 
+    def test_defaults_round_trip(self, tmp_path):
+        # every field written as its default parses back to RunConfig()
+        path = tmp_path / "defaults.cfg"
+        lines = []
+        for key, value in vars(RunConfig()).items():
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}\n")
+        path.write_text("".join(lines))
+        assert parse_config(str(path)) == RunConfig()
+
     @settings(max_examples=150, deadline=None)
     @given(CONFIG_TEXT)
     def test_fuzz_parse_config(self, tmp_path_factory, text):
@@ -432,6 +442,21 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["rom", "--config", str(strict), "--q", "1"]) == cli.PIPELINE_ERROR
         assert "BDF-1 step n = 1 at t = 0.1 (step size 0.1)" in capsys.readouterr().err
+        # a config whose mesh, degree or system disagrees with fom.traj is a
+        # usage error for every subcommand that reads it, raised before any POD
+        for key, value, named in (
+            ("n_side", "6", "n_side = 4"),
+            ("degree", "1", "degree = 2"),
+            ("system", "heat", "2 component(s)"),
+        ):
+            other = tmp_path / f"other_{key}.cfg"
+            other.write_text(cfg.read_text() + f"{key} = {value}\n")
+            for sub in ("pod", "rom", "errors"):
+                capsys.readouterr()
+                assert cli.main([sub, "--config", str(other)]) == cli.USAGE_ERROR, (key, sub)
+                err = capsys.readouterr().err
+                assert f"{key} = {value}" in err and named in err, err
+        assert not list(out_dir.glob("pod.*"))
         # a header that disagrees with the stored states is a usage error
         traj_file = out_dir / "fom.traj"
         traj_file.write_text(traj_file.read_text().replace("M = 8", "M = 9"))

@@ -1,7 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses,
-no function assigns a local name it never reads, every target that
-perfbench's tracer wraps still exists, the time loop's work passes
-through the traced names, and perfbench's workloads still run.
+no function assigns a local name it never reads, no module (nor
+perfbench's workloads) imports or reads another module's underscored
+names, every target that perfbench's tracer wraps still exists, the time
+loop's work passes through the traced names, and perfbench's workloads
+still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -72,6 +74,56 @@ def test_no_unused_imports(path):
     lines = imported_names(tree)
     unused = set(lines) - used_names(tree) - exported_names(tree)
     assert not unused, ", ".join(f"{name} (line {lines[name]})" for name in sorted(unused))
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def defined_names(tree):
+    """Every name the module binds itself: functions, classes, parameters,
+    assigned names and assigned attributes (``self._x = ...``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def foreign_private_names(tree):
+    """Imports of another module's underscored names, and reads of
+    underscored attributes that the module itself does not define."""
+    own = defined_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if is_private(alias.name):
+                    yield f"import of {node.module}.{alias.name} (line {node.lineno})"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if any(is_private(part) for part in alias.name.split(".")):
+                    yield f"import of {alias.name} (line {node.lineno})"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and is_private(node.attr)
+            and node.attr not in own
+        ):
+            yield f"read of .{node.attr} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", [*MODULES, WORKLOADS], ids=lambda p: p.name)
+def test_no_reaching_into_private_names(path):
+    """A module uses what other modules make public: a private name that
+    another module needs is part of its interface and loses the underscore."""
+    found = list(foreign_private_names(ast.parse(path.read_text())))
+    assert not found, ", ".join(found)
 
 
 def unread_locals(func):

@@ -14,7 +14,6 @@ from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
-    _states_at_quadrature,
     assemble_load,
     assemble_load_system,
     assemble_mass,
@@ -267,7 +266,7 @@ class TestReaction:
         space = build_space(build_mesh(3), 2)
         state = np.zeros(space.n_dof)
         gp = lambda u: np.ones_like(u)[None]  # (1, 1, ne, nq) partials
-        j = space.csr_from_values(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
+        j = space.plan.csr(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         m = assemble_mass(space)
         assert np.max(np.abs(as_dense(j) - as_dense(m))) < 1e-12
 
@@ -277,7 +276,7 @@ class TestReaction:
         state = rng.standard_normal(space.n_dof)
         g = lambda u: u**3 - np.sin(u)
         gp = lambda u: (3 * u**2 - np.cos(u))[None]  # (1, 1, ne, nq) partials
-        j = space.csr_from_values(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
+        j = space.plan.csr(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         direction = rng.standard_normal(space.n_dof)
         eps = 1e-6
         fd = (
@@ -305,14 +304,13 @@ class TestQuadratureKernels:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_states_at_quadrature(self, degree):
         space, states, _ = self.fields(degree)
-        _, nvals, _, _ = space._geometry()
-        old = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
-        assert self.close(_states_at_quadrature(space, states), old)
+        old = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], space.basis_values)
+        assert self.close(space.at_quadrature(states), old)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_reaction_vectors(self, degree):
         space, states, system = self.fields(degree)
-        area, nvals, _, _ = space._geometry()
+        area, nvals = space.area, space.basis_values
         uq = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
         elem = np.einsum("q,ceq,qi->cei", space.quad.weights, system.g(uq), nvals)
         elem *= area[None, :, None]
@@ -323,7 +321,7 @@ class TestQuadratureKernels:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_reaction_jacobian_blocks(self, degree):
         space, states, system = self.fields(degree)
-        area, nvals, _, _ = space._geometry()
+        area, nvals = space.area, space.basis_values
         uq = np.einsum("cel,ql->ceq", states[:, space.cell_dofs], nvals)
         elem = np.einsum("q,abeq,qi,qj->abeij", space.quad.weights, system.g_prime(uq), nvals, nvals)
         elem *= area[:, None, None]
@@ -332,8 +330,8 @@ class TestQuadratureKernels:
         n, nloc = space.n_dof, space.cell_dofs.shape[1]
         rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
         cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
-        ri, ci = space.pattern.row_indices(), space.pattern.col_indices
-        old = np.empty((2, 2, space.pattern.nnz))
+        ri, ci = space.plan.pattern.row_indices(), space.plan.pattern.col_indices
+        old = np.empty((2, 2, space.plan.pattern.nnz))
         for a in range(2):
             for b in range(2):
                 dense = np.zeros((n, n))

@@ -18,14 +18,12 @@ from podrom.fom import (
     perturbed_equilibrium,
 )
 from podrom.mesh_fem import (
-    _states_at_quadrature,
     assemble_load,
     assemble_reaction_jacobian_system,
     assemble_reaction_system,
     build_mesh,
     build_space,
     interpolate,
-    quadrature_rule,
 )
 from podrom.linalg import dense_lu_solve
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
@@ -85,10 +83,10 @@ def full_reaction_tensor(romsys):
     ``rom_assemble`` compresses it."""
     space, nc, r = romsys.space, romsys.system.n_components, romsys.r
     phi_c = romsys.modes.reshape(nc, space.n_dof, r)
-    modes_q = _states_at_quadrature(space, phi_c.transpose(2, 0, 1).reshape(r * nc, -1))
-    lift_q = _states_at_quadrature(space, romsys.lift.reshape(nc, -1))
-    _, weights = quadrature_rule(space)
-    return _reaction_tensor(romsys.system, modes_q.reshape(r, nc, -1), lift_q.reshape(nc, -1), weights.ravel())
+    modes_q = space.at_quadrature(phi_c.transpose(2, 0, 1).reshape(r * nc, -1))
+    lift_q = space.at_quadrature(romsys.lift.reshape(nc, -1))
+    weights = space.quadrature_weights.ravel()
+    return _reaction_tensor(romsys.system, modes_q.reshape(r, nc, -1), lift_q.reshape(nc, -1), weights)
 
 
 def contract(tensor, chat, times):
@@ -148,7 +146,7 @@ def nodal_reaction_jacobian(romsys, coords):
     gp = assemble_reaction_jacobian_system(space, full, sys.g_prime)
     phi_c = romsys.modes.reshape(nc, n, romsys.r)
     return sum(
-        phi_c[a].T @ space.csr_from_values(gp[a, b]).matvec(phi_c[b])
+        phi_c[a].T @ space.plan.csr(gp[a, b]).matvec(phi_c[b])
         for a in range(nc)
         for b in range(nc)
     )
