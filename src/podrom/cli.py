@@ -4,7 +4,8 @@ Subcommands: mesh, fom, pod, rom, errors, convergence, tables, check.
 `fom` writes the snapshot trajectory fom.traj. `pod` is export-only: it
 writes the modes, the eigenvalues, the snapshots and the mean, and no
 subcommand reads them back. `rom` and `errors` read only fom.traj and the
-config, and rebuild the same POD from them deterministically.
+config, which must give the mesh, degree, system and nu that fom.traj
+records, and rebuild the same POD from them deterministically.
 PODROM_THREADS, when set, must be a positive integer. It is only validated:
 nothing in podrom runs in parallel.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import harness, pod as pod_mod, rom as rom_mod
 from .bdf import bdf_apply, bdf_apply_as_differences, bdf_coefficients
-from .fom import Trajectory, fom_integrate, load_trajectory, save_trajectory
+from .fom import Trajectory, load_trajectory, save_trajectory
 from .harness import RunConfig, build_desk_setup, parse_config
 from .mesh_fem import build_mesh, build_space, export_mesh
 
@@ -54,20 +55,28 @@ def cmd_mesh(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_desk(cfg: RunConfig) -> harness.DeskSetup:
+    """The desk set-up from fom.traj, whose mesh, degree, components, system
+    and nu must be the config's (ValueError otherwise)."""
+    traj, header = load_trajectory(_fom_stem(cfg))
+    setup = build_desk_setup(cfg, fom_traj=traj)
+    made = f"system = {header.get('system')} and nu = {header.get('nu')}"
+    given = f"system = {cfg.system} and nu = {cfg.nu}"
+    if made != given:
+        raise ValueError(f"{_fom_stem(cfg)}.traj records {made}, but the config gives {given}")
+    return setup
+
+
 def cmd_fom(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    space = build_space(build_mesh(cfg.n_side), cfg.degree)
-    system = harness.make_system(cfg)
-    u0 = harness.initial_state(cfg, space)
-    traj = fom_integrate(system, space, u0, cfg.T / cfg.M, cfg.T, cfg.q)
-    save_trajectory(traj, _fom_stem(cfg))
-    print(f"wrote {_fom_stem(cfg)}.traj ({cfg.M} steps, {space.n_dof} dofs/component)")
+    traj = harness.desk_fom(cfg)
+    save_trajectory(traj, _fom_stem(cfg), extra={"system": cfg.system, "nu": cfg.nu})
+    print(f"wrote {_fom_stem(cfg)}.traj ({cfg.M} steps, {traj.space.n_dof} dofs/component)")
     return 0
 
 
 def cmd_pod(cfg: RunConfig) -> int:
-    traj, _ = load_trajectory(_fom_stem(cfg))
-    setup = build_desk_setup(cfg, fom_traj=traj)
+    setup = _load_desk(cfg)
     stem = os.path.join(cfg.out_dir, "pod")
     pod_mod.save_basis(setup.basis, stem)
     pod_mod.save_snapshots(setup.snaps, stem)
@@ -76,11 +85,10 @@ def cmd_pod(cfg: RunConfig) -> int:
 
 
 def cmd_rom(cfg: RunConfig) -> int:
-    traj, _ = load_trajectory(_fom_stem(cfg))
-    setup = build_desk_setup(cfg, fom_traj=traj)
+    setup = _load_desk(cfg)
     r = cfg.r_grid[0]
     romsys = harness.make_rom(setup, r)
-    coords0 = harness.initial_coords(romsys, traj.states[0])
+    coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
     rt = rom_mod.rom_integrate(
         romsys, cfg.q, cfg.T / cfg.M, cfg.T, ("bootstrap", coords0), cfg.newton_rule
     )
@@ -93,9 +101,8 @@ def cmd_rom(cfg: RunConfig) -> int:
 
 
 def cmd_errors(cfg: RunConfig) -> int:
-    traj, _ = load_trajectory(_fom_stem(cfg))
-    setup = build_desk_setup(cfg, fom_traj=traj)
-    rows = harness.r_refinement_study(setup, traj, cfg.r_grid, cfg.q, cfg.newton_rule)
+    setup = _load_desk(cfg)
+    rows = harness.r_refinement_study(setup, setup.fom_traj, cfg.r_grid, cfg.q, cfg.newton_rule)
     path = os.path.join(cfg.out_dir, "errors_vs_r.csv")
     harness.emit_r_refinement_csv(path, rows)
     print(f"wrote {path}")

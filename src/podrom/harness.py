@@ -28,7 +28,7 @@ from .pod import (
     PodBasis,
     build_pod_basis,
     gram_matrix,
-    project,
+    projection_errors,
 )
 from .rom import RomSystem, initial_coords, rom_assemble, rom_integrate
 
@@ -160,10 +160,6 @@ class DeskSetup:
     basis: PodBasis
 
 
-def make_system(cfg: RunConfig):
-    return SYSTEMS[cfg.system](cfg.nu)
-
-
 def initial_state(cfg: RunConfig, space: FeSpace):
     if cfg.system == "brusselator":
         return perturbed_equilibrium(space)
@@ -172,15 +168,19 @@ def initial_state(cfg: RunConfig, space: FeSpace):
     return u0[None, :]
 
 
+def desk_fom(cfg: RunConfig) -> Trajectory:
+    """The configured FOM snapshot run: BDF-q over M steps of [0, T]."""
+    space = build_space(build_mesh(cfg.n_side), cfg.degree)
+    system = SYSTEMS[cfg.system](cfg.nu)
+    return fom_integrate(system, space, initial_state(cfg, space), cfg.T / cfg.M, cfg.T, cfg.q)
+
+
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:
     """FOM snapshot run plus POD basis per the configured protocol; a given
     ``fom_traj`` brings its own space, which must have the config's n_side,
     degree and number of components (ValueError otherwise)."""
-    system = make_system(cfg)
-    if fom_traj is None:
-        space = build_space(build_mesh(cfg.n_side), cfg.degree)
-        dt = cfg.T / cfg.M
-        fom_traj = fom_integrate(system, space, initial_state(cfg, space), dt, cfg.T, cfg.q)
+    system = SYSTEMS[cfg.system](cfg.nu)
+    fom_traj = desk_fom(cfg) if fom_traj is None else fom_traj
     space, nc = fom_traj.space, fom_traj.states.shape[1]
     if (space.mesh.n_side, space.degree, nc) != (cfg.n_side, cfg.degree, system.n_components):
         raise ValueError(
@@ -265,21 +265,18 @@ def r_refinement_study(
 ):
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
     the projection errors (I - P^r) u_h(t_n) over the main-loop steps
-    n = q..M of the fine FOM grid, NaN when M < q."""
+    n = q..M of the fine FOM grid, NaN when M < q, in L2 and the H1 seminorm."""
     t_end = fom_fine.times[-1]
     dt = fom_fine.dt
     fluct = (fom_fine.stacked() - setup.snaps.mean[None, :]).T  # (dim, M+1)
-    gram = setup.basis.gram_operator
-    mass_gram = gram_matrix(setup.space, L2, setup.system.n_components)
+    nc = setup.system.n_components
+    grams = [gram_matrix(setup.space, L2, nc), gram_matrix(setup.space, H10, nc)]
     rows = []
     for r in r_values:
         romsys = make_rom(setup, r)
         coords0 = initial_coords(romsys, fom_fine.states[0])
         rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
-        proj_coords, proj = project(setup.basis, r, fluct)  # (r, M+1), (dim, M+1)
-        resid = fluct - proj
-        proj_h1_sq = np.sum(resid * gram.matvec(resid), axis=0)
-        proj_l2_sq = np.sum(resid * mass_gram.matvec(resid), axis=0)
+        proj_coords, (proj_l2_sq, proj_h1_sq) = projection_errors(setup.basis, r, fluct, grams)
         pod_l2, pod_h1 = _reduced_norms(romsys, rt.coords - proj_coords.T)
         rows.append(
             {

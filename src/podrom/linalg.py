@@ -171,17 +171,14 @@ def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
     """The CooPlan of a (rows x cols) matrix with triplet indices ``ri``, ``ci``."""
     ri = np.asarray(ri, dtype=np.int64)
     ci = np.asarray(ci, dtype=np.int64)
-    order = np.lexsort((ci, ri))
-    rs, cs = ri[order], ci[order]
-    new = np.ones(len(rs), dtype=bool)
-    new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-    starts = np.flatnonzero(new)
-    entry = np.empty(len(rs), dtype=np.int64)
-    entry[order] = np.cumsum(new) - 1
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(np.bincount(rs[starts], minlength=rows))
-    pattern = CsrMatrix(rows, cols, offsets, cs[starts], np.zeros(len(starts)))
-    return CooPlan(entry, pattern)
+    if ri.shape != ci.shape or (
+        len(ri) and not (0 <= ri.min() <= ri.max() < rows and 0 <= ci.min() <= ci.max() < cols)
+    ):
+        raise ValueError(f"COO triplet indices must be paired and inside the {rows} x {cols} matrix")
+    # row-major keys: the sorted unique keys are the CSR entries in order
+    keys, entry = np.unique(ri * cols + ci, return_inverse=True)
+    offsets = np.searchsorted(keys, cols * np.arange(rows + 1))
+    return CooPlan(entry, CsrMatrix(rows, cols, offsets, keys % cols, np.zeros(len(keys))))
 
 
 def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:

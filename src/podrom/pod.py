@@ -1,7 +1,8 @@
 """Snapshot sets of tau-scaled first-order difference quotients, correlation
 matrices in the H^1_0 (or L^2) inner product, POD modes, projectors and the
 eigenvalue-tail identities. Every projection onto the modes goes through
-``project``, which holds the one rank check 0 <= r <= d_r.
+``project``, which holds the one rank check 0 <= r <= d_r, and every
+projection error ||(I - P^r) v||_G through ``projection_errors``.
 
 With N = M + 1 snapshots the first column is sqrt(N) w0 (w0 = initial state,
 trajectory mean, or identically zero after mean subtraction) and columns
@@ -166,25 +167,26 @@ def project(basis: PodBasis, r: int, v: np.ndarray):
     return coeffs, phi @ coeffs
 
 
-def _tail_energy(snaps: SnapshotSet, basis: PodBasis, r: int) -> np.ndarray:
-    """Entrywise products e * (G e) of the projection errors e = (I - P^r) y_j;
-    column j sums to ||(I - P^r) y_j||_X^2."""
-    resid = snaps.columns - project(basis, r, snaps.columns)[1]
-    return resid * basis.gram_operator.matvec(resid)
+def projection_errors(basis: PodBasis, r: int, v: np.ndarray, grams):
+    """(coefficients of P^r v, ||(I - P^r) v_j||_G^2) for the columns v_j: the
+    errors a (len(grams), n) array, one row per Gram operator G in ``grams``."""
+    coeffs, proj = project(basis, r, v)
+    resid = v - proj
+    return coeffs, np.array([np.sum(resid * g.matvec(resid), axis=0) for g in grams])
 
 
 def tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
     """Both sides of the projection identity: the mean-square projection error
     of the snapshot columns versus the eigenvalue tail sum_{k>r} lambda_k."""
-    lhs = float(np.sum(_tail_energy(snaps, basis, r))) / snaps.n_snapshots
-    return lhs, float(np.sum(basis.eigenvalues[r:]))
+    sq = projection_errors(basis, r, snaps.columns, [basis.gram_operator])[1][0]
+    return float(np.sum(sq)) / snaps.n_snapshots, float(np.sum(basis.eigenvalues[r:]))
 
 
 def split_tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
     """Tail identity with the w0 column and the difference columns separated:
     ||(I-P^r) w0||_X^2 + (tau^2 / (N dt^2)) sum_j ||(I-P^r) D u(t_j)||_X^2."""
     n = snaps.n_snapshots
-    sq = np.sum(_tail_energy(snaps, basis, r), axis=0)
+    sq = projection_errors(basis, r, snaps.columns, [basis.gram_operator])[1][0]
     w0_term = sq[0] / n  # (sqrt(N) w0 scaling)^2 / N = ||(I-P^r) w0||^2
     diff_term = float(np.sum(sq[1:])) / n  # = (tau^2 / (N dt^2)) sum ||(I-P^r) D u||^2
     return float(w0_term + diff_term), float(np.sum(basis.eigenvalues[r:]))
@@ -200,18 +202,20 @@ def pointwise_projection_report(
 ):
     """Measured pointwise projection maxima against the eigenvalue-tail bound.
 
-    Returns (max_l2, max_h1, bound_l2, bound_h1). The H1 bound
-    (2 + 4 Ctilde T^2 / tau^2) * tail is constant-free; the L2 bound uses the
-    analytic unit-square Poincare constant and is informational only.
+    Returns (max_l2, max_h1, bound_l2, bound_h1). Both bounds are stated for
+    an H10 basis (ValueError otherwise): the H1 bound (2 + 4 Ctilde T^2 /
+    tau^2) * tail is constant-free; the L2 bound uses the analytic
+    unit-square Poincare constant and is informational only.
     """
+    if basis.inner_product != H10:
+        raise ValueError(f"the pointwise bound needs an {H10} basis, got {basis.inner_product}")
     c_tilde = 1.0 if w0_mode == W0_INITIAL else 4.0
     u = traj.stacked()
     if mean is not None:
         u = u - mean[None, :]
-    resid = u.T - project(basis, r, u.T)[1]
-    h1_sq = np.sum(resid * basis.gram_operator.matvec(resid), axis=0)
-    mass_gram = gram_matrix(traj.space, L2, traj.states.shape[1])
-    l2_sq = np.sum(resid * mass_gram.matvec(resid), axis=0)
+    nc = traj.states.shape[1]
+    grams = [gram_matrix(traj.space, L2, nc), gram_matrix(traj.space, H10, nc)]
+    l2_sq, h1_sq = projection_errors(basis, r, u.T, grams)[1]
     t_total = traj.times[-1] - traj.times[0]
     tail = float(np.sum(basis.eigenvalues[r:]))
     factor = 2.0 + 4.0 * c_tilde * t_total**2 / tau**2

@@ -12,7 +12,8 @@ pseudo-variable, so with c_hat = (1, c) and the augmented fields
 
 with T symmetric in its D slots and contracted over the quadrature points
 of the finite-element rule once, in ``rom_assemble``. A constant-only
-reaction is stored at D = 1. T is kept with its last slot free and its
+reaction is stored at D = 1, and so is a reaction-free one, as T = 0: every
+system takes the same path. T is kept with its last slot free and its
 other D - 1 slots compressed to sorted index tuples, multiplicities folded
 in (the compressed Kronecker storage of operator inference, Peherstorfer &
 Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc.
@@ -64,8 +65,8 @@ class RomSystem:
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
-    reaction_tensor: np.ndarray | None  # (r (r + 1), C(r + D - 1, D - 1)): Tc, None without a reaction
-    reaction_monomials: np.ndarray | None  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
+    reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
+    reaction_monomials: np.ndarray  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
     system: ReactionSystem
     space: FeSpace
 
@@ -106,7 +107,7 @@ def rom_assemble(
     modes_q = space.at_quadrature(phi.T.reshape(r * nc, n)).reshape(r, nc, -1)
     lift_q = space.at_quadrature(lift.reshape(nc, n)).reshape(nc, -1)
     tensor = _reaction_tensor(system, modes_q, lift_q, space.quadrature_weights.ravel())
-    reaction, monomials = (None, None) if tensor is None else _compress(tensor)
+    reaction, monomials = _compress(tensor)
     return RomSystem(
         r,
         basis,
@@ -139,10 +140,8 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     with sum_q w_q psi_i(q) prod_s [lift_k_s; Phi_k_s][j_s](q), where psi
     combines the modes' components by the monomial's coefficients; the
     symmetrisation then spreads the constant slots over all positions. A
-    constant-only reaction gets one slot, D = 1.
+    constant-only or reaction-free system gets one slot, D = 1.
     """
-    if not len(system.exponents):
-        return None
     r, nc, nqp = modes_q.shape
     degree = max(system.degree, 1)
     fields = [np.vstack([lift_q[k], modes_q[:, k]]) for k in range(nc)]
@@ -181,11 +180,9 @@ def _compress(tensor: np.ndarray):
     return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1)), np.ascontiguousarray(index.T)
 
 
-def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray | None:
-    """S = T . (1, c)^(D-1), an (r, r + 1) array, or None without a reaction:
-    the reduced reaction at c is S (1, c), its Jacobian D S[:, 1:]."""
-    if romsys.reaction_tensor is None:
-        return None
+def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray:
+    """S = T . (1, c)^(D-1), an (r, r + 1) array: the reduced reaction at c
+    is S (1, c), its Jacobian D S[:, 1:]."""
     chat = np.concatenate(([1.0], candidate))
     monomials = np.multiply.reduce(chat.take(romsys.reaction_monomials))
     return (romsys.reaction_tensor @ monomials).reshape(romsys.r, -1)
@@ -199,18 +196,13 @@ def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate,
     The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
     the increment, keeping the residual floor independent of dt.
     """
-    residual = stiffness @ increment + fixed
-    if slope is not None:
-        residual += slope[:, 0] + slope[:, 1:] @ candidate
-    return residual
+    return stiffness @ increment + fixed + (slope[:, 0] + slope[:, 1:] @ candidate)
 
 
-def rom_jacobian(romsys: RomSystem, stiffness: np.ndarray, slope: np.ndarray | None):
+def rom_jacobian(romsys: RomSystem, stiffness: np.ndarray, slope: np.ndarray):
     """K + D S[:, 1:] with K = ``stiffness``, (delta_0/dt) M_r + D_r, and
     ``slope`` the ``reaction_slope`` S at the candidate. The sum is a new
     array: K is shared by every candidate of the run and is never written."""
-    if slope is None:
-        return stiffness
     return stiffness + (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
 
 

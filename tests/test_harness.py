@@ -300,6 +300,19 @@ class TestStudies:
         proj = [row["proj_h1"] for row in rows]
         assert all(proj[i + 1] <= proj[i] * (1 + 1e-12) for i in range(len(proj) - 1))
 
+    def test_r_refinement_norms_do_not_follow_the_basis_inner_product(self):
+        # under an L2 basis, proj_h1 is still the stacked-stiffness (H1)
+        # norm of the projection residual, computed here directly
+        setup = build_desk_setup(tiny_cfg(M=16, T=1.0, inner_product="L2"))
+        q, r = 3, 2
+        row = r_refinement_study(setup, setup.fom_traj, (r,), q=q)[0]
+        fluct = (setup.fom_traj.stacked() - setup.snaps.mean).T
+        phi = setup.basis.modes[:, :r]
+        resid = fluct - phi @ (phi.T @ setup.space.mass_matrix(2).matvec(fluct))
+        h1_sq = np.sum(resid * setup.space.stiffness_matrix(2).matvec(resid), axis=0)
+        assert row["proj_h1"] == pytest.approx(np.sqrt(h1_sq[q:].max()), rel=1e-12)
+        assert row["proj_h1"] > 2.0 * row["proj_l2"]
+
     def test_spatial_convergence_smoke(self):
         pts = spatial_convergence_study(0.02, n_sides=(4, 8), t_end=0.05)
         slope, _ = estimate_order(pts)
@@ -442,12 +455,14 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["rom", "--config", str(strict), "--q", "1"]) == cli.PIPELINE_ERROR
         assert "BDF-1 step n = 1 at t = 0.1 (step size 0.1)" in capsys.readouterr().err
-        # a config whose mesh, degree or system disagrees with fom.traj is a
-        # usage error for every subcommand that reads it, raised before any POD
+        # a config whose mesh, degree, system or nu disagrees with fom.traj is
+        # a usage error for every subcommand that reads it, raised before
+        # anything is written
         for key, value, named in (
             ("n_side", "6", "n_side = 4"),
             ("degree", "1", "degree = 2"),
             ("system", "heat", "2 component(s)"),
+            ("nu", "0.5", "nu = 0.002"),
         ):
             other = tmp_path / f"other_{key}.cfg"
             other.write_text(cfg.read_text() + f"{key} = {value}\n")
@@ -457,8 +472,17 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert f"{key} = {value}" in err and named in err, err
         assert not list(out_dir.glob("pod.*"))
-        # a header that disagrees with the stored states is a usage error
+        # so is a fom.traj that does not record its system and nu
         traj_file = out_dir / "fom.traj"
+        header = traj_file.read_text()
+        traj_file.write_text("".join(
+            line for line in header.splitlines(keepends=True) if not line.startswith(("system", "nu"))
+        ))
+        capsys.readouterr()
+        assert cli.main(["rom", *args]) == cli.USAGE_ERROR
+        assert "records system = None and nu = None" in capsys.readouterr().err
+        traj_file.write_text(header)
+        # a header that disagrees with the stored states is a usage error
         traj_file.write_text(traj_file.read_text().replace("M = 8", "M = 9"))
         capsys.readouterr()
         assert cli.main(["pod", *args]) == cli.USAGE_ERROR

@@ -174,6 +174,7 @@ class TestCsr:
 
     def test_zero_matrix(self):
         a = CsrMatrix.from_coo(4, 4, [], [], [])
+        assert a.nnz == 0 and np.array_equal(a.row_offsets, np.zeros(5))
         assert np.array_equal(a.matvec(np.ones(4)), np.zeros(4))
 
     def test_matches_dense_oracle(self):
@@ -191,6 +192,14 @@ class TestCsr:
         lhs = a.matvec(x + y)
         rhs = a.matvec(x) + a.matvec(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "ri, ci",
+        [([0, 3], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 3]), ([0, 1], [-1, 0]), ([0, 1], [2])],
+    )
+    def test_unpaired_or_outside_triplets_raise(self, ri, ci):
+        with pytest.raises(ValueError, match="must be paired and inside the 3 x 3 matrix"):
+            CsrMatrix.from_coo(3, 3, ri, ci, [1.0, 2.0])
 
     def test_duplicate_triplets_are_summed(self):
         a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])

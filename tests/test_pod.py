@@ -354,6 +354,13 @@ class TestPointwiseBound:
         assert np.all(np.diff(state_ratios) > 0), state_ratios
         assert state_ratios[-1] >= 2.0 * state_ratios[0], state_ratios
 
+    def test_rejects_a_basis_in_another_inner_product(self):
+        # the bound is stated for the H10 POD, and its L2 part holds only there
+        traj, _ = brusselator_trajectory()
+        snaps, basis = build_pod_basis(traj, inner_product=L2)
+        with pytest.raises(ValueError, match="needs an H10 basis, got L2"):
+            pointwise_projection_report(traj, basis, 2, 1.0, W0_ZERO, mean=snaps.mean)
+
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
         snaps, basis = build_pod_basis(traj)

@@ -219,6 +219,26 @@ class TestResidualAndJacobian:
         want = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
         assert np.max(np.abs(jac - want)) < 1e-12
 
+    def test_reaction_free_system_takes_the_zero_tensor_path(self):
+        # without monomials T is stored at D = 1 as zeros, so the residual is
+        # K d + fixed and the Jacobian K, whatever the candidate
+        space = build_space(build_mesh(4), 1, dirichlet="all")
+        sys = heat_system(0.5)
+        u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
+        snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2))
+        romsys = rom_assemble(basis, min(3, basis.d_r), space, sys, lift=snaps.mean)
+        r = romsys.r
+        assert romsys.reaction_tensor.shape == (r * (r + 1), 1)
+        assert not romsys.reaction_tensor.any()
+        assert romsys.reaction_monomials.shape == (0, 1)
+        rng = np.random.default_rng(4)
+        stiffness, fixed = rng.standard_normal((r, r)), rng.standard_normal(r)
+        d, candidate = rng.standard_normal(r), rng.standard_normal(r)
+        slope = reaction_slope(romsys, candidate)
+        residual = rom.rom_residual(stiffness, fixed, d, candidate, slope)
+        assert np.array_equal(residual, stiffness @ d + fixed)
+        assert np.array_equal(rom.rom_jacobian(romsys, stiffness, slope), stiffness)
+
     def test_jacobian_matches_finite_differences(self):
         _, _, _, romsys = brusselator_setup()
         scheme = bdf_coefficients(3)
