@@ -1,13 +1,13 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
-Subcommands: mesh, fom, pod, rom, errors, convergence, tables, check.
-`fom` writes the snapshot trajectory fom.traj. `pod` is export-only: it
-writes the modes, the eigenvalues, the snapshots and the mean, and no
-subcommand reads them back. `rom` and `errors` read only fom.traj and the
-config, which must give the mesh, degree, system and nu that fom.traj
-records, and rebuild the same POD from them deterministically.
-PODROM_THREADS, when set, must be a positive integer. It is only validated:
-nothing in podrom runs in parallel.
+Subcommands: mesh, fom, pod, rom, errors, convergence, check. `fom` is the
+pipeline's one FOM run: it writes the snapshot trajectory fom.traj. `pod`,
+`rom`, `errors` and `convergence` read only fom.traj and the config, which
+must give the mesh, degree, system and nu that fom.traj records, and rebuild
+the same POD from them deterministically. `pod` is export-only: it writes the
+modes, the eigenvalues, the snapshots and the mean, and no subcommand reads
+them back. `rom` runs at the first rank of r_grid, `convergence` at the last
+and `errors` at every one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import unicodedata
 
 import numpy as np
 
@@ -56,15 +55,20 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def _load_desk(cfg: RunConfig) -> harness.DeskSetup:
-    """The desk set-up from fom.traj, whose mesh, degree, components, system
-    and nu must be the config's (ValueError otherwise)."""
+    """The desk set-up from fom.traj, whose system, nu, mesh, degree and
+    number of components must be the config's (ValueError otherwise)."""
     traj, header = load_trajectory(_fom_stem(cfg))
-    setup = build_desk_setup(cfg, fom_traj=traj)
-    made = f"system = {header.get('system')} and nu = {header.get('nu')}"
-    given = f"system = {cfg.system} and nu = {cfg.nu}"
+    describe = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)".format
+    made = describe(
+        header.get("system"), header.get("nu"),
+        traj.space.mesh.n_side, traj.space.degree, traj.states.shape[1],
+    )
+    given = describe(
+        cfg.system, cfg.nu, cfg.n_side, cfg.degree, harness.SYSTEMS[cfg.system](cfg.nu).n_components
+    )
     if made != given:
         raise ValueError(f"{_fom_stem(cfg)}.traj records {made}, but the config gives {given}")
-    return setup
+    return build_desk_setup(cfg, fom_traj=traj)
 
 
 def cmd_fom(cfg: RunConfig) -> int:
@@ -110,7 +114,7 @@ def cmd_errors(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, q_values) -> int:
-    setup = build_desk_setup(cfg)
+    setup = _load_desk(cfg)
     romsys = harness.make_rom(setup, cfg.r_grid[-1])
     coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
     scale = max(1, cfg.M // 128)
@@ -126,18 +130,9 @@ def cmd_convergence(cfg: RunConfig, q_values) -> int:
     return 0
 
 
-def cmd_tables(cfg: RunConfig, which: str) -> int:
-    if which == "r-refinement":
-        return cmd_errors(cfg)
-    if which == "starting-values":
-        return cmd_convergence(cfg, tuple(range(2, 6)))
-    print(f"unknown table selection {which!r}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def cmd_check(cfg: RunConfig) -> int:
     """Fast identity suites; exits nonzero on any failure."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     failures = []
 
     for q in range(1, 6):
@@ -173,32 +168,20 @@ def cmd_check(cfg: RunConfig) -> int:
     return PIPELINE_ERROR if failures else 0
 
 
-def _is_positive_integer(text: str) -> bool:
-    """Decimal digits, not all zero; judged digit by digit, since int() refuses
-    strings longer than sys.get_int_max_str_digits()."""
-    digits = text.strip()
-    return digits.isdecimal() and any(unicodedata.decimal(d) for d in digits)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="podrom", description=__doc__)
     parser.add_argument("subcommand", choices=[
-        "mesh", "fom", "pod", "rom", "errors", "convergence", "tables", "check",
+        "mesh", "fom", "pod", "rom", "errors", "convergence", "check",
     ])
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--q", type=int, default=None)
     parser.add_argument("--r", type=int, default=None)
     parser.add_argument("--M", type=int, default=None)
-    parser.add_argument("--which", default="r-refinement", help="table selection for `tables`")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
-    threads = os.environ.get("PODROM_THREADS")
-    if threads is not None and not _is_positive_integer(threads):
-        print(f"PODROM_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-        return USAGE_ERROR
     try:
         cfg = _load_config(args)
         if args.subcommand == "mesh":
@@ -214,8 +197,6 @@ def main(argv=None) -> int:
         if args.subcommand == "convergence":
             q_values = (args.q,) if args.q else (1, 2, 3, 4, 5)
             return cmd_convergence(cfg, q_values)
-        if args.subcommand == "tables":
-            return cmd_tables(cfg, args.which)
         if args.subcommand == "check":
             return cmd_check(cfg)
     except (ValueError, FileNotFoundError) as exc:

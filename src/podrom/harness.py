@@ -58,7 +58,6 @@ class RunConfig:
     inner_product: str = H10
     newton_rule: str = "step-coupled"
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         positive = (self.nu, self.T, self.tau)
@@ -176,20 +175,12 @@ def desk_fom(cfg: RunConfig) -> Trajectory:
 
 
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:
-    """FOM snapshot run plus POD basis per the configured protocol; a given
-    ``fom_traj`` brings its own space, which must have the config's n_side,
-    degree and number of components (ValueError otherwise)."""
-    system = SYSTEMS[cfg.system](cfg.nu)
+    """POD basis per the configured protocol, from ``fom_traj`` or else from
+    a fresh desk FOM run. A given ``fom_traj`` must be of the config's mesh,
+    degree and system; the CLI checks that against the fom.traj header."""
     fom_traj = desk_fom(cfg) if fom_traj is None else fom_traj
-    space, nc = fom_traj.space, fom_traj.states.shape[1]
-    if (space.mesh.n_side, space.degree, nc) != (cfg.n_side, cfg.degree, system.n_components):
-        raise ValueError(
-            f"the FOM trajectory has n_side = {space.mesh.n_side}, degree = {space.degree} "
-            f"and {nc} component(s), but the config gives n_side = {cfg.n_side}, degree = "
-            f"{cfg.degree} and system = {cfg.system} with {system.n_components}"
-        )
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
-    return DeskSetup(cfg, space, system, fom_traj, snaps, basis)
+    return DeskSetup(cfg, fom_traj.space, SYSTEMS[cfg.system](cfg.nu), fom_traj, snaps, basis)
 
 
 def make_rom(setup: DeskSetup, r: int) -> RomSystem:

@@ -1,15 +1,14 @@
 """Study harness and CLI: order estimation, L2 errors against exact fields,
 config parsing and validation (with fuzzing), CSV determinism, spatial
 convergence of the manufactured solution, and the command-line pipeline
-(with fuzzed overrides and PODROM_THREADS values)."""
+(with fuzzed overrides)."""
 
 import contextlib
 import io
-import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podrom import cli, harness, mmio
@@ -78,7 +77,6 @@ FLOATS = st.one_of(st.floats(0, 10).map(repr), st.sampled_from(("-1", "nan", "in
 CONFIG_VALUES = {
     "n_side": st.integers(-1, 40).map(str),
     "M": st.integers(-1, 40).map(str),
-    "seed": st.integers(-1, 40).map(str),
     "degree": st.integers(0, 3).map(str),
     "q": st.integers(0, 6).map(str),
     "nu": FLOATS,
@@ -93,10 +91,6 @@ CONFIG_VALUES = {
 }
 #: command-line override values: integers near the valid ranges, or any text
 OVERRIDE = st.one_of(st.integers(-3, 1100).map(str), TEXT)
-#: environment values: any text the environment can hold
-ENV_TEXT = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
-)
 CONFIG_LINE = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
     lambda key: CONFIG_VALUES[key].map(lambda v: f"{key} = {v}")
 )
@@ -331,7 +325,6 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate = 1\n")
         assert cli.main(["mesh", "--config", str(bad)]) == cli.USAGE_ERROR
-        assert cli.main(["tables", "--which", "nonsense"]) == cli.USAGE_ERROR
         missing = str(tmp_path / "nope.cfg")
         assert cli.main(["mesh", "--config", missing]) == cli.USAGE_ERROR
         assert cli.main(["fom", "--M", "0", "--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
@@ -352,22 +345,11 @@ class TestCli:
             assert f"r_grid ranks must be at least 1, got ({rank},)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_threads_guard(self, tmp_path, monkeypatch):
-        for bad in ("0", "abc"):
-            monkeypatch.setenv("PODROM_THREADS", bad)
-            assert cli.main(["check"]) == cli.USAGE_ERROR
-        monkeypatch.setenv("PODROM_THREADS", "2")
-        assert cli.main(["check"]) == 0
-
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.fixed_dictionaries({flag: st.none() | OVERRIDE for flag in ("--q", "--M", "--r")}),
-        st.one_of(st.none(), st.integers(-2, 64).map(str), ENV_TEXT),
-    )
-    @example({"--q": None, "--M": None, "--r": None}, "1" * 5000)  # more digits than int() converts
-    def test_fuzz_overrides_and_threads(self, tmp_path_factory, overrides, threads):
-        # any override strings and PODROM_THREADS value give 0 or a usage
-        # error with a message, never an exception
+    @given(st.fixed_dictionaries({flag: st.none() | OVERRIDE for flag in ("--q", "--M", "--r")}))
+    def test_fuzz_overrides(self, tmp_path_factory, overrides):
+        # any override strings give 0 or a usage error with a message, never
+        # an exception
         base = tmp_path_factory.getbasetemp()
         cfg = base / "fuzz-mesh.cfg"
         cfg.write_text("n_side = 2\n")
@@ -375,17 +357,9 @@ class TestCli:
         for flag, value in overrides.items():
             if value is not None:
                 argv += [flag, value]
-        saved = os.environ.pop("PODROM_THREADS", None)
-        if threads is not None:
-            os.environ["PODROM_THREADS"] = threads
         err = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        finally:
-            os.environ.pop("PODROM_THREADS", None)
-            if saved is not None:
-                os.environ["PODROM_THREADS"] = saved
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
         assert code in (0, cli.USAGE_ERROR)
         if code == cli.USAGE_ERROR:
             assert err.getvalue().strip()
@@ -415,7 +389,7 @@ class TestCli:
         # no main-loop step is compared, which must not read as "exact"
         assert rows[-1] == "2,nan,nan,nan,nan"
 
-    def test_pipeline_chain(self, tmp_path, capsys):
+    def test_pipeline_chain(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "n_side = 4\ndegree = 2\nM = 8\nT = 0.8\nq = 2\nr_grid = 3\n"
@@ -429,6 +403,15 @@ class TestCli:
         assert cli.main(["errors", *args]) == 0
         out_dir = tmp_path / "out"
         for name in ("mesh.txt", "fom.traj", "pod.modes.mtx", "errors_vs_r.csv"):
+            assert (out_dir / name).exists(), name
+        # `convergence` builds its basis from fom.traj too: it runs no FOM
+        def no_fom(*args, **kwargs):
+            raise AssertionError("convergence ran a FOM")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "fom_integrate", no_fom)
+            assert cli.main(["convergence", *args, "--q", "2"]) == 0
+        for name in ("convergence.csv", "starting_values.csv"):
             assert (out_dir / name).exists(), name
         rom_files = list(out_dir.glob("rom_q2_r3_M8.*"))
         assert any(p.suffix == ".traj" for p in rom_files)
@@ -466,7 +449,7 @@ class TestCli:
         ):
             other = tmp_path / f"other_{key}.cfg"
             other.write_text(cfg.read_text() + f"{key} = {value}\n")
-            for sub in ("pod", "rom", "errors"):
+            for sub in ("pod", "rom", "errors", "convergence"):
                 capsys.readouterr()
                 assert cli.main([sub, "--config", str(other)]) == cli.USAGE_ERROR, (key, sub)
                 err = capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
-names, every target that perfbench's tracer wraps still exists, the time
-loop's work passes through the traced names, and perfbench's workloads
-still run.
+names, no module reads an environment variable, every target that
+perfbench's tracer wraps still exists, the time loop's work passes through
+the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -123,6 +123,34 @@ def test_no_reaching_into_private_names(path):
     """A module uses what other modules make public: a private name that
     another module needs is part of its interface and loses the underscore."""
     found = list(foreign_private_names(ast.parse(path.read_text())))
+    assert not found, ", ".join(found)
+
+
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def environment_reads(tree):
+    """Reads of os.environ and calls of os.getenv, by attribute or by a
+    ``from os import`` of the name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENVIRONMENT_READERS:
+                    yield f"import of os.{alias.name} (line {node.lineno})"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT_READERS
+        ):
+            yield f"os.{node.attr} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    """Every setting comes from the config or the command line, where it is
+    validated and documented; none hides in the environment."""
+    found = list(environment_reads(ast.parse(path.read_text())))
     assert not found, ", ".join(found)
 
 
