@@ -5,6 +5,18 @@ problems, and snapshot trajectories on a uniform grid.
 Nonhomogeneous Dirichlet data on gamma1 is enforced by elimination at every
 step: candidate states carry the prescribed boundary values, Newton updates
 vanish on constrained dofs.
+
+The Newton operator is matrix-free (cell-based operator application,
+Kronbichler & Kormann, Comput. Fluids 63, 2012). The residual gathers the
+element values of (bdf_dt, u) once and integrates (bdf_dt + g(u)) w_q against
+the basis at the quadrature points. The Jacobian is an operator, not a
+matrix: J x = scatter(N^T (C * N x_e) + sum_k m_{e,k} S_k x_e) with the
+quadrature coefficients C_ab = w_q (c0 delta_ab + dg_a/du_b(u(x_q))), the
+space's reference gradient products S_k and per-element weights nu
+area_e (J_e^-1 J_e^-T) entries; Dirichlet entries of x are dropped before
+the gather and passed through after the scatter. Both sum their element
+vectors with one ``bincount``. BiCGStab (``linalg.krylov_solve``) takes the
+operator as it takes a CSR matrix.
 """
 
 from __future__ import annotations
@@ -15,15 +27,8 @@ import numpy as np
 
 from . import mmio
 from .bdf import bdf_increment_form, extrapolation_weights, integrate
-from .linalg import CsrMatrix, coo_plan, krylov_solve
-from .mesh_fem import (
-    FeSpace,
-    assemble_load_system,
-    assemble_reaction_system,
-    build_mesh,
-    build_space,
-    reaction_jacobian_elements,
-)
+from .linalg import krylov_solve
+from .mesh_fem import FeSpace, assemble_load_system, build_mesh, build_space
 
 
 #: forcing term of the inexact Newton update (Dembo, Eisenstat & Steihaug,
@@ -159,7 +164,8 @@ class Trajectory:
 
 
 class FomOperator:
-    """Residual/Jacobian machinery for one (system, space) pair."""
+    """Residual/Jacobian machinery for one (system, space) pair, applied
+    element by element at the quadrature points: no Jacobian is stored."""
 
     def __init__(self, system: ReactionSystem, space: FeSpace):
         self.system = system
@@ -167,53 +173,48 @@ class FomOperator:
         self.nc = system.n_components
         self.n = space.n_dof
         self.dim = self.nc * self.n
-        self.mass = space.mass_matrix(self.nc)
-        self.stiff = space.stiffness_matrix(self.nc)
-        # nu per stacked dof, applied after the stiffness product
-        self.nu = np.repeat(np.asarray(system.diffusion, dtype=np.float64), self.n)
         self.mask = np.tile(space.dirichlet_mask, self.nc)
-        # one plan from the element matrices of all nc^2 reaction blocks, in
-        # the block-major order reaction_jacobian_elements gives them, to the
-        # block Jacobian; each element entry's row and column are those of
-        # the stored entry the space's plan maps it to
-        nc, n, dim = self.nc, self.n, self.dim
-        rows = space.plan.pattern.row_indices()[space.plan.entry]
-        cols = space.plan.pattern.col_indices[space.plan.entry]
-        shift = n * np.arange(nc)
-        self._jac_plan = coo_plan(
-            dim,
-            dim,
-            (np.repeat(shift, nc)[:, None] + rows).ravel(),
-            (np.tile(shift, nc)[:, None] + cols).ravel(),
-        )
-        ri, ci = self._jac_plan.pattern.row_indices(), self._jac_plan.pattern.col_indices
-        # the entries of the stacked mass and stiffness (block-diagonal, one
-        # pattern) within the block Jacobian: CSR entries are sorted by
-        # row * dim + col
-        self._jac_linear_entries = np.searchsorted(
-            ri * dim + ci, self.mass.row_indices() * dim + self.mass.col_indices
-        )
-        # Dirichlet rows and columns are eliminated onto a unit diagonal
-        self._jac_eliminated = np.flatnonzero(self.mask[ri] | self.mask[ci])
-        self._jac_eliminated_values = (ri == ci)[self._jac_eliminated].astype(np.float64)
+        nloc = space.cell_dofs.shape[1]
+        # nu_c area_e (G_xx, G_xy, G_yy) per component and element, and the
+        # reference products S_k side by side, so that a gathered x_e gives
+        # nu_c K_e x_e as one matmul and one contraction over k
+        nu = np.asarray(system.diffusion, dtype=np.float64)
+        self.stiffness_weights = nu[:, None, None] * space.gradient_weights
+        self.stiffness_products = space.gradient_products.transpose(1, 0, 2).reshape(nloc, 3 * nloc)
+        # the stacked dof of each element entry, component-major, for one bincount
+        self.element_rows = (space.cell_dofs + self.n * np.arange(self.nc)[:, None, None]).ravel()
 
     def split(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.nc, self.n)
 
-    def reaction(self, w: np.ndarray) -> np.ndarray:
-        return assemble_reaction_system(self.space, self.split(w), self.system.g).ravel()
+    def gather(self, w: np.ndarray) -> np.ndarray:
+        """Element values (..., nc, ne, nloc) of stacked vectors (..., dim)."""
+        return np.take(w.reshape(w.shape[:-1] + (self.nc, self.n)), self.space.cell_dofs, axis=-1)
+
+    def scatter(self, elem: np.ndarray) -> np.ndarray:
+        """Element vectors (nc, ne, nloc) summed into one stacked vector."""
+        return np.bincount(self.element_rows, weights=elem.ravel(), minlength=self.dim)
+
+    def stiffness_elements(self, elem_values: np.ndarray) -> np.ndarray:
+        """nu_c K_e x_e for gathered (nc, ne, nloc) values x_e."""
+        products = elem_values @ self.stiffness_products
+        products = products.reshape(elem_values.shape[:-1] + (3, -1))
+        return np.einsum("cek,ceki->cei", self.stiffness_weights, products)
 
     def residual(self, increment, hist_states, scheme, dt, t):
         """Algebraic residual M bdf_dt + nu (K u) + G(u) - F(t) of one BDF
         step at the candidate u = u^{n-1} + increment, with M and K the
-        stacked mass and stiffness.
+        stacked mass and stiffness: one gather of (bdf_dt, u), the mass and
+        reaction terms (bdf_dt(x_q) + g(u(x_q))) w_q integrated against the
+        basis, the stiffness term per element, and one ``bincount``.
 
         The discrete derivative bdf_dt is evaluated in first-difference form
         from the increment, keeping the residual floor independent of dt."""
         bdf_dt = bdf_increment_form(scheme, increment, hist_states, dt)
-        candidate = hist_states[0] + increment
-        r = self.mass.matvec(bdf_dt) + self.nu * self.stiff.matvec(candidate)
-        r += self.reaction(candidate)
+        elem_values = self.gather(np.stack([bdf_dt, hist_states[0] + increment]))
+        at_q = elem_values @ self.space.basis_values.T  # (2, nc, ne, nq)
+        values = (at_q[0] + self.system.g(at_q[1])) * self.space.quadrature_weights
+        r = self.scatter(values @ self.space.basis_values + self.stiffness_elements(elem_values[1]))
         if self.system.forcing is not None:
             r -= assemble_load_system(self.space, self.system.forcing, t)
         r[self.mask] = 0.0
@@ -258,31 +259,61 @@ class FomOperator:
         return at_step
 
     def jacobian_linear_part(self, c0_over_dt) -> tuple:
-        """The Jacobian's linear part, fixed for a run: (c0_over_dt M, nu K)
-        in each diagonal block, as two pattern-aligned value arrays that
-        ``jacobian`` adds one after the other, so each entry is summed as
-        (reaction + c0_over_dt M) + nu K, the order of the block assembly;
-        adding c0_over_dt M + nu K as one array would move entries at
-        rounding level."""
-        mass, diffusion = np.zeros((2, self._jac_plan.pattern.nnz))
-        mass[self._jac_linear_entries] = c0_over_dt * self.mass.values
-        diffusion[self._jac_linear_entries] = self.nu[self.stiff.row_indices()] * self.stiff.values
-        return mass, diffusion
+        """The Jacobian's part fixed for a run: (c0_over_dt, the diagonal
+        c0_over_dt diag(M) + nu diag(K) of its linear part), read from the
+        space's stacked mass and stiffness, which the POD's Gram operator
+        then finds formed."""
+        mass = self.space.mass_matrix(self.nc).diagonal()
+        stiffness = self.space.stiffness_matrix(self.nc).diagonal()
+        nu = np.repeat(np.asarray(self.system.diffusion, dtype=np.float64), self.n)
+        return c0_over_dt, c0_over_dt * mass + nu * stiffness
 
-    def jacobian(self, candidate, linear_part) -> CsrMatrix:
-        """The Jacobian at ``candidate``: one ``bincount`` of the reaction
-        element matrices, plus ``linear_part`` (``jacobian_linear_part``), with
-        the Dirichlet rows and columns set onto a unit diagonal."""
-        elem = reaction_jacobian_elements(self.space, self.split(candidate), self.system.g_prime)
-        vals = self._jac_plan.assemble(elem.ravel())
-        for part in linear_part:
-            vals += part
-        vals[self._jac_eliminated] = self._jac_eliminated_values
-        return self._jac_plan.csr(vals)
+    def jacobian(self, candidate, linear_part) -> "FomJacobian":
+        """The Jacobian at ``candidate``, with the Dirichlet rows and columns
+        of the identity, as an operator on the element data: its quadrature
+        coefficients w_q (c0 delta_ab + dg_a/du_b(u(x_q))) and the linear part
+        (``jacobian_linear_part``)."""
+        c0, linear_diagonal = linear_part
+        weights = self.space.quadrature_weights
+        dq = self.system.g_prime(self.space.at_quadrature(self.split(candidate)))
+        reaction_diagonal = (np.einsum("aaeq->aeq", dq) * weights) @ self.space.basis_values**2
+        diagonal = linear_diagonal + self.scatter(reaction_diagonal)
+        diagonal[self.mask] = 1.0
+        dq += c0 * np.eye(self.nc)[:, :, None, None]
+        return FomJacobian(self, dq * weights, diagonal)
+
+
+@dataclass
+class FomJacobian:
+    """J x = scatter(N^T (C * N x_e) + nu K_e x_e) per element, with the
+    Dirichlet entries of x dropped before the gather and passed through
+    after the scatter, and its Jacobi diagonal."""
+
+    op: FomOperator
+    coefficients: np.ndarray  # C, (nc, nc, ne, nq)
+    diag: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.op.dim
+
+    cols = rows
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        op, mask = self.op, self.op.mask
+        elem_values = op.gather(np.where(mask, 0.0, x))
+        at_q = elem_values @ op.space.basis_values.T  # (nc, ne, nq)
+        values = np.einsum("abeq,beq->aeq", self.coefficients, at_q)
+        y = op.scatter(values @ op.space.basis_values + op.stiffness_elements(elem_values))
+        y[mask] = x[mask]
+        return y
 
 
 def newton_update(
-    jac: CsrMatrix, rhs: np.ndarray, tol: float, x0: np.ndarray | None = None
+    jac: FomJacobian, rhs: np.ndarray, tol: float, x0: np.ndarray | None = None
 ) -> np.ndarray:
     """J^{-1} rhs by BiCGStab, inexactly: to ||J x - rhs|| <= FORCING * tol,
     clipped to a relative 1e-13..0.5, so the Newton test on the true

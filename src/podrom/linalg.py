@@ -7,8 +7,9 @@ with fixed indices refill it with one ``bincount``. The matvec reduces the
 products of each row with one ``reduceat``; a 2-D operand goes through in
 column chunks of bounded size.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
-routines; the sparse iterative solver is BiCGStab with a Jacobi
-preconditioner.
+routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
+any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:
+a CsrMatrix, or the FOM's matrix-free Jacobian.
 """
 
 from __future__ import annotations
@@ -276,15 +277,18 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def krylov_solve(
-    a: CsrMatrix,
+    a,
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
 ):
     """Jacobi-preconditioned BiCGStab iterate with ||a x - b|| <= tol * ||b||,
-    started from ``x0``, or from zero when it is None. The test stays
-    relative to ||b||, whatever the start; b = 0 is solved by zero.
+    started from ``x0``, or from zero when it is None. ``a`` is any square
+    operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()`` (a
+    CsrMatrix, or the FOM's matrix-free Jacobian); only its products and its
+    diagonal are used. The test stays relative to ||b||, whatever the start;
+    b = 0 is solved by zero.
 
     Returns (x, iteration_count); a start that already meets the tolerance
     is returned with 0 iterations. Raises ValueError for a non-conforming

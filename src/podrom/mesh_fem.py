@@ -7,12 +7,16 @@ belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann).
 Assembly is vectorized over elements. Each FeSpace owns its element data
 as attributes formed on first use: the element ``area``, the reference
 ``basis_values`` N (nq, nloc) and ``basis_products`` P (nq, nloc^2), the
-physical ``quadrature_points`` and ``quadrature_weights`` area_e * w_q,
-and ``plan``, the COO -> CSR plan of the one sparsity pattern every
-assembled operator shares. The per-step kernels are matmuls: fields at the
-quadrature points are ``space.at_quadrature(u)`` = ``u[:, cell_dofs] @
-N^T``, reaction and load vectors ``(v * w) @ N`` scattered by one
-``bincount``, and reaction-Jacobian element blocks ``(g'(u_q) * w) @ P``.
+stiffness decomposition into reference ``gradient_products`` S_k (3, nloc,
+nloc) and per-element ``gradient_weights`` (ne, 3), the physical
+``quadrature_points`` and ``quadrature_weights`` area_e * w_q, and
+``plan``, the COO -> CSR plan of the one sparsity pattern every assembled
+operator shares. The kernels are matmuls: fields at the quadrature points
+are ``space.at_quadrature(u)`` = ``u[:, cell_dofs] @ N^T``, reaction and
+load vectors ``(v * w) @ N`` scattered by one ``bincount``, element
+stiffness matrices ``gradient_weights @ S``, and reaction-Jacobian element
+blocks ``(g'(u_q) * w) @ P`` (the FOM applies its Jacobian without them;
+the tests assemble it from them).
 """
 
 from __future__ import annotations
@@ -210,6 +214,27 @@ class FeSpace:
         return (n[:, :, None] * n[:, None, :]).reshape(len(n), -1)
 
     @cached_property
+    def gradient_products(self) -> np.ndarray:
+        """(3, nloc, nloc) reference matrices S_xx, S_xy + S_yx and S_yy, with
+        S_ab[i, j] = sum_q w_q d_a N_i(q) d_b N_j(q) on the reference triangle."""
+        g = _basis_ref_grads(self.degree, self.quad.points)  # (nq, nloc, 2)
+        s = np.einsum("q,qia,qjb->abij", self.quad.weights, g, g)
+        return np.stack([s[0, 0], s[0, 1] + s[1, 0], s[1, 1]])
+
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        """(ne, 3) weights area_e (G_xx, G_xy, G_yy) of G = J_e^-1 J_e^-T, the
+        metric of the affine map J_e, so that the element stiffness matrices
+        are ``gradient_weights @ gradient_products`` (flattened)."""
+        p = self.mesh.vertices[self.mesh.triangles]  # (ne, 3, 2)
+        (j11, j21), (j12, j22) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
+        det = 2.0 * self.area
+        # rows of the inverse of the affine Jacobian, per element
+        inv_x, inv_y = np.stack([j22, -j12]) / det, np.stack([-j21, j11]) / det
+        metric = np.stack([(inv_x * inv_x).sum(0), (inv_x * inv_y).sum(0), (inv_y * inv_y).sum(0)])
+        return (self.area * metric).T.copy()
+
+    @cached_property
     def plan(self) -> CooPlan:
         """The plan coalescing the entries of (ne, nloc, nloc) element
         matrices, flattened, into the one CSR pattern of every operator."""
@@ -296,15 +321,7 @@ def assemble_mass(space: FeSpace) -> CsrMatrix:
 
 
 def assemble_stiffness(space: FeSpace) -> CsrMatrix:
-    p = space.mesh.vertices[space.mesh.triangles]  # (ne, 3, 2)
-    (j11, j21), (j12, j22) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
-    det = 2.0 * space.area
-    # inverse transpose of the affine Jacobian, per element
-    jinv_t = np.stack([j22, -j21, -j12, j11], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
-    rgrads = _basis_ref_grads(space.degree, space.quad.points)  # (nq, nloc, 2)
-    pgrads = np.einsum("eab,qlb->eqla", jinv_t, rgrads)  # (ne, nq, nloc, 2)
-    elem = np.einsum("q,eqia,eqja->eij", space.quad.weights, pgrads, pgrads)
-    elem *= space.area[:, None, None]
+    elem = space.gradient_weights @ space.gradient_products.reshape(3, -1)
     return space.plan.csr(space.plan.assemble(elem.ravel()))
 
 

@@ -1,7 +1,11 @@
-"""Oracles that only the tests use: a CSR matrix as a dense array, and the
-L2 norm and H1 seminorm of a nodal field."""
+"""Oracles that only the tests use: a CSR matrix as a dense array, the L2
+norm and H1 seminorm of a nodal field, and the FOM's BDF residual from the
+assembled scalar mass and stiffness, component by component."""
 
 import numpy as np
+
+from podrom.bdf import bdf_increment_form
+from podrom.mesh_fem import assemble_load, assemble_reaction_system
 
 
 def as_dense(a) -> np.ndarray:
@@ -21,3 +25,27 @@ def norms(space, v):
     l2sq = float(v @ space.mass_matrix(nc).matvec(v))
     h1sq = float(v @ space.stiffness_matrix(nc).matvec(v))
     return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
+
+
+def fom_residual_oracle(op, increment, history, scheme, dt, t):
+    """M bdf_dt + nu K u + G(u) - F(t) of one BDF step at u = history[0] +
+    increment for the system and space of ``op`` (a ``FomOperator``): the
+    assembled scalar mass and stiffness applied component by component, nu
+    after the product, minus each component's load, with the Dirichlet rows
+    zeroed. Independent of ``FomOperator.residual``."""
+    system, space = op.system, op.space
+    bdf_dt = op.split(bdf_increment_form(scheme, increment, history, dt))
+    candidate = op.split(history[0] + increment)
+    reaction = assemble_reaction_system(space, candidate, system.g)
+    forcing = system.forcing or [None] * op.nc
+    want = []
+    for c in range(op.nc):
+        term = space.mass_matrix().matvec(bdf_dt[c])
+        term = term + system.diffusion[c] * space.stiffness_matrix().matvec(candidate[c])
+        term = term + reaction[c]
+        if forcing[c] is not None:
+            term = term - assemble_load(space, forcing[c], t)
+        want.append(term)
+    want = np.concatenate(want)
+    want[op.mask] = 0.0
+    return want

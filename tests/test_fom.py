@@ -5,7 +5,7 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from helpers import as_dense, norms
+from helpers import as_dense, fom_residual_oracle, norms
 from podrom import fom
 from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, integrate
 from podrom.fom import (
@@ -22,17 +22,41 @@ from podrom.fom import (
 from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
-    assemble_load,
     assemble_reaction_jacobian_system,
-    assemble_reaction_system,
     build_mesh,
     build_space,
     interpolate,
 )
 
+EPS = np.finfo(np.float64).eps
+#: the operator and the assembled oracle each add, per entry, at most 6
+#: element contributions, each a matmul over at most 6 quadrature points
+#: (reaction and mass) or a 3-term gradient contraction (stiffness): about 8
+#: roundings deep per side, so the two differ by at most 2 x 8 eps times the
+#: absolute sums of the terms (measured: 2.75 eps at worst for the Jacobian,
+#: 0.57 eps for the residual)
+ROUNDING_K = 16
+
 
 def small_space(n_side=4, degree=1, dirichlet="gamma1"):
     return build_space(build_mesh(n_side), degree, dirichlet=dirichlet)
+
+
+def absolute_parts(space, states, g_prime):
+    """Pattern-aligned absolute sums of the quadrature terms of the reaction
+    Jacobian's blocks, (nc, nc, nnz), and of the mass, (nnz,), and of the
+    gradient-product terms of the stiffness, (nnz,): the scale of the
+    rounding of any order of summing those terms."""
+    plan, weights = space.plan, space.quadrature_weights
+    products = np.abs(space.basis_products)
+    dq = np.abs(g_prime(space.at_quadrature(states)))
+    nc = len(states)
+    reaction = np.array(
+        [[plan.assemble(((dq[a, b] * weights) @ products).ravel()) for b in range(nc)] for a in range(nc)]
+    )
+    mass = plan.assemble((weights @ products).ravel())
+    gradient = np.abs(space.gradient_weights) @ np.abs(space.gradient_products).reshape(3, -1)
+    return reaction, mass, plan.assemble(gradient.ravel())
 
 
 class TestBrusselatorSystem:
@@ -273,11 +297,15 @@ class TestInexactNewton:
         assert np.array_equal(x, np.zeros(jacobian.rows))
 
     def worst_step_residual(self, op, states, dt):
-        """The largest BDF-Q residual of the main-loop states of a run."""
+        """The largest BDF-Q residual of the main-loop states of a run, by
+        the assembled-matrix oracle rather than the residual the Newton
+        solve itself tests."""
         q, scheme = self.Q, bdf_coefficients(self.Q)
         return max(
             np.linalg.norm(
-                op.residual(states[n] - states[n - 1], states[n - q : n][::-1], scheme, dt, n * dt)
+                fom_residual_oracle(
+                    op, states[n] - states[n - 1], states[n - q : n][::-1], scheme, dt, n * dt
+                )
             )
             for n in range(q, len(states))
         )
@@ -382,7 +410,9 @@ class TestIntegratorInterface:
     )
     def test_residual_matches_per_component_formula(self, degree, system):
         # oracle: the scalar mass and stiffness applied component by
-        # component, nu after the product, minus each component's load
+        # component, nu after the product, minus each component's load; the
+        # operator sums the same terms per element in another order, so the
+        # two agree to ROUNDING_K eps times the absolute sums of the terms
         space = small_space(4, degree)
         op = FomOperator(system, space)
         scheme = bdf_coefficients(3)
@@ -391,48 +421,84 @@ class TestIntegratorInterface:
         base = equilibrium_state(system, space).ravel()
         history = [base + 0.1 * rng.standard_normal(op.dim) for _ in range(3)]
         increment = 0.05 * rng.standard_normal(op.dim)
-        bdf_dt = op.split(bdf_increment_form(scheme, increment, history, dt))
+        want = fom_residual_oracle(op, increment, history, scheme, dt, t)
+        got = op.residual(increment, history, scheme, dt, t)
+        bdf_dt = op.split(np.abs(bdf_increment_form(scheme, increment, history, dt)))
         candidate = op.split(history[0] + increment)
-        reaction = assemble_reaction_system(space, candidate, system.g)
+        _, mass, stiffness = absolute_parts(space, candidate, system.g_prime)
+        mass, stiffness = space.plan.csr(mass), space.plan.csr(stiffness)
+        weights, basis = space.quadrature_weights, np.abs(space.basis_values)
+        qc = space.quadrature_points
         forcing = system.forcing or [None] * op.nc
-        want = []
+        reaction = np.abs(system.g(space.at_quadrature(candidate)))
+        scale = []
         for c in range(op.nc):
-            term = space.mass_matrix().matvec(bdf_dt[c])
-            term = term + system.diffusion[c] * space.stiffness_matrix().matvec(candidate[c])
-            term = term + reaction[c]
+            at_q = reaction[c]
             if forcing[c] is not None:
-                term = term - assemble_load(space, forcing[c], t)
-            want.append(term)
-        want = np.concatenate(want)
-        want[op.mask] = 0.0
-        assert np.array_equal(op.residual(increment, history, scheme, dt, t), want)
+                at_q = at_q + np.abs(forcing[c](qc[..., 0], qc[..., 1], t))
+            integrated = np.bincount(
+                space.cell_dofs.ravel(), ((at_q * weights) @ basis).ravel(), minlength=op.n
+            )
+            scale.append(
+                mass.matvec(bdf_dt[c])
+                + system.diffusion[c] * stiffness.matvec(np.abs(candidate[c]))
+                + integrated
+            )
+        scale = np.concatenate(scale)
+        assert np.array_equal(got[op.mask], np.zeros(op.mask.sum()))
+        ratio = np.abs(got - want)[~op.mask] / (ROUNDING_K * EPS * scale[~op.mask])
+        assert np.max(ratio) <= 1.0, np.max(ratio)
 
-    def test_jacobian_matches_block_assembly(self):
-        # reference: the block matrix assembled from COO triplets, Dirichlet
-        # rows and columns zeroed and a unit diagonal put on constrained dofs
-        space = small_space(4, 2)
-        sys = brusselator_system(0.002)
-        op = FomOperator(sys, space)
-        w = perturbed_equilibrium(space, 0.3).ravel()
-        c0 = 137.0 / 60.0 / 0.05
-        gp = assemble_reaction_jacobian_system(space, op.split(w), sys.g_prime)
-        blocks = {}
-        for a in range(2):
-            for b in range(2):
-                vals = gp[a, b]
+    def check_jacobian(self, system, space, w, c0):
+        """The operator's full matrix, its action on every unit vector,
+        against the block matrix assembled from COO triplets with the
+        Dirichlet rows and columns of the identity: exactly 0 off the
+        block pattern, exactly the identity's Dirichlet rows and columns,
+        and every other entry, and ``diagonal()``, within ROUNDING_K eps
+        times the absolute sums of its reaction, mass and stiffness terms."""
+        op = FomOperator(system, space)
+        gp = assemble_reaction_jacobian_system(space, op.split(w), system.g_prime)
+        reaction, mass, stiffness = absolute_parts(space, op.split(w), system.g_prime)
+        blocks, scales = {}, {}
+        for a in range(op.nc):
+            for b in range(op.nc):
+                vals, scale = gp[a, b], reaction[a, b]
                 if a == b:
                     vals = vals + c0 * space.mass_matrix().values
-                    vals = vals + sys.diffusion[a] * space.stiffness_matrix().values
-                blocks[(a, b)] = vals
-        ref = block_csr(space.plan.pattern, blocks, 2)
-        ri, ci = ref.row_indices(), ref.col_indices
-        ref.values[op.mask[ri] | op.mask[ci]] = 0.0
-        ref.values[(ri == ci) & op.mask[ri]] = 1.0
-        for _ in range(2):  # the pattern is reused across calls
-            jac = op.jacobian(w, op.jacobian_linear_part(c0))
-            assert np.array_equal(jac.row_offsets, ref.row_offsets)
-            assert np.array_equal(jac.col_indices, ref.col_indices)
-            assert np.array_equal(jac.values, ref.values)
+                    vals = vals + system.diffusion[a] * space.stiffness_matrix().values
+                    scale = scale + c0 * mass + system.diffusion[a] * stiffness
+                blocks[(a, b)], scales[(a, b)] = vals, scale
+        ref = as_dense(block_csr(space.plan.pattern, blocks, op.nc))
+        scale = as_dense(block_csr(space.plan.pattern, scales, op.nc))
+        pattern = as_dense(block_csr(space.plan.pattern, {k: np.ones_like(v) for k, v in blocks.items()}, op.nc))
+        mask, eye = op.mask, np.eye(op.dim)
+        jac = op.jacobian(w, op.jacobian_linear_part(c0))
+        assert (jac.rows, jac.cols) == (op.dim, op.dim)
+        full = np.column_stack([jac.matvec(e) for e in eye])
+        assert np.array_equal(full[pattern == 0], np.zeros(np.sum(pattern == 0)))
+        assert np.array_equal(full[mask], eye[mask])
+        assert np.array_equal(full[:, mask], eye[:, mask])
+        free = (pattern != 0) & ~mask[:, None] & ~mask[None, :]
+        ratio = np.abs(full - ref)[free] / (ROUNDING_K * EPS * scale[free])
+        assert np.max(ratio) <= 1.0, np.max(ratio)
+        diagonal = jac.diagonal()
+        assert np.array_equal(diagonal[mask], np.ones(mask.sum()))
+        ratio = np.abs(diagonal - np.diag(ref))[~mask] / (ROUNDING_K * EPS * np.diag(scale)[~mask])
+        assert np.max(ratio) <= 1.0, np.max(ratio)
+        return op, jac, full
+
+    def test_jacobian_matches_block_assembly(self):
+        space = small_space(4, 2)
+        sys = brusselator_system(0.002)
+        w = perturbed_equilibrium(space, 0.3).ravel()
+        c0 = 137.0 / 60.0 / 0.05
+        op, jac, full = self.check_jacobian(sys, space, w, c0)
+        # the linear part is reused across a run's Jacobians
+        linear_part = op.jacobian_linear_part(c0)
+        for _ in range(2):
+            again = op.jacobian(w, linear_part)
+            assert np.array_equal(np.column_stack([again.matvec(e) for e in np.eye(op.dim)]), full)
+            assert np.array_equal(again.diagonal(), jac.diagonal())
 
     @pytest.mark.parametrize(
         "degree, system",
@@ -447,28 +513,12 @@ class TestIntegratorInterface:
         # the block-assembly reference of the test above, for a scalar system
         # and for P1
         space = small_space(4, degree)
-        op = FomOperator(system, space)
+        nc, n = system.n_components, space.n_dof
         rng = np.random.default_rng(degree)
-        w = (equilibrium_state(system, space) + 0.3 * rng.standard_normal((op.nc, op.n))).ravel()
-        w[op.mask] = np.repeat(system.dirichlet_values, op.n)[op.mask]
-        c0 = 3.0 / 2.0 / 0.05
-        gp = assemble_reaction_jacobian_system(space, op.split(w), system.g_prime)
-        blocks = {}
-        for a in range(op.nc):
-            for b in range(op.nc):
-                vals = gp[a, b]
-                if a == b:
-                    vals = vals + c0 * space.mass_matrix().values
-                    vals = vals + system.diffusion[a] * space.stiffness_matrix().values
-                blocks[(a, b)] = vals
-        ref = block_csr(space.plan.pattern, blocks, op.nc)
-        ri, ci = ref.row_indices(), ref.col_indices
-        ref.values[op.mask[ri] | op.mask[ci]] = 0.0
-        ref.values[(ri == ci) & op.mask[ri]] = 1.0
-        jac = op.jacobian(w, op.jacobian_linear_part(c0))
-        assert np.array_equal(jac.row_offsets, ref.row_offsets)
-        assert np.array_equal(jac.col_indices, ref.col_indices)
-        assert np.array_equal(jac.values, ref.values)
+        w = (equilibrium_state(system, space) + 0.3 * rng.standard_normal((nc, n))).ravel()
+        mask = np.tile(space.dirichlet_mask, nc)
+        w[mask] = np.repeat(system.dirichlet_values, n)[mask]
+        self.check_jacobian(system, space, w, 3.0 / 2.0 / 0.05)
 
     def test_unstable_equilibrium_perturbation_grows(self):
         space = small_space(8, 2)

@@ -250,6 +250,22 @@ def test_tracer_counts_every_linearisation():
     assert calls["bdf.run_bootstrap"] == 1
 
 
+def test_fom_newton_operator_assembles_no_matrix():
+    """The FOM's Newton operator is matrix-free: a traced run on a fresh
+    space makes no CSR product (the Jacobian, BiCGStab's products and the
+    residual all work on the element data), and exactly one BiCGStab solve
+    per Jacobian."""
+    tracing = load_tracing()
+    space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
+    system, t_end = fom.brusselator_system(0.002), 0.8
+    u0 = fom.perturbed_equilibrium(space)
+    _, calls, updates = traced(tracing, lambda: fom.fom_integrate(system, space, u0, t_end / 4, t_end, 3))
+    assert sum(updates) > 0
+    products = {name: n for name, n in calls.items() if name.startswith("linalg.csr_matvec")}
+    assert not products, products
+    assert calls["linalg.krylov_solve"] == calls["fom.FomOperator.jacobian"] == sum(updates)
+
+
 @pytest.mark.parametrize("name", ["offline", "online", "sweep"])
 def test_benchmark_workloads_run_on_a_small_mesh(name, tmp_path):
     """perfbench calls the package through its workloads, with the call
