@@ -14,9 +14,10 @@ matrix: J x = scatter(N^T (C * N x_e) + sum_k m_{e,k} S_k x_e) with the
 quadrature coefficients C_ab = w_q (c0 delta_ab + dg_a/du_b(u(x_q))), the
 space's reference gradient products S_k and per-element weights nu
 area_e (J_e^-1 J_e^-T) entries; Dirichlet entries of x are dropped before
-the gather and passed through after the scatter. Both sum their element
-vectors with one ``bincount``. BiCGStab (``linalg.krylov_solve``) takes the
-operator as it takes a CSR matrix.
+the gather and passed through after the scatter. Both use the space's
+gather and scatter (one ``bincount``); the Jacobi diagonal sums the element
+diagonals, so the FOM forms no global matrix. BiCGStab
+(``linalg.krylov_solve``) uses only the operator's products and diagonal.
 """
 
 from __future__ import annotations
@@ -181,19 +182,9 @@ class FomOperator:
         nu = np.asarray(system.diffusion, dtype=np.float64)
         self.stiffness_weights = nu[:, None, None] * space.gradient_weights
         self.stiffness_products = space.gradient_products.transpose(1, 0, 2).reshape(nloc, 3 * nloc)
-        # the stacked dof of each element entry, component-major, for one bincount
-        self.element_rows = (space.cell_dofs + self.n * np.arange(self.nc)[:, None, None]).ravel()
 
     def split(self, w: np.ndarray) -> np.ndarray:
-        return w.reshape(self.nc, self.n)
-
-    def gather(self, w: np.ndarray) -> np.ndarray:
-        """Element values (..., nc, ne, nloc) of stacked vectors (..., dim)."""
-        return np.take(w.reshape(w.shape[:-1] + (self.nc, self.n)), self.space.cell_dofs, axis=-1)
-
-    def scatter(self, elem: np.ndarray) -> np.ndarray:
-        """Element vectors (nc, ne, nloc) summed into one stacked vector."""
-        return np.bincount(self.element_rows, weights=elem.ravel(), minlength=self.dim)
+        return w.reshape(w.shape[:-1] + (self.nc, self.n))
 
     def stiffness_elements(self, elem_values: np.ndarray) -> np.ndarray:
         """nu_c K_e x_e for gathered (nc, ne, nloc) values x_e."""
@@ -211,10 +202,11 @@ class FomOperator:
         The discrete derivative bdf_dt is evaluated in first-difference form
         from the increment, keeping the residual floor independent of dt."""
         bdf_dt = bdf_increment_form(scheme, increment, hist_states, dt)
-        elem_values = self.gather(np.stack([bdf_dt, hist_states[0] + increment]))
+        elem_values = self.space.gather(self.split(np.stack([bdf_dt, hist_states[0] + increment])))
         at_q = elem_values @ self.space.basis_values.T  # (2, nc, ne, nq)
         values = (at_q[0] + self.system.g(at_q[1])) * self.space.quadrature_weights
-        r = self.scatter(values @ self.space.basis_values + self.stiffness_elements(elem_values[1]))
+        elem = values @ self.space.basis_values + self.stiffness_elements(elem_values[1])
+        r = self.space.scatter(elem).ravel()
         if self.system.forcing is not None:
             r -= assemble_load_system(self.space, self.system.forcing, t)
         r[self.mask] = 0.0
@@ -260,9 +252,8 @@ class FomOperator:
 
     def jacobian_linear_part(self, c0_over_dt) -> tuple:
         """The Jacobian's part fixed for a run: (c0_over_dt, the diagonal
-        c0_over_dt diag(M) + nu diag(K) of its linear part), read from the
-        space's stacked mass and stiffness, which the POD's Gram operator
-        then finds formed."""
+        c0_over_dt diag(M) + nu diag(K) of its linear part), the element
+        diagonals of the space's stacked mass and stiffness summed per dof."""
         mass = self.space.mass_matrix(self.nc).diagonal()
         stiffness = self.space.stiffness_matrix(self.nc).diagonal()
         nu = np.repeat(np.asarray(self.system.diffusion, dtype=np.float64), self.n)
@@ -277,7 +268,7 @@ class FomOperator:
         weights = self.space.quadrature_weights
         dq = self.system.g_prime(self.space.at_quadrature(self.split(candidate)))
         reaction_diagonal = (np.einsum("aaeq->aeq", dq) * weights) @ self.space.basis_values**2
-        diagonal = linear_diagonal + self.scatter(reaction_diagonal)
+        diagonal = linear_diagonal + self.space.scatter(reaction_diagonal).ravel()
         diagonal[self.mask] = 1.0
         dq += c0 * np.eye(self.nc)[:, :, None, None]
         return FomJacobian(self, dq * weights, diagonal)
@@ -293,21 +284,19 @@ class FomJacobian:
     coefficients: np.ndarray  # C, (nc, nc, ne, nq)
     diag: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return self.op.dim
-
-    cols = rows
+    def __post_init__(self):
+        self.rows = self.cols = self.op.dim
 
     def diagonal(self) -> np.ndarray:
         return self.diag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         op, mask = self.op, self.op.mask
-        elem_values = op.gather(np.where(mask, 0.0, x))
+        elem_values = op.space.gather(op.split(np.where(mask, 0.0, x)))
         at_q = elem_values @ op.space.basis_values.T  # (nc, ne, nq)
         values = np.einsum("abeq,beq->aeq", self.coefficients, at_q)
-        y = op.scatter(values @ op.space.basis_values + op.stiffness_elements(elem_values))
+        elem = values @ op.space.basis_values + op.stiffness_elements(elem_values)
+        y = op.space.scatter(elem).ravel()
         y[mask] = x[mask]
         return y
 

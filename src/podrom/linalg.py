@@ -1,21 +1,23 @@
 """Dense and sparse linear algebra kernels.
 
-Dense matrices are plain 2-D numpy arrays. Sparse matrices use a minimal
-CSR container; every COO -> CSR conversion goes through one plan
-(``coo_plan``) that maps each triplet to its stored entry once, so callers
-with fixed indices refill it with one ``bincount``. The matvec reduces the
-products of each row with one ``reduceat``; a 2-D operand goes through in
-column chunks of bounded size.
+Dense matrices are plain 2-D numpy arrays. The pipeline forms no sparse
+matrix (its finite-element operators are applied element by element); the
+minimal CSR container holds the assembled reference matrices of the tests.
+Every COO -> CSR conversion goes through one plan (``coo_plan``) that maps
+each triplet to its stored entry once, so callers with fixed indices refill
+it with one ``bincount``. The matvec reduces the products of each row with
+one ``reduceat``; a 2-D operand goes through in column chunks of bounded
+size.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
 any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:
-a CsrMatrix, or the FOM's matrix-free Jacobian.
+the FOM's matrix-free Jacobian, or a CsrMatrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +44,6 @@ class ConvergenceError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RowFacts:
-    """Facts of a CSR pattern, computed once and shared by every matrix
-    that a CooPlan refills on it."""
-
-    of_entry: np.ndarray  # the row of each stored entry
-    full: bool  # every row holds an entry
-    diagonal: np.ndarray  # the stored entries on the diagonal
-
-
 @dataclass
 class CsrMatrix:
     """Compressed sparse row matrix with sorted column indices per row."""
@@ -61,7 +53,6 @@ class CsrMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _row_facts: _RowFacts | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -69,32 +60,20 @@ class CsrMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.col_indices) != len(self.values):
             raise ValueError("col_indices and values must have equal length")
-        if self._row_facts is not None:
-            return  # the index arrays are those of a pattern already checked
         if len(self.row_offsets) != self.rows + 1:
             raise ValueError("row_offsets must have length rows + 1")
         if np.any(np.diff(self.row_offsets) < 0):
             raise ValueError("row_offsets must be nondecreasing")
-        if len(self.col_indices) and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.cols
-        ):
+        cols = self.col_indices
+        if len(cols) and not 0 <= cols.min() <= cols.max() < self.cols:
             raise ValueError("column index out of range")
 
     @property
     def nnz(self) -> int:
         return len(self.values)
 
-    def _rows(self) -> _RowFacts:
-        if self._row_facts is None:
-            counts = np.diff(self.row_offsets)
-            of_entry = np.repeat(np.arange(self.rows, dtype=np.int64), counts)
-            self._row_facts = _RowFacts(
-                of_entry, bool(np.all(counts > 0)), np.flatnonzero(of_entry == self.col_indices)
-            )
-        return self._row_facts
-
     def row_indices(self) -> np.ndarray:
-        return self._rows().of_entry
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets))
 
     @staticmethod
     def from_coo(rows: int, cols: int, ri, ci, vals) -> "CsrMatrix":
@@ -107,7 +86,7 @@ class CsrMatrix:
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(min(self.rows, self.cols))
-        on_diag = self._rows().diagonal
+        on_diag = self.row_indices() == self.col_indices
         d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
 
@@ -136,11 +115,9 @@ def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
 
 def _row_sums(a: CsrMatrix, products: np.ndarray) -> np.ndarray:
     """Sums over the stored entries of each row of ``products`` (one per entry)."""
-    starts = a.row_offsets[:-1]
-    if a._rows().full:
-        return np.add.reduceat(products, starts, axis=0)
     # reduceat would give an empty row the entry at its start, so only the
     # non-empty rows are reduced
+    starts = a.row_offsets[:-1]
     filled = starts < a.row_offsets[1:]
     out = np.zeros((a.rows,) + products.shape[1:])
     out[filled] = np.add.reduceat(products, starts[filled], axis=0)
@@ -153,8 +130,7 @@ class CooPlan:
 
     ``assemble`` sums, in triplet order, the values landing on each stored
     entry of ``pattern``; ``csr`` wraps pattern-aligned values in a matrix
-    sharing the pattern's index arrays and row facts, so only the length of
-    the values is checked again.
+    sharing the pattern's index arrays.
     """
 
     entry: np.ndarray  # the stored entry each triplet lands on
@@ -165,7 +141,7 @@ class CooPlan:
 
     def csr(self, values: np.ndarray) -> CsrMatrix:
         p = self.pattern
-        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values, p._rows())
+        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values)
 
 
 def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
@@ -285,8 +261,8 @@ def krylov_solve(
 ):
     """Jacobi-preconditioned BiCGStab iterate with ||a x - b|| <= tol * ||b||,
     started from ``x0``, or from zero when it is None. ``a`` is any square
-    operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()`` (a
-    CsrMatrix, or the FOM's matrix-free Jacobian); only its products and its
+    operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()`` (the
+    FOM's matrix-free Jacobian, or a CsrMatrix); only its products and its
     diagonal are used. The test stays relative to ||b||, whatever the start;
     b = 0 is solved by zero.
 

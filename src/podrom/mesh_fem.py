@@ -5,18 +5,15 @@ split into gamma1 = {x=1} u {y=1} (Dirichlet, closed: shared corners
 belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann).
 
 Assembly is vectorized over elements. Each FeSpace owns its element data
-as attributes formed on first use: the element ``area``, the reference
-``basis_values`` N (nq, nloc) and ``basis_products`` P (nq, nloc^2), the
-stiffness decomposition into reference ``gradient_products`` S_k (3, nloc,
-nloc) and per-element ``gradient_weights`` (ne, 3), the physical
-``quadrature_points`` and ``quadrature_weights`` area_e * w_q, and
-``plan``, the COO -> CSR plan of the one sparsity pattern every assembled
-operator shares. The kernels are matmuls: fields at the quadrature points
-are ``space.at_quadrature(u)`` = ``u[:, cell_dofs] @ N^T``, reaction and
-load vectors ``(v * w) @ N`` scattered by one ``bincount``, element
-stiffness matrices ``gradient_weights @ S``, and reaction-Jacobian element
-blocks ``(g'(u_q) * w) @ P`` (the FOM applies its Jacobian without them;
-the tests assemble it from them).
+as attributes formed on first use (areas, reference basis values N and
+products, reference gradient products S_k with per-element weights, element
+mass and stiffness matrices, physical quadrature points and weights), the
+one ``gather`` of element values and the one ``scatter`` (one ``bincount``)
+of element vectors into nodal fields. The kernels are matmuls between the
+two: fields at the quadrature points ``gather(u) @ N^T``, loads
+``scatter((f * w) @ N)``, and the stacked mass and stiffness
+(``ElementOperator``) the element matrices times ``gather(u)``, scattered.
+``plan`` assembles the element matrices into the tests' CSR references.
 """
 
 from __future__ import annotations
@@ -24,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .linalg import CooPlan, CsrMatrix, block_csr, coo_plan
+from .linalg import CooPlan, CsrMatrix, coo_plan
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -181,7 +179,8 @@ class FeSpace:
     n_dof: int
     cell_dofs: np.ndarray  # (n_tri, nloc)
     quad: Quadrature
-    _operators: dict = field(default_factory=dict, repr=False)  # (kind, n_components) -> CsrMatrix
+    _operators: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
+    _scatter_rows: dict = field(default_factory=dict, repr=False)  # (count, width) -> rows
 
     # -- element data, formed on first use -----------------------------------
 
@@ -224,8 +223,7 @@ class FeSpace:
     @cached_property
     def gradient_weights(self) -> np.ndarray:
         """(ne, 3) weights area_e (G_xx, G_xy, G_yy) of G = J_e^-1 J_e^-T, the
-        metric of the affine map J_e, so that the element stiffness matrices
-        are ``gradient_weights @ gradient_products`` (flattened)."""
+        metric of the affine map J_e."""
         p = self.mesh.vertices[self.mesh.triangles]  # (ne, 3, 2)
         (j11, j21), (j12, j22) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
         det = 2.0 * self.area
@@ -235,41 +233,99 @@ class FeSpace:
         return (self.area * metric).T.copy()
 
     @cached_property
+    def element_mass(self) -> np.ndarray:
+        """(ne, nloc, nloc) element mass matrices area_e sum_q w_q N_i(q) N_j(q)."""
+        nvals = self.basis_values
+        return self.area[:, None, None] * np.einsum("q,qi,qj->ij", self.quad.weights, nvals, nvals)
+
+    @cached_property
+    def element_stiffness(self) -> np.ndarray:
+        """(ne, nloc, nloc) element stiffness matrices sum_k gradient_weights[e, k] S_k."""
+        s = self.gradient_products
+        return (self.gradient_weights @ s.reshape(3, -1)).reshape((-1,) + s.shape[1:])
+
+    @cached_property
     def plan(self) -> CooPlan:
         """The plan coalescing the entries of (ne, nloc, nloc) element
-        matrices, flattened, into the one CSR pattern of every operator."""
+        matrices, flattened, into their CSR pattern."""
         dofs, nloc = self.cell_dofs, self.cell_dofs.shape[1]
         rows, cols = np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
         return coo_plan(self.n_dof, self.n_dof, rows, cols)
 
+    def gather(self, fields: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Element values: the n_dof axis ``axis`` of ``fields`` becomes (ne, nloc)."""
+        return np.take(fields, self.cell_dofs, axis=axis)
+
+    def scatter(self, elem: np.ndarray, width: int | None = None) -> np.ndarray:
+        """Element vectors summed into nodal fields by one ``bincount``:
+        (..., ne, nloc) -> (..., n_dof), or, for entries ``width`` columns
+        wide, (..., ne, nloc, width) -> (..., n_dof, width). The bincount
+        targets are kept per (number of fields, width): an operator product
+        uses two widths, its block's and its last block's."""
+        columns = () if width is None else (width,)
+        fields = elem.shape[: elem.ndim - 2 - len(columns)]
+        shape = fields + (self.n_dof,) + columns
+        key = (math.prod(fields), width or 1)
+        if key not in self._scatter_rows:
+            stacked = self.cell_dofs + self.n_dof * np.arange(key[0])[:, None, None]
+            self._scatter_rows[key] = (stacked[..., None] * key[1] + np.arange(key[1])).ravel()
+        rows = self._scatter_rows[key]
+        return np.bincount(rows, weights=elem.ravel(), minlength=math.prod(shape)).reshape(shape)
+
     def at_quadrature(self, states: np.ndarray) -> np.ndarray:
         """(n_comp, n_dof) nodal fields at the quadrature points, (n_comp, ne, nq)."""
-        return np.take(states, self.cell_dofs, axis=1) @ self.basis_values.T
+        return self.gather(states) @ self.basis_values.T
 
-    # -- cached operators ----------------------------------------------------
+    # -- stacked operators ---------------------------------------------------
 
-    def mass_matrix(self, n_components: int = 1) -> CsrMatrix:
-        """The mass matrix, block-diagonal over ``n_components`` stacked fields."""
-        return self._stacked("mass", assemble_mass, n_components)
+    def mass_matrix(self, n_components: int = 1) -> ElementOperator:
+        """The mass operator, block-diagonal over ``n_components`` stacked fields."""
+        op = ElementOperator(self, self.element_mass, n_components)
+        return self._operators.setdefault(("mass", n_components), op)
 
-    def stiffness_matrix(self, n_components: int = 1) -> CsrMatrix:
-        """The stiffness matrix, block-diagonal over ``n_components`` stacked fields."""
-        return self._stacked("stiffness", assemble_stiffness, n_components)
+    def stiffness_matrix(self, n_components: int = 1) -> ElementOperator:
+        """The stiffness operator, block-diagonal over ``n_components`` stacked fields."""
+        op = ElementOperator(self, self.element_stiffness, n_components)
+        return self._operators.setdefault(("stiffness", n_components), op)
 
-    def _stacked(self, kind: str, assemble, n_components: int) -> CsrMatrix:
-        """The scalar operator ``assemble(self)`` in each diagonal block of an
-        (n_components x n_components) block matrix, built once per count."""
-        key = (kind, n_components)
-        if key not in self._operators:
-            if n_components == 1:
-                self._operators[key] = assemble(self)
-            elif n_components > 1:
-                scalar = self._stacked(kind, assemble, 1).values
-                blocks = {(c, c): scalar for c in range(n_components)}
-                self._operators[key] = block_csr(self.plan.pattern, blocks, n_components)
-            else:
-                raise ValueError(f"n_components must be at least 1, got {n_components}")
-        return self._operators[key]
+
+#: column blocks of at most this many element values (512 kB) bound a product's temporaries
+_BLOCK_ENTRIES = 1 << 16
+
+
+@dataclass(eq=False)
+class ElementOperator:
+    """The (ne, nloc, nloc) element matrices in each diagonal block of
+    ``n_components`` stacked fields, applied cell by cell (Kronbichler &
+    Kormann, Comput. Fluids 63, 2012): gather, one batched matmul, scatter.
+    It holds its space, which holds it weakly, so that no reference cycle
+    keeps the space's arrays alive until a full garbage collection."""
+
+    space: FeSpace
+    elements: np.ndarray  # (ne, nloc, nloc)
+    n_components: int
+
+    def __post_init__(self):
+        if self.n_components < 1:
+            raise ValueError(f"n_components must be at least 1, got {self.n_components}")
+        self.rows = self.cols = self.n_components * self.space.n_dof
+
+    def diagonal(self) -> np.ndarray:
+        """The element diagonals summed per dof, in each block."""
+        return np.tile(self.space.scatter(np.einsum("eii->ei", self.elements)), self.n_components)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector or, column block by block, a matrix."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != self.cols:
+            raise ValueError(f"dimension mismatch: {x.shape[0]} rows, expected {self.cols}")
+        columns = x.reshape(self.n_components, self.space.n_dof, -1)
+        out = np.empty(columns.shape)
+        width = max(1, _BLOCK_ENTRIES // (self.n_components * self.elements[..., 0].size))
+        for j in range(0, columns.shape[-1], width):
+            block = self.space.gather(columns[..., j : j + width], axis=1)  # (nc, ne, nloc, w)
+            out[..., j : j + width] = self.space.scatter(self.elements @ block, block.shape[-1])
+        return out.reshape(x.shape)
 
 
 def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
@@ -314,33 +370,21 @@ def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
 
 
 def assemble_mass(space: FeSpace) -> CsrMatrix:
-    nvals = space.basis_values
-    ref = np.einsum("q,qi,qj->ij", space.quad.weights, nvals, nvals)
-    elem = space.area[:, None, None] * ref[None, :, :]
-    return space.plan.csr(space.plan.assemble(elem.ravel()))
+    """The assembled mass matrix, a reference for ``space.mass_matrix()``."""
+    return space.plan.csr(space.plan.assemble(space.element_mass.ravel()))
 
 
 def assemble_stiffness(space: FeSpace) -> CsrMatrix:
-    elem = space.gradient_weights @ space.gradient_products.reshape(3, -1)
-    return space.plan.csr(space.plan.assemble(elem.ravel()))
-
-
-def _integrate_against_basis(space: FeSpace, values: np.ndarray) -> np.ndarray:
-    """int v phi_i for each field v of ``values`` (..., ne, nq) at the
-    quadrature points: element vectors (v * w) @ N, then one ``bincount``
-    over all fields; shape (..., n_dof)."""
-    elem = (values * space.quadrature_weights) @ space.basis_values  # (..., ne, nloc)
-    fields, n = elem.shape[:-2], space.n_dof
-    rows = space.cell_dofs.ravel() + n * np.arange(math.prod(fields))[:, None]
-    sums = np.bincount(rows.ravel(), weights=elem.ravel(), minlength=rows.shape[0] * n)
-    return sums.reshape(fields + (n,))
+    """The assembled stiffness matrix, a reference for ``space.stiffness_matrix()``."""
+    return space.plan.csr(space.plan.assemble(space.element_stiffness.ravel()))
 
 
 def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
     """Load vector with entries int f phi_i; f maps (x, y [, t]) -> values."""
     qc = space.quadrature_points
-    fx = f(qc[..., 0], qc[..., 1]) if t is None else f(qc[..., 0], qc[..., 1], t)
-    return _integrate_against_basis(space, np.asarray(fx, dtype=np.float64))
+    xy = (qc[..., 0], qc[..., 1])
+    fx = np.asarray(f(*xy) if t is None else f(*xy, t), dtype=np.float64)
+    return space.scatter((fx * space.quadrature_weights) @ space.basis_values)
 
 
 def assemble_load_system(space: FeSpace, forcing, t: float) -> np.ndarray:
@@ -359,29 +403,19 @@ def assemble_reaction_system(space: FeSpace, states: np.ndarray, g) -> np.ndarra
     (n_comp, ...) values pointwise. Returns (n_comp, n_dof).
     """
     gq = np.asarray(g(space.at_quadrature(states)), dtype=np.float64)
-    return _integrate_against_basis(space, gq)
-
-
-def reaction_jacobian_elements(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
-    """Element matrices of every block of the reaction Jacobian,
-    (n_comp, n_comp, ne, nloc^2) with each matrix row-major in (i, j)."""
-    dq = np.asarray(g_prime(space.at_quadrature(states)), dtype=np.float64)
-    return (dq * space.quadrature_weights) @ space.basis_products
+    return space.scatter((gq * space.quadrature_weights) @ space.basis_values)
 
 
 def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prime) -> np.ndarray:
-    """Pattern-aligned value blocks of the reaction Jacobian.
+    """Pattern-aligned value blocks of the reaction Jacobian, from its element
+    matrices (g'(u_q) * w) @ P.
 
     ``g_prime`` maps (n_comp, ...) values to (n_comp, n_comp, ...) partial
     derivatives. Returns (n_comp, n_comp, nnz) values on ``space.plan.pattern``.
     """
-    elem = reaction_jacobian_elements(space, states, g_prime)
-    n_comp = states.shape[0]
-    out = np.empty((n_comp, n_comp, space.plan.pattern.nnz))
-    for a in range(n_comp):
-        for b in range(n_comp):
-            out[a, b] = space.plan.assemble(elem[a, b].ravel())
-    return out
+    dq = np.asarray(g_prime(space.at_quadrature(states)), dtype=np.float64)
+    elem = (dq * space.quadrature_weights) @ space.basis_products
+    return np.array([[space.plan.assemble(block.ravel()) for block in row] for row in elem])
 
 
 def interpolate(space: FeSpace, f) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import mmio
 from .fom import Trajectory
-from .linalg import CsrMatrix, sym_eigen
-from .mesh_fem import FeSpace
+from .linalg import sym_eigen
+from .mesh_fem import ElementOperator, FeSpace
 
 W0_INITIAL = "initial"
 W0_MEAN = "mean"
@@ -63,7 +63,7 @@ class PodBasis:
     inner_product: str
     eigenvalues: np.ndarray  # strictly positive, descending
     modes: np.ndarray  # (dim, d_r), orthonormal in the declared inner product
-    gram_operator: CsrMatrix
+    gram_operator: ElementOperator
 
     @property
     def d_r(self) -> int:
@@ -97,7 +97,7 @@ def build_snapshots(traj: Trajectory, tau: float, w0_mode: str = W0_ZERO) -> Sna
     return SnapshotSet(cols, tau, traj.dt, w0_mode, stored_mean)
 
 
-def gram_matrix(space: FeSpace, inner_product: str, n_components: int) -> CsrMatrix:
+def gram_matrix(space: FeSpace, inner_product: str, n_components: int) -> ElementOperator:
     """The space's stacked stiffness (H10) or mass (L2) operator."""
     if inner_product == H10:
         return space.stiffness_matrix(n_components)
@@ -106,7 +106,7 @@ def gram_matrix(space: FeSpace, inner_product: str, n_components: int) -> CsrMat
     raise ValueError(f"unknown inner product {inner_product!r}, expected {H10} or {L2}")
 
 
-def correlation_matrix(snaps: SnapshotSet, gram: CsrMatrix) -> np.ndarray:
+def correlation_matrix(snaps: SnapshotSet, gram: ElementOperator) -> np.ndarray:
     """K_ij = (1/N) (y_i, y_j)_X for the chosen inner product."""
     if gram.cols != snaps.columns.shape[0]:
         raise ValueError("gram operator does not conform with the snapshot columns")
@@ -117,7 +117,7 @@ def correlation_matrix(snaps: SnapshotSet, gram: CsrMatrix) -> np.ndarray:
 def pod_basis(
     snaps: SnapshotSet,
     k: np.ndarray,
-    gram: CsrMatrix,
+    gram: ElementOperator,
     inner_product: str = H10,
 ) -> PodBasis:
     """Eigenpairs of the correlation matrix and the induced orthonormal modes.

@@ -5,7 +5,7 @@ assembled scalar mass and stiffness, component by component."""
 import numpy as np
 
 from podrom.bdf import bdf_increment_form
-from podrom.mesh_fem import assemble_load, assemble_reaction_system
+from podrom.mesh_fem import assemble_load, assemble_mass, assemble_reaction_system, assemble_stiffness
 
 
 def as_dense(a) -> np.ndarray:
@@ -38,10 +38,11 @@ def fom_residual_oracle(op, increment, history, scheme, dt, t):
     candidate = op.split(history[0] + increment)
     reaction = assemble_reaction_system(space, candidate, system.g)
     forcing = system.forcing or [None] * op.nc
+    mass, stiffness = assemble_mass(space), assemble_stiffness(space)
     want = []
     for c in range(op.nc):
-        term = space.mass_matrix().matvec(bdf_dt[c])
-        term = term + system.diffusion[c] * space.stiffness_matrix().matvec(candidate[c])
+        term = mass.matvec(bdf_dt[c])
+        term = term + system.diffusion[c] * stiffness.matvec(candidate[c])
         term = term + reaction[c]
         if forcing[c] is not None:
             term = term - assemble_load(space, forcing[c], t)

@@ -22,7 +22,9 @@ from podrom.fom import (
 from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
+    assemble_mass,
     assemble_reaction_jacobian_system,
+    assemble_stiffness,
     build_mesh,
     build_space,
     interpolate,
@@ -222,8 +224,8 @@ class TestReferenceTrajectory:
         free = ~space.dirichlet_mask
         assert free.sum() == 1
         i = int(np.flatnonzero(free)[0])
-        m = as_dense(space.mass_matrix())[i, i]
-        a = as_dense(space.stiffness_matrix())[i, i]
+        m = as_dense(assemble_mass(space))[i, i]
+        a = as_dense(assemble_stiffness(space))[i, i]
         nu = 0.3
         u0 = np.zeros((1, space.n_dof))
         u0[0, i] = 1.0
@@ -464,8 +466,8 @@ class TestIntegratorInterface:
             for b in range(op.nc):
                 vals, scale = gp[a, b], reaction[a, b]
                 if a == b:
-                    vals = vals + c0 * space.mass_matrix().values
-                    vals = vals + system.diffusion[a] * space.stiffness_matrix().values
+                    vals = vals + c0 * assemble_mass(space).values
+                    vals = vals + system.diffusion[a] * assemble_stiffness(space).values
                     scale = scale + c0 * mass + system.diffusion[a] * stiffness
                 blocks[(a, b)], scales[(a, b)] = vals, scale
         ref = as_dense(block_csr(space.plan.pattern, blocks, op.nc))

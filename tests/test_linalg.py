@@ -241,9 +241,8 @@ class TestCsr:
             assert np.max(np.abs(out - dense @ x)) < 1e-12
 
     def test_plan_refill_checks_only_the_values(self):
-        # a CooPlan refill shares its pattern's index arrays, checked when the
-        # plan was built, so only the length of the values is checked again;
-        # a direct construction still checks the indices
+        # a CooPlan refill shares its pattern's index arrays and needs values
+        # of the pattern's length; a direct construction checks the indices
         plan = linalg.coo_plan(2, 3, [0, 0, 1], [2, 0, 1])
         refill = plan.csr(np.array([1.0, 2.0, 3.0]))
         assert refill.col_indices is plan.pattern.col_indices
