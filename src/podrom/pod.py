@@ -169,10 +169,17 @@ def project(basis: PodBasis, r: int, v: np.ndarray):
 
 def projection_errors(basis: PodBasis, r: int, v: np.ndarray, grams):
     """(coefficients of P^r v, ||(I - P^r) v_j||_G^2) for the columns v_j: the
-    errors a (len(grams), n) array, one row per Gram operator G in ``grams``."""
-    coeffs, proj = project(basis, r, v)
-    resid = v - proj
-    return coeffs, np.array([np.sum(resid * g.matvec(resid), axis=0) for g in grams])
+    errors a (len(grams), n) array, one row per Gram operator G in ``grams``.
+    The residual is formed in the projection's buffer and resid * G resid in
+    the buffer of G resid (a new array from each ``g.matvec``), so neither
+    allocates another array of v's size."""
+    coeffs, resid = project(basis, r, v)
+    np.subtract(v, resid, out=resid)
+    sq = []
+    for g in grams:
+        weighted = g.matvec(resid)
+        sq.append(np.sum(np.multiply(resid, weighted, out=weighted), axis=0))
+    return coeffs, np.array(sq)
 
 
 def tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):

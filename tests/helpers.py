@@ -1,11 +1,13 @@
 """Oracles that only the tests use: a CSR matrix as a dense array, the L2
-norm and H1 seminorm of a nodal field, and the FOM's BDF residual from the
-assembled scalar mass and stiffness, component by component."""
+norm and H1 seminorm of a nodal field, the FOM's BDF residual from the
+assembled scalar mass and stiffness, component by component, and the
+projection errors by their plain formula."""
 
 import numpy as np
 
 from podrom.bdf import bdf_increment_form
 from podrom.mesh_fem import assemble_load, assemble_mass, assemble_reaction_system, assemble_stiffness
+from podrom.pod import project
 
 
 def as_dense(a) -> np.ndarray:
@@ -50,3 +52,11 @@ def fom_residual_oracle(op, increment, history, scheme, dt, t):
     want = np.concatenate(want)
     want[op.mask] = 0.0
     return want
+
+
+def projection_errors_oracle(basis, r, v, grams):
+    """``pod.projection_errors`` as the plain formula it evaluates, with a
+    fresh array for the residual and for each product."""
+    coeffs, proj = project(basis, r, v)
+    resid = v - proj
+    return coeffs, np.array([np.sum(resid * g.matvec(resid), axis=0) for g in grams])

@@ -389,6 +389,18 @@ class TestCli:
         # no main-loop step is compared, which must not read as "exact"
         assert rows[-1] == "2,nan,nan,nan,nan"
 
+    @pytest.mark.parametrize("keep_lines", [1, 2, 40])
+    def test_truncated_component_file_is_a_usage_error(self, short_run, capsys, keep_lines):
+        # cut after the banner (no size line), after the size line (no
+        # values) and within the values: each names the file and exits 2
+        args, out_dir = short_run
+        comp = out_dir / "fom.comp0.mtx"
+        comp.write_text("".join(comp.read_text().splitlines(keepends=True)[:keep_lines]))
+        capsys.readouterr()
+        assert cli.main(["pod", *args]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(comp) in err, err
+
     def test_pipeline_chain(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -5,7 +5,7 @@ properties, the eigenvalue-tail identities, pointwise bounds, persistence."""
 import numpy as np
 import pytest
 
-from helpers import as_dense
+from helpers import as_dense, projection_errors_oracle
 from podrom.fom import Trajectory, brusselator_system, fom_integrate, perturbed_equilibrium
 from podrom.harness import DEFAULT_T
 from podrom import mmio
@@ -259,6 +259,24 @@ class TestProjection:
         _, p1 = project(basis, 4, v)
         _, p2 = project(basis, 4, p1)
         assert np.max(np.abs(p2 - p1)) < 1e-11
+
+    @pytest.mark.parametrize("inner_product", [H10, L2])
+    def test_projection_errors_match_the_plain_formula_bitwise(self, inner_product):
+        # the in-place residual and products do the same operations in the
+        # same order as the formula, so the results are equal, not close;
+        # each order of the Gram operators checks that a product leaves the
+        # residual the next one reads unchanged
+        traj, space = brusselator_trajectory()
+        snaps, basis = build_pod_basis(traj, inner_product=inner_product)
+        grams = [gram_matrix(space, H10, 2), gram_matrix(space, L2, 2)]
+        v = np.random.default_rng(4).standard_normal((basis.modes.shape[0], 7))
+        for r in (0, 3, basis.d_r):
+            for operand in (v[:, 0], v, snaps.columns):
+                for gs in (grams, grams[::-1], grams[:1]):
+                    got = projection_errors(basis, r, operand, gs)
+                    want = projection_errors_oracle(basis, r, operand, gs)
+                    assert got[1].shape == want[1].shape == (len(gs),) + operand.shape[1:]
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
