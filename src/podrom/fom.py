@@ -29,7 +29,7 @@ import numpy as np
 from . import mmio
 from .bdf import bdf_increment_form, extrapolation_weights, integrate
 from .linalg import krylov_solve
-from .mesh_fem import FeSpace, assemble_load_system, build_mesh, build_space
+from .mesh_fem import FeSpace, assemble_load, build_mesh, build_space
 
 
 #: forcing term of the inexact Newton update (Dembo, Eisenstat & Steihaug,
@@ -49,15 +49,22 @@ class ReactionSystem:
     diffusion: tuple  # nu per component
     exponents: np.ndarray  # (n_mono, nc): the power of each component in each monomial
     coefficients: np.ndarray  # (nc, n_mono): the coefficient of each monomial in each g_c
-    forcing: list | None = None  # per-component f(x, y, t), None entries are zero
+    forcing: tuple = ()  # terms (c, a, b): f_c = sum of a(t) b(x, y) over the terms on c
     dirichlet_values: tuple = ()
 
     def __post_init__(self):
+        nc = self.n_components
+        if len(self.diffusion) != nc:
+            raise ValueError(f"{len(self.diffusion)} diffusion coefficients for {nc} components")
+        if self.dirichlet_values and len(self.dirichlet_values) != nc:
+            raise ValueError(f"{len(self.dirichlet_values)} Dirichlet values for {nc} components")
+        for c, _, _ in self.forcing:
+            if not 0 <= c < nc:
+                raise ValueError(f"a forcing term on component {c} of {nc} components (0..{nc - 1})")
         if not all(0 < nu < np.inf for nu in self.diffusion):
             raise ValueError(
                 f"diffusion coefficients must be positive and finite, got {self.diffusion}"
             )
-        nc = self.n_components
         self.exponents = np.asarray(self.exponents, dtype=np.int64).reshape(-1, nc)
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
         if np.any(self.exponents < 0):
@@ -84,6 +91,17 @@ class ReactionSystem:
     def degree(self) -> int:
         """The highest total degree of a monomial; 0 without any."""
         return int(self.exponents.sum(axis=1).max(initial=0))
+
+    def loads(self, space: FeSpace) -> np.ndarray:
+        """(J, nc n_dof): each forcing term's load int b phi_i in its component's block."""
+        out = np.zeros((len(self.forcing), self.n_components, space.n_dof))
+        for j, (c, _, b) in enumerate(self.forcing):
+            out[j, c] = assemble_load(space, b)
+        return out.reshape(-1, self.n_components * space.n_dof)
+
+    def amplitudes(self, t: float) -> np.ndarray:
+        """(J,) amplitudes a(t) of the forcing terms: F(t) = amplitudes(t) @ loads."""
+        return np.array([a(t) for _, a, _ in self.forcing], dtype=np.float64)
 
     def g(self, u: np.ndarray) -> np.ndarray:
         """Reaction terms, (n_comp, ...) values -> (n_comp, ...)."""
@@ -129,12 +147,12 @@ def brusselator_system(nu: float) -> ReactionSystem:
         raise ValueError(f"nu must be positive and finite, got {nu}")
     exponents = [(0, 0), (1, 0), (2, 1)]  # 1, u, u^2 v
     coefficients = [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)]
-    return ReactionSystem(2, (nu, nu), exponents, coefficients, None, (1.0, 3.0))
+    return ReactionSystem(2, (nu, nu), exponents, coefficients, (), (1.0, 3.0))
 
 
-def heat_system(nu: float, forcing=None, reaction: dict | None = None) -> ReactionSystem:
-    """Scalar diffusion system, optionally with forcing and a polynomial
-    reaction g(u) = sum_p reaction[p] u^p (e.g. {3: 1.0} for u^3)."""
+def heat_system(nu: float, forcing=(), reaction: dict | None = None) -> ReactionSystem:
+    """Scalar diffusion system with optional forcing terms (a, b), f = sum a(t) b(x, y),
+    and polynomial reaction g(u) = sum_p reaction[p] u^p (e.g. {3: 1.0} for u^3)."""
     if not 0 < nu < np.inf:
         raise ValueError(f"nu must be positive and finite, got {nu}")
     powers = sorted(reaction or {})
@@ -143,7 +161,7 @@ def heat_system(nu: float, forcing=None, reaction: dict | None = None) -> Reacti
         (nu,),
         [(p,) for p in powers],
         [[reaction[p] for p in powers]],
-        [forcing] if forcing is not None else None,
+        tuple((0, a, b) for a, b in forcing),
         (0.0,),
     )
 
@@ -182,6 +200,7 @@ class FomOperator:
         nu = np.asarray(system.diffusion, dtype=np.float64)
         self.stiffness_weights = nu[:, None, None] * space.gradient_weights
         self.stiffness_products = space.gradient_products.transpose(1, 0, 2).reshape(nloc, 3 * nloc)
+        self.loads = system.loads(space)
 
     def split(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(w.shape[:-1] + (self.nc, self.n))
@@ -197,7 +216,7 @@ class FomOperator:
         step at the candidate u = u^{n-1} + increment, with M and K the
         stacked mass and stiffness: one gather of (bdf_dt, u), the mass and
         reaction terms (bdf_dt(x_q) + g(u(x_q))) w_q integrated against the
-        basis, the stiffness term per element, and one ``bincount``.
+        basis, the stiffness term per element, and one ``bincount``, less amplitudes(t) @ loads.
 
         The discrete derivative bdf_dt is evaluated in first-difference form
         from the increment, keeping the residual floor independent of dt."""
@@ -207,8 +226,8 @@ class FomOperator:
         values = (at_q[0] + self.system.g(at_q[1])) * self.space.quadrature_weights
         elem = values @ self.space.basis_values + self.stiffness_elements(elem_values[1])
         r = self.space.scatter(elem).ravel()
-        if self.system.forcing is not None:
-            r -= assemble_load_system(self.space, self.system.forcing, t)
+        if len(self.loads):
+            r -= self.system.amplitudes(t) @ self.loads
         r[self.mask] = 0.0
         return r
 
@@ -222,10 +241,7 @@ class FomOperator:
         The first update of a step starts BiCGStab from the polynomial
         extrapolation of the first updates of the run's previous three steps
         (of all of them on its second and third step); the run's first step
-        and every later update of a step start from zero. On the desk run
-        (n_side 16, q 5, M 128) BiCGStab took 996 iterations from zero, 821,
-        719 and 662 from the extrapolation through one, two and three steps.
-        """
+        and every later update of a step start from zero."""
         linear_part = self.jacobian_linear_part(scheme.delta_f[0] / dt)
         firsts = []  # the first updates of the run's last three steps, newest first
 
@@ -277,8 +293,7 @@ class FomOperator:
 @dataclass
 class FomJacobian:
     """J x = scatter(N^T (C * N x_e) + nu K_e x_e) per element, with the
-    Dirichlet entries of x dropped before the gather and passed through
-    after the scatter, and its Jacobi diagonal."""
+    Dirichlet entries of x passed through, and its Jacobi diagonal."""
 
     op: FomOperator
     coefficients: np.ndarray  # C, (nc, nc, ne, nq)

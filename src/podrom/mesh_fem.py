@@ -10,8 +10,8 @@ products, reference gradient products S_k with per-element weights, element
 mass and stiffness matrices, physical quadrature points and weights), the
 one ``gather`` of element values and the one ``scatter`` (one ``bincount``)
 of element vectors into nodal fields. The kernels are matmuls between the
-two: fields at the quadrature points ``gather(u) @ N^T``, loads
-``scatter((f * w) @ N)``, and the stacked mass and stiffness
+two: fields at the quadrature points ``gather(u) @ N^T``, loads of a
+time-free f(x, y) ``scatter((f * w) @ N)``, and the stacked mass and stiffness
 (``ElementOperator``) the element matrices times ``gather(u)``, scattered.
 ``plan`` assembles the element matrices into the tests' CSR references.
 """
@@ -379,21 +379,11 @@ def assemble_stiffness(space: FeSpace) -> CsrMatrix:
     return space.plan.csr(space.plan.assemble(space.element_stiffness.ravel()))
 
 
-def assemble_load(space: FeSpace, f, t: float | None = None) -> np.ndarray:
-    """Load vector with entries int f phi_i; f maps (x, y [, t]) -> values."""
+def assemble_load(space: FeSpace, f) -> np.ndarray:
+    """Load vector with entries int f phi_i; f maps (x, y) -> values."""
     qc = space.quadrature_points
-    xy = (qc[..., 0], qc[..., 1])
-    fx = np.asarray(f(*xy) if t is None else f(*xy, t), dtype=np.float64)
+    fx = np.asarray(f(qc[..., 0], qc[..., 1]), dtype=np.float64)
     return space.scatter((fx * space.quadrature_weights) @ space.basis_values)
-
-
-def assemble_load_system(space: FeSpace, forcing, t: float) -> np.ndarray:
-    """Stacked load of a multi-component system: ``assemble_load`` at time t
-    per component of ``forcing``, a list of f(x, y, t) whose None entries
-    are zero."""
-    return np.concatenate(
-        [np.zeros(space.n_dof) if f is None else assemble_load(space, f, t) for f in forcing]
-    )
 
 
 def assemble_reaction_system(space: FeSpace, states: np.ndarray, g) -> np.ndarray:

@@ -28,10 +28,9 @@ takes two linearisations and one Jacobian build. What no candidate changes
 is formed before the first one (``rom_linearisation``): per run the linear
 part K = (delta_0/dt) M_r + D_r of the Jacobian, per step the BDF history
 term with the constant part of the residual, so a candidate d costs
-K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. Only a forced system
-does mesh-sized work online: its per-step term takes Phi^T F(t) from the
-nodal load the FOM assembles (``assemble_load_system``), at O(nc (ne nq +
-n_dof r)) per step, because f(x, y, t) is arbitrary.
+K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A forcing of J
+separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per step, from
+the (J, r) reduced loads: O(J r), and no step touches the mesh.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from . import mmio
 from .bdf import BdfScheme, as_history, integrate
 from .fom import ReactionSystem, Trajectory, save_trajectory
 from .linalg import dense_lu_solve
-from .mesh_fem import FeSpace, assemble_load_system
+from .mesh_fem import FeSpace
 from .pod import InvalidRankError, PodBasis, project
 
 #: the tensor build takes the quadrature points in blocks whose factors hold at
@@ -64,6 +63,7 @@ class RomSystem:
     reduced_stiffness: np.ndarray  # Phi^T A Phi (unit diffusion)
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
+    reduced_loads: np.ndarray  # (J, r): B_j Phi, the forcing terms' loads
     lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
     reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
     reaction_monomials: np.ndarray  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
@@ -92,8 +92,8 @@ def rom_assemble(
     system: ReactionSystem,
     lift: np.ndarray | None = None,
 ) -> RomSystem:
-    """Reduced operators by triple products over the first r modes, and the
-    reduced reaction tensor from the modes and lift at the quadrature points."""
+    """Reduced operators and forcing loads by products with the first r modes,
+    and the reduced reaction tensor from the modes and lift at the quadrature points."""
     if not 1 <= r <= basis.d_r:
         raise InvalidRankError(f"rank {r} is outside 1..{basis.d_r}, the basis dimension")
     nc, n = system.n_components, space.n_dof
@@ -115,6 +115,7 @@ def rom_assemble(
         phi.T @ aphi,
         phi.T @ (nu[:, None] * aphi),
         phi.T @ (nu * alift),
+        system.loads(space) @ phi,
         lift,
         reaction,
         monomials,
@@ -212,10 +213,9 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
     Per run it forms K = (delta_0/dt) M_r + D_r. Per step, ``at_step(history,
     t)`` checks that ``history`` holds the q previous coordinate vectors,
     newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
-    D_r h_0 + diffusion_lift - Phi^T F(t), F the stacked nodal load of a
-    forced system. Per candidate, ``linearise(d)`` forms one
-    ``reaction_slope`` at h_0 + d, the residual from it and ``solve(rhs,
-    tol)``, a direct solve with the Jacobian at that candidate.
+    D_r h_0 + diffusion_lift - amplitudes(t) @ reduced_loads. Per candidate,
+    ``linearise(d)`` forms one ``reaction_slope`` at h_0 + d, the residual
+    from it and ``solve(rhs, tol)``, a direct solve with its Jacobian.
     """
     stiffness = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
     weights = scheme.alpha_f[1:] / dt
@@ -224,8 +224,8 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
         h = as_history(history, scheme.q)
         fixed = romsys.reduced_mass @ (weights @ (h[:-1] - h[1:]))
         fixed += romsys.reduced_diffusion @ h[0] + romsys.diffusion_lift
-        if romsys.system.forcing is not None:
-            fixed -= romsys.modes.T @ assemble_load_system(romsys.space, romsys.system.forcing, t)
+        if len(romsys.reduced_loads):
+            fixed -= romsys.system.amplitudes(t) @ romsys.reduced_loads
 
         def linearise(d):
             candidate = h[0] + d

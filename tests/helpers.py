@@ -1,7 +1,8 @@
 """Oracles that only the tests use: a CSR matrix as a dense array, the L2
 norm and H1 seminorm of a nodal field, the FOM's BDF residual from the
-assembled scalar mass and stiffness, component by component, and the
-projection errors by their plain formula."""
+assembled scalar mass and stiffness, component by component, the load
+of a forcing by its pointwise values, and the projection errors by their
+plain formula."""
 
 import numpy as np
 
@@ -39,19 +40,28 @@ def fom_residual_oracle(op, increment, history, scheme, dt, t):
     bdf_dt = op.split(bdf_increment_form(scheme, increment, history, dt))
     candidate = op.split(history[0] + increment)
     reaction = assemble_reaction_system(space, candidate, system.g)
-    forcing = system.forcing or [None] * op.nc
+    load = load_oracle(system, space, t)
     mass, stiffness = assemble_mass(space), assemble_stiffness(space)
     want = []
     for c in range(op.nc):
         term = mass.matvec(bdf_dt[c])
         term = term + system.diffusion[c] * stiffness.matvec(candidate[c])
         term = term + reaction[c]
-        if forcing[c] is not None:
-            term = term - assemble_load(space, forcing[c], t)
+        term = term - load[c]
         want.append(term)
     want = np.concatenate(want)
     want[op.mask] = 0.0
     return want
+
+
+def load_oracle(system, space, t):
+    """The load F(t), (n_comp, n_dof): each forcing term's a(t) b(x, y)
+    evaluated at the quadrature points and integrated against the basis.
+    Independent of ``ReactionSystem.loads``."""
+    load = np.zeros((system.n_components, space.n_dof))
+    for c, a, b in system.forcing:
+        load[c] += assemble_load(space, lambda x, y: a(t) * b(x, y))
+    return load
 
 
 def projection_errors_oracle(basis, r, v, grams):

@@ -5,7 +5,7 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from helpers import as_dense, fom_residual_oracle, norms
+from helpers import as_dense, fom_residual_oracle, load_oracle, norms
 from podrom import fom
 from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, integrate
 from podrom.fom import (
@@ -22,6 +22,7 @@ from podrom.fom import (
 from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
+    assemble_load,
     assemble_mass,
     assemble_reaction_jacobian_system,
     assemble_stiffness,
@@ -148,6 +149,48 @@ class TestBrusselatorSystem:
                 make(nu)
         with pytest.raises(ValueError, match="diffusion coefficients must be positive and finite"):
             ReactionSystem(2, (1.0, nu), [(1, 0)], [[1.0], [0.0]])
+
+
+class TestComponentCounts:
+    """A per-component entry of another length fails at construction, with
+    both counts, instead of as a broadcast error at the first step."""
+
+    def test_rejects_a_diffusion_per_other_count(self):
+        with pytest.raises(ValueError, match="1 diffusion coefficients for 2 components"):
+            ReactionSystem(2, (1.0,), [(1, 0)], [[1.0], [0.0]])
+
+    def test_rejects_dirichlet_values_of_another_length(self):
+        with pytest.raises(ValueError, match="1 Dirichlet values for 2 components"):
+            ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0], [0.0]], (), (1.0,))
+
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_rejects_a_forcing_term_outside_the_components(self, component):
+        term = (component, np.cos, lambda x, y: x)
+        with pytest.raises(ValueError, match=rf"component {component} of 2 components \(0\.\.1\)"):
+            ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0], [0.0]], [term])
+
+
+class TestForcingLoads:
+    def test_two_terms_on_one_component_none_on_the_other(self):
+        space = small_space(3, 2)
+        b1, b2 = (lambda x, y: x * y + 1.0), (lambda x, y: np.sin(np.pi * x) * y)
+        terms = [(1, lambda t: 1.0 + t, b1), (1, np.cos, b2)]
+        sys = ReactionSystem(2, (1.0, 1.0), [], np.zeros((2, 0)), terms)
+        loads = sys.loads(space)
+        zero = np.zeros(space.n_dof)
+        assert np.array_equal(loads[0], np.concatenate([zero, assemble_load(space, b1)]))
+        assert np.array_equal(loads[1], np.concatenate([zero, assemble_load(space, b2)]))
+        t = 0.7
+        assert np.array_equal(sys.amplitudes(t), [1.7, np.cos(t)])
+        want = load_oracle(sys, space, t).ravel()
+        # the oracle rounds a(t) b(x_q) per point, the loads a(t) times each integral
+        assert np.allclose(sys.amplitudes(t) @ loads, want, rtol=0, atol=4 * EPS * np.abs(want).max())
+
+    def test_no_terms_give_empty_loads(self):
+        space = small_space(3, 2)
+        for sys in (heat_system(1.0), brusselator_system(0.002)):
+            assert sys.loads(space).shape == (0, sys.n_components * space.n_dof)
+            assert sys.amplitudes(0.5).shape == (0,)
 
 
 class TestEquilibrium:
@@ -378,7 +421,7 @@ class TestIntegratorInterface:
         # a load that turns NaN after t = 0.25 reaches BiCGStab as a NaN
         # right-hand side at the step to t = 0.3, which fails at once
         space = small_space(2, 1)
-        sys = heat_system(1.0, forcing=lambda x, y, t: np.full_like(x, np.nan if t > 0.25 else 0.0))
+        sys = heat_system(1.0, forcing=[(lambda t: np.nan if t > 0.25 else 0.0, lambda x, y: np.ones_like(x))])
         with pytest.raises(ConvergenceError, match=r"BDF-1 step n = 3 at t = 0\.3 .*non-finite"):
             fom_integrate(sys, space, np.zeros((1, space.n_dof)), 0.1, 0.5, 1)
 
@@ -395,7 +438,7 @@ class TestIntegratorInterface:
         "degree, system",
         [
             (2, brusselator_system(0.002)),
-            (1, heat_system(0.5, forcing=lambda x, y, t: (1.0 + t) * x * y, reaction={3: 1.0})),
+            (1, heat_system(0.5, forcing=[(lambda t: 1.0 + t, lambda x, y: x * y)], reaction={3: 1.0})),
             (
                 2,
                 ReactionSystem(
@@ -403,7 +446,7 @@ class TestIntegratorInterface:
                     (0.01, 0.03),
                     [(0, 0), (1, 0), (2, 1)],
                     [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)],
-                    [None, lambda x, y, t: np.cos(t) * (x - y)],
+                    [(1, np.cos, lambda x, y: x - y)],
                     (1.0, 3.0),
                 ),
             ),
@@ -431,15 +474,13 @@ class TestIntegratorInterface:
         mass, stiffness = space.plan.csr(mass), space.plan.csr(stiffness)
         weights, basis = space.quadrature_weights, np.abs(space.basis_values)
         qc = space.quadrature_points
-        forcing = system.forcing or [None] * op.nc
-        reaction = np.abs(system.g(space.at_quadrature(candidate)))
+        at_q = np.abs(system.g(space.at_quadrature(candidate)))
+        for c, a, b in system.forcing:
+            at_q[c] += np.abs(a(t) * b(qc[..., 0], qc[..., 1]))
         scale = []
         for c in range(op.nc):
-            at_q = reaction[c]
-            if forcing[c] is not None:
-                at_q = at_q + np.abs(forcing[c](qc[..., 0], qc[..., 1], t))
             integrated = np.bincount(
-                space.cell_dofs.ravel(), ((at_q * weights) @ basis).ravel(), minlength=op.n
+                space.cell_dofs.ravel(), ((at_q[c] * weights) @ basis).ravel(), minlength=op.n
             )
             scale.append(
                 mass.matvec(bdf_dt[c])

@@ -1,9 +1,10 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
-names, no module reads an environment variable, every target that
-perfbench's tracer wraps still exists, the time loop's work passes through
-the traced names, and perfbench's workloads still run.
+names, no module reads an environment variable, no module but ``fom``
+reads a system's forcing terms, every target that perfbench's tracer wraps
+still exists, the time loop's work passes through the traced names, and
+perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -151,6 +152,19 @@ def test_no_environment_reads(path):
     """Every setting comes from the config or the command line, where it is
     validated and documented; none hides in the environment."""
     found = list(environment_reads(ast.parse(path.read_text())))
+    assert not found, ", ".join(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fom.py"], ids=lambda p: p.name)
+def test_only_the_system_reads_its_forcing(path):
+    """The forcing's term format has one owner, ``fom.ReactionSystem``: other
+    modules use its ``loads`` and ``amplitudes``, never ``.forcing``."""
+    tree = ast.parse(path.read_text())
+    found = [
+        f".forcing (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "forcing"
+    ]
     assert not found, ", ".join(found)
 
 

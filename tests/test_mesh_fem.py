@@ -16,7 +16,6 @@ from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
     assemble_load,
-    assemble_load_system,
     assemble_mass,
     assemble_reaction_jacobian_system,
     assemble_reaction_system,
@@ -265,13 +264,6 @@ class TestStackedOperators:
         space = build_space(build_mesh(2), 1)
         with pytest.raises(ValueError, match="n_components must be at least 1"):
             space.mass_matrix(0)
-
-    def test_load_system_stacks_component_loads(self):
-        space = build_space(build_mesh(3), 2)
-        f = lambda x, y, t: t * x + y
-        load = assemble_load_system(space, [None, f, f], 0.5)
-        want = np.concatenate([np.zeros(space.n_dof)] + [assemble_load(space, f, 0.5)] * 2)
-        assert np.array_equal(load, want)
 
 
 class TestReaction:

@@ -3,12 +3,13 @@ oracles, residual/Jacobian consistency by finite differences, equilibrium
 preservation, in-span agreement with the full-order solution, modal decay,
 and persistence."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from helpers import as_dense
+from helpers import as_dense, load_oracle
 from podrom.bdf import bdf_coefficients, bdf_increment_form
 from podrom.fom import (
     brusselator_system,
@@ -18,7 +19,6 @@ from podrom.fom import (
     perturbed_equilibrium,
 )
 from podrom.mesh_fem import (
-    assemble_load,
     assemble_mass,
     assemble_reaction_jacobian_system,
     assemble_reaction_system,
@@ -61,7 +61,7 @@ def forced_heat_setup():
     space = build_space(build_mesh(6), 1, dirichlet="all")
     sys = heat_system(
         0.1,
-        forcing=lambda x, y, t: (1.0 + t) * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y),
+        forcing=[(lambda t: 1.0 + t, lambda x, y: np.sin(np.pi * x) * np.sin(2.0 * np.pi * y))],
         reaction={3: 1.0},
     )
     u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
@@ -133,10 +133,7 @@ def nodal_nonlinearity(romsys, coords, t):
     """Phi^T (G(lift + Phi c) - F(t)) by nodal assembly."""
     space, sys = romsys.space, romsys.system
     full = (romsys.lift + romsys.modes @ coords).reshape(sys.n_components, space.n_dof)
-    vec = assemble_reaction_system(space, full, sys.g)
-    for c, f in enumerate(sys.forcing or []):
-        if f is not None:
-            vec[c] -= assemble_load(space, f, t)
+    vec = assemble_reaction_system(space, full, sys.g) - load_oracle(sys, space, t)
     return romsys.modes.T @ vec.ravel()
 
 
@@ -339,9 +336,7 @@ class TestResidualAndJacobian:
                 + slope[:, 0]
                 + slope[:, 1:] @ candidate
             )
-            if romsys.system.forcing is not None:
-                [f] = romsys.system.forcing
-                want -= romsys.modes.T @ assemble_load(romsys.space, f, t)
+            want -= romsys.modes.T @ load_oracle(romsys.system, romsys.space, t).ravel()
             residual, solve = linearise(d)
             assert np.linalg.norm(residual - want) <= 1e-13 * np.linalg.norm(want)
             jac = solved_jacobian(solve, residual)
@@ -445,6 +440,18 @@ class TestIntegration:
             errs.append(abs(rt.coords[-1, 0] - exact))
         slope = np.polyfit(np.log([t_end / mm for mm in (10, 20, 40)]), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.3
+
+    def test_forced_online_step_needs_no_mesh(self):
+        # the forced ROM's steps read the reduced loads and the amplitudes
+        # a(t), never the space: without it a run gives the same coordinates
+        romsys = forced_heat_setup()
+        assert romsys.reduced_loads.shape == (1, romsys.r)
+        coords0 = np.full(romsys.r, 0.1)
+        runs = [
+            rom_integrate(system, 2, 0.05, 0.5, ("bootstrap", coords0)).coords
+            for system in (romsys, dataclasses.replace(romsys, space=None))
+        ]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_iteration_counts_recorded(self):
         traj, snaps, basis, romsys = brusselator_setup()
