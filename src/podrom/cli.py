@@ -1,13 +1,13 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
 Subcommands: mesh, fom, pod, rom, errors, convergence, check. `fom` is the
-pipeline's one FOM run: it writes the snapshot trajectory fom.traj. `pod`,
-`rom`, `errors` and `convergence` read only fom.traj and the config, which
-must give the mesh, degree, system and nu that fom.traj records, and rebuild
-the same POD from them deterministically. `pod` is export-only: it writes the
-modes, the eigenvalues, the snapshots and the mean, and no subcommand reads
-them back. `rom` runs at the first rank of r_grid, `convergence` at the last
-and `errors` at every one.
+pipeline's one FOM run: it writes fom.traj and fom.states.npy. `pod`, `rom`,
+`errors` and `convergence` read only those and the config, which must give
+the mesh, degree, system and nu that fom.traj records, and rebuild the same
+POD from them deterministically. `pod` exports the modes, eigenvalues,
+snapshots and mean, `rom` reduced data only, and no subcommand reads them
+back. `rom` runs at the first rank of r_grid, `convergence` at the last and
+`errors` at every one.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def _load_desk(cfg: RunConfig) -> harness.DeskSetup:
-    """The desk set-up from fom.traj, whose system, nu, mesh, degree and
-    number of components must be the config's (ValueError otherwise)."""
+    """The desk set-up from fom.traj and fom.states.npy, whose system, nu,
+    mesh, degree and components must be the config's (ValueError otherwise)."""
     traj, header = load_trajectory(_fom_stem(cfg))
     describe = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)".format
     made = describe(
@@ -113,7 +113,7 @@ def cmd_errors(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(cfg: RunConfig, q_values) -> int:
+def cmd_convergence(cfg: RunConfig, q_values=(1, 2, 3, 4, 5)) -> int:
     setup = _load_desk(cfg)
     romsys = harness.make_rom(setup, cfg.r_grid[-1])
     coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
@@ -168,11 +168,13 @@ def cmd_check(cfg: RunConfig) -> int:
     return PIPELINE_ERROR if failures else 0
 
 
+COMMANDS = {"mesh": cmd_mesh, "fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "errors": cmd_errors,
+            "convergence": cmd_convergence, "check": cmd_check}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="podrom", description=__doc__)
-    parser.add_argument("subcommand", choices=[
-        "mesh", "fom", "pod", "rom", "errors", "convergence", "check",
-    ])
+    parser.add_argument("subcommand", choices=list(COMMANDS))
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--q", type=int, default=None)
@@ -184,28 +186,15 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         cfg = _load_config(args)
-        if args.subcommand == "mesh":
-            return cmd_mesh(cfg)
-        if args.subcommand == "fom":
-            return cmd_fom(cfg)
-        if args.subcommand == "pod":
-            return cmd_pod(cfg)
-        if args.subcommand == "rom":
-            return cmd_rom(cfg)
-        if args.subcommand == "errors":
-            return cmd_errors(cfg)
-        if args.subcommand == "convergence":
-            q_values = (args.q,) if args.q else (1, 2, 3, 4, 5)
-            return cmd_convergence(cfg, q_values)
-        if args.subcommand == "check":
-            return cmd_check(cfg)
+        if args.subcommand == "convergence" and args.q:  # --q selects the sweep's one order
+            return cmd_convergence(cfg, (args.q,))
+        return COMMANDS[args.subcommand](cfg)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pipeline failures carry step diagnostics
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return PIPELINE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mmio
 from .bdf import bdf_increment_form, extrapolation_weights, integrate
 from .linalg import krylov_solve
 from .mesh_fem import FeSpace, assemble_load, build_mesh, build_space
@@ -382,53 +381,61 @@ def perturbed_equilibrium(space: FeSpace, amplitude: float = 0.1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
-    """Plain-text header plus one Matrix Market dense matrix per component."""
-    n_comp = traj.states.shape[1]
+def save_header(
+    stem: str, dt: float, n_steps: int, n_comp: int, space: FeSpace, extra: dict | None = None
+):
+    """Write the plain-text header <stem>.traj: the time grid, the space and
+    the ``extra`` keys, one "key = value" line each."""
+    keys = {"dt": f"{dt:.17g}", "M": n_steps, "n_dof": space.n_dof, "components": n_comp,
+            "degree": space.degree, "n_side": space.mesh.n_side, **(extra or {})}
     with open(stem + ".traj", "w") as fh:
-        fh.write(f"dt = {traj.dt:.17g}\n")
-        fh.write(f"M = {traj.n_steps}\n")
-        fh.write(f"n_dof = {traj.space.n_dof}\n")
-        fh.write(f"components = {n_comp}\n")
-        fh.write(f"degree = {traj.space.degree}\n")
-        fh.write(f"n_side = {traj.space.mesh.n_side}\n")
-        for k, v in (extra or {}).items():
-            fh.write(f"{k} = {v}\n")
-    for c in range(n_comp):
-        mmio.write_dense(stem + f".comp{c}.mtx", traj.states[:, c, :].T)
+        fh.write("".join(f"{k} = {v}\n" for k, v in keys.items()))
+
+
+def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
+    """The header <stem>.traj (``save_header``) and the (M + 1, n_comp, n_dof)
+    states as one numpy array file, <stem>.states.npy."""
+    save_header(stem, traj.dt, traj.n_steps, traj.states.shape[1], traj.space, extra)
+    np.save(stem + ".states.npy", traj.states)
+
+
+#: the header keys the load needs, with their types
+_HEADER_KEYS = {"dt": float, "M": int, "components": int, "n_dof": int, "n_side": int, "degree": int}
 
 
 def load_trajectory(stem: str) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
-    rebuilt from the header. A header key the load needs that is missing, or
-    a component file whose shape disagrees with the header's n_dof and M,
-    raises ValueError."""
-    header = {}
+    rebuilt from the header. A header key the load needs that is missing or
+    malformed raises ValueError naming <stem>.traj and the key; so does a
+    states file that is not a float64 array of the shape (M + 1, components,
+    n_dof) the header gives, naming <stem>.states.npy."""
     with open(stem + ".traj") as fh:
-        for line in fh:
-            if "=" in line:
-                k, v = line.split("=", 1)
-                header[k.strip()] = v.strip()
-    missing = [k for k in ("dt", "M", "components", "n_dof", "n_side", "degree") if k not in header]
+        header = dict((s.strip() for s in line.split("=", 1)) for line in fh if "=" in line)
+    missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ValueError(f"{stem}.traj: missing header key(s) {', '.join(missing)}")
-    dt = float(header["dt"])
-    m = int(header["M"])
-    n_comp = int(header["components"])
-    space = build_space(build_mesh(int(header["n_side"])), int(header["degree"]))
-    states = np.empty((m + 1, n_comp, space.n_dof))
-    expected = (int(header["n_dof"]), m + 1)
-    if expected[0] != space.n_dof:
-        raise ValueError(f"{stem}.traj: n_dof = {expected[0]}, but the space has {space.n_dof} dofs")
-    for c in range(n_comp):
-        path = stem + f".comp{c}.mtx"
-        mat = np.asarray(mmio.read(path))
-        if mat.shape != expected:
-            raise ValueError(
-                f"{path}: expected shape {expected} (n_dof x M + 1 from {stem}.traj), found {mat.shape}"
-            )
-        states[:, c, :] = mat.T
-    return Trajectory(dt * np.arange(m + 1), states, dt, space), header
+    values = {}
+    for key, kind in _HEADER_KEYS.items():
+        try:
+            values[key] = kind(header[key])
+        except ValueError:
+            raise ValueError(f"{stem}.traj: {key} = {header[key]!r} is not a valid {kind.__name__}") from None
+    try:
+        space = build_space(build_mesh(values["n_side"]), values["degree"])
+    except ValueError as exc:
+        raise ValueError(f"{stem}.traj: {exc}") from None
+    if values["n_dof"] != space.n_dof:
+        raise ValueError(f"{stem}.traj: n_dof = {values['n_dof']}, but the space has {space.n_dof} dofs")
+    path = stem + ".states.npy"
+    try:
+        states = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read the states ({exc})") from None
+    expected = f"float64 {(values['M'] + 1, values['components'], space.n_dof)}"
+    found = f"{states.dtype} {states.shape}" if isinstance(states, np.ndarray) else type(states).__name__
+    if found != expected:
+        raise ValueError(f"{path}: expected states {expected} as {stem}.traj gives, found {found}")
+    return Trajectory(values["dt"] * np.arange(len(states)), states, values["dt"], space), header
 
 
 __all__ = [
@@ -440,6 +447,7 @@ __all__ = [
     "fom_integrate",
     "equilibrium_state",
     "perturbed_equilibrium",
+    "save_header",
     "save_trajectory",
     "load_trajectory",
 ]

@@ -177,7 +177,7 @@ def desk_fom(cfg: RunConfig) -> Trajectory:
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:
     """POD basis per the configured protocol, from ``fom_traj`` or else from
     a fresh desk FOM run. A given ``fom_traj`` must be of the config's mesh,
-    degree and system; the CLI checks that against the fom.traj header."""
+    degree and system: the CLI loads fom.states.npy and checks fom.traj."""
     fom_traj = desk_fom(cfg) if fom_traj is None else fom_traj
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
     return DeskSetup(cfg, fom_traj.space, SYSTEMS[cfg.system](cfg.nu), fom_traj, snaps, basis)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import mmio
 from .bdf import BdfScheme, as_history, integrate
-from .fom import ReactionSystem, Trajectory, save_trajectory
+from .fom import ReactionSystem, Trajectory, save_header
 from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace
 from .pod import InvalidRankError, PodBasis, project
@@ -296,9 +296,11 @@ def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
 
 
 def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str, newton_rule="step-coupled"):
-    """Trajectory text format plus ROM header line and Newton counts CSV."""
-    traj = rom_to_nodal_trajectory(romsys, rt)
-    save_trajectory(traj, stem, extra={"r": romsys.r, "q": rt.q, "newton_rule": newton_rule})
+    """Reduced data only: the header <stem>.traj (``fom.save_header``, with r,
+    q and the Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx and
+    the Newton counts <stem>.newton.csv. Nodal states: lift + modes @ coords."""
+    extra = {"r": romsys.r, "q": rt.q, "newton_rule": newton_rule}
+    save_header(stem, rt.dt, len(rt.times) - 1, romsys.system.n_components, romsys.space, extra)
     mmio.write_dense(stem + ".coords.mtx", rt.coords.T)
     with open(stem + ".newton.csv", "w") as fh:
         fh.write("step,newton_iterations\n")

@@ -581,6 +581,8 @@ class TestPersistence:
         traj = fom_integrate(sys, space, perturbed_equilibrium(space), 0.1, 0.3, 2)
         stem = str(tmp_path / "run")
         save_trajectory(traj, stem, extra={"note": "x"})
+        # a text header and the states in numpy's own format, nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.states.npy", "run.traj"]
         back, header = load_trajectory(stem)
         assert header["note"] == "x"
         assert back.dt == traj.dt
@@ -591,10 +593,25 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("M", "4", r"comp0\.mtx: expected shape \(\d+, 5\).*found \(\d+, 4\)"),
-            ("M", "2", r"comp0\.mtx: expected shape \(\d+, 3\).*found \(\d+, 4\)"),
+            pytest.param(
+                "M", "4", r"run\.states\.npy: expected states float64 \(5, 2, \d+\).*found float64 \(4, 2, \d+\)",
+                id="M-4-states-shape",
+            ),
+            pytest.param(
+                "M", "2", r"run\.states\.npy: expected states float64 \(3, 2, \d+\).*found float64 \(4, 2, \d+\)",
+                id="M-2-states-shape",
+            ),
+            pytest.param(
+                "components", "1", r"run\.states\.npy: expected states float64 \(4, 1, \d+\)",
+                id="components-1-states-shape",
+            ),
             ("n_dof", "7", r"run\.traj: n_dof = 7, but the space has \d+ dofs"),
             ("M", None, r"run\.traj: missing header key\(s\) M$"),
+            # a malformed value names the file and the key
+            pytest.param("M", "x", r"run\.traj: M = 'x' is not a valid int$", id="M-x-malformed"),
+            pytest.param("dt", "abc", r"run\.traj: dt = 'abc' is not a valid float$", id="dt-abc-malformed"),
+            pytest.param("n_side", "0", r"run\.traj: n_side must be at least 1$", id="n_side-0-malformed"),
+            pytest.param("degree", "3", r"run\.traj: degree must be 1 or 2$", id="degree-3-malformed"),
         ],
     )
     def test_header_disagreeing_with_files_raises(self, tmp_path, key, value, message):

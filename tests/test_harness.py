@@ -5,6 +5,7 @@ convergence of the manufactured solution, and the command-line pipeline
 
 import contextlib
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from podrom.harness import (
 )
 from podrom.mesh_fem import build_mesh, build_space, interpolate
 from podrom.pod import INNER_PRODUCTS, W0_MODES
-from podrom.rom import rom_integrate
+from podrom.rom import rom_integrate, rom_to_nodal_trajectory
+
+
+def saved(save, array, **kwargs):
+    """The bytes that ``save`` (``np.save`` or ``np.savez``) writes for ``array``."""
+    buf = io.BytesIO()
+    save(buf, array, **kwargs)
+    return buf.getvalue()
 
 
 class TestEstimateOrder:
@@ -389,17 +397,29 @@ class TestCli:
         # no main-loop step is compared, which must not read as "exact"
         assert rows[-1] == "2,nan,nan,nan,nan"
 
-    @pytest.mark.parametrize("keep_lines", [1, 2, 40])
-    def test_truncated_component_file_is_a_usage_error(self, short_run, capsys, keep_lines):
-        # cut after the banner (no size line), after the size line (no
-        # values) and within the values: each names the file and exits 2
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw, states: b"",
+            lambda raw, states: raw[:40],  # within the .npy header
+            lambda raw, states: raw[:-8],  # within the values
+            lambda raw, states: pickle.dumps(states),
+            lambda raw, states: saved(np.save, np.array([1.0, "a"], dtype=object)),
+            lambda raw, states: saved(np.save, states.astype(np.float32)),
+            lambda raw, states: saved(np.save, states[:-1]),
+            lambda raw, states: saved(np.savez, states),
+        ],
+        ids=["empty", "cut-header", "cut-data", "pickled", "object", "float32", "shape", "npz"],
+    )
+    def test_bad_states_file_is_a_usage_error(self, short_run, capsys, corrupt):
+        # every failure to read the states back names the file and exits 2
         args, out_dir = short_run
-        comp = out_dir / "fom.comp0.mtx"
-        comp.write_text("".join(comp.read_text().splitlines(keepends=True)[:keep_lines]))
+        path = out_dir / "fom.states.npy"
+        path.write_bytes(corrupt(path.read_bytes(), np.load(path)))
         capsys.readouterr()
         assert cli.main(["pod", *args]) == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(comp) in err, err
+        assert err.startswith("error: ") and str(path) in err, err
 
     def test_pipeline_chain(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -426,7 +446,7 @@ class TestCli:
         for name in ("convergence.csv", "starting_values.csv"):
             assert (out_dir / name).exists(), name
         rom_files = list(out_dir.glob("rom_q2_r3_M8.*"))
-        assert any(p.suffix == ".traj" for p in rom_files)
+        assert sorted(p.name[len("rom_q2_r3_M8"):] for p in rom_files) == [".coords.mtx", ".newton.csv", ".traj"]
         csv_lines = (out_dir / "errors_vs_r.csv").read_text().splitlines()
         assert csv_lines[1].startswith("r,")
         # `pod` only exports: its modes are the basis that `rom` and `errors`
@@ -436,6 +456,14 @@ class TestCli:
         assert np.array_equal(mmio.read(out_dir / "pod.modes.mtx"), setup.basis.modes)
         coords_path = out_dir / "rom_q2_r3_M8.coords.mtx"
         coords = mmio.read(coords_path)
+        # `rom` writes reduced data only; its nodal field is rebuilt from the
+        # exports as pod.mean.mtx + pod.modes.mtx[:, :r] @ coords
+        romsys = make_rom(setup, 3)
+        rt = rom_integrate(romsys, 2, 0.1, 0.8, ("bootstrap", initial_coords(romsys, traj.states[0])))
+        assert np.array_equal(coords, rt.coords.T)
+        rebuilt = mmio.read(out_dir / "pod.mean.mtx") + mmio.read(out_dir / "pod.modes.mtx")[:, :3] @ coords
+        lifted = rom_to_nodal_trajectory(romsys, rt).stacked().T
+        assert np.linalg.norm(rebuilt - lifted) <= 1e-14 * np.linalg.norm(lifted)
         pod_files = list(out_dir.glob("pod.*"))
         assert len(pod_files) == 5
         for path in pod_files:
@@ -481,7 +509,7 @@ class TestCli:
         traj_file.write_text(traj_file.read_text().replace("M = 8", "M = 9"))
         capsys.readouterr()
         assert cli.main(["pod", *args]) == cli.USAGE_ERROR
-        assert "fom.comp0.mtx: expected shape" in capsys.readouterr().err
+        assert "fom.states.npy: expected states float64 (10, 2, " in capsys.readouterr().err
         # so is a header that lacks a key the load needs
         traj_file.write_text(traj_file.read_text().replace("M = 9\n", ""))
         assert cli.main(["pod", *args]) == cli.USAGE_ERROR

@@ -2,9 +2,9 @@
 no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
-reads a system's forcing terms, every target that perfbench's tracer wraps
-still exists, the time loop's work passes through the traced names, and
-perfbench's workloads still run.
+reads a system's forcing terms, no module reads a Matrix Market file back,
+every target that perfbench's tracer wraps still exists, the time loop's
+work passes through the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -290,6 +290,29 @@ def test_fom_newton_operator_assembles_no_matrix():
     csr = {name: n for name, n in calls.items() if name.startswith(("linalg.csr_matvec", "linalg.block_csr"))}
     assert not csr, csr
     assert calls["linalg.krylov_solve"] == calls["fom.FomOperator.jacobian"] > 0
+
+
+def text_reads(tree):
+    """Uses of ``mmio.read``: the attribute, or the name imported from mmio."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mmio":
+            if any(alias.name == "read" for alias in node.names):
+                yield f"import of mmio.read (line {node.lineno})"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mmio"
+            and node.attr == "read"
+        ):
+            yield f"mmio.read (line {node.lineno})"
+
+
+def test_no_stage_reads_text_back():
+    """Stages hand data to each other in numpy's own format (fom.traj's
+    states as one .npy): Matrix Market files are exports, and no module of
+    the package parses one back."""
+    found = [f"{path.name}: {use}" for path in MODULES for use in text_reads(ast.parse(path.read_text()))]
+    assert not found, ", ".join(found)
 
 
 @pytest.mark.parametrize("name", ["offline", "online", "sweep"])

@@ -4,7 +4,6 @@ preservation, in-span agreement with the full-order solution, modal decay,
 and persistence."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -480,8 +479,12 @@ class TestPersistence:
         assert np.allclose(nodal.states[3].ravel(), want, atol=1e-14)
         stem = str(tmp_path / "rom")
         save_rom_trajectory(romsys, rt, stem)
-        assert os.path.exists(stem + ".traj")
-        assert os.path.exists(stem + ".newton.csv")
+        # reduced data only: the header, the coordinates and the Newton counts
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rom.coords.mtx", "rom.newton.csv", "rom.traj"]
+        with open(stem + ".traj") as fh:
+            header = dict(line.rstrip("\n").split(" = ") for line in fh)
+        assert list(header) == ["dt", "M", "n_dof", "components", "degree", "n_side", "r", "q", "newton_rule"]
+        assert header["M"] == "8" and header["r"] == str(romsys.r) and header["q"] == "2"
         from podrom import mmio
 
         coords_back = np.asarray(mmio.read(stem + ".coords.mtx")).T
