@@ -91,7 +91,10 @@ class RunConfig:
 
 def parse_config(path: str) -> RunConfig:
     """Flat key = value file with # comments. Each value is read as the type
-    of its RunConfig field's default; a tuple as comma-separated entries."""
+    of its RunConfig field's default; a tuple as comma-separated entries. A
+    line without "=", an unknown key, a value not of its key's type and a
+    value RunConfig rejects raise ValueError naming ``path`` and the line
+    or the key."""
     defaults = vars(RunConfig())
     kwargs = {}
     with open(path) as fh:
@@ -100,16 +103,22 @@ def parse_config(path: str) -> RunConfig:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed config line: {raw.rstrip()}")
+                raise ValueError(f"{path}: malformed config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in defaults:
-                raise ValueError(f"unknown config key: {key}")
+                raise ValueError(f"{path}: unknown config key: {key}")
             default = defaults[key]
-            if isinstance(default, tuple):
-                kwargs[key] = tuple(type(default[0])(v) for v in val.split(","))
-            else:
-                kwargs[key] = type(default)(val)
-    return RunConfig(**kwargs)
+            many = isinstance(default, tuple)
+            kind = type(default[0] if many else default)
+            try:
+                kwargs[key] = tuple(kind(v) for v in val.split(",")) if many else kind(val)
+            except ValueError:
+                what = f"comma-separated list of {kind.__name__}" if many else kind.__name__
+                raise ValueError(f"{path}: {key} = {val!r} is not a valid {what}") from None
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

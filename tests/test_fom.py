@@ -32,12 +32,21 @@ from podrom.mesh_fem import (
 )
 
 EPS = np.finfo(np.float64).eps
-#: the operator and the assembled oracle each add, per entry, at most 6
-#: element contributions, each a matmul over at most 6 quadrature points
-#: (reaction and mass) or a 3-term gradient contraction (stiffness): about 8
-#: roundings deep per side, so the two differ by at most 2 x 8 eps times the
-#: absolute sums of the terms (measured: 2.75 eps at worst for the Jacobian,
-#: 0.57 eps for the residual)
+#: rounding depth, in units u = eps / 2 of first-order error per term of the
+#: absolute sums (P2, nq = 6, nloc = 6; P1 is shallower). The operator forms
+#: each element entry first, c0 M_e + nu K_e + sum_q reaction: a reaction
+#: term N_i N_j (w dg) goes through 3 products and 5 quadrature sums, a mass
+#: term through 8 roundings in M_e, then c0, + nu K_e and + reaction (11);
+#: then comes the 2 nloc-term product, exact on the unit vectors the
+#: Jacobian test applies, and at most 6 element contributions (5): 16 u.
+#: The oracle sums the same GEMM (8) over the elements (5), then adds c0 mass
+#: and nu stiffness (3): 16 u. So the Jacobian and its diagonal differ by at
+#: most 32 u = 16 eps times the absolute sums of their terms (measured: 1.78
+#: eps at worst, Brusselator P1; 1.15 eps for the diagonal). The residual's
+#: products are not exact: its operator side is 21 u deep (nloc-term
+#: interpolation, the quadrature sum, the nloc-term stiffness product, 6
+#: contributions) and the oracle's CSR rows sum up to 19 entries (35 u), so
+#: 16 eps is not a worst-case bound there; measured: 0.57 eps at worst.
 ROUNDING_K = 16
 
 
@@ -498,7 +507,8 @@ class TestIntegratorInterface:
         Dirichlet rows and columns of the identity: exactly 0 off the
         block pattern, exactly the identity's Dirichlet rows and columns,
         and every other entry, and ``diagonal()``, within ROUNDING_K eps
-        times the absolute sums of its reaction, mass and stiffness terms."""
+        times the absolute sums of its reaction, mass and stiffness terms;
+        ``diagonal()`` also exactly the full matrix's on free dofs."""
         op = FomOperator(system, space)
         gp = assemble_reaction_jacobian_system(space, op.split(w), system.g_prime)
         reaction, mass, stiffness = absolute_parts(space, op.split(w), system.g_prime)
@@ -526,6 +536,9 @@ class TestIntegratorInterface:
         assert np.max(ratio) <= 1.0, np.max(ratio)
         diagonal = jac.diagonal()
         assert np.array_equal(diagonal[mask], np.ones(mask.sum()))
+        # the preconditioner's diagonal is the products' own: the same element
+        # matrices through one scatter order
+        assert np.array_equal(diagonal[~mask], np.diag(full)[~mask])
         ratio = np.abs(diagonal - np.diag(ref))[~mask] / (ROUNDING_K * EPS * np.diag(scale)[~mask])
         assert np.max(ratio) <= 1.0, np.max(ratio)
         return op, jac, full
@@ -549,12 +562,23 @@ class TestIntegratorInterface:
             (1, brusselator_system(0.002)),
             (1, heat_system(0.5, reaction={3: 1.0})),
             (2, heat_system(0.5, reaction={3: 1.0})),
+            (
+                2,
+                ReactionSystem(
+                    2,
+                    (0.01, 0.03),
+                    [(0, 0), (1, 0), (2, 1)],
+                    [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)],
+                    [(1, np.cos, lambda x, y: x - y)],
+                    (1.0, 3.0),
+                ),
+            ),
         ],
-        ids=["brusselator-P1", "cubic-heat-P1", "cubic-heat-P2"],
+        ids=["brusselator-P1", "cubic-heat-P1", "cubic-heat-P2", "one-forced-component-P2"],
     )
     def test_jacobian_matches_block_assembly_per_system(self, degree, system):
-        # the block-assembly reference of the test above, for a scalar system
-        # and for P1
+        # the block-assembly reference of the test above, for a scalar system,
+        # for P1 and for components with different diffusion and one forcing
         space = small_space(4, degree)
         nc, n = system.n_components, space.n_dof
         rng = np.random.default_rng(degree)

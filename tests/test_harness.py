@@ -353,6 +353,24 @@ class TestCli:
             assert f"r_grid ranks must be at least 1, got ({rank},)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_side = x", "n_side = 'x' is not a valid int"),
+            ("r_grid = 3, y", "r_grid = '3, y' is not a valid comma-separated list of int"),
+            ("just some words", "malformed config line: just some words"),
+            ("frobnicate = 1", "unknown config key: frobnicate"),
+        ],
+        ids=["int-value", "tuple-entry", "malformed-line", "unknown-key"],
+    )
+    def test_config_error_names_the_file_and_the_key(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_side = 4\n" + line + "\n")
+        capsys.readouterr()
+        assert cli.main(["mesh", "--config", str(bad), "--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=300, deadline=None)
     @given(st.fixed_dictionaries({flag: st.none() | OVERRIDE for flag in ("--q", "--M", "--r")}))
     def test_fuzz_overrides(self, tmp_path_factory, overrides):
