@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         if args.subcommand == "convergence" and args.q:  # --q selects the sweep's one order
             return cmd_convergence(cfg, (args.q,))
         return COMMANDS[args.subcommand](cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pipeline failures carry step diagnostics

@@ -18,12 +18,6 @@ nu_c K_e on the diagonal blocks; a product is one gather, one einsum and one
 passed through after the scatter, and the Jacobi diagonal sums the element
 diagonals, so the FOM forms no global matrix. BiCGStab
 (``linalg.krylov_solve``) uses only the operator's products and diagonal.
-Against the earlier products at the quadrature points (n_side 16, P2, two
-components, one BLAS thread, medians of 7 interleaved runs) a product takes
-53 against 80 us and a residual 117 against 268 us, while forming J and its
-diagonal takes 117 against 95 us; the desk FOM run (M 128, q 5) takes 19%
-less time (0.194 against 0.240 s, 10 interleaved pairs) with the same Newton
-and BiCGStab counts.
 """
 
 from __future__ import annotations
@@ -48,6 +42,11 @@ FORCING = 0.1
 class ReactionSystem:
     """Reaction-diffusion system u_t - nu Lap(u) + g(u) = f per component,
     with a polynomial reaction g_c(u) = sum_m coefficients[c, m] prod_k u_k^exponents[m, k].
+
+    The exponent table is the constructor's input only: each monomial is
+    kept as ``factors[m]``, the sorted tuple of its factors' components
+    (u^2 v -> (0, 0, 1)), which ``g``, ``g_prime`` and the ROM's tensor
+    build read.
     """
 
     n_components: int
@@ -70,32 +69,34 @@ class ReactionSystem:
             raise ValueError(
                 f"diffusion coefficients must be positive and finite, got {self.diffusion}"
             )
-        self.exponents = np.asarray(self.exponents, dtype=np.int64).reshape(-1, nc)
+        powers = np.asarray(self.exponents, dtype=np.float64).reshape(-1, nc)
+        bad = powers[~(np.isfinite(powers) & (powers >= 0) & (powers == np.floor(powers)))]
+        if bad.size:
+            raise ValueError(f"monomial exponents must be nonnegative integers, got {bad[0]:g}")
+        self.exponents = powers.astype(np.int64)
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if np.any(self.exponents < 0):
-            raise ValueError("monomial exponents must be nonnegative")
         if self.coefficients.shape != (nc, len(self.exponents)):
             raise ValueError(
                 f"coefficients must have shape {(nc, len(self.exponents))}, "
                 f"got {self.coefficients.shape}"
             )
-        # d g_a / d u_b = sum_m coefficients[a, m] e[m, b] u^(e[m] - unit_b):
-        # one table over the distinct lowered monomials, shared by every (a, b)
-        lowered = {}
-        terms = []
-        for m, powers in enumerate(self.exponents):
-            for b in np.flatnonzero(powers):
-                key = tuple(powers - np.eye(nc, dtype=np.int64)[b])
-                terms.append((b, lowered.setdefault(key, len(lowered)), m))
-        self._jac_exponents = np.array(list(lowered), dtype=np.int64).reshape(-1, nc)
-        self._jac_coefficients = np.zeros((nc, nc, len(lowered)))
-        for b, j, m in terms:
-            self._jac_coefficients[:, b, j] += self.coefficients[:, m] * self.exponents[m, b]
+        self.factors = [tuple(np.repeat(np.arange(nc), row).tolist()) for row in self.exponents]
+        # d g_a / d u_b = sum_m coefficients[a, m] n_mb (m less one factor b), with n_mb
+        # the times b occurs in m: one table over the distinct lowered monomials, shared
+        # by every (a, b), in the order the monomials and their factors first give them
+        lowered = {}  # lowered monomial -> its (nc, nc) coefficients [a, b]
+        for m, ks in enumerate(self.factors):
+            for b in sorted(set(ks)):
+                i = ks.index(b)
+                block = lowered.setdefault(ks[:i] + ks[i + 1 :], np.zeros((nc, nc)))
+                block[:, b] += self.coefficients[:, m] * ks.count(b)
+        self._lowered = list(lowered)
+        self._jac_coefficients = np.moveaxis(np.reshape(list(lowered.values()), (-1, nc, nc)), 0, -1)
 
     @property
     def degree(self) -> int:
         """The highest total degree of a monomial; 0 without any."""
-        return int(self.exponents.sum(axis=1).max(initial=0))
+        return max(map(len, self.factors), default=0)
 
     def loads(self, space: FeSpace) -> np.ndarray:
         """(J, nc n_dof): each forcing term's load int b phi_i in its component's block."""
@@ -110,34 +111,21 @@ class ReactionSystem:
 
     def g(self, u: np.ndarray) -> np.ndarray:
         """Reaction terms, (n_comp, ...) values -> (n_comp, ...)."""
-        return np.tensordot(self.coefficients, _monomials(self.exponents, u), axes=1)
+        return np.tensordot(self.coefficients, _monomials(self.factors, u), axes=1)
 
     def g_prime(self, u: np.ndarray) -> np.ndarray:
         """Partial derivatives, (n_comp, ...) values -> (n_comp, n_comp, ...)."""
-        return np.tensordot(self._jac_coefficients, _monomials(self._jac_exponents, u), axes=1)
+        return np.tensordot(self._jac_coefficients, _monomials(self._lowered, u), axes=1)
 
 
-def _monomials(exponents: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """prod_k u[k]^exponents[m, k] per row m for (nc, ...) values u, shape
-    (n_mono, ...); each power u[k] ** p is formed once per call."""
+def _monomials(factors, u: np.ndarray) -> np.ndarray:
+    """prod_k u[k] over the factor tuple k of each monomial m, for (nc, ...)
+    values u, shape (n_mono, ...): the factors multiplied in their order."""
     u = np.asarray(u, dtype=np.float64)
-    powers = {}
-    out = np.empty((len(exponents),) + u.shape[1:])
-    for m, row in enumerate(exponents):
-        factors = []
-        for k in np.flatnonzero(row):
-            p = int(row[k])
-            if (k, p) not in powers:
-                powers[k, p] = u[k] if p == 1 else u[k] ** p
-            factors.append(powers[k, p])
-        if not factors:
-            out[m] = 1.0
-        elif len(factors) == 1:
-            out[m] = factors[0]
-        else:
-            np.multiply(factors[0], factors[1], out=out[m])
-            for f in factors[2:]:
-                out[m] *= f
+    out = np.ones((len(factors),) + u.shape[1:])
+    for m, ks in enumerate(factors):
+        for k in ks:
+            out[m] *= u[k]
     return out
 
 
@@ -312,10 +300,9 @@ class FomJacobian:
     sums the element diagonals J[a, a, i, i, e] in the same scatter order.
 
     A product is one gather, one einsum whose innermost loop runs over the
-    elements and one ``bincount``: 53 against 80 us for the earlier
-    quadrature-point product at n_side 16, P2, two components. Forming J and
-    its diagonal costs 117 against 95 us, but is done once per ~8 products
-    (1398 products for 180 Jacobians in the desk run)."""
+    elements and one ``bincount``. Forming J and its diagonal costs more
+    than a product, but is done once per ~8 products (1398 products for 180
+    Jacobians in the desk run)."""
 
     op: FomOperator
     elements: np.ndarray  # J, (nc, nc, nloc, nloc, ne)

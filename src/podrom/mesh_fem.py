@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -179,7 +178,6 @@ class FeSpace:
     n_dof: int
     cell_dofs: np.ndarray  # (n_tri, nloc)
     quad: Quadrature
-    _operators: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
     _scatter_rows: dict = field(default_factory=dict, repr=False)  # (count, width) -> rows
 
     # -- element data, formed on first use -----------------------------------
@@ -280,13 +278,11 @@ class FeSpace:
 
     def mass_matrix(self, n_components: int = 1) -> ElementOperator:
         """The mass operator, block-diagonal over ``n_components`` stacked fields."""
-        op = ElementOperator(self, self.element_mass, n_components)
-        return self._operators.setdefault(("mass", n_components), op)
+        return ElementOperator(self, self.element_mass, n_components)
 
     def stiffness_matrix(self, n_components: int = 1) -> ElementOperator:
         """The stiffness operator, block-diagonal over ``n_components`` stacked fields."""
-        op = ElementOperator(self, self.element_stiffness, n_components)
-        return self._operators.setdefault(("stiffness", n_components), op)
+        return ElementOperator(self, self.element_stiffness, n_components)
 
 
 #: column blocks of at most this many element values (512 kB) bound a product's temporaries
@@ -297,9 +293,7 @@ _BLOCK_ENTRIES = 1 << 16
 class ElementOperator:
     """The (ne, nloc, nloc) element matrices in each diagonal block of
     ``n_components`` stacked fields, applied cell by cell (Kronbichler &
-    Kormann, Comput. Fluids 63, 2012): gather, one batched matmul, scatter.
-    It holds its space, which holds it weakly, so that no reference cycle
-    keeps the space's arrays alive until a full garbage collection."""
+    Kormann, Comput. Fluids 63, 2012): gather, one batched matmul, scatter."""
 
     space: FeSpace
     elements: np.ndarray  # (ne, nloc, nloc)
@@ -309,10 +303,6 @@ class ElementOperator:
         if self.n_components < 1:
             raise ValueError(f"n_components must be at least 1, got {self.n_components}")
         self.rows = self.cols = self.n_components * self.space.n_dof
-
-    def diagonal(self) -> np.ndarray:
-        """The element diagonals summed per dof, in each block."""
-        return np.tile(self.space.scatter(np.einsum("eii->ei", self.elements)), self.n_components)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector or, column block by block, a matrix."""

@@ -137,18 +137,19 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     """The symmetric tensor T with Phi^T g(lift + Phi c) = T . (1, c)^D.
 
     ``modes_q`` is (r, nc, nqp), ``lift_q`` (nc, nqp) and ``weights``
-    (nqp,). A monomial of degree d fills the slots [i, j_1..j_d, 0, ..., 0]
-    with sum_q w_q psi_i(q) prod_s [lift_k_s; Phi_k_s][j_s](q), where psi
-    combines the modes' components by the monomial's coefficients; the
-    symmetrisation then spreads the constant slots over all positions. A
-    constant-only or reaction-free system gets one slot, D = 1.
+    (nqp,). A monomial with the factors (k_1, ..., k_d) (``system.factors``)
+    fills the slots [i, j_1..j_d, 0, ..., 0] with sum_q w_q psi_i(q) prod_s
+    [lift_k_s; Phi_k_s][j_s](q), where psi combines the modes' components by
+    the monomial's coefficients; the symmetrisation then spreads the constant
+    slots over all positions. A constant-only or reaction-free system gets
+    one slot, D = 1.
     """
     r, nc, nqp = modes_q.shape
     degree = max(system.degree, 1)
     fields = [np.vstack([lift_q[k], modes_q[:, k]]) for k in range(nc)]
     tensor = np.zeros((r,) + (r + 1,) * degree)
-    for powers, coefs in zip(system.exponents, system.coefficients.T):
-        slots = [fields[k] for k, p in enumerate(powers) for _ in range(p)]
+    for ks, coefs in zip(system.factors, system.coefficients.T):
+        slots = [fields[k] for k in ks]
         d, half = len(slots), len(slots) // 2
         psi = weights * np.einsum("c,icq->iq", coefs, modes_q)
         rows = r * (r + 1) ** half + (r + 1) ** (d - half)

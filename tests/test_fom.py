@@ -54,6 +54,14 @@ def small_space(n_side=4, degree=1, dirichlet="gamma1"):
     return build_space(build_mesh(n_side), degree, dirichlet=dirichlet)
 
 
+def three_component_system():
+    """g = (u0^2 u1 + u0 u1^2, u2^3, 1 - u0 u1 u2): two terms of g_0 share a
+    lowered monomial, u0 u1, and so does the last term of g_2."""
+    exponents = [(2, 1, 0), (1, 2, 0), (0, 0, 3), (0, 0, 0), (1, 1, 1)]
+    coefficients = [(1.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, -1.0)]
+    return ReactionSystem(3, (1.0, 1.0, 1.0), exponents, coefficients)
+
+
 def absolute_parts(space, states, g_prime):
     """Pattern-aligned absolute sums of the quadrature terms of the reaction
     Jacobian's blocks, (nc, nc, nnz), and of the mass, (nnz,), and of the
@@ -88,7 +96,8 @@ class TestBrusselatorSystem:
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        for sys in (brusselator_system(0.002), heat_system(1.0, reaction={3: 1.0})):
+        systems = (brusselator_system(0.002), heat_system(1.0, reaction={3: 1.0}), three_component_system())
+        for sys in systems:
             nc = sys.n_components
             uv = rng.uniform(0.5, 3.0, size=(nc, 5))
             jac = sys.g_prime(uv)
@@ -131,10 +140,26 @@ class TestBrusselatorSystem:
         assert linear.degree == 0
         assert np.array_equal(linear.g(uv[:1]), np.zeros((1, 3, 4)))
         assert np.array_equal(linear.g_prime(uv[:1]), np.zeros((1, 1, 3, 4)))
+        # u0^2 u1 and u0 u1^2 both lower to u0 u1, and u0 u1 u2 lowers to it too
+        three = three_component_system()
+        u0, u1, u2 = uvw = rng.uniform(-2.0, 2.0, size=(3, 3, 4))
+        assert three.degree == 3
+        want = np.stack([u0 * u0 * u1 + u0 * u1 * u1, u2 * u2 * u2, 1.0 - u0 * u1 * u2])
+        assert np.allclose(three.g(uvw), want, rtol=1e-15, atol=0)
+        zero = np.zeros_like(u0)
+        want = np.stack([
+            np.stack([2.0 * u0 * u1 + u1 * u1, u0 * u0 + 2.0 * u0 * u1, zero]),
+            np.stack([zero, zero, 3.0 * u2 * u2]),
+            np.stack([-u1 * u2, -u0 * u2, -u0 * u1]),
+        ])
+        assert np.allclose(three.g_prime(uvw), want, rtol=1e-15, atol=0)
 
     def test_rejects_malformed_tables(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ReactionSystem(1, (1.0,), [(-1,)], [[1.0]])
+        # a fractional power is not truncated to an integer one
+        with pytest.raises(ValueError, match="integers, got 1.5"):
+            ReactionSystem(1, (1.0,), [(1.5,)], [[1.0]])
         with pytest.raises(ValueError, match="shape"):
             ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0]])
 

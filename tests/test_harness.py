@@ -351,6 +351,16 @@ class TestCli:
         for rank in ("0", "-3"):
             assert cli.main(["rom", "--r", rank, "--out", out]) == cli.USAGE_ERROR
             assert f"r_grid ranks must be at least 1, got ({rank},)" in capsys.readouterr().err
+        # a path that cannot be read or written is a usage error, named in the message
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        for argv, path in (
+            (["fom", "--config", str(tmp_path)], tmp_path),
+            (["fom", "--out", str(plain)], plain),
+            (["rom", "--out", str(plain)], plain),
+        ):
+            assert cli.main(argv) == cli.USAGE_ERROR
+            assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

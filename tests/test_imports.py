@@ -2,9 +2,10 @@
 no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
-reads a system's forcing terms, no module reads a Matrix Market file back,
-every target that perfbench's tracer wraps still exists, the time loop's
-work passes through the traced names, and perfbench's workloads still run.
+reads a system's forcing terms or exponent table, no module reads a Matrix
+Market file back, every target that perfbench's tracer wraps still exists,
+the time loop's work passes through the traced names, and perfbench's
+workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -155,16 +156,28 @@ def test_no_environment_reads(path):
     assert not found, ", ".join(found)
 
 
+def attribute_uses(path, attr):
+    """Every use of ``.attr`` in the module at ``path``, by line."""
+    return [
+        f".{attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fom.py"], ids=lambda p: p.name)
 def test_only_the_system_reads_its_forcing(path):
     """The forcing's term format has one owner, ``fom.ReactionSystem``: other
     modules use its ``loads`` and ``amplitudes``, never ``.forcing``."""
-    tree = ast.parse(path.read_text())
-    found = [
-        f".forcing (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "forcing"
-    ]
+    found = attribute_uses(path, "forcing")
+    assert not found, ", ".join(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fom.py"], ids=lambda p: p.name)
+def test_only_the_system_reads_its_exponents(path):
+    """A reaction's exponent table is ``fom.ReactionSystem``'s input only:
+    other modules read its monomials as ``factors``, never ``.exponents``."""
+    found = attribute_uses(path, "exponents")
     assert not found, ", ".join(found)
 
 

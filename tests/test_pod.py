@@ -134,12 +134,14 @@ class TestCorrelationMatrix:
             correlation_matrix(snaps, eye_csr(5))
 
     def test_gram_operator_is_the_spaces_stacked_operator(self):
-        # a selector over the operators the space caches: nothing is built per call
+        # a selector over the space's stacked operators: they apply the element
+        # matrices the space formed once, so nothing is assembled per call
         space = build_space(build_mesh(2), 2)
         for nc in (1, 2):
-            assert gram_matrix(space, H10, nc) is space.stiffness_matrix(nc)
-            assert gram_matrix(space, L2, nc) is space.mass_matrix(nc)
-            assert gram_matrix(space, H10, nc) is gram_matrix(space, H10, nc)
+            for name, elements in ((H10, space.element_stiffness), (L2, space.element_mass)):
+                gram = gram_matrix(space, name, nc)
+                assert gram.elements is elements
+                assert gram.n_components == nc
 
     def test_unknown_inner_product_rejected(self):
         # the names are case-sensitive: "h10" is not silently the L2 product
