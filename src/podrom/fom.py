@@ -414,9 +414,10 @@ _HEADER_KEYS = {"dt": float, "M": int, "components": int, "n_dof": int, "n_side"
 def load_trajectory(stem: str) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
     rebuilt from the header. A header key the load needs that is missing or
-    malformed raises ValueError naming <stem>.traj and the key; so does a
-    states file that is not a float64 array of the shape (M + 1, components,
-    n_dof) the header gives, naming <stem>.states.npy."""
+    malformed, or a dt that is not positive and finite, raises ValueError
+    naming <stem>.traj and the key; so does a states file that is not a
+    float64 array of the shape (M + 1, components, n_dof) the header gives,
+    naming <stem>.states.npy."""
     with open(stem + ".traj") as fh:
         header = dict((s.strip() for s in line.split("=", 1)) for line in fh if "=" in line)
     missing = [k for k in _HEADER_KEYS if k not in header]
@@ -428,6 +429,8 @@ def load_trajectory(stem: str) -> tuple:
             values[key] = kind(header[key])
         except ValueError:
             raise ValueError(f"{stem}.traj: {key} = {header[key]!r} is not a valid {kind.__name__}") from None
+    if not 0 < values["dt"] < np.inf:
+        raise ValueError(f"{stem}.traj: dt = {header['dt']!r} is not positive and finite")
     try:
         space = build_space(build_mesh(values["n_side"]), values["degree"])
     except ValueError as exc:

@@ -265,15 +265,16 @@ def r_refinement_study(
 ):
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
     the projection errors (I - P^r) u_h(t_n) over the main-loop steps
-    n = q..M of the fine FOM grid, NaN when M < q, in L2 and the H1 seminorm."""
+    n = q..M of the fine FOM grid, NaN when M < q, in L2 and the H1 seminorm.
+    A rank outside the basis raises InvalidRankError before any run."""
     t_end = fom_fine.times[-1]
     dt = fom_fine.dt
     fluct = (fom_fine.stacked() - setup.snaps.mean[None, :]).T  # (dim, M+1)
     nc = setup.system.n_components
     grams = [gram_matrix(setup.space, L2, nc), gram_matrix(setup.space, H10, nc)]
+    romsystems = [make_rom(setup, r) for r in r_values]
     rows = []
-    for r in r_values:
-        romsys = make_rom(setup, r)
+    for r, romsys in zip(r_values, romsystems):
         coords0 = initial_coords(romsys, fom_fine.states[0])
         rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
         proj_coords, (proj_l2_sq, proj_h1_sq) = projection_errors(setup.basis, r, fluct, grams)

@@ -4,10 +4,9 @@ Dense matrices are plain 2-D numpy arrays. The pipeline forms no sparse
 matrix (its finite-element operators are applied element by element); the
 minimal CSR container holds the assembled reference matrices of the tests.
 Every COO -> CSR conversion goes through one plan (``coo_plan``) that maps
-each triplet to its stored entry once, so callers with fixed indices refill
-it with one ``bincount``. The matvec reduces the products of each row with
-one ``reduceat``; a 2-D operand goes through in column chunks of bounded
-size.
+each triplet to its stored entry once. The matvec reduces the products of
+each row with one ``reduceat``; a 2-D operand goes through in column chunks
+of bounded size.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
 any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:

@@ -1,6 +1,6 @@
 """Snapshot sets of tau-scaled first-order difference quotients, correlation
 matrices in the H^1_0 (or L^2) inner product, POD modes, projectors and the
-eigenvalue-tail identities. Every projection onto the modes goes through
+eigenvalue-tail identity. Every projection onto the modes goes through
 ``project``, which holds the one rank check 0 <= r <= d_r, and every
 projection error ||(I - P^r) v||_G through ``projection_errors``.
 
@@ -189,43 +189,26 @@ def tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
     return float(np.sum(sq)) / snaps.n_snapshots, float(np.sum(basis.eigenvalues[r:]))
 
 
-def split_tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
-    """Tail identity with the w0 column and the difference columns separated:
-    ||(I-P^r) w0||_X^2 + (tau^2 / (N dt^2)) sum_j ||(I-P^r) D u(t_j)||_X^2."""
-    n = snaps.n_snapshots
-    sq = projection_errors(basis, r, snaps.columns, [basis.gram_operator])[1][0]
-    w0_term = sq[0] / n  # (sqrt(N) w0 scaling)^2 / N = ||(I-P^r) w0||^2
-    diff_term = float(np.sum(sq[1:])) / n  # = (tau^2 / (N dt^2)) sum ||(I-P^r) D u||^2
-    return float(w0_term + diff_term), float(np.sum(basis.eigenvalues[r:]))
-
-
-def pointwise_projection_report(
-    traj: Trajectory,
-    basis: PodBasis,
-    r: int,
-    tau: float,
-    w0_mode: str,
-    mean: np.ndarray | None = None,
-):
+def pointwise_projection_report(traj: Trajectory, snaps: SnapshotSet, basis: PodBasis, r: int):
     """Measured pointwise projection maxima against the eigenvalue-tail bound.
 
-    Returns (max_l2, max_h1, bound_l2, bound_h1). Both bounds are stated for
-    an H10 basis (ValueError otherwise): the H1 bound (2 + 4 Ctilde T^2 /
-    tau^2) * tail is constant-free; the L2 bound uses the analytic
-    unit-square Poincare constant and is informational only.
+    The states are centred on ``snaps.mean`` (zero unless the set was built
+    with mean subtraction), and the bound uses the set's ``tau`` and
+    ``w0_mode``. Returns (max_l2, max_h1, bound_l2, bound_h1). Both bounds
+    are stated for an H10 basis (ValueError otherwise): the H1 bound
+    (2 + 4 Ctilde T^2 / tau^2) * tail is constant-free; the L2 bound uses the
+    analytic unit-square Poincare constant and is informational only.
     """
     if basis.inner_product != H10:
         raise ValueError(f"the pointwise bound needs an {H10} basis, got {basis.inner_product}")
-    c_tilde = 1.0 if w0_mode == W0_INITIAL else 4.0
-    u = traj.stacked()
-    if mean is not None:
-        u = u - mean[None, :]
+    c_tilde = 1.0 if snaps.w0_mode == W0_INITIAL else 4.0
+    u = traj.stacked() - snaps.mean[None, :]
     nc = traj.states.shape[1]
     grams = [gram_matrix(traj.space, L2, nc), gram_matrix(traj.space, H10, nc)]
     l2_sq, h1_sq = projection_errors(basis, r, u.T, grams)[1]
     t_total = traj.times[-1] - traj.times[0]
     tail = float(np.sum(basis.eigenvalues[r:]))
-    factor = 2.0 + 4.0 * c_tilde * t_total**2 / tau**2
+    factor = 2.0 + 4.0 * c_tilde * t_total**2 / snaps.tau**2
     bound_h1 = factor * tail
     bound_l2 = POINCARE_UNIT_SQUARE**2 * bound_h1
     return (

@@ -35,7 +35,6 @@ from podrom.pod import (
     gram_matrix,
     pod_basis,
     pointwise_projection_report,
-    split_tail_identity_check,
     tail_identity_check,
 )
 
@@ -96,8 +95,6 @@ def test_criterion_2_tail_identity(desk):
         for r in range(1, basis.d_r + 1):
             lhs, rhs = tail_identity_check(snaps, basis, r)
             gap = max(gap, abs(lhs - rhs))
-            lhs2, rhs2 = split_tail_identity_check(snaps, basis, r)
-            gap = max(gap, abs(lhs2 - rhs2))
         worst[ip] = (gap, lam1)
     ok = all(gap <= 1e-10 * lam1 for gap, lam1 in worst.values())
     detail = ", ".join(
@@ -114,9 +111,7 @@ def test_criterion_3_pointwise_bound(desk):
     for w0_mode in (W0_INITIAL, W0_MEAN):
         snaps, basis = build_pod_basis(desk.fom_traj, desk.cfg.tau, w0_mode, H10)
         for r in (4, 8, 16):
-            max_l2, max_h1, bound_l2, bound_h1 = pointwise_projection_report(
-                desk.fom_traj, basis, r, desk.cfg.tau, w0_mode
-            )
+            max_l2, max_h1, bound_l2, bound_h1 = pointwise_projection_report(desk.fom_traj, snaps, basis, r)
             ok = ok and (max_h1 <= bound_h1)
             rows.append(f"{w0_mode} r={r}: {max_h1:.3e} <= {bound_h1:.3e}")
     _report(3, ok, "; ".join(rows))

@@ -659,6 +659,11 @@ class TestPersistence:
             # a malformed value names the file and the key
             pytest.param("M", "x", r"run\.traj: M = 'x' is not a valid int$", id="M-x-malformed"),
             pytest.param("dt", "abc", r"run\.traj: dt = 'abc' is not a valid float$", id="dt-abc-malformed"),
+            # a dt the time grid cannot use names the file and the key too
+            pytest.param("dt", "0", r"run\.traj: dt = '0' is not positive and finite$", id="dt-0"),
+            pytest.param("dt", "-0.1", r"run\.traj: dt = '-0.1' is not positive and finite$", id="dt--0.1"),
+            pytest.param("dt", "nan", r"run\.traj: dt = 'nan' is not positive and finite$", id="dt-nan"),
+            pytest.param("dt", "inf", r"run\.traj: dt = 'inf' is not positive and finite$", id="dt-inf"),
             pytest.param("n_side", "0", r"run\.traj: n_side must be at least 1$", id="n_side-0-malformed"),
             pytest.param("degree", "3", r"run\.traj: degree must be 1 or 2$", id="degree-3-malformed"),
         ],

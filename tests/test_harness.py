@@ -31,7 +31,7 @@ from podrom.harness import (
     temporal_convergence_study,
 )
 from podrom.mesh_fem import build_mesh, build_space, interpolate
-from podrom.pod import INNER_PRODUCTS, W0_MODES
+from podrom.pod import INNER_PRODUCTS, W0_MODES, InvalidRankError
 from podrom.rom import rom_integrate, rom_to_nodal_trajectory
 
 
@@ -294,6 +294,16 @@ class TestStudies:
         monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match=r"M = 24 does not divide m_ref .* = 64"):
             temporal_convergence_study(romsys, coords0, 3.2, m_values=(24, 32), ref_factor=2)
+        assert runs == []
+
+    def test_r_refinement_study_rejects_a_rank_outside_the_basis(self, monkeypatch):
+        # rank 99 is rejected by its ROM's assembly before the rank 2 run,
+        # not after it
+        setup = build_desk_setup(tiny_cfg(M=24, T=2.4))
+        runs = []
+        monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
+        with pytest.raises(InvalidRankError, match=r"rank 99 is outside 1\.\.\d+, the basis dimension"):
+            r_refinement_study(setup, setup.fom_traj, (2, 99), q=2)
         assert runs == []
 
     def test_r_refinement_monotone_projection(self):

@@ -2,8 +2,9 @@
 no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
-reads a system's forcing terms or exponent table, no module reads a Matrix
-Market file back, every target that perfbench's tracer wraps still exists,
+reads a system's forcing terms or exponent table, no function but the
+snapshot builders takes tau or the w0 mode, no module reads a Matrix Market
+file back, every target that perfbench's tracer wraps still exists,
 the time loop's work passes through the traced names, and perfbench's
 workloads still run.
 
@@ -178,6 +179,33 @@ def test_only_the_system_reads_its_exponents(path):
     """A reaction's exponent table is ``fom.ReactionSystem``'s input only:
     other modules read its monomials as ``factors``, never ``.exponents``."""
     found = attribute_uses(path, "exponents")
+    assert not found, ", ".join(found)
+
+
+SNAPSHOT_SETTINGS = {"tau", "w0_mode"}
+SNAPSHOT_BUILDERS = {("pod.py", "build_snapshots"), ("pod.py", "build_pod_basis")}
+
+
+def snapshot_setting_parameters(path):
+    """Every parameter named ``tau`` or ``w0_mode`` of a function in the
+    module at ``path``, outside the snapshot builders."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            if (path.name, name) in SNAPSHOT_BUILDERS:
+                continue
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg is not None and arg.arg in SNAPSHOT_SETTINGS:
+                    yield f"{name}: {arg.arg} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_snapshot_builders_take_its_settings(path):
+    """tau and the w0 mode are set once, when ``pod.build_snapshots`` (or
+    ``pod.build_pod_basis`` through it) builds a snapshot set: code after
+    that reads them from the set, never from a restated argument."""
+    found = list(snapshot_setting_parameters(path))
     assert not found, ", ".join(found)
 
 

@@ -1,6 +1,6 @@
 """POD pipeline: snapshot-column construction, correlation matrices against a
 dense triple-product oracle, mode orthonormality and scaling laws, projector
-properties, the eigenvalue-tail identities, pointwise bounds, persistence."""
+properties, the eigenvalue-tail identity, pointwise bounds, persistence."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from podrom.pod import (
     projection_errors,
     save_basis,
     save_snapshots,
-    split_tail_identity_check,
     tail_identity_check,
 )
 
@@ -305,8 +304,6 @@ class TestTailIdentities:
         for r in range(basis.d_r + 1):
             lhs, rhs = tail_identity_check(snaps, basis, r)
             assert abs(lhs - rhs) <= 1e-10 * lam1, f"r={r}"
-            lhs2, rhs2 = split_tail_identity_check(snaps, basis, r)
-            assert abs(lhs2 - rhs2) <= 1e-10 * lam1, f"split r={r}"
 
     def test_r_zero_is_total_energy(self):
         traj, space = brusselator_trajectory()
@@ -335,16 +332,28 @@ class TestPointwiseBound:
         traj, space = brusselator_trajectory(n_side=4, m=24, t_end=2.4)
         for w0_mode in (W0_INITIAL, W0_ZERO):
             snaps, basis = build_pod_basis(traj, tau=1.0, w0_mode=w0_mode)
-            mean = snaps.mean if w0_mode == W0_ZERO else None
             prev_h1 = np.inf
             for r in (2, 4, 8):
                 r_eff = min(r, basis.d_r)
-                max_l2, max_h1, bound_l2, bound_h1 = pointwise_projection_report(
-                    traj, basis, r_eff, 1.0, w0_mode, mean=mean
-                )
+                max_l2, max_h1, bound_l2, bound_h1 = pointwise_projection_report(traj, snaps, basis, r_eff)
                 assert max_h1 <= bound_h1 * (1 + 1e-12), f"{w0_mode} r={r_eff}"
                 assert max_h1 <= prev_h1 * (1 + 1e-12)
                 prev_h1 = max_h1
+
+    @pytest.mark.parametrize("w0_mode, c_tilde", [(W0_ZERO, 4.0), (W0_INITIAL, 1.0)])
+    def test_report_reads_the_snapshot_set(self, w0_mode, c_tilde):
+        # the states are centred on the set's mean, and the bound takes the
+        # set's tau (2 here, not the default 1) and w0 mode
+        traj, space = brusselator_trajectory()
+        tau, r = 2.0, 4
+        snaps, basis = build_pod_basis(traj, tau=tau, w0_mode=w0_mode)
+        max_l2, max_h1, _, bound_h1 = pointwise_projection_report(traj, snaps, basis, r)
+        grams = [gram_matrix(space, L2, 2), gram_matrix(space, H10, 2)]
+        l2_sq, h1_sq = projection_errors_oracle(basis, r, (traj.stacked() - snaps.mean).T, grams)[1]
+        assert np.array_equal([max_l2, max_h1], [np.sqrt(l2_sq.max()), np.sqrt(h1_sq.max())])
+        t_total = 1.6
+        tail = np.sum(basis.eigenvalues[r:])
+        assert bound_h1 == pytest.approx(np.sqrt((2.0 + 4.0 * c_tilde * t_total**2 / tau**2) * tail), rel=1e-14)
 
     def test_difference_quotients_bound_every_state_independently_of_m(self):
         """The paper's reason for difference-quotient snapshots: with them,
@@ -370,7 +379,7 @@ class TestPointwiseBound:
             states = SnapshotSet((traj.stacked() - dq.mean).T, 1.0, traj.dt, W0_ZERO, dq.mean)
             for snaps, ratios in ((dq, dq_ratios), (states, state_ratios)):
                 basis = pod_basis(snaps, correlation_matrix(snaps, gram), gram)
-                max_h1 = pointwise_projection_report(traj, basis, r, 1.0, W0_ZERO, dq.mean)[1]
+                max_h1 = pointwise_projection_report(traj, snaps, basis, r)[1]
                 ratios.append(max_h1**2 / np.sum(basis.eigenvalues[r:]))
         assert max(dq_ratios) <= 1.05 * min(dq_ratios), dq_ratios
         assert np.all(np.diff(state_ratios) > 0), state_ratios
@@ -425,13 +434,13 @@ class TestPointwiseBound:
         traj, _ = brusselator_trajectory()
         snaps, basis = build_pod_basis(traj, inner_product=L2)
         with pytest.raises(ValueError, match="needs an H10 basis, got L2"):
-            pointwise_projection_report(traj, basis, 2, 1.0, W0_ZERO, mean=snaps.mean)
+            pointwise_projection_report(traj, snaps, basis, 2)
 
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
         snaps, basis = build_pod_basis(traj)
         with pytest.raises(InvalidRankError):
-            pointwise_projection_report(traj, basis, basis.d_r + 1, 1.0, W0_ZERO, mean=snaps.mean)
+            pointwise_projection_report(traj, snaps, basis, basis.d_r + 1)
         with pytest.raises(InvalidRankError):
             tail_identity_check(snaps, basis, -1)
 
