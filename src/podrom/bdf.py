@@ -174,7 +174,7 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     for it in range(1, MAX_NEWTON_ITER + 1):
         d = d + solve(-r, tol)
         r, solve = linearise(d)
-        res_norm = float(np.linalg.norm(r))
+        res_norm = math.sqrt(r @ r)
         if res_norm <= tol:
             return history[0] + d, it
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)

@@ -14,14 +14,22 @@ against the basis at the quadrature points and adds nu_c K_e u_e per
 element. The Jacobian is held as per-element matrices J[a, b, i, j, e], the
 reaction integrated with one matmul plus the per-run linear part c0 M_e +
 nu_c K_e on the diagonal blocks; a product is one gather, one einsum and one
-``bincount``, with the Dirichlet entries of x dropped before the gather and
-passed through after the scatter, and the Jacobi diagonal sums the element
-diagonals, so the FOM forms no global matrix. BiCGStab
-(``linalg.krylov_solve``) uses only the operator's products and diagonal.
+``bincount``, with the Dirichlet entries of x zeroed in a copy before the
+gather and passed through after the scatter, both by index, and the Jacobi
+diagonal sums the element diagonals, so the FOM forms no global matrix.
+BiCGStab (``linalg.krylov_solve``) uses only the operator's products and
+diagonal. Around those kernels the loop keeps numpy's dispatch small: the
+Dirichlet rows are set through the index array ``FomOperator.dirichlet``
+rather than a boolean mask or ``np.where``, the reaction and its partials
+are one matmul each, and a norm is sqrt(v @ v), the ddot np.linalg.norm
+takes. At n_side 16, P2, on a 2-vCPU Xeon with one BLAS thread, that took a
+product from 37 to 33 us, a residual from 78 to 70 us and a Jacobian with
+its diagonal from 82 to 68 us, every result bit for bit the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +99,8 @@ class ReactionSystem:
                 block = lowered.setdefault(ks[:i] + ks[i + 1 :], np.zeros((nc, nc)))
                 block[:, b] += self.coefficients[:, m] * ks.count(b)
         self._lowered = list(lowered)
-        self._jac_coefficients = np.moveaxis(np.reshape(list(lowered.values()), (-1, nc, nc)), 0, -1)
+        # (nc nc, n_lowered): row a nc + b holds d g_a / d u_b's coefficients
+        self._jac_coefficients = np.reshape(list(lowered.values()), (-1, nc * nc)).T.copy()
 
     @property
     def degree(self) -> int:
@@ -111,22 +120,28 @@ class ReactionSystem:
 
     def g(self, u: np.ndarray) -> np.ndarray:
         """Reaction terms, (n_comp, ...) values -> (n_comp, ...)."""
-        return np.tensordot(self.coefficients, _monomials(self.factors, u), axes=1)
+        return _contract(self.coefficients, self.factors, u, (self.n_components,))
 
     def g_prime(self, u: np.ndarray) -> np.ndarray:
         """Partial derivatives, (n_comp, ...) values -> (n_comp, n_comp, ...)."""
-        return np.tensordot(self._jac_coefficients, _monomials(self._lowered, u), axes=1)
+        nc = self.n_components
+        return _contract(self._jac_coefficients, self._lowered, u, (nc, nc))
 
 
-def _monomials(factors, u: np.ndarray) -> np.ndarray:
-    """prod_k u[k] over the factor tuple k of each monomial m, for (nc, ...)
-    values u, shape (n_mono, ...): the factors multiplied in their order."""
+def _contract(table, factors, u, lead) -> np.ndarray:
+    """sum_m table[:, m] prod_k u[k] over the factor tuple k of each monomial
+    m of ``factors`` (its factors multiplied in their order), for (nc, ...)
+    values u, shaped ``lead`` + u.shape[1:]: the monomials at the flattened
+    points, then one matmul. The sizes are explicit, since without monomials
+    reshape(0, -1) raises; the product then gives zeros."""
     u = np.asarray(u, dtype=np.float64)
-    out = np.ones((len(factors),) + u.shape[1:])
+    points = math.prod(u.shape[1:])
+    values = u.reshape(len(u), points)
+    monomials = np.ones((len(factors), points))
     for m, ks in enumerate(factors):
         for k in ks:
-            out[m] *= u[k]
-    return out
+            monomials[m] *= values[k]
+    return (table @ monomials).reshape(lead + u.shape[1:])
 
 
 def brusselator_system(nu: float) -> ReactionSystem:
@@ -196,6 +211,7 @@ class FomOperator:
         self.n = space.n_dof
         self.dim = self.nc * self.n
         self.mask = np.tile(space.dirichlet_mask, self.nc)
+        self.dirichlet = np.flatnonzero(self.mask)  # the constrained rows, by index
         self.cell_dofs = space.cell_dofs.T.copy()  # (nloc, ne)
         self.rows = (self.cell_dofs + self.n * np.arange(self.nc)[:, None, None]).ravel()
         self.basis = space.basis_values  # N, (nq, nloc)
@@ -213,7 +229,7 @@ class FomOperator:
 
     def gather(self, fields: np.ndarray) -> np.ndarray:
         """Element values, element axis last: (..., n_dof) -> (..., nloc, ne)."""
-        return np.take(fields, self.cell_dofs, axis=-1)
+        return fields.take(self.cell_dofs, axis=-1)
 
     def scatter(self, elem: np.ndarray) -> np.ndarray:
         """(nc, nloc, ne) element vectors summed into a stacked field by one ``bincount``."""
@@ -237,7 +253,7 @@ class FomOperator:
         r = self.scatter(elem)
         if len(self.loads):
             r -= self.system.amplitudes(t) @ self.loads
-        r[self.mask] = 0.0
+        r[self.dirichlet] = 0.0
         return r
 
     def linearisation(self, scheme, dt):
@@ -300,9 +316,12 @@ class FomJacobian:
     sums the element diagonals J[a, a, i, i, e] in the same scatter order.
 
     A product is one gather, one einsum whose innermost loop runs over the
-    elements and one ``bincount``. Forming J and its diagonal costs more
-    than a product, but is done once per ~8 products (1398 products for 180
-    Jacobians in the desk run)."""
+    elements and one ``bincount``. It zeroes the Dirichlet entries of a copy
+    of x through the operator's index array ``dirichlet`` (BiCGStab reads
+    its operand again) and after the scatter sets y[dirichlet] =
+    x[dirichlet]. Forming J and its diagonal costs about twice a product
+    (68 against 33 us at n_side 16, P2), but is done once per ~8 products
+    (1398 products for 180 Jacobians in the desk run)."""
 
     op: FomOperator
     elements: np.ndarray  # J, (nc, nc, nloc, nloc, ne)
@@ -312,14 +331,15 @@ class FomJacobian:
 
     def diagonal(self) -> np.ndarray:
         diag = self.op.scatter(np.einsum("aaiie->aie", self.elements))
-        diag[self.op.mask] = 1.0
+        diag[self.op.dirichlet] = 1.0
         return diag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        op, mask = self.op, self.op.mask
-        elem_values = op.gather(op.split(np.where(mask, 0.0, x)))
-        y = op.scatter(np.einsum("abije,bje->aie", self.elements, elem_values))
-        y[mask] = x[mask]
+        op, fixed = self.op, self.op.dirichlet
+        free = x.copy()  # BiCGStab reads its operand again: zero a copy
+        free[fixed] = 0.0
+        y = op.scatter(np.einsum("abije,bje->aie", self.elements, op.gather(op.split(free))))
+        y[fixed] = x[fixed]
         return y
 
 
@@ -331,7 +351,7 @@ def newton_update(
     residual, ||r|| <= tol, decides every accepted state as before. BiCGStab
     starts from ``x0``, or from zero when it is None; the start does not
     change the tolerance, which stays relative to ||rhs||."""
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(rhs @ rhs)
     # a zero right-hand side is solved by zero at any tolerance
     rel = min(max(FORCING * tol / rhs_norm, 1e-13), 0.5) if rhs_norm > 0.0 else 0.5
     x, _ = krylov_solve(jac, rhs, tol=rel, x0=x0)

@@ -287,10 +287,12 @@ def krylov_solve(
     n = a.rows
     if max_iter is None:
         max_iter = 10 * n
-    d = a.diagonal()
-    d = np.where(np.abs(d) > 0, d, 1.0)  # the Jacobi preconditioner
+    d = np.array(a.diagonal(), dtype=np.float64)
+    d[~(np.abs(d) > 0)] = 1.0  # the Jacobi preconditioner, 1 on a zero diagonal entry
 
-    bnorm = np.linalg.norm(b)
+    # a norm is one ddot and a correctly rounded sqrt, as np.linalg.norm
+    # takes it for a 1-D float64 vector, without its dispatch
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(n), 0
     if x0 is None:
@@ -299,38 +301,42 @@ def krylov_solve(
     else:
         x = x0.copy()
         r = b - a.matvec(x)
-    if np.linalg.norm(r) <= tol * bnorm:  # the start already meets the tolerance
+    if math.sqrt(r @ r) <= tol * bnorm:  # the start already meets the tolerance
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    v = p = np.zeros(n)
+    v, p = np.zeros(n), np.zeros(n)  # distinct: p is updated in place
     for it in range(1, max_iter + 1):
         rho_new = r_hat @ r
         if rho_new == 0.0 or omega == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(r)))
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r @ r))
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        p = r + beta * (p - omega * v)
+        # p = r + beta (p - omega v), each operation as written
+        p -= omega * v
+        p *= beta
+        p += r
         p_hat = p / d
         v = a.matvec(p_hat)
         denom = r_hat @ v
         if denom == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(r)))
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r @ r))
         alpha = rho / denom
         s = r - alpha * v
-        if np.linalg.norm(s) <= tol * bnorm:
-            x = x + alpha * p_hat
+        if math.sqrt(s @ s) <= tol * bnorm:
+            x += alpha * p_hat
             return x, it
         s_hat = s / d
         t = a.matvec(s_hat)
         tt = t @ t
         if tt == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(s)))
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(s @ s))
         omega = (t @ s) / tt
-        x = x + alpha * p_hat + omega * s_hat
+        x += alpha * p_hat
+        x += omega * s_hat
         r = s - omega * t
-        if np.linalg.norm(r) <= tol * bnorm:
+        if math.sqrt(r @ r) <= tol * bnorm:
             return x, it
     raise ConvergenceError(
-        f"BiCGStab did not converge in {max_iter} iterations", float(np.linalg.norm(r))
+        f"BiCGStab did not converge in {max_iter} iterations", math.sqrt(r @ r)
     )

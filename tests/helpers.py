@@ -1,12 +1,13 @@
 """Oracles that only the tests use: a CSR matrix as a dense array, the L2
 norm and H1 seminorm of a nodal field, the FOM's BDF residual from the
 assembled scalar mass and stiffness, component by component, the load
-of a forcing by its pointwise values, and the projection errors by their
-plain formula."""
+of a forcing by its pointwise values, the projection errors by their
+plain formula, and BiCGStab as a fresh array per operation."""
 
 import numpy as np
 
 from podrom.bdf import bdf_increment_form
+from podrom.linalg import ConvergenceError
 from podrom.mesh_fem import assemble_load, assemble_mass, assemble_reaction_system, assemble_stiffness
 from podrom.pod import project
 
@@ -70,3 +71,62 @@ def projection_errors_oracle(basis, r, v, grams):
     coeffs, proj = project(basis, r, v)
     resid = v - proj
     return coeffs, np.array([np.sum(resid * g.matvec(resid), axis=0) for g in grams])
+
+
+def krylov_solve_oracle(a, b, tol=1e-12, max_iter=None, x0=None):
+    """``linalg.krylov_solve``'s Jacobi-preconditioned BiCGStab loop with a
+    fresh array for every vector operation and ``np.linalg.norm`` for every
+    norm, for operands it accepts; the solver must match it bit for bit."""
+    b = np.asarray(b, dtype=np.float64)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+    n = a.rows
+    if max_iter is None:
+        max_iter = 10 * n
+    d = a.diagonal()
+    d = np.where(np.abs(d) > 0, d, 1.0)  # the Jacobi preconditioner
+
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros(n), 0
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()  # the residual of the zero start
+    else:
+        x = x0.copy()
+        r = b - a.matvec(x)
+    if np.linalg.norm(r) <= tol * bnorm:  # the start already meets the tolerance
+        return x, 0
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    v = p = np.zeros(n)
+    for it in range(1, max_iter + 1):
+        rho_new = r_hat @ r
+        if rho_new == 0.0 or omega == 0.0:
+            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(r)))
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        p_hat = p / d
+        v = a.matvec(p_hat)
+        denom = r_hat @ v
+        if denom == 0.0:
+            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(r)))
+        alpha = rho / denom
+        s = r - alpha * v
+        if np.linalg.norm(s) <= tol * bnorm:
+            x = x + alpha * p_hat
+            return x, it
+        s_hat = s / d
+        t = a.matvec(s_hat)
+        tt = t @ t
+        if tt == 0.0:
+            raise ConvergenceError("BiCGStab breakdown", float(np.linalg.norm(s)))
+        omega = (t @ s) / tt
+        x = x + alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it
+    raise ConvergenceError(
+        f"BiCGStab did not converge in {max_iter} iterations", float(np.linalg.norm(r))
+    )

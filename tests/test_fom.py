@@ -33,20 +33,23 @@ from podrom.mesh_fem import (
 
 EPS = np.finfo(np.float64).eps
 #: rounding depth, in units u = eps / 2 of first-order error per term of the
-#: absolute sums (P2, nq = 6, nloc = 6; P1 is shallower). The operator forms
-#: each element entry first, c0 M_e + nu K_e + sum_q reaction: a reaction
-#: term N_i N_j (w dg) goes through 3 products and 5 quadrature sums, a mass
-#: term through 8 roundings in M_e, then c0, + nu K_e and + reaction (11);
-#: then comes the 2 nloc-term product, exact on the unit vectors the
-#: Jacobian test applies, and at most 6 element contributions (5): 16 u.
-#: The oracle sums the same GEMM (8) over the elements (5), then adds c0 mass
-#: and nu stiffness (3): 16 u. So the Jacobian and its diagonal differ by at
-#: most 32 u = 16 eps times the absolute sums of their terms (measured: 1.78
-#: eps at worst, Brusselator P1; 1.15 eps for the diagonal). The residual's
-#: products are not exact: its operator side is 21 u deep (nloc-term
-#: interpolation, the quadrature sum, the nloc-term stiffness product, 6
-#: contributions) and the oracle's CSR rows sum up to 19 entries (35 u), so
-#: 16 eps is not a worst-case bound there; measured: 0.57 eps at worst.
+#: absolute sums (P2, nq = 6, nloc = 6; P1 is shallower). K = 16 is derived
+#: for the Jacobian and only measured for the residual.
+#: Jacobian: the operator forms each element entry first, c0 M_e + nu K_e +
+#: sum_q reaction: a reaction term N_i N_j (w dg) goes through 3 products and
+#: 5 quadrature sums, a mass term through 8 roundings in M_e, then c0, + nu
+#: K_e and + reaction (11); then comes the 2 nloc-term product, exact on the
+#: unit vectors the Jacobian test applies, and at most 6 element
+#: contributions (5): 16 u. The oracle sums the same GEMM (8) over the
+#: elements (5), then adds c0 mass and nu stiffness (3): 16 u. So the
+#: Jacobian and its diagonal differ by at most 32 u = 16 eps times the
+#: absolute sums of their terms (measured: 1.78 eps at worst, Brusselator P1;
+#: 1.15 eps for the diagonal).
+#: Residual: its products are not exact. Its operator side is 21 u deep
+#: (nloc-term interpolation, the quadrature sum, the nloc-term stiffness
+#: product, 6 contributions) and the oracle's CSR rows sum up to 19 entries
+#: (35 u), so the first-order bound is 56 u, about 28 eps, above K; the
+#: worst measured is 0.57 eps, which K covers with room to spare.
 ROUNDING_K = 16
 
 
@@ -153,6 +156,23 @@ class TestBrusselatorSystem:
             np.stack([-u1 * u2, -u0 * u2, -u0 * u1]),
         ])
         assert np.allclose(three.g_prime(uvw), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (6, 32)], ids=["point", "points", "quadrature"])
+    def test_reaction_is_the_tensordot_contraction_bit_for_bit(self, shape):
+        # g contracts its coefficient table with the monomials, flattened
+        # over the points, by one matmul: the product np.tensordot forms
+        rng = np.random.default_rng(8)
+        for sys in (brusselator_system(0.002), heat_system(1.0, reaction={3: 1.0, 1: -0.5}), three_component_system()):
+            u = rng.uniform(-2.0, 2.0, size=(sys.n_components,) + shape)
+            monomials = np.ones((len(sys.factors),) + shape)
+            for m, ks in enumerate(sys.factors):
+                for k in ks:
+                    monomials[m] *= u[k]
+            assert np.array_equal(sys.g(u), np.tensordot(sys.coefficients, monomials, axes=1))
+            assert sys.g_prime(u).shape == (sys.n_components,) * 2 + shape
+        linear = heat_system(1.0)
+        assert np.array_equal(linear.g(np.ones((1,) + shape)), np.zeros((1,) + shape))
+        assert np.array_equal(linear.g_prime(np.ones((1,) + shape)), np.zeros((1, 1) + shape))
 
     def test_rejects_malformed_tables(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -533,7 +553,8 @@ class TestIntegratorInterface:
         block pattern, exactly the identity's Dirichlet rows and columns,
         and every other entry, and ``diagonal()``, within ROUNDING_K eps
         times the absolute sums of its reaction, mass and stiffness terms;
-        ``diagonal()`` also exactly the full matrix's on free dofs."""
+        ``diagonal()`` also exactly the full matrix's on free dofs. A
+        product leaves its operand unwritten."""
         op = FomOperator(system, space)
         gp = assemble_reaction_jacobian_system(space, op.split(w), system.g_prime)
         reaction, mass, stiffness = absolute_parts(space, op.split(w), system.g_prime)
@@ -553,6 +574,15 @@ class TestIntegratorInterface:
         jac = op.jacobian(w, op.jacobian_linear_part(c0))
         assert (jac.rows, jac.cols) == (op.dim, op.dim)
         full = np.column_stack([jac.matvec(e) for e in eye])
+        # BiCGStab reads its operands again after a product, so the product
+        # zeroes the Dirichlet entries of a copy: the unit vectors, and an
+        # operand nonzero on every dof, stay as they were
+        assert np.array_equal(eye, np.eye(op.dim))
+        x = np.random.default_rng(7).uniform(1.0, 2.0, op.dim)
+        operand = x.copy()
+        y = jac.matvec(x)
+        assert np.array_equal(x, operand)
+        assert np.array_equal(y[mask], operand[mask])
         assert np.array_equal(full[pattern == 0], np.zeros(np.sum(pattern == 0)))
         assert np.array_equal(full[mask], eye[mask])
         assert np.array_equal(full[:, mask], eye[:, mask])

@@ -3,8 +3,9 @@ no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
-snapshot builders takes tau or the w0 mode, no module reads a Matrix Market
-file back, every target that perfbench's tracer wraps still exists,
+snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
+none of numpy's dispatch-heavy forms of its kernels, no module reads a
+Matrix Market file back, every target that perfbench's tracer wraps still exists,
 the time loop's work passes through the traced names, and perfbench's
 workloads still run.
 
@@ -206,6 +207,53 @@ def test_only_the_snapshot_builders_take_its_settings(path):
     ``pod.build_pod_basis`` through it) builds a snapshot set: code after
     that reads them from the set, never from a restated argument."""
     found = list(snapshot_setting_parameters(path))
+    assert not found, ", ".join(found)
+
+
+#: the functions of the FOM's Newton/BiCGStab loop, run per product or per
+#: candidate, and the numpy calls that have a cheaper bit-identical form there:
+#: a norm is sqrt(v @ v), Dirichlet rows are set by index, and the reaction
+#: is one matmul
+NEWTON_LOOP = {
+    "linalg.py": {"krylov_solve"},
+    "fom.py": {"newton_update", "FomJacobian.matvec", "ReactionSystem.g", "ReactionSystem.g_prime", "_contract"},
+    "bdf.py": {"implicit_step"},
+}
+DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot"}
+
+
+def functions_by_qualified_name(tree):
+    """{name: node} for the module's functions and its classes' methods,
+    a method as ``Class.method``."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(m, n) for m, names in NEWTON_LOOP.items() for n in sorted(names)],
+    ids=lambda v: v,
+)
+def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
+    """np.linalg.norm, np.where and np.tensordot cost more dispatch than the
+    ddot, index assignment and matmul that give the same bits; in the
+    functions the FOM's Newton/BiCGStab loop runs per product or candidate
+    they are not called."""
+    path = Path(podrom.__file__).parent / module
+    func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
+    assert func is not None, f"{module}: {name} no longer exists"
+    found = [
+        f"{name}: {ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in DISPATCH_HEAVY
+    ]
     assert not found, ", ".join(found)
 
 

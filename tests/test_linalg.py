@@ -7,8 +7,8 @@ paths.
 import numpy as np
 import pytest
 
-from helpers import as_dense
-from podrom import linalg
+from helpers import as_dense, krylov_solve_oracle
+from podrom import fom, linalg, mesh_fem
 from podrom.linalg import (
     ConvergenceError,
     CsrMatrix,
@@ -330,6 +330,48 @@ def laplacian_1d(n):
     return CsrMatrix.from_coo(n, n, ri, ci, vals)
 
 
+def convection_diffusion_1d(n, seed):
+    """A nonsymmetric n x n CSR matrix: upwinded 1-D convection-diffusion
+    (2.5 on the diagonal, -1.8 below, -0.4 above) plus random entries three
+    places off the diagonal on either side."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    ri = np.concatenate([i, i[1:], i[:-1], i[3:], i[:-3]])
+    ci = np.concatenate([i, i[:-1], i[1:], i[:-3], i[3:]])
+    vals = np.concatenate(
+        [np.full(n, 2.5), np.full(n - 1, -1.8), np.full(n - 1, -0.4), 0.3 * rng.standard_normal(2 * (n - 3))]
+    )
+    return CsrMatrix.from_coo(n, n, ri, ci, vals)
+
+
+def brusselator_jacobian():
+    """The FOM's Newton operator at a perturbed Brusselator state (n_side 4,
+    P2): nonsymmetric, with Dirichlet rows passed through."""
+    space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
+    op = fom.FomOperator(fom.brusselator_system(0.002), space)
+    w = fom.perturbed_equilibrium(space, 0.3).ravel()
+    return op.jacobian(w, op.jacobian_linear_part(137.0 / 60.0 / 0.05))
+
+
+class Recording:
+    """An operator that records a copy of every operand it is applied to
+    and of every product, and fails when a product writes its operand."""
+
+    def __init__(self, a):
+        self.a, self.rows, self.cols = a, a.rows, a.cols
+        self.products = []
+
+    def diagonal(self):
+        return self.a.diagonal()
+
+    def matvec(self, x):
+        operand = x.copy()
+        y = self.a.matvec(x)
+        assert np.array_equal(x, operand), "the product wrote its operand"
+        self.products.append((operand, y.copy()))
+        return y
+
+
 class TestKrylov:
     def test_identity_one_iteration(self):
         b = np.array([1.0, 2.0, 3.0])
@@ -413,11 +455,18 @@ class TestKrylov:
         assert np.linalg.norm(a.matvec(x) - b) <= 1e-10 * np.linalg.norm(b) * 1.001
 
     def test_start_leaves_no_trace_on_the_caller(self):
+        # the iterate is updated in place, so it must start as a copy of x0;
+        # b and x0 stay unwritten, whether the start meets the tolerance
+        # (0 iterations) or not
         a = laplacian_1d(10)
-        x0 = np.ones(10)
-        x, _ = krylov_solve(a, np.arange(10.0), tol=1e-10, x0=x0)
-        assert np.array_equal(x0, np.ones(10))
-        assert x is not x0
+        b = np.arange(10.0)
+        exact = dense_lu_solve(as_dense(a), b)
+        for start in (np.ones(10), exact):
+            x0, b_in = start.copy(), b.copy()
+            x, _ = krylov_solve(a, b_in, tol=1e-10, x0=x0)
+            assert np.array_equal(x0, start)
+            assert np.array_equal(b_in, b)
+            assert not np.shares_memory(x, x0) and not np.shares_memory(x, b_in)
 
     @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
     def test_start_of_wrong_shape_raises(self, shape):
@@ -428,3 +477,33 @@ class TestKrylov:
         x, iters = krylov_solve(laplacian_1d(10), np.zeros(10), x0=np.arange(10.0))
         assert np.array_equal(x, np.zeros(10))
         assert iters == 0
+
+    @pytest.mark.parametrize("operator", [convection_diffusion_1d, brusselator_jacobian], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("start", ["zero", "x0"])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12])
+    def test_iterates_match_the_fresh_array_loop_bit_for_bit(self, operator, start, tol):
+        # the solver updates its iterate and search direction in place and
+        # takes its norms as sqrt(v @ v); every operand of every product,
+        # the solution and the count must be the fresh-array loop's
+        a = operator(60, 3) if operator is convection_diffusion_1d else operator()
+        rng = np.random.default_rng(17)
+        b = rng.standard_normal(a.rows)
+        x0 = 0.1 * rng.standard_normal(a.rows) if start == "x0" else None
+        got, want = Recording(a), Recording(a)
+        x, iters = krylov_solve(got, b, tol=tol, x0=x0)
+        x_want, iters_want = krylov_solve_oracle(want, b, tol=tol, x0=x0)
+        assert iters == iters_want > 0
+        assert np.array_equal(x, x_want)
+        assert len(got.products) == len(want.products)
+        for (operand, y), (operand_want, y_want) in zip(got.products, want.products):
+            assert np.array_equal(operand, operand_want)
+            assert np.array_equal(y, y_want)
+
+    def test_exhaustion_matches_the_fresh_array_loop_bit_for_bit(self):
+        a = convection_diffusion_1d(60, 3)
+        b = np.random.default_rng(17).standard_normal(60)
+        with pytest.raises(ConvergenceError) as got:
+            krylov_solve(a, b, tol=1e-15, max_iter=4)
+        with pytest.raises(ConvergenceError) as want:
+            krylov_solve_oracle(a, b, tol=1e-15, max_iter=4)
+        assert got.value.residual == want.value.residual > 0
