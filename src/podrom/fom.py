@@ -210,8 +210,7 @@ class FomOperator:
         self.nc = system.n_components
         self.n = space.n_dof
         self.dim = self.nc * self.n
-        self.mask = np.tile(space.dirichlet_mask, self.nc)
-        self.dirichlet = np.flatnonzero(self.mask)  # the constrained rows, by index
+        self.dirichlet = np.flatnonzero(np.tile(space.dirichlet_mask, self.nc))  # the constrained rows
         self.cell_dofs = space.cell_dofs.T.copy()  # (nloc, ne)
         self.rows = (self.cell_dofs + self.n * np.arange(self.nc)[:, None, None]).ravel()
         self.basis = space.basis_values  # N, (nq, nloc)

@@ -67,6 +67,9 @@ class RunConfig:
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
         if not 1 <= self.q <= 5:
             raise ValueError("q must be in 1..5")
+        if self.q >= 2 and self.T / self.M >= 1:  # the BDF-q bootstrap's step rule needs dt < 1
+            raise ValueError(f"q >= 2 needs a step T/M below 1, got T = {self.T} and M = {self.M}, "
+                             f"T/M = {self.T / self.M:g}")
         if not self.r_grid or min(self.r_grid) < 1:
             raise ValueError(f"r_grid ranks must be at least 1, got {self.r_grid}")
         for key, allowed in (
@@ -126,11 +129,16 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _pairwise_order(dt0, err0, dt1, err1):
+    """The observed order between two runs, log(err0 / err1) / log(dt0 / dt1)."""
+    return float(np.log(err0 / err1) / np.log(dt0 / dt1))
+
+
 def estimate_order(errors):
     """Least-squares slope of log err versus log dt, plus pairwise orders.
 
-    ``errors`` is a list of (dt, err) with err > 0. Returns (slope, pairwise)
-    where pairwise[i] = log2(err_i / err_{i+1}) for a dyadic dt sequence.
+    ``errors`` is a list of (dt, err) with err > 0. Returns (slope, pairwise), where
+    pairwise[i] = ``_pairwise_order`` of points i and i + 1, as in convergence.csv.
     """
     if len(errors) < 2:
         raise ValueError("need at least two (dt, err) points")
@@ -139,10 +147,7 @@ def estimate_order(errors):
     if np.any(errs <= 0) or np.any(dts <= 0):
         raise ValueError("errors and steps must be positive")
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    pairwise = [
-        float(np.log(errs[i] / errs[i + 1]) / np.log(dts[i] / dts[i + 1]))
-        for i in range(len(errs) - 1)
-    ]
+    pairwise = [_pairwise_order(dts[i], errs[i], dts[i + 1], errs[i + 1]) for i in range(len(errs) - 1)]
     return float(slope), pairwise
 
 
@@ -322,65 +327,45 @@ def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return f"{x:.6g}"
+def write_csv(path, comment, columns, rows):
+    """A ``# comment`` line, the column names and one line per row: the one
+    place a table value is formatted, an int as is, None blank, else %.6g."""
 
+    def field(v):
+        return "" if v is None else str(v) if isinstance(v, (int, np.integer)) else f"{v:.6g}"
 
-def write_csv(path, header_comment, columns, rows):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        for line in header_comment:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(f"# {comment}\n" + ",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(field, row)) + "\n")
 
 
 def emit_convergence_csv(path, results, t_end):
+    """One row per (q, M), its order taken against the q's row before it."""
     columns = ["q", "M", "dt", "max_l2", "max_h1", "start_l2", "start_h1", "pairwise_order_l2"]
     rows = []
     for q in sorted(results):
         prev = None
         for row in results[q]:
-            dt = t_end / row["M"]
-            order = ""
-            if prev is not None and prev["max_l2"] > 0 and row["max_l2"] > 0:
-                order = _fmt(np.log2(prev["max_l2"] / row["max_l2"]))
-            rows.append(
-                [
-                    str(q),
-                    str(row["M"]),
-                    _fmt(dt),
-                    _fmt(row["max_l2"]),
-                    _fmt(row["max_h1"]),
-                    _fmt(row["start_l2"]),
-                    _fmt(row["start_h1"]),
-                    order,
-                ]
-            )
-            prev = row
-    write_csv(path, ["maximum errors along the window vs tight BDF-5 reference"], columns, rows)
+            dt, err = t_end / row["M"], row["max_l2"]
+            order = _pairwise_order(*prev, dt, err) if prev and prev[1] > 0 and err > 0 else None
+            rows.append([q, row["M"], dt, err, row["max_h1"], row["start_l2"], row["start_h1"], order])
+            prev = dt, err
+    write_csv(path, "maximum errors along the window vs tight BDF-5 reference", columns, rows)
 
 
 def emit_r_refinement_csv(path, rows):
     columns = ["r", "pod_max_l2", "proj_max_l2", "pod_max_h1", "proj_max_h1"]
-    out = [
-        [str(r["r"]), _fmt(r["pod_l2"]), _fmt(r["proj_l2"]), _fmt(r["pod_h1"]), _fmt(r["proj_h1"])]
-        for r in rows
-    ]
-    write_csv(path, ["maximum errors vs reduced rank (L2 norm; H1 seminorm)"], columns, out)
+    out = [[r["r"], r["pod_l2"], r["proj_l2"], r["pod_h1"], r["proj_h1"]] for r in rows]
+    write_csv(path, "maximum errors vs reduced rank (L2 norm; H1 seminorm)", columns, out)
 
 
 def emit_starting_values_csv(path, results):
+    """start_l2, then start_h1, per q >= 2 and M; blank where q has no run at M."""
     ms = sorted({row["M"] for rows in results.values() for row in rows})
-    qs = [q for q in sorted(results) if q >= 2]
-    columns = ["M"] + [f"q{q}_l2" for q in qs] + [f"q{q}_h1" for q in qs]
-    out = []
-    for m in ms:
-        row = [str(m)]
-        for norm in ("start_l2", "start_h1"):
-            for q in qs:
-                match = [r for r in results[q] if r["M"] == m]
-                row.append(_fmt(match[0][norm]) if match else "")
-        out.append(row)
-    write_csv(path, ["maximum errors at the starting values, per order and step count"], columns, out)
+    by_m = {q: {row["M"]: row for row in results[q]} for q in sorted(results) if q >= 2}
+    columns = ["M"] + [f"q{q}_l2" for q in by_m] + [f"q{q}_h1" for q in by_m]
+    norms = ("start_l2", "start_h1")
+    out = [[m] + [by_m[q].get(m, {}).get(norm) for norm in norms for q in by_m] for m in ms]
+    write_csv(path, "maximum errors at the starting values, per order and step count", columns, out)

@@ -51,7 +51,7 @@ def fom_residual_oracle(op, increment, history, scheme, dt, t):
         term = term - load[c]
         want.append(term)
     want = np.concatenate(want)
-    want[op.mask] = 0.0
+    want[op.dirichlet] = 0.0
     return want
 
 

@@ -168,6 +168,11 @@ class TestParseConfig:
             with pytest.raises(ValueError, match="newton_rule"):
                 RunConfig(newton_rule=rule)
         assert RunConfig(newton_rule="1e-12").newton_rule == "1e-12"
+        # the BDF-q bootstrap (q >= 2) needs a step below 1; BDF-1 takes none
+        for q in (2, 5):
+            with pytest.raises(ValueError, match=r"T = 4\.0 and M = 4, T/M = 1$"):
+                RunConfig(T=4.0, M=4, q=q)
+        assert RunConfig(T=8.0, M=4, q=1).q == 1
 
     def test_defaults_round_trip(self, tmp_path):
         # every field written as its default parses back to RunConfig()
@@ -194,6 +199,7 @@ class TestParseConfig:
         assert cfg.degree in (1, 2) and 1 <= cfg.q <= 5
         assert cfg.r_grid and min(cfg.r_grid) >= 1
         assert cfg.newton_rule == "step-coupled" or 0 < float(cfg.newton_rule) < np.inf
+        assert cfg.q == 1 or cfg.T / cfg.M < 1
 
 
 def tiny_cfg(**overrides):
@@ -284,6 +290,31 @@ class TestStudies:
         assert rows[0][3:5] == ["nan", "nan"]
         assert rows[0][-1] == rows[1][-1] == ""
 
+    @pytest.mark.parametrize(
+        "m_values, ref_factor", [((16, 8), 4), ((8, 24), 3)], ids=["descending", "non-dyadic"]
+    )
+    def test_convergence_csv_orders_are_estimate_orders(self, tmp_path, m_values, ref_factor):
+        # the CSV's pairwise_order_l2 is estimate_order's pairwise list at
+        # %.6g for any sequence of M, not only a doubling one: positive where
+        # the error falls with dt
+        setup = build_desk_setup(tiny_cfg())
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        results = temporal_convergence_study(
+            romsys, coords0, 1.6, q_values=(2, 3), m_values=m_values, ref_factor=ref_factor
+        )
+        conv = tmp_path / "conv.csv"
+        emit_convergence_csv(str(conv), results, 1.6)
+        lines = [line.split(",") for line in conv.read_text().splitlines()[2:]]
+        for q, rows in results.items():
+            points = [(1.6 / row["M"], row["max_l2"]) for row in rows]
+            _, pairwise = estimate_order(points)
+            orders = [line[-1] for line in lines if line[0] == str(q)]
+            assert orders == [""] + [f"{p:.6g}" for p in pairwise]
+            (dt0, err0), (dt1, err1) = points
+            assert (dt0 - dt1) * (err0 - err1) > 0, (q, points)
+            assert pairwise[0] > 0, (q, pairwise)
+
     def test_convergence_study_rejects_m_not_dividing_the_reference(self, monkeypatch):
         # ref_factor 2 x max M 32 = 64, which M 24 does not divide: rejected
         # before the reference run, not by a broadcast error after it
@@ -361,6 +392,12 @@ class TestCli:
         for rank in ("0", "-3"):
             assert cli.main(["rom", "--r", rank, "--out", out]) == cli.USAGE_ERROR
             assert f"r_grid ranks must be at least 1, got ({rank},)" in capsys.readouterr().err
+        # a step T/M of 1 or more at q >= 2 is named by T, M and T/M, not by
+        # the bootstrap's exponent rule
+        bad.write_text("n_side = 4\nT = 8\nM = 4\nq = 3\n")
+        assert cli.main(["fom", "--config", str(bad), "--out", out]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: q >= 2 needs a step T/M below 1, got T = 8.0 and M = 4, T/M = 2\n"
         # a path that cannot be read or written is a usage error, named in the message
         plain = tmp_path / "plain"
         plain.write_text("")

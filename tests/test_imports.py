@@ -4,10 +4,11 @@ perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
-none of numpy's dispatch-heavy forms of its kernels, no module reads a
-Matrix Market file back, every target that perfbench's tracer wraps still exists,
-the time loop's work passes through the traced names, and perfbench's
-workloads still run.
+none of numpy's dispatch-heavy forms of its kernels, harness formats a
+table value in ``write_csv`` alone, no module reads a Matrix Market file
+back, every target that perfbench's tracer wraps still exists, the time
+loop's work passes through the traced names, and perfbench's workloads
+still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -255,6 +256,23 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
         if isinstance(node, ast.Call) and ast.unparse(node.func) in DISPATCH_HEAVY
     ]
     assert not found, ", ".join(found)
+
+
+def test_only_write_csv_formats_a_table_value():
+    """harness formats a table value in ``write_csv`` alone: a .6g format
+    spec (an f-string's, ``format``'s or a %-format's) anywhere else in
+    harness.py would be a second path that a table could drift along."""
+    tree = ast.parse((Path(podrom.__file__).parent / "harness.py").read_text())
+    # a bare string statement (a docstring) formats nothing
+    skip = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
+    holders = {
+        f"{getattr(top, 'name', '<module>')} (line {node.lineno})"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ".6g" in node.value and id(node) not in skip
+    }
+    assert holders and all(h.startswith("write_csv ") for h in holders), ", ".join(sorted(holders))
 
 
 def unread_locals(func):
