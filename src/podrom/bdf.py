@@ -48,10 +48,24 @@ class BdfScheme:
     alpha_f: np.ndarray = field(compare=False, default=None)
 
 
-def bdf_coefficients(q: int) -> BdfScheme:
-    """Exact BDF-q coefficients and their first-difference weights."""
+def _check_order(q: int):
     if not 1 <= q <= MAX_ORDER:
         raise UnsupportedOrderError(f"BDF order must be in 1..{MAX_ORDER}, got {q}")
+
+
+def check_step(q: int, t_end: float, m: int):
+    """Which BDF-q grids of m steps over [0, t_end] can run: 1 <= q <= MAX_ORDER
+    (else UnsupportedOrderError), and from q = 2 on a step t_end / m in (0, 1), where
+    the bootstrap's substeps dt^{q/(q-1)} are finer than dt (else ValueError)."""
+    _check_order(q)
+    step = t_end / m if m else math.nan
+    if q >= 2 and not 0 < step < 1:
+        raise ValueError(f"q >= 2 needs a step T/M below 1, got T = {t_end} and M = {m}, T/M = {step:g}")
+
+
+def bdf_coefficients(q: int) -> BdfScheme:
+    """Exact BDF-q coefficients and their first-difference weights."""
+    _check_order(q)
     delta = [Fraction(0)] * (q + 1)
     for l in range(1, q + 1):
         for i in range(l + 1):
@@ -108,10 +122,7 @@ def bootstrap_plan(q: int, dt: float):
     integrates [0, (q-1) dt] at order q-1 with fixed step dt^{q/(q-1)},
     shrunk so an integer number of substeps lands on every t_j.
     """
-    if q < 1:
-        raise ValueError("order must be at least 1")
-    if not 0.0 < dt < 1.0:
-        raise ValueError("the bootstrap exponent rule needs dt in (0, 1)")
+    check_step(q, dt, 1)
     if q == 1:
         return []
     if q == 2:
@@ -193,8 +204,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     returns ``linearise(d)``: the residual at the candidate history[0] + d
     and the Newton ``solve(rhs, tol)`` at that candidate (see
     ``implicit_step``).
-    ``tol(order, step)`` gives the Newton tolerance, resolved once per call
-    and rejected with a ValueError before any step unless it is positive.
+    ``tol(order, step)`` gives the Newton tolerance, resolved once per call.
+    A grid ``check_step`` rejects, or a tolerance not positive and finite, fails before any step.
     ``history`` is a view of the trajectory itself, so callbacks must not
     write to it.
 
@@ -208,9 +219,10 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
     m_steps = round(m_steps)
+    check_step(q, t_end, m_steps)
     tolerance = tol(q, dt)
-    if not tolerance > 0:
-        raise ValueError(f"the Newton tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"the Newton tolerance must be positive and finite, got {tolerance}")
     boot_counts = []
     if len(starting) == 1 and q > 1:
         later, boot_counts = run_bootstrap(q, dt, starting[0], linearisation, tol)

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bdf import check_step
 from .fom import (
+    ReactionSystem,
     Trajectory,
     brusselator_system,
     fom_integrate,
@@ -26,11 +28,12 @@ from .pod import (
     W0_MODES,
     W0_ZERO,
     PodBasis,
+    SnapshotSet,
     build_pod_basis,
     gram_matrix,
     projection_errors,
 )
-from .rom import RomSystem, initial_coords, rom_assemble, rom_integrate
+from .rom import RomSystem, initial_coords, newton_tolerance, rom_assemble, rom_integrate
 
 DEFAULT_T = 7.090636  # integration window used by the desk-scale protocol
 DEFAULT_M_SWEEP = (64, 128, 256, 512, 1024)
@@ -65,11 +68,7 @@ class RunConfig:
             raise ValueError("n_side and M must be positive, and nu, T and tau positive and finite")
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        if not 1 <= self.q <= 5:
-            raise ValueError("q must be in 1..5")
-        if self.q >= 2 and self.T / self.M >= 1:  # the BDF-q bootstrap's step rule needs dt < 1
-            raise ValueError(f"q >= 2 needs a step T/M below 1, got T = {self.T} and M = {self.M}, "
-                             f"T/M = {self.T / self.M:g}")
+        check_step(self.q, self.T, self.M)
         if not self.r_grid or min(self.r_grid) < 1:
             raise ValueError(f"r_grid ranks must be at least 1, got {self.r_grid}")
         for key, allowed in (
@@ -80,16 +79,7 @@ class RunConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
-        if self.newton_rule != "step-coupled":
-            try:
-                tol = float(self.newton_rule)
-            except ValueError:
-                tol = np.nan
-            if not 0 < tol < np.inf:
-                raise ValueError(
-                    "newton_rule must be step-coupled or a positive finite number, "
-                    f"got {self.newton_rule!r}"
-                )
+        newton_tolerance(self.newton_rule)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -167,9 +157,9 @@ def l2_error_vs_exact(space: FeSpace, nodal: np.ndarray, exact) -> float:
 class DeskSetup:
     cfg: RunConfig
     space: FeSpace
-    system: object
+    system: ReactionSystem
     fom_traj: Trajectory
-    snaps: object
+    snaps: SnapshotSet
     basis: PodBasis
 
 
@@ -228,13 +218,16 @@ def temporal_convergence_study(
 
     Returns a dict keyed by q with rows (M, max_l2, max_h1, start_l2,
     start_h1, newton_counts); max_l2 and max_h1 are NaN when M < q leaves
-    no main-loop step. Raises ValueError, before any run, for an M that
-    does not divide the reference's M.
+    no main-loop step. Raises ValueError, before any run, for an M that does not
+    divide the reference's M and for a sweep or reference grid ``check_step`` rejects.
     """
     m_ref = ref_factor * max(m_values)
     for m in m_values:
         if m_ref % m:
             raise ValueError(f"M = {m} does not divide m_ref = ref_factor * max(M) = {m_ref}")
+        for q in q_values:
+            check_step(q, t_end, m)
+    check_step(5, t_end, m_ref)
     # the reference solve gets a fixed tight tolerance: the step-coupled rule
     # would demand residuals below roundoff at the reference step size
     ref = rom_integrate(
@@ -271,9 +264,11 @@ def r_refinement_study(
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
     the projection errors (I - P^r) u_h(t_n) over the main-loop steps
     n = q..M of the fine FOM grid, NaN when M < q, in L2 and the H1 seminorm.
-    A rank outside the basis raises InvalidRankError before any run."""
+    A fine grid that ``check_step`` rejects at q (ValueError) or a rank outside
+    the basis (InvalidRankError) raises before any run."""
     t_end = fom_fine.times[-1]
     dt = fom_fine.dt
+    check_step(q, t_end, fom_fine.n_steps)
     fluct = (fom_fine.stacked() - setup.snaps.mean[None, :]).T  # (dim, M+1)
     nc = setup.system.n_components
     grams = [gram_matrix(setup.space, L2, nc), gram_matrix(setup.space, H10, nc)]

@@ -239,11 +239,18 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
     return at_step
 
 
-def newton_tolerance(rule, dt: float, q: int) -> float:
-    """The step-size-coupled tolerance dt^q / 100, or a fixed override."""
+def newton_tolerance(rule):
+    """The Newton rule as ``bdf.integrate``'s ``tol(order, step)``: step^order / 100
+    for "step-coupled", else ``rule`` itself, a positive finite number (or ValueError)."""
     if rule == "step-coupled":
-        return dt**q / 100.0
-    return float(rule)
+        return lambda order, step: step**order / 100.0
+    try:
+        tol = float(rule)
+    except ValueError:
+        tol = np.nan
+    if not 0 < tol < np.inf:
+        raise ValueError(f"newton_rule must be step-coupled or a positive finite number, got {rule!r}")
+    return lambda order, step: tol
 
 
 def initial_coords(romsys: RomSystem, nodal: np.ndarray) -> np.ndarray:
@@ -277,7 +284,7 @@ def rom_integrate(
         t_end,
         [coords0],
         partial(rom_linearisation, romsys),
-        lambda order, step: newton_tolerance(newton_tol_rule, step, order),
+        newton_tolerance(newton_tol_rule),
     )
     return RomTrajectory(
         dt * np.arange(len(coords)),

@@ -3,6 +3,7 @@ exactness, the first-difference decomposition (property-tested), bootstrap
 plans, the time-loop driver, and scalar convergence orders."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -492,7 +493,7 @@ class TestIntegrate:
         assert info.value.residual == 1.0
         assert isinstance(info.value.__cause__, ConvergenceError)
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     @pytest.mark.parametrize("n_starting", [1, 3])
     def test_rejects_a_tolerance_that_is_not_positive(self, bad, n_starting):
         # bootstrapped or given the q starting values, no step is taken
@@ -505,6 +506,26 @@ class TestIntegrate:
         starting = [np.array([1.0])] * n_starting
         with pytest.raises(ValueError, match="Newton tolerance must be positive"):
             integrate(3, 0.1, 1.0, starting, linearisation, lambda order, step: bad)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "q, dt, t_end, message",
+        [
+            (2, 1.0, 4.0, "got T = 4.0 and M = 4, T/M = 1"),  # given both starting values
+            (3, 0.1, 0.0, "got T = 0.0 and M = 0, T/M = nan"),
+            (6, 0.1, 1.0, "BDF order must be in 1..5, got 6"),
+        ],
+    )
+    def test_rejects_a_grid_that_check_step_rejects(self, q, dt, t_end, message):
+        calls = []
+
+        def linearisation(scheme, step):
+            calls.append(step)
+            return scalar_linearisation(-2.0)(scheme, step)
+
+        for starting in ([np.array([1.0])], [np.array([1.0])] * q):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                integrate(q, dt, t_end, starting, linearisation, tight)
         assert calls == []
 
     def test_rejects_wrong_number_of_starting_values(self):

@@ -369,7 +369,7 @@ class TestCli:
         assert "bdf identities: ok" in out
         assert "pod identities: ok" in out
 
-    def test_usage_errors_exit_two(self, tmp_path, capsys):
+    def test_usage_errors_exit_two(self, tmp_path, capsys, monkeypatch):
         assert cli.main(["frobnicate"]) == cli.USAGE_ERROR
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate = 1\n")
@@ -398,6 +398,25 @@ class TestCli:
         assert cli.main(["fom", "--config", str(bad), "--out", out]) == cli.USAGE_ERROR
         err = capsys.readouterr().err
         assert err == f"error: {bad}: q >= 2 needs a step T/M below 1, got T = 8.0 and M = 4, T/M = 2\n"
+        # so is a grid that a stage runs beyond the config's: the convergence
+        # sweep's M = 64 at T = 70, before the reference or any other ROM run
+        runs = []
+        monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
+        heat = tmp_path / "heat"
+        bad.write_text("n_side = 4\nsystem = heat\nnu = 0.1\nT = 70\nM = 128\nr_grid = 4\n")
+        assert cli.main(["fom", "--config", str(bad), "--out", str(heat)]) == 0
+        capsys.readouterr()
+        assert cli.main(["convergence", "--config", str(bad), "--out", str(heat), "--q", "2"]) == cli.USAGE_ERROR
+        assert "q >= 2 needs a step T/M below 1, got T = 70.0 and M = 64" in capsys.readouterr().err
+        assert runs == [] and not (heat / "convergence.csv").exists()
+        # and the fom.traj grid that errors runs at its q
+        short = str(tmp_path / "short")
+        bad.write_text("n_side = 4\nT = 8\nM = 4\nq = 1\n")
+        assert cli.main(["fom", "--config", str(bad), "--out", short]) == 0
+        capsys.readouterr()
+        assert cli.main(["errors", "--config", str(bad), "--out", short, "--q", "3", "--M", "128"]) == cli.USAGE_ERROR
+        assert "q >= 2 needs a step T/M below 1, got T = 8.0 and M = 4" in capsys.readouterr().err
+        assert runs == []
         # a path that cannot be read or written is a usage error, named in the message
         plain = tmp_path / "plain"
         plain.write_text("")

@@ -5,10 +5,10 @@ names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
-table value in ``write_csv`` alone, no module reads a Matrix Market file
-back, every target that perfbench's tracer wraps still exists, the time
-loop's work passes through the traced names, and perfbench's workloads
-still run.
+table value in ``write_csv`` alone, each run rule's message is written in
+one function, no module reads a Matrix Market file back, every target that
+perfbench's tracer wraps still exists, the time loop's work passes through
+the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -273,6 +273,31 @@ def test_only_write_csv_formats_a_table_value():
         and ".6g" in node.value and id(node) not in skip
     }
     assert holders and all(h.startswith("write_csv ") for h in holders), ", ".join(sorted(holders))
+
+
+RULE_MESSAGES = {
+    "BDF order must be in": "bdf.py:_check_order",
+    "needs a step T/M below 1": "bdf.py:check_step",
+    "newton_rule must be": "rom.py:newton_tolerance",
+}
+
+
+@pytest.mark.parametrize("text", sorted(RULE_MESSAGES))
+def test_each_run_rule_has_one_owner(text):
+    """A run rule's message is written in one function of the package: a
+    second copy of the rule, in a config check or a study, could drift from
+    the one the time loop applies."""
+    holders = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        functions = functions_by_qualified_name(tree)
+        owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
+        holders.update(
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+        )
+    assert holders == {RULE_MESSAGES[text]}, ", ".join(sorted(holders))
 
 
 def unread_locals(func):

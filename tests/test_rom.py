@@ -385,9 +385,14 @@ class TestResidualAndJacobian:
 
 class TestNewtonTolerance:
     def test_rule_and_override(self):
-        assert newton_tolerance("step-coupled", 0.1, 3) == pytest.approx(1e-5)
-        assert newton_tolerance("step-coupled", 0.5, 1) == pytest.approx(5e-3)
-        assert newton_tolerance(1e-9, 0.1, 3) == 1e-9
+        assert newton_tolerance("step-coupled")(3, 0.1) == pytest.approx(1e-5)
+        assert newton_tolerance("step-coupled")(1, 0.5) == pytest.approx(5e-3)
+        assert newton_tolerance(1e-9)(3, 0.1) == 1e-9
+
+    @pytest.mark.parametrize("rule", ["inf", 0, "paper"])
+    def test_rejects_a_rule_that_is_not_a_positive_finite_number(self, rule):
+        with pytest.raises(ValueError, match="newton_rule must be step-coupled or a positive finite number"):
+            newton_tolerance(rule)
 
 
 class TestIntegration:
