@@ -117,7 +117,8 @@ def cmd_convergence(cfg: RunConfig, q_values=(1, 2, 3, 4, 5)) -> int:
     setup = _load_desk(cfg)
     romsys = harness.make_rom(setup, cfg.r_grid[-1])
     coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
-    scale = max(1, cfg.M // 128)
+    # the sweep grows with M, and with T so that its coarsest step T/M is below 1
+    scale = max(1, cfg.M // 128, int(cfg.T // 64) + 1)
     m_values = tuple(m * scale for m in harness.DEFAULT_M_SWEEP)
     results = harness.temporal_convergence_study(
         romsys, coords0, cfg.T, q_values, m_values, newton_rule=cfg.newton_rule

@@ -327,6 +327,18 @@ class TestStudies:
             temporal_convergence_study(romsys, coords0, 3.2, m_values=(24, 32), ref_factor=2)
         assert runs == []
 
+    def test_convergence_study_rejects_a_step_of_one_or_more_before_any_run(self, monkeypatch):
+        # the sweep's M 64 at T 70 is a step of 1.09 at q 2: rejected, naming
+        # T and M, before the reference or any other ROM run
+        setup = build_desk_setup(tiny_cfg())
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        runs = []
+        monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match="T = 70.0 and M = 64"):
+            temporal_convergence_study(romsys, coords0, 70.0, (2,), (64, 128))
+        assert runs == []
+
     def test_r_refinement_study_rejects_a_rank_outside_the_basis(self, monkeypatch):
         # rank 99 is rejected by its ROM's assembly before the rank 2 run,
         # not after it
@@ -398,18 +410,10 @@ class TestCli:
         assert cli.main(["fom", "--config", str(bad), "--out", out]) == cli.USAGE_ERROR
         err = capsys.readouterr().err
         assert err == f"error: {bad}: q >= 2 needs a step T/M below 1, got T = 8.0 and M = 4, T/M = 2\n"
-        # so is a grid that a stage runs beyond the config's: the convergence
-        # sweep's M = 64 at T = 70, before the reference or any other ROM run
+        # so is a grid that a stage runs beyond the config's: the fom.traj
+        # grid that errors runs at its q, before any ROM run
         runs = []
         monkeypatch.setattr(harness, "rom_integrate", lambda *args: runs.append(args))
-        heat = tmp_path / "heat"
-        bad.write_text("n_side = 4\nsystem = heat\nnu = 0.1\nT = 70\nM = 128\nr_grid = 4\n")
-        assert cli.main(["fom", "--config", str(bad), "--out", str(heat)]) == 0
-        capsys.readouterr()
-        assert cli.main(["convergence", "--config", str(bad), "--out", str(heat), "--q", "2"]) == cli.USAGE_ERROR
-        assert "q >= 2 needs a step T/M below 1, got T = 70.0 and M = 64" in capsys.readouterr().err
-        assert runs == [] and not (heat / "convergence.csv").exists()
-        # and the fom.traj grid that errors runs at its q
         short = str(tmp_path / "short")
         bad.write_text("n_side = 4\nT = 8\nM = 4\nq = 1\n")
         assert cli.main(["fom", "--config", str(bad), "--out", short]) == 0
@@ -428,6 +432,19 @@ class TestCli:
             assert cli.main(argv) == cli.USAGE_ERROR
             assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_convergence_sweep_scales_with_t(self, tmp_path):
+        # at T 70 and M 128 the sweep starts from M 128, not 64, so its
+        # coarsest step 0.55 is below 1 and q 2 runs; the orders of this
+        # heat run are not checked
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text("n_side = 4\nsystem = heat\nnu = 0.1\nT = 70\nM = 128\nr_grid = 4\n")
+        out = tmp_path / "heat"
+        assert cli.main(["fom", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["convergence", "--config", str(cfg), "--out", str(out), "--q", "2"]) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[2:]]
+        assert [(row[0], int(row[1])) for row in rows] == [("2", m) for m in (128, 256, 512, 1024, 2048)]
+        assert all(np.isfinite(float(v)) for row in rows for v in row[3:7])
 
     @pytest.mark.parametrize(
         "line, message",

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podrom import mmio
 
@@ -65,13 +67,49 @@ def test_rejects_coordinate_layout(tmp_path):
         mmio.read(path)
 
 
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-8, 19)])
+#: the doubles where the digits or the layout change: 10^k and its two
+#: neighbours, a 17-digit tie, the double 1e-6 (below 10^-6), the literal
+#: 99999999999999999 (the double 1e17), zeros, the smallest subnormal and
+#: the largest double
+EDGES = np.concatenate([
+    POWERS_OF_TEN,
+    np.nextafter(POWERS_OF_TEN, 0.0),
+    np.nextafter(POWERS_OF_TEN, np.inf),
+    [1000000000000000.25, 9.9999999999999995e-07, 99999999999999999.0, 0.0, -0.0, 5e-324,
+     np.finfo(np.float64).max],
+])
+
+
 def test_written_text_is_one_17_digit_value_per_line(tmp_path):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((33, 5)) * np.exp(rng.standard_normal((33, 5)) * 20)
     a[:6, 0] = [0.0, -0.0, 1e-300, 5e-324, np.inf, -np.inf]
     path = tmp_path / "a.mtx"
+    for values in (a, EDGES[:, None], -EDGES[:, None]):
+        mmio.write_dense(path, values)
+        assert path.read_text() == reference_text(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    floats=st.lists(st.floats(-3e17, 3e17), max_size=40),
+)
+def test_any_double_is_written_as_the_reference(tmp_path_factory, bits, floats):
+    # every 64-bit pattern (NaN, inf and subnormals included), and floats
+    # drawn around the range the digits are formed in without "%"
+    a = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), floats])[:, None]
+    path = tmp_path_factory.mktemp("any") / "a.mtx"
     mmio.write_dense(path, a)
     assert path.read_text() == reference_text(a)
+
+
+def test_write_rejects_an_array_of_more_than_two_dimensions(tmp_path):
+    path = tmp_path / "cube.mtx"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape("shape (2, 3, 4)")):
+        mmio.write_dense(path, np.zeros((2, 3, 4)))
+    assert not path.exists()
 
 
 SPECIAL = np.array([[-0.0, 5e-324, np.inf], [-np.inf, np.nan, 1.0 / 3.0]])
