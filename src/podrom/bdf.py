@@ -14,8 +14,10 @@ sum(delta) = 0 and the first-difference weights hold exactly.
 A history is a (q, dim) array of states, newest first (a list of q vectors
 is accepted too), and ``integrate`` fills one preallocated (M + 1, dim)
 trajectory whose main-loop histories are views of it. Every BDF-q
-combination is then one product over the history: the derivative is
-delta @ u, its first-difference form alpha @ (u[:-1] - u[1:]), and the
+combination is then one product over the history: the derivative's two
+forms, the definition delta @ u (``bdf_apply``) and the first-difference
+form both models step with, alpha[0] d + alpha[1:] @ (h[:-1] - h[1:]) for
+the increment d = u^n - u^{n-1} (``bdf_increment_form``), and the
 predictor increment w[1:] @ (h[1:] - h[0]) with the extrapolation weights w.
 """
 
@@ -93,12 +95,6 @@ def as_history(states, length: int) -> np.ndarray:
 def bdf_apply(scheme: BdfScheme, states, dt: float) -> np.ndarray:
     """(1/dt) sum_i delta_i u^{n-i} for q+1 states ordered newest first."""
     return scheme.delta_f @ as_history(states, scheme.q + 1) / dt
-
-
-def bdf_apply_as_differences(scheme: BdfScheme, states, dt: float) -> np.ndarray:
-    """Same derivative, written as weighted first-order differences."""
-    u = as_history(states, scheme.q + 1)
-    return scheme.alpha_f @ (u[:-1] - u[1:]) / dt
 
 
 def bdf_increment_form(scheme: BdfScheme, increment, hist_states, dt: float) -> np.ndarray:

@@ -430,13 +430,17 @@ _HEADER_KEYS = {"dt": float, "M": int, "components": int, "n_dof": int, "n_side"
 
 def load_trajectory(stem: str) -> tuple:
     """Load a trajectory; returns (Trajectory, header dict). The space is
-    rebuilt from the header. A header key the load needs that is missing or
-    malformed, or a dt that is not positive and finite, raises ValueError
-    naming <stem>.traj and the key; so does a states file that is not a
-    float64 array of the shape (M + 1, components, n_dof) the header gives,
-    naming <stem>.states.npy."""
+    rebuilt from the header. A repeated header key, a key the load needs
+    that is missing or malformed, or a dt that is not positive and finite
+    raises ValueError naming <stem>.traj and the key; so does a states file
+    that is not a float64 array of the shape (M + 1, components, n_dof) the
+    header gives, naming <stem>.states.npy."""
+    header = {}
     with open(stem + ".traj") as fh:
-        header = dict((s.strip() for s in line.split("=", 1)) for line in fh if "=" in line)
+        for key, value in (map(str.strip, line.split("=", 1)) for line in fh if "=" in line):
+            if key in header:
+                raise ValueError(f"{stem}.traj: repeated header key {key}")
+            header[key] = value
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ValueError(f"{stem}.traj: missing header key(s) {', '.join(missing)}")

@@ -63,9 +63,12 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        positive = (self.nu, self.T, self.tau)
-        if self.n_side < 1 or self.M < 1 or not all(0 < x < np.inf for x in positive):
-            raise ValueError("n_side and M must be positive, and nu, T and tau positive and finite")
+        for key in ("n_side", "M"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("nu", "T", "tau"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
         check_step(self.q, self.T, self.M)
@@ -85,9 +88,9 @@ class RunConfig:
 def parse_config(path: str) -> RunConfig:
     """Flat key = value file with # comments. Each value is read as the type
     of its RunConfig field's default; a tuple as comma-separated entries. A
-    line without "=", an unknown key, a value not of its key's type and a
-    value RunConfig rejects raise ValueError naming ``path`` and the line
-    or the key."""
+    line without "=", an unknown or repeated key, a value not of its key's
+    type and a value RunConfig rejects raise ValueError naming ``path`` and
+    the line or the key."""
     defaults = vars(RunConfig())
     kwargs = {}
     with open(path) as fh:
@@ -104,10 +107,13 @@ def parse_config(path: str) -> RunConfig:
             many = isinstance(default, tuple)
             kind = type(default[0] if many else default)
             try:
-                kwargs[key] = tuple(kind(v) for v in val.split(",")) if many else kind(val)
+                value = tuple(kind(v) for v in val.split(",")) if many else kind(val)
             except ValueError:
                 what = f"comma-separated list of {kind.__name__}" if many else kind.__name__
                 raise ValueError(f"{path}: {key} = {val!r} is not a valid {what}") from None
+            if key in kwargs:
+                raise ValueError(f"{path}: repeated config key: {key}")
+            kwargs[key] = value
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:

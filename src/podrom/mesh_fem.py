@@ -77,14 +77,11 @@ def export_mesh(mesh: TriMesh, path):
     with open(path, "w") as fh:
         fh.write(f"# unit-square mesh, n_side = {mesh.n_side}\n")
         fh.write(f"nodes {len(mesh.vertices)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
         fh.write(f"triangles {len(mesh.triangles)}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
+        np.savetxt(fh, mesh.triangles, fmt="%d")
         fh.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-        for a, b, tag in mesh.boundary_edges:
-            fh.write(f"{a} {b} {tag}\n")
+        np.savetxt(fh, mesh.boundary_edges, fmt="%s")
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,9 @@ def pod_basis(
     """
     eig = sym_eigen(k)
     lam = eig.eigenvalues
-    if len(lam) == 0 or lam[0] <= 0:
+    if not (len(lam) and 0 < lam[0] < np.inf):
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
     d_r = int(np.sum(lam > RANK_TOL * lam[0]))
-    if d_r == 0:
-        raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
     lam = lam[:d_r]
     vecs = eig.eigenvectors[:, :d_r]
     n = snaps.n_snapshots

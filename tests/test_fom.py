@@ -715,3 +715,17 @@ class TestPersistence:
                     fh.write(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=message):
             load_trajectory(stem)
+
+    @pytest.mark.parametrize("key", ["M", "dt", "system"])
+    def test_repeated_header_key_raises(self, tmp_path, key):
+        # a second line of a key is rejected, not read last-wins: a second M
+        # would otherwise show only as a states shape mismatch, and a second
+        # dt or system not at all
+        space = small_space(3, 2)
+        traj = fom_integrate(brusselator_system(0.002), space, perturbed_equilibrium(space), 0.1, 0.3, 2)
+        stem = str(tmp_path / "run")
+        save_trajectory(traj, stem, extra={"system": "brusselator"})
+        with open(stem + ".traj", "a") as fh:
+            fh.write(f"{key} = 9\n")
+        with pytest.raises(ValueError, match=rf"run\.traj: repeated header key {key}$"):
+            load_trajectory(stem)

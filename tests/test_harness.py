@@ -453,8 +453,16 @@ class TestCli:
             ("r_grid = 3, y", "r_grid = '3, y' is not a valid comma-separated list of int"),
             ("just some words", "malformed config line: just some words"),
             ("frobnicate = 1", "unknown config key: frobnicate"),
+            ("n_side = 8", "repeated config key: n_side"),
+            ("M = 0", "M must be at least 1, got 0"),
+            ("nu = -1", "nu must be positive and finite, got -1.0"),
+            ("T = inf", "T must be positive and finite, got inf"),
+            ("tau = nan", "tau must be positive and finite, got nan"),
         ],
-        ids=["int-value", "tuple-entry", "malformed-line", "unknown-key"],
+        ids=[
+            "int-value", "tuple-entry", "malformed-line", "unknown-key", "repeated-key",
+            "M-0", "nu-negative", "T-inf", "tau-nan",
+        ],
     )
     def test_config_error_names_the_file_and_the_key(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.cfg"
@@ -599,7 +607,8 @@ class TestCli:
             ("nu", "0.5", "nu = 0.002"),
         ):
             other = tmp_path / f"other_{key}.cfg"
-            other.write_text(cfg.read_text() + f"{key} = {value}\n")
+            kept = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+            other.write_text("\n".join([*kept, f"{key} = {value}"]) + "\n")
             for sub in ("pod", "rom", "errors", "convergence"):
                 capsys.readouterr()
                 assert cli.main([sub, "--config", str(other)]) == cli.USAGE_ERROR, (key, sub)

@@ -6,9 +6,11 @@ reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
 table value in ``write_csv`` alone, each run rule's message is written in
-one function, no module reads a Matrix Market file back, every target that
-perfbench's tracer wraps still exists, the time loop's work passes through
-the traced names, and perfbench's workloads still run.
+one function, only the BDF first-difference form and the ROM's
+linearisation read the first-difference weights, no module reads a Matrix
+Market file back, every target that perfbench's tracer wraps still exists,
+the time loop's work passes through the traced names, and perfbench's
+workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -298,6 +300,29 @@ def test_each_run_rule_has_one_owner(text):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
         )
     assert holders == {RULE_MESSAGES[text]}, ", ".join(sorted(holders))
+
+
+#: the functions that may read a scheme's first-difference weights: the form
+#: both models step with, and the ROM's per-step term, which applies it to the
+#: history once per step
+FIRST_DIFFERENCE_READERS = {"bdf.py:bdf_increment_form", "rom.py:rom_linearisation"}
+
+
+def test_one_first_difference_form():
+    """BDF-q is written as first-order difference quotients in one place: a
+    function that reads ``alpha_f`` outside ``FIRST_DIFFERENCE_READERS``
+    would be a second copy of the form, one that neither model steps with."""
+    readers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        functions = functions_by_qualified_name(tree)
+        owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
+        readers.update(
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "alpha_f"
+        )
+    assert readers == FIRST_DIFFERENCE_READERS, ", ".join(sorted(readers))
 
 
 def unread_locals(func):

@@ -22,6 +22,7 @@ from podrom.mesh_fem import (
     assemble_stiffness,
     build_mesh,
     build_space,
+    export_mesh,
     interpolate,
     quadrature_for_degree,
 )
@@ -95,6 +96,15 @@ class TestMesh:
     def test_invalid_n_side(self):
         with pytest.raises(ValueError):
             build_mesh(0)
+
+    def test_export_matches_the_arrays_line_by_line(self, tmp_path):
+        mesh = build_mesh(2)
+        lines = ["# unit-square mesh, n_side = 2", "nodes 9"]
+        lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
+        lines += ["triangles 8", *(" ".join(map(str, t)) for t in mesh.triangles.tolist())]
+        lines += ["boundary_edges 8", *(f"{a} {b} {tag}" for a, b, tag in mesh.boundary_edges)]
+        export_mesh(mesh, tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_text() == "\n".join(lines) + "\n"
 
 
 class TestSpace:
