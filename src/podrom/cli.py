@@ -97,7 +97,7 @@ def cmd_rom(cfg: RunConfig) -> int:
         romsys, cfg.q, cfg.T / cfg.M, cfg.T, ("bootstrap", coords0), cfg.newton_rule
     )
     stem = os.path.join(cfg.out_dir, f"rom_q{cfg.q}_r{r}_M{cfg.M}")
-    rom_mod.save_rom_trajectory(romsys, rt, stem, cfg.newton_rule)
+    rom_mod.save_rom_trajectory(romsys, rt, stem)
     counts = rt.newton_iteration_counts
     summary = f"min {counts.min()}, max {counts.max()}" if counts.size else "none, M < q"
     print(f"wrote {stem}.traj (Newton iterations: {summary})")

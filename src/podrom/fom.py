@@ -3,8 +3,8 @@ semi-discrete Galerkin system for scalar or two-component reaction-diffusion
 problems, and snapshot trajectories on a uniform grid.
 
 Nonhomogeneous Dirichlet data on gamma1 is enforced by elimination at every
-step: candidate states carry the prescribed boundary values, Newton updates
-vanish on constrained dofs.
+step: the initial state fixes it, candidate states carry its boundary values
+and Newton updates vanish on constrained dofs.
 
 The Newton operator is cell-based (Kronbichler & Kormann, Comput. Fluids
 63, 2012) with the element axis last, so that numpy's innermost loop runs
@@ -60,21 +60,17 @@ class ReactionSystem:
     exponents: np.ndarray  # (n_mono, nc): the power of each component in each monomial
     coefficients: np.ndarray  # (nc, n_mono): the coefficient of each monomial in each g_c
     forcing: tuple = ()  # terms (c, a, b): f_c = sum of a(t) b(x, y) over the terms on c
-    dirichlet_values: tuple = ()
 
     def __post_init__(self):
         nc = self.n_components
         if len(self.diffusion) != nc:
             raise ValueError(f"{len(self.diffusion)} diffusion coefficients for {nc} components")
-        if self.dirichlet_values and len(self.dirichlet_values) != nc:
-            raise ValueError(f"{len(self.dirichlet_values)} Dirichlet values for {nc} components")
         for c, _, _ in self.forcing:
             if not 0 <= c < nc:
                 raise ValueError(f"a forcing term on component {c} of {nc} components (0..{nc - 1})")
-        if not all(0 < nu < np.inf for nu in self.diffusion):
-            raise ValueError(
-                f"diffusion coefficients must be positive and finite, got {self.diffusion}"
-            )
+        for nu in self.diffusion:
+            if not 0 < nu < np.inf:
+                raise ValueError(f"nu must be positive and finite, got {nu}")
         powers = np.asarray(self.exponents, dtype=np.float64).reshape(-1, nc)
         bad = powers[~(np.isfinite(powers) & (powers >= 0) & (powers == np.floor(powers)))]
         if bad.size:
@@ -146,21 +142,16 @@ def brusselator_system(nu: float) -> ReactionSystem:
     """Brusselator with diffusion, folded into u_t - nu Lap(u) + g(u) = 0:
     g_u = -(1 + u^2 v - 4u), g_v = -(3u - u^2 v).
 
-    Dirichlet values u = 1, v = 3 on gamma1; natural condition on gamma2.
     The (u, v) = (1, 3) state is an unstable equilibrium.
     """
-    if not 0 < nu < np.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
     exponents = [(0, 0), (1, 0), (2, 1)]  # 1, u, u^2 v
     coefficients = [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)]
-    return ReactionSystem(2, (nu, nu), exponents, coefficients, (), (1.0, 3.0))
+    return ReactionSystem(2, (nu, nu), exponents, coefficients)
 
 
 def heat_system(nu: float, forcing=(), reaction: dict | None = None) -> ReactionSystem:
     """Scalar diffusion system with optional forcing terms (a, b), f = sum a(t) b(x, y),
     and polynomial reaction g(u) = sum_p reaction[p] u^p (e.g. {3: 1.0} for u^3)."""
-    if not 0 < nu < np.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
     powers = sorted(reaction or {})
     return ReactionSystem(
         1,
@@ -168,7 +159,6 @@ def heat_system(nu: float, forcing=(), reaction: dict | None = None) -> Reaction
         [(p,) for p in powers],
         [[reaction[p] for p in powers]],
         tuple((0, a, b) for a, b in forcing),
-        (0.0,),
     )
 
 
@@ -384,15 +374,9 @@ def fom_integrate(
     return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)
 
 
-def equilibrium_state(system: ReactionSystem, space: FeSpace) -> np.ndarray:
-    """Constant-per-component state at the Dirichlet values, shape (n_comp, n_dof)."""
-    return np.array(
-        [np.full(space.n_dof, val) for val in system.dirichlet_values]
-    )
-
-
 def perturbed_equilibrium(space: FeSpace, amplitude: float = 0.1) -> np.ndarray:
-    """Brusselator start u = 1 + a sin(pi x) sin(pi y), v = 3."""
+    """Brusselator start u = 1 + a sin(pi x) sin(pi y), v = 3: Dirichlet
+    values u = 1, v = 3 on gamma1; natural condition on gamma2."""
     x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
     u = 1.0 + amplitude * np.sin(np.pi * x) * np.sin(np.pi * y)
     v = np.full(space.n_dof, 3.0)

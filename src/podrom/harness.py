@@ -66,7 +66,7 @@ class RunConfig:
         for key in ("n_side", "M"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("nu", "T", "tau"):
+        for key in ("T", "tau"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.degree not in (1, 2):
@@ -82,6 +82,7 @@ class RunConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        SYSTEMS[self.system](self.nu)  # the system checks nu
         newton_tolerance(self.newton_rule)
 
 

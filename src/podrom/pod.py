@@ -224,10 +224,8 @@ def pointwise_projection_report(traj: Trajectory, snaps: SnapshotSet, basis: Pod
 
 def save_basis(basis: PodBasis, stem: str):
     mmio.write_dense(stem + ".modes.mtx", basis.modes)
-    with open(stem + ".eigs.txt", "w") as fh:
-        fh.write(f"# inner_product = {basis.inner_product}\n")
-        for lam in basis.eigenvalues:
-            fh.write(f"{lam:.17g}\n")
+    header = f"inner_product = {basis.inner_product}"
+    np.savetxt(stem + ".eigs.txt", basis.eigenvalues, fmt="%.17g", header=header)
 
 
 def save_snapshots(snaps: SnapshotSet, stem: str):

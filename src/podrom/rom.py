@@ -83,6 +83,7 @@ class RomTrajectory:
     q: int
     newton_iteration_counts: np.ndarray  # per main-grid implicit step (indices q..M)
     bootstrap_iteration_counts: np.ndarray
+    newton_rule: str | float  # the rule the run's Newton tolerances followed (``newton_tolerance``)
 
 
 def rom_assemble(
@@ -293,6 +294,7 @@ def rom_integrate(
         q,
         np.array(counts, dtype=np.int64),
         np.array(boot_counts, dtype=np.int64),
+        newton_tol_rule,
     )
 
 
@@ -303,14 +305,14 @@ def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
     return Trajectory(rt.times, states, rt.dt, romsys.space)
 
 
-def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str, newton_rule="step-coupled"):
+def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str):
     """Reduced data only: the header <stem>.traj (``fom.save_header``, with r,
-    q and the Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx and
-    the Newton counts <stem>.newton.csv. Nodal states: lift + modes @ coords."""
-    extra = {"r": romsys.r, "q": rt.q, "newton_rule": newton_rule}
+    q and the run's Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx
+    and the Newton counts <stem>.newton.csv. Nodal states: lift + modes @ coords."""
+    extra = {"r": romsys.r, "q": rt.q, "newton_rule": rt.newton_rule}
     save_header(stem, rt.dt, len(rt.times) - 1, romsys.system.n_components, romsys.space, extra)
     mmio.write_dense(stem + ".coords.mtx", rt.coords.T)
-    with open(stem + ".newton.csv", "w") as fh:
-        fh.write("step,newton_iterations\n")
-        for i, c in enumerate(rt.newton_iteration_counts):
-            fh.write(f"{rt.q + i},{c}\n")
+    counts = rt.newton_iteration_counts
+    rows = np.column_stack((rt.q + np.arange(len(counts)), counts))
+    header = "step,newton_iterations"
+    np.savetxt(stem + ".newton.csv", rows, fmt="%d", delimiter=",", header=header, comments="")

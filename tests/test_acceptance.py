@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from podrom.bdf import bdf_apply, bdf_coefficients, bdf_increment_form
-from podrom.fom import brusselator_system, equilibrium_state, fom_integrate
+from podrom.fom import brusselator_system, fom_integrate, perturbed_equilibrium
 from podrom.harness import (
     RunConfig,
     build_desk_setup,
@@ -224,7 +224,7 @@ def test_criterion_9_fem_spatial_order():
 def test_criterion_10_equilibrium_preserved():
     space = build_space(build_mesh(16), 2)
     sys = brusselator_system(0.002)
-    eq = equilibrium_state(sys, space)
+    eq = perturbed_equilibrium(space, 0.0)
     worst = 0.0
     for q in range(1, 6):
         traj = fom_integrate(sys, space, eq, 0.05, 1.0, q)

@@ -12,7 +12,6 @@ from podrom.fom import (
     FomOperator,
     ReactionSystem,
     brusselator_system,
-    equilibrium_state,
     fom_integrate,
     heat_system,
     load_trajectory,
@@ -184,9 +183,10 @@ class TestBrusselatorSystem:
             ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0]])
 
     def test_stores_diffusion_and_boundary_values(self):
+        # the system stores nu only: the initial state fixes the Dirichlet
+        # values (test_dirichlet_trace_held_exactly)
         sys = brusselator_system(0.004)
         assert sys.diffusion == (0.004, 0.004)
-        assert sys.dirichlet_values == (1.0, 3.0)
 
     def test_rejects_nonpositive_diffusion(self):
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestBrusselatorSystem:
         for make in (brusselator_system, heat_system):
             with pytest.raises(ValueError, match="nu must be positive and finite"):
                 make(nu)
-        with pytest.raises(ValueError, match="diffusion coefficients must be positive and finite"):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
             ReactionSystem(2, (1.0, nu), [(1, 0)], [[1.0], [0.0]])
 
 
@@ -212,10 +212,6 @@ class TestComponentCounts:
     def test_rejects_a_diffusion_per_other_count(self):
         with pytest.raises(ValueError, match="1 diffusion coefficients for 2 components"):
             ReactionSystem(2, (1.0,), [(1, 0)], [[1.0], [0.0]])
-
-    def test_rejects_dirichlet_values_of_another_length(self):
-        with pytest.raises(ValueError, match="1 Dirichlet values for 2 components"):
-            ReactionSystem(2, (1.0, 1.0), [(1, 0)], [[1.0], [0.0]], (), (1.0,))
 
     @pytest.mark.parametrize("component", [-1, 2])
     def test_rejects_a_forcing_term_outside_the_components(self, component):
@@ -250,8 +246,7 @@ class TestForcingLoads:
 class TestEquilibrium:
     def test_state_shape_and_values(self):
         space = small_space()
-        sys = brusselator_system(0.002)
-        eq = equilibrium_state(sys, space)
+        eq = perturbed_equilibrium(space, 0.0)
         assert eq.shape == (2, space.n_dof)
         assert np.all(eq[0] == 1.0) and np.all(eq[1] == 3.0)
 
@@ -259,7 +254,7 @@ class TestEquilibrium:
         # the constant state solves the discrete system exactly at every order
         space = small_space(4, 2)
         sys = brusselator_system(0.002)
-        eq = equilibrium_state(sys, space)
+        eq = perturbed_equilibrium(space, 0.0)
         for q in (1, 3, 5):
             traj = fom_integrate(sys, space, eq, 0.05, 0.5, q)
             dev = np.max(np.abs(traj.states - eq[None]))
@@ -334,7 +329,7 @@ class TestReferenceTrajectory:
     def test_equilibrium_and_grid(self):
         space = small_space(2, 1)
         sys = brusselator_system(0.002)
-        eq = equilibrium_state(sys, space)
+        eq = perturbed_equilibrium(space, 0.0)
         traj = fom_integrate(sys, space, eq, 0.05, 0.2, 5, tol=1e-12)
         assert traj.n_steps == 4
         assert traj.dt == pytest.approx(0.05)
@@ -344,7 +339,7 @@ class TestReferenceTrajectory:
     def test_rejects_a_tolerance_that_is_not_positive(self):
         space = small_space(2, 1)
         sys = brusselator_system(0.002)
-        eq = equilibrium_state(sys, space)
+        eq = perturbed_equilibrium(space, 0.0)
         with pytest.raises(ValueError, match="Newton tolerance must be positive"):
             fom_integrate(sys, space, eq, 0.05, 0.2, 5, tol=0.0)
 
@@ -480,19 +475,27 @@ class TestIntegratorInterface:
             fom_integrate(sys, space, np.zeros((1, space.n_dof)), 0.1, 0.5, 1)
 
     def test_dirichlet_trace_held_exactly(self):
+        # the start fixes the Dirichlet data: its gamma1 values, whatever they
+        # are, hold exactly at every step
         space = small_space(4, 2)
         sys = brusselator_system(0.002)
-        w0 = perturbed_equilibrium(space)
-        traj = fom_integrate(sys, space, w0, 0.1, 0.5, 2)
         mask = space.dirichlet_mask
-        assert np.all(traj.states[:, 0, mask] == 1.0)
-        assert np.all(traj.states[:, 1, mask] == 3.0)
+        moved = perturbed_equilibrium(space)
+        moved[0, mask], moved[1, mask] = 2.0, 5.0
+        for w0, (u_b, v_b) in ((perturbed_equilibrium(space), (1.0, 3.0)), (moved, (2.0, 5.0))):
+            traj = fom_integrate(sys, space, w0, 0.1, 0.5, 2)
+            assert np.all(traj.states[:, 0, mask] == u_b)
+            assert np.all(traj.states[:, 1, mask] == v_b)
 
     @pytest.mark.parametrize(
-        "degree, system",
+        "degree, system, base_values",
         [
-            (2, brusselator_system(0.002)),
-            (1, heat_system(0.5, forcing=[(lambda t: 1.0 + t, lambda x, y: x * y)], reaction={3: 1.0})),
+            (2, brusselator_system(0.002), (1.0, 3.0)),
+            (
+                1,
+                heat_system(0.5, forcing=[(lambda t: 1.0 + t, lambda x, y: x * y)], reaction={3: 1.0}),
+                (0.0,),
+            ),
             (
                 2,
                 ReactionSystem(
@@ -501,13 +504,13 @@ class TestIntegratorInterface:
                     [(0, 0), (1, 0), (2, 1)],
                     [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)],
                     [(1, np.cos, lambda x, y: x - y)],
-                    (1.0, 3.0),
                 ),
+                (1.0, 3.0),
             ),
         ],
         ids=["brusselator-P2", "forced-cubic-heat-P1", "one-forced-component-P2"],
     )
-    def test_residual_matches_per_component_formula(self, degree, system):
+    def test_residual_matches_per_component_formula(self, degree, system, base_values):
         # oracle: the scalar mass and stiffness applied component by
         # component, nu after the product, minus each component's load; the
         # operator sums the same terms per element in another order, so the
@@ -517,7 +520,7 @@ class TestIntegratorInterface:
         scheme = bdf_coefficients(3)
         dt, t = 0.1, 0.3
         rng = np.random.default_rng(degree + op.nc)
-        base = equilibrium_state(system, space).ravel()
+        base = np.repeat(base_values, space.n_dof)  # constant per component
         history = [base + 0.1 * rng.standard_normal(op.dim) for _ in range(3)]
         increment = 0.05 * rng.standard_normal(op.dim)
         want = fom_residual_oracle(op, increment, history, scheme, dt, t)
@@ -613,11 +616,11 @@ class TestIntegratorInterface:
             assert np.array_equal(again.diagonal(), jac.diagonal())
 
     @pytest.mark.parametrize(
-        "degree, system",
+        "degree, system, base_values",
         [
-            (1, brusselator_system(0.002)),
-            (1, heat_system(0.5, reaction={3: 1.0})),
-            (2, heat_system(0.5, reaction={3: 1.0})),
+            (1, brusselator_system(0.002), (1.0, 3.0)),
+            (1, heat_system(0.5, reaction={3: 1.0}), (0.0,)),
+            (2, heat_system(0.5, reaction={3: 1.0}), (0.0,)),
             (
                 2,
                 ReactionSystem(
@@ -626,21 +629,22 @@ class TestIntegratorInterface:
                     [(0, 0), (1, 0), (2, 1)],
                     [(-1.0, 4.0, -1.0), (0.0, -3.0, 1.0)],
                     [(1, np.cos, lambda x, y: x - y)],
-                    (1.0, 3.0),
                 ),
+                (1.0, 3.0),
             ),
         ],
         ids=["brusselator-P1", "cubic-heat-P1", "cubic-heat-P2", "one-forced-component-P2"],
     )
-    def test_jacobian_matches_block_assembly_per_system(self, degree, system):
+    def test_jacobian_matches_block_assembly_per_system(self, degree, system, base_values):
         # the block-assembly reference of the test above, for a scalar system,
         # for P1 and for components with different diffusion and one forcing
         space = small_space(4, degree)
         nc, n = system.n_components, space.n_dof
         rng = np.random.default_rng(degree)
-        w = (equilibrium_state(system, space) + 0.3 * rng.standard_normal((nc, n))).ravel()
+        base = np.repeat(base_values, n)  # constant per component
+        w = base + 0.3 * rng.standard_normal((nc, n)).ravel()
         mask = np.tile(space.dirichlet_mask, nc)
-        w[mask] = np.repeat(system.dirichlet_values, n)[mask]
+        w[mask] = base[mask]
         self.check_jacobian(system, space, w, 3.0 / 2.0 / 0.05)
 
     def test_unstable_equilibrium_perturbation_grows(self):
@@ -648,7 +652,7 @@ class TestIntegratorInterface:
         sys = brusselator_system(0.002)
         w0 = perturbed_equilibrium(space)
         traj = fom_integrate(sys, space, w0, 0.1, 5.0, 2)
-        eq = equilibrium_state(sys, space)
+        eq = perturbed_equilibrium(space, 0.0)
         dev0 = norms(space, (traj.states[0] - eq).ravel())[0]
         dev1 = norms(space, (traj.states[-1] - eq).ravel())[0]
         assert dev1 > 2.0 * dev0

@@ -281,6 +281,7 @@ RULE_MESSAGES = {
     "BDF order must be in": "bdf.py:_check_order",
     "needs a step T/M below 1": "bdf.py:check_step",
     "newton_rule must be": "rom.py:newton_tolerance",
+    "nu must be positive and finite": "fom.py:ReactionSystem.__post_init__",
 }
 
 

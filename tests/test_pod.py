@@ -470,6 +470,7 @@ class TestPersistence:
         lines = open(stem + ".eigs.txt").read().splitlines()
         assert lines[0] == f"# inner_product = {basis.inner_product}"
         assert np.array_equal(np.array(lines[1:], dtype=np.float64), basis.eigenvalues)
+        assert lines[1:] == [f"{lam:.17g}" for lam in basis.eigenvalues]
 
 
 def _raw_snaps(columns):

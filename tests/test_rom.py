@@ -12,7 +12,6 @@ from helpers import as_dense, load_oracle
 from podrom.bdf import bdf_coefficients, bdf_increment_form
 from podrom.fom import (
     brusselator_system,
-    equilibrium_state,
     fom_integrate,
     heat_system,
     perturbed_equilibrium,
@@ -124,7 +123,7 @@ def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
 def lifted(romsys, coords):
     """The stacked nodal state of one coordinate vector, by ``rom_to_nodal_trajectory``."""
     empty = np.zeros(0, dtype=np.int64)
-    rt = RomTrajectory(np.zeros(1), np.atleast_2d(coords), 1.0, 1, empty, empty)
+    rt = RomTrajectory(np.zeros(1), np.atleast_2d(coords), 1.0, 1, empty, empty, "step-coupled")
     return rom_to_nodal_trajectory(romsys, rt).stacked()[0]
 
 
@@ -400,7 +399,7 @@ class TestIntegration:
         # lift at the equilibrium: the reduced dynamics must fix coords = 0
         traj, snaps, basis, _ = brusselator_setup(w0_mode=W0_INITIAL)
         sys = brusselator_system(0.002)
-        eq = equilibrium_state(sys, traj.space).ravel()
+        eq = perturbed_equilibrium(traj.space, 0.0).ravel()
         romsys = rom_assemble(basis, 4, traj.space, sys, lift=eq)
         rt = rom_integrate(romsys, 3, 0.1, 2.0, ("bootstrap", np.zeros(4)), 1e-12)
         assert np.max(np.abs(rt.coords)) < 1e-10
@@ -490,7 +489,16 @@ class TestPersistence:
             header = dict(line.rstrip("\n").split(" = ") for line in fh)
         assert list(header) == ["dt", "M", "n_dof", "components", "degree", "n_side", "r", "q", "newton_rule"]
         assert header["M"] == "8" and header["r"] == str(romsys.r) and header["q"] == "2"
+        assert header["newton_rule"] == "step-coupled"
+        # the Newton counts of steps q..M, one "step,count" line each
+        counts = rt.newton_iteration_counts
+        want = "step,newton_iterations\n" + "".join(f"{2 + i},{c}\n" for i, c in enumerate(counts))
+        assert open(stem + ".newton.csv").read() == want
         from podrom import mmio
 
         coords_back = np.asarray(mmio.read(stem + ".coords.mtx")).T
         assert np.array_equal(coords_back, rt.coords)
+        # the header names the rule the run used
+        fixed = rom_integrate(romsys, 2, 0.2, 1.6, ("bootstrap", initial_coords(romsys, traj.states[0])), 1e-12)
+        save_rom_trajectory(romsys, fixed, stem + "_fixed")
+        assert "newton_rule = 1e-12\n" in open(stem + "_fixed.traj").readlines()
