@@ -24,6 +24,7 @@ predictor increment w[1:] @ (h[1:] - h[0]) with the extrapolation weights w.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,12 @@ from .linalg import ConvergenceError
 MAX_ORDER = 5
 #: Newton updates one implicit step may take before it fails
 MAX_NEWTON_ITER = 25
+#: implicit steps one bootstrap plan may take: 20 times the largest plan the
+#: tests, the CLI and the benchmark build (4886, BDF-5 at T 0.8 and M 8192, a
+#: convergence reference), and about 90 s of desk FOM stepping at 0.9 ms a
+#: step (2-vCPU Xeon). A BDF-5 plan takes about 2 dt^{-5/6} steps, so this
+#: admits BDF-5 down to a step of about 2.4e-6 (BDF-4 9e-8, BDF-3 4e-10)
+MAX_BOOTSTRAP_STEPS = 100_000
 
 
 class UnsupportedOrderError(ValueError):
@@ -57,12 +64,26 @@ def _check_order(q: int):
 
 def check_step(q: int, t_end: float, m: int):
     """Which BDF-q grids of m steps over [0, t_end] can run: 1 <= q <= MAX_ORDER
-    (else UnsupportedOrderError), and from q = 2 on a step t_end / m in (0, 1), where
-    the bootstrap's substeps dt^{q/(q-1)} are finer than dt (else ValueError)."""
+    (else UnsupportedOrderError); from q = 2 on, a step t_end / m in (0, 1), where
+    the bootstrap's substeps dt^{q/(q-1)} are finer than dt, and a bootstrap plan
+    whose substeps are positive normal floats and whose steps number at most
+    MAX_BOOTSTRAP_STEPS (else ValueError). Planning is a few float operations per
+    call, outside any step."""
     _check_order(q)
     step = t_end / m if m else math.nan
     if q >= 2 and not 0 < step < 1:
         raise ValueError(f"q >= 2 needs a step T/M below 1, got T = {t_end} and M = {m}, T/M = {step:g}")
+    plan = _bootstrap_segments(q, step)
+    if plan is None:
+        raise ValueError(
+            f"BDF-{q} with T = {t_end} and M = {m} plans a bootstrap substep that is not a positive normal float"
+        )
+    planned = sum(count for _, _, count in plan)
+    if planned > MAX_BOOTSTRAP_STEPS:
+        raise ValueError(
+            f"BDF-{q} with T = {t_end} and M = {m} plans {planned} bootstrap steps,"
+            f" above the bound of {MAX_BOOTSTRAP_STEPS}"
+        )
 
 
 def bdf_coefficients(q: int) -> BdfScheme:
@@ -119,17 +140,27 @@ def bootstrap_plan(q: int, dt: float):
     shrunk so an integer number of substeps lands on every t_j.
     """
     check_step(q, dt, 1)
+    return _bootstrap_segments(q, dt)
+
+
+def _bootstrap_segments(q: int, dt: float):
+    """``bootstrap_plan`` unchecked, or None once a substep is not a positive
+    normal float (``dt ** (q / (q - 1))`` underflows for dt near 1e-300)."""
     if q == 1:
         return []
+    if not dt >= sys.float_info.min:
+        return None
     if q == 2:
         return [(1, dt, 1)]
     target = dt ** (q / (q - 1))
+    if not target >= sys.float_info.min:
+        return None
     n_sub = max(1, math.ceil(dt / target))
     step = dt / n_sub
-    plan = bootstrap_plan(q - 1, step)
-    # the recursion covers [0, (q-2) * step] exactly; finish at order q-1
-    remaining = (q - 1) * n_sub - (q - 2)
-    plan.append((q - 1, step, remaining))
+    plan = _bootstrap_segments(q - 1, step)
+    if plan is not None:
+        # the recursion covers [0, (q-2) * step] exactly; finish at order q-1
+        plan.append((q - 1, step, (q - 1) * n_sub - (q - 2)))
     return plan
 
 

@@ -170,19 +170,16 @@ class DeskSetup:
     basis: PodBasis
 
 
-def initial_state(cfg: RunConfig, space: FeSpace):
-    if cfg.system == "brusselator":
-        return perturbed_equilibrium(space)
-    u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    u0[space.dirichlet_mask] = 0.0
-    return u0[None, :]
-
-
 def desk_fom(cfg: RunConfig) -> Trajectory:
-    """The configured FOM snapshot run: BDF-q over M steps of [0, T]."""
+    """The configured FOM snapshot run: BDF-q over M steps of [0, T], from the
+    perturbed equilibrium, or for heat from sin(pi x) sin(pi y), 0 on gamma1."""
     space = build_space(build_mesh(cfg.n_side), cfg.degree)
-    system = SYSTEMS[cfg.system](cfg.nu)
-    return fom_integrate(system, space, initial_state(cfg, space), cfg.T / cfg.M, cfg.T, cfg.q)
+    if cfg.system == "brusselator":
+        u0 = perturbed_equilibrium(space)
+    else:
+        u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None, :]
+        u0[:, space.dirichlet_mask] = 0.0
+    return fom_integrate(SYSTEMS[cfg.system](cfg.nu), space, u0, cfg.T / cfg.M, cfg.T, cfg.q)
 
 
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:

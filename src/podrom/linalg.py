@@ -3,10 +3,12 @@
 Dense matrices are plain 2-D numpy arrays. The pipeline forms no sparse
 matrix (its finite-element operators are applied element by element); the
 minimal CSR container holds the assembled reference matrices of the tests.
-Every COO -> CSR conversion goes through one plan (``coo_plan``) that maps
-each triplet to its stored entry once. The matvec reduces the products of
-each row with one ``reduceat``; a 2-D operand goes through in column chunks
-of bounded size.
+It stays here only because the benchmark's tracer names ``block_csr``,
+``CsrMatrix.from_coo`` and ``csr_matvec`` as targets, which read 0 on every
+workload; the "sparse storage" section moves to the tests once a benchmark
+change drops them. Every COO -> CSR conversion goes through one
+plan (``coo_plan``) that maps each triplet to its stored entry once. The
+matvec reduces the products of each row with one ``reduceat``.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
 any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:
@@ -90,11 +92,6 @@ class CsrMatrix:
         return d
 
 
-#: a 2-D product gathers its operand in column chunks of at most this many
-#: entries (2 MB), so its temporary does not grow with the number of columns
-_MATVEC_BLOCK_ENTRIES = 1 << 18
-
-
 def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector (or matrix-matrix, columnwise) product."""
     x = np.asarray(x, dtype=np.float64)
@@ -102,14 +99,9 @@ def csr_matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: matrix has {a.cols} cols, vector {x.shape[0]}")
     if x.ndim == 1:
         return _row_sums(a, a.values * np.take(x, a.col_indices))
-    columns = x.reshape(a.cols, -1)
-    out = np.empty((a.rows, columns.shape[1]))
-    width = max(1, _MATVEC_BLOCK_ENTRIES // max(a.nnz, 1))
-    for j in range(0, columns.shape[1], width):
-        products = np.take(columns[:, j : j + width], a.col_indices, axis=0)
-        products *= a.values[:, None]
-        out[:, j : j + width] = _row_sums(a, products)
-    return out.reshape((a.rows,) + x.shape[1:])
+    products = np.take(x.reshape(a.cols, -1), a.col_indices, axis=0)
+    products *= a.values[:, None]
+    return _row_sums(a, products).reshape((a.rows,) + x.shape[1:])
 
 
 def _row_sums(a: CsrMatrix, products: np.ndarray) -> np.ndarray:
@@ -180,14 +172,9 @@ def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EigenDecomposition:
-    eigenvalues: np.ndarray  # sorted descending
-    eigenvectors: np.ndarray  # columns aligned with eigenvalues
-
-
-def sym_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Full spectrum of a symmetric matrix (LAPACK), eigenvalues descending."""
+def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a symmetric matrix (LAPACK): the eigenvalues, descending,
+    and the eigenvectors as columns aligned with them."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eigen requires a square matrix")
@@ -196,7 +183,7 @@ def sym_eigen(a: np.ndarray) -> EigenDecomposition:
         raise ValueError("sym_eigen requires a symmetric matrix")
     lam, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(lam[order], vecs[:, order])
+    return lam[order], vecs[:, order]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Matrix Market exchange format I/O for dense arrays.
 
 Dense matrices are written in array format (column-major). Values use 17
-significant digits so doubles round-trip bit-exactly. Only the array layout
-is read; a coordinate-layout file raises ValueError, and so does a missing
-or malformed size line, a non-numeric value or a value count other than
-m·n, each naming the file. ``write_dense`` takes a 1-D or 2-D array and
+significant digits so doubles round-trip bit-exactly. No stage reads an
+export back: ``read`` serves the tests, and stays here only because the
+benchmark's tracer names it as a target, which reads 0 on every workload;
+it moves to the tests once a benchmark change drops that target. Only
+the array layout is read; a coordinate-layout file raises ValueError, and
+so does a missing or malformed size line, a non-numeric value or a value
+count other than m·n, each naming the file. ``write_dense`` takes a 1-D or 2-D array and
 raises ValueError naming the file and the shape for any other.
 
 Every line is exactly what ``"%.17g\\n" % x`` gives, formed in numpy for a

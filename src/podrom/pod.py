@@ -124,13 +124,12 @@ def pod_basis(
 
     Eigenvalues below RANK_TOL * lambda_1 are discarded as numerically zero.
     """
-    eig = sym_eigen(k)
-    lam = eig.eigenvalues
+    lam, vecs = sym_eigen(k)
     if not (len(lam) and 0 < lam[0] < np.inf):
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
     d_r = int(np.sum(lam > RANK_TOL * lam[0]))
     lam = lam[:d_r]
-    vecs = eig.eigenvectors[:, :d_r]
+    vecs = vecs[:, :d_r]
     n = snaps.n_snapshots
     modes = snaps.columns @ (vecs / (np.sqrt(n) * np.sqrt(lam))[None, :])
     # deterministic sign: largest-magnitude entry of each mode made positive

@@ -19,11 +19,13 @@ from podrom.bdf import (
     bdf_coefficients,
     bdf_increment_form,
     bootstrap_plan,
+    check_step,
     extrapolate_increment,
     implicit_step,
     integrate,
     run_bootstrap,
 )
+from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError
 
 
@@ -178,6 +180,17 @@ class TestBootstrapPlan:
             bootstrap_plan(3, 1.5)
         with pytest.raises(ValueError):
             bootstrap_plan(3, 0.0)
+
+    @pytest.mark.parametrize(
+        "t_end, m, steps",
+        [(DEFAULT_T, 16384, 1399), (0.8, 8192, 4886), (1e-3, 8, 3921)],
+        ids=["desk-M16384", "reference-T0.8-M8192", "T1e-3-M8"],
+    )
+    def test_admits_the_largest_plans_the_project_builds(self, t_end, m, steps):
+        # the plans are counted, never run
+        check_step(5, t_end, m)
+        assert sum(count for _, _, count in bootstrap_plan(5, t_end / m)) == steps
+        assert steps <= bdf.MAX_BOOTSTRAP_STEPS
 
 
 def extrapolate(history_states):
@@ -513,6 +526,10 @@ class TestIntegrate:
             (2, 1.0, 4.0, "got T = 4.0 and M = 4, T/M = 1"),  # given both starting values
             (3, 0.1, 0.0, "got T = 0.0 and M = 0, T/M = nan"),
             (6, 0.1, 1.0, "BDF order must be in 1..5, got 6"),
+            # a bootstrap plan that cannot run, counted but never run or allocated
+            (5, 1.25e-13, 1e-12, "BDF-5 with T = 1e-12 and M = 8 plans 113147289155 bootstrap steps, above the bound of 100000"),
+            (5, 1.25e-301, 1e-300, "BDF-5 with T = 1e-300 and M = 8 plans a bootstrap substep that is not a positive normal float"),
+            (2, 1e-310, 1e-310, "BDF-2 with T = 1e-310 and M = 1 plans a bootstrap substep that is not a positive normal float"),
         ],
     )
     def test_rejects_a_grid_that_check_step_rejects(self, q, dt, t_end, message):

@@ -6,6 +6,7 @@ convergence of the manufactured solution, and the command-line pipeline
 import contextlib
 import io
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,19 @@ class TestCli:
             assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflow_is_one_pipeline_failure_line(self, tmp_path, capsys):
+        # nu 1e300 overflows the residual norms: Newton's named failure is the
+        # only text on stderr, and numpy warns of no overflow on the way
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text("n_side = 4\nM = 8\nnu = 1e300\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["fom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.PIPELINE_ERROR
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pipeline failure: "), err
+
     def test_convergence_sweep_scales_with_t(self, tmp_path):
         # at T 70 and M 128 the sweep starts from M 128, not 64, so its
         # coarsest step 0.55 is below 1 and q 2 runs; the orders of this
@@ -458,10 +472,12 @@ class TestCli:
             ("nu = -1", "nu must be positive and finite, got -1.0"),
             ("T = inf", "T must be positive and finite, got inf"),
             ("tau = nan", "tau must be positive and finite, got nan"),
+            ("M = 8\nT = 1e-12", "BDF-5 with T = 1e-12 and M = 8 plans 113147289155 bootstrap steps, above the bound of 100000"),
+            ("M = 8\nT = 1e-300", "BDF-5 with T = 1e-300 and M = 8 plans a bootstrap substep that is not a positive normal float"),
         ],
         ids=[
             "int-value", "tuple-entry", "malformed-line", "unknown-key", "repeated-key",
-            "M-0", "nu-negative", "T-inf", "tau-nan",
+            "M-0", "nu-negative", "T-inf", "tau-nan", "bootstrap-steps", "bootstrap-underflow",
         ],
     )
     def test_config_error_names_the_file_and_the_key(self, tmp_path, capsys, line, message):

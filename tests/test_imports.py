@@ -280,6 +280,8 @@ def test_only_write_csv_formats_a_table_value():
 RULE_MESSAGES = {
     "BDF order must be in": "bdf.py:_check_order",
     "needs a step T/M below 1": "bdf.py:check_step",
+    "bootstrap steps, above the bound": "bdf.py:check_step",
+    "plans a bootstrap substep": "bdf.py:check_step",
     "newton_rule must be": "rom.py:newton_tolerance",
     "nu must be positive and finite": "fom.py:ReactionSystem.__post_init__",
 }
@@ -470,6 +472,51 @@ def test_no_stage_reads_text_back():
     states as one .npy): Matrix Market files are exports, and no module of
     the package parses one back."""
     found = [f"{path.name}: {use}" for path in MODULES for use in text_reads(ast.parse(path.read_text()))]
+    assert not found, ", ".join(found)
+
+
+#: the CSR stack, kept as the tests' assembled references: names read as a
+#: name or an attribute, with ``.plan`` and ``assemble_reaction_*`` too
+CSR_STACK = {"CsrMatrix", "csr_matvec", "coo_plan", "CooPlan", "block_csr", "assemble_mass", "assemble_stiffness"}
+
+
+def csr_stack_holders(path, tree):
+    """ids of the nodes that may use the CSR stack: those of linalg's "sparse
+    storage" section, of ``FeSpace.plan`` and of mesh_fem's ``assemble_*``."""
+    if path.name == "linalg.py":
+        lines = path.read_text().splitlines()
+        start = lines.index("# sparse storage")
+        end = lines.index(lines[start + 1], start + 2)  # the next section's rule
+        holders = [node for node in tree.body if start + 1 < node.lineno < end + 1]
+    elif path.name == "mesh_fem.py":
+        holders = [
+            func for name, func in functions_by_qualified_name(tree).items()
+            if name == "FeSpace.plan" or name.startswith("assemble_")
+        ]
+    else:
+        holders = []
+    return {id(n) for holder in holders for n in ast.walk(holder)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_csr_stack_is_a_leaf(path):
+    """The pipeline forms no sparse matrix: the CSR stack stays in the package
+    only as the tests' reference, so no code outside it uses it, and the
+    stack can be deleted without touching another function."""
+    tree = ast.parse(path.read_text())
+    holders = csr_stack_holders(path, tree)
+    assert holders or path.name not in ("linalg.py", "mesh_fem.py"), "the CSR stack's holders moved"
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        fenced = name in CSR_STACK or name.startswith("assemble_reaction_")
+        if (fenced or (name == "plan" and isinstance(node, ast.Attribute))) and id(node) not in holders:
+            found.append(f"{name} (line {node.lineno})")
     assert not found, ", ".join(found)
 
 

@@ -60,6 +60,13 @@ def test_rejects_non_matrix_market(tmp_path):
         mmio.read(path)
 
 
+def test_rejects_a_complex_matrix(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: only real matrices are supported")):
+        mmio.read(path)
+
+
 def test_rejects_coordinate_layout(tmp_path):
     path = tmp_path / "s.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
