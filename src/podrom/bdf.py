@@ -86,8 +86,11 @@ def check_step(q: int, t_end: float, m: int):
         )
 
 
+@lru_cache(maxsize=None)
 def bdf_coefficients(q: int) -> BdfScheme:
-    """Exact BDF-q coefficients and their first-difference weights."""
+    """Exact BDF-q coefficients and their first-difference weights, one
+    scheme per order, with read-only float arrays because the cache hands
+    the same scheme to every caller."""
     _check_order(q)
     delta = [Fraction(0)] * (q + 1)
     for l in range(1, q + 1):
@@ -96,13 +99,9 @@ def bdf_coefficients(q: int) -> BdfScheme:
     alpha = [sum(delta[: j + 1], Fraction(0)) for j in range(q)]
     # by consistency sum(delta) = 0, so alpha_{q-1} == -delta_q
     assert alpha[q - 1] == -delta[q]
-    return BdfScheme(
-        q,
-        tuple(delta),
-        tuple(alpha),
-        delta_f=np.array([float(d) for d in delta]),
-        alpha_f=np.array([float(a) for a in alpha]),
-    )
+    delta_f, alpha_f = np.array([float(d) for d in delta]), np.array([float(a) for a in alpha])
+    delta_f.flags.writeable = alpha_f.flags.writeable = False
+    return BdfScheme(q, tuple(delta), tuple(alpha), delta_f=delta_f, alpha_f=alpha_f)
 
 
 def as_history(states, length: int) -> np.ndarray:
@@ -201,9 +200,9 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     update, so k updates take k + 1 linearisations and k solves.
 
     Newton stops when the true nonlinear residual is at most ``tol``, and
-    fails after MAX_NEWTON_ITER updates. ``solve`` receives that tolerance,
-    so a model may solve its update inexactly (the FOM does) without
-    changing the stopping test.
+    fails at once when its norm is not finite, else after MAX_NEWTON_ITER
+    updates. ``solve`` receives that tolerance, so a model may solve its
+    update inexactly (the FOM does) without changing the stopping test.
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
@@ -215,6 +214,8 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
         res_norm = math.sqrt(r @ r)
         if res_norm <= tol:
             return history[0] + d, it
+        if not math.isfinite(res_norm):
+            raise ConvergenceError(f"Newton residual norm is not finite at update {it}", res_norm)
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 

@@ -2,7 +2,10 @@
 
 The mesh is uniform with southwest-northeast diagonals. The boundary is
 split into gamma1 = {x=1} u {y=1} (Dirichlet, closed: shared corners
-belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann).
+belong to gamma1) and gamma2 = {x=0} u {y=0} (natural/Neumann). The
+triangles and the boundary edges come from index arithmetic on the vertex
+numbering, and the P2 edge dofs from one ``np.unique`` of integer edge keys,
+with no loop over cells.
 
 Assembly is vectorized over elements. Each FeSpace owns its element data
 as attributes formed on first use (areas, reference basis values N and
@@ -50,7 +53,13 @@ class TriMesh:
 
 
 def build_mesh(n_side: int) -> TriMesh:
-    """Uniform triangulation of [0,1]^2 with SW-NE diagonals."""
+    """Uniform triangulation of [0,1]^2 with SW-NE diagonals.
+
+    Vertex (i, j) is j (n + 1) + i. Cell (i, j), in row-major order, has the
+    lower-left vertex a and the triangles (a, a + 1, a + n + 2) below its
+    diagonal and (a, a + n + 2, a + n + 1) above it. The boundary edges run,
+    for each i, along y = 0 and x = 0 (gamma2), then y = 1 and x = 1 (gamma1).
+    """
     if n_side < 1:
         raise ValueError("n_side must be at least 1")
     n = n_side
@@ -58,23 +67,16 @@ def build_mesh(n_side: int) -> TriMesh:
     xx, yy = np.meshgrid(grid, grid, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    k = np.arange(n, dtype=np.int64)
+    a = (k[:, None] * (n + 1) + k).reshape(-1, 1, 1)  # lower-left vertices, row-major
+    triangles = (a + np.array([[0, 1, n + 2], [0, n + 2, n + 1]])).reshape(-1, 3)
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))  # below the SW-NE diagonal
-            tris.append((a, c, d))  # above it
-    triangles = np.array(tris, dtype=np.int64)
-
-    edges = []
-    for i in range(n):
-        edges.append((vid(i, 0), vid(i + 1, 0), GAMMA2))  # y = 0
-        edges.append((vid(0, i), vid(0, i + 1), GAMMA2))  # x = 0
-        edges.append((vid(i, n), vid(i + 1, n), GAMMA1))  # y = 1
-        edges.append((vid(n, i), vid(n, i + 1), GAMMA1))  # x = 1
+    # edge i of each side starts i steps along it: 1 along a row, n + 1 up a column
+    step = np.array([1, n + 1, 1, n + 1])
+    starts = (k[:, None] * step + np.array([0, 0, n * (n + 1), n])).ravel()
+    ends = starts + np.tile(step, n)
+    tags = [GAMMA2, GAMMA2, GAMMA1, GAMMA1] * n
+    edges = list(zip(starts.tolist(), ends.tolist(), tags))
     return TriMesh(n, vertices, triangles, edges)
 
 
@@ -330,19 +332,14 @@ def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
         cell_dofs = mesh.triangles.copy()
     else:
         tri = mesh.triangles
-        # edges keyed by sorted endpoints, numbered lexicographically
-        pairs = np.concatenate(
-            [
-                np.sort(tri[:, [1, 2]], axis=1),
-                np.sort(tri[:, [0, 2]], axis=1),
-                np.sort(tri[:, [0, 1]], axis=1),
-            ]
-        )
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        ne = len(tri)
-        edge_of = inverse.reshape(3, ne).T  # local edges opposite vertices 0,1,2
-        cell_dofs = np.column_stack([tri, n_vert + edge_of])
-        midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+        # the edges opposite vertices 0, 1, 2, keyed lo * n_vert + hi by their
+        # endpoints lo < hi: the keys' numeric order is the pairs' lexicographic one
+        ends = tri[:, [[1, 2], [0, 2], [0, 1]]].transpose(1, 0, 2)  # (3, ne, 2)
+        keys = ends.min(axis=2) * n_vert + ends.max(axis=2)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        lo, hi = np.divmod(uniq, n_vert)
+        cell_dofs = np.column_stack([tri, n_vert + inverse.reshape(3, -1).T])
+        midpoints = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
         coords = np.vstack([mesh.vertices, midpoints])
     tol = 1e-12
     x, y = coords[:, 0], coords[:, 1]

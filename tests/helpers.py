@@ -1,15 +1,81 @@
-"""Oracles that only the tests use: a CSR matrix as a dense array, the L2
-norm and H1 seminorm of a nodal field, the FOM's BDF residual from the
-assembled scalar mass and stiffness, component by component, the load
-of a forcing by its pointwise values, the projection errors by their
-plain formula, and BiCGStab as a fresh array per operation."""
+"""Oracles that only the tests use: the mesh and the Lagrange space built
+cell by cell, a CSR matrix as a dense array, the L2 norm and H1 seminorm
+of a nodal field, the FOM's BDF residual from the assembled scalar mass
+and stiffness, component by component, the load of a forcing by its
+pointwise values, the projection errors by their plain formula, and
+BiCGStab as a fresh array per operation."""
 
 import numpy as np
 
 from podrom.bdf import bdf_increment_form
 from podrom.linalg import ConvergenceError
-from podrom.mesh_fem import assemble_load, assemble_mass, assemble_reaction_system, assemble_stiffness
+from podrom.mesh_fem import (
+    GAMMA1,
+    GAMMA2,
+    FeSpace,
+    TriMesh,
+    assemble_load,
+    assemble_mass,
+    assemble_reaction_system,
+    assemble_stiffness,
+    quadrature_for_degree,
+)
 from podrom.pod import project
+
+
+def build_mesh_oracle(n_side):
+    """``mesh_fem.build_mesh`` as a loop over the cells and the boundary."""
+    n = n_side
+    grid = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(grid, grid, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))  # below the SW-NE diagonal
+            tris.append((a, c, d))  # above it
+    triangles = np.array(tris, dtype=np.int64)
+
+    edges = []
+    for i in range(n):
+        edges.append((vid(i, 0), vid(i + 1, 0), GAMMA2))  # y = 0
+        edges.append((vid(0, i), vid(0, i + 1), GAMMA2))  # x = 0
+        edges.append((vid(i, n), vid(i + 1, n), GAMMA1))  # y = 1
+        edges.append((vid(n, i), vid(n, i + 1), GAMMA1))  # x = 1
+    return TriMesh(n, vertices, triangles, edges)
+
+
+def build_space_oracle(mesh, degree):
+    """``mesh_fem.build_space`` with Dirichlet dofs on gamma1 and the P2
+    edges numbered by a unique over the rows of the sorted endpoint pairs."""
+    n_vert = len(mesh.vertices)
+    if degree == 1:
+        coords = mesh.vertices.copy()
+        cell_dofs = mesh.triangles.copy()
+    else:
+        tri = mesh.triangles
+        pairs = np.concatenate(
+            [
+                np.sort(tri[:, [1, 2]], axis=1),
+                np.sort(tri[:, [0, 2]], axis=1),
+                np.sort(tri[:, [0, 1]], axis=1),
+            ]
+        )
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        edge_of = inverse.reshape(3, len(tri)).T  # local edges opposite vertices 0,1,2
+        cell_dofs = np.column_stack([tri, n_vert + edge_of])
+        midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+        coords = np.vstack([mesh.vertices, midpoints])
+    tol = 1e-12
+    x, y = coords[:, 0], coords[:, 1]
+    mask = (np.abs(x - 1.0) < tol) | (np.abs(y - 1.0) < tol)
+    quad = quadrature_for_degree(2 if degree == 1 else 4)
+    return FeSpace(mesh, degree, coords, mask, len(coords), cell_dofs, quad)
 
 
 def as_dense(a) -> np.ndarray:

@@ -58,6 +58,24 @@ class TestCoefficients:
             with pytest.raises(UnsupportedOrderError):
                 bdf_coefficients(q)
 
+    def test_one_scheme_per_order(self):
+        for q in range(1, 6):
+            assert bdf_coefficients(q) is bdf_coefficients(q)
+
+    def test_float_weights_are_read_only(self):
+        # the cache hands one scheme to every caller, so none may write to it
+        s = bdf_coefficients(3)
+        for weights in (s.delta_f, s.alpha_f):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 0.0
+        assert s.delta_f[0] == 11 / 6 and s.alpha_f[0] == 11 / 6
+
+    def test_unsupported_orders_raise_on_every_call(self):
+        for q in (0, 6):
+            for _ in range(2):
+                with pytest.raises(UnsupportedOrderError):
+                    bdf_coefficients(q)
+
 
 class TestApply:
     def test_constant_sequence_is_zero(self):
@@ -314,6 +332,35 @@ class TestImplicitStep:
         with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITER} iterations"):
             implicit_step(scheme, h, linearise, 1e-12)
         assert len(calls) == MAX_NEWTON_ITER + 1
+
+    def test_non_finite_residual_norm_stops_at_once(self):
+        # the update leaves finite entries whose squares overflow, as nu 1e300
+        # does in the FOM: one solve, then the failure names the norm
+        solves = []
+
+        def linearise(d):
+            def solve(rhs, tol):
+                solves.append(rhs)
+                return np.array([1e200])
+
+            return np.array([1.0 if d[0] == 0.0 else 1e200]), solve
+
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as exc:
+            implicit_step(bdf_coefficients(1), [np.zeros(1)], linearise, 1e-12)
+        assert len(solves) == 1
+        assert exc.value.message == "Newton residual norm is not finite at update 1"
+        assert exc.value.residual == np.inf
+
+        def linearisation(scheme, step):
+            return lambda history, t: linearise
+
+        solves.clear()
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as exc:
+            integrate(1, 0.5, 1.0, [np.zeros(1)], linearisation, tight)
+        assert len(solves) == 1
+        assert exc.value.message == (
+            "BDF-1 step n = 1 at t = 0.5 (step size 0.5): Newton residual norm is not finite at update 1"
+        )
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)

@@ -7,7 +7,8 @@ snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
 table value in ``write_csv`` alone, each run rule's message is written in
 one function, only the BDF first-difference form and the ROM's
-linearisation read the first-difference weights, no module reads a Matrix
+linearisation read the first-difference weights, the mesh and the space
+are built without a loop, no module reads a Matrix
 Market file back, every target that perfbench's tracer wraps still exists,
 the time loop's work passes through the traced names, and perfbench's
 workloads still run.
@@ -326,6 +327,25 @@ def test_one_first_difference_form():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "alpha_f"
         )
     assert readers == FIRST_DIFFERENCE_READERS, ", ".join(sorted(readers))
+
+
+#: the set-up every stage starts from, built by index arithmetic alone
+LOOP_FREE = ("build_mesh", "build_space")
+
+
+@pytest.mark.parametrize("name", LOOP_FREE)
+def test_set_up_has_no_loop(name):
+    """The mesh and the space are built without a Python loop over cells or
+    edges: no ``for``, ``while`` or comprehension in ``mesh_fem``'s builders."""
+    path = Path(mesh_fem.__file__)
+    func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
+    assert func is not None, f"mesh_fem.py: {name} no longer exists"
+    found = [
+        f"{name}: {type(node).__name__} (line {getattr(node, 'lineno', func.lineno)})"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert not found, ", ".join(found)
 
 
 def unread_locals(func):

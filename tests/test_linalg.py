@@ -315,6 +315,21 @@ class TestDenseLu:
                 dense_lu_solve(np.array(a), np.array([1.0, 1.0]))
             assert exc.value.pivot >= 0.0
 
+    def test_non_finite_entry_is_singular_with_a_nan_pivot(self):
+        # LU gives a non-finite solution, and the SVD then fails on the nan
+        with pytest.raises(SingularMatrixError) as exc:
+            dense_lu_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([1.0, 1.0]))
+        assert np.isnan(exc.value.pivot)
+
+    def test_growth_on_a_regular_matrix_keeps_the_lu_solution(self, monkeypatch):
+        # ||a|| ||x|| sqrt(eps) = 14.9 > ||b|| = 1 sends the solve to the SVD,
+        # which finds sigma_min / sigma_max = 1e-9 well above 2 eps
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        x = dense_lu_solve(np.diag([1.0, 1e-9]), np.array([0.0, 1.0]))
+        assert calls == [1]
+        assert np.array_equal(x, [0.0, 1.0 / 1e-9])
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             dense_lu_solve(np.ones((2, 3)), np.ones(2))
@@ -382,7 +397,31 @@ class Recording:
         return y
 
 
+def dense_csr(a):
+    a = np.array(a, dtype=np.float64)
+    ri, ci = np.nonzero(a)
+    return CsrMatrix.from_coo(*a.shape, ri, ci, a[ri, ci])
+
+
 class TestKrylov:
+    @pytest.mark.parametrize(
+        "a, b, products",
+        [
+            ([[0.0, 1.0], [-1.0, 0.0]], [1.0, 0.0], 1),  # r_hat . v = 0 (a rotation)
+            ([[-1.0, -1.0], [0.0, 0.0]], [-1.0, 1.0], 2),  # t = a s_hat = 0
+            ([[-1.0, -1.0], [-1.0, 0.0]], [-1.0, 0.0], 2),  # omega = 0, then r_hat . r = 0
+        ],
+        ids=["denominator", "t-zero", "omega-zero"],
+    )
+    def test_breakdown_raises(self, a, b, products):
+        op = Recording(dense_csr(a))
+        with pytest.raises(ConvergenceError, match="BiCGStab breakdown") as exc:
+            krylov_solve(op, np.array(b))
+        assert len(op.products) == products
+        assert exc.value.residual > 0
+        with pytest.raises(ConvergenceError, match="BiCGStab breakdown"):
+            krylov_solve_oracle(dense_csr(a), np.array(b))
+
     def test_identity_one_iteration(self):
         b = np.array([1.0, 2.0, 3.0])
         x, iters = krylov_solve(eye_csr(3), b, tol=1e-12)

@@ -1,5 +1,6 @@
-"""Mesh and FEM assembly: structural mesh invariants, quadrature exactness
-against analytic monomial integrals, hand-computed P1 element matrices,
+"""Mesh and FEM assembly: structural mesh invariants, the mesh and the
+space against their cell-by-cell oracles, quadrature exactness against
+analytic monomial integrals, hand-computed P1 element matrices,
 finite-difference Jacobian checks and a manufactured mixed-BC Poisson solve.
 """
 
@@ -8,7 +9,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import as_dense, norms
+from helpers import as_dense, build_mesh_oracle, build_space_oracle, norms
 from podrom import mesh_fem
 from podrom.fom import brusselator_system
 from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
@@ -105,6 +106,34 @@ class TestMesh:
         lines += ["boundary_edges 8", *(f"{a} {b} {tag}" for a, b, tag in mesh.boundary_edges)]
         export_mesh(mesh, tmp_path / "mesh.txt")
         assert (tmp_path / "mesh.txt").read_text() == "\n".join(lines) + "\n"
+
+
+class TestIndexArithmetic:
+    """The mesh and the space equal their cell-by-cell oracles in value,
+    dtype and order."""
+
+    @staticmethod
+    def assert_same_array(new, old):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("n_side", [*range(1, 33), 64])
+    def test_matches_the_loop_oracle(self, n_side, degree):
+        mesh, oracle = build_mesh(n_side), build_mesh_oracle(n_side)
+        self.assert_same_array(mesh.vertices, oracle.vertices)
+        self.assert_same_array(mesh.triangles, oracle.triangles)
+        assert mesh.boundary_edges == oracle.boundary_edges
+        assert all(type(a) is int and type(b) is int and type(tag) is str for a, b, tag in mesh.boundary_edges)
+        space, want = build_space(mesh, degree), build_space_oracle(oracle, degree)
+        for name in ("dof_coords", "cell_dofs", "dirichlet_mask"):
+            self.assert_same_array(getattr(space, name), getattr(want, name))
+        assert type(space.n_dof) is int and space.n_dof == want.n_dof
+
+    def test_export_is_the_oracle_file(self, tmp_path):
+        export_mesh(build_mesh(16), tmp_path / "mesh.txt")
+        export_mesh(build_mesh_oracle(16), tmp_path / "oracle.txt")
+        assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
 
 class TestSpace:
