@@ -6,8 +6,8 @@ minimal CSR container holds the assembled reference matrices of the tests.
 It stays here only because the benchmark's tracer names ``block_csr``,
 ``CsrMatrix.from_coo`` and ``csr_matvec`` as targets, which read 0 on every
 workload; the "sparse storage" section moves to the tests once a benchmark
-change drops them. Every COO -> CSR conversion goes through one
-plan (``coo_plan``) that maps each triplet to its stored entry once. The
+change drops them. Every COO -> CSR conversion is ``CsrMatrix.from_coo``:
+one ``unique`` of row-major keys and one ``bincount`` in triplet order. The
 matvec reduces the products of each row with one ``reduceat``.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
@@ -78,9 +78,19 @@ class CsrMatrix:
 
     @staticmethod
     def from_coo(rows: int, cols: int, ri, ci, vals) -> "CsrMatrix":
-        """Build CSR from triplets, summing duplicates, columns sorted per row."""
-        plan = coo_plan(rows, cols, ri, ci)
-        return plan.csr(plan.assemble(vals))
+        """Build CSR from triplets, summing duplicates in triplet order,
+        columns sorted per row; every triplet's entry is stored, zero or not."""
+        ri = np.asarray(ri, dtype=np.int64)
+        ci = np.asarray(ci, dtype=np.int64)
+        if ri.shape != ci.shape or (
+            len(ri) and not (0 <= ri.min() <= ri.max() < rows and 0 <= ci.min() <= ci.max() < cols)
+        ):
+            raise ValueError(f"COO triplet indices must be paired and inside the {rows} x {cols} matrix")
+        # row-major keys: the sorted unique keys are the CSR entries in order
+        keys, entry = np.unique(ri * cols + ci, return_inverse=True)
+        values = np.bincount(entry, weights=vals, minlength=len(keys))
+        offsets = np.searchsorted(keys, cols * np.arange(rows + 1))
+        return CsrMatrix(rows, cols, offsets, keys % cols, values)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return csr_matvec(self, x)
@@ -115,40 +125,6 @@ def _row_sums(a: CsrMatrix, products: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class CooPlan:
-    """Scatter plan coalescing COO triplets with fixed indices into CSR.
-
-    ``assemble`` sums, in triplet order, the values landing on each stored
-    entry of ``pattern``; ``csr`` wraps pattern-aligned values in a matrix
-    sharing the pattern's index arrays.
-    """
-
-    entry: np.ndarray  # the stored entry each triplet lands on
-    pattern: CsrMatrix  # the coalesced structure, values zero
-
-    def assemble(self, vals) -> np.ndarray:
-        return np.bincount(self.entry, weights=vals, minlength=self.pattern.nnz)
-
-    def csr(self, values: np.ndarray) -> CsrMatrix:
-        p = self.pattern
-        return CsrMatrix(p.rows, p.cols, p.row_offsets, p.col_indices, values)
-
-
-def coo_plan(rows: int, cols: int, ri, ci) -> CooPlan:
-    """The CooPlan of a (rows x cols) matrix with triplet indices ``ri``, ``ci``."""
-    ri = np.asarray(ri, dtype=np.int64)
-    ci = np.asarray(ci, dtype=np.int64)
-    if ri.shape != ci.shape or (
-        len(ri) and not (0 <= ri.min() <= ri.max() < rows and 0 <= ci.min() <= ci.max() < cols)
-    ):
-        raise ValueError(f"COO triplet indices must be paired and inside the {rows} x {cols} matrix")
-    # row-major keys: the sorted unique keys are the CSR entries in order
-    keys, entry = np.unique(ri * cols + ci, return_inverse=True)
-    offsets = np.searchsorted(keys, cols * np.arange(rows + 1))
-    return CooPlan(entry, CsrMatrix(rows, cols, offsets, keys % cols, np.zeros(len(keys))))
-
-
 def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
     """Assemble an (n_blocks x n_blocks) block matrix sharing one scalar pattern.
 
@@ -158,13 +134,13 @@ def block_csr(pattern: CsrMatrix, blocks: dict, n_blocks: int) -> CsrMatrix:
     keys = sorted(blocks)
     n = pattern.rows
     ri, ci = pattern.row_indices(), pattern.col_indices
-    plan = coo_plan(
+    return CsrMatrix.from_coo(
         n_blocks * n,
         n_blocks * n,
         np.concatenate([ri + bi * n for bi, _ in keys]),
         np.concatenate([ci + bj * n for _, bj in keys]),
+        np.concatenate([blocks[k] for k in keys]),
     )
-    return plan.csr(plan.assemble(np.concatenate([blocks[k] for k in keys])))
 
 
 # ---------------------------------------------------------------------------

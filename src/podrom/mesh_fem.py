@@ -16,13 +16,14 @@ of element vectors into nodal fields. The kernels are matmuls between the
 two: fields at the quadrature points ``gather(u) @ N^T``, loads of a
 time-free f(x, y) ``scatter((f * w) @ N)``, and the stacked mass and stiffness
 (``ElementOperator``) the element matrices times ``gather(u)``, scattered.
-``plan`` assembles the element matrices into the tests' CSR references
+``assemble_elements`` sums element matrices into the tests' CSR references
 (``assemble_mass``, ``assemble_stiffness`` and the values of
-``assemble_reaction_jacobian_system``), and ``assemble_reaction_system`` is
-the tests' reference for the reaction; none runs in the pipeline. They stay
-only because the benchmark's tracer names the ``assemble_reaction_*`` pair
-and linalg's CSR functions as targets, which read 0 on every workload;
-they move to the tests once a benchmark change drops those targets.
+``assemble_reaction_jacobian_system``, all on one pattern), and
+``assemble_reaction_system`` is the tests' reference for the reaction; none
+runs in the pipeline. They stay only because the benchmark's tracer names
+the ``assemble_reaction_*`` pair and linalg's CSR functions as targets,
+which read 0 on every workload; they move to the tests once a benchmark
+change drops those targets.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import CooPlan, CsrMatrix, coo_plan
+from .linalg import CsrMatrix
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -246,14 +247,6 @@ class FeSpace:
         s = self.gradient_products
         return (self.gradient_weights @ s.reshape(3, -1)).reshape((-1,) + s.shape[1:])
 
-    @cached_property
-    def plan(self) -> CooPlan:
-        """The plan coalescing the entries of (ne, nloc, nloc) element
-        matrices, flattened, into their CSR pattern."""
-        dofs, nloc = self.cell_dofs, self.cell_dofs.shape[1]
-        rows, cols = np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
-        return coo_plan(self.n_dof, self.n_dof, rows, cols)
-
     def gather(self, fields: np.ndarray, axis: int = -1) -> np.ndarray:
         """Element values: the n_dof axis ``axis`` of ``fields`` becomes (ne, nloc)."""
         return np.take(fields, self.cell_dofs, axis=axis)
@@ -358,14 +351,22 @@ def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
 # ---------------------------------------------------------------------------
 
 
+def assemble_elements(space: FeSpace, elements: np.ndarray) -> CsrMatrix:
+    """The (ne, nloc, nloc) element matrices, or their (ne, nloc^2) rows,
+    summed into CSR. The pattern is the space's, whatever the values."""
+    dofs, nloc = space.cell_dofs, space.cell_dofs.shape[1]
+    rows, cols = np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel()
+    return CsrMatrix.from_coo(space.n_dof, space.n_dof, rows, cols, np.ravel(elements))
+
+
 def assemble_mass(space: FeSpace) -> CsrMatrix:
     """The assembled mass matrix, a reference for ``space.mass_matrix()``."""
-    return space.plan.csr(space.plan.assemble(space.element_mass.ravel()))
+    return assemble_elements(space, space.element_mass)
 
 
 def assemble_stiffness(space: FeSpace) -> CsrMatrix:
     """The assembled stiffness matrix, a reference for ``space.stiffness_matrix()``."""
-    return space.plan.csr(space.plan.assemble(space.element_stiffness.ravel()))
+    return assemble_elements(space, space.element_stiffness)
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
@@ -390,11 +391,12 @@ def assemble_reaction_jacobian_system(space: FeSpace, states: np.ndarray, g_prim
     matrices (g'(u_q) * w) @ P.
 
     ``g_prime`` maps (n_comp, ...) values to (n_comp, n_comp, ...) partial
-    derivatives. Returns (n_comp, n_comp, nnz) values on ``space.plan.pattern``.
+    derivatives. Returns (n_comp, n_comp, nnz) values on the pattern of
+    ``assemble_mass(space)``.
     """
     dq = np.asarray(g_prime(space.at_quadrature(states)), dtype=np.float64)
     elem = (dq * space.quadrature_weights) @ space.basis_products
-    return np.array([[space.plan.assemble(block.ravel()) for block in row] for row in elem])
+    return np.array([[assemble_elements(space, block).values for block in row] for row in elem])
 
 
 def interpolate(space: FeSpace, f) -> np.ndarray:

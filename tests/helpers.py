@@ -1,14 +1,15 @@
 """Oracles that only the tests use: the mesh and the Lagrange space built
-cell by cell, a CSR matrix as a dense array, the L2 norm and H1 seminorm
-of a nodal field, the FOM's BDF residual from the assembled scalar mass
-and stiffness, component by component, the load of a forcing by its
-pointwise values, the projection errors by their plain formula, and
+cell by cell, a CSR matrix as a dense array, pattern-aligned values as a
+CSR matrix on the space's pattern, the L2 norm and H1 seminorm of a nodal
+field, the FOM's BDF residual from the assembled scalar mass and
+stiffness, component by component, the load of a forcing by its pointwise
+values, the projection errors by their plain formula, and
 BiCGStab as a fresh array per operation."""
 
 import numpy as np
 
 from podrom.bdf import bdf_increment_form
-from podrom.linalg import ConvergenceError
+from podrom.linalg import ConvergenceError, CsrMatrix
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
@@ -83,6 +84,12 @@ def as_dense(a) -> np.ndarray:
     out = np.zeros((a.rows, a.cols))
     out[a.row_indices(), a.col_indices] = a.values
     return out
+
+
+def on_pattern(space, values) -> CsrMatrix:
+    """Values aligned with ``assemble_mass(space)``'s entries as a CSR matrix on its pattern."""
+    pattern = assemble_mass(space)
+    return CsrMatrix(pattern.rows, pattern.cols, pattern.row_offsets, pattern.col_indices, values)
 
 
 def norms(space, v):

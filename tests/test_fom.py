@@ -5,7 +5,7 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from helpers import as_dense, fom_residual_oracle, load_oracle, norms
+from helpers import as_dense, fom_residual_oracle, load_oracle, norms, on_pattern
 from podrom import fom
 from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, integrate
 from podrom.fom import (
@@ -21,6 +21,7 @@ from podrom.fom import (
 from podrom.harness import DEFAULT_T
 from podrom.linalg import ConvergenceError, block_csr, krylov_solve
 from podrom.mesh_fem import (
+    assemble_elements,
     assemble_load,
     assemble_mass,
     assemble_reaction_jacobian_system,
@@ -69,16 +70,16 @@ def absolute_parts(space, states, g_prime):
     Jacobian's blocks, (nc, nc, nnz), and of the mass, (nnz,), and of the
     gradient-product terms of the stiffness, (nnz,): the scale of the
     rounding of any order of summing those terms."""
-    plan, weights = space.plan, space.quadrature_weights
+    weights = space.quadrature_weights
     products = np.abs(space.basis_products)
     dq = np.abs(g_prime(space.at_quadrature(states)))
     nc = len(states)
     reaction = np.array(
-        [[plan.assemble(((dq[a, b] * weights) @ products).ravel()) for b in range(nc)] for a in range(nc)]
+        [[assemble_elements(space, (dq[a, b] * weights) @ products).values for b in range(nc)] for a in range(nc)]
     )
-    mass = plan.assemble((weights @ products).ravel())
+    mass = assemble_elements(space, weights @ products).values
     gradient = np.abs(space.gradient_weights) @ np.abs(space.gradient_products).reshape(3, -1)
-    return reaction, mass, plan.assemble(gradient.ravel())
+    return reaction, mass, assemble_elements(space, gradient).values
 
 
 class TestBrusselatorSystem:
@@ -528,7 +529,7 @@ class TestIntegratorInterface:
         bdf_dt = op.split(np.abs(bdf_increment_form(scheme, increment, history, dt)))
         candidate = op.split(history[0] + increment)
         _, mass, stiffness = absolute_parts(space, candidate, system.g_prime)
-        mass, stiffness = space.plan.csr(mass), space.plan.csr(stiffness)
+        mass, stiffness = on_pattern(space, mass), on_pattern(space, stiffness)
         weights, basis = space.quadrature_weights, np.abs(space.basis_values)
         qc = space.quadrature_points
         at_q = np.abs(system.g(space.at_quadrature(candidate)))
@@ -571,9 +572,10 @@ class TestIntegratorInterface:
                     vals = vals + system.diffusion[a] * assemble_stiffness(space).values
                     scale = scale + c0 * mass + system.diffusion[a] * stiffness
                 blocks[(a, b)], scales[(a, b)] = vals, scale
-        ref = as_dense(block_csr(space.plan.pattern, blocks, op.nc))
-        scale = as_dense(block_csr(space.plan.pattern, scales, op.nc))
-        pattern = as_dense(block_csr(space.plan.pattern, {k: np.ones_like(v) for k, v in blocks.items()}, op.nc))
+        scalar = assemble_mass(space)
+        ref = as_dense(block_csr(scalar, blocks, op.nc))
+        scale = as_dense(block_csr(scalar, scales, op.nc))
+        pattern = as_dense(block_csr(scalar, {k: np.ones_like(v) for k, v in blocks.items()}, op.nc))
         mask, eye = np.tile(space.dirichlet_mask, op.nc), np.eye(op.dim)
         jac = op.jacobian(w, op.jacobian_linear_part(c0))
         assert (jac.rows, jac.cols) == (op.dim, op.dim)

@@ -32,7 +32,7 @@ from podrom.harness import (
     temporal_convergence_study,
 )
 from podrom.mesh_fem import build_mesh, build_space, interpolate
-from podrom.pod import INNER_PRODUCTS, W0_MODES, InvalidRankError
+from podrom.pod import INNER_PRODUCTS, W0_MODES, InvalidRankError, project
 from podrom.rom import rom_integrate, rom_to_nodal_trajectory
 
 
@@ -291,6 +291,26 @@ class TestStudies:
         assert rows[0][3:5] == ["nan", "nan"]
         assert rows[0][-1] == rows[1][-1] == ""
 
+    def test_convergence_rows_name_the_step_of_each_maximum(self):
+        # max_l2_step and max_h1_step are the argmax over the main-loop steps
+        # n = q..M of the per-step errors recomputed from the coordinates,
+        # and None at q 5, M 4, where no main-loop step is left
+        setup = build_desk_setup(tiny_cfg())
+        romsys = make_rom(setup, 4)
+        coords0 = initial_coords(romsys, setup.fom_traj.states[0])
+        results = temporal_convergence_study(
+            romsys, coords0, 1.6, q_values=(2, 5), m_values=(4, 16), ref_factor=4
+        )
+        ref = rom_integrate(romsys, 5, 1.6 / 64, 1.6, ("bootstrap", coords0), 1e-12)
+        assert results[5][0]["max_l2_step"] is None and results[5][0]["max_h1_step"] is None
+        for q, m in ((2, 4), (2, 16), (5, 16)):
+            row = next(row for row in results[q] if row["M"] == m)
+            rt = rom_integrate(romsys, q, 1.6 / m, 1.6, ("bootstrap", coords0))
+            d = rt.coords - ref.coords[:: 64 // m]
+            for norm, mat in (("l2", romsys.reduced_mass), ("h1", romsys.reduced_stiffness)):
+                errors = np.einsum("ni,ij,nj->n", d, mat, d)
+                assert row[f"max_{norm}_step"] == q + int(np.argmax(errors[q:])), (q, m, norm)
+
     @pytest.mark.parametrize(
         "m_values, ref_factor", [((16, 8), 4), ((8, 24), 3)], ids=["descending", "non-dyadic"]
     )
@@ -355,6 +375,28 @@ class TestStudies:
         rows = r_refinement_study(setup, setup.fom_traj, (2, 4, 6), q=2)
         proj = [row["proj_h1"] for row in rows]
         assert all(proj[i + 1] <= proj[i] * (1 + 1e-12) for i in range(len(proj) - 1))
+
+    def test_r_refinement_rows_name_the_step_of_each_maximum(self):
+        # each maximum's _step is the argmax over n = q..M of its per-step
+        # error, recomputed from the ROM coordinates and the projection
+        setup = build_desk_setup(tiny_cfg(M=24, T=2.4))
+        traj, q = setup.fom_traj, 2
+        fluct = (traj.stacked() - setup.snaps.mean).T
+        mass, stiffness = setup.space.mass_matrix(2), setup.space.stiffness_matrix(2)
+        for row in r_refinement_study(setup, traj, (2, 4), q=q):
+            romsys = make_rom(setup, row["r"])
+            coords0 = initial_coords(romsys, traj.states[0])
+            rt = rom_integrate(romsys, q, traj.dt, traj.times[-1], ("bootstrap", coords0))
+            coeffs, reconstruction = project(setup.basis, row["r"], fluct)
+            d, resid = rt.coords - coeffs.T, fluct - reconstruction
+            errors = {
+                "pod_l2": np.einsum("ni,ij,nj->n", d, romsys.reduced_mass, d),
+                "pod_h1": np.einsum("ni,ij,nj->n", d, romsys.reduced_stiffness, d),
+                "proj_l2": np.sum(resid * mass.matvec(resid), axis=0),
+                "proj_h1": np.sum(resid * stiffness.matvec(resid), axis=0),
+            }
+            for key, values in errors.items():
+                assert row[f"{key}_step"] == q + int(np.argmax(values[q:])), (row["r"], key)
 
     def test_r_refinement_norms_do_not_follow_the_basis_inner_product(self):
         # under an L2 basis, proj_h1 is still the stacked-stiffness (H1)

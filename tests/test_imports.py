@@ -8,10 +8,10 @@ none of numpy's dispatch-heavy forms of its kernels, harness formats a
 table value in ``write_csv`` alone, each run rule's message is written in
 one function, only the BDF first-difference form and the ROM's
 linearisation read the first-difference weights, the mesh and the space
-are built without a loop, no module reads a Matrix
-Market file back, every target that perfbench's tracer wraps still exists,
-the time loop's work passes through the traced names, and perfbench's
-workloads still run.
+are built without a loop, no module reads a Matrix Market file back, only
+``CsrMatrix.from_coo`` constructs a CSR matrix, every target that
+perfbench's tracer wraps still exists, the time loop's work passes through
+the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -496,13 +496,14 @@ def test_no_stage_reads_text_back():
 
 
 #: the CSR stack, kept as the tests' assembled references: names read as a
-#: name or an attribute, with ``.plan`` and ``assemble_reaction_*`` too
-CSR_STACK = {"CsrMatrix", "csr_matvec", "coo_plan", "CooPlan", "block_csr", "assemble_mass", "assemble_stiffness"}
+#: name or an attribute, with ``assemble_reaction_*`` too
+CSR_STACK = {"CsrMatrix", "csr_matvec", "block_csr", "assemble_elements", "assemble_mass", "assemble_stiffness"}
 
 
 def csr_stack_holders(path, tree):
     """ids of the nodes that may use the CSR stack: those of linalg's "sparse
-    storage" section, of ``FeSpace.plan`` and of mesh_fem's ``assemble_*``."""
+    storage" section and of mesh_fem's ``assemble_*``, ``assemble_elements``
+    among them."""
     if path.name == "linalg.py":
         lines = path.read_text().splitlines()
         start = lines.index("# sparse storage")
@@ -511,7 +512,7 @@ def csr_stack_holders(path, tree):
     elif path.name == "mesh_fem.py":
         holders = [
             func for name, func in functions_by_qualified_name(tree).items()
-            if name == "FeSpace.plan" or name.startswith("assemble_")
+            if name.startswith("assemble_")
         ]
     else:
         holders = []
@@ -535,8 +536,37 @@ def test_the_csr_stack_is_a_leaf(path):
         else:
             continue
         fenced = name in CSR_STACK or name.startswith("assemble_reaction_")
-        if (fenced or (name == "plan" and isinstance(node, ast.Attribute))) and id(node) not in holders:
+        if fenced and id(node) not in holders:
             found.append(f"{name} (line {node.lineno})")
+    assert not found, ", ".join(found)
+
+
+#: the names of the refill plan, which kept a COO pattern to refill it
+REFILL_PLAN = {"CooPlan", "coo_plan"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_coo_assembly(path):
+    """Every CSR matrix of the package comes from one COO assembly: only
+    ``CsrMatrix.from_coo`` constructs a ``CsrMatrix``, and no ``CooPlan``,
+    ``coo_plan`` or ``.plan`` attribute or method remains."""
+    tree = ast.parse(path.read_text())
+    functions = functions_by_qualified_name(tree)
+    from_coo = functions.get("CsrMatrix.from_coo")
+    assert from_coo or path.name != "linalg.py", "CsrMatrix.from_coo moved"
+    inside = {id(n) for n in ast.walk(from_coo)} if from_coo else set()
+    found = [f"method {name}" for name in functions if name.endswith(".plan")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "CsrMatrix":
+            if id(node) not in inside:
+                found.append(f"CsrMatrix(...) (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and (node.attr in REFILL_PLAN or node.attr == "plan"):
+            found.append(f".{node.attr} (line {node.lineno})")
+        else:
+            # a name read, or defined by a def, a class or an import
+            name = getattr(node, "id", getattr(node, "name", None))
+            if name in REFILL_PLAN:
+                found.append(f"{name} (line {node.lineno})")
     assert not found, ", ".join(found)
 
 

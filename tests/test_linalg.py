@@ -213,6 +213,12 @@ class TestCsr:
         a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
         assert np.allclose(as_dense(a), [[0.0, 5.0], [4.0, 0.0]])
 
+    @pytest.mark.parametrize("vals, want", [([1e16, 1.0, -1e16], 0.0), ([1e16, -1e16, 1.0], 1.0)])
+    def test_duplicates_are_summed_in_triplet_order(self, vals, want):
+        # 1e16 + 1 rounds to 1e16: the 1 survives only after the cancellation
+        a = CsrMatrix.from_coo(1, 1, [0, 0, 0], [0, 0, 0], vals)
+        assert a.values.tolist() == [want]
+
     def test_column_indices_sorted_within_rows(self):
         a = CsrMatrix.from_coo(2, 3, [0, 0, 1], [2, 0, 1], [1.0, 2.0, 3.0])
         s, e = a.row_offsets[0], a.row_offsets[1]
@@ -246,15 +252,11 @@ class TestCsr:
             assert np.array_equal(out, columns)
             assert np.max(np.abs(out - dense @ x)) < 1e-12
 
-    def test_plan_refill_checks_only_the_values(self):
-        # a CooPlan refill shares its pattern's index arrays and needs values
-        # of the pattern's length; a direct construction checks the indices
-        plan = linalg.coo_plan(2, 3, [0, 0, 1], [2, 0, 1])
-        refill = plan.csr(np.array([1.0, 2.0, 3.0]))
-        assert refill.col_indices is plan.pattern.col_indices
-        assert np.array_equal(as_dense(refill), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    def test_direct_construction_checks_values_and_indices(self):
+        # a direct construction needs one value per column index, each
+        # column inside the matrix
         with pytest.raises(ValueError, match="equal length"):
-            plan.csr(np.zeros(4))
+            CsrMatrix(2, 3, [0, 2, 3], [0, 2, 1], np.zeros(4))
         with pytest.raises(ValueError, match="column index out of range"):
             CsrMatrix(2, 3, [0, 2, 3], [0, 3, 1], np.ones(3))
 

@@ -9,13 +9,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import as_dense, build_mesh_oracle, build_space_oracle, norms
+from helpers import as_dense, build_mesh_oracle, build_space_oracle, norms, on_pattern
 from podrom import mesh_fem
 from podrom.fom import brusselator_system
 from podrom.linalg import CsrMatrix, krylov_solve, sym_eigen
 from podrom.mesh_fem import (
     GAMMA1,
     GAMMA2,
+    assemble_elements,
     assemble_load,
     assemble_mass,
     assemble_reaction_jacobian_system,
@@ -134,6 +135,31 @@ class TestIndexArithmetic:
         export_mesh(build_mesh(16), tmp_path / "mesh.txt")
         export_mesh(build_mesh_oracle(16), tmp_path / "oracle.txt")
         assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("n_side", range(1, 9))
+def test_assemble_elements_is_the_dense_scatter_on_one_pattern(n_side, degree):
+    # the element mass, the element stiffness and a reaction block summed
+    # into CSR: bit for bit the dense np.add.at scatter of the same entries in
+    # the same (element, row, column) order, on the index arrays of
+    # assemble_mass, whatever the values
+    space = build_space(build_mesh(n_side), degree)
+    rng = np.random.default_rng(n_side)
+    states = np.array([1.0, 3.0])[:, None] + 0.3 * rng.standard_normal((2, space.n_dof))
+    dq = brusselator_system(0.002).g_prime(space.at_quadrature(states))
+    reaction = (dq[0, 1] * space.quadrature_weights) @ space.basis_products
+    pattern = assemble_mass(space)
+    shape = space.cell_dofs.shape + space.cell_dofs.shape[1:]
+    rows = np.broadcast_to(space.cell_dofs[:, :, None], shape)
+    cols = np.broadcast_to(space.cell_dofs[:, None, :], shape)
+    for elements in (space.element_mass, space.element_stiffness, reaction.reshape(shape)):
+        got = assemble_elements(space, elements)
+        assert np.array_equal(got.row_offsets, pattern.row_offsets)
+        assert np.array_equal(got.col_indices, pattern.col_indices)
+        dense = np.zeros((space.n_dof, space.n_dof))
+        np.add.at(dense, (rows, cols), elements)
+        assert np.array_equal(as_dense(got), dense)
 
 
 class TestSpace:
@@ -281,7 +307,7 @@ class TestStackedOperators:
                 space.element_stiffness,
             ),
         ):
-            absolute = space.plan.csr(space.plan.assemble(np.abs(elements).ravel()))
+            absolute = assemble_elements(space, np.abs(elements))
             k = self.rounding_bound(space, reference)
             assert (stacked.rows, stacked.cols) == (nc * n, nc * n)
             for x in (rng.standard_normal(nc * n), rng.standard_normal((nc * n, 2 * width + 3))):
@@ -344,7 +370,7 @@ class TestReaction:
         space = build_space(build_mesh(3), 2)
         state = np.zeros(space.n_dof)
         gp = lambda u: np.ones_like(u)[None]  # (1, 1, ne, nq) partials
-        j = space.plan.csr(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
+        j = on_pattern(space, assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         m = assemble_mass(space)
         assert np.max(np.abs(as_dense(j) - as_dense(m))) < 1e-12
 
@@ -354,7 +380,7 @@ class TestReaction:
         state = rng.standard_normal(space.n_dof)
         g = lambda u: u**3 - np.sin(u)
         gp = lambda u: (3 * u**2 - np.cos(u))[None]  # (1, 1, ne, nq) partials
-        j = space.plan.csr(assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
+        j = on_pattern(space, assemble_reaction_jacobian_system(space, state[None], gp)[0, 0])
         direction = rng.standard_normal(space.n_dof)
         eps = 1e-6
         fd = (
@@ -408,8 +434,9 @@ class TestQuadratureKernels:
         n, nloc = space.n_dof, space.cell_dofs.shape[1]
         rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
         cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
-        ri, ci = space.plan.pattern.row_indices(), space.plan.pattern.col_indices
-        old = np.empty((2, 2, space.plan.pattern.nnz))
+        pattern = assemble_mass(space)
+        ri, ci = pattern.row_indices(), pattern.col_indices
+        old = np.empty((2, 2, pattern.nnz))
         for a in range(2):
             for b in range(2):
                 dense = np.zeros((n, n))

@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import as_dense, load_oracle
+from helpers import as_dense, load_oracle, on_pattern
 from podrom.bdf import bdf_coefficients, bdf_increment_form
 from podrom.fom import (
     brusselator_system,
@@ -143,7 +143,7 @@ def nodal_reaction_jacobian(romsys, coords):
     gp = assemble_reaction_jacobian_system(space, full, sys.g_prime)
     phi_c = romsys.modes.reshape(nc, n, romsys.r)
     return sum(
-        phi_c[a].T @ space.plan.csr(gp[a, b]).matvec(phi_c[b])
+        phi_c[a].T @ on_pattern(space, gp[a, b]).matvec(phi_c[b])
         for a in range(nc)
         for b in range(nc)
     )
