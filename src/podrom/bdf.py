@@ -5,7 +5,10 @@ linearisation callback: the model forms what is fixed for a run once per
 ``integrate`` call, what is fixed for a step once per step, and only the
 rest at each Newton candidate. Each model owns its Newton solve; the loop
 does not know which model it steps. Starting values are bootstrapped by
-running the same loop once per segment of ``bootstrap_plan``.
+running the same loop once per segment of ``bootstrap_plan``. The loop owns
+the run rules both models share: ``check_step`` decides which grids run, and
+``newton_tolerance`` turns a Newton rule, "step-coupled" or a fixed number,
+into the tolerance each step stops at.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -63,14 +66,19 @@ def _check_order(q: int):
 
 
 def check_step(q: int, t_end: float, m: int):
-    """Which BDF-q grids of m steps over [0, t_end] can run: 1 <= q <= MAX_ORDER
-    (else UnsupportedOrderError); from q = 2 on, a step t_end / m in (0, 1), where
-    the bootstrap's substeps dt^{q/(q-1)} are finer than dt, and a bootstrap plan
+    """The bootstrap plan of a BDF-q grid of m steps over [0, t_end] that can
+    run, at any order: 1 <= q <= MAX_ORDER (else UnsupportedOrderError), a
+    positive finite t_end and m >= 1; from q = 2 on, a step t_end / m in (0, 1),
+    where the bootstrap's substeps dt^{q/(q-1)} are finer than dt, and a plan
     whose substeps are positive normal floats and whose steps number at most
-    MAX_BOOTSTRAP_STEPS (else ValueError). Planning is a few float operations per
-    call, outside any step."""
+    MAX_BOOTSTRAP_STEPS (else ValueError). Planning is a few float operations
+    per call, outside any step."""
     _check_order(q)
-    step = t_end / m if m else math.nan
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"T must be positive and finite, got {t_end}")
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
+    step = t_end / m
     if q >= 2 and not 0 < step < 1:
         raise ValueError(f"q >= 2 needs a step T/M below 1, got T = {t_end} and M = {m}, T/M = {step:g}")
     plan = _bootstrap_segments(q, step)
@@ -84,6 +92,25 @@ def check_step(q: int, t_end: float, m: int):
             f"BDF-{q} with T = {t_end} and M = {m} plans {planned} bootstrap steps,"
             f" above the bound of {MAX_BOOTSTRAP_STEPS}"
         )
+    return plan
+
+
+def newton_tolerance(rule, order: int, step: float) -> float:
+    """The Newton tolerance of a BDF step of ``order`` and size ``step``:
+    step^order / 100 for the rule "step-coupled", so that Newton's error does
+    not spoil the rate, else ``rule``, a positive finite number (or ValueError)."""
+    if rule == "step-coupled":
+        tol = step**order / 100.0
+    else:
+        try:
+            tol = float(rule)
+        except ValueError:
+            tol = math.nan
+        if not 0 < tol < math.inf:
+            raise ValueError(f"newton_rule must be step-coupled or a positive finite number, got {rule!r}")
+    if not 0 < tol < math.inf:  # a step-coupled tolerance that underflows
+        raise ValueError(f"the Newton tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +165,7 @@ def bootstrap_plan(q: int, dt: float):
     integrates [0, (q-1) dt] at order q-1 with fixed step dt^{q/(q-1)},
     shrunk so an integer number of substeps lands on every t_j.
     """
-    check_step(q, dt, 1)
-    return _bootstrap_segments(q, dt)
+    return check_step(q, dt, 1)
 
 
 def _bootstrap_segments(q: int, dt: float):
@@ -219,7 +245,7 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
-def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
+def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_rule):
     """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
 
     ``starting`` is [u_0], whose q - 1 further starting values are
@@ -232,8 +258,10 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     returns ``linearise(d)``: the residual at the candidate history[0] + d
     and the Newton ``solve(rhs, tol)`` at that candidate (see
     ``implicit_step``).
-    ``tol(order, step)`` gives the Newton tolerance, resolved once per call.
-    A grid ``check_step`` rejects, or a tolerance not positive and finite, fails before any step.
+    Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
+    every bootstrap segment the same at its own order and step. A dt that is
+    not positive and finite, a grid ``check_step`` rejects or a rule
+    ``newton_tolerance`` rejects fails before any step.
     ``history`` is a view of the trajectory itself, so callbacks must not
     write to it.
 
@@ -243,17 +271,17 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     ConvergenceError is re-raised naming the order, the step and the time
     where Newton or the linear solve failed, with its residual kept.
     """
-    m_steps = t_end / dt
-    if abs(m_steps - round(m_steps)) > 1e-12 * max(1.0, m_steps):
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    ratio = t_end / dt
+    m_steps = round(ratio) if math.isfinite(ratio) else 0  # a t_end check_step rejects
+    if abs(ratio - m_steps) > 1e-12 * max(1.0, ratio):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")
-    m_steps = round(m_steps)
     check_step(q, t_end, m_steps)
-    tolerance = tol(q, dt)
-    if not 0 < tolerance < np.inf:
-        raise ValueError(f"the Newton tolerance must be positive and finite, got {tolerance}")
+    tolerance = newton_tolerance(newton_rule, q, dt)
     boot_counts = []
     if len(starting) == 1 and q > 1:
-        later, boot_counts = run_bootstrap(q, dt, starting[0], linearisation, tol)
+        later, boot_counts = run_bootstrap(q, dt, starting[0], linearisation, newton_rule)
         starting = [starting[0], *later]
     elif len(starting) != q:
         raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
@@ -275,7 +303,7 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, tol):
     return states, counts, boot_counts
 
 
-def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearisation, tol):
+def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearisation, newton_rule):
     """The q - 1 starting values at t_1..t_{q-1} from u0, a (q - 1, dim)
     array, and the Newton updates per bootstrap step.
 
@@ -292,7 +320,7 @@ def run_bootstrap(q: int, dt: float, u0: np.ndarray, linearisation, tol):
         starting = states[:: round(step / prev_step)][:order]
         try:
             states, updates, _ = integrate(
-                order, step, (order - 1 + count) * step, starting, linearisation, tol
+                order, step, (order - 1 + count) * step, starting, linearisation, newton_rule
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"bootstrap {exc.message}", exc.residual) from exc

@@ -356,21 +356,15 @@ def fom_integrate(
 ) -> Trajectory:
     """Integrate on the uniform grid j dt, j = 0..M, with BDF-q/Newton.
 
-    Starting values are bootstrapped at order q; the Newton tolerance ``tol``
-    is the same at every order and step, 1e-10 by default (snapshots are
-    offline and must be accurate regardless of dt). Each Newton update is
-    solved inexactly by ``newton_update``, while Newton's own test on the
-    true residual ||r|| <= tol is unchanged.
+    Starting values are bootstrapped at order q; ``tol``, a fixed Newton rule
+    of ``bdf.integrate``, is the tolerance at every order and step, 1e-10 by
+    default (snapshots are offline and must be accurate regardless of dt).
+    Each Newton update is solved inexactly by ``newton_update``, while
+    Newton's own test on the true residual ||r|| <= tol is unchanged.
     """
     op = FomOperator(system, space)
-    states, _, _ = integrate(
-        q,
-        dt,
-        t_end,
-        [np.asarray(u0, dtype=np.float64).reshape(op.dim)],
-        op.linearisation,
-        lambda order, step: tol,
-    )
+    u0 = np.asarray(u0, dtype=np.float64).reshape(op.dim)
+    states, _, _ = integrate(q, dt, t_end, [u0], op.linearisation, tol)
     return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)
 
 

@@ -315,8 +315,8 @@ class ElementOperator:
         return out.reshape(x.shape)
 
 
-def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
-    """Lagrange space of degree 1 or 2 with Dirichlet dofs on gamma1 (or 'all')."""
+def build_space(mesh: TriMesh, degree: int) -> FeSpace:
+    """Lagrange space of degree 1 or 2 with Dirichlet dofs on gamma1."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     n_vert = len(mesh.vertices)
@@ -334,14 +334,7 @@ def build_space(mesh: TriMesh, degree: int, dirichlet: str = GAMMA1) -> FeSpace:
         cell_dofs = np.column_stack([tri, n_vert + inverse.reshape(3, -1).T])
         midpoints = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
         coords = np.vstack([mesh.vertices, midpoints])
-    tol = 1e-12
-    x, y = coords[:, 0], coords[:, 1]
-    if dirichlet == GAMMA1:
-        mask = (np.abs(x - 1.0) < tol) | (np.abs(y - 1.0) < tol)
-    elif dirichlet == "all":
-        mask = (np.abs(x) < tol) | (np.abs(y) < tol) | (np.abs(x - 1.0) < tol) | (np.abs(y - 1.0) < tol)
-    else:
-        raise ValueError(f"unknown dirichlet selector {dirichlet!r}")
+    mask = (np.abs(coords - 1.0) < 1e-12).any(axis=1)  # gamma1: x = 1 or y = 1
     quad = quadrature_for_degree(2 if degree == 1 else 4)
     return FeSpace(mesh, degree, coords, mask, len(coords), cell_dofs, quad)
 

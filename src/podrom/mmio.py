@@ -217,7 +217,14 @@ def _parse_into(out: np.ndarray, filled: int, text: str, path) -> int:
     try:
         values = np.fromstring(text, sep=" ")
     except (ValueError, DeprecationWarning):
-        raise ValueError(f"{path}: a non-numeric value after the first {filled} values") from None
+        before = 0  # the tokens of ``text`` that parse before the bad one
+        for token in text.split():
+            try:
+                float(token)
+            except ValueError:
+                break
+            before += 1
+        raise ValueError(f"{path}: a non-numeric value after the first {filled + before} values") from None
     if filled + values.size > out.size:
         raise ValueError(f"{path}: more than the {out.size} values the size line gives")
     out[filled : filled + values.size] = values

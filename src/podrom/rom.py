@@ -83,7 +83,7 @@ class RomTrajectory:
     q: int
     newton_iteration_counts: np.ndarray  # per main-grid implicit step (indices q..M)
     bootstrap_iteration_counts: np.ndarray
-    newton_rule: str | float  # the rule the run's Newton tolerances followed (``newton_tolerance``)
+    newton_rule: str | float  # the rule the run's Newton tolerances followed (``bdf.newton_tolerance``)
 
 
 def rom_assemble(
@@ -240,20 +240,6 @@ def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
     return at_step
 
 
-def newton_tolerance(rule):
-    """The Newton rule as ``bdf.integrate``'s ``tol(order, step)``: step^order / 100
-    for "step-coupled", else ``rule`` itself, a positive finite number (or ValueError)."""
-    if rule == "step-coupled":
-        return lambda order, step: step**order / 100.0
-    try:
-        tol = float(rule)
-    except ValueError:
-        tol = np.nan
-    if not 0 < tol < np.inf:
-        raise ValueError(f"newton_rule must be step-coupled or a positive finite number, got {rule!r}")
-    return lambda order, step: tol
-
-
 def initial_coords(romsys: RomSystem, nodal: np.ndarray) -> np.ndarray:
     """Reduced coordinates of a nodal state, stacked or (nc, n_dof): the
     coefficients of P^r (nodal - lift)."""
@@ -273,20 +259,15 @@ def rom_integrate(
 
     ``init`` is ("bootstrap", coords0): the q - 1 further starting values
     are bootstrapped from the reduced initial condition coords0 with
-    lower-order integrations. Each segment's Newton tolerance follows
-    ``newton_tol_rule`` at its own step size and order.
+    lower-order integrations. ``newton_tol_rule`` goes to ``bdf.integrate``
+    as it is: each segment's Newton tolerance is ``bdf.newton_tolerance`` of
+    it at the segment's own order and step.
     """
     mode, coords0 = init
     if mode != "bootstrap":
         raise ValueError(f"unknown init mode {mode!r}")
-    coords, counts, boot_counts = integrate(
-        q,
-        dt,
-        t_end,
-        [coords0],
-        partial(rom_linearisation, romsys),
-        newton_tolerance(newton_tol_rule),
-    )
+    linearisation = partial(rom_linearisation, romsys)
+    coords, counts, boot_counts = integrate(q, dt, t_end, [coords0], linearisation, newton_tol_rule)
     return RomTrajectory(
         dt * np.arange(len(coords)),
         coords,

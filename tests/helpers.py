@@ -1,10 +1,10 @@
 """Oracles that only the tests use: the mesh and the Lagrange space built
-cell by cell, a CSR matrix as a dense array, pattern-aligned values as a
-CSR matrix on the space's pattern, the L2 norm and H1 seminorm of a nodal
-field, the FOM's BDF residual from the assembled scalar mass and
-stiffness, component by component, the load of a forcing by its pointwise
-values, the projection errors by their plain formula, and
-BiCGStab as a fresh array per operation."""
+cell by cell, a space clamped on its whole boundary, a CSR matrix as a
+dense array, pattern-aligned values as a CSR matrix on the space's
+pattern, the L2 norm and H1 seminorm of a nodal field, the FOM's BDF
+residual from the assembled scalar mass and stiffness, component by
+component, the load of a forcing by its pointwise values, the projection
+errors by their plain formula, and BiCGStab as a fresh array per operation."""
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from podrom.mesh_fem import (
     assemble_mass,
     assemble_reaction_system,
     assemble_stiffness,
+    build_mesh,
+    build_space,
     quadrature_for_degree,
 )
 from podrom.pod import project
@@ -77,6 +79,15 @@ def build_space_oracle(mesh, degree):
     mask = (np.abs(x - 1.0) < tol) | (np.abs(y - 1.0) < tol)
     quad = quadrature_for_degree(2 if degree == 1 else 4)
     return FeSpace(mesh, degree, coords, mask, len(coords), cell_dofs, quad)
+
+
+def clamped_space(n_side, degree):
+    """``build_space`` with Dirichlet dofs on the whole boundary rather than
+    on gamma1 alone, for fields such as sin(pi x) sin(pi y) that vanish on
+    all of it."""
+    space = build_space(build_mesh(n_side), degree)
+    space.dirichlet_mask = ((space.dof_coords < 1e-12) | (space.dof_coords > 1.0 - 1e-12)).any(axis=1)
+    return space
 
 
 def as_dense(a) -> np.ndarray:

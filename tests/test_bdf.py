@@ -23,6 +23,7 @@ from podrom.bdf import (
     extrapolate_increment,
     implicit_step,
     integrate,
+    newton_tolerance,
     run_bootstrap,
 )
 from podrom.harness import DEFAULT_T
@@ -198,6 +199,9 @@ class TestBootstrapPlan:
             bootstrap_plan(3, 1.5)
         with pytest.raises(ValueError):
             bootstrap_plan(3, 0.0)
+        # q = 1 plans nothing, but only for a step check_step accepts
+        with pytest.raises(ValueError, match="T must be positive and finite, got 0.0"):
+            bootstrap_plan(1, 0.0)
 
     @pytest.mark.parametrize(
         "t_end, m, steps",
@@ -252,8 +256,8 @@ def scalar_linearisation(lam):
     return linearisation
 
 
-def tight(order, step):
-    return 1e-14
+#: a fixed Newton rule, far below the errors the tests measure
+TIGHT = 1e-14
 
 
 class TestImplicitStep:
@@ -356,7 +360,7 @@ class TestImplicitStep:
 
         solves.clear()
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as exc:
-            integrate(1, 0.5, 1.0, [np.zeros(1)], linearisation, tight)
+            integrate(1, 0.5, 1.0, [np.zeros(1)], linearisation, TIGHT)
         assert len(solves) == 1
         assert exc.value.message == (
             "BDF-1 step n = 1 at t = 0.5 (step size 0.5): Newton residual norm is not finite at update 1"
@@ -371,7 +375,7 @@ class TestImplicitStep:
 def integrate_scalar(q, lam, dt, t_end, u0=1.0):
     """BDF-q on u' = lam u from the exact starting values u0 exp(lam t_j), j < q."""
     starting = [np.array([u0 * np.exp(lam * j * dt)]) for j in range(q)]
-    states, _, _ = integrate(q, dt, t_end, starting, scalar_linearisation(lam), tight)
+    states, _, _ = integrate(q, dt, t_end, starting, scalar_linearisation(lam), TIGHT)
     return states[:, 0]
 
 
@@ -390,7 +394,7 @@ class TestScalarConvergence:
             assert abs(slopes[0] - q) < 0.2, f"q={q}: slope {slopes[0]}"
 
 
-def dict_bootstrap(q, dt, u0, linearisation, tol):
+def dict_bootstrap(q, dt, u0, linearisation, newton_rule):
     """The dict-based bootstrap loop ``run_bootstrap`` replaced, kept as its
     oracle: states keyed by integer multiples of the finest step, each
     history gathered from the dict, one implicit step at a time."""
@@ -407,7 +411,8 @@ def dict_bootstrap(q, dt, u0, linearisation, tol):
         for _ in range(count):
             history = np.array([states[t_units - j * k] for j in range(order)])
             t_units += k
-            sol, iters = implicit_step(scheme, history, at_step(history, t_units * s_min), tol(order, step))
+            tol = newton_tolerance(newton_rule, order, step)
+            sol, iters = implicit_step(scheme, history, at_step(history, t_units * s_min), tol)
             states[t_units] = sol
             counts.append(iters)
     k_dt = round(dt / s_min)
@@ -419,7 +424,7 @@ class TestRunBootstrap:
         lam = -2.0
         q = 3
         dt = 0.01
-        starting, counts = run_bootstrap(q, dt, np.array([1.0]), scalar_linearisation(lam), tight)
+        starting, counts = run_bootstrap(q, dt, np.array([1.0]), scalar_linearisation(lam), TIGHT)
         assert len(starting) == q - 1
         assert len(counts) == sum(count for _, _, count in bootstrap_plan(q, dt))
         for j, v in enumerate(starting, start=1):
@@ -447,12 +452,9 @@ class TestRunBootstrap:
 
             return at_step
 
-        def tol(order, step):
-            return 1e-13
-
         u0 = np.array([1.0, -0.5])
-        got, got_counts = run_bootstrap(q, dt, u0, linearisation, tol)
-        want, want_counts = dict_bootstrap(q, dt, u0, linearisation, tol)
+        got, got_counts = run_bootstrap(q, dt, u0, linearisation, 1e-13)
+        want, want_counts = dict_bootstrap(q, dt, u0, linearisation, 1e-13)
         assert got_counts == want_counts
         assert len(got) == len(want) == q - 1
         # a segment's times are n * step, the dict loop's t_units * s_min;
@@ -480,7 +482,7 @@ class TestIntegrate:
         boot = sum(count for _, _, count in bootstrap_plan(q, dt)) if q > 1 else 0
         main = max(0, m - q + 1)
         states, counts, boot_counts = integrate(
-            q, dt, t_end, [np.array([1.0])], scalar_linearisation(-2.0), tight
+            q, dt, t_end, [np.array([1.0])], scalar_linearisation(-2.0), TIGHT
         )
         assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
@@ -489,7 +491,7 @@ class TestIntegrate:
         # with the q starting values given, nothing is bootstrapped
         calls.update(implicit_step=0, run_bootstrap=0)
         given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
-        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearisation(-2.0), tight)
+        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearisation(-2.0), TIGHT)
         assert calls == {"implicit_step": main, "run_bootstrap": 0}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
         assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)
@@ -520,7 +522,7 @@ class TestIntegrate:
 
             return counted_step
 
-        _, counts, boot_counts = integrate(q, dt, t_end, [np.array([1.0])], linearisation, tight)
+        _, counts, boot_counts = integrate(q, dt, t_end, [np.array([1.0])], linearisation, TIGHT)
         plan = bootstrap_plan(q, dt)
         assert len(calls["run"]) == len(plan) + 1
         assert calls["run"] == [(order, step) for order, step, _ in plan] + [(q, dt)]
@@ -547,7 +549,7 @@ class TestIntegrate:
             return failing_step
 
         with pytest.raises(ConvergenceError) as info:
-            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, tight)
+            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, TIGHT)
         assert str(info.value).startswith(where + ": Newton did not converge")
         assert info.value.residual == 1.0
         assert isinstance(info.value.__cause__, ConvergenceError)
@@ -563,15 +565,21 @@ class TestIntegrate:
             return scalar_linearisation(-2.0)(scheme, step)
 
         starting = [np.array([1.0])] * n_starting
-        with pytest.raises(ValueError, match="Newton tolerance must be positive"):
-            integrate(3, 0.1, 1.0, starting, linearisation, lambda order, step: bad)
+        with pytest.raises(ValueError, match="newton_rule must be"):
+            integrate(3, 0.1, 1.0, starting, linearisation, bad)
         assert calls == []
 
     @pytest.mark.parametrize(
         "q, dt, t_end, message",
         [
             (2, 1.0, 4.0, "got T = 4.0 and M = 4, T/M = 1"),  # given both starting values
-            (3, 0.1, 0.0, "got T = 0.0 and M = 0, T/M = nan"),
+            (3, 0.1, 0.0, "T must be positive and finite, got 0.0"),
+            # at q = 1 too, a T that is not positive and finite and an M below 1
+            (1, 0.1, 0.0, "T must be positive and finite, got 0.0"),
+            (1, 0.1, -1.0, "T must be positive and finite, got -1.0"),
+            (1, 0.1, np.inf, "T must be positive and finite, got inf"),
+            (1, 0.1, np.nan, "T must be positive and finite, got nan"),
+            (1, 0.1, 1e-14, "M must be at least 1, got 0"),  # shorter than half a step
             (6, 0.1, 1.0, "BDF order must be in 1..5, got 6"),
             # a bootstrap plan that cannot run, counted but never run or allocated
             (5, 1.25e-13, 1e-12, "BDF-5 with T = 1e-12 and M = 8 plans 113147289155 bootstrap steps, above the bound of 100000"),
@@ -588,9 +596,9 @@ class TestIntegrate:
 
         for starting in ([np.array([1.0])], [np.array([1.0])] * q):
             with pytest.raises(ValueError, match=re.escape(message)):
-                integrate(q, dt, t_end, starting, linearisation, tight)
+                integrate(q, dt, t_end, starting, linearisation, TIGHT)
         assert calls == []
 
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
-            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), tight)
+            integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), TIGHT)

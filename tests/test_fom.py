@@ -5,7 +5,7 @@ BDF-5 solves, persistence, and boundary handling."""
 import numpy as np
 import pytest
 
-from helpers import as_dense, fom_residual_oracle, load_oracle, norms, on_pattern
+from helpers import as_dense, clamped_space, fom_residual_oracle, load_oracle, norms, on_pattern
 from podrom import fom
 from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, integrate
 from podrom.fom import (
@@ -53,8 +53,8 @@ EPS = np.finfo(np.float64).eps
 ROUNDING_K = 16
 
 
-def small_space(n_side=4, degree=1, dirichlet="gamma1"):
-    return build_space(build_mesh(n_side), degree, dirichlet=dirichlet)
+def small_space(n_side=4, degree=1):
+    return build_space(build_mesh(n_side), degree)
 
 
 def three_component_system():
@@ -275,7 +275,7 @@ class TestHeatDecay:
         # u0 = sin(pi x) sin(pi y) vanishes on the whole boundary and decays
         # as exp(-2 nu pi^2 t)
         nu = 0.1
-        space = build_space(build_mesh(16), 2, dirichlet="all")
+        space = clamped_space(16, 2)
         sys = heat_system(nu)
         f0 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
         u0 = interpolate(space, f0)[None, :]
@@ -313,7 +313,7 @@ class TestReferenceTrajectory:
     def test_single_interior_dof_closed_form(self):
         # n_side = 2, P1, fully clamped: one interior dof, so the Galerkin
         # system is the scalar ODE m u' + nu a u = 0
-        space = build_space(build_mesh(2), 1, dirichlet="all")
+        space = clamped_space(2, 1)
         free = ~space.dirichlet_mask
         assert free.sum() == 1
         i = int(np.flatnonzero(free)[0])
@@ -341,8 +341,19 @@ class TestReferenceTrajectory:
         space = small_space(2, 1)
         sys = brusselator_system(0.002)
         eq = perturbed_equilibrium(space, 0.0)
-        with pytest.raises(ValueError, match="Newton tolerance must be positive"):
+        with pytest.raises(ValueError, match="newton_rule must be"):
             fom_integrate(sys, space, eq, 0.05, 0.2, 5, tol=0.0)
+
+    @pytest.mark.parametrize("dt, t_end", [(-0.1, -1.0), (0.0, 1.0)])
+    def test_rejects_a_step_that_is_not_positive(self, monkeypatch, dt, t_end):
+        # a negative step would integrate backward in time, a zero one divide by zero
+        calls = []
+        monkeypatch.setattr(FomOperator, "linearisation", lambda op, scheme, step: calls.append(step))
+        space = small_space(2, 1)
+        u0 = np.ones((1, space.n_dof))
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}$"):
+            fom_integrate(heat_system(0.1), space, u0, dt, t_end, 1)
+        assert calls == []
 
 
 class TestInexactNewton:
@@ -430,9 +441,8 @@ class TestInexactNewton:
 
         monkeypatch.setattr(fom, "krylov_solve", counting)
         u0 = perturbed_equilibrium(space, 0.2).ravel()
-        tol = lambda order, step: self.TOL
         states, counts, boot_counts = integrate(
-            self.Q, dt, self.M * self.DT, [u0], op.linearisation, tol
+            self.Q, dt, self.M * self.DT, [u0], op.linearisation, self.TOL
         )
         assert self.worst_step_residual(op, states, dt) <= 2 * self.TOL
         return states, sum(iterations), sum(unstarted), counts + boot_counts

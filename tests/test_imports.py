@@ -6,7 +6,7 @@ reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
 table value in ``write_csv`` alone, each run rule's message is written in
-one function, only the BDF first-difference form and the ROM's
+one function, the Newton rule reaches the time loop as data, only the BDF first-difference form and the ROM's
 linearisation read the first-difference weights, the mesh and the space
 are built without a loop, no module reads a Matrix Market file back, only
 ``CsrMatrix.from_coo`` constructs a CSR matrix, every target that
@@ -283,7 +283,10 @@ RULE_MESSAGES = {
     "needs a step T/M below 1": "bdf.py:check_step",
     "bootstrap steps, above the bound": "bdf.py:check_step",
     "plans a bootstrap substep": "bdf.py:check_step",
-    "newton_rule must be": "rom.py:newton_tolerance",
+    "T must be positive and finite": "bdf.py:check_step",
+    "M must be at least 1": "bdf.py:check_step",
+    "newton_rule must be": "bdf.py:newton_tolerance",
+    "the Newton tolerance must be positive": "bdf.py:newton_tolerance",
     "nu must be positive and finite": "fom.py:ReactionSystem.__post_init__",
 }
 
@@ -304,6 +307,37 @@ def test_each_run_rule_has_one_owner(text):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
         )
     assert holders == {RULE_MESSAGES[text]}, ", ".join(sorted(holders))
+
+
+#: the functions that run the BDF-q loop, whose last parameter is the Newton
+#: rule itself, which ``bdf.newton_tolerance`` resolves
+RULE_TAKERS = ("integrate", "run_bootstrap")
+
+
+def tolerance_callables(path):
+    """Every function or lambda of the module at ``path`` whose parameters
+    are exactly (order, step): a tolerance callable, built or taken."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if [a.arg for a in node.args.args] == ["order", "step"]:
+                yield f"{getattr(node, 'name', 'lambda')} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_newton_rule_is_data(path):
+    """The Newton rule reaches the time loop as data, "step-coupled" or a
+    number, and only ``bdf.newton_tolerance`` turns it into a tolerance: no
+    module builds a ``tol(order, step)`` callable, and the loop's functions
+    take the rule as their last parameter, ``newton_rule``."""
+    found = list(tolerance_callables(path))
+    if path.name == "bdf.py":
+        functions = functions_by_qualified_name(ast.parse(path.read_text()))
+        found += [
+            f"{name} takes {functions[name].args.args[-1].arg} last"
+            for name in RULE_TAKERS
+            if functions[name].args.args[-1].arg != "newton_rule"
+        ]
+    assert not found, ", ".join(found)
 
 
 #: the functions that may read a scheme's first-difference weights: the form

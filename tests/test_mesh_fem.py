@@ -176,10 +176,6 @@ class TestSpace:
         # corners (1,0) and (0,1) belong to the closed Dirichlet set
         assert space.dirichlet_mask[np.isclose(x, 1.0) & np.isclose(y, 0.0)].all()
 
-    def test_rejects_an_unknown_dirichlet_selector(self):
-        with pytest.raises(ValueError, match="unknown dirichlet selector 'gamma3'"):
-            build_space(build_mesh(2), 1, dirichlet="gamma3")
-
     def test_fine_p2_free_dof_reconciliation(self):
         # two-component P2 system on the 80-subdivision mesh: 51200 unknowns
         space = build_space(build_mesh(80), 2)

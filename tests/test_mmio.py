@@ -190,6 +190,10 @@ BANNER = "%%MatrixMarket matrix array real general\n"
         ("2 2\n", "expected 2 x 2 = 4 values, found 0"),
         ("2 1\n1\n2\n3\n", "more than the 2 values the size line gives"),
         ("3 1\n1\nabc\n3\n", "a non-numeric value after the first"),
+        # the count names the values before the bad token, wherever a block ends
+        ("2 1\n1.0\nabc\n", "a non-numeric value after the first 1 values"),
+        ("4 1\n1\n2\n3\nabc\n", "a non-numeric value after the first 3 values"),
+        ("3 1\n1 2 x\n3\n", "a non-numeric value after the first 2 values"),
         ("2 1\n1\n2,\n", "a non-numeric value after the first"),
         ("2 1\n1\n% late comment\n", "a non-numeric value"),
     ],
@@ -213,7 +217,7 @@ def test_non_numeric_value_on_a_numpy_that_only_warns(tmp_path, monkeypatch):
     monkeypatch.setattr(mmio.np, "fromstring", fromstring_that_warns)
     path = tmp_path / "bad.mtx"
     path.write_text(BANNER + "3 1\n1\nabc\n3\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: a non-numeric value after the first 0 values")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a non-numeric value after the first 1 values")):
         mmio.read(path)
 
 

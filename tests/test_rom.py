@@ -8,8 +8,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import as_dense, load_oracle, on_pattern
-from podrom.bdf import bdf_coefficients, bdf_increment_form
+from helpers import as_dense, clamped_space, load_oracle, on_pattern
+from podrom import bdf
+from podrom.bdf import bdf_coefficients, bdf_increment_form, bootstrap_plan, newton_tolerance
 from podrom.fom import (
     brusselator_system,
     fom_integrate,
@@ -32,7 +33,6 @@ from podrom.rom import (
     RomTrajectory,
     _reaction_tensor,
     initial_coords,
-    newton_tolerance,
     reaction_slope,
     rom_assemble,
     rom_integrate,
@@ -56,7 +56,7 @@ def brusselator_setup(n_side=4, m=16, t_end=1.6, w0_mode=W0_ZERO, r=None):
 
 def forced_heat_setup():
     # P1, cubic reaction and a time-dependent forcing: exercises the load path
-    space = build_space(build_mesh(6), 1, dirichlet="all")
+    space = clamped_space(6, 1)
     sys = heat_system(
         0.1,
         forcing=[(lambda t: 1.0 + t, lambda x, y: np.sin(np.pi * x) * np.sin(2.0 * np.pi * y))],
@@ -70,7 +70,7 @@ def forced_heat_setup():
 
 def heat_reaction_setup(power, r=None):
     # P1 heat with the single monomial reaction 0.7 u^power, about the snapshot mean
-    space = build_space(build_mesh(4), 1, dirichlet="all")
+    space = clamped_space(4, 1)
     sys = heat_system(0.1, reaction={power: 0.7})
     u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
     traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
@@ -203,7 +203,7 @@ class TestLift:
 
 class TestResidualAndJacobian:
     def test_linear_heat_jacobian_closed_form(self):
-        space = build_space(build_mesh(4), 1, dirichlet="all")
+        space = clamped_space(4, 1)
         sys = heat_system(0.5)
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
         traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
@@ -219,7 +219,7 @@ class TestResidualAndJacobian:
     def test_reaction_free_system_takes_the_zero_tensor_path(self):
         # without monomials T is stored at D = 1 as zeros, so the residual is
         # K d + fixed and the Jacobian K, whatever the candidate
-        space = build_space(build_mesh(4), 1, dirichlet="all")
+        space = clamped_space(4, 1)
         sys = heat_system(0.5)
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
         snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2))
@@ -384,17 +384,56 @@ class TestResidualAndJacobian:
 
 class TestNewtonTolerance:
     def test_rule_and_override(self):
-        assert newton_tolerance("step-coupled")(3, 0.1) == pytest.approx(1e-5)
-        assert newton_tolerance("step-coupled")(1, 0.5) == pytest.approx(5e-3)
-        assert newton_tolerance(1e-9)(3, 0.1) == 1e-9
+        assert newton_tolerance("step-coupled", 3, 0.1) == pytest.approx(1e-5)
+        assert newton_tolerance("step-coupled", 1, 0.5) == pytest.approx(5e-3)
+        assert newton_tolerance(1e-9, 3, 0.1) == 1e-9
 
     @pytest.mark.parametrize("rule", ["inf", 0, "paper"])
     def test_rejects_a_rule_that_is_not_a_positive_finite_number(self, rule):
         with pytest.raises(ValueError, match="newton_rule must be step-coupled or a positive finite number"):
-            newton_tolerance(rule)
+            newton_tolerance(rule, 3, 0.1)
+
+    def test_rejects_a_step_coupled_tolerance_that_underflows(self):
+        with pytest.raises(ValueError, match="the Newton tolerance must be positive and finite, got 0.0"):
+            newton_tolerance("step-coupled", 2, 1e-200)
+
+    def test_each_implicit_step_gets_the_rule_at_its_order_and_step(self, monkeypatch):
+        # the loop resolves the rule once per run and per bootstrap segment:
+        # a segment's steps at its own order and substep, the main loop's at
+        # (q, dt); the FOM's fixed rule gives every step the same tolerance
+        q, m, t_end = 5, 16, 1.6
+        dt = t_end / m
+        space = build_space(build_mesh(4), 2)
+        system = brusselator_system(0.002)
+        got, step = [], bdf.implicit_step
+
+        def spy(scheme, history, linearise, tol):
+            got.append((scheme.q, tol))
+            return step(scheme, history, linearise, tol)
+
+        monkeypatch.setattr(bdf, "implicit_step", spy)
+        grid = [(order, s) for order, s, count in bootstrap_plan(q, dt) for _ in range(count)]
+        grid += [(q, dt)] * (m - q + 1)
+        traj = fom_integrate(system, space, perturbed_equilibrium(space), dt, t_end, q)
+        assert got == [(order, 1e-10) for order, _ in grid]
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
+        romsys = rom_assemble(basis, 4, space, system, lift=snaps.mean)
+        got.clear()
+        rom_integrate(romsys, q, dt, t_end, ("bootstrap", initial_coords(romsys, traj.states[0])), "step-coupled")
+        assert got == [(order, newton_tolerance("step-coupled", order, s)) for order, s in grid]
 
 
 class TestIntegration:
+    @pytest.mark.parametrize("dt, t_end", [(-0.1, -1.0), (0.0, 1.0)])
+    def test_rejects_a_step_that_is_not_positive(self, monkeypatch, dt, t_end):
+        # a negative step would integrate backward in time, a zero one divide by zero
+        _, _, _, romsys = brusselator_setup()
+        calls = []
+        monkeypatch.setattr(rom, "rom_linearisation", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}$"):
+            rom_integrate(romsys, 1, dt, t_end, ("bootstrap", np.zeros(romsys.r)))
+        assert calls == []
+
     def test_equilibrium_coords_stay_zero(self):
         # lift at the equilibrium: the reduced dynamics must fix coords = 0
         traj, snaps, basis, _ = brusselator_setup(w0_mode=W0_INITIAL)
@@ -425,7 +464,7 @@ class TestIntegration:
 
     def test_modal_heat_decay_and_temporal_order(self):
         # a single-mode basis reduces the heat equation to m c' = -nu a c
-        space = build_space(build_mesh(8), 2, dirichlet="all")
+        space = clamped_space(8, 2)
         nu = 0.4
         sys = heat_system(nu)
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
