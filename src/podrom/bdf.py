@@ -260,8 +260,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     ``implicit_step``).
     Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
     every bootstrap segment the same at its own order and step. A dt that is
-    not positive and finite, a grid ``check_step`` rejects or a rule
-    ``newton_tolerance`` rejects fails before any step.
+    not positive and finite or that T/dt overflows, a grid ``check_step``
+    rejects or a rule ``newton_tolerance`` rejects fails before any step.
     ``history`` is a view of the trajectory itself, so callbacks must not
     write to it.
 
@@ -274,6 +274,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     ratio = t_end / dt
+    if math.isfinite(t_end) and not math.isfinite(ratio):
+        raise ValueError(f"dt = {dt} is too small for T = {t_end}: T/dt overflows")
     m_steps = round(ratio) if math.isfinite(ratio) else 0  # a t_end check_step rejects
     if abs(ratio - m_steps) > 1e-12 * max(1.0, ratio):
         raise ValueError(f"dt = {dt} does not divide t_end = {t_end}")

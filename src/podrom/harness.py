@@ -219,9 +219,9 @@ def temporal_convergence_study(
     reference on a ref_factor-times-finer grid.
 
     Returns a dict keyed by q with rows (M, max_l2, max_h1, start_l2,
-    start_h1, newton_counts, max_l2_step, max_h1_step), a ``_step`` the
-    main-loop step n (at t_n = n dt) of its maximum; max_l2 and max_h1 are
-    NaN, and their steps None, when M < q leaves no main-loop step. Raises
+    start_h1, newton_counts, max_l2_step, max_h1_step): ``_main_loop_maxima``
+    of the L2 and H1 errors gives the maxima and their steps n (at t_n = n dt),
+    and start_* the largest error at the starting values n = 1..q-1. Raises
     ValueError, before any run, for an M that does not divide the
     reference's M and for a sweep or reference grid ``check_step`` rejects.
     """
@@ -242,17 +242,13 @@ def temporal_convergence_study(
             dt = t_end / m
             rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
             l2, h1 = _reduced_norms(romsys, rt.coords - ref.coords[:: m_ref // m])
-            max_l2, max_h1 = _main_loop_max(l2, q), _main_loop_max(h1, q)  # (maximum, step) pairs
             rows.append(
                 {
                     "M": m,
-                    "max_l2": max_l2[0],
-                    "max_h1": max_h1[0],
+                    **_main_loop_maxima(q, max_l2=l2, max_h1=h1),
                     "start_l2": float(l2[1:q].max(initial=0.0)),
                     "start_h1": float(h1[1:q].max(initial=0.0)),
                     "newton_counts": rt.newton_iteration_counts,
-                    "max_l2_step": max_l2[1],
-                    "max_h1_step": max_h1[1],
                 }
             )
         results[q] = rows
@@ -267,12 +263,12 @@ def r_refinement_study(
     newton_rule="step-coupled",
 ):
     """Rank-refinement table: max errors of u_r^n against P^r u_h(t_n) and
-    the projection errors (I - P^r) u_h(t_n) over the main-loop steps
-    n = q..M of the fine FOM grid, NaN when M < q, in L2 and the H1 seminorm:
-    rows (r, pod_l2, pod_h1, proj_l2, proj_h1) and the main-loop step n of
-    each maximum, under its key with ``_step`` appended (None when M < q).
-    A fine grid that ``check_step`` rejects at q (ValueError) or a rank outside
-    the basis (InvalidRankError) raises before any run."""
+    the projection errors (I - P^r) u_h(t_n) in L2 and the H1 seminorm, rows
+    (r, pod_l2, pod_h1, proj_l2, proj_h1) with each key's ``_step``: the
+    ``_main_loop_maxima`` over the fine FOM grid, the projection maxima
+    taken of the squared norms and rooted after. A fine grid that
+    ``check_step`` rejects at q (ValueError) or a rank outside the basis
+    (InvalidRankError) raises before any run."""
     t_end = fom_fine.times[-1]
     dt = fom_fine.dt
     check_step(q, t_end, fom_fine.n_steps)
@@ -285,33 +281,26 @@ def r_refinement_study(
         coords0 = initial_coords(romsys, fom_fine.states[0])
         rt = rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0), newton_rule)
         proj_coords, (proj_l2_sq, proj_h1_sq) = projection_errors(setup.basis, r, fluct, grams)
-        # (maximum, step) pairs
-        pod_l2, pod_h1 = (_main_loop_max(v, q) for v in _reduced_norms(romsys, rt.coords - proj_coords.T))
-        proj_l2, proj_h1 = _main_loop_max(proj_l2_sq, q), _main_loop_max(proj_h1_sq, q)
-        rows.append(
-            {
-                "r": r,
-                "pod_l2": pod_l2[0],
-                "pod_h1": pod_h1[0],
-                "proj_l2": float(np.sqrt(proj_l2[0])),
-                "proj_h1": float(np.sqrt(proj_h1[0])),
-                "pod_l2_step": pod_l2[1],
-                "pod_h1_step": pod_h1[1],
-                "proj_l2_step": proj_l2[1],
-                "proj_h1_step": proj_h1[1],
-            }
-        )
+        pod_l2, pod_h1 = _reduced_norms(romsys, rt.coords - proj_coords.T)
+        maxima = _main_loop_maxima(q, pod_l2=pod_l2, pod_h1=pod_h1, proj_l2=proj_l2_sq, proj_h1=proj_h1_sq)
+        row = {"r": r, **maxima}
+        for key in ("proj_l2", "proj_h1"):
+            row[key] = float(np.sqrt(row[key]))
+        rows.append(row)
     return rows
 
 
-def _main_loop_max(values: np.ndarray, q: int):
-    """The largest of values[q:], the main-loop steps, floored at 0, and the
-    step n = q.. that holds it, or (NaN, None) when M < q leaves no
-    main-loop step to compare."""
-    if len(values) <= q:
-        return np.nan, None
-    main = values[q:]
-    return float(main.max(initial=0.0)), q + int(np.argmax(main))
+def _main_loop_maxima(q: int, **errors):
+    """For each named per-step error array, its largest value over the
+    main-loop steps n = q..M, floored at 0, under the name, and the step n
+    that holds it under the name plus ``_step``; NaN and None when M < q
+    leaves no main-loop step to compare."""
+    maxima = {}
+    for name, values in errors.items():
+        main = values[q:]
+        top = (float(main.max(initial=0.0)), q + int(np.argmax(main))) if len(main) else (np.nan, None)
+        maxima[name], maxima[name + "_step"] = top
+    return maxima
 
 
 def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1, q: int = 3):

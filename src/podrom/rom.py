@@ -77,7 +77,6 @@ class RomSystem:
 
 @dataclass
 class RomTrajectory:
-    times: np.ndarray
     coords: np.ndarray  # (M + 1, r)
     dt: float
     q: int
@@ -253,13 +252,13 @@ def rom_integrate(
     dt: float,
     t_end: float,
     init,
-    newton_tol_rule="step-coupled",
+    newton_rule="step-coupled",
 ) -> RomTrajectory:
     """BDF-q time loop in reduced coordinates.
 
     ``init`` is ("bootstrap", coords0): the q - 1 further starting values
     are bootstrapped from the reduced initial condition coords0 with
-    lower-order integrations. ``newton_tol_rule`` goes to ``bdf.integrate``
+    lower-order integrations. ``newton_rule`` goes to ``bdf.integrate``
     as it is: each segment's Newton tolerance is ``bdf.newton_tolerance`` of
     it at the segment's own order and step.
     """
@@ -267,23 +266,22 @@ def rom_integrate(
     if mode != "bootstrap":
         raise ValueError(f"unknown init mode {mode!r}")
     linearisation = partial(rom_linearisation, romsys)
-    coords, counts, boot_counts = integrate(q, dt, t_end, [coords0], linearisation, newton_tol_rule)
+    coords, counts, boot_counts = integrate(q, dt, t_end, [coords0], linearisation, newton_rule)
     return RomTrajectory(
-        dt * np.arange(len(coords)),
         coords,
         dt,
         q,
         np.array(counts, dtype=np.int64),
         np.array(boot_counts, dtype=np.int64),
-        newton_tol_rule,
+        newton_rule,
     )
 
 
 def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
     """Lift a reduced trajectory back to stacked nodal states."""
     nodal = rt.coords @ romsys.modes.T + romsys.lift[None, :]
-    states = nodal.reshape(len(rt.times), romsys.system.n_components, romsys.space.n_dof)
-    return Trajectory(rt.times, states, rt.dt, romsys.space)
+    states = nodal.reshape(len(rt.coords), romsys.system.n_components, romsys.space.n_dof)
+    return Trajectory(rt.dt * np.arange(len(rt.coords)), states, rt.dt, romsys.space)
 
 
 def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str):
@@ -291,7 +289,7 @@ def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str):
     q and the run's Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx
     and the Newton counts <stem>.newton.csv. Nodal states: lift + modes @ coords."""
     extra = {"r": romsys.r, "q": rt.q, "newton_rule": rt.newton_rule}
-    save_header(stem, rt.dt, len(rt.times) - 1, romsys.system.n_components, romsys.space, extra)
+    save_header(stem, rt.dt, len(rt.coords) - 1, romsys.system.n_components, romsys.space, extra)
     mmio.write_dense(stem + ".coords.mtx", rt.coords.T)
     counts = rt.newton_iteration_counts
     rows = np.column_stack((rt.q + np.arange(len(counts)), counts))

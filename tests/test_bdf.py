@@ -599,6 +599,22 @@ class TestIntegrate:
                 integrate(q, dt, t_end, starting, linearisation, TIGHT)
         assert calls == []
 
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_rejects_a_step_whose_window_overflows(self, q):
+        # a finite T over a tiny dt: T/dt overflows, which is not an M of 0
+        calls = []
+
+        def linearisation(scheme, step):
+            calls.append(step)
+            return scalar_linearisation(-2.0)(scheme, step)
+
+        for starting in ([np.array([1.0])], [np.array([1.0])] * q):
+            with pytest.raises(ValueError, match=re.escape("dt = 1e-300 is too small for T = 10000000000.0")):
+                integrate(q, 1e-300, 1e10, starting, linearisation, TIGHT)
+            with pytest.raises(ValueError, match="T must be positive and finite, got inf"):
+                integrate(q, 1e-300, np.inf, starting, linearisation, TIGHT)
+        assert calls == []
+
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
             integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), TIGHT)

@@ -5,7 +5,8 @@ names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
-table value in ``write_csv`` alone, each run rule's message is written in
+table value in ``write_csv`` alone, only ``_main_loop_maxima`` names a
+study's ``_step`` key, each run rule's message is written in
 one function, the Newton rule reaches the time loop as data, only the BDF first-difference form and the ROM's
 linearisation read the first-difference weights, the mesh and the space
 are built without a loop, no module reads a Matrix Market file back, only
@@ -261,21 +262,34 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
     assert not found, ", ".join(found)
 
 
-def test_only_write_csv_formats_a_table_value():
-    """harness formats a table value in ``write_csv`` alone: a .6g format
-    spec (an f-string's, ``format``'s or a %-format's) anywhere else in
-    harness.py would be a second path that a table could drift along."""
+def harness_string_holders(matches):
+    """The "function (line n)" of each string literal of harness.py that
+    ``matches``, docstrings aside: a bare string statement does nothing."""
     tree = ast.parse((Path(podrom.__file__).parent / "harness.py").read_text())
-    # a bare string statement (a docstring) formats nothing
     skip = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
-    holders = {
+    return {
         f"{getattr(top, 'name', '<module>')} (line {node.lineno})"
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and ".6g" in node.value and id(node) not in skip
+        and matches(node.value) and id(node) not in skip
     }
+
+
+def test_only_write_csv_formats_a_table_value():
+    """harness formats a table value in ``write_csv`` alone: a .6g format
+    spec (an f-string's, ``format``'s or a %-format's) anywhere else in
+    harness.py would be a second path that a table could drift along."""
+    holders = harness_string_holders(lambda text: ".6g" in text)
     assert holders and all(h.startswith("write_csv ") for h in holders), ", ".join(sorted(holders))
+
+
+def test_only_the_maxima_helper_names_a_step_key():
+    """A study row takes each pointwise-in-time maximum and its step from
+    ``_main_loop_maxima``: a string ending in ``_step`` anywhere else in
+    harness.py would be a second, hand-written (maximum, step) pair."""
+    holders = harness_string_holders(lambda text: text.endswith("_step"))
+    assert holders and all(h.startswith("_main_loop_maxima ") for h in holders), ", ".join(sorted(holders))
 
 
 RULE_MESSAGES = {
@@ -285,6 +299,7 @@ RULE_MESSAGES = {
     "plans a bootstrap substep": "bdf.py:check_step",
     "T must be positive and finite": "bdf.py:check_step",
     "M must be at least 1": "bdf.py:check_step",
+    "T/dt overflows": "bdf.py:integrate",
     "newton_rule must be": "bdf.py:newton_tolerance",
     "the Newton tolerance must be positive": "bdf.py:newton_tolerance",
     "nu must be positive and finite": "fom.py:ReactionSystem.__post_init__",
@@ -309,9 +324,13 @@ def test_each_run_rule_has_one_owner(text):
     assert holders == {RULE_MESSAGES[text]}, ", ".join(sorted(holders))
 
 
-#: the functions that run the BDF-q loop, whose last parameter is the Newton
-#: rule itself, which ``bdf.newton_tolerance`` resolves
-RULE_TAKERS = ("integrate", "run_bootstrap")
+#: the functions that run the BDF-q loop, or a model or a study on it, whose
+#: last parameter is the Newton rule itself, which ``bdf.newton_tolerance`` resolves
+RULE_TAKERS = {
+    "bdf.py": ("integrate", "run_bootstrap"),
+    "rom.py": ("rom_integrate",),
+    "harness.py": ("temporal_convergence_study", "r_refinement_study"),
+}
 
 
 def tolerance_callables(path):
@@ -330,13 +349,12 @@ def test_the_newton_rule_is_data(path):
     module builds a ``tol(order, step)`` callable, and the loop's functions
     take the rule as their last parameter, ``newton_rule``."""
     found = list(tolerance_callables(path))
-    if path.name == "bdf.py":
-        functions = functions_by_qualified_name(ast.parse(path.read_text()))
-        found += [
-            f"{name} takes {functions[name].args.args[-1].arg} last"
-            for name in RULE_TAKERS
-            if functions[name].args.args[-1].arg != "newton_rule"
-        ]
+    functions = functions_by_qualified_name(ast.parse(path.read_text()))
+    found += [
+        f"{name} takes {functions[name].args.args[-1].arg} last"
+        for name in RULE_TAKERS.get(path.name, ())
+        if functions[name].args.args[-1].arg != "newton_rule"
+    ]
     assert not found, ", ".join(found)
 
 

@@ -123,7 +123,7 @@ def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
 def lifted(romsys, coords):
     """The stacked nodal state of one coordinate vector, by ``rom_to_nodal_trajectory``."""
     empty = np.zeros(0, dtype=np.int64)
-    rt = RomTrajectory(np.zeros(1), np.atleast_2d(coords), 1.0, 1, empty, empty, "step-coupled")
+    rt = RomTrajectory(np.atleast_2d(coords), 1.0, 1, empty, empty, "step-coupled")
     return rom_to_nodal_trajectory(romsys, rt).stacked()[0]
 
 
