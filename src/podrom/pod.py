@@ -1,8 +1,12 @@
-"""Snapshot sets of tau-scaled first-order difference quotients, correlation
-matrices in the H^1_0 (or L^2) inner product, POD modes, projectors and the
-eigenvalue-tail identity. Every projection onto the modes goes through
-``project``, which holds the one rank check 0 <= r <= d_r, and every
-projection error ||(I - P^r) v||_G through ``projection_errors``.
+"""Snapshot sets of tau-scaled first-order difference quotients, POD bases,
+projectors, the eigenvalue-tail identity and the pointwise-in-time bound.
+A basis's inner product, H10 or L2, is set by its name alone: ``pod_basis``
+forms the Gram operator from the name through ``gram_matrix`` and the
+correlation matrix from that operator, so the basis's label, the
+orthonormality of its modes and its bound are all in the named space.
+Every projection onto the modes goes through ``project``, which holds the
+one rank check 0 <= r <= d_r, and every projection error ||(I - P^r) v||_G
+through ``projection_errors``.
 
 With N = M + 1 snapshots the first column is sqrt(N) w0 (w0 = initial state,
 trajectory mean, or identically zero after mean subtraction) and columns
@@ -32,9 +36,6 @@ INNER_PRODUCTS = (H10, L2)
 
 #: correlation eigenvalues below RANK_TOL * lambda_1 are numerically zero
 RANK_TOL = 1e-12
-
-#: Poincare constant upper bound on the unit square, reporting only.
-POINCARE_UNIT_SQUARE = 1.0 / (np.pi * np.sqrt(2.0))
 
 
 class DegenerateSnapshotsError(Exception):
@@ -114,17 +115,16 @@ def correlation_matrix(snaps: SnapshotSet, gram: ElementOperator) -> np.ndarray:
     return (snaps.columns.T @ gy) / snaps.n_snapshots
 
 
-def pod_basis(
-    snaps: SnapshotSet,
-    k: np.ndarray,
-    gram: ElementOperator,
-    inner_product: str = H10,
-) -> PodBasis:
-    """Eigenpairs of the correlation matrix and the induced orthonormal modes.
+def pod_basis(snaps: SnapshotSet, space: FeSpace, inner_product: str) -> PodBasis:
+    """Eigenpairs of the correlation matrix in the named inner product and
+    the modes orthonormal in it. The name forms the Gram operator over the
+    columns' rows // ``space.n_dof`` stacked fields; columns that are not
+    whole fields of ``space`` raise ValueError.
 
     Eigenvalues below RANK_TOL * lambda_1 are discarded as numerically zero.
     """
-    lam, vecs = sym_eigen(k)
+    gram = gram_matrix(space, inner_product, snaps.columns.shape[0] // space.n_dof)
+    lam, vecs = sym_eigen(correlation_matrix(snaps, gram))
     if not (len(lam) and 0 < lam[0] < np.inf):
         raise DegenerateSnapshotsError("all correlation eigenvalues are numerically zero")
     d_r = int(np.sum(lam > RANK_TOL * lam[0]))
@@ -144,13 +144,9 @@ def build_pod_basis(
     w0_mode: str = W0_ZERO,
     inner_product: str = H10,
 ):
-    """Convenience pipeline: snapshots -> correlation matrix -> basis."""
+    """Convenience pipeline: snapshots -> basis."""
     snaps = build_snapshots(traj, tau, w0_mode)
-    n_comp = traj.states.shape[1]
-    gram = gram_matrix(traj.space, inner_product, n_comp)
-    k = correlation_matrix(snaps, gram)
-    basis = pod_basis(snaps, k, gram, inner_product)
-    return snaps, basis
+    return snaps, pod_basis(snaps, traj.space, inner_product)
 
 
 def project(basis: PodBasis, r: int, v: np.ndarray):
@@ -187,33 +183,24 @@ def tail_identity_check(snaps: SnapshotSet, basis: PodBasis, r: int):
 
 
 def pointwise_projection_report(traj: Trajectory, snaps: SnapshotSet, basis: PodBasis, r: int):
-    """Measured pointwise projection maxima against the eigenvalue-tail bound.
+    """Measured pointwise projection maximum against the eigenvalue-tail
+    bound, both in the basis's own inner product X, H10 or L2 (Kunisch &
+    Volkwein, Numer. Math. 90, 2001, which states it in any Hilbert space X
+    the POD is built in).
 
     The states are centred on ``snaps.mean`` (zero unless the set was built
     with mean subtraction), and the bound uses the set's ``tau`` and
-    ``w0_mode``. Returns (max_l2, max_h1, bound_l2, bound_h1). Both bounds
-    are stated for an H10 basis (ValueError otherwise): the H1 bound
-    (2 + 4 Ctilde T^2 / tau^2) * tail is constant-free; the L2 bound uses the
-    analytic unit-square Poincare constant and is informational only.
+    ``w0_mode``. Returns (max_n ||(I - P^r)(u^n - mean)||_X,
+    sqrt((2 + 4 Ctilde T^2 / tau^2) sum_{k>r} lambda_k)), with Ctilde 1 for
+    the initial-state anchor and 4 otherwise.
     """
-    if basis.inner_product != H10:
-        raise ValueError(f"the pointwise bound needs an {H10} basis, got {basis.inner_product}")
     c_tilde = 1.0 if snaps.w0_mode == W0_INITIAL else 4.0
     u = traj.stacked() - snaps.mean[None, :]
-    nc = traj.states.shape[1]
-    grams = [gram_matrix(traj.space, L2, nc), gram_matrix(traj.space, H10, nc)]
-    l2_sq, h1_sq = projection_errors(basis, r, u.T, grams)[1]
+    sq = projection_errors(basis, r, u.T, [basis.gram_operator])[1][0]
     t_total = traj.times[-1] - traj.times[0]
     tail = float(np.sum(basis.eigenvalues[r:]))
     factor = 2.0 + 4.0 * c_tilde * t_total**2 / snaps.tau**2
-    bound_h1 = factor * tail
-    bound_l2 = POINCARE_UNIT_SQUARE**2 * bound_h1
-    return (
-        float(np.sqrt(np.max(l2_sq))),
-        float(np.sqrt(np.max(h1_sq))),
-        float(np.sqrt(bound_l2)),
-        float(np.sqrt(bound_h1)),
-    )
+    return float(np.sqrt(np.max(sq))), float(np.sqrt(factor * tail))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Oracles that only the tests use: the mesh and the Lagrange space built
 cell by cell, a space clamped on its whole boundary, a CSR matrix as a
 dense array, pattern-aligned values as a CSR matrix on the space's
-pattern, the L2 norm and H1 seminorm of a nodal field, the FOM's BDF
-residual from the assembled scalar mass and stiffness, component by
-component, the load of a forcing by its pointwise values, the projection
-errors by their plain formula, and BiCGStab as a fresh array per operation."""
+pattern, the identity as a CSR matrix, the L2 norm and H1 seminorm of a
+nodal field, the FOM's BDF residual from the assembled scalar mass and
+stiffness, component by component, the load of a forcing by its pointwise
+values, the projection errors by their plain formula, and BiCGStab as a
+fresh array per operation."""
 
 import numpy as np
 
@@ -101,6 +102,12 @@ def on_pattern(space, values) -> CsrMatrix:
     """Values aligned with ``assemble_mass(space)``'s entries as a CSR matrix on its pattern."""
     pattern = assemble_mass(space)
     return CsrMatrix(pattern.rows, pattern.cols, pattern.row_offsets, pattern.col_indices, values)
+
+
+def eye_csr(n) -> CsrMatrix:
+    """The n x n identity as a CSR matrix."""
+    idx = np.arange(n)
+    return CsrMatrix.from_coo(n, n, idx, idx, np.ones(n))
 
 
 def norms(space, v):

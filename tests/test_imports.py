@@ -6,13 +6,14 @@ reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
 none of numpy's dispatch-heavy forms of its kernels, harness formats a
 table value in ``write_csv`` alone, only ``_main_loop_maxima`` names a
-study's ``_step`` key, each run rule's message is written in
-one function, the Newton rule reaches the time loop as data, only the BDF first-difference form and the ROM's
-linearisation read the first-difference weights, the mesh and the space
-are built without a loop, no module reads a Matrix Market file back, only
-``CsrMatrix.from_coo`` constructs a CSR matrix, every target that
-perfbench's tracer wraps still exists, the time loop's work passes through
-the traced names, and perfbench's workloads still run.
+study's ``_step`` key, each run rule's message is written in one
+function, the Newton rule reaches the time loop as data, a POD basis's
+inner product is set by its name alone, only the BDF first-difference
+form and the ROM's linearisation read the first-difference weights, the
+mesh and the space are built without a loop, no module reads a Matrix
+Market file back, only ``CsrMatrix.from_coo`` constructs a CSR matrix,
+every target that perfbench's tracer wraps still exists, the time loop's
+work passes through the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -355,6 +356,46 @@ def test_the_newton_rule_is_data(path):
         for name in RULE_TAKERS.get(path.name, ())
         if functions[name].args.args[-1].arg != "newton_rule"
     ]
+    assert not found, ", ".join(found)
+
+
+#: the inner products' names, as ``pod`` binds them and as their string values
+INNER_PRODUCT_NAMES = {"H10", "L2"}
+
+
+def names_an_inner_product(node):
+    """Whether ``node`` is H10 or L2: the name, a ``pod.`` attribute or the string."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in INNER_PRODUCT_NAMES
+    return getattr(node, "id", getattr(node, "attr", None)) in INNER_PRODUCT_NAMES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_basis_takes_its_inner_product_from_its_name(path):
+    """The inner product's name is the one input that decides a POD basis's
+    Gram operator, correlation matrix, label and bound: only ``pod.pod_basis``
+    constructs a ``PodBasis``, from the name it takes with no default, and
+    only ``pod.gram_matrix`` compares a value with H10 or L2. A label passed
+    apart from its operator, or a branch on the name elsewhere, could
+    disagree with the operator the basis holds. A membership check against
+    ``INNER_PRODUCTS``, as ``RunConfig`` makes, names neither."""
+    tree = ast.parse(path.read_text())
+    functions = functions_by_qualified_name(tree)
+    owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{owner.get(id(node), '<module>')}"
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "PodBasis":
+            if where != "pod.py:pod_basis":
+                found.append(f"PodBasis(...) in {where} (line {node.lineno})")
+        elif isinstance(node, ast.Compare) and where != "pod.py:gram_matrix":
+            operands = [node.left, *node.comparators]
+            if any(names_an_inner_product(n) for operand in operands for n in ast.walk(operand)):
+                found.append(f"{ast.unparse(node)} in {where} (line {node.lineno})")
+    if path.name == "pod.py":
+        args = functions["pod_basis"].args
+        if args.defaults or any(d is not None for d in args.kw_defaults):
+            found.append("pod_basis has a parameter default")
     assert not found, ", ".join(found)
 
 

@@ -7,7 +7,7 @@ paths.
 import numpy as np
 import pytest
 
-from helpers import as_dense, krylov_solve_oracle
+from helpers import as_dense, eye_csr, krylov_solve_oracle
 from podrom import fom, linalg, mesh_fem
 from podrom.linalg import (
     ConvergenceError,
@@ -87,11 +87,6 @@ def solve_by_cramer(a, b):
         aj[:, j] = b
         x[j] = determinant_by_expansion(aj) / det
     return x
-
-
-def eye_csr(n):
-    idx = np.arange(n)
-    return CsrMatrix.from_coo(n, n, idx, idx, np.ones(n))
 
 
 def random_csr(rng, rows, cols, density=0.2):
