@@ -1,13 +1,13 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
 Subcommands: mesh, fom, pod, rom, errors, convergence, check. `fom` is the
-pipeline's one FOM run: it writes fom.traj and fom.states.npy. `pod`, `rom`,
-`errors` and `convergence` read only those and the config, which must give
-the mesh, degree, system and nu that fom.traj records, and rebuild the same
-POD from them deterministically. `pod` exports the modes, eigenvalues,
-snapshots and mean, `rom` reduced data only, and no subcommand reads them
-back. `rom` runs at the first rank of r_grid, `convergence` at the last and
-`errors` at every one.
+pipeline's one FOM run: it writes fom.traj and fom.states.npy. `pod` and
+`errors` read only those and the config, which must give the mesh, degree,
+system and nu that fom.traj records, and rebuild the same POD from them.
+`pod` exports the modes, eigenvalues, snapshots and mean, which no
+subcommand reads back, and hands `rom` (run at the first rank of r_grid) and
+`convergence` (at the last) one reduced system per rank, reduced_r<r>.npz,
+which with the config is all they read. `errors` runs at every rank.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import argparse
 import dataclasses
 import os
 import sys
+import zipfile
 
 import numpy as np
 
 from . import harness, pod as pod_mod, rom as rom_mod
 from .bdf import bdf_apply, bdf_coefficients, bdf_increment_form
-from .fom import Trajectory, load_trajectory, save_trajectory
+from .fom import Trajectory, load_trajectory, save_trajectory, space_keys
 from .harness import RunConfig, build_desk_setup, parse_config
 from .mesh_fem import build_mesh, build_space, export_mesh
 
@@ -54,21 +55,56 @@ def cmd_mesh(cfg: RunConfig) -> int:
     return 0
 
 
+#: the settings fom.traj records, and those a reduced-system file adds
+_FOM_RECORD = ("system", "nu", "n_side", "degree", "components")
+_REDUCED_RECORD = ("tau", "w0_mode", "inner_product", "r")
+
+
+def _check_record(path: str, record: dict, cfg: RunConfig, r: int | None = None):
+    """The settings ``path`` records, of ``_FOM_RECORD`` and those it has of
+    ``_REDUCED_RECORD``, must be the config's and rank r's (ValueError otherwise)."""
+    config = {**vars(cfg), "components": harness.SYSTEMS[cfg.system](cfg.nu).n_components, "r": r}
+    more = [key for key in _REDUCED_RECORD if key in record]
+
+    def describe(values):
+        text = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)"
+        return text.format(*map(values.get, _FOM_RECORD)) + "".join(f", {k} = {values[k]}" for k in more)
+
+    if describe(record) != describe(config):
+        raise ValueError(f"{path} records {describe(record)}, but the config gives {describe(config)}")
+
+
 def _load_desk(cfg: RunConfig) -> harness.DeskSetup:
     """The desk set-up from fom.traj and fom.states.npy, whose system, nu,
     mesh, degree and components must be the config's (ValueError otherwise)."""
     traj, header = load_trajectory(_fom_stem(cfg))
-    describe = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)".format
-    made = describe(
-        header.get("system"), header.get("nu"),
-        traj.space.mesh.n_side, traj.space.degree, traj.states.shape[1],
-    )
-    given = describe(
-        cfg.system, cfg.nu, cfg.n_side, cfg.degree, harness.SYSTEMS[cfg.system](cfg.nu).n_components
-    )
-    if made != given:
-        raise ValueError(f"{_fom_stem(cfg)}.traj records {made}, but the config gives {given}")
+    record = {**header, **space_keys(traj.space), "components": traj.states.shape[1]}
+    _check_record(f"{_fom_stem(cfg)}.traj", record, cfg)
     return build_desk_setup(cfg, fom_traj=traj)
+
+
+def _reduced_path(cfg: RunConfig, r: int) -> str:
+    return os.path.join(cfg.out_dir, f"reduced_r{r}.npz")
+
+
+def _load_reduced(cfg: RunConfig, r: int):
+    """(reduced system, initial coordinates, record) of ``podrom pod``'s rank-r
+    file. One that is missing or unreadable, made under other settings or
+    holding arrays of the wrong type or shape raises ValueError naming it."""
+    path, system = _reduced_path(cfg, r), harness.SYSTEMS[cfg.system](cfg.nu)
+    expected = {**rom_mod.reduced_shapes(r, system), "coords0": f"float64 {(r,)}"}
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            record = {key: data[key].item() for key in (*_FOM_RECORD, *_REDUCED_RECORD, "n_dof")}
+            arrays = {key: data[key] for key in expected}
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: cannot read the reduced system ({exc}); run podrom pod") from None
+    _check_record(path, record, cfg, r)
+    for key, value in arrays.items():
+        if f"{value.dtype} {value.shape}" != expected[key]:
+            raise ValueError(f"{path}: {key} is {value.dtype} {value.shape}, not {expected[key]}; run podrom pod")
+    coords0 = arrays.pop("coords0")
+    return rom_mod.ReducedSystem(r, **arrays, system=system), coords0, record
 
 
 def cmd_fom(cfg: RunConfig) -> int:
@@ -81,23 +117,28 @@ def cmd_fom(cfg: RunConfig) -> int:
 
 def cmd_pod(cfg: RunConfig) -> int:
     setup = _load_desk(cfg)
+    romsystems = [harness.make_rom(setup, r) for r in cfg.r_grid]  # a rank above d_r raises before any write
     stem = os.path.join(cfg.out_dir, "pod")
     pod_mod.save_basis(setup.basis, stem)
     pod_mod.save_snapshots(setup.snaps, stem)
+    record = {"system": cfg.system, "nu": cfg.nu, "components": setup.system.n_components, "tau": cfg.tau,
+              "w0_mode": cfg.w0_mode, "inner_product": cfg.inner_product, **space_keys(setup.space)}
+    for romsys in romsystems:
+        arrays = {key: getattr(romsys, key) for key in rom_mod.reduced_shapes(romsys.r, romsys.system)}
+        coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
+        np.savez(_reduced_path(cfg, romsys.r), coords0=coords0, r=romsys.r, **record, **arrays)
     print(f"wrote {stem}.modes.mtx (d_r = {setup.basis.d_r})")
     return 0
 
 
 def cmd_rom(cfg: RunConfig) -> int:
-    setup = _load_desk(cfg)
     r = cfg.r_grid[0]
-    romsys = harness.make_rom(setup, r)
-    coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
+    reduced, coords0, record = _load_reduced(cfg, r)
     rt = rom_mod.rom_integrate(
-        romsys, cfg.q, cfg.T / cfg.M, cfg.T, ("bootstrap", coords0), cfg.newton_rule
+        reduced, cfg.q, cfg.T / cfg.M, cfg.T, ("bootstrap", coords0), cfg.newton_rule
     )
     stem = os.path.join(cfg.out_dir, f"rom_q{cfg.q}_r{r}_M{cfg.M}")
-    rom_mod.save_rom_trajectory(romsys, rt, stem)
+    rom_mod.save_rom_trajectory(reduced, rt, stem, record)
     counts = rt.newton_iteration_counts
     summary = f"min {counts.min()}, max {counts.max()}" if counts.size else "none, M < q"
     print(f"wrote {stem}.traj (Newton iterations: {summary})")
@@ -114,14 +155,12 @@ def cmd_errors(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, q_values=(1, 2, 3, 4, 5)) -> int:
-    setup = _load_desk(cfg)
-    romsys = harness.make_rom(setup, cfg.r_grid[-1])
-    coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
+    reduced, coords0, _ = _load_reduced(cfg, cfg.r_grid[-1])
     # the sweep grows with M, and with T so that its coarsest step T/M is below 1
     scale = max(1, cfg.M // 128, int(cfg.T // 64) + 1)
     m_values = tuple(m * scale for m in harness.DEFAULT_M_SWEEP)
     results = harness.temporal_convergence_study(
-        romsys, coords0, cfg.T, q_values, m_values, newton_rule=cfg.newton_rule
+        reduced, coords0, cfg.T, q_values, m_values, newton_rule=cfg.newton_rule
     )
     path = os.path.join(cfg.out_dir, "convergence.csv")
     harness.emit_convergence_csv(path, results, cfg.T)
@@ -151,7 +190,7 @@ def cmd_check(cfg: RunConfig) -> int:
     states = rng.standard_normal((m_small + 1, 1, space.n_dof))
     states[:, :, space.dirichlet_mask] = 0.0
     traj = Trajectory(0.1 * np.arange(m_small + 1), states, 0.1, space)
-    snaps, basis = pod_mod.build_pod_basis(traj, tau=1.0, w0_mode=pod_mod.W0_INITIAL)
+    snaps, basis = pod_mod.build_pod_basis(traj, 1.0, pod_mod.W0_INITIAL, pod_mod.H10)
     gram = basis.gram_operator
     g = basis.modes.T @ gram.matvec(basis.modes)
     if np.max(np.abs(g - np.eye(basis.d_r))) > 1e-10:

@@ -384,13 +384,16 @@ def perturbed_equilibrium(space: FeSpace, amplitude: float = 0.1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_header(
-    stem: str, dt: float, n_steps: int, n_comp: int, space: FeSpace, extra: dict | None = None
-):
-    """Write the plain-text header <stem>.traj: the time grid, the space and
-    the ``extra`` keys, one "key = value" line each."""
-    keys = {"dt": f"{dt:.17g}", "M": n_steps, "n_dof": space.n_dof, "components": n_comp,
-            "degree": space.degree, "n_side": space.mesh.n_side, **(extra or {})}
+def space_keys(space: FeSpace) -> dict:
+    """The header keys that name a space: n_dof, degree and n_side."""
+    return {"n_dof": space.n_dof, "degree": space.degree, "n_side": space.mesh.n_side}
+
+
+def save_header(stem: str, dt: float, n_steps: int, n_comp: int, space: dict, extra: dict | None = None):
+    """Write the plain-text header <stem>.traj: the time grid, the
+    ``space_keys`` and the ``extra`` keys, one "key = value" line each."""
+    keys = {"dt": f"{dt:.17g}", "M": n_steps, "n_dof": space["n_dof"], "components": n_comp,
+            "degree": space["degree"], "n_side": space["n_side"], **(extra or {})}
     with open(stem + ".traj", "w") as fh:
         fh.write("".join(f"{k} = {v}\n" for k, v in keys.items()))
 
@@ -398,7 +401,7 @@ def save_header(
 def save_trajectory(traj: Trajectory, stem: str, extra: dict | None = None):
     """The header <stem>.traj (``save_header``) and the (M + 1, n_comp, n_dof)
     states as one numpy array file, <stem>.states.npy."""
-    save_header(stem, traj.dt, traj.n_steps, traj.states.shape[1], traj.space, extra)
+    save_header(stem, traj.dt, traj.n_steps, traj.states.shape[1], space_keys(traj.space), extra)
     np.save(stem + ".states.npy", traj.states)
 
 

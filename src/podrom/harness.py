@@ -33,7 +33,7 @@ from .pod import (
     gram_matrix,
     projection_errors,
 )
-from .rom import RomSystem, initial_coords, rom_assemble, rom_integrate
+from .rom import ReducedSystem, RomSystem, initial_coords, rom_assemble, rom_integrate
 
 DEFAULT_T = 7.090636  # integration window used by the desk-scale protocol
 DEFAULT_M_SWEEP = (64, 128, 256, 512, 1024)
@@ -198,7 +198,7 @@ def make_rom(setup: DeskSetup, r: int) -> RomSystem:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_norms(romsys: RomSystem, d: np.ndarray):
+def _reduced_norms(romsys: ReducedSystem, d: np.ndarray):
     """(L2, H1) norms of the lifted coordinate differences Phi d, one per
     row of ``d``."""
     l2 = np.sqrt(np.maximum(0.0, np.sum((d @ romsys.reduced_mass) * d, axis=1)))
@@ -207,7 +207,7 @@ def _reduced_norms(romsys: RomSystem, d: np.ndarray):
 
 
 def temporal_convergence_study(
-    romsys: RomSystem,
+    romsys: ReducedSystem,
     coords0: np.ndarray,
     t_end: float,
     q_values=(1, 2, 3, 4, 5),

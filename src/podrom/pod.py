@@ -71,7 +71,7 @@ class PodBasis:
         return len(self.eigenvalues)
 
 
-def build_snapshots(traj: Trajectory, tau: float, w0_mode: str = W0_ZERO) -> SnapshotSet:
+def build_snapshots(traj: Trajectory, tau: float, w0_mode: str) -> SnapshotSet:
     """Assemble the N = M + 1 snapshot columns from a trajectory."""
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -138,12 +138,7 @@ def pod_basis(snaps: SnapshotSet, space: FeSpace, inner_product: str) -> PodBasi
     return PodBasis(inner_product, lam.copy(), modes, gram)
 
 
-def build_pod_basis(
-    traj: Trajectory,
-    tau: float = 1.0,
-    w0_mode: str = W0_ZERO,
-    inner_product: str = H10,
-):
+def build_pod_basis(traj: Trajectory, tau: float, w0_mode: str, inner_product: str):
     """Convenience pipeline: snapshots -> basis."""
     snaps = build_snapshots(traj, tau, w0_mode)
     return snaps, pod_basis(snaps, traj.space, inner_product)

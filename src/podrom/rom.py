@@ -31,6 +31,10 @@ term with the constant part of the residual, so a candidate d costs
 K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A forcing of J
 separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per step, from
 the (J, r) reduced loads: O(J r), and no step touches the mesh.
+
+``ReducedSystem`` holds what a step reads, all r-sized; ``RomSystem`` adds
+the basis, lift and space of projection and lifting. ``podrom pod`` writes
+the first per rank, so the online stage's cost depends on r, not the mesh.
 """
 
 from __future__ import annotations
@@ -56,23 +60,41 @@ _BUILD_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass
-class RomSystem:
+class ReducedSystem:
+    """What a step reads: the r-sized operators, loads and reaction tensor,
+    and the system for ``amplitudes(t)``."""
+
     r: int
-    basis: PodBasis
     reduced_mass: np.ndarray  # Phi^T M Phi
     reduced_stiffness: np.ndarray  # Phi^T A Phi (unit diffusion)
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     reduced_loads: np.ndarray  # (J, r): B_j Phi, the forcing terms' loads
-    lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
     reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
     reaction_monomials: np.ndarray  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
     system: ReactionSystem
+
+
+@dataclass
+class RomSystem(ReducedSystem):
+    basis: PodBasis
+    lift: np.ndarray  # nodal lift: u_full = lift + Phi coords
     space: FeSpace
 
     @property
     def modes(self) -> np.ndarray:
         return self.basis.modes[:, : self.r]
+
+
+def reduced_shapes(r: int, system: ReactionSystem) -> dict:
+    """The "dtype shape" of each array of a rank-r ``ReducedSystem`` of
+    ``system``, by field name: the arrays a hand-off file holds."""
+    d = max(system.degree, 1) - 1
+    n = math.comb(r + d, d)
+    shapes = {"reduced_mass": (r, r), "reduced_stiffness": (r, r), "reduced_diffusion": (r, r),
+              "diffusion_lift": (r,), "reduced_loads": (len(system.amplitudes(0.0)), r),
+              "reaction_tensor": (r * (r + 1), n), "reaction_monomials": (d, n)}
+    return {k: f"{np.dtype(np.intp if k == 'reaction_monomials' else np.float64)} {v}" for k, v in shapes.items()}
 
 
 @dataclass
@@ -110,16 +132,16 @@ def rom_assemble(
     reaction, monomials = _compress(tensor)
     return RomSystem(
         r,
-        basis,
         phi.T @ mphi,
         phi.T @ aphi,
         phi.T @ (nu[:, None] * aphi),
         phi.T @ (nu * alift),
         system.loads(space) @ phi,
-        lift,
         reaction,
         monomials,
         system,
+        basis,
+        lift,
         space,
     )
 
@@ -182,7 +204,7 @@ def _compress(tensor: np.ndarray):
     return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1)), np.ascontiguousarray(index.T)
 
 
-def reaction_slope(romsys: RomSystem, candidate: np.ndarray) -> np.ndarray:
+def reaction_slope(romsys: ReducedSystem, candidate: np.ndarray) -> np.ndarray:
     """S = T . (1, c)^(D-1), an (r, r + 1) array: the reduced reaction at c
     is S (1, c), its Jacobian D S[:, 1:]."""
     chat = np.concatenate(([1.0], candidate))
@@ -201,14 +223,14 @@ def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate,
     return stiffness @ increment + fixed + (slope[:, 0] + slope[:, 1:] @ candidate)
 
 
-def rom_jacobian(romsys: RomSystem, stiffness: np.ndarray, slope: np.ndarray):
+def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray):
     """K + D S[:, 1:] with K = ``stiffness``, (delta_0/dt) M_r + D_r, and
     ``slope`` the ``reaction_slope`` S at the candidate. The sum is a new
     array: K is shared by every candidate of the run and is never written."""
     return stiffness + (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
 
 
-def rom_linearisation(romsys: RomSystem, scheme: BdfScheme, dt: float):
+def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     """``bdf.integrate``'s two-level callback.
 
     Per run it forms K = (delta_0/dt) M_r + D_r. Per step, ``at_step(history,
@@ -247,7 +269,7 @@ def initial_coords(romsys: RomSystem, nodal: np.ndarray) -> np.ndarray:
 
 
 def rom_integrate(
-    romsys: RomSystem,
+    romsys: ReducedSystem,
     q: int,
     dt: float,
     t_end: float,
@@ -284,12 +306,12 @@ def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
     return Trajectory(rt.dt * np.arange(len(rt.coords)), states, rt.dt, romsys.space)
 
 
-def save_rom_trajectory(romsys: RomSystem, rt: RomTrajectory, stem: str):
-    """Reduced data only: the header <stem>.traj (``fom.save_header``, with r,
-    q and the run's Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx
+def save_rom_trajectory(romsys: ReducedSystem, rt: RomTrajectory, stem: str, space: dict):
+    """Reduced data only: the header <stem>.traj (``fom.save_header`` of ``space``,
+    with r, q and the Newton rule), the (r, M + 1) coordinates <stem>.coords.mtx
     and the Newton counts <stem>.newton.csv. Nodal states: lift + modes @ coords."""
     extra = {"r": romsys.r, "q": rt.q, "newton_rule": rt.newton_rule}
-    save_header(stem, rt.dt, len(rt.coords) - 1, romsys.system.n_components, romsys.space, extra)
+    save_header(stem, rt.dt, len(rt.coords) - 1, romsys.system.n_components, space, extra)
     mmio.write_dense(stem + ".coords.mtx", rt.coords.T)
     counts = rt.newton_iteration_counts
     rows = np.column_stack((rt.q + np.arange(len(counts)), counts))

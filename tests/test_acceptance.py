@@ -114,6 +114,21 @@ def test_criterion_3_pointwise_bound(desk):
     assert ok
 
 
+def test_criterion_3_pointwise_bound_in_l2(desk):
+    # the bound holds in the basis's own inner product: an L2 basis's
+    # eigenvalues bound its projection error in L2
+    rows = []
+    ok = True
+    for w0_mode in (W0_INITIAL, W0_MEAN):
+        snaps, basis = build_pod_basis(desk.fom_traj, desk.cfg.tau, w0_mode, L2)
+        for r in (4, 8, 16):
+            max_l2, bound_l2 = pointwise_projection_report(desk.fom_traj, snaps, basis, r)
+            ok = ok and (max_l2 <= bound_l2)
+            rows.append(f"{w0_mode} r={r}: {max_l2:.3e} <= {bound_l2:.3e}")
+    _report("3 (L2 basis)", ok, "; ".join(rows))
+    assert ok
+
+
 def test_criterion_4_scalar_bdf_order():
     lam = -2.0
     slopes = {}

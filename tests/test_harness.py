@@ -36,10 +36,10 @@ from podrom.pod import INNER_PRODUCTS, W0_MODES, InvalidRankError, project
 from podrom.rom import rom_integrate, rom_to_nodal_trajectory
 
 
-def saved(save, array, **kwargs):
-    """The bytes that ``save`` (``np.save`` or ``np.savez``) writes for ``array``."""
+def saved(save, *arrays, **kwargs):
+    """The bytes that ``save`` (``np.save`` or ``np.savez``) writes for ``arrays``."""
     buf = io.BytesIO()
-    save(buf, array, **kwargs)
+    save(buf, *arrays, **kwargs)
     return buf.getvalue()
 
 
@@ -497,6 +497,7 @@ class TestCli:
         cfg.write_text("n_side = 4\nsystem = heat\nnu = 0.1\nT = 70\nM = 128\nr_grid = 4\n")
         out = tmp_path / "heat"
         assert cli.main(["fom", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["pod", "--config", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["convergence", "--config", str(cfg), "--out", str(out), "--q", "2"]) == 0
         rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[2:]]
         assert [(row[0], int(row[1])) for row in rows] == [("2", m) for m in (128, 256, 512, 1024, 2048)]
@@ -560,6 +561,7 @@ class TestCli:
 
     def test_rom_with_fewer_steps_than_the_order(self, short_run, capsys):
         args, out_dir = short_run
+        assert cli.main(["pod", *args]) == 0
         capsys.readouterr()
         assert cli.main(["rom", *args]) == 0
         assert "Newton iterations: none, M < q" in capsys.readouterr().out
@@ -598,6 +600,80 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err, err
 
+    def test_pod_checks_every_rank_before_it_writes(self, short_run, capsys):
+        # a rank above the basis dimension is a usage error that leaves no
+        # export and no reduced file, not even for the ranks before it
+        args, out_dir = short_run
+        cfg = out_dir.parent / "short.cfg"
+        cfg.write_text(cfg.read_text().replace("r_grid = 2", "r_grid = 2, 99"))
+        capsys.readouterr()
+        assert cli.main(["pod", *args]) == cli.USAGE_ERROR
+        assert "rank 99 is outside 1.." in capsys.readouterr().err
+        assert not list(out_dir.glob("pod.*")) and not list(out_dir.glob("reduced_*"))
+
+    def test_online_stage_reads_only_the_reduced_files(self, short_run):
+        # `rom` and `convergence` read pod's reduced system and the config
+        # alone: without fom.traj and fom.states.npy they write the same bytes
+        args, out_dir = short_run
+        assert cli.main(["pod", *args]) == 0
+        outputs = ("rom_q5_r2_M4.traj", "rom_q5_r2_M4.coords.mtx", "rom_q5_r2_M4.newton.csv",
+                   "convergence.csv", "starting_values.csv")
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["rom", *args]) == 0
+                assert cli.main(["convergence", *args, "--q", "2"]) == 0
+            return [(out_dir / name).read_bytes() for name in outputs]
+
+        present = run()
+        for name in ("fom.traj", "fom.states.npy", *outputs):
+            (out_dir / name).unlink()
+        assert run() == present
+
+    @pytest.mark.parametrize(
+        "line, corrupt",
+        [
+            ("", None),
+            ("tau = 2.0", lambda raw, arrays: raw),
+            ("w0_mode = mean", lambda raw, arrays: raw),
+            ("inner_product = L2", lambda raw, arrays: raw),
+            ("", lambda raw, arrays: b""),
+            ("", lambda raw, arrays: raw[: len(raw) // 2]),
+            ("", lambda raw, arrays: pickle.dumps(arrays)),
+            ("", lambda raw, arrays: saved(np.savez, **{
+                k: v.astype(np.float32) if v.ndim else v for k, v in arrays.items()})),
+            ("", lambda raw, arrays: saved(np.savez, **{**arrays, "reduced_mass": arrays["reduced_mass"][:, :1]})),
+            ("", lambda raw, arrays: saved(np.savez, **{**arrays, "coords0": arrays["coords0"][:1]})),
+            ("", lambda raw, arrays: saved(np.savez, **{k: v for k, v in arrays.items() if k != "reaction_tensor"})),
+            ("", lambda raw, arrays: saved(np.savez, **{k: v for k, v in arrays.items() if k != "n_dof"})),
+            ("", lambda raw, arrays: saved(np.save, arrays["reduced_mass"])),
+        ],
+        ids=["missing", "tau", "w0_mode", "inner_product", "empty", "truncated", "pickled", "float32",
+             "shape", "coords-shape", "missing-array", "missing-record", "npy"],
+    )
+    def test_bad_reduced_file_is_a_usage_error(self, short_run, capsys, line, corrupt):
+        # `rom` and `convergence` name the reduced file they cannot use and
+        # exit 2, whether it is missing, made under other settings or corrupt
+        args, out_dir = short_run
+        path = out_dir / "reduced_r2.npz"
+        if corrupt is None:
+            assert not path.exists()
+        else:
+            assert cli.main(["pod", *args]) == 0
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            path.write_bytes(corrupt(path.read_bytes(), arrays))
+        cfg = out_dir.parent / "short.cfg"
+        cfg.write_text(cfg.read_text() + line + "\n")
+        for sub in ("rom", "convergence"):
+            capsys.readouterr()
+            assert cli.main([sub, *args]) == cli.USAGE_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err, err
+            # a setting the config changed is named with its value, a bad file with the remedy
+            assert (line or "run podrom pod") in err, err
+        assert not list(out_dir.glob("rom_*")) and not (out_dir / "convergence.csv").exists()
+
     def test_pipeline_chain(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -613,7 +689,7 @@ class TestCli:
         out_dir = tmp_path / "out"
         for name in ("mesh.txt", "fom.traj", "pod.modes.mtx", "errors_vs_r.csv"):
             assert (out_dir / name).exists(), name
-        # `convergence` builds its basis from fom.traj too: it runs no FOM
+        # `convergence` reads pod's reduced system: it runs no FOM
         def no_fom(*args, **kwargs):
             raise AssertionError("convergence ran a FOM")
 
@@ -626,8 +702,9 @@ class TestCli:
         assert sorted(p.name[len("rom_q2_r3_M8"):] for p in rom_files) == [".coords.mtx", ".newton.csv", ".traj"]
         csv_lines = (out_dir / "errors_vs_r.csv").read_text().splitlines()
         assert csv_lines[1].startswith("r,")
-        # `pod` only exports: its modes are the basis that `rom` and `errors`
-        # rebuild from fom.traj and the config, and `rom` runs without them
+        # `pod`'s exports are the basis that `errors` rebuilds from fom.traj
+        # and the config and that `rom`'s reduced system was assembled from,
+        # and `rom` runs without them
         traj, _ = load_trajectory(str(out_dir / "fom"))
         setup = build_desk_setup(parse_config(str(cfg)), fom_traj=traj)
         assert np.array_equal(mmio.read(out_dir / "pod.modes.mtx"), setup.basis.modes)
@@ -680,7 +757,7 @@ class TestCli:
             line for line in header.splitlines(keepends=True) if not line.startswith(("system", "nu"))
         ))
         capsys.readouterr()
-        assert cli.main(["rom", *args]) == cli.USAGE_ERROR
+        assert cli.main(["pod", *args]) == cli.USAGE_ERROR
         assert "records system = None and nu = None" in capsys.readouterr().err
         traj_file.write_text(header)
         # a header that disagrees with the stored states is a usage error

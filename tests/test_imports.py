@@ -12,8 +12,10 @@ inner product is set by its name alone, only the BDF first-difference
 form and the ROM's linearisation read the first-difference weights, the
 mesh and the space are built without a loop, no module reads a Matrix
 Market file back, only ``CsrMatrix.from_coo`` constructs a CSR matrix,
-every target that perfbench's tracer wraps still exists, the time loop's
-work passes through the traced names, and perfbench's workloads still run.
+the online CLI stage reaches no trajectory load, mesh, POD or ROM
+assembly, a step reads only the reduced system, every target that
+perfbench's tracer wraps still exists, the time loop's work passes
+through the traced names, and perfbench's workloads still run.
 
 Names imported from ``__future__`` and names a module lists in ``__all__``
 (a deliberate re-export) are exempt. A name counts as used when it appears
@@ -374,7 +376,8 @@ def names_an_inner_product(node):
 def test_a_basis_takes_its_inner_product_from_its_name(path):
     """The inner product's name is the one input that decides a POD basis's
     Gram operator, correlation matrix, label and bound: only ``pod.pod_basis``
-    constructs a ``PodBasis``, from the name it takes with no default, and
+    constructs a ``PodBasis``, from the name it (and ``build_pod_basis``,
+    which passes it on) takes with no default, and
     only ``pod.gram_matrix`` compares a value with H10 or L2. A label passed
     apart from its operator, or a branch on the name elsewhere, could
     disagree with the operator the basis holds. A membership check against
@@ -393,9 +396,77 @@ def test_a_basis_takes_its_inner_product_from_its_name(path):
             if any(names_an_inner_product(n) for operand in operands for n in ast.walk(operand)):
                 found.append(f"{ast.unparse(node)} in {where} (line {node.lineno})")
     if path.name == "pod.py":
-        args = functions["pod_basis"].args
-        if args.defaults or any(d is not None for d in args.kw_defaults):
-            found.append("pod_basis has a parameter default")
+        for name in ("pod_basis", "build_pod_basis"):
+            args = functions[name].args
+            if args.defaults or any(d is not None for d in args.kw_defaults):
+                found.append(f"{name} has a parameter default")
+    assert not found, ", ".join(found)
+
+
+#: what the online stage must not reach: the FOM's states, the mesh and the
+#: space, the POD and the ROM's assembly
+OFFLINE_WORK = {"_load_desk", "load_trajectory", "build_mesh", "build_space", "build_pod_basis", "rom_assemble"}
+#: the functions a step or a study of steps runs, each on a ``ReducedSystem``
+STEP_SIDE = {
+    "rom.py": ("reaction_slope", "rom_jacobian", "rom_linearisation", "rom_integrate"),
+    "harness.py": ("_reduced_norms", "temporal_convergence_study"),
+}
+#: what lifting and projection read, and a step does not
+LIFTING = {"basis", "lift", "space", "modes"}
+
+
+def package_functions():
+    """{bare name: function nodes} over the package: functions, methods and
+    nested functions, each under its own name."""
+    found = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def reached_calls(name, functions):
+    """The bare name of every call that the package function ``name`` makes,
+    directly or through package functions it calls, matched by bare name."""
+    seen, todo = set(), [name]
+    while todo:
+        for func in functions.get(todo.pop(), []):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called not in seen:
+                        seen.add(called)
+                        todo.append(called)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["cmd_rom", "cmd_convergence"])
+def test_the_online_stage_reads_only_reduced_data(command):
+    """``rom`` and ``convergence`` run from ``podrom pod``'s reduced system:
+    no call they reach loads a trajectory, builds a mesh or a space, runs a
+    POD or assembles a ROM, so their cost depends on r, not on the mesh."""
+    functions = package_functions()
+    assert command in functions, f"cli.py: {command} no longer exists"
+    found = reached_calls(command, functions) & OFFLINE_WORK
+    assert not found, ", ".join(sorted(found))
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in STEP_SIDE.items() for n in names], ids=lambda v: v
+)
+def test_a_step_reads_only_the_reduced_system(module, name):
+    """The step side takes a ``ReducedSystem`` and reads none of the basis,
+    the lift, the space or the modes, which only a ``RomSystem`` holds."""
+    path = Path(podrom.__file__).parent / module
+    func = functions_by_qualified_name(ast.parse(path.read_text()))[name]
+    annotation = ast.unparse(func.args.args[0].annotation)
+    found = [] if annotation == "ReducedSystem" else [f"takes a {annotation}"]
+    found += [
+        f".{node.attr} (line {node.lineno})"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in LIFTING
+    ]
     assert not found, ", ".join(found)
 
 

@@ -146,7 +146,7 @@ class TestCorrelationMatrix:
             with pytest.raises(ValueError, match="unknown inner product"):
                 gram_matrix(space, name, 1)
         with pytest.raises(ValueError, match="unknown inner product"):
-            build_pod_basis(traj, inner_product="h10")
+            build_pod_basis(traj, 1.0, W0_INITIAL, "h10")
         with pytest.raises(ValueError, match="unknown inner product"):
             pod_basis(build_snapshots(traj, 1.0, W0_INITIAL), space, "l2")
 
@@ -224,7 +224,7 @@ class TestPodBasis:
 class TestProjection:
     def test_in_span_reproduced(self):
         traj, _ = brusselator_trajectory()
-        snaps, basis = build_pod_basis(traj)
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         v = basis.modes[:, :3] @ np.array([1.0, -2.0, 0.5])
         coeffs, rec = project(basis, 3, v)
         assert np.allclose(coeffs, [1.0, -2.0, 0.5], atol=1e-10)
@@ -232,7 +232,7 @@ class TestProjection:
 
     def test_matches_normal_equations(self):
         traj, _ = brusselator_trajectory()
-        snaps, basis = build_pod_basis(traj)
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(basis.modes.shape[0])
         r = 5
@@ -244,7 +244,7 @@ class TestProjection:
 
     def test_idempotent(self):
         traj, _ = brusselator_trajectory()
-        snaps, basis = build_pod_basis(traj)
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(basis.modes.shape[0])
         _, p1 = project(basis, 4, v)
@@ -258,7 +258,7 @@ class TestProjection:
         # each order of the Gram operators checks that a product leaves the
         # residual the next one reads unchanged
         traj, space = brusselator_trajectory()
-        snaps, basis = build_pod_basis(traj, inner_product=inner_product)
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, inner_product)
         grams = [gram_matrix(space, H10, 2), gram_matrix(space, L2, 2)]
         v = np.random.default_rng(4).standard_normal((basis.modes.shape[0], 7))
         for r in (0, 3, basis.d_r):
@@ -271,7 +271,7 @@ class TestProjection:
 
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
-        _, basis = build_pod_basis(traj)
+        _, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         v = np.zeros(basis.modes.shape[0])
         with pytest.raises(InvalidRankError):
             project(basis, basis.d_r + 1, v)
@@ -438,7 +438,7 @@ class TestPointwiseBound:
 
     def test_rank_guard(self):
         traj, _ = brusselator_trajectory()
-        snaps, basis = build_pod_basis(traj)
+        snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         with pytest.raises(InvalidRankError):
             pointwise_projection_report(traj, snaps, basis, basis.d_r + 1)
         with pytest.raises(InvalidRankError):
@@ -463,7 +463,7 @@ class TestPersistence:
 
     def test_basis_round_trip(self, tmp_path):
         traj, _ = brusselator_trajectory()
-        _, basis = build_pod_basis(traj)
+        _, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
         stem = str(tmp_path / "b")
         save_basis(basis, stem)
         assert np.array_equal(mmio.read(stem + ".modes.mtx"), basis.modes)

@@ -16,6 +16,7 @@ from podrom.fom import (
     fom_integrate,
     heat_system,
     perturbed_equilibrium,
+    space_keys,
 )
 from podrom.mesh_fem import (
     assemble_mass,
@@ -30,6 +31,7 @@ from podrom.linalg import dense_lu_solve
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom import rom
 from podrom.rom import (
+    ReducedSystem,
     RomTrajectory,
     _reaction_tensor,
     initial_coords,
@@ -66,6 +68,12 @@ def forced_heat_setup():
     traj = fom_integrate(sys, space, u0, 0.05, 0.5, 2)
     snaps, basis = build_pod_basis(traj, 1.0, W0_ZERO, H10)
     return rom_assemble(basis, min(4, basis.d_r), space, sys, lift=snaps.mean)
+
+
+def reduced_array_shapes(romsys):
+    """The "dtype shape" of each array field of the ``ReducedSystem`` part."""
+    names = [f.name for f in dataclasses.fields(ReducedSystem) if f.name not in ("r", "system")]
+    return {name: f"{getattr(romsys, name).dtype} {getattr(romsys, name).shape}" for name in names}
 
 
 def heat_reaction_setup(power, r=None):
@@ -222,7 +230,7 @@ class TestResidualAndJacobian:
         space = clamped_space(4, 1)
         sys = heat_system(0.5)
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
-        snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2))
+        snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2), 1.0, W0_ZERO, H10)
         romsys = rom_assemble(basis, min(3, basis.d_r), space, sys, lift=snaps.mean)
         r = romsys.r
         assert romsys.reaction_tensor.shape == (r * (r + 1), 1)
@@ -381,6 +389,10 @@ class TestResidualAndJacobian:
         base = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
         assert np.linalg.norm(jac - (base + jac_nl)) <= 1e-13 * np.linalg.norm(jac_nl)
 
+        # a reduced-system file is checked against reduced_shapes: it names
+        # every array a step reads, with the dtype and shape assembled here
+        assert reduced_array_shapes(romsys) == rom.reduced_shapes(romsys.r, romsys.system)
+
 
 class TestNewtonTolerance:
     def test_rule_and_override(self):
@@ -485,13 +497,16 @@ class TestIntegration:
 
     def test_forced_online_step_needs_no_mesh(self):
         # the forced ROM's steps read the reduced loads and the amplitudes
-        # a(t), never the space: without it a run gives the same coordinates
+        # a(t), never the space: a ReducedSystem, which holds no space, basis
+        # or lift, gives the same coordinates
         romsys = forced_heat_setup()
         assert romsys.reduced_loads.shape == (1, romsys.r)
         coords0 = np.full(romsys.r, 0.1)
+        assert reduced_array_shapes(romsys) == rom.reduced_shapes(romsys.r, romsys.system)
+        reduced = ReducedSystem(**{f.name: getattr(romsys, f.name) for f in dataclasses.fields(ReducedSystem)})
         runs = [
             rom_integrate(system, 2, 0.05, 0.5, ("bootstrap", coords0)).coords
-            for system in (romsys, dataclasses.replace(romsys, space=None))
+            for system in (romsys, reduced)
         ]
         assert np.array_equal(runs[0], runs[1])
 
@@ -521,7 +536,7 @@ class TestPersistence:
         want = romsys.lift + romsys.modes @ rt.coords[3]
         assert np.allclose(nodal.states[3].ravel(), want, atol=1e-14)
         stem = str(tmp_path / "rom")
-        save_rom_trajectory(romsys, rt, stem)
+        save_rom_trajectory(romsys, rt, stem, space_keys(romsys.space))
         # reduced data only: the header, the coordinates and the Newton counts
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rom.coords.mtx", "rom.newton.csv", "rom.traj"]
         with open(stem + ".traj") as fh:
@@ -539,5 +554,5 @@ class TestPersistence:
         assert np.array_equal(coords_back, rt.coords)
         # the header names the rule the run used
         fixed = rom_integrate(romsys, 2, 0.2, 1.6, ("bootstrap", initial_coords(romsys, traj.states[0])), 1e-12)
-        save_rom_trajectory(romsys, fixed, stem + "_fixed")
+        save_rom_trajectory(romsys, fixed, stem + "_fixed", space_keys(romsys.space))
         assert "newton_rule = 1e-12\n" in open(stem + "_fixed.traj").readlines()
