@@ -1,7 +1,8 @@
 """Command-line pipeline: podrom <subcommand> --config <path> [options].
 
 Subcommands: mesh, fom, pod, rom, errors, convergence, check. `fom` is the
-pipeline's one FOM run: it writes fom.traj and fom.states.npy. `pod` and
+pipeline's one FOM run: it writes fom.traj and fom.states.npy and deletes
+the reduced_r<r>.npz that `pod` built from the run it replaces. `pod` and
 `errors` read only those and the config, which must give the mesh, degree,
 system and nu that fom.traj records, and rebuild the same POD from them.
 `pod` exports the modes, eigenvalues, snapshots and mean, which no
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import os
 import sys
 import zipfile
@@ -63,7 +65,7 @@ _REDUCED_RECORD = ("tau", "w0_mode", "inner_product", "r")
 def _check_record(path: str, record: dict, cfg: RunConfig, r: int | None = None):
     """The settings ``path`` records, of ``_FOM_RECORD`` and those it has of
     ``_REDUCED_RECORD``, must be the config's and rank r's (ValueError otherwise)."""
-    config = {**vars(cfg), "components": harness.SYSTEMS[cfg.system](cfg.nu).n_components, "r": r}
+    config = {**vars(cfg), "components": cfg.reaction_system().n_components, "r": r}
     more = [key for key in _REDUCED_RECORD if key in record]
 
     def describe(values):
@@ -91,7 +93,7 @@ def _load_reduced(cfg: RunConfig, r: int):
     """(reduced system, initial coordinates, record) of ``podrom pod``'s rank-r
     file. One that is missing or unreadable, made under other settings or
     holding arrays of the wrong type or shape raises ValueError naming it."""
-    path, system = _reduced_path(cfg, r), harness.SYSTEMS[cfg.system](cfg.nu)
+    path, system = _reduced_path(cfg, r), cfg.reaction_system()
     expected = {**rom_mod.reduced_shapes(r, system), "coords0": f"float64 {(r,)}"}
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -110,6 +112,8 @@ def _load_reduced(cfg: RunConfig, r: int):
 def cmd_fom(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     traj = harness.desk_fom(cfg)
+    for stale in glob.glob(os.path.join(glob.escape(cfg.out_dir), "reduced_r*.npz")):  # built from the old run
+        os.remove(stale)
     save_trajectory(traj, _fom_stem(cfg), extra={"system": cfg.system, "nu": cfg.nu})
     print(f"wrote {_fom_stem(cfg)}.traj ({cfg.M} steps, {traj.space.n_dof} dofs/component)")
     return 0
@@ -121,8 +125,8 @@ def cmd_pod(cfg: RunConfig) -> int:
     stem = os.path.join(cfg.out_dir, "pod")
     pod_mod.save_basis(setup.basis, stem)
     pod_mod.save_snapshots(setup.snaps, stem)
-    record = {"system": cfg.system, "nu": cfg.nu, "components": setup.system.n_components, "tau": cfg.tau,
-              "w0_mode": cfg.w0_mode, "inner_product": cfg.inner_product, **space_keys(setup.space)}
+    record = {"system": cfg.system, "nu": cfg.nu, "components": setup.fom_traj.states.shape[1], "tau": cfg.tau,
+              "w0_mode": cfg.w0_mode, "inner_product": cfg.inner_product, **space_keys(setup.fom_traj.space)}
     for romsys in romsystems:
         arrays = {key: getattr(romsys, key) for key in rom_mod.reduced_shapes(romsys.r, romsys.system)}
         coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
@@ -189,7 +193,7 @@ def cmd_check(cfg: RunConfig) -> int:
     m_small = 12
     states = rng.standard_normal((m_small + 1, 1, space.n_dof))
     states[:, :, space.dirichlet_mask] = 0.0
-    traj = Trajectory(0.1 * np.arange(m_small + 1), states, 0.1, space)
+    traj = Trajectory(states, 0.1, space)
     snaps, basis = pod_mod.build_pod_basis(traj, 1.0, pod_mod.W0_INITIAL, pod_mod.H10)
     gram = basis.gram_operator
     g = basis.modes.T @ gram.matvec(basis.modes)

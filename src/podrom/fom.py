@@ -164,18 +164,23 @@ def heat_system(nu: float, forcing=(), reaction: dict | None = None) -> Reaction
 
 @dataclass
 class Trajectory:
-    times: np.ndarray  # uniform grid t_j = j dt
+    """States on the uniform grid t_j = j dt, j = 0..M, of one space."""
+
     states: np.ndarray  # (M + 1, n_comp, n_dof)
     dt: float
     space: FeSpace
 
     @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.states))
+
+    @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.states) - 1
 
     def stacked(self) -> np.ndarray:
         """States flattened to (M + 1, n_comp * n_dof)."""
-        return self.states.reshape(len(self.times), -1)
+        return self.states.reshape(len(self.states), -1)
 
 
 class FomOperator:
@@ -365,7 +370,7 @@ def fom_integrate(
     op = FomOperator(system, space)
     u0 = np.asarray(u0, dtype=np.float64).reshape(op.dim)
     states, _, _ = integrate(q, dt, t_end, [u0], op.linearisation, tol)
-    return Trajectory(dt * np.arange(len(states)), states.reshape(-1, op.nc, op.n), dt, space)
+    return Trajectory(states.reshape(-1, op.nc, op.n), dt, space)
 
 
 def perturbed_equilibrium(space: FeSpace, amplitude: float = 0.1) -> np.ndarray:
@@ -448,5 +453,5 @@ def load_trajectory(stem: str) -> tuple:
     found = f"{states.dtype} {states.shape}" if isinstance(states, np.ndarray) else type(states).__name__
     if found != expected:
         raise ValueError(f"{path}: expected states {expected} as {stem}.traj gives, found {found}")
-    return Trajectory(values["dt"] * np.arange(len(states)), states, values["dt"], space), header
+    return Trajectory(states, values["dt"], space), header
 

@@ -80,8 +80,11 @@ class RunConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
-        SYSTEMS[self.system](self.nu)  # the system checks nu
+        self.reaction_system()  # the system checks nu
         newton_tolerance(self.newton_rule, self.q, self.T / self.M)
+
+    def reaction_system(self) -> ReactionSystem:
+        return SYSTEMS[self.system](self.nu)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -160,9 +163,10 @@ def l2_error_vs_exact(space: FeSpace, nodal: np.ndarray, exact) -> float:
 
 @dataclass
 class DeskSetup:
+    """A config's FOM snapshot run and its POD: the space is ``fom_traj.space``,
+    the reaction system ``cfg.reaction_system()``."""
+
     cfg: RunConfig
-    space: FeSpace
-    system: ReactionSystem
     fom_traj: Trajectory
     snaps: SnapshotSet
     basis: PodBasis
@@ -177,7 +181,7 @@ def desk_fom(cfg: RunConfig) -> Trajectory:
     else:
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None, :]
         u0[:, space.dirichlet_mask] = 0.0
-    return fom_integrate(SYSTEMS[cfg.system](cfg.nu), space, u0, cfg.T / cfg.M, cfg.T, cfg.q)
+    return fom_integrate(cfg.reaction_system(), space, u0, cfg.T / cfg.M, cfg.T, cfg.q)
 
 
 def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> DeskSetup:
@@ -186,11 +190,11 @@ def build_desk_setup(cfg: RunConfig, fom_traj: Trajectory | None = None) -> Desk
     degree and system: the CLI loads fom.states.npy and checks fom.traj."""
     fom_traj = desk_fom(cfg) if fom_traj is None else fom_traj
     snaps, basis = build_pod_basis(fom_traj, cfg.tau, cfg.w0_mode, cfg.inner_product)
-    return DeskSetup(cfg, fom_traj.space, SYSTEMS[cfg.system](cfg.nu), fom_traj, snaps, basis)
+    return DeskSetup(cfg, fom_traj, snaps, basis)
 
 
 def make_rom(setup: DeskSetup, r: int) -> RomSystem:
-    return rom_assemble(setup.basis, r, setup.space, setup.system, setup.snaps.mean)
+    return rom_assemble(setup.basis, r, setup.fom_traj.space, setup.cfg.reaction_system(), setup.snaps.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +277,8 @@ def r_refinement_study(
     dt = fom_fine.dt
     check_step(q, t_end, fom_fine.n_steps)
     fluct = (fom_fine.stacked() - setup.snaps.mean[None, :]).T  # (dim, M+1)
-    nc = setup.system.n_components
-    grams = [gram_matrix(setup.space, L2, nc), gram_matrix(setup.space, H10, nc)]
+    space, nc = setup.fom_traj.space, setup.cfg.reaction_system().n_components
+    grams = [gram_matrix(space, L2, nc), gram_matrix(space, H10, nc)]
     romsystems = [make_rom(setup, r) for r in r_values]
     rows = []
     for r, romsys in zip(r_values, romsystems):

@@ -17,6 +17,8 @@ system takes the same path. T is kept with its last slot free and its
 other D - 1 slots compressed to sorted index tuples, multiplicities folded
 in (the compressed Kronecker storage of operator inference, Peherstorfer &
 Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc.
+Its column order, the monomial index, depends on r and D alone, so it is
+formed from them (``monomial_index``) and never stored or handed over.
 Online, one linearisation forms
 
     S = T . c_hat^(D - 1) = (Tc @ m(c_hat)).reshape(r, r + 1)
@@ -42,8 +44,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -59,10 +61,22 @@ from .pod import InvalidRankError, PodBasis, project
 _BUILD_BLOCK_ENTRIES = 1 << 22
 
 
+@lru_cache(maxsize=None)
+def monomial_index(r: int, degree: int) -> np.ndarray:
+    """Tc's column order at rank r and degree D >= 1, (D - 1, C(r + D - 1, D - 1)):
+    column t holds the t-th sorted tuple of slots of (1, c) in
+    ``itertools.combinations_with_replacement`` order. Read-only, formed once."""
+    tuples = list(itertools.combinations_with_replacement(range(r + 1), degree - 1))
+    index = np.array(tuples, dtype=np.intp).reshape(len(tuples), degree - 1).T.copy()
+    index.flags.writeable = False
+    return index
+
+
 @dataclass
 class ReducedSystem:
     """What a step reads: the r-sized operators, loads and reaction tensor,
-    and the system for ``amplitudes(t)``."""
+    and the system for ``amplitudes(t)``. Tc's column order,
+    ``reaction_monomials``, is set from r and the system's degree."""
 
     r: int
     reduced_mass: np.ndarray  # Phi^T M Phi
@@ -71,8 +85,11 @@ class ReducedSystem:
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     reduced_loads: np.ndarray  # (J, r): B_j Phi, the forcing terms' loads
     reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
-    reaction_monomials: np.ndarray  # (D - 1, C(r + D - 1, D - 1)): the sorted index tuples of Tc's columns
     system: ReactionSystem
+    reaction_monomials: np.ndarray = field(init=False, repr=False)  # monomial_index(r, D)
+
+    def __post_init__(self):
+        self.reaction_monomials = monomial_index(self.r, max(self.system.degree, 1))
 
 
 @dataclass
@@ -87,14 +104,13 @@ class RomSystem(ReducedSystem):
 
 
 def reduced_shapes(r: int, system: ReactionSystem) -> dict:
-    """The "dtype shape" of each array of a rank-r ``ReducedSystem`` of
-    ``system``, by field name: the arrays a hand-off file holds."""
+    """The "dtype shape" of each array a rank-r ``ReducedSystem`` of ``system``
+    is built from, by field name: the float64 arrays a hand-off file holds."""
     d = max(system.degree, 1) - 1
-    n = math.comb(r + d, d)
     shapes = {"reduced_mass": (r, r), "reduced_stiffness": (r, r), "reduced_diffusion": (r, r),
               "diffusion_lift": (r,), "reduced_loads": (len(system.amplitudes(0.0)), r),
-              "reaction_tensor": (r * (r + 1), n), "reaction_monomials": (d, n)}
-    return {k: f"{np.dtype(np.intp if k == 'reaction_monomials' else np.float64)} {v}" for k, v in shapes.items()}
+              "reaction_tensor": (r * (r + 1), math.comb(r + d, d))}
+    return {k: f"float64 {v}" for k, v in shapes.items()}
 
 
 @dataclass
@@ -129,7 +145,6 @@ def rom_assemble(
     modes_q = space.at_quadrature(phi.T.reshape(r * nc, n)).reshape(r, nc, -1)
     lift_q = space.at_quadrature(lift.reshape(nc, n)).reshape(nc, -1)
     tensor = _reaction_tensor(system, modes_q, lift_q, space.quadrature_weights.ravel())
-    reaction, monomials = _compress(tensor)
     return RomSystem(
         r,
         phi.T @ mphi,
@@ -137,8 +152,7 @@ def rom_assemble(
         phi.T @ (nu[:, None] * aphi),
         phi.T @ (nu * alift),
         system.loads(space) @ phi,
-        reaction,
-        monomials,
+        _compress(tensor),
         system,
         basis,
         lift,
@@ -188,27 +202,27 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     return sum(tensor.transpose((0,) + p) for p in perms) / math.factorial(degree)
 
 
-def _compress(tensor: np.ndarray):
-    """(Tc, index) for the symmetric T: Tc[(i, j), t] is T[i, t_1, ..., t_(D-1), j]
+def _compress(tensor: np.ndarray) -> np.ndarray:
+    """Tc for the symmetric T: Tc[(i, j), t] is T[i, t_1, ..., t_(D-1), j]
     times the number of distinct orderings of the sorted tuple t, the
-    column t of ``index``, so that T . c_hat^(D-1) = Tc @ prod(c_hat[index])."""
+    column t of ``monomial_index``, so that T . c_hat^(D-1) = Tc @
+    prod(c_hat[index])."""
     r, n, k = tensor.shape[0], tensor.shape[-1], tensor.ndim - 2
-    tuples = list(itertools.combinations_with_replacement(range(n), k))
+    index = monomial_index(r, k + 1)
     orderings = [
         math.factorial(k) // math.prod(math.factorial(c) for c in Counter(t).values())
-        for t in tuples
+        for t in index.T.tolist()
     ]
-    index = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
-    flat = index @ n ** np.arange(k - 1, -1, -1)
+    flat = n ** np.arange(k - 1, -1, -1) @ index
     tc = tensor.reshape(r, n**k, n)[:, flat, :] * np.array(orderings, dtype=np.float64)[:, None]
-    return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1)), np.ascontiguousarray(index.T)
+    return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1))
 
 
 def reaction_slope(romsys: ReducedSystem, candidate: np.ndarray) -> np.ndarray:
     """S = T . (1, c)^(D-1), an (r, r + 1) array: the reduced reaction at c
     is S (1, c), its Jacobian D S[:, 1:]."""
     chat = np.concatenate(([1.0], candidate))
-    monomials = np.multiply.reduce(chat.take(romsys.reaction_monomials))
+    monomials = np.multiply.reduce(chat[romsys.reaction_monomials])  # take() copies a read-only index
     return (romsys.reaction_tensor @ monomials).reshape(romsys.r, -1)
 
 
@@ -303,7 +317,7 @@ def rom_to_nodal_trajectory(romsys: RomSystem, rt: RomTrajectory) -> Trajectory:
     """Lift a reduced trajectory back to stacked nodal states."""
     nodal = rt.coords @ romsys.modes.T + romsys.lift[None, :]
     states = nodal.reshape(len(rt.coords), romsys.system.n_components, romsys.space.n_dof)
-    return Trajectory(rt.dt * np.arange(len(rt.coords)), states, rt.dt, romsys.space)
+    return Trajectory(states, rt.dt, romsys.space)
 
 
 def save_rom_trajectory(romsys: ReducedSystem, rt: RomTrajectory, stem: str, space: dict):

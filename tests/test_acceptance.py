@@ -102,7 +102,7 @@ def tail_gaps(desk):
     worst = {}
     for ip in (H10, L2):
         snaps = build_snapshots(desk.fom_traj, desk.cfg.tau, desk.cfg.w0_mode)
-        basis = pod_basis(snaps, desk.space, ip)
+        basis = pod_basis(snaps, desk.fom_traj.space, ip)
         gap = 0.0
         for r in range(1, basis.d_r + 1):
             lhs, rhs = tail_identity_check(snaps, basis, r)
@@ -156,8 +156,8 @@ def rom_orders(sweep, desk):
 def refinement(desk):
     """Criterion 6: the rank-refinement rows against a BDF-q FOM on M = 1024."""
     fom_fine = fom_integrate(
-        desk.system,
-        desk.space,
+        desk.cfg.reaction_system(),
+        desk.fom_traj.space,
         desk.fom_traj.states[0],
         desk.cfg.T / 1024,
         desk.cfg.T,
@@ -224,17 +224,17 @@ def test_criterion_1_alpha_decomposition_identity():
 
 
 def test_criterion_2_tail_identity(tail_gaps):
-    worst = tail_gaps
-    ok = all(gap <= 1e-10 * lam1 for gap, lam1 in worst.values())
+    ok = all(gap <= 1e-10 * lam1 for gap, lam1 in tail_gaps.values())
     detail = ", ".join(
         f"{ip}: |lhs-rhs| <= {gap:.2e} vs 1e-10*lambda1 = {1e-10 * lam1:.2e}"
-        for ip, (gap, lam1) in worst.items()
+        for ip, (gap, lam1) in tail_gaps.items()
     )
     _report(2, ok, detail)
     assert ok
 
 
 def pointwise_rows(pointwise, ip):
+    """Criterion 3: whether every maximum of the ``ip`` basis meets its bound, and the rows."""
     rows = []
     ok = True
     for w0_mode in (W0_INITIAL, W0_MEAN):
@@ -260,9 +260,8 @@ def test_criterion_3_pointwise_bound_in_l2(pointwise):
 
 
 def test_criterion_4_scalar_bdf_order(scalar_orders):
-    slopes = scalar_orders
-    ok = all(abs(slopes[q] - q) < 0.2 for q in slopes)
-    _report(4, ok, ", ".join(f"q={q}: order {slopes[q]:.3f}" for q in slopes))
+    ok = all(abs(slope - q) < 0.2 for q, slope in scalar_orders.items())
+    _report(4, ok, ", ".join(f"q={q}: order {slope:.3f}" for q, slope in scalar_orders.items()))
     assert ok
 
 
@@ -279,15 +278,14 @@ def test_criterion_5_rom_temporal_order(rom_orders):
 
 
 def test_criterion_6_monotone_r_refinement(refinement):
-    rows = refinement
     ok = True
     for key in ("pod_l2", "pod_h1"):
-        vals = [row[key] for row in rows]
+        vals = [row[key] for row in refinement]
         ok = ok and all(vals[i + 1] <= vals[i] * (1 + 1e-12) for i in range(len(vals) - 1))
-    ratios = tracking_ratios(rows)
+    ratios = tracking_ratios(refinement)
     ok = ok and all(0.2 <= ratio <= 5.0 for _, _, ratio in ratios)
     detail = (
-        "errors " + "/".join(f"{row['pod_h1']:.3e}" for row in rows)
+        "errors " + "/".join(f"{row['pod_h1']:.3e}" for row in refinement)
         + "; tracking " + ", ".join(f"r={r} {k}: {v:.2f}x" for r, k, v in ratios)
     )
     _report(6, ok, detail)
@@ -354,7 +352,7 @@ def test_figures_match_the_record(
         for row in sweep[q]
         for norm in ("l2", "h1")
     )
-    got.update({f"8: steps of {count} Newton update(s)": steps for count, steps in newton_counts(sweep)[1].items()})
+    got.update({f"8: steps of {n} Newton update(s)": steps for n, steps in newton_counts(sweep)[1].items()})
     got["9: order"] = float(spatial_order)
     got["10: deviation"] = float(equilibrium_deviation)
 

@@ -5,6 +5,7 @@ convergence of the manufactured solution, and the command-line pipeline
 
 import contextlib
 import io
+import itertools
 import pickle
 import warnings
 
@@ -382,7 +383,7 @@ class TestStudies:
         setup = build_desk_setup(tiny_cfg(M=24, T=2.4))
         traj, q = setup.fom_traj, 2
         fluct = (traj.stacked() - setup.snaps.mean).T
-        mass, stiffness = setup.space.mass_matrix(2), setup.space.stiffness_matrix(2)
+        mass, stiffness = setup.fom_traj.space.mass_matrix(2), setup.fom_traj.space.stiffness_matrix(2)
         for row in r_refinement_study(setup, traj, (2, 4), q=q):
             romsys = make_rom(setup, row["r"])
             coords0 = initial_coords(romsys, traj.states[0])
@@ -406,8 +407,8 @@ class TestStudies:
         row = r_refinement_study(setup, setup.fom_traj, (r,), q=q)[0]
         fluct = (setup.fom_traj.stacked() - setup.snaps.mean).T
         phi = setup.basis.modes[:, :r]
-        resid = fluct - phi @ (phi.T @ setup.space.mass_matrix(2).matvec(fluct))
-        h1_sq = np.sum(resid * setup.space.stiffness_matrix(2).matvec(resid), axis=0)
+        resid = fluct - phi @ (phi.T @ setup.fom_traj.space.mass_matrix(2).matvec(fluct))
+        h1_sq = np.sum(resid * setup.fom_traj.space.stiffness_matrix(2).matvec(resid), axis=0)
         assert row["proj_h1"] == pytest.approx(np.sqrt(h1_sq[q:].max()), rel=1e-12)
         assert row["proj_h1"] > 2.0 * row["proj_l2"]
 
@@ -673,6 +674,53 @@ class TestCli:
             # a setting the config changed is named with its value, a bad file with the remedy
             assert (line or "run podrom pod") in err, err
         assert not list(out_dir.glob("rom_*")) and not (out_dir / "convergence.csv").exists()
+
+    def test_a_fom_run_removes_the_reduced_files_it_makes_stale(self, tmp_path, capsys):
+        # pod's reduced systems were built from the trajectory that a later
+        # fom run replaces: fom deletes them, so rom names the missing file
+        # instead of running on the old POD; pod's exports stay. The output
+        # directory's name holds glob characters, which match only themselves
+        cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out[1]"
+        cfg.write_text(f"n_side = 4\nT = 0.8\nM = 8\nq = 2\nr_grid = 3\nout_dir = {out_dir}\n")
+        args = ["--config", str(cfg)]
+        for argv in (["fom", *args], ["pod", *args], ["fom", *args, "--M", "16"]):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert cli.main(["rom", *args, "--M", "16"]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert str(out_dir / "reduced_r3.npz") in err and "run podrom pod" in err, err
+        assert len([p for p in out_dir.iterdir() if p.name.startswith("pod.")]) == 5
+        assert not [p for p in out_dir.iterdir() if p.name.startswith("rom_")]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda index, r: np.roll(index, 1, axis=1), lambda index, r: index + r + 2],
+        ids=["rolled", "out-of-range"],
+    )
+    def test_a_stored_monomial_index_is_not_read(self, tmp_path, corrupt):
+        # Tc's column order follows from r and the reaction's degree: a file
+        # in the format that also stored it, with a wrong one, runs as the
+        # clean file does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_side = 4\nT = 1.6\nM = 16\nq = 3\nr_grid = 4\nout_dir = {tmp_path / 'out'}\n")
+        args, out_dir = ["--config", str(cfg)], tmp_path / "out"
+        outputs = ("rom_q3_r4_M16.traj", "rom_q3_r4_M16.coords.mtx", "rom_q3_r4_M16.newton.csv")
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["rom", *args]) == 0
+            return [(out_dir / name).read_bytes() for name in outputs]
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["fom", *args]) == 0 and cli.main(["pod", *args]) == 0
+        clean = run()
+        path = out_dir / "reduced_r4.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        # the Brusselator's (D - 1, C(r + D - 1, D - 1)) = (2, 15) index at r 4
+        stored = corrupt(np.array(list(itertools.combinations_with_replacement(range(5), 2))).T, 4)
+        path.write_bytes(saved(np.savez, **{**arrays, "reaction_monomials": stored}))
+        assert run() == clean
 
     def test_pipeline_chain(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"

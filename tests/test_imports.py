@@ -13,7 +13,8 @@ form and the ROM's linearisation read the first-difference weights, the
 mesh and the space are built without a loop, no module reads a Matrix
 Market file back, only ``CsrMatrix.from_coo`` constructs a CSR matrix,
 the online CLI stage reaches no trajectory load, mesh, POD or ROM
-assembly, a step reads only the reduced system, every target that
+assembly, a step reads only the reduced system, only the config's
+``reaction_system`` looks a system up in ``SYSTEMS``, every target that
 perfbench's tracer wraps still exists, the time loop's work passes
 through the traced names, and perfbench's workloads still run.
 
@@ -468,6 +469,29 @@ def test_a_step_reads_only_the_reduced_system(module, name):
         if isinstance(node, ast.Attribute) and node.attr in LIFTING
     ]
     assert not found, ", ".join(found)
+
+
+def subscript_holders(path, name):
+    """"module:function (line n)" of each subscript of ``name`` (bare or as an
+    attribute) in the module, a method as ``Class.method``, a nested function
+    under its enclosing one, and ``<module>`` outside any function."""
+    tree = ast.parse(path.read_text())
+    functions = functions_by_qualified_name(tree).items()
+    owners = {id(node): qual for qual, func in functions for node in ast.walk(func)}
+    return [
+        f"{path.name}:{owners.get(id(node), '<module>')} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and name in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    ]
+
+
+def test_the_config_builds_its_one_reaction_system():
+    """``SYSTEMS`` is subscripted in ``RunConfig.reaction_system`` alone: every
+    stage, check and record takes the configured system from the config, so
+    no second lookup can build it from another name or nu."""
+    holders = [holder for path in MODULES for holder in subscript_holders(path, "SYSTEMS")]
+    assert len(holders) == 1 and holders[0].startswith("harness.py:RunConfig.reaction_system "), ", ".join(holders)
 
 
 #: the functions that may read a scheme's first-difference weights: the form

@@ -40,8 +40,7 @@ def toy_trajectory(states_2d, dt=0.5, n_side=2, degree=1):
     space = build_space(build_mesh(n_side), degree)
     arr = np.asarray(states_2d, dtype=np.float64)[:, None, :]
     assert arr.shape[2] == space.n_dof
-    times = dt * np.arange(arr.shape[0])
-    return Trajectory(times, arr, dt, space), space
+    return Trajectory(arr, dt, space), space
 
 
 def brusselator_trajectory(n_side=4, m=16, t_end=1.6):
@@ -340,7 +339,7 @@ class TestPointwiseBound:
         space = build_space(build_mesh(4), 1)
         states = np.random.default_rng(0).standard_normal((13, 1, space.n_dof))
         states[:, :, space.dirichlet_mask] = 0.0
-        traj = Trajectory(0.1 * np.arange(13), states, 0.1, space)
+        traj = Trajectory(states, 0.1, space)
         snaps = build_snapshots(traj, 1.0, W0_ZERO)
         basis = pod_basis(snaps, space, L2)
         assert basis.inner_product == L2

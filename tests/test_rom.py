@@ -4,6 +4,8 @@ preservation, in-span agreement with the full-order solution, modal decay,
 and persistence."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -71,8 +73,8 @@ def forced_heat_setup():
 
 
 def reduced_array_shapes(romsys):
-    """The "dtype shape" of each array field of the ``ReducedSystem`` part."""
-    names = [f.name for f in dataclasses.fields(ReducedSystem) if f.name not in ("r", "system")]
+    """The "dtype shape" of each array the ``ReducedSystem`` part is built from."""
+    names = [f.name for f in dataclasses.fields(ReducedSystem) if f.init and f.name not in ("r", "system")]
     return {name: f"{getattr(romsys, name).dtype} {getattr(romsys, name).shape}" for name in names}
 
 
@@ -394,6 +396,25 @@ class TestResidualAndJacobian:
         assert reduced_array_shapes(romsys) == rom.reduced_shapes(romsys.r, romsys.system)
 
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_monomial_index_orders_the_compressed_columns(self, r, degree):
+        # the index is the combinations_with_replacement order of the slots
+        # of (1, c), (D - 1, C(r + D - 1, D - 1)), formed once and read-only,
+        # and column t of Tc holds T[i, t..., j] times t's distinct orderings
+        index = rom.monomial_index(r, degree)
+        want = list(itertools.combinations_with_replacement(range(r + 1), degree - 1))
+        assert index.shape == (degree - 1, math.comb(r + degree - 1, degree - 1))
+        assert [tuple(column) for column in index.T.tolist()] == want
+        assert index is rom.monomial_index(r, degree) and not index.flags.writeable
+        tensor = np.random.default_rng(10 * degree + r).standard_normal((r,) + (r + 1,) * degree)
+        tensor = sum(tensor.transpose((0,) + p) for p in itertools.permutations(range(1, degree + 1)))
+        tc = rom._compress(tensor).reshape(r, r + 1, len(want))
+        for t, slots in enumerate(want):
+            orderings = math.factorial(len(slots)) // math.prod(math.factorial(slots.count(s)) for s in set(slots))
+            assert np.array_equal(tc[:, :, t], orderings * tensor[(slice(None), *slots, slice(None))]), slots
+
+
 class TestNewtonTolerance:
     def test_rule_and_override(self):
         assert newton_tolerance("step-coupled", 3, 0.1) == pytest.approx(1e-5)
@@ -503,7 +524,8 @@ class TestIntegration:
         assert romsys.reduced_loads.shape == (1, romsys.r)
         coords0 = np.full(romsys.r, 0.1)
         assert reduced_array_shapes(romsys) == rom.reduced_shapes(romsys.r, romsys.system)
-        reduced = ReducedSystem(**{f.name: getattr(romsys, f.name) for f in dataclasses.fields(ReducedSystem)})
+        fields = [f.name for f in dataclasses.fields(ReducedSystem) if f.init]
+        reduced = ReducedSystem(**{name: getattr(romsys, name) for name in fields})
         runs = [
             rom_integrate(system, 2, 0.05, 0.5, ("bootstrap", coords0)).coords
             for system in (romsys, reduced)
