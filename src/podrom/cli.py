@@ -24,7 +24,7 @@ import numpy as np
 
 from . import harness, pod as pod_mod, rom as rom_mod
 from .bdf import bdf_apply, bdf_coefficients, bdf_increment_form
-from .fom import Trajectory, load_trajectory, save_trajectory, space_keys
+from .fom import Trajectory, load_trajectory, save_trajectory
 from .harness import RunConfig, build_desk_setup, parse_config
 from .mesh_fem import build_mesh, build_space, export_mesh
 
@@ -57,31 +57,24 @@ def cmd_mesh(cfg: RunConfig) -> int:
     return 0
 
 
-#: the settings fom.traj records, and those a reduced-system file adds
-_FOM_RECORD = ("system", "nu", "n_side", "degree", "components")
-_REDUCED_RECORD = ("tau", "w0_mode", "inner_product", "r")
-
-
-def _check_record(path: str, record: dict, cfg: RunConfig, r: int | None = None):
-    """The settings ``path`` records, of ``_FOM_RECORD`` and those it has of
-    ``_REDUCED_RECORD``, must be the config's and rank r's (ValueError otherwise)."""
-    config = {**vars(cfg), "components": cfg.reaction_system().n_components, "r": r}
-    more = [key for key in _REDUCED_RECORD if key in record]
+def _check_record(path: str, record: dict, expected: dict):
+    """The settings ``path`` records must be ``expected``'s, a
+    ``RunConfig.record``, whose first five keys are the FOM run's; each value
+    is compared as it prints (ValueError naming both otherwise)."""
 
     def describe(values):
-        text = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)"
-        return text.format(*map(values.get, _FOM_RECORD)) + "".join(f", {k} = {values[k]}" for k in more)
+        text, keys = "system = {} and nu = {} with n_side = {}, degree = {} and {} component(s)", list(expected)
+        return text.format(*map(values.get, keys[:5])) + "".join(f", {k} = {values.get(k)}" for k in keys[5:])
 
-    if describe(record) != describe(config):
-        raise ValueError(f"{path} records {describe(record)}, but the config gives {describe(config)}")
+    if describe(record) != describe(expected):
+        raise ValueError(f"{path} records {describe(record)}, but the config gives {describe(expected)}")
 
 
 def _load_desk(cfg: RunConfig) -> harness.DeskSetup:
-    """The desk set-up from fom.traj and fom.states.npy, whose system, nu,
-    mesh, degree and components must be the config's (ValueError otherwise)."""
+    """The desk set-up from fom.traj and fom.states.npy, whose header must
+    record ``cfg.record()`` (ValueError otherwise)."""
     traj, header = load_trajectory(_fom_stem(cfg))
-    record = {**header, **space_keys(traj.space), "components": traj.states.shape[1]}
-    _check_record(f"{_fom_stem(cfg)}.traj", record, cfg)
+    _check_record(f"{_fom_stem(cfg)}.traj", header, cfg.record())
     return build_desk_setup(cfg, fom_traj=traj)
 
 
@@ -93,15 +86,15 @@ def _load_reduced(cfg: RunConfig, r: int):
     """(reduced system, initial coordinates, record) of ``podrom pod``'s rank-r
     file. One that is missing or unreadable, made under other settings or
     holding arrays of the wrong type or shape raises ValueError naming it."""
-    path, system = _reduced_path(cfg, r), cfg.reaction_system()
+    path, system, settings = _reduced_path(cfg, r), cfg.reaction_system(), cfg.record(r)
     expected = {**rom_mod.reduced_shapes(r, system), "coords0": f"float64 {(r,)}"}
     try:
         with np.load(path, allow_pickle=False) as data:
-            record = {key: data[key].item() for key in (*_FOM_RECORD, *_REDUCED_RECORD, "n_dof")}
+            record = {key: data[key].item() for key in (*settings, "n_dof")}
             arrays = {key: data[key] for key in expected}
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: cannot read the reduced system ({exc}); run podrom pod") from None
-    _check_record(path, record, cfg, r)
+    _check_record(path, record, settings)
     for key, value in arrays.items():
         if f"{value.dtype} {value.shape}" != expected[key]:
             raise ValueError(f"{path}: {key} is {value.dtype} {value.shape}, not {expected[key]}; run podrom pod")
@@ -114,7 +107,7 @@ def cmd_fom(cfg: RunConfig) -> int:
     traj = harness.desk_fom(cfg)
     for stale in glob.glob(os.path.join(glob.escape(cfg.out_dir), "reduced_r*.npz")):  # built from the old run
         os.remove(stale)
-    save_trajectory(traj, _fom_stem(cfg), extra={"system": cfg.system, "nu": cfg.nu})
+    save_trajectory(traj, _fom_stem(cfg), extra=cfg.record())
     print(f"wrote {_fom_stem(cfg)}.traj ({cfg.M} steps, {traj.space.n_dof} dofs/component)")
     return 0
 
@@ -125,12 +118,11 @@ def cmd_pod(cfg: RunConfig) -> int:
     stem = os.path.join(cfg.out_dir, "pod")
     pod_mod.save_basis(setup.basis, stem)
     pod_mod.save_snapshots(setup.snaps, stem)
-    record = {"system": cfg.system, "nu": cfg.nu, "components": setup.fom_traj.states.shape[1], "tau": cfg.tau,
-              "w0_mode": cfg.w0_mode, "inner_product": cfg.inner_product, **space_keys(setup.fom_traj.space)}
     for romsys in romsystems:
         arrays = {key: getattr(romsys, key) for key in rom_mod.reduced_shapes(romsys.r, romsys.system)}
         coords0 = harness.initial_coords(romsys, setup.fom_traj.states[0])
-        np.savez(_reduced_path(cfg, romsys.r), coords0=coords0, r=romsys.r, **record, **arrays)
+        record = {**cfg.record(romsys.r), "n_dof": setup.fom_traj.space.n_dof}
+        np.savez(_reduced_path(cfg, romsys.r), coords0=coords0, **record, **arrays)
     print(f"wrote {stem}.modes.mtx (d_r = {setup.basis.d_r})")
     return 0
 

@@ -357,19 +357,19 @@ def fom_integrate(
     dt: float,
     t_end: float,
     q: int,
-    tol: float = 1e-10,
+    newton_rule=1e-10,
 ) -> Trajectory:
     """Integrate on the uniform grid j dt, j = 0..M, with BDF-q/Newton.
 
-    Starting values are bootstrapped at order q; ``tol``, a fixed Newton rule
-    of ``bdf.integrate``, is the tolerance at every order and step, 1e-10 by
-    default (snapshots are offline and must be accurate regardless of dt).
-    Each Newton update is solved inexactly by ``newton_update``, while
-    Newton's own test on the true residual ||r|| <= tol is unchanged.
+    Starting values are bootstrapped at order q. ``newton_rule`` goes to
+    ``bdf.integrate`` as the ROM's does; the default, a fixed 1e-10, is the
+    tolerance at every order and step (snapshots are offline and must be
+    accurate regardless of dt). Each Newton update is solved inexactly by
+    ``newton_update``; Newton's own test on the true residual is unchanged.
     """
     op = FomOperator(system, space)
     u0 = np.asarray(u0, dtype=np.float64).reshape(op.dim)
-    states, _, _ = integrate(q, dt, t_end, [u0], op.linearisation, tol)
+    states, _, _ = integrate(q, dt, t_end, [u0], op.linearisation, newton_rule)
     return Trajectory(states.reshape(-1, op.nc, op.n), dt, space)
 
 

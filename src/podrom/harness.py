@@ -86,6 +86,14 @@ class RunConfig:
     def reaction_system(self) -> ReactionSystem:
         return SYSTEMS[self.system](self.nu)
 
+    def record(self, r: int | None = None) -> dict:
+        """The one statement of what a hand-off records: the FOM run's system, nu,
+        n_side, degree and components, and at a rank r the POD's tau, w0_mode, inner_product and r."""
+        fom = {"system": self.system, "nu": self.nu, "n_side": self.n_side, "degree": self.degree,
+               "components": self.reaction_system().n_components}
+        return fom if r is None else {**fom, "tau": self.tau, "w0_mode": self.w0_mode,
+                                      "inner_product": self.inner_product, "r": r}
+
 
 def parse_config(path: str) -> RunConfig:
     """Flat key = value file with # comments. Each value is read as the type
@@ -321,7 +329,7 @@ def spatial_convergence_study(nu: float, n_sides=(8, 16, 32), t_end: float = 0.1
         space = build_space(build_mesh(n_side), 2)
         u0 = interpolate(space, shape)[None, :]
         dt = t_end / 100
-        traj = fom_integrate(system, space, u0, dt, t_end, q, tol=1e-12)
+        traj = fom_integrate(system, space, u0, dt, t_end, q, newton_rule=1e-12)
         err = l2_error_vs_exact(space, traj.states[-1, 0], lambda x, y: np.exp(-t_end) * shape(x, y))
         out.append((1.0 / n_side, err))
     return out

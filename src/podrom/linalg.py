@@ -12,7 +12,8 @@ matvec reduces the products of each row with one ``reduceat``.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
 routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
 any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:
-the FOM's matrix-free Jacobian, or a CsrMatrix.
+the FOM's matrix-free Jacobian, or a CsrMatrix. Either solve fails with a
+ConvergenceError, the one error the BDF loop names with its step.
 """
 
 from __future__ import annotations
@@ -23,21 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SingularMatrixError(Exception):
-    """Raised when a direct solve meets a matrix singular to working precision."""
-
-    def __init__(self, pivot: float):
-        super().__init__(f"matrix is singular to working precision (pivot {pivot:.3e})")
-        self.pivot = pivot
-
-
 class ConvergenceError(Exception):
-    """Raised when an iterative solver fails to reach its tolerance."""
+    """Raised when a solve fails: an iterative one short of its tolerance, or a singular direct one."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.message = message
         self.residual = residual
+
+
+class SingularMatrixError(ConvergenceError):
+    """A direct solve met a matrix singular to working precision; no residual is formed (nan)."""
+
+    def __init__(self, pivot: float):
+        super().__init__(f"matrix is singular to working precision (pivot {pivot:.3e})", float("nan"))
+        self.pivot = pivot
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,8 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     When the solve fails, or its solution is non-finite or grows beyond
     ||b|| / (sqrt(eps) ||a||), an SVD decides: SingularMatrixError, carrying
     the smallest singular value as the pivot, is raised when a is singular
-    to working precision, i.e. that value is at most n eps times the largest.
+    to working precision (that value is at most n eps times the largest) or
+    the LU failed. Besides a ValueError for a bad shape it raises no other.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -185,11 +187,10 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("right-hand side does not conform")
-    failure = None
     try:
         x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        failure = exc
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        x = None
     else:
         # a finite solution whose growth ||a|| ||x|| / ||b|| stays below
         # 1 / sqrt(eps) rules out a matrix singular to working precision;
@@ -202,10 +203,8 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sv = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:  # the SVD fails on non-finite entries
         raise SingularMatrixError(float("nan")) from None
-    if sv[-1] <= n * np.finfo(np.float64).eps * sv[0]:
+    if x is None or sv[-1] <= n * np.finfo(np.float64).eps * sv[0]:
         raise SingularMatrixError(float(sv[-1]))
-    if failure is not None:
-        raise failure
     return x
 
 

@@ -295,13 +295,13 @@ class TestTemporalSelfConvergence:
         sys = heat_system(0.05, reaction={3: 1.0})
         u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
         t_end = 0.5
-        fine = fom_integrate(sys, space, u0, t_end / 2560, t_end, 5, tol=1e-13)
+        fine = fom_integrate(sys, space, u0, t_end / 2560, t_end, 5, newton_rule=1e-13)
         ref = fine.states[-1]
         for q in (1, 2, 3):
             errs = []
             steps = [10, 20, 40, 80]
             for m in steps:
-                traj = fom_integrate(sys, space, u0, t_end / m, t_end, q, tol=1e-13)
+                traj = fom_integrate(sys, space, u0, t_end / m, t_end, q, newton_rule=1e-13)
                 errs.append(norms(space, (traj.states[-1] - ref).ravel())[0])
             slope = np.polyfit(np.log([t_end / m for m in steps]), np.log(errs), 1)[0]
             assert abs(slope - q) < 0.3, f"q={q}: slope {slope}"
@@ -323,7 +323,7 @@ class TestReferenceTrajectory:
         u0 = np.zeros((1, space.n_dof))
         u0[0, i] = 1.0
         t_end = 0.5
-        traj = fom_integrate(heat_system(nu), space, u0, t_end / 320, t_end, 5, tol=1e-12)
+        traj = fom_integrate(heat_system(nu), space, u0, t_end / 320, t_end, 5, newton_rule=1e-12)
         exact = np.exp(-nu * a / m * t_end)
         assert abs(traj.states[-1, 0, i] - exact) < 1e-9
 
@@ -331,7 +331,7 @@ class TestReferenceTrajectory:
         space = small_space(2, 1)
         sys = brusselator_system(0.002)
         eq = perturbed_equilibrium(space, 0.0)
-        traj = fom_integrate(sys, space, eq, 0.05, 0.2, 5, tol=1e-12)
+        traj = fom_integrate(sys, space, eq, 0.05, 0.2, 5, newton_rule=1e-12)
         assert traj.n_steps == 4
         assert traj.dt == pytest.approx(0.05)
         assert np.allclose(traj.times, 0.05 * np.arange(5), atol=1e-14)
@@ -342,7 +342,7 @@ class TestReferenceTrajectory:
         sys = brusselator_system(0.002)
         eq = perturbed_equilibrium(space, 0.0)
         with pytest.raises(ValueError, match="newton_rule must be"):
-            fom_integrate(sys, space, eq, 0.05, 0.2, 5, tol=0.0)
+            fom_integrate(sys, space, eq, 0.05, 0.2, 5, newton_rule=0.0)
 
     @pytest.mark.parametrize("dt, t_end", [(-0.1, -1.0), (0.0, 1.0)])
     def test_rejects_a_step_that_is_not_positive(self, monkeypatch, dt, t_end):

@@ -4,6 +4,7 @@ convergence of the manufactured solution, and the command-line pipeline
 (with fuzzed overrides)."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import pickle
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podrom import cli, harness, mmio
+from podrom import cli, harness, mmio, pod
 from podrom.fom import load_trajectory
 from podrom.harness import (
     SYSTEMS,
@@ -42,6 +43,16 @@ def saved(save, *arrays, **kwargs):
     buf = io.BytesIO()
     save(buf, *arrays, **kwargs)
     return buf.getvalue()
+
+
+def with_doubled_modes(build_pod_basis):
+    """``build_pod_basis`` whose basis has its modes doubled: not orthonormal."""
+
+    def build(*args):
+        snaps, basis = build_pod_basis(*args)
+        return snaps, dataclasses.replace(basis, modes=2.0 * basis.modes)
+
+    return build
 
 
 class TestEstimateOrder:
@@ -425,6 +436,24 @@ class TestCli:
         assert "bdf identities: ok" in out
         assert "pod identities: ok" in out
 
+    @pytest.mark.parametrize(
+        "module, name, broken, line",
+        [
+            (cli, "bdf_increment_form", lambda form: lambda *args: form(*args) + 1.0,
+             "FAIL: BDF-1: first-difference decomposition mismatch"),
+            (pod, "build_pod_basis", with_doubled_modes, "FAIL: POD modes not orthonormal"),
+            (pod, "tail_identity_check", lambda check: lambda snaps, basis, r: (basis.eigenvalues[0], 0.0),
+             "FAIL: tail identity fails at r = 0"),
+        ],
+        ids=["bdf", "orthonormality", "tail"],
+    )
+    def test_check_reports_each_failed_identity(self, monkeypatch, capsys, module, name, broken, line):
+        # each identity that `check` tests, made to fail, exits 1 and prints
+        # its own FAIL line on stderr
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        assert cli.main(["check"]) == cli.PIPELINE_ERROR
+        assert line in capsys.readouterr().err.splitlines()
+
     def test_usage_errors_exit_two(self, tmp_path, capsys, monkeypatch):
         assert cli.main(["frobnicate"]) == cli.USAGE_ERROR
         bad = tmp_path / "bad.cfg"
@@ -674,6 +703,24 @@ class TestCli:
             # a setting the config changed is named with its value, a bad file with the remedy
             assert (line or "run podrom pod") in err, err
         assert not list(out_dir.glob("rom_*")) and not (out_dir / "convergence.csv").exists()
+
+    def test_a_singular_reduced_system_names_its_step(self, short_run, capsys):
+        # a reduced file whose arrays are all zero passes the load's checks,
+        # and its Jacobian is singular: a pipeline failure whose one stderr
+        # line names the bootstrap step where the dense solve failed
+        args, out_dir = short_run
+        assert cli.main(["pod", *args]) == 0
+        path = out_dir / "reduced_r2.npz"
+        with np.load(path) as data:
+            arrays = {key: np.zeros_like(data[key]) if data[key].ndim else data[key] for key in data.files}
+        path.write_bytes(saved(np.savez, **arrays))
+        capsys.readouterr()
+        assert cli.main(["rom", *args]) == cli.PIPELINE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(
+            "pipeline failure: bootstrap BDF-1 step n = 1 at t = 0.015625 (step size 0.015625): matrix is singular"
+        ), err
 
     def test_a_fom_run_removes_the_reduced_files_it_makes_stale(self, tmp_path, capsys):
         # pod's reduced systems were built from the trajectory that a later

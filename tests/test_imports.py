@@ -14,7 +14,8 @@ mesh and the space are built without a loop, no module reads a Matrix
 Market file back, only ``CsrMatrix.from_coo`` constructs a CSR matrix,
 the online CLI stage reaches no trajectory load, mesh, POD or ROM
 assembly, a step reads only the reduced system, only the config's
-``reaction_system`` looks a system up in ``SYSTEMS``, every target that
+``reaction_system`` looks a system up in ``SYSTEMS``, only ``RunConfig``
+spells the keys of a reduced file's record, every target that
 perfbench's tracer wraps still exists, the time loop's work passes
 through the traced names, and perfbench's workloads still run.
 
@@ -332,6 +333,7 @@ def test_each_run_rule_has_one_owner(text):
 #: last parameter is the Newton rule itself, which ``bdf.newton_tolerance`` resolves
 RULE_TAKERS = {
     "bdf.py": ("integrate", "run_bootstrap"),
+    "fom.py": ("fom_integrate",),
     "rom.py": ("rom_integrate",),
     "harness.py": ("temporal_convergence_study", "r_refinement_study"),
 }
@@ -350,8 +352,9 @@ def tolerance_callables(path):
 def test_the_newton_rule_is_data(path):
     """The Newton rule reaches the time loop as data, "step-coupled" or a
     number, and only ``bdf.newton_tolerance`` turns it into a tolerance: no
-    module builds a ``tol(order, step)`` callable, and the loop's functions
-    take the rule as their last parameter, ``newton_rule``."""
+    module builds a ``tol(order, step)`` callable, and the loop's functions,
+    both models' integrators and the studies take the rule as their last
+    parameter, under one name, ``newton_rule``."""
     found = list(tolerance_callables(path))
     functions = functions_by_qualified_name(ast.parse(path.read_text()))
     found += [
@@ -492,6 +495,29 @@ def test_the_config_builds_its_one_reaction_system():
     no second lookup can build it from another name or nu."""
     holders = [holder for path in MODULES for holder in subscript_holders(path, "SYSTEMS")]
     assert len(holders) == 1 and holders[0].startswith("harness.py:RunConfig.reaction_system "), ", ".join(holders)
+
+
+#: the settings a reduced file records beyond the FOM run's
+POD_RECORD_KEYS = {"tau", "w0_mode", "inner_product"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_config_states_its_record_once(path):
+    """What a hand-off records is stated once, by ``RunConfig.record``: a
+    tuple, list, set or dict literal that spells tau, w0_mode or
+    inner_product outside ``RunConfig`` would be a second statement of the
+    record, which a writer or a check could follow instead."""
+    tree = ast.parse(path.read_text())
+    functions = functions_by_qualified_name(tree)
+    owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        spelled = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
+        if any(isinstance(e, ast.Constant) and e.value in POD_RECORD_KEYS for e in spelled):
+            where = owner.get(id(node), "<module>")
+            if not where.startswith("RunConfig."):
+                found.append(f"{where} (line {node.lineno})")
+    assert not found, ", ".join(found)
 
 
 #: the functions that may read a scheme's first-difference weights: the form

@@ -318,6 +318,26 @@ class TestDenseLu:
             dense_lu_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([1.0, 1.0]))
         assert np.isnan(exc.value.pivot)
 
+    def test_a_singular_matrix_is_a_convergence_error(self):
+        # a failed direct solve reaches the BDF loop's one handler, which
+        # names its step; the message names the pivot once
+        assert issubclass(SingularMatrixError, ConvergenceError)
+        with pytest.raises(ConvergenceError) as exc:
+            dense_lu_solve(np.zeros((2, 2)), np.ones(2))
+        assert str(exc.value).count("pivot") == 1
+
+    def test_a_failed_lu_raises_a_convergence_error(self, monkeypatch):
+        # LAPACK fails only on an exactly zero pivot; on a matrix the SVD
+        # finds regular the failure still leaves no solution, and it is
+        # reported as a singular solve, not as numpy's LinAlgError
+        def failed_lu(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failed_lu)
+        with pytest.raises(ConvergenceError) as exc:
+            dense_lu_solve(np.diag([2.0, 1.0]), np.ones(2))
+        assert exc.value.pivot == 1.0
+
     def test_growth_on_a_regular_matrix_keeps_the_lu_solution(self, monkeypatch):
         # ||a|| ||x|| sqrt(eps) = 14.9 > ||b|| = 1 sends the solve to the SVD,
         # which finds sigma_min / sigma_max = 1e-9 well above 2 eps

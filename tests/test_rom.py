@@ -3,6 +3,7 @@ oracles, residual/Jacobian consistency by finite differences, equilibrium
 preservation, in-span agreement with the full-order solution, modal decay,
 and persistence."""
 
+import ast
 import dataclasses
 import itertools
 import math
@@ -29,7 +30,7 @@ from podrom.mesh_fem import (
     build_space,
     interpolate,
 )
-from podrom.linalg import dense_lu_solve
+from podrom.linalg import ConvergenceError, dense_lu_solve
 from podrom.pod import H10, W0_INITIAL, W0_ZERO, InvalidRankError, build_pod_basis, project
 from podrom import rom
 from podrom.rom import (
@@ -531,6 +532,19 @@ class TestIntegration:
             for system in (romsys, reduced)
         ]
         assert np.array_equal(runs[0], runs[1])
+
+    def test_a_singular_solve_names_its_step(self):
+        # a reduced system of zeros has a zero Jacobian: the dense solve's
+        # failure goes through the loop's handler, which names the order, the
+        # step, the time and the step size, here of the bootstrap's first step
+        system = heat_system(0.1)
+        shapes = rom.reduced_shapes(2, system)
+        zeros = {key: np.zeros(ast.literal_eval(shape.split(" ", 1)[1])) for key, shape in shapes.items()}
+        with pytest.raises(ConvergenceError) as exc:
+            rom_integrate(ReducedSystem(2, **zeros, system=system), 3, 0.1, 1.0, ("bootstrap", np.ones(2)))
+        message = str(exc.value)
+        assert message.startswith("bootstrap BDF-1 step n = 1 at t = 0.025 (step size 0.025): "), message
+        assert message.count("pivot") == 1, message
 
     def test_iteration_counts_recorded(self):
         traj, snaps, basis, romsys = brusselator_setup()
