@@ -154,7 +154,7 @@ def bdf_increment_form(scheme: BdfScheme, increment, hist_states, dt: float) -> 
     """
     h = as_history(hist_states, scheme.q)
     alpha = scheme.alpha_f
-    return (alpha[0] * increment + alpha[1:] @ (h[:-1] - h[1:])) / dt
+    return (alpha[0] * increment + alpha[1:].dot(h[:-1] - h[1:])) / dt
 
 
 def bootstrap_plan(q: int, dt: float):
@@ -206,7 +206,7 @@ def extrapolate_increment(history_states) -> np.ndarray:
     combination of history differences and stays small at small steps.
     """
     h = np.asarray(history_states, dtype=np.float64)
-    return extrapolation_weights(len(h))[1:] @ (h[1:] - h[0])
+    return extrapolation_weights(len(h))[1:].dot(h[1:] - h[0])
 
 
 def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float):
@@ -228,16 +228,24 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     Newton stops when the true nonlinear residual is at most ``tol``, and
     fails at once when its norm is not finite, else after MAX_NEWTON_ITER
     updates. ``solve`` receives that tolerance, so a model may solve its
-    update inexactly (the FOM does) without changing the stopping test.
+    update inexactly (the FOM does) without changing the stopping test. A
+    ConvergenceError from ``solve`` without a residual (nan, as a singular
+    direct solve raises it) is re-raised with the norm of the Newton
+    residual it was asked to solve for, its message kept.
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
     d = extrapolate_increment(history)
     r, solve = linearise(d)
     for it in range(1, MAX_NEWTON_ITER + 1):
-        d = d + solve(-r, tol)
+        try:
+            d = d + solve(-r, tol)
+        except ConvergenceError as exc:
+            if not math.isnan(exc.residual):
+                raise
+            raise ConvergenceError(exc.message, math.sqrt(r.dot(r))) from exc
         r, solve = linearise(d)
-        res_norm = math.sqrt(r @ r)
+        res_norm = math.sqrt(r.dot(r))
         if res_norm <= tol:
             return history[0] + d, it
         if not math.isfinite(res_norm):

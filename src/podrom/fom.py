@@ -21,8 +21,13 @@ BiCGStab (``linalg.krylov_solve``) uses only the operator's products and
 diagonal. Around those kernels the loop keeps numpy's dispatch small: the
 Dirichlet rows are set through the index array ``FomOperator.dirichlet``
 rather than a boolean mask or ``np.where``, the reaction and its partials
-are one matmul each, and a norm is sqrt(v @ v), the ddot np.linalg.norm
-takes.
+are one matmul each, and a norm is sqrt(v.dot(v)), the ddot np.linalg.norm
+takes. A product of 1-D or 2-D operands that a step, a Newton candidate or
+a Krylov iteration forms, in either model, is the method a.dot(b): the same
+BLAS call as ``@`` with less dispatch. Two kinds keep another form: the
+stacked N-D products of the residual and the Jacobian keep ``@``, since
+dot would order the stacked axes differently, and ``dense_lu_solve``'s
+norms keep ``np.vdot``, which flattens a multi-column right-hand side.
 """
 
 from __future__ import annotations
@@ -131,11 +136,12 @@ def _contract(table, factors, u, lead) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     points = math.prod(u.shape[1:])
     values = u.reshape(len(u), points)
-    monomials = np.ones((len(factors), points))
+    monomials = np.empty((len(factors), points))
     for m, ks in enumerate(factors):
-        for k in ks:
+        monomials[m] = values[ks[0]] if ks else 1.0
+        for k in ks[1:]:
             monomials[m] *= values[k]
-    return (table @ monomials).reshape(lead + u.shape[1:])
+    return table.dot(monomials).reshape(lead + u.shape[1:])
 
 
 def brusselator_system(nu: float) -> ReactionSystem:
@@ -238,13 +244,16 @@ class FomOperator:
         The discrete derivative bdf_dt is evaluated in first-difference form
         from the increment, keeping the residual floor independent of dt."""
         bdf_dt = bdf_increment_form(scheme, increment, hist_states, dt)
-        elem_values = self.gather(self.split(np.stack([bdf_dt, hist_states[0] + increment])))
+        pair = np.concatenate((bdf_dt, hist_states[0] + increment)).reshape(2, -1)  # (bdf_dt, u)
+        elem_values = self.gather(self.split(pair))
+        # the N-D products keep @, which stacks the basis over the leading
+        # (2, nc) axes; dot would put those axes after the basis's row axis
         at_q = self.basis @ elem_values  # (2, nc, nq, ne)
         values = (at_q[0] + self.system.g(at_q[1])) * self.weights
         elem = self.basis.T @ values + np.einsum("cije,cje->cie", self.stiffness, elem_values[1])
         r = self.scatter(elem)
         if len(self.loads):
-            r -= self.system.amplitudes(t) @ self.loads
+            r -= self.system.amplitudes(t).dot(self.loads)
         r[self.dirichlet] = 0.0
         return r
 
@@ -263,7 +272,7 @@ class FomOperator:
         firsts = []  # the first updates of the run's last three steps, newest first
 
         def at_step(hist_states, t):
-            start = extrapolation_weights(len(firsts)) @ np.array(firsts) if firsts else None
+            start = extrapolation_weights(len(firsts)).dot(np.array(firsts)) if firsts else None
             first = True
 
             def linearise(increment):
@@ -343,7 +352,7 @@ def newton_update(
     residual, ||r|| <= tol, decides every accepted state as before. BiCGStab
     starts from ``x0``, or from zero when it is None; the start does not
     change the tolerance, which stays relative to ||rhs||."""
-    rhs_norm = math.sqrt(rhs @ rhs)
+    rhs_norm = math.sqrt(rhs.dot(rhs))
     # a zero right-hand side is solved by zero at any tolerance
     rel = min(max(FORCING * tol / rhs_norm, 1e-13), 0.5) if rhs_norm > 0.0 else 0.5
     x, _ = krylov_solve(jac, rhs, tol=rel, x0=x0)

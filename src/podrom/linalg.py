@@ -195,7 +195,8 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a finite solution whose growth ||a|| ||x|| / ||b|| stays below
         # 1 / sqrt(eps) rules out a matrix singular to working precision;
         # vdot flattens, so each is a Frobenius norm without np.linalg.norm's
-        # dispatch
+        # dispatch, also for a multi-column b and x, where x.dot(x) would be
+        # a matrix product (or fail on the shapes)
         growth = math.sqrt(np.vdot(a, a)) * math.sqrt(np.vdot(x, x)) * _SQRT_EPS
         if growth <= math.sqrt(np.vdot(b, b)):
             return x
@@ -254,7 +255,7 @@ def krylov_solve(
 
     # a norm is one ddot and a correctly rounded sqrt, as np.linalg.norm
     # takes it for a 1-D float64 vector, without its dispatch
-    bnorm = math.sqrt(b @ b)
+    bnorm = math.sqrt(b.dot(b))
     if bnorm == 0.0:
         return np.zeros(n), 0
     if x0 is None:
@@ -263,15 +264,15 @@ def krylov_solve(
     else:
         x = x0.copy()
         r = b - a.matvec(x)
-    if math.sqrt(r @ r) <= tol * bnorm:  # the start already meets the tolerance
+    if math.sqrt(r.dot(r)) <= tol * bnorm:  # the start already meets the tolerance
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v, p = np.zeros(n), np.zeros(n)  # distinct: p is updated in place
     for it in range(1, max_iter + 1):
-        rho_new = r_hat @ r
+        rho_new = r_hat.dot(r)
         if rho_new == 0.0 or omega == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r @ r))
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r.dot(r)))
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         # p = r + beta (p - omega v), each operation as written
@@ -280,25 +281,25 @@ def krylov_solve(
         p += r
         p_hat = p / d
         v = a.matvec(p_hat)
-        denom = r_hat @ v
+        denom = r_hat.dot(v)
         if denom == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r @ r))
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(r.dot(r)))
         alpha = rho / denom
         s = r - alpha * v
-        if math.sqrt(s @ s) <= tol * bnorm:
+        if math.sqrt(s.dot(s)) <= tol * bnorm:
             x += alpha * p_hat
             return x, it
         s_hat = s / d
         t = a.matvec(s_hat)
-        tt = t @ t
+        tt = t.dot(t)
         if tt == 0.0:
-            raise ConvergenceError("BiCGStab breakdown", math.sqrt(s @ s))
-        omega = (t @ s) / tt
+            raise ConvergenceError("BiCGStab breakdown", math.sqrt(s.dot(s)))
+        omega = t.dot(s) / tt
         x += alpha * p_hat
         x += omega * s_hat
         r = s - omega * t
-        if math.sqrt(r @ r) <= tol * bnorm:
+        if math.sqrt(r.dot(r)) <= tol * bnorm:
             return x, it
     raise ConvergenceError(
-        f"BiCGStab did not converge in {max_iter} iterations", math.sqrt(r @ r)
+        f"BiCGStab did not converge in {max_iter} iterations", math.sqrt(r.dot(r))
     )

@@ -56,6 +56,10 @@ from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace
 from .pod import InvalidRankError, PodBasis, project
 
+#: the constant pseudo-variable that ``reaction_slope`` prepends to c
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
 #: the tensor build takes the quadrature points in blocks whose factors hold at
 #: most this many entries (32 MB), so its memory does not grow with the mesh
 _BUILD_BLOCK_ENTRIES = 1 << 22
@@ -221,9 +225,9 @@ def _compress(tensor: np.ndarray) -> np.ndarray:
 def reaction_slope(romsys: ReducedSystem, candidate: np.ndarray) -> np.ndarray:
     """S = T . (1, c)^(D-1), an (r, r + 1) array: the reduced reaction at c
     is S (1, c), its Jacobian D S[:, 1:]."""
-    chat = np.concatenate(([1.0], candidate))
+    chat = np.concatenate((_ONE, candidate))
     monomials = np.multiply.reduce(chat[romsys.reaction_monomials])  # take() copies a read-only index
-    return (romsys.reaction_tensor @ monomials).reshape(romsys.r, -1)
+    return romsys.reaction_tensor.dot(monomials).reshape(romsys.r, -1)
 
 
 def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate, slope):
@@ -234,7 +238,7 @@ def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate,
     The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
     the increment, keeping the residual floor independent of dt.
     """
-    return stiffness @ increment + fixed + (slope[:, 0] + slope[:, 1:] @ candidate)
+    return stiffness.dot(increment) + fixed + (slope[:, 0] + slope[:, 1:].dot(candidate))
 
 
 def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray):
@@ -254,18 +258,21 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     ``linearise(d)`` forms one ``reaction_slope`` at h_0 + d, the residual
     from it and ``solve(rhs, tol)``, a direct solve with its Jacobian.
     """
-    stiffness = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
+    mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
+    lift, loads = romsys.diffusion_lift, romsys.reduced_loads
+    stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
 
     def at_step(history, t):
         h = as_history(history, scheme.q)
-        fixed = romsys.reduced_mass @ (weights @ (h[:-1] - h[1:]))
-        fixed += romsys.reduced_diffusion @ h[0] + romsys.diffusion_lift
-        if len(romsys.reduced_loads):
-            fixed -= romsys.system.amplitudes(t) @ romsys.reduced_loads
+        h0 = h[0]
+        fixed = mass.dot(weights.dot(h[:-1] - h[1:]))
+        fixed += diffusion.dot(h0) + lift
+        if len(loads):
+            fixed -= romsys.system.amplitudes(t).dot(loads)
 
         def linearise(d):
-            candidate = h[0] + d
+            candidate = h0 + d
             slope = reaction_slope(romsys, candidate)
             residual = rom_residual(stiffness, fixed, d, candidate, slope)
             return residual, lambda rhs, tol: dense_lu_solve(rom_jacobian(romsys, stiffness, slope), rhs)

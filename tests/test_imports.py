@@ -3,11 +3,12 @@ no function assigns a local name it never reads, no module (nor
 perfbench's workloads) imports or reads another module's underscored
 names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
-snapshot builders takes tau or the w0 mode, the Newton/BiCGStab loop calls
-none of numpy's dispatch-heavy forms of its kernels, harness formats a
-table value in ``write_csv`` alone, only ``_main_loop_maxima`` names a
-study's ``_step`` key, each run rule's message is written in one
-function, the Newton rule reaches the time loop as data, a POD basis's
+snapshot builders takes tau or the w0 mode, both models' Newton loops use
+none of numpy's dispatch-heavy forms of their kernels (``@`` and np.dot
+among them), harness formats a table value in ``write_csv`` alone, only
+``_main_loop_maxima`` names a study's ``_step`` key, each run rule's
+message is written in one function, the Newton rule reaches the time loop
+as data, a POD basis's
 inner product is set by its name alone, only the BDF first-difference
 form and the ROM's linearisation read the first-difference weights, the
 mesh and the space are built without a loop, no module reads a Matrix
@@ -220,16 +221,21 @@ def test_only_the_snapshot_builders_take_its_settings(path):
     assert not found, ", ".join(found)
 
 
-#: the functions of the FOM's Newton/BiCGStab loop, run per product or per
-#: candidate, and the numpy calls that have a cheaper bit-identical form there:
-#: a norm is sqrt(v @ v), Dirichlet rows are set by index, and the reaction
-#: is one matmul
+#: the functions both models' Newton loops run per step, per candidate or per
+#: Krylov iteration, and the numpy calls that have a cheaper bit-identical
+#: form there: a norm is sqrt(v.dot(v)), Dirichlet rows are set by index, the
+#: reaction is one matmul, and a product of 1-D or 2-D operands is the method
+#: a.dot(b), not the ``@`` operator or np.dot
 NEWTON_LOOP = {
     "linalg.py": {"krylov_solve"},
-    "fom.py": {"newton_update", "FomJacobian.matvec", "ReactionSystem.g", "ReactionSystem.g_prime", "_contract"},
-    "bdf.py": {"implicit_step"},
+    "fom.py": {
+        "newton_update", "FomJacobian.matvec", "FomOperator.linearisation",
+        "ReactionSystem.g", "ReactionSystem.g_prime", "_contract",
+    },
+    "bdf.py": {"implicit_step", "extrapolate_increment", "bdf_increment_form"},
+    "rom.py": {"reaction_slope", "rom_residual", "rom_jacobian", "rom_linearisation"},
 }
-DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot"}
+DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot", "np.dot"}
 
 
 def functions_by_qualified_name(tree):
@@ -252,10 +258,10 @@ def functions_by_qualified_name(tree):
     ids=lambda v: v,
 )
 def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
-    """np.linalg.norm, np.where and np.tensordot cost more dispatch than the
-    ddot, index assignment and matmul that give the same bits; in the
-    functions the FOM's Newton/BiCGStab loop runs per product or candidate
-    they are not called."""
+    """np.linalg.norm, np.where, np.tensordot, np.dot and the ``@`` operator
+    cost more dispatch than the ddot, index assignment, matmul and a.dot(b)
+    that give the same bits; in the functions the Newton loops run per step,
+    candidate or Krylov iteration they are not used."""
     path = Path(podrom.__file__).parent / module
     func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
     assert func is not None, f"{module}: {name} no longer exists"
@@ -263,6 +269,10 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
         f"{name}: {ast.unparse(node.func)} (line {node.lineno})"
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and ast.unparse(node.func) in DISPATCH_HEAVY
+    ] + [
+        f"{name}: {ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert not found, ", ".join(found)
 

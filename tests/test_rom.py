@@ -536,7 +536,9 @@ class TestIntegration:
     def test_a_singular_solve_names_its_step(self):
         # a reduced system of zeros has a zero Jacobian: the dense solve's
         # failure goes through the loop's handler, which names the order, the
-        # step, the time and the step size, here of the bootstrap's first step
+        # step, the time and the step size, here of the bootstrap's first step.
+        # The solve forms no residual of its own, so Newton names the norm of
+        # the residual it asked the solve to remove, and keeps the pivot
         system = heat_system(0.1)
         shapes = rom.reduced_shapes(2, system)
         zeros = {key: np.zeros(ast.literal_eval(shape.split(" ", 1)[1])) for key, shape in shapes.items()}
@@ -545,6 +547,8 @@ class TestIntegration:
         message = str(exc.value)
         assert message.startswith("bootstrap BDF-1 step n = 1 at t = 0.025 (step size 0.025): "), message
         assert message.count("pivot") == 1, message
+        assert math.isfinite(exc.value.residual), message
+        assert message.endswith(f"(pivot 0.000e+00) (residual {exc.value.residual:.3e})"), message
 
     def test_iteration_counts_recorded(self):
         traj, snaps, basis, romsys = brusselator_setup()
