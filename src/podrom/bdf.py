@@ -6,9 +6,11 @@ linearisation callback: the model forms what is fixed for a run once per
 rest at each Newton candidate. Each model owns its Newton solve; the loop
 does not know which model it steps. Starting values are bootstrapped by
 running the same loop once per segment of ``bootstrap_plan``. The loop owns
-the run rules both models share: ``check_step`` decides which grids run, and
+the run rules both models share: ``check_step`` decides which grids run,
 ``newton_tolerance`` turns a Newton rule, "step-coupled" or a fixed number,
-into the tolerance each step stops at.
+into the tolerance each step stops at, and ``implicit_step`` decides when a
+model may apply the Jacobian it holds: for a step's first update, kept only
+if it lowers the residual.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -216,14 +218,24 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     on the increment d = u^n - u^{n-1}, started from the predictor, the
     polynomial extrapolation through the history (at q = 1 the previous
     state). ``linearise(d)``, the model's callback for this step, returns
-    the residual at the candidate history[0] + d and ``solve(rhs, tol)``,
-    which returns the Newton update J^{-1} rhs for the Jacobian J at the
-    same candidate, built only when called from what the residual already
-    formed. What is fixed for the step (the BDF history term, the time) is
-    bound into ``linearise`` before the first candidate. The solution
-    returned is the newest history state plus the converged increment. The
-    linearisation computed for the convergence check drives the next
-    update, so k updates take k + 1 linearisations and k solves.
+    the residual at the candidate history[0] + d and ``solve(rhs, tol,
+    reuse=False)``, which returns the Newton update for the Jacobian J at
+    the same candidate, built only when called from what the residual
+    already formed. With ``reuse=True`` the model may apply the Jacobian
+    (or its factor) it formed last instead, if it holds one. What is fixed
+    for the step (the BDF history term, the time) is bound into
+    ``linearise`` before the first candidate. The solution returned is the
+    newest history state plus the converged increment. The linearisation
+    computed for the convergence check drives the next update, so k
+    updates take k + 1 linearisations and k solves.
+
+    A predictor whose residual is already at most ``tol`` is returned with
+    0 updates. Otherwise the first update asks for ``reuse`` and every later
+    one does not, the simplified Newton of BDF codes with a refresh on
+    failure (Hairer & Wanner, Solving ODEs II, IV.8): a first update that
+    does not lower the residual norm below the predictor's is discarded,
+    and the step takes a fresh update from the predictor, with its own
+    ``solve``. Every update taken is counted, a discarded one too.
 
     Newton stops when the true nonlinear residual is at most ``tol``, and
     fails at once when its norm is not finite, else after MAX_NEWTON_ITER
@@ -237,9 +249,13 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
         raise ValueError(f"history must hold {scheme.q} states")
     d = extrapolate_increment(history)
     r, solve = linearise(d)
+    predictor_norm = math.sqrt(r.dot(r))
+    if predictor_norm <= tol:
+        return history[0] + d, 0
+    predictor = d, r, solve
     for it in range(1, MAX_NEWTON_ITER + 1):
         try:
-            d = d + solve(-r, tol)
+            d = d + solve(-r, tol, reuse=it == 1)
         except ConvergenceError as exc:
             if not math.isnan(exc.residual):
                 raise
@@ -250,6 +266,8 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
             return history[0] + d, it
         if not math.isfinite(res_norm):
             raise ConvergenceError(f"Newton residual norm is not finite at update {it}", res_norm)
+        if it == 1 and not res_norm < predictor_norm:
+            d, r, solve = predictor
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
@@ -264,8 +282,9 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     for the previous states ``history``, a (q, dim) array, newest first, and
     the new time t, where the model forms its per-step constants, and
     returns ``linearise(d)``: the residual at the candidate history[0] + d
-    and the Newton ``solve(rhs, tol)`` at that candidate (see
-    ``implicit_step``).
+    and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate (see
+    ``implicit_step``). A Jacobian the model holds for ``reuse`` lives in
+    the per-run closure, so no segment serves another's.
     Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
     every bootstrap segment the same at its own order and step. A dt that is
     not positive and finite or that T/dt overflows, a grid ``check_step``

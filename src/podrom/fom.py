@@ -261,8 +261,10 @@ class FomOperator:
         """``bdf.integrate``'s callback. Per run it forms the Jacobian's
         linear part (``jacobian_linear_part``); per step, ``at_step(hist_states,
         t)`` returns ``linearise(increment)``: the residual at u^{n-1} +
-        increment and ``solve(rhs, tol)``, the inexact Newton update
-        (``newton_update``) with the Jacobian at the same candidate.
+        increment and ``solve(rhs, tol, reuse=False)``, the inexact Newton
+        update (``newton_update``) with the Jacobian at the same candidate.
+        The FOM holds no Jacobian across candidates, so ``reuse`` changes
+        nothing: every update is formed with the candidate's own Jacobian.
 
         The first update of a step starts BiCGStab from the polynomial
         extrapolation of the first updates of the run's previous three steps
@@ -276,7 +278,7 @@ class FomOperator:
             first = True
 
             def linearise(increment):
-                def solve(rhs, tol):
+                def solve(rhs, tol, reuse=False):
                     nonlocal first
                     jac = self.jacobian(hist_states[0] + increment, linear_part)
                     if not first:

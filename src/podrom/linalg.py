@@ -172,7 +172,8 @@ _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b (LAPACK LU with partial pivoting).
+    """Solve a x = b (LAPACK LU with partial pivoting); with b the identity,
+    x is the inverse of a, which the ROM holds as its Newton factor.
 
     When the solve fails, or its solution is non-finite or grows beyond
     ||b|| / (sqrt(eps) ||a||), an SVD decides: SingularMatrixError, carrying

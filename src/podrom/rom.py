@@ -25,8 +25,11 @@ Online, one linearisation forms
 
 from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
 S c_hat and its Jacobian D S[:, 1:]. That costs O(r (r + 1) C(r + D - 1, D - 1))
-per linearisation, independent of the mesh, and a step of one Newton update
-takes two linearisations and one Jacobian build. What no candidate changes
+per linearisation, independent of the mesh. A step's first Newton update
+applies the inverse Jacobian the run formed last, so a step of one update
+takes two linearisations and no Jacobian build, and each later update (or a
+fresh one after a discarded first, ``bdf.implicit_step``) builds and
+inverts one, r x r, at its candidate. What no candidate changes
 is formed before the first one (``rom_linearisation``): per run the linear
 part K = (delta_0/dt) M_r + D_r of the Jacobian, per step the BDF history
 term with the constant part of the residual, so a candidate d costs
@@ -256,12 +259,18 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
     D_r h_0 + diffusion_lift - amplitudes(t) @ reduced_loads. Per candidate,
     ``linearise(d)`` forms one ``reaction_slope`` at h_0 + d, the residual
-    from it and ``solve(rhs, tol)``, a direct solve with its Jacobian.
+    from it and ``solve(rhs, tol, reuse=False)``, the update F rhs with F the
+    inverse Jacobian (``dense_lu_solve`` of the Jacobian and the identity).
+    The run holds the last F formed: ``reuse=True`` applies it, or forms one
+    at the candidate when none is held, and ``reuse=False`` forms F at the
+    candidate and holds it.
     """
     mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
     lift, loads = romsys.diffusion_lift, romsys.reduced_loads
     stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
+    identity = np.eye(romsys.r)
+    held = None  # the inverse Jacobian F the run formed last
 
     def at_step(history, t):
         h = as_history(history, scheme.q)
@@ -274,8 +283,14 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
         def linearise(d):
             candidate = h0 + d
             slope = reaction_slope(romsys, candidate)
-            residual = rom_residual(stiffness, fixed, d, candidate, slope)
-            return residual, lambda rhs, tol: dense_lu_solve(rom_jacobian(romsys, stiffness, slope), rhs)
+
+            def solve(rhs, tol, reuse=False):
+                nonlocal held
+                if held is None or not reuse:
+                    held = dense_lu_solve(rom_jacobian(romsys, stiffness, slope), identity)
+                return held.dot(rhs)
+
+            return rom_residual(stiffness, fixed, d, candidate, slope), solve
 
         return linearise
 

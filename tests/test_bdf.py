@@ -5,13 +5,14 @@ plans, the time-loop driver, and scalar convergence orders."""
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podrom import bdf
+from podrom import bdf, fom, mesh_fem, pod, rom
 from podrom.bdf import (
     MAX_NEWTON_ITER,
     UnsupportedOrderError,
@@ -247,7 +248,7 @@ def scalar_linearisation(lam):
         def at_step(history, t):
             def linearise(d):
                 residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
-                return residual, lambda rhs, tol: rhs / (float(scheme.delta_f[0]) / step - lam)
+                return residual, lambda rhs, tol, reuse=False: rhs / (float(scheme.delta_f[0]) / step - lam)
 
             return linearise
 
@@ -279,7 +280,8 @@ class TestImplicitStep:
 
         def linearise(d):
             calls.append(d.copy())
-            return d / dt + (1.0 + d) ** 3, lambda rhs, tol: rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
+            slope = 1.0 / dt + 3.0 * (1.0 + d) ** 2
+            return d / dt + (1.0 + d) ** 3, lambda rhs, tol, reuse=False: rhs / slope
 
         # at BDF-1 the predictor is the previous value, so Newton starts from d = 0
         sol, iters = implicit_step(scheme, h, linearise, 1e-13)
@@ -313,7 +315,7 @@ class TestImplicitStep:
         def linearise(d):
             counts["linearise"] += 1
 
-            def solve(rhs, tol):
+            def solve(rhs, tol, reuse=False):
                 counts["jacobian"] += 1
                 return np.linalg.solve(jacobian(d), rhs)
 
@@ -331,7 +333,7 @@ class TestImplicitStep:
 
         def linearise(d):
             calls.append(d)
-            return np.array([1.0]), lambda rhs, tol: rhs  # unsatisfiable
+            return np.array([1.0]), lambda rhs, tol, reuse=False: rhs  # unsatisfiable
 
         with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITER} iterations"):
             implicit_step(scheme, h, linearise, 1e-12)
@@ -343,7 +345,7 @@ class TestImplicitStep:
         solves = []
 
         def linearise(d):
-            def solve(rhs, tol):
+            def solve(rhs, tol, reuse=False):
                 solves.append(rhs)
                 return np.array([1e200])
 
@@ -365,6 +367,86 @@ class TestImplicitStep:
         assert exc.value.message == (
             "BDF-1 step n = 1 at t = 0.5 (step size 0.5): Newton residual norm is not finite at update 1"
         )
+
+    def test_a_predictor_within_tolerance_takes_no_update(self):
+        # the residual at the predictor is tested before any update: a step
+        # whose predictor meets the tolerance returns it with 0 updates and
+        # asks for no solve
+        solves = []
+
+        def linearise(d):
+            def solve(rhs, tol, reuse=False):
+                solves.append(rhs)
+                return rhs
+
+            return np.array([1e-13]), solve
+
+        sol, iters = implicit_step(bdf_coefficients(2), np.array([[3.0], [2.0]]), linearise, 1e-12)
+        assert (sol.tolist(), iters, solves) == ([4.0], 0, [])
+
+    def test_only_the_first_update_of_a_step_asks_for_reuse(self):
+        # u' = -u^3 by BDF-3, bootstrapped: in every step, of every segment,
+        # the first update asks for the held factor and no later one does
+        asked = []
+
+        def linearisation(scheme, step):
+            c0 = float(scheme.delta_f[0]) / step
+
+            def at_step(history, t):
+                flags = []
+                asked.append(flags)
+
+                def linearise(d):
+                    u = history[0] + d
+
+                    def solve(rhs, tol, reuse=False):
+                        flags.append(reuse)
+                        return rhs / (c0 + 3.0 * u**2)
+
+                    return bdf_increment_form(scheme, d, history, step) + u**3, solve
+
+                return linearise
+
+            return at_step
+
+        _, counts, boot_counts = integrate(3, 0.25, 2.0, [np.array([1.0])], linearisation, TIGHT)
+        assert [len(flags) for flags in asked] == boot_counts + counts
+        assert max(counts) >= 2
+        assert all(flags == [True] + [False] * (len(flags) - 1) for flags in asked)
+
+    @pytest.mark.parametrize("held, discarded", [(-1.0, True), (0.5, False)])
+    def test_a_held_update_that_does_not_lower_the_residual_is_discarded(self, held, discarded):
+        # BDF-1 on u' = -u^3 from u = 1, with a model whose held update is
+        # ``held`` times the fresh one. Of the wrong sign it raises the
+        # residual: the step discards it and goes on from the predictor with
+        # fresh updates, so its iterates are the all-fresh path's, one update
+        # later. Half an update lowers the residual and is kept
+        dt = 0.5
+
+        def run(scale):
+            iterates = []
+
+            def linearise(d):
+                iterates.append(d.copy())
+
+                def solve(rhs, tol, reuse=False):
+                    return (scale if reuse else 1.0) * rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
+
+                return d / dt + (1.0 + d) ** 3, solve
+
+            sol, iters = implicit_step(bdf_coefficients(1), [np.array([1.0])], linearise, 1e-13)
+            assert len(iterates) == iters + 1
+            return sol, iters, iterates
+
+        fresh_sol, fresh_iters, fresh_iterates = run(1.0)
+        sol, iters, iterates = run(held)
+        if discarded:
+            assert iters == fresh_iters + 1
+            assert np.array_equal(iterates[:1] + iterates[2:], fresh_iterates)
+            assert np.array_equal(sol, fresh_sol)
+        else:
+            assert np.array_equal(iterates[1], 0.5 * fresh_iterates[1])
+            assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
@@ -443,7 +525,7 @@ class TestRunBootstrap:
                     u = history[0] + d
                     residual = bdf_increment_form(scheme, d, history, step) + 2.0 * u - np.sin(3.0 * t) - u**2 / 4
 
-                    def solve(rhs, tol):
+                    def solve(rhs, tol, reuse=False):
                         return rhs / (float(scheme.delta_f[0]) / step + 2.0 - u / 2)
 
                     return residual, solve
@@ -618,3 +700,59 @@ class TestIntegrate:
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
             integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), TIGHT)
+
+
+@pytest.fixture(scope="module")
+def sweep_rom():
+    """The set-up of the benchmark's sweep: the desk protocol (Brusselator,
+    P2, BDF-5 FOM snapshots on M 128, H10 POD with the zero-after-mean
+    anchor) on n_side 8, its ROM at r 10 and that ROM's initial coordinates."""
+    space = mesh_fem.build_space(mesh_fem.build_mesh(8), 2)
+    system = fom.brusselator_system(0.002)
+    traj = fom.fom_integrate(system, space, fom.perturbed_equilibrium(space), DEFAULT_T / 128, DEFAULT_T, 5)
+    snaps, basis = pod.build_pod_basis(traj, 1.0, pod.W0_ZERO, pod.H10)
+    romsys = rom.rom_assemble(basis, 10, space, system, snaps.mean)
+    return romsys, rom.initial_coords(romsys, traj.states[0])
+
+
+def held_throughout(romsys, scheme, step):
+    """The ROM's callback with every update asking for the held factor: one
+    factor, formed at the run's first update, serves the whole segment."""
+    at_step = rom.rom_linearisation(romsys, scheme, step)
+
+    def step_of(history, t):
+        linearise = at_step(history, t)
+
+        def held(d):
+            residual, solve = linearise(d)
+            return residual, lambda rhs, tol, reuse=False: solve(rhs, tol, reuse=True)
+
+        return held
+
+    return step_of
+
+
+class TestHeldFactor:
+    def test_the_bdf1_sweep_run_refreshes_and_converges(self, sweep_rom):
+        # BDF-1 on M 32 (a step of 0.22) of the benchmark's sweep: a factor
+        # held over the whole segment stops serving at the last step, while
+        # the refresh after each step's first update converges there
+        romsys, coords0 = sweep_rom
+        dt = DEFAULT_T / 32
+        held = partial(held_throughout, romsys)
+        with pytest.raises(ConvergenceError, match=re.escape("BDF-1 step n = 32 at t = 7.09064")):
+            integrate(1, dt, DEFAULT_T, [coords0], held, "step-coupled")
+        rt = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0))
+        assert rt.coords.shape == (33, romsys.r) and np.all(np.isfinite(rt.coords))
+        assert rt.newton_iteration_counts.max() > 2
+
+    def test_refreshes_fall_below_updates(self, sweep_rom, monkeypatch):
+        # the benchmark's online run (q 5, M 512) on the sweep's ROM: one
+        # dense solve per Jacobian formed, and fewer Jacobians than updates
+        romsys, coords0 = sweep_rom
+        formed = []
+        solve = rom.dense_lu_solve
+        monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or solve(a, b))
+        rt = rom.rom_integrate(romsys, 5, DEFAULT_T / 512, DEFAULT_T, ("bootstrap", coords0))
+        updates = int(rt.newton_iteration_counts.sum() + rt.bootstrap_iteration_counts.sum())
+        assert 0 < len(formed) < updates

@@ -402,6 +402,23 @@ class TestInexactNewton:
         x = solve(np.zeros(jacobian.rows), self.TOL)
         assert np.array_equal(x, np.zeros(jacobian.rows))
 
+    def test_reuse_changes_no_update(self):
+        # the FOM holds no Jacobian: at one candidate, the first update of a
+        # step asked with reuse is the one asked without, to the bit, on the
+        # run's first step (started from zero) and on its second (started
+        # from the first step's update)
+        space = small_space(8, 2)
+        op = FomOperator(brusselator_system(0.002), space)
+        w = perturbed_equilibrium(space, 0.2).ravel()
+        history, d = np.array([w] * 5), 1e-3 * np.sin(np.arange(len(w)))
+        updates = []
+        for reuse in (True, False):
+            at_step = op.linearisation(bdf_coefficients(5), 0.05)
+            for scale in (1.0, 2.0):
+                residual, solve = at_step(history, 0.0)(scale * d)
+                updates.append(solve(-residual, self.TOL, reuse=reuse))
+        assert np.array_equal(updates[:2], updates[2:])
+
     def worst_step_residual(self, op, states, dt):
         """The largest BDF-Q residual of the main-loop states of a run, by
         the assembled-matrix oracle rather than the residual the Newton

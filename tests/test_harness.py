@@ -705,14 +705,16 @@ class TestCli:
         assert not list(out_dir.glob("rom_*")) and not (out_dir / "convergence.csv").exists()
 
     def test_a_singular_reduced_system_names_its_step(self, short_run, capsys):
-        # a reduced file whose arrays are all zero passes the load's checks,
-        # and its Jacobian is singular: a pipeline failure whose one stderr
-        # line names the bootstrap step where the dense solve failed
+        # a reduced file whose arrays are all zero but the constant diffusion
+        # term passes the load's checks: its residual is that term at every
+        # candidate, and its Jacobian is singular, a pipeline failure whose
+        # one stderr line names the bootstrap step where the dense solve failed
         args, out_dir = short_run
         assert cli.main(["pod", *args]) == 0
         path = out_dir / "reduced_r2.npz"
         with np.load(path) as data:
             arrays = {key: np.zeros_like(data[key]) if data[key].ndim else data[key] for key in data.files}
+        arrays["diffusion_lift"] = np.ones_like(arrays["diffusion_lift"])
         path.write_bytes(saved(np.savez, **arrays))
         capsys.readouterr()
         assert cli.main(["rom", *args]) == cli.PIPELINE_ERROR

@@ -633,12 +633,29 @@ def traced(tracing, call):
     return result, Counter(s[0] for s in tracer.spans), updates
 
 
+def held_factor_jacobians(updates, run_steps):
+    """The Jacobians the ROM forms under ``bdf.implicit_step``'s rule, from
+    the Newton updates per step in call order, run by run (``run_steps``
+    steps each): each update after a step's first forms one (a fresh update
+    after a discarded first one too), and a run's first update forms one,
+    when no factor is held yet; a step of 0 updates forms none."""
+    jacobians, start = 0, 0
+    for steps in run_steps:
+        run = updates[start : start + steps]
+        jacobians += sum(k - 1 for k in run if k) + any(run)
+        start += steps
+    assert start == len(updates)
+    return jacobians
+
+
 def test_tracer_counts_every_linearisation():
     """perfbench reads the model's work from the traced names: a time loop
     that bypassed rom_residual, FomOperator.residual or implicit_step would
     report fewer calls there, and 0 implicit_step calls fail a traced unit.
-    Each model's Newton solve runs one linear solve per Jacobian, and a
-    bootstrapped run is one run_bootstrap span, so its time is one wall time."""
+    Each model's Newton solve runs one linear solve per Jacobian: the FOM
+    forms one per update, the ROM one per refresh of its held factor, as
+    many as the rule implies for the run. A bootstrapped run is one
+    run_bootstrap span, so its time is one wall time."""
     tracing = load_tracing()
     space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
     system = fom.brusselator_system(0.002)
@@ -663,7 +680,8 @@ def test_tracer_counts_every_linearisation():
     assert updates == [*rt.bootstrap_iteration_counts, *rt.newton_iteration_counts]
     assert calls["bdf.implicit_step"] == len(updates) == steps
     assert calls["rom.rom_residual"] == sum(updates) + steps
-    assert calls["rom.rom_jacobian"] == sum(updates) > 0
+    run_steps = [count for _, _, count in bdf.bootstrap_plan(q, dt)] + [m - q + 1]
+    assert calls["rom.rom_jacobian"] == held_factor_jacobians(updates, run_steps) > 0
     assert calls["linalg.dense_lu_solve"] == calls["rom.rom_jacobian"]
     assert calls["bdf.run_bootstrap"] == 1
 

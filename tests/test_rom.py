@@ -109,18 +109,20 @@ def contract(tensor, chat, times):
 
 def solved_jacobian(solve, rhs):
     """The matrix one ROM ``solve(rhs, tol)`` hands to dense_lu_solve, copied
-    at the call, checked to give the same update."""
+    at the call, checked to be inverted there (b = I) and to give the update
+    as the inverse times ``rhs``."""
     seen = []
 
     def recording(a, b):
-        seen.append(a.copy())
-        return dense_lu_solve(a, b)
+        seen.append((a.copy(), b.copy(), dense_lu_solve(a, b)))
+        return seen[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rom, "dense_lu_solve", recording)
         update = solve(rhs, 1.0)
-    [jacobian] = seen
-    assert np.array_equal(update, dense_lu_solve(jacobian, rhs))
+    [(jacobian, identity, inverse)] = seen
+    assert np.array_equal(identity, np.eye(len(rhs)))
+    assert np.array_equal(update, inverse.dot(rhs))
     return jacobian
 
 
@@ -356,6 +358,33 @@ class TestResidualAndJacobian:
             )
             assert np.linalg.norm(jac - closed) <= 1e-13 * np.linalg.norm(closed)
 
+    def test_reuse_applies_the_factor_the_run_formed_last(self, monkeypatch):
+        # a run holds the last inverse Jacobian it formed: reuse=True applies
+        # it at any later candidate of the run, or forms one at its own
+        # candidate when none is held yet; reuse=False always forms one
+        romsys = brusselator_setup()[3]
+        scheme, dt = bdf_coefficients(2), 0.1
+        rng = np.random.default_rng(5)
+        history = 0.1 * rng.standard_normal((2, romsys.r))
+        rhs = rng.standard_normal(romsys.r)
+        formed = []
+        monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or dense_lu_solve(a, b))
+
+        def solves():
+            at_step = rom_linearisation(romsys, scheme, dt)
+            return [at_step(history, 0.3)(d)[1] for d in 0.05 * rng.standard_normal((2, romsys.r))]
+
+        first, second = solves()
+        held = second(rhs, 1.0, reuse=True)
+        assert np.array_equal(held, second(rhs, 1.0)) and len(formed) == 2
+        assert np.array_equal(first(rhs, 1.0, reuse=True), held) and len(formed) == 2
+        own = first(rhs, 1.0)
+        assert not np.array_equal(own, held) and len(formed) == 3
+        assert np.array_equal(second(rhs, 1.0, reuse=True), own) and len(formed) == 3
+        # a new run holds nothing from the last one
+        first, _ = solves()
+        assert np.array_equal(first(rhs, 1.0, reuse=True), first(rhs, 1.0)) and len(formed) == 5
+
     @pytest.mark.parametrize("rank", ["1", "d_r"])
     @pytest.mark.parametrize("setup", ["heat_u0", "heat_u1", "heat_u2", "heat_u3", "brusselator"])
     def test_compressed_tensor_matches_full_contraction(self, setup, rank):
@@ -533,21 +562,38 @@ class TestIntegration:
         ]
         assert np.array_equal(runs[0], runs[1])
 
+    @staticmethod
+    def zero_system(system, r):
+        """The arrays of a rank-r ``ReducedSystem`` of ``system``, all zero."""
+        shapes = rom.reduced_shapes(r, system)
+        return {key: np.zeros(ast.literal_eval(shape.split(" ", 1)[1])) for key, shape in shapes.items()}
+
+    def test_a_zero_residual_predictor_takes_no_update(self):
+        # a reduced system of zeros has a zero residual at every candidate and
+        # a zero Jacobian: each step returns its predictor, the constant
+        # history, with 0 updates, and no solve is asked for
+        system = heat_system(0.1)
+        romsys = ReducedSystem(2, **self.zero_system(system, 2), system=system)
+        rt = rom_integrate(romsys, 3, 0.1, 1.0, ("bootstrap", np.ones(2)))
+        assert np.array_equal(rt.coords, np.ones((11, 2)))
+        assert not rt.newton_iteration_counts.any() and not rt.bootstrap_iteration_counts.any()
+
     def test_a_singular_solve_names_its_step(self):
-        # a reduced system of zeros has a zero Jacobian: the dense solve's
-        # failure goes through the loop's handler, which names the order, the
-        # step, the time and the step size, here of the bootstrap's first step.
+        # a reduced system of zeros but its constant diffusion term has that
+        # term as its residual and a zero Jacobian: the dense solve's failure
+        # goes through the loop's handler, which names the order, the step,
+        # the time and the step size, here of the bootstrap's first step.
         # The solve forms no residual of its own, so Newton names the norm of
         # the residual it asked the solve to remove, and keeps the pivot
         system = heat_system(0.1)
-        shapes = rom.reduced_shapes(2, system)
-        zeros = {key: np.zeros(ast.literal_eval(shape.split(" ", 1)[1])) for key, shape in shapes.items()}
+        arrays = self.zero_system(system, 2)
+        arrays["diffusion_lift"] = np.ones(2)
         with pytest.raises(ConvergenceError) as exc:
-            rom_integrate(ReducedSystem(2, **zeros, system=system), 3, 0.1, 1.0, ("bootstrap", np.ones(2)))
+            rom_integrate(ReducedSystem(2, **arrays, system=system), 3, 0.1, 1.0, ("bootstrap", np.ones(2)))
         message = str(exc.value)
         assert message.startswith("bootstrap BDF-1 step n = 1 at t = 0.025 (step size 0.025): "), message
         assert message.count("pivot") == 1, message
-        assert math.isfinite(exc.value.residual), message
+        assert exc.value.residual == math.sqrt(2.0), message
         assert message.endswith(f"(pivot 0.000e+00) (residual {exc.value.residual:.3e})"), message
 
     def test_iteration_counts_recorded(self):
