@@ -24,18 +24,19 @@ Online, one linearisation forms
     S = T . c_hat^(D - 1) = (Tc @ m(c_hat)).reshape(r, r + 1)
 
 from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
-S c_hat and its Jacobian D S[:, 1:]. That costs O(r (r + 1) C(r + D - 1, D - 1))
-per linearisation, independent of the mesh. A step's first Newton update
-applies the inverse Jacobian the run formed last, so a step of one update
-takes two linearisations and no Jacobian build, and each later update (or a
-fresh one after a discarded first, ``bdf.implicit_step``) builds and
-inverts one, r x r, at its candidate. What no candidate changes
-is formed before the first one (``rom_linearisation``): per run the linear
-part K = (delta_0/dt) M_r + D_r of the Jacobian, per step the BDF history
-term with the constant part of the residual, so a candidate d costs
-K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A forcing of J
-separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per step, from
-the (J, r) reduced loads: O(J r), and no step touches the mesh.
+the one product S c_hat and its Jacobian D S[:, 1:]. That costs
+O(r (r + 1) C(r + D - 1, D - 1)) per linearisation, independent of the mesh.
+A step's first Newton update applies the inverse Jacobian the run formed
+last, so a step of one update takes two linearisations and no Jacobian
+build, and each later update (or a fresh one after a discarded first,
+``bdf.implicit_step``) builds and inverts one, r x r, at its candidate. What
+no candidate changes is formed before the first one (``rom_linearisation``):
+per run K = (delta_0/dt) M_r + D_r, the linear part of the Jacobian, and the
+one c_hat (its 1 set once) each candidate c is written into in place; per
+step the BDF history term with the constant part of the residual. A
+candidate d costs K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A
+forcing of J separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per
+step, from the (J, r) reduced loads: O(J r), and no step touches the mesh.
 
 ``ReducedSystem`` holds what a step reads, all r-sized; ``RomSystem`` adds
 the basis, lift and space of projection and lifting. ``podrom pod`` writes
@@ -58,10 +59,6 @@ from .fom import ReactionSystem, Trajectory, save_header
 from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace
 from .pod import InvalidRankError, PodBasis, project
-
-#: the constant pseudo-variable that ``reaction_slope`` prepends to c
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
 
 #: the tensor build takes the quadrature points in blocks whose factors hold at
 #: most this many entries (32 MB), so its memory does not grow with the mesh
@@ -225,23 +222,22 @@ def _compress(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1))
 
 
-def reaction_slope(romsys: ReducedSystem, candidate: np.ndarray) -> np.ndarray:
-    """S = T . (1, c)^(D-1), an (r, r + 1) array: the reduced reaction at c
-    is S (1, c), its Jacobian D S[:, 1:]."""
-    chat = np.concatenate((_ONE, candidate))
+def reaction_slope(romsys: ReducedSystem, chat: np.ndarray) -> np.ndarray:
+    """S = T . chat^(D-1), an (r, r + 1) array, at chat = (1, c): the reduced
+    reaction at c is the one product S chat, its Jacobian D S[:, 1:]."""
     monomials = np.multiply.reduce(chat[romsys.reaction_monomials])  # take() copies a read-only index
     return romsys.reaction_tensor.dot(monomials).reshape(romsys.r, -1)
 
 
-def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, candidate, slope):
-    """Reduced residual K d + fixed + S (1, c) at the candidate c = history[0]
+def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, chat, slope):
+    """Reduced residual K d + fixed + S chat at chat = (1, c), c = history[0]
     + d, with K = ``stiffness`` and ``fixed`` the per-run and per-step terms of
-    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at c.
+    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at chat.
 
     The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
     the increment, keeping the residual floor independent of dt.
     """
-    return stiffness.dot(increment) + fixed + (slope[:, 0] + slope[:, 1:].dot(candidate))
+    return stiffness.dot(increment) + fixed + slope.dot(chat)
 
 
 def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray):
@@ -258,9 +254,11 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     t)`` checks that ``history`` holds the q previous coordinate vectors,
     newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
     D_r h_0 + diffusion_lift - amplitudes(t) @ reduced_loads. Per candidate,
-    ``linearise(d)`` forms one ``reaction_slope`` at h_0 + d, the residual
-    from it and ``solve(rhs, tol, reuse=False)``, the update F rhs with F the
-    inverse Jacobian (``dense_lu_solve`` of the Jacobian and the identity).
+    ``linearise(d)`` writes c = h_0 + d in place into the run's one (1, c)
+    vector chat, forms one ``reaction_slope`` at chat, the residual from it
+    and ``solve(rhs, tol, reuse=False)``, the update F rhs with F the inverse
+    Jacobian (``dense_lu_solve`` of the Jacobian and the identity). Neither
+    keeps chat: ``solve`` holds the candidate's own S, the residual is new.
     The run holds the last F formed: ``reuse=True`` applies it, or forms one
     at the candidate when none is held, and ``reuse=False`` forms F at the
     candidate and holds it.
@@ -270,6 +268,8 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
     identity = np.eye(romsys.r)
+    chat = np.ones(romsys.r + 1)  # (1, c): each candidate c is written into chat[1:]
+    candidate = chat[1:]
     held = None  # the inverse Jacobian F the run formed last
 
     def at_step(history, t):
@@ -281,8 +281,8 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
             fixed -= romsys.system.amplitudes(t).dot(loads)
 
         def linearise(d):
-            candidate = h0 + d
-            slope = reaction_slope(romsys, candidate)
+            np.add(h0, d, out=candidate)
+            slope = reaction_slope(romsys, chat)
 
             def solve(rhs, tol, reuse=False):
                 nonlocal held
@@ -290,7 +290,7 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
                     held = dense_lu_solve(rom_jacobian(romsys, stiffness, slope), identity)
                 return held.dot(rhs)
 
-            return rom_residual(stiffness, fixed, d, candidate, slope), solve
+            return rom_residual(stiffness, fixed, d, chat, slope), solve
 
         return linearise
 

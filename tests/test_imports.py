@@ -224,8 +224,9 @@ def test_only_the_snapshot_builders_take_its_settings(path):
 #: the functions both models' Newton loops run per step, per candidate or per
 #: Krylov iteration, and the numpy calls that have a cheaper bit-identical
 #: form there: a norm is sqrt(v.dot(v)), Dirichlet rows are set by index, the
-#: reaction is one matmul, and a product of 1-D or 2-D operands is the method
-#: a.dot(b), not the ``@`` operator or np.dot
+#: reaction is one matmul, a product of 1-D or 2-D operands is the method
+#: a.dot(b), not the ``@`` operator or np.dot, and a joined vector is an
+#: in-place write (``out=``) into a buffer held from before the loop
 NEWTON_LOOP = {
     "linalg.py": {"krylov_solve"},
     "fom.py": {
@@ -235,7 +236,7 @@ NEWTON_LOOP = {
     "bdf.py": {"implicit_step", "extrapolate_increment", "bdf_increment_form"},
     "rom.py": {"reaction_slope", "rom_residual", "rom_jacobian", "rom_linearisation"},
 }
-DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot", "np.dot"}
+DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot", "np.dot", "np.concatenate"}
 
 
 def functions_by_qualified_name(tree):
@@ -258,10 +259,11 @@ def functions_by_qualified_name(tree):
     ids=lambda v: v,
 )
 def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
-    """np.linalg.norm, np.where, np.tensordot, np.dot and the ``@`` operator
-    cost more dispatch than the ddot, index assignment, matmul and a.dot(b)
-    that give the same bits; in the functions the Newton loops run per step,
-    candidate or Krylov iteration they are not used."""
+    """np.linalg.norm, np.where, np.tensordot, np.dot, np.concatenate and the
+    ``@`` operator cost more dispatch than the ddot, index assignment, matmul,
+    a.dot(b) and an in-place write into a held buffer that give the same bits;
+    in the functions the Newton loops run per step, candidate or Krylov
+    iteration they are not used."""
     path = Path(podrom.__file__).parent / module
     func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
     assert func is not None, f"{module}: {name} no longer exists"

@@ -243,9 +243,9 @@ class TestResidualAndJacobian:
         assert romsys.reaction_monomials.shape == (0, 1)
         rng = np.random.default_rng(4)
         stiffness, fixed = rng.standard_normal((r, r)), rng.standard_normal(r)
-        d, candidate = rng.standard_normal(r), rng.standard_normal(r)
-        slope = reaction_slope(romsys, candidate)
-        residual = rom.rom_residual(stiffness, fixed, d, candidate, slope)
+        d, chat = rng.standard_normal(r), np.concatenate(([1.0], rng.standard_normal(r)))
+        slope = reaction_slope(romsys, chat)
+        residual = rom.rom_residual(stiffness, fixed, d, chat, slope)
         assert np.array_equal(residual, stiffness @ d + fixed)
         assert np.array_equal(rom.rom_jacobian(romsys, stiffness, slope), stiffness)
 
@@ -339,7 +339,7 @@ class TestResidualAndJacobian:
         degree = max(romsys.system.degree, 1)
         for d in 0.05 * rng.standard_normal((2, romsys.r)):
             candidate = history[0] + d
-            slope = reaction_slope(romsys, candidate)
+            slope = reaction_slope(romsys, np.concatenate(([1.0], candidate)))
             want = (
                 romsys.reduced_mass @ bdf_increment_form(scheme, d, history, dt)
                 + romsys.reduced_diffusion @ candidate
@@ -385,6 +385,45 @@ class TestResidualAndJacobian:
         first, _ = solves()
         assert np.array_equal(first(rhs, 1.0, reuse=True), first(rhs, 1.0)) and len(formed) == 5
 
+    def test_a_later_candidate_leaves_an_earlier_one_intact(self):
+        # a run writes every candidate into its one (1, c) vector: a second
+        # linearise of the step changes neither the first's residual nor the
+        # Jacobian the first's solve forms, which bdf.implicit_step's discard
+        # path relies on when it goes back to the predictor
+        romsys = brusselator_setup()[3]
+        scheme, dt, t = bdf_coefficients(3), 0.1, 0.3
+        rng = np.random.default_rng(6)
+        history = 0.1 * rng.standard_normal((3, romsys.r))
+        first_d, second_d = 0.05 * rng.standard_normal((2, romsys.r))
+        linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+        first, first_solve = linearise(first_d)
+        kept = first.copy()
+        second, second_solve = linearise(second_d)
+        assert np.array_equal(first, kept)
+        _, own = residual_and_jacobian(romsys, scheme, history, first_d, t, dt)
+        assert np.array_equal(solved_jacobian(first_solve, first), own)
+        assert not np.array_equal(solved_jacobian(second_solve, second), own)
+
+    @pytest.mark.parametrize("setup", ["brusselator_r10", "brusselator_d_r", "heat_u2", "heat_u3"])
+    def test_one_product_reaction_is_the_split_form_to_gemv_rounding(self, setup):
+        # the residual's reaction term S chat is one product; against the
+        # split form S[:, 0] + S[:, 1:] c only the order of the sums differs,
+        # so each component agrees within the gemv bound 2 (r + 1) eps |S| |chat|
+        if setup.startswith("heat"):
+            romsys = heat_reaction_setup(int(setup[-1]))
+        else:
+            _, snaps, basis, romsys = brusselator_setup(n_side=8, m=32, t_end=3.2, r=10)
+            if setup == "brusselator_d_r":
+                assert basis.d_r > 10
+                romsys = rom_assemble(basis, basis.d_r, romsys.space, romsys.system, snaps.mean)
+        r = romsys.r
+        bound = 2 * (r + 1) * np.finfo(np.float64).eps
+        for c in np.random.default_rng(7).standard_normal((20, r)):
+            chat = np.concatenate(([1.0], c))
+            slope = reaction_slope(romsys, chat)
+            gap = np.abs(slope.dot(chat) - (slope[:, 0] + slope[:, 1:].dot(c)))
+            assert np.all(gap <= bound * np.abs(slope).dot(np.abs(chat)))
+
     @pytest.mark.parametrize("rank", ["1", "d_r"])
     @pytest.mark.parametrize("setup", ["heat_u0", "heat_u1", "heat_u2", "heat_u3", "brusselator"])
     def test_compressed_tensor_matches_full_contraction(self, setup, rank):
@@ -407,7 +446,7 @@ class TestResidualAndJacobian:
         chat = np.concatenate(([1.0], history[0] + d0))
 
         want = contract(tensor, chat, degree - 1)
-        got = reaction_slope(romsys, history[0] + d0)
+        got = reaction_slope(romsys, chat)
         assert got.shape == (romsys.r, romsys.r + 1)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
