@@ -9,8 +9,9 @@ running the same loop once per segment of ``bootstrap_plan``. The loop owns
 the run rules both models share: ``check_step`` decides which grids run,
 ``newton_tolerance`` turns a Newton rule, "step-coupled" or a fixed number,
 into the tolerance each step stops at, and ``implicit_step`` decides when a
-model may apply the Jacobian it holds: for a step's first update, kept only
-if it lowers the residual.
+model may use what it holds from earlier candidates in place of a fresh
+Jacobian (``reuse``): for a step's first update, kept only if it lowers the
+residual.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
@@ -221,8 +222,10 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     the residual at the candidate history[0] + d and ``solve(rhs, tol,
     reuse=False)``, which returns the Newton update for the Jacobian J at
     the same candidate, built only when called from what the residual
-    already formed. With ``reuse=True`` the model may apply the Jacobian
-    (or its factor) it formed last instead, if it holds one. What is fixed
+    already formed. With ``reuse=True`` the model may build the update from
+    what it holds from earlier candidates instead of a fresh factor, if it
+    holds anything (the ROM refines its held inverse Jacobian at the
+    candidate by one Newton-Schulz step). What is fixed
     for the step (the BDF history term, the time) is bound into
     ``linearise`` before the first candidate. The solution returned is the
     newest history state plus the converged increment. The linearisation
@@ -283,8 +286,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     the new time t, where the model forms its per-step constants, and
     returns ``linearise(d)``: the residual at the candidate history[0] + d
     and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate (see
-    ``implicit_step``). A Jacobian the model holds for ``reuse`` lives in
-    the per-run closure, so no segment serves another's.
+    ``implicit_step``). What the model holds for ``reuse`` lives in the
+    per-run closure, so no segment serves another's.
     Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
     every bootstrap segment the same at its own order and step. A dt that is
     not positive and finite or that T/dt overflows, a grid ``check_step``

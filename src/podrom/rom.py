@@ -26,11 +26,14 @@ Online, one linearisation forms
 from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
 the one product S c_hat and its Jacobian D S[:, 1:]. That costs
 O(r (r + 1) C(r + D - 1, D - 1)) per linearisation, independent of the mesh.
-A step's first Newton update applies the inverse Jacobian the run formed
-last, so a step of one update takes two linearisations and no Jacobian
-build, and each later update (or a fresh one after a discarded first,
-``bdf.implicit_step``) builds and inverts one, r x r, at its candidate. What
-no candidate changes is formed before the first one (``rom_linearisation``):
+The run holds an inverse Jacobian F, formed at its first update by
+``dense_lu_solve``. Each later step's first Newton update forms the
+candidate's Jacobian J and refines F by one Newton-Schulz step,
+F <- F (2I - J F), which squares the defect I - J F with two r x r products
+and no factorisation (Schulz, ZAMM 13, 1933); so a step of one update takes
+two linearisations and no LU. Each later update of a step (or a fresh one
+after a discarded first, ``bdf.implicit_step``) inverts J, r x r, at its
+candidate by ``dense_lu_solve``. What no candidate changes is formed before the first one (``rom_linearisation``):
 per run K = (delta_0/dt) M_r + D_r, the linear part of the Jacobian, and the
 one c_hat (its 1 set once) each candidate c is written into in place; per
 step the BDF history term with the constant part of the residual. A
@@ -91,9 +94,11 @@ class ReducedSystem:
     reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
     system: ReactionSystem
     reaction_monomials: np.ndarray = field(init=False, repr=False)  # monomial_index(r, D)
+    monomial_rows: tuple = field(init=False, repr=False)  # its D - 1 rows, one gather each
 
     def __post_init__(self):
         self.reaction_monomials = monomial_index(self.r, max(self.system.degree, 1))
+        self.monomial_rows = tuple(self.reaction_monomials)
 
 
 @dataclass
@@ -225,7 +230,10 @@ def _compress(tensor: np.ndarray) -> np.ndarray:
 def reaction_slope(romsys: ReducedSystem, chat: np.ndarray) -> np.ndarray:
     """S = T . chat^(D-1), an (r, r + 1) array, at chat = (1, c): the reduced
     reaction at c is the one product S chat, its Jacobian D S[:, 1:]."""
-    monomials = np.multiply.reduce(chat[romsys.reaction_monomials])  # take() copies a read-only index
+    rows = romsys.monomial_rows
+    monomials = chat[rows[0]] if rows else chat[:1]  # D = 1: the one monomial chat[0] = 1
+    for row in rows[1:]:
+        monomials *= chat[row]
     return romsys.reaction_tensor.dot(monomials).reshape(romsys.r, -1)
 
 
@@ -250,33 +258,42 @@ def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray
 def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     """``bdf.integrate``'s two-level callback.
 
-    Per run it forms K = (delta_0/dt) M_r + D_r. Per step, ``at_step(history,
+    Per run it forms K = (delta_0/dt) M_r + D_r and the (q r + 1, r) history
+    operator that maps the step's terms (h[:-1] - h[1:], h_0, 1) to fixed =
+    M_r (alpha[1:]/dt) (h[:-1] - h[1:]) + D_r h_0 + diffusion_lift, the same
+    difference-form terms as the increment form. Per step, ``at_step(history,
     t)`` checks that ``history`` holds the q previous coordinate vectors,
-    newest first, and forms fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
-    D_r h_0 + diffusion_lift - amplitudes(t) @ reduced_loads. Per candidate,
+    newest first, writes its terms into the run's one buffer, and forms fixed
+    by one product, less amplitudes(t) @ reduced_loads. Per candidate,
     ``linearise(d)`` writes c = h_0 + d in place into the run's one (1, c)
     vector chat, forms one ``reaction_slope`` at chat, the residual from it
-    and ``solve(rhs, tol, reuse=False)``, the update F rhs with F the inverse
-    Jacobian (``dense_lu_solve`` of the Jacobian and the identity). Neither
-    keeps chat: ``solve`` holds the candidate's own S, the residual is new.
-    The run holds the last F formed: ``reuse=True`` applies it, or forms one
-    at the candidate when none is held, and ``reuse=False`` forms F at the
-    candidate and holds it.
+    and ``solve(rhs, tol, reuse=False)``, which forms the candidate's Jacobian
+    J and returns the update F rhs. Neither keeps chat: ``solve`` holds the
+    candidate's own S, the residual is new. The run holds one inverse F:
+    ``reuse=True`` refines the held F at the candidate by one Newton-Schulz
+    step, F (2I - J F), whose defect I - J F' is (I - J F)^2, and holds that;
+    ``reuse=False``, or ``reuse=True`` with none held, forms F =
+    ``dense_lu_solve(J, I)`` and holds it.
     """
     mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
-    lift, loads = romsys.diffusion_lift, romsys.reduced_loads
+    loads, r, q = romsys.reduced_loads, romsys.r, scheme.q
     stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
-    identity = np.eye(romsys.r)
-    chat = np.ones(romsys.r + 1)  # (1, c): each candidate c is written into chat[1:]
+    history_operator = np.vstack([*(w * mass.T for w in weights), diffusion.T, romsys.diffusion_lift[None]])
+    terms = np.ones(q * r + 1)  # (h[:-1] - h[1:], h_0, 1), written per step
+    differences, newest = terms[: (q - 1) * r].reshape(q - 1, r), terms[(q - 1) * r : -1]
+    identity = np.eye(r)
+    twice_identity = 2.0 * identity
+    chat = np.ones(r + 1)  # (1, c): each candidate c is written into chat[1:]
     candidate = chat[1:]
-    held = None  # the inverse Jacobian F the run formed last
+    held = None  # the inverse Jacobian F the run formed or refined last
 
     def at_step(history, t):
-        h = as_history(history, scheme.q)
+        h = as_history(history, q)
         h0 = h[0]
-        fixed = mass.dot(weights.dot(h[:-1] - h[1:]))
-        fixed += diffusion.dot(h0) + lift
+        np.subtract(h[:-1], h[1:], out=differences)
+        newest[:] = h0
+        fixed = terms.dot(history_operator)
         if len(loads):
             fixed -= romsys.system.amplitudes(t).dot(loads)
 
@@ -286,8 +303,12 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
 
             def solve(rhs, tol, reuse=False):
                 nonlocal held
+                jacobian = rom_jacobian(romsys, stiffness, slope)
                 if held is None or not reuse:
-                    held = dense_lu_solve(rom_jacobian(romsys, stiffness, slope), identity)
+                    held = dense_lu_solve(jacobian, identity)
+                else:  # one Newton-Schulz step
+                    product = jacobian.dot(held)
+                    held = held.dot(np.subtract(twice_identity, product, out=product))
                 return held.dot(rhs)
 
             return rom_residual(stiffness, fixed, d, chat, slope), solve

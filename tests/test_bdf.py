@@ -716,27 +716,53 @@ def sweep_rom():
 
 
 def held_throughout(romsys, scheme, step):
-    """The ROM's callback with every update asking for the held factor: one
-    factor, formed at the run's first update, serves the whole segment."""
+    """The ROM's callback with every update applying one fixed inverse
+    Jacobian: the ROM's fresh inverse at the run's first update, read off
+    column by column and never refined, serves the whole segment."""
     at_step = rom.rom_linearisation(romsys, scheme, step)
+    inverse = []
 
     def step_of(history, t):
         linearise = at_step(history, t)
 
         def held(d):
             residual, solve = linearise(d)
-            return residual, lambda rhs, tol, reuse=False: solve(rhs, tol, reuse=True)
+
+            def fixed(rhs, tol, reuse=False):
+                if not inverse:
+                    inverse.append(np.column_stack([solve(e, tol) for e in np.eye(len(rhs))]))
+                return inverse[0].dot(rhs)
+
+            return residual, fixed
 
         return held
 
     return step_of
 
 
+def fresh_throughout(romsys, scheme, step):
+    """The ROM's callback with every update forming a fresh inverse Jacobian
+    at its own candidate."""
+    at_step = rom.rom_linearisation(romsys, scheme, step)
+
+    def step_of(history, t):
+        linearise = at_step(history, t)
+
+        def fresh(d):
+            residual, solve = linearise(d)
+            return residual, lambda rhs, tol, reuse=False: solve(rhs, tol)
+
+        return fresh
+
+    return step_of
+
+
 class TestHeldFactor:
     def test_the_bdf1_sweep_run_refreshes_and_converges(self, sweep_rom):
-        # BDF-1 on M 32 (a step of 0.22) of the benchmark's sweep: a factor
-        # held over the whole segment stops serving at the last step, while
-        # the refresh after each step's first update converges there
+        # BDF-1 on M 32 (a step of 0.22) of the benchmark's sweep: a fixed
+        # inverse held over the whole segment stops serving at the last step,
+        # while the ROM's rule, which refines its held inverse at each step's
+        # first update, converges there
         romsys, coords0 = sweep_rom
         dt = DEFAULT_T / 32
         held = partial(held_throughout, romsys)
@@ -747,12 +773,27 @@ class TestHeldFactor:
         assert rt.newton_iteration_counts.max() > 2
 
     def test_refreshes_fall_below_updates(self, sweep_rom, monkeypatch):
-        # the benchmark's online run (q 5, M 512) on the sweep's ROM: one
-        # dense solve per Jacobian formed, and fewer Jacobians than updates
+        # the benchmark's online run (q 5, M 512) on the sweep's ROM: each of
+        # its runs (the bootstrap segments and the main loop) forms one
+        # inverse Jacobian by a dense solve, at its first update, and
+        # refines it at every later step, so far fewer than there are updates
         romsys, coords0 = sweep_rom
         formed = []
         solve = rom.dense_lu_solve
         monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or solve(a, b))
         rt = rom.rom_integrate(romsys, 5, DEFAULT_T / 512, DEFAULT_T, ("bootstrap", coords0))
         updates = int(rt.newton_iteration_counts.sum() + rt.bootstrap_iteration_counts.sum())
+        assert len(formed) == len(bootstrap_plan(5, DEFAULT_T / 512)) + 1
         assert 0 < len(formed) < updates
+
+    def test_held_updates_end_as_near_the_tight_solution_as_fresh_ones(self, sweep_rom):
+        # BDF-1 on M 32 under the step-coupled rule, whose tolerance bounds
+        # the residual, not the error: the refined held inverse leaves the
+        # run within 2x the all-fresh path's distance from the solution at
+        # a Newton tolerance of 1e-13
+        romsys, coords0 = sweep_rom
+        dt = DEFAULT_T / 32
+        tight = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0), 1e-13).coords
+        held = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0)).coords
+        fresh, _, _ = integrate(1, dt, DEFAULT_T, [coords0], partial(fresh_throughout, romsys), "step-coupled")
+        assert np.abs(held - tight).max() <= 2.0 * np.abs(fresh - tight).max()

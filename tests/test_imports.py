@@ -279,6 +279,29 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
     assert not found, ", ".join(found)
 
 
+def test_the_rom_factors_only_through_dense_lu_solve():
+    """Every dense factor of the ROM goes through the guarded
+    ``linalg.dense_lu_solve``, so a singular Jacobian raises its one
+    SingularMatrixError and the tracer counts every factor: rom.py names
+    nothing of ``np.linalg``, by attribute or by import."""
+    found = []
+    for node in ast.walk(ast.parse((Path(podrom.__file__).parent / "rom.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name in ("np.linalg", "numpy.linalg") or name.startswith(("np.linalg.", "numpy.linalg."))
+        ]
+    assert not found, ", ".join(found)
+
+
 def harness_string_holders(matches):
     """The "function (line n)" of each string literal of harness.py that
     ``matches``, docstrings aside: a bare string statement does nothing."""
@@ -636,11 +659,13 @@ def traced(tracing, call):
 
 
 def held_factor_jacobians(updates, run_steps):
-    """The Jacobians the ROM forms under ``bdf.implicit_step``'s rule, from
-    the Newton updates per step in call order, run by run (``run_steps``
-    steps each): each update after a step's first forms one (a fresh update
-    after a discarded first one too), and a run's first update forms one,
-    when no factor is held yet; a step of 0 updates forms none."""
+    """The fresh inverse Jacobians (one ``dense_lu_solve`` each) the ROM forms
+    under ``bdf.implicit_step``'s rule, from the Newton updates per step in
+    call order, run by run (``run_steps`` steps each): each update after a
+    step's first forms one (a fresh update after a discarded first one
+    too), and a run's first update forms one, when no inverse is held yet;
+    every other first update refines the held one; a step of 0 updates
+    forms none."""
     jacobians, start = 0, 0
     for steps in run_steps:
         run = updates[start : start + steps]
@@ -654,10 +679,11 @@ def test_tracer_counts_every_linearisation():
     """perfbench reads the model's work from the traced names: a time loop
     that bypassed rom_residual, FomOperator.residual or implicit_step would
     report fewer calls there, and 0 implicit_step calls fail a traced unit.
-    Each model's Newton solve runs one linear solve per Jacobian: the FOM
-    forms one per update, the ROM one per refresh of its held factor, as
-    many as the rule implies for the run. A bootstrapped run is one
-    run_bootstrap span, so its time is one wall time."""
+    Each model's Newton solve forms one Jacobian per update. The FOM runs
+    one linear solve per Jacobian; the ROM one dense factor per fresh
+    inverse, as many as the rule implies for the run, and refines its held
+    inverse for every other update. A bootstrapped run is one run_bootstrap
+    span, so its time is one wall time."""
     tracing = load_tracing()
     space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
     system = fom.brusselator_system(0.002)
@@ -683,8 +709,8 @@ def test_tracer_counts_every_linearisation():
     assert calls["bdf.implicit_step"] == len(updates) == steps
     assert calls["rom.rom_residual"] == sum(updates) + steps
     run_steps = [count for _, _, count in bdf.bootstrap_plan(q, dt)] + [m - q + 1]
-    assert calls["rom.rom_jacobian"] == held_factor_jacobians(updates, run_steps) > 0
-    assert calls["linalg.dense_lu_solve"] == calls["rom.rom_jacobian"]
+    assert calls["rom.rom_jacobian"] == sum(updates)
+    assert calls["linalg.dense_lu_solve"] == held_factor_jacobians(updates, run_steps) > 0
     assert calls["bdf.run_bootstrap"] == 1
 
 

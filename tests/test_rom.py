@@ -89,6 +89,15 @@ def heat_reaction_setup(power, r=None):
     return rom_assemble(basis, basis.d_r if r is None else r, space, sys, lift=snaps.mean)
 
 
+def reaction_free_setup():
+    # P1 heat with no reaction: T is stored at D = 1 as zeros
+    space = clamped_space(4, 1)
+    sys = heat_system(0.5)
+    u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
+    snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2), 1.0, W0_ZERO, H10)
+    return rom_assemble(basis, min(3, basis.d_r), space, sys, lift=snaps.mean)
+
+
 def full_reaction_tensor(romsys):
     """The symmetric reduced reaction tensor T, (r, r + 1, ..., r + 1), before
     ``rom_assemble`` compresses it."""
@@ -232,11 +241,7 @@ class TestResidualAndJacobian:
     def test_reaction_free_system_takes_the_zero_tensor_path(self):
         # without monomials T is stored at D = 1 as zeros, so the residual is
         # K d + fixed and the Jacobian K, whatever the candidate
-        space = clamped_space(4, 1)
-        sys = heat_system(0.5)
-        u0 = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[None]
-        snaps, basis = build_pod_basis(fom_integrate(sys, space, u0, 0.05, 0.5, 2), 1.0, W0_ZERO, H10)
-        romsys = rom_assemble(basis, min(3, basis.d_r), space, sys, lift=snaps.mean)
+        romsys = reaction_free_setup()
         r = romsys.r
         assert romsys.reaction_tensor.shape == (r * (r + 1), 1)
         assert not romsys.reaction_tensor.any()
@@ -358,32 +363,93 @@ class TestResidualAndJacobian:
             )
             assert np.linalg.norm(jac - closed) <= 1e-13 * np.linalg.norm(closed)
 
-    def test_reuse_applies_the_factor_the_run_formed_last(self, monkeypatch):
-        # a run holds the last inverse Jacobian it formed: reuse=True applies
-        # it at any later candidate of the run, or forms one at its own
-        # candidate when none is held yet; reuse=False always forms one
+    def test_reuse_refines_the_held_inverse_at_its_candidate(self, monkeypatch):
+        # a run holds the inverse Jacobian F it formed or refined last:
+        # reuse=True forms the candidate's J and applies one Newton-Schulz
+        # step F (2I - J F), whose defect I - J F' is (I - J F)^2, and holds
+        # that; with none held, or with reuse=False, it forms F at the
+        # candidate by one dense_lu_solve. Solving for the identity reads F
         romsys = brusselator_setup()[3]
-        scheme, dt = bdf_coefficients(2), 0.1
+        scheme, dt, eye = bdf_coefficients(2), 0.1, np.eye(romsys.r)
         rng = np.random.default_rng(5)
         history = 0.1 * rng.standard_normal((2, romsys.r))
-        rhs = rng.standard_normal(romsys.r)
-        formed = []
+        formed, jacobians, jacobian = [], [], rom.rom_jacobian
         monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or dense_lu_solve(a, b))
+        monkeypatch.setattr(rom, "rom_jacobian", lambda *a: jacobians.append(jacobian(*a)) or jacobians[-1])
 
         def solves():
             at_step = rom_linearisation(romsys, scheme, dt)
             return [at_step(history, 0.3)(d)[1] for d in 0.05 * rng.standard_normal((2, romsys.r))]
 
+        def defect(j, f):
+            return np.linalg.norm(eye - j.dot(f), 2)
+
         first, second = solves()
-        held = second(rhs, 1.0, reuse=True)
-        assert np.array_equal(held, second(rhs, 1.0)) and len(formed) == 2
-        assert np.array_equal(first(rhs, 1.0, reuse=True), held) and len(formed) == 2
-        own = first(rhs, 1.0)
-        assert not np.array_equal(own, held) and len(formed) == 3
-        assert np.array_equal(second(rhs, 1.0, reuse=True), own) and len(formed) == 3
+        inverse = first(eye, 1.0, reuse=True)
+        assert np.array_equal(inverse, dense_lu_solve(jacobians[-1], eye)) and len(formed) == 1
+        assert np.array_equal(first(eye, 1.0), inverse) and len(formed) == 2
+        for k in range(2):
+            refined = second(eye, 1.0, reuse=True)
+            j = jacobians[-1]
+            assert len(formed) == 2 and len(jacobians) == 3 + k
+            rounding = 4 * romsys.r * np.finfo(float).eps * np.linalg.norm(j, 2) * np.linalg.norm(refined, 2)
+            assert defect(j, refined) <= defect(j, inverse) ** 2 + rounding < defect(j, inverse)
+            inverse = refined
+        assert np.array_equal(second(eye, 1.0), dense_lu_solve(j, eye)) and len(formed) == 3
         # a new run holds nothing from the last one
         first, _ = solves()
-        assert np.array_equal(first(rhs, 1.0, reuse=True), first(rhs, 1.0)) and len(formed) == 5
+        assert np.array_equal(first(eye, 1.0, reuse=True), first(eye, 1.0)) and len(formed) == 5
+
+    def test_a_bad_held_inverse_is_discarded_for_a_fresh_factor(self, monkeypatch):
+        # a run that holds the inverse Jacobian of a far candidate: the
+        # step's first update refines it at the predictor, does not lower the
+        # residual and is discarded, and the step goes on from the predictor
+        # with fresh factors along the all-fresh path, to the same bits
+        romsys = brusselator_setup()[3]
+        scheme, dt = bdf_coefficients(2), 0.1
+        history = 0.1 * np.random.default_rng(5).standard_normal((2, romsys.r))
+        formed = []
+        monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or dense_lu_solve(a, b))
+
+        def run(held):
+            linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
+            if held:
+                linearise(np.full(romsys.r, 10.0))[1](np.ones(romsys.r), 1.0)
+            iterates, lus = [], len(formed)
+
+            def step(d):
+                iterates.append(d.copy())
+                residual, solve = linearise(d)
+                return residual, solve if held else lambda rhs, tol, reuse=False: solve(rhs, tol)
+
+            sol, iters = bdf.implicit_step(scheme, history, step, 1e-10)
+            return sol, iters, iterates, len(formed) - lus
+
+        fresh_sol, fresh_iters, fresh_iterates, fresh_lus = run(False)
+        sol, iters, iterates, lus = run(True)
+        assert iters == fresh_iters + 1 and lus == fresh_lus == fresh_iters
+        assert np.array_equal(iterates[:1] + iterates[2:], fresh_iterates)
+        assert np.array_equal(sol, fresh_sol)
+
+    @pytest.mark.parametrize("setup", ["brusselator", "heat_u2", "heat_u3", "heat_u4", "reaction_free"])
+    def test_slope_gathers_its_monomials_row_by_row(self, setup):
+        # the degree D - 1 monomials, chat[rows[0]] times each further row's
+        # gather, are np.multiply.reduce(chat[index]) to the bit, and D = 1
+        # (an empty index) gives the one monomial 1; checked on a random Tc
+        # of the system's shape, so the reaction-free zero tensor hides nothing
+        if setup == "brusselator":
+            romsys = brusselator_setup()[3]
+        elif setup == "reaction_free":
+            romsys = reaction_free_setup()
+        else:
+            romsys = heat_reaction_setup(int(setup[-1]))
+        rng = np.random.default_rng(7)
+        romsys = dataclasses.replace(romsys, reaction_tensor=rng.standard_normal(romsys.reaction_tensor.shape))
+        index = romsys.reaction_monomials
+        for c in rng.standard_normal((5, romsys.r)):
+            chat = np.concatenate(([1.0], c))
+            want = romsys.reaction_tensor.dot(np.multiply.reduce(chat[index])).reshape(romsys.r, -1)
+            assert np.array_equal(reaction_slope(romsys, chat), want)
 
     def test_a_later_candidate_leaves_an_earlier_one_intact(self):
         # a run writes every candidate into its one (1, c) vector: a second
