@@ -18,13 +18,16 @@ polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
 sum(delta) = 0 and the first-difference weights hold exactly.
 
 A history is a (q, dim) array of states, newest first (a list of q vectors
-is accepted too), and ``integrate`` fills one preallocated (M + 1, dim)
-trajectory whose main-loop histories are views of it. Every BDF-q
-combination is then one product over the history: the derivative's two
-forms, the definition delta @ u (``bdf_apply``) and the first-difference
-form both models step with, alpha[0] d + alpha[1:] @ (h[:-1] - h[1:]) for
-the increment d = u^n - u^{n-1} (``bdf_increment_form``), and the
-predictor increment w[1:] @ (h[1:] - h[0]) with the extrapolation weights w.
+is accepted too). ``integrate`` stores its trajectory newest first, in one
+preallocated (M + 1, dim) array, and returns the reversed view, oldest
+first, without a copy; so each main-loop history is one C-contiguous
+forward slice of it. Every BDF-q combination is then one product over the
+history: the derivative's two forms, the definition delta @ u
+(``bdf_apply``) and the first-difference form both models step with,
+alpha[0] d + alpha[1:] @ (h[:-1] - h[1:]) for the increment
+d = u^n - u^{n-1} (``bdf_increment_form``), and the predictor increment
+w[1:] @ (h[1:] - h[0]) with the extrapolation weights w
+(``extrapolate_increment``), which the model hands to ``implicit_step``.
 """
 
 from __future__ import annotations
@@ -212,21 +215,23 @@ def extrapolate_increment(history_states) -> np.ndarray:
     return extrapolation_weights(len(h))[1:].dot(h[1:] - h[0])
 
 
-def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float):
+def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, tol: float):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
     ``history`` holds the q previous states, newest first. Newton iterates
-    on the increment d = u^n - u^{n-1}, started from the predictor, the
-    polynomial extrapolation through the history (at q = 1 the previous
-    state). ``linearise(d)``, the model's callback for this step, returns
-    the residual at the candidate history[0] + d and ``solve(rhs, tol,
-    reuse=False)``, which returns the Newton update for the Jacobian J at
-    the same candidate, built only when called from what the residual
-    already formed. With ``reuse=True`` the model may build the update from
-    what it holds from earlier candidates instead of a fresh factor, if it
-    holds anything (the ROM refines its held inverse Jacobian at the
-    candidate by one Newton-Schulz step). What is fixed
-    for the step (the BDF history term, the time) is bound into
+    on the increment d = u^n - u^{n-1}, started from ``predictor``, the
+    increment the model's ``at_step`` returned with ``linearise``: the
+    polynomial extrapolation through the history less its newest state
+    (``extrapolate_increment``; 0 at q = 1), which the FOM forms as it is
+    and the ROM by its history product. ``linearise(d)``, the model's
+    callback for this step, returns the residual at the candidate
+    history[0] + d and ``solve(rhs, tol, reuse=False)``, which returns the
+    Newton update for the Jacobian J at the same candidate, built only when
+    called from what the residual already formed. With ``reuse=True`` the
+    model may build the update from what it holds from earlier candidates
+    instead of a fresh factor, if it holds anything (the ROM refines its
+    held inverse Jacobian at the candidate by one Newton-Schulz step). What
+    is fixed for the step (the BDF history term, the time) is bound into
     ``linearise`` before the first candidate. The solution returned is the
     newest history state plus the converged increment. The linearisation
     computed for the convergence check drives the next update, so k
@@ -250,12 +255,12 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
-    d = extrapolate_increment(history)
+    d = predictor
     r, solve = linearise(d)
     predictor_norm = math.sqrt(r.dot(r))
     if predictor_norm <= tol:
         return history[0] + d, 0
-    predictor = d, r, solve
+    start = d, r, solve
     for it in range(1, MAX_NEWTON_ITER + 1):
         try:
             d = d + solve(-r, tol, reuse=it == 1)
@@ -270,7 +275,7 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, linearise, tol: float)
         if not math.isfinite(res_norm):
             raise ConvergenceError(f"Newton residual norm is not finite at update {it}", res_norm)
         if it == 1 and not res_norm < predictor_norm:
-            d, r, solve = predictor
+            d, r, solve = start
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
@@ -284,7 +289,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     returns ``at_step(history, t)``. That is called once per implicit step,
     for the previous states ``history``, a (q, dim) array, newest first, and
     the new time t, where the model forms its per-step constants, and
-    returns ``linearise(d)``: the residual at the candidate history[0] + d
+    returns (predictor, linearise): the increment Newton starts from and
+    ``linearise(d)``, which gives the residual at the candidate history[0] + d
     and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate (see
     ``implicit_step``). What the model holds for ``reuse`` lives in the
     per-run closure, so no segment serves another's.
@@ -292,12 +298,14 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     every bootstrap segment the same at its own order and step. A dt that is
     not positive and finite or that T/dt overflows, a grid ``check_step``
     rejects or a rule ``newton_tolerance`` rejects fails before any step.
-    ``history`` is a view of the trajectory itself, so callbacks must not
-    write to it.
 
-    Returns (states, an (M + 1, dim) array of u_0..u_M, Newton updates per
-    main-loop step n = q..M, Newton updates per bootstrap step). When
-    M < q - 1 the states are the first M + 1 starting values. A
+    The trajectory is stored newest first, u_M..u_0, so ``history`` is the
+    C-contiguous forward slice of the q rows after u_n's, a view of the
+    trajectory itself: callbacks must not write to it.
+
+    Returns (states, the (M + 1, dim) reversed view u_0..u_M of that array,
+    Newton updates per main-loop step n = q..M, Newton updates per bootstrap
+    step). When M < q - 1 the states are the first M + 1 starting values. A
     ConvergenceError is re-raised naming the order, the step and the time
     where Newton or the linear solve failed, with its residual kept.
     """
@@ -317,15 +325,18 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
         starting = [starting[0], *later]
     elif len(starting) != q:
         raise ValueError(f"expected 1 or {q} starting values, got {len(starting)}")
-    states = np.empty((m_steps + 1,) + np.shape(starting[0]))
+    newest_first = np.empty((m_steps + 1,) + np.shape(starting[0]))  # row k holds u_{M - k}
+    states = newest_first[::-1]
     states[:q] = starting[: m_steps + 1]
     scheme = bdf_coefficients(q)
     at_step = linearisation(scheme, dt)
     counts = []
     for n in range(q, m_steps + 1):
-        history, t = states[n - q : n][::-1], n * dt
+        row, t = m_steps - n, n * dt
+        history = newest_first[row + 1 : row + 1 + q]
         try:
-            states[n], iters = implicit_step(scheme, history, at_step(history, t), tolerance)
+            predictor, linearise = at_step(history, t)
+            newest_first[row], iters = implicit_step(scheme, history, predictor, linearise, tolerance)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"BDF-{q} step n = {n} at t = {t:.6g} (step size {dt:.6g}): {exc.message}",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdf import bdf_increment_form, extrapolation_weights, integrate
+from .bdf import bdf_increment_form, extrapolate_increment, extrapolation_weights, integrate
 from .linalg import krylov_solve
 from .mesh_fem import FeSpace, assemble_load, build_mesh, build_space
 
@@ -260,11 +260,12 @@ class FomOperator:
     def linearisation(self, scheme, dt):
         """``bdf.integrate``'s callback. Per run it forms the Jacobian's
         linear part (``jacobian_linear_part``); per step, ``at_step(hist_states,
-        t)`` returns ``linearise(increment)``: the residual at u^{n-1} +
-        increment and ``solve(rhs, tol, reuse=False)``, the inexact Newton
-        update (``newton_update``) with the Jacobian at the same candidate.
-        The FOM holds no Jacobian across candidates, so ``reuse`` changes
-        nothing: every update is formed with the candidate's own Jacobian.
+        t)`` returns the predictor, ``extrapolate_increment(hist_states)``, and
+        ``linearise(increment)``: the residual at u^{n-1} + increment and
+        ``solve(rhs, tol, reuse=False)``, the inexact Newton update
+        (``newton_update``) with the Jacobian at the same candidate. The FOM
+        holds no Jacobian across candidates, so ``reuse`` changes nothing:
+        every update is formed with the candidate's own Jacobian.
 
         The first update of a step starts BiCGStab from the polynomial
         extrapolation of the first updates of the run's previous three steps
@@ -290,7 +291,7 @@ class FomOperator:
 
                 return self.residual(increment, hist_states, scheme, dt, t), solve
 
-            return linearise
+            return extrapolate_increment(hist_states), linearise
 
         return at_step
 

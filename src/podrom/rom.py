@@ -33,11 +33,13 @@ F <- F (2I - J F), which squares the defect I - J F with two r x r products
 and no factorisation (Schulz, ZAMM 13, 1933); so a step of one update takes
 two linearisations and no LU. Each later update of a step (or a fresh one
 after a discarded first, ``bdf.implicit_step``) inverts J, r x r, at its
-candidate by ``dense_lu_solve``. What no candidate changes is formed before the first one (``rom_linearisation``):
-per run K = (delta_0/dt) M_r + D_r, the linear part of the Jacobian, and the
-one c_hat (its 1 set once) each candidate c is written into in place; per
-step the BDF history term with the constant part of the residual. A
-candidate d costs K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A
+candidate by ``dense_lu_solve``. What no candidate changes is formed
+before the first one (``rom_linearisation``): per run K = (delta_0/dt) M_r +
+D_r, the linear part of the Jacobian, and the one c_hat (its 1 set once)
+each candidate c is written into in place; per step, by one product over
+the history's first differences, the BDF history term with the constant
+part of the residual and the predictor Newton starts from. A candidate d
+costs K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A
 forcing of J separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per
 step, from the (J, r) reduced loads: O(J r), and no step touches the mesh.
 
@@ -57,7 +59,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import mmio
-from .bdf import BdfScheme, as_history, integrate
+from .bdf import BdfScheme, as_history, extrapolation_weights, integrate
 from .fom import ReactionSystem, Trajectory, save_header
 from .linalg import dense_lu_solve
 from .mesh_fem import FeSpace
@@ -240,49 +242,63 @@ def reaction_slope(romsys: ReducedSystem, chat: np.ndarray) -> np.ndarray:
 def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, chat, slope):
     """Reduced residual K d + fixed + S chat at chat = (1, c), c = history[0]
     + d, with K = ``stiffness`` and ``fixed`` the per-run and per-step terms of
-    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at chat.
+    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at chat,
+    summed in that order into the new array K d.
 
     The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
     the increment, keeping the residual floor independent of dt.
     """
-    return stiffness.dot(increment) + fixed + slope.dot(chat)
+    residual = stiffness.dot(increment)
+    residual += fixed
+    residual += slope.dot(chat)
+    return residual
 
 
 def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray):
     """K + D S[:, 1:] with K = ``stiffness``, (delta_0/dt) M_r + D_r, and
-    ``slope`` the ``reaction_slope`` S at the candidate. The sum is a new
-    array: K is shared by every candidate of the run and is never written."""
-    return stiffness + (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
+    ``slope`` the ``reaction_slope`` S at the candidate. K is added into the
+    new array D S[:, 1:]: it is shared by every candidate of the run and is
+    never written."""
+    jacobian = (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
+    jacobian += stiffness
+    return jacobian
 
 
 def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     """``bdf.integrate``'s two-level callback.
 
-    Per run it forms K = (delta_0/dt) M_r + D_r and the (q r + 1, r) history
-    operator that maps the step's terms (h[:-1] - h[1:], h_0, 1) to fixed =
-    M_r (alpha[1:]/dt) (h[:-1] - h[1:]) + D_r h_0 + diffusion_lift, the same
-    difference-form terms as the increment form. Per step, ``at_step(history,
-    t)`` checks that ``history`` holds the q previous coordinate vectors,
-    newest first, writes its terms into the run's one buffer, and forms fixed
-    by one product, less amplitudes(t) @ reduced_loads. Per candidate,
-    ``linearise(d)`` writes c = h_0 + d in place into the run's one (1, c)
-    vector chat, forms one ``reaction_slope`` at chat, the residual from it
-    and ``solve(rhs, tol, reuse=False)``, which forms the candidate's Jacobian
-    J and returns the update F rhs. Neither keeps chat: ``solve`` holds the
-    candidate's own S, the residual is new. The run holds one inverse F:
-    ``reuse=True`` refines the held F at the candidate by one Newton-Schulz
-    step, F (2I - J F), whose defect I - J F' is (I - J F)^2, and holds that;
-    ``reuse=False``, or ``reuse=True`` with none held, forms F =
-    ``dense_lu_solve(J, I)`` and holds it.
+    Per run it forms K = (delta_0/dt) M_r + D_r and the (q r + 1, 2 r)
+    history operator that maps the step's terms (h[:-1] - h[1:], h_0, 1) to
+    two r-vectors. The first is fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
+    D_r h_0 + diffusion_lift, the same difference-form terms as the increment
+    form. The second is the predictor sum_i v_i (h[i] - h[i + 1]), v_i =
+    -sum_{j > i} w_j with w = ``bdf.extrapolation_weights(q)``, which is
+    ``bdf.extrapolate_increment`` w[1:] @ (h[1:] - h_0) summed by parts. Per
+    step, ``at_step(history, t)`` checks that ``history`` holds the q
+    previous coordinate vectors, newest first, writes its terms into the
+    run's one buffer, forms both by one product, takes amplitudes(t) @
+    reduced_loads from fixed, and returns (predictor, linearise). Per
+    candidate, ``linearise(d)`` writes c = h_0 + d in place into the run's
+    one (1, c) vector chat, forms one ``reaction_slope`` at chat, the
+    residual from it and ``solve(rhs, tol, reuse=False)``, which forms the
+    candidate's Jacobian J and returns the update F rhs. Neither keeps chat:
+    ``solve`` holds the candidate's own S, the residual is new. The run holds
+    one inverse F: ``reuse=True`` refines the held F at the candidate by one
+    Newton-Schulz step, F (2I - J F), whose defect I - J F' is (I - J F)^2,
+    and holds that; ``reuse=False``, or ``reuse=True`` with none held, forms
+    F = ``dense_lu_solve(J, I)`` and holds it.
     """
     mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
     loads, r, q = romsys.reduced_loads, romsys.r, scheme.q
     stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
-    history_operator = np.vstack([*(w * mass.T for w in weights), diffusion.T, romsys.diffusion_lift[None]])
+    identity = np.eye(r)
+    fixed_columns = np.vstack([*(w * mass.T for w in weights), diffusion.T, romsys.diffusion_lift[None]])
+    tails = -np.cumsum(extrapolation_weights(q)[:0:-1])[::-1]  # v_0..v_{q-2}
+    predictor_columns = np.vstack([*(v * identity for v in tails), np.zeros((r + 1, r))])
+    history_operator = np.hstack([fixed_columns, predictor_columns])
     terms = np.ones(q * r + 1)  # (h[:-1] - h[1:], h_0, 1), written per step
     differences, newest = terms[: (q - 1) * r].reshape(q - 1, r), terms[(q - 1) * r : -1]
-    identity = np.eye(r)
     twice_identity = 2.0 * identity
     chat = np.ones(r + 1)  # (1, c): each candidate c is written into chat[1:]
     candidate = chat[1:]
@@ -293,7 +309,8 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
         h0 = h[0]
         np.subtract(h[:-1], h[1:], out=differences)
         newest[:] = h0
-        fixed = terms.dot(history_operator)
+        both = terms.dot(history_operator)
+        fixed, predictor = both[:r], both[r:]
         if len(loads):
             fixed -= romsys.system.amplitudes(t).dot(loads)
 
@@ -313,7 +330,7 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
 
             return rom_residual(stiffness, fixed, d, chat, slope), solve
 
-        return linearise
+        return predictor, linearise
 
     return at_step
 

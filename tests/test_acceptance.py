@@ -57,7 +57,15 @@ FIGURES = Path(__file__).with_name("acceptance_figures.json")
 #:   relative, the largest recorded move of a figure built from the desk
 #:   states' POD (PR 17's warm start, 3.640e-05 -> 3.639e-05, lies within);
 #: - 4, 5 and 9, observed orders: PR 12 moved criterion 5's by 1e-5;
-#: - 8: no recorded change moved a Newton count, PR 12's included;
+#:   "5: q=5 order 512/1024" is the exception it does not cover: the M 1024
+#:   run's step-coupled Newton tolerance, 1.6e-13, sits near the residual's
+#:   rounding floor, so a ROM change that moves coordinates only by rounding
+#:   (2e-14 to 5e-14) moves this order by 1e-4 to 3e-4, and each such change
+#:   rewrites it in the record;
+#: - 8: exact, because a Newton count is an integer that moves only with
+#:   the Newton path; changes to that path (a held first update, a held
+#:   inverse Jacobian) rewrote both counts in the record, and a change that
+#:   keeps the path keeps them to the step;
 #: - 10: PR 22 moved the deviation 2.11e-15 -> 2.22e-15, at most 1.2e-16.
 #: PR 27's 2.8e-14 move of the desk states and PR 28's 3.3e-16 move of a
 #: cubic heat run were measured on states, not on a printed figure.

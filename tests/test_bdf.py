@@ -138,8 +138,8 @@ class TestApply:
     @pytest.mark.parametrize("dim", [1, 10, 4356])
     @pytest.mark.parametrize("q", range(1, 6))
     def test_list_and_view_histories_agree_bitwise(self, q, dim):
-        # the time loop passes a negative-stride view of its trajectory; the
-        # two kernels it calls give the same bits as for a list of copies
+        # a negative-stride view of an oldest-first trajectory, as a caller
+        # may pass, gives the two kernels' same bits as a list of copies
         rng = np.random.default_rng(10 * q + dim)
         trajectory = rng.standard_normal((q + 2, dim))
         view = trajectory[1 : q + 1][::-1]
@@ -250,7 +250,7 @@ def scalar_linearisation(lam):
                 residual = bdf_increment_form(scheme, d, history, step) - lam * (history[0] + d)
                 return residual, lambda rhs, tol, reuse=False: rhs / (float(scheme.delta_f[0]) / step - lam)
 
-            return linearise
+            return extrapolate_increment(history), linearise
 
         return at_step
 
@@ -265,8 +265,8 @@ class TestImplicitStep:
     def test_affine_residual_one_iteration(self):
         scheme = bdf_coefficients(1)
         h = [np.array([1.0])]
-        linearise = scalar_linearisation(-1.0)(scheme, 0.1)(h, 0.1)
-        sol, iters = implicit_step(scheme, h, linearise, 1e-12)
+        predictor, linearise = scalar_linearisation(-1.0)(scheme, 0.1)(h, 0.1)
+        sol, iters = implicit_step(scheme, h, predictor, linearise, 1e-12)
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
 
@@ -284,7 +284,7 @@ class TestImplicitStep:
             return d / dt + (1.0 + d) ** 3, lambda rhs, tol, reuse=False: rhs / slope
 
         # at BDF-1 the predictor is the previous value, so Newton starts from d = 0
-        sol, iters = implicit_step(scheme, h, linearise, 1e-13)
+        sol, iters = implicit_step(scheme, h, extrapolate_increment(h), linearise, 1e-13)
         assert iters >= 2
         assert len(calls) == iters + 1
         # every residual is taken at a new iterate
@@ -322,7 +322,7 @@ class TestImplicitStep:
             return residual(d), solve
 
         # at BDF-1 the predictor is the previous value, as in the iterates above
-        _, iters = implicit_step(scheme, h, linearise, tol)
+        _, iters = implicit_step(scheme, h, extrapolate_increment(h), linearise, tol)
         assert iters == updates
         assert counts == {"linearise": updates + 1, "jacobian": updates}
 
@@ -336,7 +336,7 @@ class TestImplicitStep:
             return np.array([1.0]), lambda rhs, tol, reuse=False: rhs  # unsatisfiable
 
         with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITER} iterations"):
-            implicit_step(scheme, h, linearise, 1e-12)
+            implicit_step(scheme, h, extrapolate_increment(h), linearise, 1e-12)
         assert len(calls) == MAX_NEWTON_ITER + 1
 
     def test_non_finite_residual_norm_stops_at_once(self):
@@ -351,14 +351,15 @@ class TestImplicitStep:
 
             return np.array([1.0 if d[0] == 0.0 else 1e200]), solve
 
+        h = [np.zeros(1)]
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as exc:
-            implicit_step(bdf_coefficients(1), [np.zeros(1)], linearise, 1e-12)
+            implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-12)
         assert len(solves) == 1
         assert exc.value.message == "Newton residual norm is not finite at update 1"
         assert exc.value.residual == np.inf
 
         def linearisation(scheme, step):
-            return lambda history, t: linearise
+            return lambda history, t: (extrapolate_increment(history), linearise)
 
         solves.clear()
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError) as exc:
@@ -381,7 +382,8 @@ class TestImplicitStep:
 
             return np.array([1e-13]), solve
 
-        sol, iters = implicit_step(bdf_coefficients(2), np.array([[3.0], [2.0]]), linearise, 1e-12)
+        h = np.array([[3.0], [2.0]])
+        sol, iters = implicit_step(bdf_coefficients(2), h, extrapolate_increment(h), linearise, 1e-12)
         assert (sol.tolist(), iters, solves) == ([4.0], 0, [])
 
     def test_only_the_first_update_of_a_step_asks_for_reuse(self):
@@ -405,7 +407,7 @@ class TestImplicitStep:
 
                     return bdf_increment_form(scheme, d, history, step) + u**3, solve
 
-                return linearise
+                return extrapolate_increment(history), linearise
 
             return at_step
 
@@ -434,7 +436,8 @@ class TestImplicitStep:
 
                 return d / dt + (1.0 + d) ** 3, solve
 
-            sol, iters = implicit_step(bdf_coefficients(1), [np.array([1.0])], linearise, 1e-13)
+            h = [np.array([1.0])]
+            sol, iters = implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-13)
             assert len(iterates) == iters + 1
             return sol, iters, iterates
 
@@ -451,7 +454,7 @@ class TestImplicitStep:
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
         with pytest.raises(ValueError):
-            implicit_step(scheme, [np.zeros(1)], None, 1e-12)
+            implicit_step(scheme, [np.zeros(1)], None, None, 1e-12)
 
 
 def integrate_scalar(q, lam, dt, t_end, u0=1.0):
@@ -494,7 +497,7 @@ def dict_bootstrap(q, dt, u0, linearisation, newton_rule):
             history = np.array([states[t_units - j * k] for j in range(order)])
             t_units += k
             tol = newton_tolerance(newton_rule, order, step)
-            sol, iters = implicit_step(scheme, history, at_step(history, t_units * s_min), tol)
+            sol, iters = implicit_step(scheme, history, *at_step(history, t_units * s_min), tol)
             states[t_units] = sol
             counts.append(iters)
     k_dt = round(dt / s_min)
@@ -530,7 +533,7 @@ class TestRunBootstrap:
 
                     return residual, solve
 
-                return linearise
+                return extrapolate_increment(history), linearise
 
             return at_step
 
@@ -594,13 +597,13 @@ class TestIntegrate:
 
             def counted_step(history, t):
                 calls["step"] += 1
-                linearise = at_step(history, t)
+                predictor, linearise = at_step(history, t)
 
                 def counted(d):
                     calls["linearise"] += 1
                     return linearise(d)
 
-                return counted
+                return predictor, counted
 
             return counted_step
 
@@ -623,10 +626,10 @@ class TestIntegrate:
             at_step = scalar_linearisation(-2.0)(scheme, step)
 
             def failing_step(history, t):
-                linearise = at_step(history, t)
+                predictor, linearise = at_step(history, t)
                 if abs(t - t_fail) < 1e-12:
-                    return lambda d: (np.array([1.0]), linearise(d)[1])  # unsatisfiable
-                return linearise
+                    return predictor, lambda d: (np.array([1.0]), linearise(d)[1])  # unsatisfiable
+                return predictor, linearise
 
             return failing_step
 
@@ -701,18 +704,72 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
             integrate(3, 0.1, 1.0, [np.zeros(1)] * 2, scalar_linearisation(-2.0), TIGHT)
 
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_histories_are_newest_first_forward_slices_of_the_states(self, q):
+        # the loop stores its trajectory newest first and returns the
+        # reversed view: the states come back oldest first, and each
+        # main-loop history is a C-contiguous forward slice of them
+        dt, t_end = 0.1, 1.0
+        seen = []
+        model = scalar_linearisation(-2.0)
+
+        def linearisation(scheme, step):
+            at_step = model(scheme, step)
+
+            def recording(history, t):
+                seen.append((history, t))
+                return at_step(history, t)
+
+            return recording
+
+        u0 = np.array([1.0, -0.5, 2.0])
+        states, counts, _ = integrate(q, dt, t_end, [u0], linearisation, TIGHT)
+        assert states.shape == (11, 3) and np.array_equal(states[0], u0)
+        main = seen[len(seen) - len(counts) :]
+        assert [round(t / dt) for _, t in main] == list(range(q, 11))
+        for history, t in main:
+            n = round(t / dt)
+            assert history.flags.c_contiguous and np.shares_memory(history, states)
+            assert np.array_equal(history, states[n - q : n][::-1])
+        # in time order: each state is exp(-2 t) u0 within BDF-1's 4% at this
+        # step, while the reversed order would be off by up to 86%
+        exact = np.exp(-2.0 * dt * np.arange(11))[:, None] * u0
+        assert np.all(np.abs(states - exact) <= 0.05 * np.abs(u0))
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_the_newest_first_loop_steps_as_over_reversed_views(self, q):
+        # the same steps taken one by one over an oldest-first array, each
+        # history its negative-stride reversed view, give the same bits
+        dt, t_end, m = 0.1, 1.0, 10
+        given = [np.exp(-2.0 * j * dt) * np.array([1.0, -0.5, 2.0]) for j in range(q)]
+        got, _, _ = integrate(q, dt, t_end, given, scalar_linearisation(-2.0), TIGHT)
+        scheme = bdf_coefficients(q)
+        at_step = scalar_linearisation(-2.0)(scheme, dt)
+        want = np.empty((m + 1, 3))
+        want[:q] = given
+        for n in range(q, m + 1):
+            history = want[n - q : n][::-1]
+            want[n], _ = implicit_step(scheme, history, *at_step(history, n * dt), TIGHT)
+        assert np.array_equal(got, want)
+
 
 @pytest.fixture(scope="module")
-def sweep_rom():
-    """The set-up of the benchmark's sweep: the desk protocol (Brusselator,
-    P2, BDF-5 FOM snapshots on M 128, H10 POD with the zero-after-mean
-    anchor) on n_side 8, its ROM at r 10 and that ROM's initial coordinates."""
+def sweep_fom():
+    """The FOM run of the benchmark's sweep: the desk protocol (Brusselator,
+    P2, BDF-5 on M 128) on n_side 8."""
     space = mesh_fem.build_space(mesh_fem.build_mesh(8), 2)
     system = fom.brusselator_system(0.002)
-    traj = fom.fom_integrate(system, space, fom.perturbed_equilibrium(space), DEFAULT_T / 128, DEFAULT_T, 5)
-    snaps, basis = pod.build_pod_basis(traj, 1.0, pod.W0_ZERO, pod.H10)
-    romsys = rom.rom_assemble(basis, 10, space, system, snaps.mean)
-    return romsys, rom.initial_coords(romsys, traj.states[0])
+    return fom.fom_integrate(system, space, fom.perturbed_equilibrium(space), DEFAULT_T / 128, DEFAULT_T, 5)
+
+
+@pytest.fixture(scope="module")
+def sweep_rom(sweep_fom):
+    """The set-up of the benchmark's sweep: ``sweep_fom``'s snapshots, their
+    H10 POD with the zero-after-mean anchor, its ROM at r 10 and that ROM's
+    initial coordinates."""
+    snaps, basis = pod.build_pod_basis(sweep_fom, 1.0, pod.W0_ZERO, pod.H10)
+    romsys = rom.rom_assemble(basis, 10, sweep_fom.space, fom.brusselator_system(0.002), snaps.mean)
+    return romsys, rom.initial_coords(romsys, sweep_fom.states[0])
 
 
 def held_throughout(romsys, scheme, step):
@@ -723,7 +780,7 @@ def held_throughout(romsys, scheme, step):
     inverse = []
 
     def step_of(history, t):
-        linearise = at_step(history, t)
+        predictor, linearise = at_step(history, t)
 
         def held(d):
             residual, solve = linearise(d)
@@ -735,7 +792,7 @@ def held_throughout(romsys, scheme, step):
 
             return residual, fixed
 
-        return held
+        return predictor, held
 
     return step_of
 
@@ -746,13 +803,13 @@ def fresh_throughout(romsys, scheme, step):
     at_step = rom.rom_linearisation(romsys, scheme, step)
 
     def step_of(history, t):
-        linearise = at_step(history, t)
+        predictor, linearise = at_step(history, t)
 
         def fresh(d):
             residual, solve = linearise(d)
             return residual, lambda rhs, tol, reuse=False: solve(rhs, tol)
 
-        return fresh
+        return predictor, fresh
 
     return step_of
 
@@ -797,3 +854,52 @@ class TestHeldFactor:
         held = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0)).coords
         fresh, _, _ = integrate(1, dt, DEFAULT_T, [coords0], partial(fresh_throughout, romsys), "step-coupled")
         assert np.abs(held - tight).max() <= 2.0 * np.abs(fresh - tight).max()
+
+
+def extrapolation_rounding_bound(history):
+    """Componentwise bound on the distance between two roundings of the
+    predictor P = sum_{j >= 1} w_j (h_j - h_0): ``bdf.extrapolate_increment``
+    and the ROM's product sum_i v_i (h_i - h_{i+1}), v_i = -sum_{j > i} w_j.
+    Each of the q - 1 terms of either sum takes one rounding in its
+    difference and one in its product, and the sum q - 2 more (the zero
+    entries of the ROM's operator add exact zeros), so each lies within
+    gamma_q = q u / (1 - q u) of its absolute terms' sum from P."""
+    h = np.asarray(history)
+    q = len(h)
+    w = bdf.extrapolation_weights(q)
+    v = -np.cumsum(w[:0:-1])[::-1]
+    u = np.finfo(float).eps / 2
+    gamma = q * u / (1 - q * u)
+    direct = np.abs(w[1:]).dot(np.abs(h[1:] - h[0]))
+    by_parts = np.abs(v).dot(np.abs(h[:-1] - h[1:]))
+    return gamma * (direct + by_parts)
+
+
+class TestPredictor:
+    """The predictor each model's ``at_step`` hands to ``implicit_step``."""
+
+    def histories(self, q, states, rng):
+        """Newest-first histories of q states: three random ones, the size
+        of ``states``' entries, and every fifth window of ``states``."""
+        scale = np.abs(states).max()
+        yield from scale * rng.standard_normal((3, q, states.shape[1]))
+        for n in range(q, len(states), 5):
+            yield states[n - q : n][::-1]
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_the_rom_product_is_the_extrapolation_to_rounding(self, sweep_rom, q):
+        romsys, coords0 = sweep_rom
+        coords = rom.rom_integrate(romsys, 5, DEFAULT_T / 128, DEFAULT_T, ("bootstrap", coords0)).coords
+        at_step = rom.rom_linearisation(romsys, bdf_coefficients(q), DEFAULT_T / 128)
+        for history in self.histories(q, coords, np.random.default_rng(q)):
+            got, want = at_step(history, 0.5)[0], extrapolate_increment(history)
+            assert np.all(np.abs(got - want) <= extrapolation_rounding_bound(history))
+            if q == 1:
+                assert np.array_equal(got, np.zeros(romsys.r))
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_the_fom_predictor_is_the_extrapolation(self, sweep_fom, q):
+        op = fom.FomOperator(fom.brusselator_system(0.002), sweep_fom.space)
+        at_step = op.linearisation(bdf_coefficients(q), DEFAULT_T / 128)
+        for history in self.histories(q, sweep_fom.stacked(), np.random.default_rng(q)):
+            assert np.array_equal(at_step(history, 0.5)[0], extrapolate_increment(history))

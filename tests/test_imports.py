@@ -233,7 +233,7 @@ NEWTON_LOOP = {
         "newton_update", "FomJacobian.matvec", "FomOperator.linearisation",
         "ReactionSystem.g", "ReactionSystem.g_prime", "_contract",
     },
-    "bdf.py": {"implicit_step", "extrapolate_increment", "bdf_increment_form"},
+    "bdf.py": {"implicit_step", "integrate", "extrapolate_increment", "bdf_increment_form"},
     "rom.py": {"reaction_slope", "rom_residual", "rom_jacobian", "rom_linearisation"},
 }
 DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot", "np.dot", "np.concatenate"}

@@ -138,7 +138,8 @@ def solved_jacobian(solve, rhs):
 def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
     """The residual of one ``rom_linearisation`` candidate and the Jacobian its
     ``solve`` solves with, on the residual as right-hand side."""
-    residual, solve = rom_linearisation(romsys, scheme, dt)(history, t)(increment)
+    _, linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+    residual, solve = linearise(increment)
     return residual, solved_jacobian(solve, residual)
 
 
@@ -264,7 +265,7 @@ class TestResidualAndJacobian:
         _, jac = residual_and_jacobian(romsys, scheme, history, d0, 0.3, dt)
         eps = 1e-6
         fd = np.empty_like(jac)
-        linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
+        _, linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
         for j in range(romsys.r):
             e = np.zeros(romsys.r)
             e[j] = eps
@@ -340,7 +341,7 @@ class TestResidualAndJacobian:
         dt, t = 0.1, 0.3
         rng = np.random.default_rng(20 + q)
         history = 0.1 * rng.standard_normal((q, romsys.r))
-        linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+        _, linearise = rom_linearisation(romsys, scheme, dt)(history, t)
         degree = max(romsys.system.degree, 1)
         for d in 0.05 * rng.standard_normal((2, romsys.r)):
             candidate = history[0] + d
@@ -379,7 +380,7 @@ class TestResidualAndJacobian:
 
         def solves():
             at_step = rom_linearisation(romsys, scheme, dt)
-            return [at_step(history, 0.3)(d)[1] for d in 0.05 * rng.standard_normal((2, romsys.r))]
+            return [at_step(history, 0.3)[1](d)[1] for d in 0.05 * rng.standard_normal((2, romsys.r))]
 
         def defect(j, f):
             return np.linalg.norm(eye - j.dot(f), 2)
@@ -412,7 +413,7 @@ class TestResidualAndJacobian:
         monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or dense_lu_solve(a, b))
 
         def run(held):
-            linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
+            predictor, linearise = rom_linearisation(romsys, scheme, dt)(history, 0.3)
             if held:
                 linearise(np.full(romsys.r, 10.0))[1](np.ones(romsys.r), 1.0)
             iterates, lus = [], len(formed)
@@ -422,7 +423,7 @@ class TestResidualAndJacobian:
                 residual, solve = linearise(d)
                 return residual, solve if held else lambda rhs, tol, reuse=False: solve(rhs, tol)
 
-            sol, iters = bdf.implicit_step(scheme, history, step, 1e-10)
+            sol, iters = bdf.implicit_step(scheme, history, predictor, step, 1e-10)
             return sol, iters, iterates, len(formed) - lus
 
         fresh_sol, fresh_iters, fresh_iterates, fresh_lus = run(False)
@@ -461,7 +462,7 @@ class TestResidualAndJacobian:
         rng = np.random.default_rng(6)
         history = 0.1 * rng.standard_normal((3, romsys.r))
         first_d, second_d = 0.05 * rng.standard_normal((2, romsys.r))
-        linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+        _, linearise = rom_linearisation(romsys, scheme, dt)(history, t)
         first, first_solve = linearise(first_d)
         kept = first.copy()
         second, second_solve = linearise(second_d)
@@ -575,9 +576,9 @@ class TestNewtonTolerance:
         system = brusselator_system(0.002)
         got, step = [], bdf.implicit_step
 
-        def spy(scheme, history, linearise, tol):
+        def spy(scheme, history, predictor, linearise, tol):
             got.append((scheme.q, tol))
-            return step(scheme, history, linearise, tol)
+            return step(scheme, history, predictor, linearise, tol)
 
         monkeypatch.setattr(bdf, "implicit_step", spy)
         grid = [(order, s) for order, s, count in bootstrap_plan(q, dt) for _ in range(count)]
