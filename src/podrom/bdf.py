@@ -227,7 +227,10 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, 
     callback for this step, returns the residual at the candidate
     history[0] + d and ``solve(rhs, tol, reuse=False)``, which returns the
     Newton update for the Jacobian J at the same candidate, built only when
-    called from what the residual already formed. With ``reuse=True`` the
+    called from what the residual already formed. A ``solve`` is valid only
+    until the next ``linearise`` call, as a model may keep its candidate in
+    buffers of its run (the ROM does); the residual is the caller's to
+    keep. With ``reuse=True`` the
     model may build the update from what it holds from earlier candidates
     instead of a fresh factor, if it holds anything (the ROM refines its
     held inverse Jacobian at the candidate by one Newton-Schulz step). What
@@ -235,15 +238,16 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, 
     ``linearise`` before the first candidate. The solution returned is the
     newest history state plus the converged increment. The linearisation
     computed for the convergence check drives the next update, so k
-    updates take k + 1 linearisations and k solves.
+    updates take k + 1 linearisations and k solves, and one linearisation
+    more if the first update is discarded.
 
     A predictor whose residual is already at most ``tol`` is returned with
     0 updates. Otherwise the first update asks for ``reuse`` and every later
     one does not, the simplified Newton of BDF codes with a refresh on
     failure (Hairer & Wanner, Solving ODEs II, IV.8): a first update that
-    does not lower the residual norm below the predictor's is discarded,
-    and the step takes a fresh update from the predictor, with its own
-    ``solve``. Every update taken is counted, a discarded one too.
+    does not lower the residual norm below the predictor's is discarded:
+    the step linearises the predictor again and takes a fresh update with
+    that ``solve``. Every update taken is counted, a discarded one too.
 
     Newton stops when the true nonlinear residual is at most ``tol``, and
     fails at once when its norm is not finite, else after MAX_NEWTON_ITER
@@ -260,7 +264,6 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, 
     predictor_norm = math.sqrt(r.dot(r))
     if predictor_norm <= tol:
         return history[0] + d, 0
-    start = d, r, solve
     for it in range(1, MAX_NEWTON_ITER + 1):
         try:
             d = d + solve(-r, tol, reuse=it == 1)
@@ -275,7 +278,8 @@ def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, 
         if not math.isfinite(res_norm):
             raise ConvergenceError(f"Newton residual norm is not finite at update {it}", res_norm)
         if it == 1 and not res_norm < predictor_norm:
-            d, r, solve = start
+            d = predictor
+            r, solve = linearise(d)
     raise ConvergenceError(f"Newton did not converge in {MAX_NEWTON_ITER} iterations", res_norm)
 
 
@@ -291,9 +295,10 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     the new time t, where the model forms its per-step constants, and
     returns (predictor, linearise): the increment Newton starts from and
     ``linearise(d)``, which gives the residual at the candidate history[0] + d
-    and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate (see
-    ``implicit_step``). What the model holds for ``reuse`` lives in the
-    per-run closure, so no segment serves another's.
+    and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate,
+    valid until the next ``linearise`` (see ``implicit_step``). What the
+    model holds for ``reuse``, and any buffer its candidates are written
+    into, lives in the per-run closure, so no segment serves another's.
     Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
     every bootstrap segment the same at its own order and step. A dt that is
     not positive and finite or that T/dt overflows, a grid ``check_step``

@@ -16,32 +16,43 @@ reaction is stored at D = 1, and so is a reaction-free one, as T = 0: every
 system takes the same path. T is kept with its last slot free and its
 other D - 1 slots compressed to sorted index tuples, multiplicities folded
 in (the compressed Kronecker storage of operator inference, Peherstorfer &
-Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc.
-Its column order, the monomial index, depends on r and D alone, so it is
-formed from them (``monomial_index``) and never stored or handed over.
-Online, one linearisation forms
+Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc,
+row (i, j) for T[i, ..., j]. Its column order, the monomial index, depends
+on r and D alone, so it is formed from them (``monomial_index``) and never
+stored or handed over. A step reads ``tensor_t``, Tc with its rows in
+(j, i) order, formed with the system; a reduced file keeps Tc. Online, one
+linearisation forms S = T . c_hat^(D - 1), (r, r + 1), as its transpose
 
-    S = T . c_hat^(D - 1) = (Tc @ m(c_hat)).reshape(r, r + 1)
+    S^T = tensor_t @ m(c_hat),   (r + 1) r entries, row j holding S[:, j],
 
-from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual is
-the one product S c_hat and its Jacobian D S[:, 1:]. That costs
+from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual
+is the one product S c_hat and its Jacobian D S[:, 1:]. That costs
 O(r (r + 1) C(r + D - 1, D - 1)) per linearisation, independent of the mesh.
-The run holds an inverse Jacobian F, formed at its first update by
-``dense_lu_solve``. Each later step's first Newton update forms the
-candidate's Jacobian J and refines F by one Newton-Schulz step,
+
+A run (``rom_linearisation``) holds one C-contiguous (2 r + 2, r) block
+whose rows are S^T, K^T with K = (delta_0/dt) M_r + D_r, the linear part
+of the Jacobian, and fixed, the part of the residual no candidate changes,
+and one z = (1, c, d, 1). K^T is written once per run; fixed (the BDF
+history term, D_r h_0 and diffusion_lift) and the predictor Newton starts
+from are written per step by one product over the history's first
+differences. A candidate d writes c = h_0 + d and d into z and its S^T
+into the block, so its residual
+
+    K d + fixed + S c_hat = z . block
+
+is one product, and its Jacobian J = K + D S[:, 1:] is formed as J^T =
+D S^T[1:] + K^T from contiguous rows of the block into a buffer of the
+run. A candidate's S lives in the run's block, so its ``solve`` holds
+until the next ``linearise``. The run holds an inverse Jacobian F, formed
+at its first update by ``dense_lu_solve``. Each later step's first Newton
+update forms the candidate's J and refines F by one Newton-Schulz step,
 F <- F (2I - J F), which squares the defect I - J F with two r x r products
 and no factorisation (Schulz, ZAMM 13, 1933); so a step of one update takes
 two linearisations and no LU. Each later update of a step (or a fresh one
 after a discarded first, ``bdf.implicit_step``) inverts J, r x r, at its
-candidate by ``dense_lu_solve``. What no candidate changes is formed
-before the first one (``rom_linearisation``): per run K = (delta_0/dt) M_r +
-D_r, the linear part of the Jacobian, and the one c_hat (its 1 set once)
-each candidate c is written into in place; per step, by one product over
-the history's first differences, the BDF history term with the constant
-part of the residual and the predictor Newton starts from. A candidate d
-costs K d + fixed + S c_hat and its Jacobian K + D S[:, 1:]. A
-forcing of J separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T B_j per
-step, from the (J, r) reduced loads: O(J r), and no step touches the mesh.
+candidate by ``dense_lu_solve``. A forcing of J separable terms a_j(t)
+b_j(x, y) adds sum_j a_j(t) Phi^T B_j to fixed per step, from the (J, r)
+reduced loads: O(J r), and no step touches the mesh.
 
 ``ReducedSystem`` holds what a step reads, all r-sized; ``RomSystem`` adds
 the basis, lift and space of projection and lifting. ``podrom pod`` writes
@@ -85,7 +96,8 @@ def monomial_index(r: int, degree: int) -> np.ndarray:
 class ReducedSystem:
     """What a step reads: the r-sized operators, loads and reaction tensor,
     and the system for ``amplitudes(t)``. Tc's column order,
-    ``reaction_monomials``, is set from r and the system's degree."""
+    ``reaction_monomials``, is set from r and the system's degree, and
+    ``tensor_t``, the tensor a step reads, from Tc."""
 
     r: int
     reduced_mass: np.ndarray  # Phi^T M Phi
@@ -97,10 +109,13 @@ class ReducedSystem:
     system: ReactionSystem
     reaction_monomials: np.ndarray = field(init=False, repr=False)  # monomial_index(r, D)
     monomial_rows: tuple = field(init=False, repr=False)  # its D - 1 rows, one gather each
+    tensor_t: np.ndarray = field(init=False, repr=False)  # Tc, rows in (j, i) order: S^T's
 
     def __post_init__(self):
         self.reaction_monomials = monomial_index(self.r, max(self.system.degree, 1))
         self.monomial_rows = tuple(self.reaction_monomials)
+        tc = self.reaction_tensor.reshape(self.r, self.r + 1, -1)
+        self.tensor_t = np.ascontiguousarray(tc.transpose(1, 0, 2)).reshape(self.r * (self.r + 1), -1)
 
 
 @dataclass
@@ -229,39 +244,40 @@ def _compress(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1))
 
 
-def reaction_slope(romsys: ReducedSystem, chat: np.ndarray) -> np.ndarray:
-    """S = T . chat^(D-1), an (r, r + 1) array, at chat = (1, c): the reduced
-    reaction at c is the one product S chat, its Jacobian D S[:, 1:]."""
+def reaction_slope(romsys: ReducedSystem, chat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """S = T . chat^(D-1), an (r, r + 1) array, at chat = (1, c), written into
+    ``out`` as the (r + 1) r entries of S^T row by row: the one product of
+    ``tensor_t`` with the degree D - 1 monomials of chat; returns ``out``. The
+    reduced reaction at c is the one product S chat, its Jacobian D S[:, 1:]."""
     rows = romsys.monomial_rows
     monomials = chat[rows[0]] if rows else chat[:1]  # D = 1: the one monomial chat[0] = 1
     for row in rows[1:]:
         monomials *= chat[row]
-    return romsys.reaction_tensor.dot(monomials).reshape(romsys.r, -1)
+    return romsys.tensor_t.dot(monomials, out=out)
 
 
-def rom_residual(stiffness: np.ndarray, fixed: np.ndarray, increment, chat, slope):
-    """Reduced residual K d + fixed + S chat at chat = (1, c), c = history[0]
-    + d, with K = ``stiffness`` and ``fixed`` the per-run and per-step terms of
-    ``rom_linearisation`` and ``slope`` the ``reaction_slope`` S at chat,
-    summed in that order into the new array K d.
+def rom_residual(z: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The reduced residual K d + fixed + S chat as the one product z . block,
+    a new array, of z = (1, c, d, 1) and the (2 r + 2, r) block whose rows
+    are S^T, K^T and fixed (``rom_linearisation``), at the candidate c =
+    history[0] + d whose S the block holds.
 
     The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
-    the increment, keeping the residual floor independent of dt.
+    the increment d in K d, keeping the residual floor independent of dt.
     """
-    residual = stiffness.dot(increment)
-    residual += fixed
-    residual += slope.dot(chat)
-    return residual
+    return z.dot(block)
 
 
-def rom_jacobian(romsys: ReducedSystem, stiffness: np.ndarray, slope: np.ndarray):
-    """K + D S[:, 1:] with K = ``stiffness``, (delta_0/dt) M_r + D_r, and
-    ``slope`` the ``reaction_slope`` S at the candidate. K is added into the
-    new array D S[:, 1:]: it is shared by every candidate of the run and is
-    never written."""
-    jacobian = (len(romsys.reaction_monomials) + 1) * slope[:, 1:]
-    jacobian += stiffness
-    return jacobian
+def rom_jacobian(
+    romsys: ReducedSystem, slope_rows: np.ndarray, stiffness_t: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """J = K + D S[:, 1:] at a candidate, from the rows S^T[1:] and K^T of a
+    run's block (``rom_linearisation``), formed as J^T = D S^T[1:] + K^T
+    from those contiguous rows into ``out``, an (r, r) array the run holds;
+    returns J, the transposed view of ``out``. The rows are only read."""
+    np.multiply(len(romsys.reaction_monomials) + 1, slope_rows, out=out)
+    out += stiffness_t
+    return out.T
 
 
 def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
@@ -273,24 +289,31 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     D_r h_0 + diffusion_lift, the same difference-form terms as the increment
     form. The second is the predictor sum_i v_i (h[i] - h[i + 1]), v_i =
     -sum_{j > i} w_j with w = ``bdf.extrapolation_weights(q)``, which is
-    ``bdf.extrapolate_increment`` w[1:] @ (h[1:] - h_0) summed by parts. Per
-    step, ``at_step(history, t)`` checks that ``history`` holds the q
+    ``bdf.extrapolate_increment`` w[1:] @ (h[1:] - h_0) summed by parts.
+    The run holds one C-contiguous (2 r + 2, r) block, whose rows are S^T
+    (r + 1 rows, written per candidate), K^T (written once) and fixed, with
+    the predictor in the row after it (so a predictor holds until the next
+    ``at_step``), and one z = (1, c, d, 1), so that the residual K d + fixed
+    + S (1, c) is z . block.
+
+    Per step, ``at_step(history, t)`` checks that ``history`` holds the q
     previous coordinate vectors, newest first, writes its terms into the
-    run's one buffer, forms both by one product, takes amplitudes(t) @
+    run's one buffer, forms fixed and the predictor by one product into the
+    block's last row and the row after it, takes amplitudes(t) @
     reduced_loads from fixed, and returns (predictor, linearise). Per
-    candidate, ``linearise(d)`` writes c = h_0 + d in place into the run's
-    one (1, c) vector chat, forms one ``reaction_slope`` at chat, the
-    residual from it and ``solve(rhs, tol, reuse=False)``, which forms the
-    candidate's Jacobian J and returns the update F rhs. Neither keeps chat:
-    ``solve`` holds the candidate's own S, the residual is new. The run holds
-    one inverse F: ``reuse=True`` refines the held F at the candidate by one
-    Newton-Schulz step, F (2I - J F), whose defect I - J F' is (I - J F)^2,
-    and holds that; ``reuse=False``, or ``reuse=True`` with none held, forms
-    F = ``dense_lu_solve(J, I)`` and holds it.
+    candidate, ``linearise(d)`` writes c = h_0 + d and d into z, S^T into
+    the block (``reaction_slope`` through ``ReducedSystem.tensor_t``), and
+    returns the new residual (``rom_residual``) and ``solve(rhs, tol,
+    reuse=False)``, which forms the candidate's Jacobian J (``rom_jacobian``)
+    from the block and returns the update F rhs. So a ``solve`` holds only
+    until the next ``linearise`` of the run. The run holds one inverse F:
+    ``reuse=True`` refines the held F at the candidate by one Newton-Schulz
+    step, F (2I - J F), whose defect I - J F' is (I - J F)^2, and holds
+    that; ``reuse=False``, or ``reuse=True`` with none held, forms F =
+    ``dense_lu_solve(J, I)`` and holds it.
     """
     mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
     loads, r, q = romsys.reduced_loads, romsys.r, scheme.q
-    stiffness = (scheme.delta_f[0] / dt) * mass + diffusion
     weights = scheme.alpha_f[1:] / dt
     identity = np.eye(r)
     fixed_columns = np.vstack([*(w * mass.T for w in weights), diffusion.T, romsys.diffusion_lift[None]])
@@ -299,9 +322,16 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
     history_operator = np.hstack([fixed_columns, predictor_columns])
     terms = np.ones(q * r + 1)  # (h[:-1] - h[1:], h_0, 1), written per step
     differences, newest = terms[: (q - 1) * r].reshape(q - 1, r), terms[(q - 1) * r : -1]
+    block_and_predictor = np.empty((2 * r + 3, r))  # the block (S^T; K^T; fixed), then the predictor
+    block, predictor = block_and_predictor[:-1], block_and_predictor[-1]
+    slope_t = block[: r + 1].reshape(-1)  # S^T, written per candidate
+    slope_rows, stiffness_t = block[1 : r + 1], block[r + 1 : -1]
+    stiffness_t[:] = ((scheme.delta_f[0] / dt) * mass + diffusion).T  # K^T
+    fixed_and_predictor = block_and_predictor[-2:].reshape(-1)  # written per step
+    z = np.ones(2 * r + 2)  # (1, c, d, 1)
+    chat, candidate, increment = z[: r + 1], z[1 : r + 1], z[r + 1 : -1]
+    jt = np.empty((r, r))  # J^T, written per update
     twice_identity = 2.0 * identity
-    chat = np.ones(r + 1)  # (1, c): each candidate c is written into chat[1:]
-    candidate = chat[1:]
     held = None  # the inverse Jacobian F the run formed or refined last
 
     def at_step(history, t):
@@ -309,18 +339,18 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
         h0 = h[0]
         np.subtract(h[:-1], h[1:], out=differences)
         newest[:] = h0
-        both = terms.dot(history_operator)
-        fixed, predictor = both[:r], both[r:]
+        terms.dot(history_operator, out=fixed_and_predictor)
         if len(loads):
-            fixed -= romsys.system.amplitudes(t).dot(loads)
+            block[-1] -= romsys.system.amplitudes(t).dot(loads)
 
         def linearise(d):
             np.add(h0, d, out=candidate)
-            slope = reaction_slope(romsys, chat)
+            increment[:] = d
+            reaction_slope(romsys, chat, out=slope_t)
 
             def solve(rhs, tol, reuse=False):
                 nonlocal held
-                jacobian = rom_jacobian(romsys, stiffness, slope)
+                jacobian = rom_jacobian(romsys, slope_rows, stiffness_t, jt)
                 if held is None or not reuse:
                     held = dense_lu_solve(jacobian, identity)
                 else:  # one Newton-Schulz step
@@ -328,7 +358,7 @@ def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
                     held = held.dot(np.subtract(twice_identity, product, out=product))
                 return held.dot(rhs)
 
-            return rom_residual(stiffness, fixed, d, chat, slope), solve
+            return rom_residual(z, block), solve
 
         return predictor, linearise
 

@@ -337,7 +337,9 @@ class TestImplicitStep:
 
         with pytest.raises(ConvergenceError, match=f"in {MAX_NEWTON_ITER} iterations"):
             implicit_step(scheme, h, extrapolate_increment(h), linearise, 1e-12)
-        assert len(calls) == MAX_NEWTON_ITER + 1
+        # the first update does not lower the residual: the discard linearises
+        # the predictor again
+        assert len(calls) == MAX_NEWTON_ITER + 2
 
     def test_non_finite_residual_norm_stops_at_once(self):
         # the update leaves finite entries whose squares overflow, as nu 1e300
@@ -438,18 +440,45 @@ class TestImplicitStep:
 
             h = [np.array([1.0])]
             sol, iters = implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-13)
-            assert len(iterates) == iters + 1
             return sol, iters, iterates
 
         fresh_sol, fresh_iters, fresh_iterates = run(1.0)
+        assert len(fresh_iterates) == fresh_iters + 1
         sol, iters, iterates = run(held)
         if discarded:
-            assert iters == fresh_iters + 1
-            assert np.array_equal(iterates[:1] + iterates[2:], fresh_iterates)
+            # the discard linearises the predictor again: one linearisation more
+            assert iters == fresh_iters + 1 and len(iterates) == iters + 2
+            assert np.array_equal(iterates[2:], fresh_iterates)
             assert np.array_equal(sol, fresh_sol)
         else:
+            assert len(iterates) == iters + 1
             assert np.array_equal(iterates[1], 0.5 * fresh_iterates[1])
             assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
+
+    def test_a_solve_holds_until_the_next_linearise(self):
+        # a model may keep a candidate's state in buffers of its run (the ROM
+        # writes each candidate's slope into one block), so a ``solve`` is
+        # valid only until the model's next ``linearise``: this model's solve
+        # raises when a later linearise ran. BDF-1 on u' = -u^3 with a held
+        # update of the wrong sign takes the discard path, which linearises
+        # the predictor again instead of reusing its first solve
+        dt, made = 0.5, []
+
+        def linearise(d):
+            made.append(d.copy())
+            own = len(made)
+
+            def solve(rhs, tol, reuse=False):
+                if len(made) != own:
+                    raise AssertionError(f"solve of linearisation {own} used after linearisation {len(made)}")
+                return (-1.0 if reuse else 1.0) * rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
+
+            return d / dt + (1.0 + d) ** 3, solve
+
+        h = [np.array([1.0])]
+        sol, iters = implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-13)
+        assert len(made) == iters + 2 and np.array_equal(made[2], made[0])
+        assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)

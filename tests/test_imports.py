@@ -5,7 +5,8 @@ names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, both models' Newton loops use
 none of numpy's dispatch-heavy forms of their kernels (``@`` and np.dot
-among them), harness formats a table value in ``write_csv`` alone, only
+among them), the ROM's per-candidate closures allocate no array,
+harness formats a table value in ``write_csv`` alone, only
 ``_main_loop_maxima`` names a study's ``_step`` key, each run rule's
 message is written in one function, the Newton rule reaches the time loop
 as data, a POD basis's
@@ -275,6 +276,37 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
         f"{name}: {ast.unparse(node)} (line {node.lineno})"
         for node in ast.walk(func)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not found, ", ".join(found)
+
+
+#: the numpy calls that make a new array from nothing or from other arrays;
+#: ``.copy()`` is matched as a method
+ARRAY_CONSTRUCTORS = {
+    "np.empty", "np.zeros", "np.ones", "np.eye", "np.identity", "np.full", "np.array",
+    "np.empty_like", "np.zeros_like", "np.ones_like", "np.vstack", "np.hstack", "np.stack",
+    "np.concatenate", "np.ascontiguousarray",
+}
+
+
+@pytest.mark.parametrize("name", ["linearise", "solve"])
+def test_a_rom_candidate_allocates_no_array(name):
+    """The ROM's per-candidate closures in ``rom_linearisation``, ``linearise``
+    and ``solve``, call no array constructor and no ``.copy()``: the block
+    (S^T; K^T; fixed), z = (1, c, d, 1) and the Jacobian buffer are formed
+    once per run and written in place, so the layout stays per run."""
+    outer = functions_by_qualified_name(ast.parse((Path(podrom.__file__).parent / "rom.py").read_text()))
+    closures = [
+        node
+        for node in ast.walk(outer["rom_linearisation"])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    assert len(closures) == 1, f"rom.py: rom_linearisation has {len(closures)} closures named {name}"
+    found = [
+        f"{name}: {ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(closures[0])
+        if isinstance(node, ast.Call)
+        and (ast.unparse(node.func) in ARRAY_CONSTRUCTORS or getattr(node.func, "attr", None) == "copy")
     ]
     assert not found, ", ".join(found)
 

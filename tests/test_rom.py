@@ -143,6 +143,29 @@ def residual_and_jacobian(romsys, scheme, history, increment, t, dt):
     return residual, solved_jacobian(solve, residual)
 
 
+def gemv_setup(setup):
+    """The systems the one-product tests check: the Brusselator at r 10 and
+    at d_r on an n_side 8 basis, the heat reactions u^2 and u^3 at d_r, the
+    forced heat case and the reaction-free one."""
+    if setup.startswith("heat"):
+        return heat_reaction_setup(int(setup[-1]))
+    if setup == "forced_heat":
+        return forced_heat_setup()
+    if setup == "reaction_free":
+        return reaction_free_setup()
+    _, snaps, basis, romsys = brusselator_setup(n_side=8, m=32, t_end=3.2, r=10)
+    if setup == "brusselator_d_r":
+        assert basis.d_r > 10
+        romsys = rom_assemble(basis, basis.d_r, romsys.space, romsys.system, snaps.mean)
+    return romsys
+
+
+def slope_matrix(romsys, chat):
+    """S, (r, r + 1), at chat from ``reaction_slope``'s entries of S^T."""
+    r = romsys.r
+    return reaction_slope(romsys, chat, np.empty((r + 1) * r)).reshape(r + 1, r).T
+
+
 def lifted(romsys, coords):
     """The stacked nodal state of one coordinate vector, by ``rom_to_nodal_trajectory``."""
     empty = np.zeros(0, dtype=np.int64)
@@ -240,8 +263,10 @@ class TestResidualAndJacobian:
         assert np.max(np.abs(jac - want)) < 1e-12
 
     def test_reaction_free_system_takes_the_zero_tensor_path(self):
-        # without monomials T is stored at D = 1 as zeros, so the residual is
-        # K d + fixed and the Jacobian K, whatever the candidate
+        # without monomials T is stored at D = 1 as zeros, so S = 0 adds
+        # exactly nothing: the residual, the one product z . block, is the
+        # same whatever the candidate c, and is K d + fixed to gemv rounding;
+        # the Jacobian is K
         romsys = reaction_free_setup()
         r = romsys.r
         assert romsys.reaction_tensor.shape == (r * (r + 1), 1)
@@ -249,11 +274,18 @@ class TestResidualAndJacobian:
         assert romsys.reaction_monomials.shape == (0, 1)
         rng = np.random.default_rng(4)
         stiffness, fixed = rng.standard_normal((r, r)), rng.standard_normal(r)
-        d, chat = rng.standard_normal(r), np.concatenate(([1.0], rng.standard_normal(r)))
-        slope = reaction_slope(romsys, chat)
-        residual = rom.rom_residual(stiffness, fixed, d, chat, slope)
-        assert np.array_equal(residual, stiffness @ d + fixed)
-        assert np.array_equal(rom.rom_jacobian(romsys, stiffness, slope), stiffness)
+        d, *candidates = rng.standard_normal((3, r))
+        residuals = []
+        for c in candidates:
+            z = np.concatenate(([1.0], c, d, [1.0]))
+            block = np.vstack([slope_matrix(romsys, z[: r + 1]).T, stiffness.T, fixed])
+            assert not block[: r + 1].any()
+            residuals.append(rom.rom_residual(z, block))
+            jacobian = rom.rom_jacobian(romsys, block[1 : r + 1], block[r + 1 : -1], np.empty((r, r)))
+            assert np.array_equal(jacobian, stiffness)
+        assert np.array_equal(residuals[0], residuals[1])
+        gap = np.abs(residuals[0] - (stiffness @ d + fixed))
+        assert np.all(gap <= 2 * (2 * r + 2) * np.finfo(float).eps * np.abs(block).T.dot(np.abs(z)))
 
     def test_jacobian_matches_finite_differences(self):
         _, _, _, romsys = brusselator_setup()
@@ -345,7 +377,7 @@ class TestResidualAndJacobian:
         degree = max(romsys.system.degree, 1)
         for d in 0.05 * rng.standard_normal((2, romsys.r)):
             candidate = history[0] + d
-            slope = reaction_slope(romsys, np.concatenate(([1.0], candidate)))
+            slope = slope_matrix(romsys, np.concatenate(([1.0], candidate)))
             want = (
                 romsys.reduced_mass @ bdf_increment_form(scheme, d, history, dt)
                 + romsys.reduced_diffusion @ candidate
@@ -378,17 +410,20 @@ class TestResidualAndJacobian:
         monkeypatch.setattr(rom, "dense_lu_solve", lambda a, b: formed.append(a) or dense_lu_solve(a, b))
         monkeypatch.setattr(rom, "rom_jacobian", lambda *a: jacobians.append(jacobian(*a)) or jacobians[-1])
 
-        def solves():
-            at_step = rom_linearisation(romsys, scheme, dt)
-            return [at_step(history, 0.3)[1](d)[1] for d in 0.05 * rng.standard_normal((2, romsys.r))]
+        def run():
+            return rom_linearisation(romsys, scheme, dt)(history, 0.3)[1]
 
         def defect(j, f):
             return np.linalg.norm(eye - j.dot(f), 2)
 
-        first, second = solves()
+        # a solve holds until the run's next linearise, so each is used first
+        linearise = run()
+        first_d, second_d = 0.05 * rng.standard_normal((2, romsys.r))
+        first = linearise(first_d)[1]
         inverse = first(eye, 1.0, reuse=True)
         assert np.array_equal(inverse, dense_lu_solve(jacobians[-1], eye)) and len(formed) == 1
         assert np.array_equal(first(eye, 1.0), inverse) and len(formed) == 2
+        second = linearise(second_d)[1]
         for k in range(2):
             refined = second(eye, 1.0, reuse=True)
             j = jacobians[-1]
@@ -398,7 +433,7 @@ class TestResidualAndJacobian:
             inverse = refined
         assert np.array_equal(second(eye, 1.0), dense_lu_solve(j, eye)) and len(formed) == 3
         # a new run holds nothing from the last one
-        first, _ = solves()
+        first = run()(first_d)[1]
         assert np.array_equal(first(eye, 1.0, reuse=True), first(eye, 1.0)) and len(formed) == 5
 
     def test_a_bad_held_inverse_is_discarded_for_a_fresh_factor(self, monkeypatch):
@@ -429,7 +464,8 @@ class TestResidualAndJacobian:
         fresh_sol, fresh_iters, fresh_iterates, fresh_lus = run(False)
         sol, iters, iterates, lus = run(True)
         assert iters == fresh_iters + 1 and lus == fresh_lus == fresh_iters
-        assert np.array_equal(iterates[:1] + iterates[2:], fresh_iterates)
+        # the discard linearises the predictor again, one linearisation more
+        assert np.array_equal(iterates[2:], fresh_iterates)
         assert np.array_equal(sol, fresh_sol)
 
     @pytest.mark.parametrize("setup", ["brusselator", "heat_u2", "heat_u3", "heat_u4", "reaction_free"])
@@ -437,7 +473,8 @@ class TestResidualAndJacobian:
         # the degree D - 1 monomials, chat[rows[0]] times each further row's
         # gather, are np.multiply.reduce(chat[index]) to the bit, and D = 1
         # (an empty index) gives the one monomial 1; checked on a random Tc
-        # of the system's shape, so the reaction-free zero tensor hides nothing
+        # of the system's shape, so the reaction-free zero tensor hides
+        # nothing, through the product with its transposed tensor_t
         if setup == "brusselator":
             romsys = brusselator_setup()[3]
         elif setup == "reaction_free":
@@ -449,47 +486,62 @@ class TestResidualAndJacobian:
         index = romsys.reaction_monomials
         for c in rng.standard_normal((5, romsys.r)):
             chat = np.concatenate(([1.0], c))
-            want = romsys.reaction_tensor.dot(np.multiply.reduce(chat[index])).reshape(romsys.r, -1)
-            assert np.array_equal(reaction_slope(romsys, chat), want)
-
-    def test_a_later_candidate_leaves_an_earlier_one_intact(self):
-        # a run writes every candidate into its one (1, c) vector: a second
-        # linearise of the step changes neither the first's residual nor the
-        # Jacobian the first's solve forms, which bdf.implicit_step's discard
-        # path relies on when it goes back to the predictor
-        romsys = brusselator_setup()[3]
-        scheme, dt, t = bdf_coefficients(3), 0.1, 0.3
-        rng = np.random.default_rng(6)
-        history = 0.1 * rng.standard_normal((3, romsys.r))
-        first_d, second_d = 0.05 * rng.standard_normal((2, romsys.r))
-        _, linearise = rom_linearisation(romsys, scheme, dt)(history, t)
-        first, first_solve = linearise(first_d)
-        kept = first.copy()
-        second, second_solve = linearise(second_d)
-        assert np.array_equal(first, kept)
-        _, own = residual_and_jacobian(romsys, scheme, history, first_d, t, dt)
-        assert np.array_equal(solved_jacobian(first_solve, first), own)
-        assert not np.array_equal(solved_jacobian(second_solve, second), own)
+            want = romsys.tensor_t.dot(np.multiply.reduce(chat[index])).reshape(-1, romsys.r).T
+            assert np.array_equal(slope_matrix(romsys, chat), want)
 
     @pytest.mark.parametrize("setup", ["brusselator_r10", "brusselator_d_r", "heat_u2", "heat_u3"])
     def test_one_product_reaction_is_the_split_form_to_gemv_rounding(self, setup):
         # the residual's reaction term S chat is one product; against the
         # split form S[:, 0] + S[:, 1:] c only the order of the sums differs,
         # so each component agrees within the gemv bound 2 (r + 1) eps |S| |chat|
-        if setup.startswith("heat"):
-            romsys = heat_reaction_setup(int(setup[-1]))
-        else:
-            _, snaps, basis, romsys = brusselator_setup(n_side=8, m=32, t_end=3.2, r=10)
-            if setup == "brusselator_d_r":
-                assert basis.d_r > 10
-                romsys = rom_assemble(basis, basis.d_r, romsys.space, romsys.system, snaps.mean)
+        romsys = gemv_setup(setup)
         r = romsys.r
         bound = 2 * (r + 1) * np.finfo(np.float64).eps
         for c in np.random.default_rng(7).standard_normal((20, r)):
             chat = np.concatenate(([1.0], c))
-            slope = reaction_slope(romsys, chat)
+            slope = slope_matrix(romsys, chat)
             gap = np.abs(slope.dot(chat) - (slope[:, 0] + slope[:, 1:].dot(c)))
             assert np.all(gap <= bound * np.abs(slope).dot(np.abs(chat)))
+
+    @pytest.mark.parametrize(
+        "setup", ["brusselator_r10", "brusselator_d_r", "heat_u2", "heat_u3", "forced_heat", "reaction_free"]
+    )
+    def test_one_product_residual_is_the_split_form_to_gemv_rounding(self, setup, monkeypatch):
+        # a candidate's residual is the one product z . block of z = (1, c, d, 1)
+        # and the run's block, whose rows are S^T, K^T and fixed; against the
+        # split form K d + fixed + S chat only the order of the sums differs,
+        # so each component agrees within the gemv bound 2 (2 r + 2) eps
+        # |block|^T |z|. The Jacobian, D S^T[1:] + K^T transposed, takes the
+        # same elementwise steps as K + D S[:, 1:] and is that to the bit; S^T,
+        # tensor_t's product, is Tc's product transposed, to gemv rounding
+        romsys = gemv_setup(setup)
+        r, degree, eps = romsys.r, len(romsys.reaction_monomials) + 1, np.finfo(np.float64).eps
+        scheme, dt, t = bdf_coefficients(3), 0.1, 0.3
+        stiffness = (scheme.delta_f[0] / dt) * romsys.reduced_mass + romsys.reduced_diffusion
+        seen, residual = [], rom.rom_residual
+
+        def recording(z, block):
+            seen.append((z.copy(), block.copy()))
+            return residual(z, block)
+
+        monkeypatch.setattr(rom, "rom_residual", recording)
+        rng = np.random.default_rng(8)
+        history = 0.1 * rng.standard_normal((3, r))
+        _, linearise = rom_linearisation(romsys, scheme, dt)(history, t)
+        for d in 0.05 * rng.standard_normal((5, r)):
+            got, solve = linearise(d)
+            z, block = seen[-1]
+            chat = np.concatenate(([1.0], history[0] + d))
+            slope = slope_matrix(romsys, chat)
+            assert np.array_equal(z, np.concatenate((chat, d, [1.0])))
+            assert np.array_equal(block[: r + 1], slope.T) and np.array_equal(block[r + 1 : -1], stiffness.T)
+            split = stiffness.dot(d) + block[-1] + slope.dot(chat)
+            assert np.all(np.abs(got - split) <= 2 * (2 * r + 2) * eps * np.abs(block).T.dot(np.abs(z)))
+            assert np.array_equal(solved_jacobian(solve, got), stiffness + degree * slope[:, 1:])
+            monomials = np.multiply.reduce(chat[romsys.reaction_monomials])
+            split = romsys.reaction_tensor.dot(monomials).reshape(r, r + 1)
+            bound = 2 * len(monomials) * eps * np.abs(romsys.reaction_tensor).dot(np.abs(monomials))
+            assert np.all(np.abs(slope - split) <= bound.reshape(r, r + 1))
 
     @pytest.mark.parametrize("rank", ["1", "d_r"])
     @pytest.mark.parametrize("setup", ["heat_u0", "heat_u1", "heat_u2", "heat_u3", "brusselator"])
@@ -513,7 +565,7 @@ class TestResidualAndJacobian:
         chat = np.concatenate(([1.0], history[0] + d0))
 
         want = contract(tensor, chat, degree - 1)
-        got = reaction_slope(romsys, chat)
+        got = slope_matrix(romsys, chat)
         assert got.shape == (romsys.r, romsys.r + 1)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
