@@ -1,33 +1,20 @@
-"""BDF-q machinery: coefficients, first-difference form, a generic implicit
-step driven by Newton's method, and ``integrate``, the one BDF-q time loop
-that the full-order and the reduced model both run through one two-level
-linearisation callback: the model forms what is fixed for a run once per
-``integrate`` call, what is fixed for a step once per step, and only the
-rest at each Newton candidate. Each model owns its Newton solve; the loop
-does not know which model it steps. Starting values are bootstrapped by
-running the same loop once per segment of ``bootstrap_plan``. The loop owns
-the run rules both models share: ``check_step`` decides which grids run,
-``newton_tolerance`` turns a Newton rule, "step-coupled" or a fixed number,
-into the tolerance each step stops at, and ``implicit_step`` decides when a
-model may use what it holds from earlier candidates in place of a fresh
-Jacobian (``reuse``): for a step's first update, kept only if it lowers the
-residual.
+"""BDF-q machinery: coefficients, first-difference form, ``implicit_step``
+(one Newton step, whose docstring is the contract of a model's callbacks)
+and ``integrate``, the one time loop both models run through a two-level
+callback without knowing which it steps; starting values are bootstrapped
+by the same loop, once per segment of ``bootstrap_plan``. The run rules
+both models share have one owner each: ``implicit_step`` for Newton,
+``check_step`` for the grids that run, and ``newton_tolerance`` for the
+tolerance a Newton rule, "step-coupled" or a fixed number, sets per step.
 
 Coefficients come from the exact rational expansion of the generating
 polynomial sum_{l=1..q} (1/l)(1-z)^l, so the consistency identity
 sum(delta) = 0 and the first-difference weights hold exactly.
 
 A history is a (q, dim) array of states, newest first (a list of q vectors
-is accepted too). ``integrate`` stores its trajectory newest first, in one
-preallocated (M + 1, dim) array, and returns the reversed view, oldest
-first, without a copy; so each main-loop history is one C-contiguous
-forward slice of it. Every BDF-q combination is then one product over the
-history: the derivative's two forms, the definition delta @ u
-(``bdf_apply``) and the first-difference form both models step with,
-alpha[0] d + alpha[1:] @ (h[:-1] - h[1:]) for the increment
-d = u^n - u^{n-1} (``bdf_increment_form``), and the predictor increment
-w[1:] @ (h[1:] - h[0]) with the extrapolation weights w
-(``extrapolate_increment``), which the model hands to ``implicit_step``.
+is accepted too), and every BDF-q combination is one product over it: the
+definition (``bdf_apply``), the first-difference form both models step
+with (``bdf_increment_form``) and the predictor (``extrapolate_increment``).
 """
 
 from __future__ import annotations
@@ -218,44 +205,34 @@ def extrapolate_increment(history_states) -> np.ndarray:
 def implicit_step(scheme: BdfScheme, history: np.ndarray, predictor, linearise, tol: float):
     """One implicit BDF step solved by Newton; returns (solution, iterations).
 
-    ``history`` holds the q previous states, newest first. Newton iterates
-    on the increment d = u^n - u^{n-1}, started from ``predictor``, the
-    increment the model's ``at_step`` returned with ``linearise``: the
-    polynomial extrapolation through the history less its newest state
-    (``extrapolate_increment``; 0 at q = 1), which the FOM forms as it is
-    and the ROM by its history product. ``linearise(d)``, the model's
-    callback for this step, returns the residual at the candidate
-    history[0] + d and ``solve(rhs, tol, reuse=False)``, which returns the
-    Newton update for the Jacobian J at the same candidate, built only when
-    called from what the residual already formed. A ``solve`` is valid only
-    until the next ``linearise`` call, as a model may keep its candidate in
-    buffers of its run (the ROM does); the residual is the caller's to
-    keep. With ``reuse=True`` the
-    model may build the update from what it holds from earlier candidates
-    instead of a fresh factor, if it holds anything (the ROM refines its
-    held inverse Jacobian at the candidate by one Newton-Schulz step). What
-    is fixed for the step (the BDF history term, the time) is bound into
-    ``linearise`` before the first candidate. The solution returned is the
-    newest history state plus the converged increment. The linearisation
+    ``history`` holds the q previous states. Newton iterates on the
+    increment d = u^n - u^{n-1} from ``predictor``, which ``at_step``
+    returned with ``linearise``: the polynomial extrapolation through the
+    history less its newest state (``extrapolate_increment``; 0 at q = 1).
+    ``linearise(d)``, into which the step's fixed terms are bound, returns
+    the residual at the candidate history[0] + d, the caller's to keep, and
+    ``solve(rhs, tol, reuse=False)``: the Newton update for the Jacobian at
+    that candidate, built only when called, from what the residual formed.
+    A ``solve`` is valid only until the next ``linearise``, as a model may
+    keep its candidate in buffers of its run. With ``reuse=True`` the model
+    may build the update from what it holds from earlier candidates instead
+    of a fresh factor.
+
+    A predictor whose residual is at most ``tol`` is returned with 0
+    updates. Otherwise only the first update asks for ``reuse``, the
+    simplified Newton of BDF codes with a refresh on failure (Hairer &
+    Wanner, Solving ODEs II, IV.8): a first update that does not lower the
+    residual norm below the predictor's is discarded, and the step
+    linearises the predictor again for a fresh update. The linearisation
     computed for the convergence check drives the next update, so k
-    updates take k + 1 linearisations and k solves, and one linearisation
-    more if the first update is discarded.
+    updates (a discarded one counted too) take k solves and k + 1
+    linearisations, one more per discard.
 
-    A predictor whose residual is already at most ``tol`` is returned with
-    0 updates. Otherwise the first update asks for ``reuse`` and every later
-    one does not, the simplified Newton of BDF codes with a refresh on
-    failure (Hairer & Wanner, Solving ODEs II, IV.8): a first update that
-    does not lower the residual norm below the predictor's is discarded:
-    the step linearises the predictor again and takes a fresh update with
-    that ``solve``. Every update taken is counted, a discarded one too.
-
-    Newton stops when the true nonlinear residual is at most ``tol``, and
-    fails at once when its norm is not finite, else after MAX_NEWTON_ITER
-    updates. ``solve`` receives that tolerance, so a model may solve its
-    update inexactly (the FOM does) without changing the stopping test. A
-    ConvergenceError from ``solve`` without a residual (nan, as a singular
-    direct solve raises it) is re-raised with the norm of the Newton
-    residual it was asked to solve for, its message kept.
+    ``solve`` receives ``tol``, the bound on the true residual that stops
+    Newton, so a model may solve its update inexactly (the FOM does)
+    without changing the stopping test. A ConvergenceError from ``solve``
+    without a residual (nan, as a singular direct solve raises it) is
+    re-raised with the norm of the Newton residual it was asked to solve.
     """
     if len(history) != scheme.q:
         raise ValueError(f"history must hold {scheme.q} states")
@@ -287,30 +264,21 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     """BDF-q/Newton on the uniform grid t_n = n dt, n = 0..M, with M dt = t_end.
 
     ``starting`` is [u_0], whose q - 1 further starting values are
-    bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The model
-    enters through a callback at two levels. ``linearisation(scheme, dt)`` is
-    called once per run, where the model forms its per-run constants, and
-    returns ``at_step(history, t)``. That is called once per implicit step,
-    for the previous states ``history``, a (q, dim) array, newest first, and
-    the new time t, where the model forms its per-step constants, and
-    returns (predictor, linearise): the increment Newton starts from and
-    ``linearise(d)``, which gives the residual at the candidate history[0] + d
-    and the Newton ``solve(rhs, tol, reuse=False)`` at that candidate,
-    valid until the next ``linearise`` (see ``implicit_step``). What the
-    model holds for ``reuse``, and any buffer its candidates are written
-    into, lives in the per-run closure, so no segment serves another's.
-    Every step of the call gets ``newton_tolerance(newton_rule, q, dt)``, and
-    every bootstrap segment the same at its own order and step. A dt that is
-    not positive and finite or that T/dt overflows, a grid ``check_step``
-    rejects or a rule ``newton_tolerance`` rejects fails before any step.
+    bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The
+    model enters at two levels: ``linearisation(scheme, dt)``, once per run,
+    forms its per-run constants and returns ``at_step(history, t)``, which,
+    once per step, forms the per-step ones and returns (predictor,
+    linearise) for ``implicit_step``. What a model holds across candidates
+    lives in its per-run closure, so no segment serves another's. Each
+    step's tolerance is ``newton_tolerance`` of ``newton_rule`` at the run's
+    order and step; a rejected dt, grid or rule fails before any step.
 
     The trajectory is stored newest first, u_M..u_0, so ``history`` is the
     C-contiguous forward slice of the q rows after u_n's, a view of the
-    trajectory itself: callbacks must not write to it.
-
-    Returns (states, the (M + 1, dim) reversed view u_0..u_M of that array,
-    Newton updates per main-loop step n = q..M, Newton updates per bootstrap
-    step). When M < q - 1 the states are the first M + 1 starting values. A
+    trajectory itself: callbacks must not write to it. Returns (states, the
+    (M + 1, dim) reversed view u_0..u_M of that array, Newton updates per
+    main-loop step n = q..M, Newton updates per bootstrap step). When
+    M < q - 1 the states are the first M + 1 starting values. A
     ConvergenceError is re-raised naming the order, the step and the time
     where Newton or the linear solve failed, with its residual kept.
     """

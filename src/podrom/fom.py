@@ -7,16 +7,8 @@ step: the initial state fixes it, candidate states carry its boundary values
 and Newton updates vanish on constrained dofs.
 
 The Newton operator is cell-based (Kronbichler & Kormann, Comput. Fluids
-63, 2012) with the element axis last, so that numpy's innermost loop runs
-over the elements rather than over the nloc local dofs. The residual gathers
-the element values of (bdf_dt, u) once, integrates (bdf_dt + g(u)) w_q
-against the basis at the quadrature points and adds nu_c K_e u_e per
-element. The Jacobian is held as per-element matrices J[a, b, i, j, e], the
-reaction integrated with one matmul plus the per-run linear part c0 M_e +
-nu_c K_e on the diagonal blocks; a product is one gather, one einsum and one
-``bincount``, with the Dirichlet entries of x zeroed in a copy before the
-gather and passed through after the scatter, both by index, and the Jacobi
-diagonal sums the element diagonals, so the FOM forms no global matrix.
+63, 2012) with the element axis last (``FomOperator``), and its Jacobian
+is held per element (``FomJacobian``), so the FOM forms no global matrix.
 BiCGStab (``linalg.krylov_solve``) uses only the operator's products and
 diagonal. Around those kernels the loop keeps numpy's dispatch small: the
 Dirichlet rows are set through the index array ``FomOperator.dirichlet``
@@ -24,10 +16,9 @@ rather than a boolean mask or ``np.where``, the reaction and its partials
 are one matmul each, and a norm is sqrt(v.dot(v)), the ddot np.linalg.norm
 takes. A product of 1-D or 2-D operands that a step, a Newton candidate or
 a Krylov iteration forms, in either model, is the method a.dot(b): the same
-BLAS call as ``@`` with less dispatch. Two kinds keep another form: the
-stacked N-D products of the residual and the Jacobian keep ``@``, since
-dot would order the stacked axes differently, and ``dense_lu_solve``'s
-norms keep ``np.vdot``, which flattens a multi-column right-hand side.
+BLAS call as ``@`` with less dispatch. The stacked N-D products of the
+residual and the Jacobian keep ``@``, whose axis order dot would change,
+and ``dense_lu_solve``'s norms keep ``np.vdot`` (the reason is there).
 """
 
 from __future__ import annotations
@@ -105,6 +96,11 @@ class ReactionSystem:
     def degree(self) -> int:
         """The highest total degree of a monomial; 0 without any."""
         return max(map(len, self.factors), default=0)
+
+    @property
+    def n_forcing(self) -> int:
+        """J, the number of forcing terms, counted without evaluating one."""
+        return len(self.forcing)
 
     def loads(self, space: FeSpace) -> np.ndarray:
         """(J, nc n_dof): each forcing term's load int b phi_i in its component's block."""
@@ -190,18 +186,15 @@ class Trajectory:
 
 
 class FomOperator:
-    """Residual/Jacobian machinery for one (system, space) pair, applied
-    element by element with the element axis last: no global Jacobian is
-    stored.
-
-    The operator keeps its own element-last gather index ``cell_dofs.T`` and
-    bincount targets rather than the space's element-first ``gather`` and
-    ``scatter``: numpy's innermost loop then runs over the elements (512 at
-    n_side 16) instead of over nloc = 6 local dofs, which makes a
-    single-vector product cheaper (stacked mass at n_side 16, P2, one
-    column: 40 against 75 us), while the space's many-column
-    ``ElementOperator`` products stay element-first, where they are cheaper
-    (10 columns: 0.20 against 0.67 ms; 129 columns: 3.5 against 10 ms)."""
+    """Residual/Jacobian machinery for one (system, space) pair. It keeps
+    its own element-last gather index ``cell_dofs.T`` and bincount targets
+    rather than the space's element-first ``gather`` and ``scatter``:
+    numpy's innermost loop then runs over the elements (512 at n_side 16)
+    instead of over nloc = 6 local dofs, which makes a single-vector
+    product cheaper (stacked mass at n_side 16, P2, one column: 40 against
+    75 us), while the space's many-column ``ElementOperator`` products stay
+    element-first, where they are cheaper (10 columns: 0.20 against 0.67
+    ms; 129 columns: 3.5 against 10 ms)."""
 
     def __init__(self, system: ReactionSystem, space: FeSpace):
         self.system = system
@@ -236,13 +229,7 @@ class FomOperator:
     def residual(self, increment, hist_states, scheme, dt, t):
         """Algebraic residual M bdf_dt + nu (K u) + G(u) - F(t) of one BDF
         step at the candidate u = u^{n-1} + increment, with M and K the
-        stacked mass and stiffness: one gather of (bdf_dt, u), the mass and
-        reaction terms (bdf_dt(x_q) + g(u(x_q))) w_q integrated against the
-        basis, nu_c K_e u_e per element, and one ``bincount``, less
-        amplitudes(t) @ loads.
-
-        The discrete derivative bdf_dt is evaluated in first-difference form
-        from the increment, keeping the residual floor independent of dt."""
+        stacked mass and stiffness, by one gather and one ``bincount``."""
         bdf_dt = bdf_increment_form(scheme, increment, hist_states, dt)
         pair = np.concatenate((bdf_dt, hist_states[0] + increment)).reshape(2, -1)  # (bdf_dt, u)
         elem_values = self.gather(self.split(pair))
@@ -258,19 +245,12 @@ class FomOperator:
         return r
 
     def linearisation(self, scheme, dt):
-        """``bdf.integrate``'s callback. Per run it forms the Jacobian's
-        linear part (``jacobian_linear_part``); per step, ``at_step(hist_states,
-        t)`` returns the predictor, ``extrapolate_increment(hist_states)``, and
-        ``linearise(increment)``: the residual at u^{n-1} + increment and
-        ``solve(rhs, tol, reuse=False)``, the inexact Newton update
-        (``newton_update``) with the Jacobian at the same candidate. The FOM
-        holds no Jacobian across candidates, so ``reuse`` changes nothing:
-        every update is formed with the candidate's own Jacobian.
-
-        The first update of a step starts BiCGStab from the polynomial
-        extrapolation of the first updates of the run's previous three steps
-        (of all of them on its second and third step); the run's first step
-        and every later update of a step start from zero."""
+        """``bdf.integrate``'s callback, under ``bdf.implicit_step``'s
+        contract. The FOM holds no Jacobian across candidates, so ``reuse``
+        changes nothing. The first update of a step starts BiCGStab from the
+        polynomial extrapolation of the first updates of the run's previous
+        three steps (of all of them on its second and third step); the run's
+        first step and every later update of a step start from zero."""
         linear_part = self.jacobian_linear_part(scheme.delta_f[0] / dt)
         firsts = []  # the first updates of the run's last three steps, newest first
 
@@ -315,17 +295,13 @@ class FomOperator:
 
 @dataclass
 class FomJacobian:
-    """J x = scatter(sum_b J[a, b] x_e) with per-element matrices J[a, b, i,
-    j, e] and the Dirichlet entries of x passed through; its Jacobi diagonal
-    sums the element diagonals J[a, a, i, i, e] in the same scatter order.
-
-    A product is one gather, one einsum whose innermost loop runs over the
-    elements and one ``bincount``. It zeroes the Dirichlet entries of a copy
-    of x through the operator's index array ``dirichlet`` (BiCGStab reads
-    its operand again) and after the scatter sets y[dirichlet] =
-    x[dirichlet]. Forming J and its diagonal costs about twice a product
-    (68 against 33 us at n_side 16, P2), but is done once per ~8 products
-    (1398 products for 180 Jacobians in the desk run)."""
+    """J x = scatter(sum_b J[a, b] x_e), one gather, one einsum whose
+    innermost loop runs over the elements and one ``bincount``, with
+    per-element matrices J[a, b, i, j, e] and the Dirichlet entries of x
+    passed through; its Jacobi diagonal sums the element diagonals J[a, a,
+    i, i, e] in the same scatter order. Forming J and its diagonal costs
+    about twice a product (68 against 33 us at n_side 16, P2), but is done
+    once per ~8 products (1398 products for 180 Jacobians in the desk run)."""
 
     op: FomOperator
     elements: np.ndarray  # J, (nc, nc, nloc, nloc, ne)
@@ -371,14 +347,11 @@ def fom_integrate(
     q: int,
     newton_rule=1e-10,
 ) -> Trajectory:
-    """Integrate on the uniform grid j dt, j = 0..M, with BDF-q/Newton.
-
-    Starting values are bootstrapped at order q. ``newton_rule`` goes to
+    """Integrate on the uniform grid j dt, j = 0..M, with BDF-q/Newton, from
+    starting values bootstrapped at order q. ``newton_rule`` goes to
     ``bdf.integrate`` as the ROM's does; the default, a fixed 1e-10, is the
     tolerance at every order and step (snapshots are offline and must be
-    accurate regardless of dt). Each Newton update is solved inexactly by
-    ``newton_update``; Newton's own test on the true residual is unchanged.
-    """
+    accurate regardless of dt)."""
     op = FomOperator(system, space)
     u0 = np.asarray(u0, dtype=np.float64).reshape(op.dim)
     states, _, _ = integrate(q, dt, t_end, [u0], op.linearisation, newton_rule)

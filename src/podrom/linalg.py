@@ -10,10 +10,9 @@ change drops them. Every COO -> CSR conversion is ``CsrMatrix.from_coo``:
 one ``unique`` of row-major keys and one ``bincount`` in triplet order. The
 matvec reduces the products of each row with one ``reduceat``.
 The symmetric eigensolve and the dense direct solve are numpy's LAPACK
-routines; the iterative solver is BiCGStab with a Jacobi preconditioner, on
-any square operator with ``rows``, ``cols``, ``matvec`` and ``diagonal()``:
-the FOM's matrix-free Jacobian, or a CsrMatrix. Either solve fails with a
-ConvergenceError, the one error the BDF loop names with its step.
+routines; the iterative solver is Jacobi-preconditioned BiCGStab. Either
+solve fails with a ConvergenceError, the one error the BDF loop names with
+its step.
 """
 
 from __future__ import annotations

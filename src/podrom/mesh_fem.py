@@ -7,20 +7,12 @@ triangles and the boundary edges come from index arithmetic on the vertex
 numbering, and the P2 edge dofs from one ``np.unique`` of integer edge keys,
 with no loop over cells.
 
-Assembly is vectorized over elements. Each FeSpace owns its element data
-as attributes formed on first use (areas, reference basis values N and
-products, reference gradient products S_k with per-element weights, element
-mass and stiffness matrices, physical quadrature points and weights), the
-one ``gather`` of element values and the one ``scatter`` (one ``bincount``)
-of element vectors into nodal fields. The kernels are matmuls between the
-two: fields at the quadrature points ``gather(u) @ N^T``, loads of a
-time-free f(x, y) ``scatter((f * w) @ N)``, and the stacked mass and stiffness
-(``ElementOperator``) the element matrices times ``gather(u)``, scattered.
-``assemble_elements`` sums element matrices into the tests' CSR references
-(``assemble_mass``, ``assemble_stiffness`` and the values of
-``assemble_reaction_jacobian_system``, all on one pattern), and
-``assemble_reaction_system`` is the tests' reference for the reaction; none
-runs in the pipeline. They stay only because the benchmark's tracer names
+Assembly is vectorized over elements. Each FeSpace forms its element data
+on first use and owns the one ``gather`` of element values and the one
+``scatter`` (one ``bincount``) of element vectors into nodal fields; every
+kernel (``at_quadrature``, ``assemble_load``, ``ElementOperator``) is a
+matmul between the two. The ``assemble_*`` CSR and reaction references
+serve only the tests. They stay only because the benchmark's tracer names
 the ``assemble_reaction_*`` pair and linalg's CSR functions as targets,
 which read 0 on every workload; they move to the tests once a benchmark
 change drops those targets.

@@ -4,11 +4,9 @@ Dense matrices are written in array format (column-major). Values use 17
 significant digits so doubles round-trip bit-exactly. No stage reads an
 export back: ``read`` serves the tests, and stays here only because the
 benchmark's tracer names it as a target, which reads 0 on every workload;
-it moves to the tests once a benchmark change drops that target. Only
-the array layout is read; a coordinate-layout file raises ValueError, and
-so does a missing or malformed size line, a non-numeric value or a value
-count other than m·n, each naming the file. ``write_dense`` takes a 1-D or 2-D array and
-raises ValueError naming the file and the shape for any other.
+it moves to the tests once a benchmark change drops that target. Only the
+array layout is read. A malformed file, or an array ``write_dense`` cannot
+write, raises ValueError naming the file.
 
 Every line is exactly what ``"%.17g\\n" % x`` gives, formed in numpy for a
 whole block at once. For 1e-6 < |x| < 1e17 the 17 digits are the integer
@@ -22,10 +20,8 @@ dropped. Zeros print "0" or "-0". Only the other values, non-finite ones,
 subnormals, 0 < |x| ≤ 1e-6 and |x| ≥ 1e17, go through ``%``.
 
 Both directions stream the values in blocks of at most ``_BLOCK``
-characters of text: ``write_dense`` formats and writes one block at a time,
-and ``read`` parses each block with one numpy call into a preallocated
-array. Neither holds the text or one Python object per value, so each uses
-memory of the array plus one block's working arrays.
+characters of text, so neither holds the text or one Python object per
+value: each uses memory of the array plus one block's working arrays.
 """
 
 from __future__ import annotations

@@ -13,50 +13,22 @@ pseudo-variable, so with c_hat = (1, c) and the augmented fields
 with T symmetric in its D slots and contracted over the quadrature points
 of the finite-element rule once, in ``rom_assemble``. A constant-only
 reaction is stored at D = 1, and so is a reaction-free one, as T = 0: every
-system takes the same path. T is kept with its last slot free and its
-other D - 1 slots compressed to sorted index tuples, multiplicities folded
-in (the compressed Kronecker storage of operator inference, Peherstorfer &
-Willcox, CMAME 306, 2016): an (r (r + 1), C(r + D - 1, D - 1)) matrix Tc,
-row (i, j) for T[i, ..., j]. Its column order, the monomial index, depends
-on r and D alone, so it is formed from them (``monomial_index``) and never
-stored or handed over. A step reads ``tensor_t``, Tc with its rows in
-(j, i) order, formed with the system; a reduced file keeps Tc. Online, one
-linearisation forms S = T . c_hat^(D - 1), (r, r + 1), as its transpose
+system takes the same path. T is stored once, as Tc (``_compress``): its
+last slot free, its other D - 1 slots compressed to sorted index tuples
+with their multiplicities folded in (the compressed Kronecker storage of
+operator inference, Peherstorfer & Willcox, CMAME 306, 2016), its rows in
+the order a step reads. Tc's column order depends on r and D alone, so it
+is formed from them (``monomial_index``) and never stored or handed over.
+One linearisation forms S = T . c_hat^(D - 1), (r, r + 1), by one product
+with Tc (``reaction_slope``); the reaction residual is S c_hat and its
+Jacobian D S[:, 1:]. That costs O(r (r + 1) C(r + D - 1, D - 1)),
+independent of the mesh; ``rom_linearisation`` states how a run holds S.
+A forcing of J separable terms a_j(t) b_j(x, y) adds sum_j a_j(t) Phi^T
+B_j per step, from the (J, r) reduced loads: O(J r).
 
-    S^T = tensor_t @ m(c_hat),   (r + 1) r entries, row j holding S[:, j],
-
-from the degree D - 1 monomials m(c_hat) of c_hat; the reaction residual
-is the one product S c_hat and its Jacobian D S[:, 1:]. That costs
-O(r (r + 1) C(r + D - 1, D - 1)) per linearisation, independent of the mesh.
-
-A run (``rom_linearisation``) holds one C-contiguous (2 r + 2, r) block
-whose rows are S^T, K^T with K = (delta_0/dt) M_r + D_r, the linear part
-of the Jacobian, and fixed, the part of the residual no candidate changes,
-and one z = (1, c, d, 1). K^T is written once per run; fixed (the BDF
-history term, D_r h_0 and diffusion_lift) and the predictor Newton starts
-from are written per step by one product over the history's first
-differences. A candidate d writes c = h_0 + d and d into z and its S^T
-into the block, so its residual
-
-    K d + fixed + S c_hat = z . block
-
-is one product, and its Jacobian J = K + D S[:, 1:] is formed as J^T =
-D S^T[1:] + K^T from contiguous rows of the block into a buffer of the
-run. A candidate's S lives in the run's block, so its ``solve`` holds
-until the next ``linearise``. The run holds an inverse Jacobian F, formed
-at its first update by ``dense_lu_solve``. Each later step's first Newton
-update forms the candidate's J and refines F by one Newton-Schulz step,
-F <- F (2I - J F), which squares the defect I - J F with two r x r products
-and no factorisation (Schulz, ZAMM 13, 1933); so a step of one update takes
-two linearisations and no LU. Each later update of a step (or a fresh one
-after a discarded first, ``bdf.implicit_step``) inverts J, r x r, at its
-candidate by ``dense_lu_solve``. A forcing of J separable terms a_j(t)
-b_j(x, y) adds sum_j a_j(t) Phi^T B_j to fixed per step, from the (J, r)
-reduced loads: O(J r), and no step touches the mesh.
-
-``ReducedSystem`` holds what a step reads, all r-sized; ``RomSystem`` adds
-the basis, lift and space of projection and lifting. ``podrom pod`` writes
-the first per rank, so the online stage's cost depends on r, not the mesh.
+``ReducedSystem`` holds what a step reads, all r-sized, and is what
+``podrom pod`` hands over; ``RomSystem`` adds the basis, lift and space of
+projection and lifting.
 """
 
 from __future__ import annotations
@@ -95,9 +67,7 @@ def monomial_index(r: int, degree: int) -> np.ndarray:
 @dataclass
 class ReducedSystem:
     """What a step reads: the r-sized operators, loads and reaction tensor,
-    and the system for ``amplitudes(t)``. Tc's column order,
-    ``reaction_monomials``, is set from r and the system's degree, and
-    ``tensor_t``, the tensor a step reads, from Tc."""
+    and the system for ``amplitudes(t)`` and the reaction's degree."""
 
     r: int
     reduced_mass: np.ndarray  # Phi^T M Phi
@@ -105,17 +75,12 @@ class ReducedSystem:
     reduced_diffusion: np.ndarray  # Phi^T blockdiag(nu_c A) Phi
     diffusion_lift: np.ndarray  # Phi^T blockdiag(nu_c A) lift, constant forcing
     reduced_loads: np.ndarray  # (J, r): B_j Phi, the forcing terms' loads
-    reaction_tensor: np.ndarray  # (r (r + 1), C(r + D - 1, D - 1)): Tc
+    slope_tensor: np.ndarray  # ((r + 1) r, C(r + D - 1, D - 1)): Tc, row (j, i)
     system: ReactionSystem
-    reaction_monomials: np.ndarray = field(init=False, repr=False)  # monomial_index(r, D)
-    monomial_rows: tuple = field(init=False, repr=False)  # its D - 1 rows, one gather each
-    tensor_t: np.ndarray = field(init=False, repr=False)  # Tc, rows in (j, i) order: S^T's
+    monomial_rows: tuple = field(init=False, repr=False)  # monomial_index(r, D)'s D - 1 rows
 
     def __post_init__(self):
-        self.reaction_monomials = monomial_index(self.r, max(self.system.degree, 1))
-        self.monomial_rows = tuple(self.reaction_monomials)
-        tc = self.reaction_tensor.reshape(self.r, self.r + 1, -1)
-        self.tensor_t = np.ascontiguousarray(tc.transpose(1, 0, 2)).reshape(self.r * (self.r + 1), -1)
+        self.monomial_rows = tuple(monomial_index(self.r, max(self.system.degree, 1)))
 
 
 @dataclass
@@ -134,8 +99,8 @@ def reduced_shapes(r: int, system: ReactionSystem) -> dict:
     is built from, by field name: the float64 arrays a hand-off file holds."""
     d = max(system.degree, 1) - 1
     shapes = {"reduced_mass": (r, r), "reduced_stiffness": (r, r), "reduced_diffusion": (r, r),
-              "diffusion_lift": (r,), "reduced_loads": (len(system.amplitudes(0.0)), r),
-              "reaction_tensor": (r * (r + 1), math.comb(r + d, d))}
+              "diffusion_lift": (r,), "reduced_loads": (system.n_forcing, r),
+              "slope_tensor": ((r + 1) * r, math.comb(r + d, d))}
     return {k: f"float64 {v}" for k, v in shapes.items()}
 
 
@@ -203,8 +168,7 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
     fills the slots [i, j_1..j_d, 0, ..., 0] with sum_q w_q psi_i(q) prod_s
     [lift_k_s; Phi_k_s][j_s](q), where psi combines the modes' components by
     the monomial's coefficients; the symmetrisation then spreads the constant
-    slots over all positions. A constant-only or reaction-free system gets
-    one slot, D = 1.
+    slots over all positions.
     """
     r, nc, nqp = modes_q.shape
     degree = max(system.degree, 1)
@@ -229,10 +193,10 @@ def _reaction_tensor(system: ReactionSystem, modes_q, lift_q, weights):
 
 
 def _compress(tensor: np.ndarray) -> np.ndarray:
-    """Tc for the symmetric T: Tc[(i, j), t] is T[i, t_1, ..., t_(D-1), j]
+    """Tc for the symmetric T: Tc[(j, i), t] is T[i, t_1, ..., t_(D-1), j]
     times the number of distinct orderings of the sorted tuple t, the
-    column t of ``monomial_index``, so that T . c_hat^(D-1) = Tc @
-    prod(c_hat[index])."""
+    column t of ``monomial_index``, so that S^T = Tc @ prod(c_hat[index])
+    for S = T . c_hat^(D-1)."""
     r, n, k = tensor.shape[0], tensor.shape[-1], tensor.ndim - 2
     index = monomial_index(r, k + 1)
     orderings = [
@@ -241,76 +205,63 @@ def _compress(tensor: np.ndarray) -> np.ndarray:
     ]
     flat = n ** np.arange(k - 1, -1, -1) @ index
     tc = tensor.reshape(r, n**k, n)[:, flat, :] * np.array(orderings, dtype=np.float64)[:, None]
-    return np.ascontiguousarray(tc.transpose(0, 2, 1).reshape(r * n, -1))
+    return np.ascontiguousarray(tc.transpose(2, 0, 1).reshape(n * r, -1))
 
 
 def reaction_slope(romsys: ReducedSystem, chat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """S = T . chat^(D-1), an (r, r + 1) array, at chat = (1, c), written into
     ``out`` as the (r + 1) r entries of S^T row by row: the one product of
-    ``tensor_t`` with the degree D - 1 monomials of chat; returns ``out``. The
-    reduced reaction at c is the one product S chat, its Jacobian D S[:, 1:]."""
+    ``slope_tensor`` with the degree D - 1 monomials of chat; returns ``out``."""
     rows = romsys.monomial_rows
     monomials = chat[rows[0]] if rows else chat[:1]  # D = 1: the one monomial chat[0] = 1
     for row in rows[1:]:
         monomials *= chat[row]
-    return romsys.tensor_t.dot(monomials, out=out)
+    return romsys.slope_tensor.dot(monomials, out=out)
 
 
 def rom_residual(z: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The reduced residual K d + fixed + S chat as the one product z . block,
-    a new array, of z = (1, c, d, 1) and the (2 r + 2, r) block whose rows
-    are S^T, K^T and fixed (``rom_linearisation``), at the candidate c =
-    history[0] + d whose S the block holds.
-
-    The discrete derivative's leading term is (delta_0/dt) M_r d, taken from
-    the increment d in K d, keeping the residual floor independent of dt.
-    """
+    """The reduced residual K d + fixed + S chat at a candidate, a new array:
+    the one product z . block of a run's z and block (``rom_linearisation``).
+    K d takes the derivative's leading term from d (``bdf.bdf_increment_form``)."""
     return z.dot(block)
 
 
 def rom_jacobian(
     romsys: ReducedSystem, slope_rows: np.ndarray, stiffness_t: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """J = K + D S[:, 1:] at a candidate, from the rows S^T[1:] and K^T of a
-    run's block (``rom_linearisation``), formed as J^T = D S^T[1:] + K^T
-    from those contiguous rows into ``out``, an (r, r) array the run holds;
-    returns J, the transposed view of ``out``. The rows are only read."""
-    np.multiply(len(romsys.reaction_monomials) + 1, slope_rows, out=out)
+    """J = K + D S[:, 1:] at a candidate, formed as J^T = D S^T[1:] + K^T from
+    rows of a run's block (``rom_linearisation``) into ``out``, an (r, r)
+    array the run holds; returns J, the transposed view of ``out``."""
+    np.multiply(len(romsys.monomial_rows) + 1, slope_rows, out=out)
     out += stiffness_t
     return out.T
 
 
 def rom_linearisation(romsys: ReducedSystem, scheme: BdfScheme, dt: float):
-    """``bdf.integrate``'s two-level callback.
+    """``bdf.integrate``'s two-level callback, under ``bdf.implicit_step``'s
+    contract: the one statement of a run's layout.
 
-    Per run it forms K = (delta_0/dt) M_r + D_r and the (q r + 1, 2 r)
-    history operator that maps the step's terms (h[:-1] - h[1:], h_0, 1) to
-    two r-vectors. The first is fixed = M_r (alpha[1:]/dt) (h[:-1] - h[1:]) +
-    D_r h_0 + diffusion_lift, the same difference-form terms as the increment
-    form. The second is the predictor sum_i v_i (h[i] - h[i + 1]), v_i =
-    -sum_{j > i} w_j with w = ``bdf.extrapolation_weights(q)``, which is
-    ``bdf.extrapolate_increment`` w[1:] @ (h[1:] - h_0) summed by parts.
-    The run holds one C-contiguous (2 r + 2, r) block, whose rows are S^T
-    (r + 1 rows, written per candidate), K^T (written once) and fixed, with
-    the predictor in the row after it (so a predictor holds until the next
-    ``at_step``), and one z = (1, c, d, 1), so that the residual K d + fixed
-    + S (1, c) is z . block.
+    A run holds one C-contiguous (2 r + 2, r) block, whose rows are S^T
+    (r + 1 rows, written per candidate), K^T with K = (delta_0/dt) M_r +
+    D_r (written once) and fixed (written per step), and one z = (1, c, d,
+    1), so that a candidate's residual K d + fixed + S (1, c) is the one
+    product z . block (``rom_residual``) and its Jacobian comes from
+    contiguous rows (``rom_jacobian``). ``at_step(history, t)`` forms, by
+    one product of the step's terms with a per-run operator, fixed = M_r
+    (alpha[1:]/dt) (h[:-1] - h[1:]) + D_r h_0 + diffusion_lift and the
+    predictor sum_i v_i (h[i] - h[i + 1]), v_i = -sum_{j > i} w_j with
+    w = ``bdf.extrapolation_weights(q)`` (``bdf.extrapolate_increment``
+    summed by parts), then takes amplitudes(t) @ reduced_loads from fixed;
+    the predictor is the row after the block, so it holds until the next
+    ``at_step``. ``linearise(d)`` writes c = h_0 + d and d into z and S^T
+    into the block (``reaction_slope``).
 
-    Per step, ``at_step(history, t)`` checks that ``history`` holds the q
-    previous coordinate vectors, newest first, writes its terms into the
-    run's one buffer, forms fixed and the predictor by one product into the
-    block's last row and the row after it, takes amplitudes(t) @
-    reduced_loads from fixed, and returns (predictor, linearise). Per
-    candidate, ``linearise(d)`` writes c = h_0 + d and d into z, S^T into
-    the block (``reaction_slope`` through ``ReducedSystem.tensor_t``), and
-    returns the new residual (``rom_residual``) and ``solve(rhs, tol,
-    reuse=False)``, which forms the candidate's Jacobian J (``rom_jacobian``)
-    from the block and returns the update F rhs. So a ``solve`` holds only
-    until the next ``linearise`` of the run. The run holds one inverse F:
-    ``reuse=True`` refines the held F at the candidate by one Newton-Schulz
-    step, F (2I - J F), whose defect I - J F' is (I - J F)^2, and holds
-    that; ``reuse=False``, or ``reuse=True`` with none held, forms F =
-    ``dense_lu_solve(J, I)`` and holds it.
+    The run holds one inverse Jacobian F, which ``solve`` applies to rhs.
+    With ``reuse=True`` it refines the held F at its candidate by one
+    Newton-Schulz step F <- F (2I - J F), which squares the defect I - J F
+    with two r x r products and no factorisation (Schulz, ZAMM 13, 1933),
+    so a step of one update takes no LU; with ``reuse=False``, or none
+    held, it forms F = ``dense_lu_solve(J, I)``.
     """
     mass, diffusion = romsys.reduced_mass, romsys.reduced_diffusion
     loads, r, q = romsys.reduced_loads, romsys.r, scheme.q
@@ -380,14 +331,10 @@ def rom_integrate(
     init,
     newton_rule="step-coupled",
 ) -> RomTrajectory:
-    """BDF-q time loop in reduced coordinates.
-
-    ``init`` is ("bootstrap", coords0): the q - 1 further starting values
-    are bootstrapped from the reduced initial condition coords0 with
-    lower-order integrations. ``newton_rule`` goes to ``bdf.integrate``
-    as it is: each segment's Newton tolerance is ``bdf.newton_tolerance`` of
-    it at the segment's own order and step.
-    """
+    """BDF-q time loop in reduced coordinates. ``init`` is ("bootstrap",
+    coords0): the q - 1 further starting values are bootstrapped from the
+    reduced initial condition coords0. ``newton_rule`` goes to
+    ``bdf.integrate`` as it is."""
     mode, coords0 = init
     if mode != "bootstrap":
         raise ValueError(f"unknown init mode {mode!r}")

@@ -4,8 +4,11 @@ dense array, pattern-aligned values as a CSR matrix on the space's
 pattern, the identity as a CSR matrix, the L2 norm and H1 seminorm of a
 nodal field, the FOM's BDF residual from the assembled scalar mass and
 stiffness, component by component, the load of a forcing by its pointwise
-values, the projection errors by their plain formula, and BiCGStab as a
-fresh array per operation."""
+values, the projection errors by their plain formula, BiCGStab as a
+fresh array per operation, and a recorder that checks a real time loop's
+calls against ``bdf.implicit_step``'s contract."""
+
+import math
 
 import numpy as np
 
@@ -221,3 +224,79 @@ def krylov_solve_oracle(a, b, tol=1e-12, max_iter=None, x0=None):
     raise ConvergenceError(
         f"BiCGStab did not converge in {max_iter} iterations", float(np.linalg.norm(r))
     )
+
+
+class ContractRecorder:
+    """Records the calls of a real ``bdf.integrate`` run to the model's
+    ``at_step``, ``linearise`` and ``solve`` (``wrap`` the run's
+    linearisation) and checks three clauses of ``bdf.implicit_step``'s
+    contract; a broken one fails with its name:
+
+    - "updates": a step of k updates takes k solves and k + 1
+      linearisations, one more per discard, where a discard linearises the
+      predictor again right after a first update whose residual norm is not
+      below the predictor's;
+    - "reuse": only a step's first update asks for ``reuse``;
+    - "stale solve": no ``solve`` is called after a later ``linearise``,
+      checked at the call.
+    """
+
+    def __init__(self):
+        self.steps = []  # per step: ("linearise", d, residual norm) and ("solve", reuse) in call order
+        self.linearisations = 0
+
+    def wrap(self, linearisation):
+        def recorded(scheme, dt):
+            at_step = linearisation(scheme, dt)
+
+            def recorded_at_step(history, t):
+                predictor, linearise = at_step(history, t)
+                events = []
+                self.steps.append(events)
+
+                def recorded_linearise(d):
+                    residual, solve = linearise(d)
+                    self.linearisations += 1
+                    made = self.linearisations
+                    events.append(("linearise", np.array(d), math.sqrt(residual.dot(residual))))
+
+                    def recorded_solve(rhs, tol, reuse=False):
+                        if made != self.linearisations:
+                            raise AssertionError(
+                                f"stale solve: the solve of linearisation {made} is called"
+                                f" after linearisation {self.linearisations}"
+                            )
+                        events.append(("solve", reuse))
+                        return solve(rhs, tol, reuse=reuse)
+
+                    return residual, recorded_solve
+
+                return predictor, recorded_linearise
+
+            return recorded_at_step
+
+        return recorded
+
+    def check(self, updates) -> int:
+        """The recorded steps against ``updates``, the Newton updates per step
+        the run returned, in call order (the bootstrap's steps first);
+        returns the number of discards."""
+        assert len(updates) == len(self.steps), f"updates: {len(updates)} counted, {len(self.steps)} steps recorded"
+        total = 0
+        for n, (k, events) in enumerate(zip(updates, self.steps)):
+            kinds = [event[0] for event in events]
+            discards = sum(a == b == "linearise" for a, b in zip(kinds, kinds[1:]))
+            if discards:
+                assert discards == 1 and kinds[:4] == ["linearise", "solve", "linearise", "linearise"], (
+                    f"updates: step {n} discards other than its first update: {kinds}"
+                )
+                predictor, first, again = events[0], events[2], events[3]
+                assert np.array_equal(again[1], predictor[1]), f"updates: step {n} discards to another increment"
+                assert not first[2] < predictor[2], f"updates: step {n} discards an update that lowered the residual"
+            assert kinds.count("solve") == k and kinds.count("linearise") == k + 1 + discards, (
+                f"updates: step {n} of {k} updates and {discards} discards calls {kinds}"
+            )
+            reuse = [event[1] for event in events if event[0] == "solve"]
+            assert reuse == ([True] + [False] * (k - 1) if k else []), f"reuse: step {n} asks {reuse}"
+            total += discards
+        return total

@@ -1,6 +1,7 @@
 """BDF coefficients and stepping: exact rational identities, polynomial
 exactness, the first-difference decomposition (property-tested), bootstrap
-plans, the time-loop driver, and scalar convergence orders."""
+plans, the time-loop driver, its model contract on both real models, and
+scalar convergence orders."""
 
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ContractRecorder
 from podrom import bdf, fom, mesh_fem, pod, rom
 from podrom.bdf import (
     MAX_NEWTON_ITER,
@@ -932,3 +934,50 @@ class TestPredictor:
         at_step = op.linearisation(bdf_coefficients(q), DEFAULT_T / 128)
         for history in self.histories(q, sweep_fom.stacked(), np.random.default_rng(q)):
             assert np.array_equal(at_step(history, 0.5)[0], extrapolate_increment(history))
+
+
+def discarding_linearisation(scheme, step):
+    """u' = -u^3 with a held update of the wrong sign: every step whose
+    predictor misses the tolerance discards its first update."""
+    c0 = float(scheme.delta_f[0]) / step
+
+    def at_step(history, t):
+        def linearise(d):
+            u = history[0] + d
+
+            def solve(rhs, tol, reuse=False):
+                return (-1.0 if reuse else 1.0) * rhs / (c0 + 3.0 * u**2)
+
+            return bdf_increment_form(scheme, d, history, step) + u**3, solve
+
+        return extrapolate_increment(history), linearise
+
+    return at_step
+
+
+class TestModelContract:
+    """Both real models keep ``implicit_step``'s contract over a whole
+    bootstrapped run, as ``ContractRecorder`` checks it; a stub model that
+    discards shows the recorder accepts the discard path."""
+
+    @pytest.mark.parametrize("model", ["rom", "fom", "discarding stub"])
+    def test_a_run_keeps_the_driver_contract(self, sweep_fom, model):
+        # the desk protocol's grid (BDF-5, M 128), for the ROM at r 4 of its
+        # n_side 8 basis and for the FOM on n_side 4
+        system, q, dt = fom.brusselator_system(0.002), 5, DEFAULT_T / 128
+        if model == "rom":
+            snaps, basis = pod.build_pod_basis(sweep_fom, 1.0, pod.W0_ZERO, pod.H10)
+            romsys = rom.rom_assemble(basis, 4, sweep_fom.space, system, snaps.mean)
+            start = rom.initial_coords(romsys, sweep_fom.states[0])
+            linearisation, rule = partial(rom.rom_linearisation, romsys), "step-coupled"
+        elif model == "fom":
+            space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
+            start = fom.perturbed_equilibrium(space).ravel()
+            linearisation, rule = fom.FomOperator(system, space).linearisation, 1e-10
+        else:
+            start, linearisation, rule = np.array([1.0]), discarding_linearisation, TIGHT
+        recorder = ContractRecorder()
+        _, counts, boot_counts = integrate(q, dt, DEFAULT_T, [start], recorder.wrap(linearisation), rule)
+        discards = recorder.check([*boot_counts, *counts])
+        assert recorder.linearisations > len(recorder.steps) > 128
+        assert discards > 0 or model != "discarding stub"

@@ -674,16 +674,20 @@ class TestCli:
                 k: v.astype(np.float32) if v.ndim else v for k, v in arrays.items()})),
             ("", lambda raw, arrays: saved(np.savez, **{**arrays, "reduced_mass": arrays["reduced_mass"][:, :1]})),
             ("", lambda raw, arrays: saved(np.savez, **{**arrays, "coords0": arrays["coords0"][:1]})),
-            ("", lambda raw, arrays: saved(np.savez, **{k: v for k, v in arrays.items() if k != "reaction_tensor"})),
+            ("", lambda raw, arrays: saved(np.savez, **{k: v for k, v in arrays.items() if k != "slope_tensor"})),
+            ("", lambda raw, arrays: saved(np.savez, **{
+                "reaction_tensor" if k == "slope_tensor" else k: v for k, v in arrays.items()})),
             ("", lambda raw, arrays: saved(np.savez, **{k: v for k, v in arrays.items() if k != "n_dof"})),
             ("", lambda raw, arrays: saved(np.save, arrays["reduced_mass"])),
         ],
         ids=["missing", "tau", "w0_mode", "inner_product", "empty", "truncated", "pickled", "float32",
-             "shape", "coords-shape", "missing-array", "missing-record", "npy"],
+             "shape", "coords-shape", "missing-array", "old-format", "missing-record", "npy"],
     )
     def test_bad_reduced_file_is_a_usage_error(self, short_run, capsys, line, corrupt):
         # `rom` and `convergence` name the reduced file they cannot use and
-        # exit 2, whether it is missing, made under other settings or corrupt
+        # exit 2, whether it is missing, made under other settings, corrupt
+        # or of the old format, whose Tc under `reaction_tensor` has the new
+        # tensor's shape in another row order
         args, out_dir = short_run
         path = out_dir / "reduced_r2.npz"
         if corrupt is None:

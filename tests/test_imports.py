@@ -5,7 +5,8 @@ names, no module reads an environment variable, no module but ``fom``
 reads a system's forcing terms or exponent table, no function but the
 snapshot builders takes tau or the w0 mode, both models' Newton loops use
 none of numpy's dispatch-heavy forms of their kernels (``@`` and np.dot
-among them), the ROM's per-candidate closures allocate no array,
+among them), the ROM's per-candidate closures allocate no array, the
+reduced system stores no array derived from another,
 harness formats a table value in ``write_csv`` alone, only
 ``_main_loop_maxima`` names a study's ``_step`` key, each run rule's
 message is written in one function, the Newton rule reaches the time loop
@@ -309,6 +310,31 @@ def test_a_rom_candidate_allocates_no_array(name):
         and (ast.unparse(node.func) in ARRAY_CONSTRUCTORS or getattr(node.func, "attr", None) == "copy")
     ]
     assert not found, ", ".join(found)
+
+
+@pytest.mark.parametrize("name", ["ReducedSystem", "RomSystem"])
+def test_the_reduced_system_stores_no_derived_copy(name):
+    """A reduced system holds each array once, as ``podrom pod`` hands it
+    over: it declares no ``field(init=False)`` and its methods set no
+    attribute, but for ``monomial_rows``, the rows of the monomial index, so
+    a second layout of a stored array cannot come back unnoticed."""
+    tree = ast.parse((Path(podrom.__file__).parent / "rom.py").read_text())
+    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    derived = [
+        f"{stmt.target.id} (line {stmt.lineno})"
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.value, ast.Call)
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in stmt.value.keywords)
+    ] + [
+        f"self.{node.attr} (line {node.lineno})"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    ]
+    allowed = {"ReducedSystem": ["monomial_rows", "self.monomial_rows"], "RomSystem": []}[name]
+    assert [entry.split(" (")[0] for entry in derived] == allowed, ", ".join(derived)
 
 
 def test_the_rom_factors_only_through_dense_lu_solve():
