@@ -5,14 +5,24 @@ pattern, the identity as a CSR matrix, the L2 norm and H1 seminorm of a
 nodal field, the FOM's BDF residual from the assembled scalar mass and
 stiffness, component by component, the load of a forcing by its pointwise
 values, the projection errors by their plain formula, BiCGStab as a
-fresh array per operation, and a recorder that checks a real time loop's
-calls against ``bdf.implicit_step``'s contract."""
+fresh array per operation, and the driver contract's one check.
+
+That check is ``ContractRecorder``, built on ``wrap_callbacks``, the
+tests' one wrapper of a model's callback levels. It records a real
+``bdf.integrate`` run and fails by the name of the clause a run breaks:
+"levels", "updates", "reuse", "stale solve", "history" or "predictor".
+``tests/test_bdf.py`` runs it on the ROM at r 4 (BDF-5, M 128), the r-10
+ROM on BDF-1, M 32, the n_side 4 FOM, the u' = -u^3 stub, held and
+discarding, and the linear scalar model at every order. A contract change
+edits ``bdf.implicit_step``'s docstring and the recorder, and nothing else
+in the tests: no model or case restates a clause."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from podrom.bdf import bdf_increment_form
+from podrom.bdf import bdf_increment_form, bootstrap_plan, newton_tolerance
 from podrom.linalg import ConvergenceError, CsrMatrix
 from podrom.mesh_fem import (
     GAMMA1,
@@ -226,77 +236,199 @@ def krylov_solve_oracle(a, b, tol=1e-12, max_iter=None, x0=None):
     )
 
 
-class ContractRecorder:
-    """Records the calls of a real ``bdf.integrate`` run to the model's
-    ``at_step``, ``linearise`` and ``solve`` (``wrap`` the run's
-    linearisation) and checks three clauses of ``bdf.implicit_step``'s
-    contract; a broken one fails with its name:
+def wrap_callbacks(linearisation, run=None, step=None, linearise=None, solve=None):
+    """``linearisation``, a model's callback for ``bdf.integrate``, with each
+    of its levels passed through a hook. A hook takes the level's own
+    callable and the arguments the driver passed, and returns what the level
+    returns, so it may record the call, check it or change its result:
 
-    - "updates": a step of k updates takes k solves and k + 1
-      linearisations, one more per discard, where a discard linearises the
-      predictor again right after a first update whose residual norm is not
-      below the predictor's;
+    - ``run(linearisation, scheme, dt)`` -> at_step, once per run;
+    - ``step(at_step, history, t)`` -> (predictor, linearise), once per step;
+    - ``linearise(linearise, d)`` -> (residual, solve), once per candidate;
+    - ``solve(solve, rhs, tol, reuse)`` -> the Newton update.
+
+    A level without a hook calls through, and what a hook returns is wrapped
+    at the levels below it."""
+
+    def through(hook, level, *args):
+        return level(*args) if hook is None else hook(level, *args)
+
+    def wrapped(scheme, dt):
+        at_step = through(run, linearisation, scheme, dt)
+
+        def wrapped_step(history, t):
+            predictor, model_linearise = through(step, at_step, history, t)
+
+            def wrapped_linearise(d):
+                residual, model_solve = through(linearise, model_linearise, d)
+                return residual, lambda rhs, tol, reuse=False: through(solve, model_solve, rhs, tol, reuse)
+
+            return predictor, wrapped_linearise
+
+        return wrapped_step
+
+    return wrapped
+
+
+@dataclass
+class RecordedStep:
+    """One step's calls: its time, the history and predictor the driver and
+    the model handed over with their values at the handover, and its events,
+    ("linearise", d, residual norm) and ("solve", reuse, update), in call
+    order."""
+
+    t: float
+    history: np.ndarray
+    history_values: np.ndarray
+    predictor: np.ndarray
+    predictor_values: np.ndarray
+    events: list = field(default_factory=list)
+
+    @property
+    def increments(self):
+        """The increments d of the step's linearisations, in call order."""
+        return [event[1] for event in self.events if event[0] == "linearise"]
+
+    @property
+    def norms(self):
+        """The residual norms of the step's linearisations, in call order."""
+        return [event[2] for event in self.events if event[0] == "linearise"]
+
+
+@dataclass
+class RecordedRun:
+    """One ``linearisation(scheme, dt)`` call: the run's order, step,
+    Newton tolerance and steps."""
+
+    order: int
+    step: float
+    tol: float
+    steps: list = field(default_factory=list)
+
+
+class ContractRecorder:
+    """Records the calls of a real ``bdf.integrate`` run (``wrap`` its
+    linearisation) and checks every clause of the contract that
+    ``bdf.implicit_step`` and ``integrate`` state; a broken clause fails
+    with its name:
+
+    - "levels": one ``linearisation(scheme, dt)`` per bootstrap segment and
+      one for the main loop, with that run's (order, step), and one
+      ``at_step`` per step;
+    - "updates": a step starts from its predictor, and k updates take k
+      solves and k + 1 linearisations, one more per discard. A discard
+      linearises the predictor again right after a first update whose
+      residual norm is not below the predictor's. Each solve is asked to
+      remove its linearisation's residual to the run's tolerance, each
+      later linearisation is at the increment plus the update, and the
+      step stops at its first residual norm within the tolerance;
     - "reuse": only a step's first update asks for ``reuse``;
-    - "stale solve": no ``solve`` is called after a later ``linearise``,
-      checked at the call.
+    - "stale solve": no ``solve`` is called after a later ``linearise``;
+    - "history": no callback writes to the history it was given;
+    - "predictor": the predictor ``at_step`` returned, of a state's shape,
+      stays unchanged until the step ends, because a discard restarts
+      from it.
+
+    "stale solve", "history" and "predictor" are checked at the call, the
+    others by ``check`` after the run.
     """
 
-    def __init__(self):
-        self.steps = []  # per step: ("linearise", d, residual norm) and ("solve", reuse) in call order
+    def __init__(self, newton_rule):
+        self.newton_rule = newton_rule
+        self.runs = []
         self.linearisations = 0
 
     def wrap(self, linearisation):
-        def recorded(scheme, dt):
-            at_step = linearisation(scheme, dt)
+        return wrap_callbacks(linearisation, run=self._run, step=self._step, linearise=self._linearise)
 
-            def recorded_at_step(history, t):
-                predictor, linearise = at_step(history, t)
-                events = []
-                self.steps.append(events)
+    def _run(self, linearisation, scheme, dt):
+        self.runs.append(RecordedRun(scheme.q, dt, newton_tolerance(self.newton_rule, scheme.q, dt)))
+        return linearisation(scheme, dt)
 
-                def recorded_linearise(d):
-                    residual, solve = linearise(d)
-                    self.linearisations += 1
-                    made = self.linearisations
-                    events.append(("linearise", np.array(d), math.sqrt(residual.dot(residual))))
+    def _step(self, at_step, history, t):
+        history_values = np.array(history)
+        predictor, linearise = at_step(history, t)
+        step = RecordedStep(t, history, history_values, predictor, np.array(predictor))
+        self.runs[-1].steps.append(step)
+        assert np.shape(predictor) == history_values.shape[1:], (
+            f"predictor: at_step at t = {t:.6g} returns shape {np.shape(predictor)}, not a state's"
+        )
+        self._unchanged(step, "at_step")
+        return predictor, linearise
 
-                    def recorded_solve(rhs, tol, reuse=False):
-                        if made != self.linearisations:
-                            raise AssertionError(
-                                f"stale solve: the solve of linearisation {made} is called"
-                                f" after linearisation {self.linearisations}"
-                            )
-                        events.append(("solve", reuse))
-                        return solve(rhs, tol, reuse=reuse)
+    def _linearise(self, linearise, d):
+        run = self.runs[-1]
+        step = run.steps[-1]
+        increment = np.array(d)
+        residual, solve = linearise(d)
+        self._unchanged(step, "linearise")
+        self.linearisations += 1
+        made = self.linearisations
+        step.events.append(("linearise", increment, math.sqrt(residual.dot(residual))))
 
-                    return residual, recorded_solve
-
-                return predictor, recorded_linearise
-
-            return recorded_at_step
-
-        return recorded
-
-    def check(self, updates) -> int:
-        """The recorded steps against ``updates``, the Newton updates per step
-        the run returned, in call order (the bootstrap's steps first);
-        returns the number of discards."""
-        assert len(updates) == len(self.steps), f"updates: {len(updates)} counted, {len(self.steps)} steps recorded"
-        total = 0
-        for n, (k, events) in enumerate(zip(updates, self.steps)):
-            kinds = [event[0] for event in events]
-            discards = sum(a == b == "linearise" for a, b in zip(kinds, kinds[1:]))
-            if discards:
-                assert discards == 1 and kinds[:4] == ["linearise", "solve", "linearise", "linearise"], (
-                    f"updates: step {n} discards other than its first update: {kinds}"
-                )
-                predictor, first, again = events[0], events[2], events[3]
-                assert np.array_equal(again[1], predictor[1]), f"updates: step {n} discards to another increment"
-                assert not first[2] < predictor[2], f"updates: step {n} discards an update that lowered the residual"
-            assert kinds.count("solve") == k and kinds.count("linearise") == k + 1 + discards, (
-                f"updates: step {n} of {k} updates and {discards} discards calls {kinds}"
+        def checked_solve(rhs, tol, reuse=False):
+            assert made == self.linearisations, (
+                f"stale solve: the solve of linearisation {made} is called after linearisation {self.linearisations}"
             )
-            reuse = [event[1] for event in events if event[0] == "solve"]
-            assert reuse == ([True] + [False] * (k - 1) if k else []), f"reuse: step {n} asks {reuse}"
-            total += discards
-        return total
+            assert tol == run.tol and np.array_equal(rhs, -residual), (
+                f"updates: the solve of linearisation {made} is not asked to remove its residual to tolerance {run.tol}"
+            )
+            update = solve(rhs, tol, reuse=reuse)
+            self._unchanged(step, "solve")
+            step.events.append(("solve", reuse, np.array(update)))
+            return update
+
+        return residual, checked_solve
+
+    @staticmethod
+    def _unchanged(step, call):
+        assert np.array_equal(step.history, step.history_values), (
+            f"history: {call} at t = {step.t:.6g} writes to its history"
+        )
+        assert np.array_equal(step.predictor, step.predictor_values), (
+            f"predictor: {call} at t = {step.t:.6g} changes the step's predictor"
+        )
+
+    def check(self, q, dt, counts, boot_counts) -> int:
+        """The recorded calls of ``integrate(q, dt, ...)`` against its plan,
+        bootstrapped when it returned ``boot_counts`` (given the q starting
+        values when it did not), and against the Newton updates per step it
+        returned, in call order (the bootstrap's steps first); returns the
+        number of discards."""
+        plan = bootstrap_plan(q, dt) if boot_counts else []
+        want = [*plan, (q, dt, len(counts))]
+        got = [(run.order, run.step, len(run.steps)) for run in self.runs]
+        assert got == want, f"levels: {len(got)} runs of (order, step, steps), {got[:6]}, planned {want}"
+        updates = [*boot_counts, *counts]
+        steps = [(run.tol, step) for run in self.runs for step in run.steps]
+        assert len(updates) == len(steps), f"updates: {len(updates)} counted, {len(steps)} steps recorded"
+        return sum(self._check_step(n, k, tol, step) for n, (k, (tol, step)) in enumerate(zip(updates, steps)))
+
+    @staticmethod
+    def _check_step(n, k, tol, step) -> int:
+        events = step.events
+        kinds = [event[0] for event in events]
+        discards = sum(a == b == "linearise" for a, b in zip(kinds, kinds[1:]))
+        assert kinds.count("solve") == k and kinds.count("linearise") == k + 1 + discards, (
+            f"updates: step {n} of {k} updates and {discards} discards calls {kinds}"
+        )
+        assert np.array_equal(events[0][1], step.predictor_values), f"updates: step {n} does not start from its predictor"
+        if discards:
+            assert discards == 1 and kinds[:4] == ["linearise", "solve", "linearise", "linearise"], (
+                f"updates: step {n} discards other than its first update: {kinds}"
+            )
+            predictor, first, again = events[0], events[2], events[3]
+            assert np.array_equal(again[1], step.predictor_values), f"updates: step {n} discards to another increment"
+            assert not first[2] < predictor[2], f"updates: step {n} discards an update that lowered the residual"
+        for before, (kind, _, update), after in zip(events, events[1:], events[2:]):
+            if kind == "solve":
+                assert np.array_equal(after[1], before[1] + update), (
+                    f"updates: step {n} linearises other than at the increment plus the update"
+                )
+        norms = step.norms
+        assert norms[-1] <= tol < min(norms[:-1], default=math.inf), (
+            f"updates: step {n} stops at residual norms {norms}, tolerance {tol}"
+        )
+        reuse = [event[1] for event in events if event[0] == "solve"]
+        assert reuse == ([True] + [False] * (k - 1) if k else []), f"reuse: step {n} asks {reuse}"
+        return discards

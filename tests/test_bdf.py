@@ -1,7 +1,7 @@
 """BDF coefficients and stepping: exact rational identities, polynomial
 exactness, the first-difference decomposition (property-tested), bootstrap
-plans, the time-loop driver, its model contract on both real models, and
-scalar convergence orders."""
+plans, the time-loop driver, its model contract (``ContractRecorder``) on
+both real models and on stub models, and scalar convergence orders."""
 
 import math
 import re
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ContractRecorder
+from helpers import ContractRecorder, wrap_callbacks
 from podrom import bdf, fom, mesh_fem, pod, rom
 from podrom.bdf import (
     MAX_NEWTON_ITER,
@@ -259,8 +259,50 @@ def scalar_linearisation(lam):
     return linearisation
 
 
+def unreachable_model(scheme, step):
+    """A model for runs that ``integrate`` must reject before any step."""
+    raise AssertionError(f"a rejected run started a BDF-{scheme.q} run of step {step}")
+
+
 #: a fixed Newton rule, far below the errors the tests measure
 TIGHT = 1e-14
+
+
+def cubic_linearisation(held=1.0):
+    """Time-loop callback for u' = -u^3 in increment form, whose reused
+    update is ``held`` times the fresh Newton update: of the wrong sign
+    (-1) it raises the residual, so every step whose predictor misses the
+    tolerance discards its first update."""
+
+    def linearisation(scheme, step):
+        c0 = float(scheme.delta_f[0]) / step
+
+        def at_step(history, t):
+            def linearise(d):
+                u = history[0] + d
+
+                def solve(rhs, tol, reuse=False):
+                    return (held if reuse else 1.0) * rhs / (c0 + 3.0 * u**2)
+
+                return bdf_increment_form(scheme, d, history, step) + u**3, solve
+
+            return extrapolate_increment(history), linearise
+
+        return at_step
+
+    return linearisation
+
+
+def cubic_step(tol, held=1.0):
+    """One BDF-1 step of ``cubic_linearisation(held)`` from u = 1 at step
+    0.5 through ``implicit_step``, its calls checked by ``ContractRecorder``:
+    (solution, updates, the step's ``RecordedStep``). The predictor is the
+    previous value, so Newton starts from d = 0."""
+    recorder, scheme, history = ContractRecorder(tol), bdf_coefficients(1), np.ones((1, 1))
+    predictor, linearise = recorder.wrap(cubic_linearisation(held))(scheme, 0.5)(history, 0.5)
+    sol, iters = implicit_step(scheme, history, predictor, linearise, tol)
+    recorder.check(1, 0.5, [iters], [])
+    return sol, iters, recorder.runs[0].steps[0]
 
 
 class TestImplicitStep:
@@ -272,61 +314,14 @@ class TestImplicitStep:
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
 
-    def test_residual_evaluations_are_updates_plus_one(self):
-        # u' = -u^3 by BDF-1 from u = 1: Newton needs several updates, and the
-        # residual of each update's convergence check drives the next one
-        scheme = bdf_coefficients(1)
-        h = [np.array([1.0])]
-        dt = 0.5
-        calls = []
-
-        def linearise(d):
-            calls.append(d.copy())
-            slope = 1.0 / dt + 3.0 * (1.0 + d) ** 2
-            return d / dt + (1.0 + d) ** 3, lambda rhs, tol, reuse=False: rhs / slope
-
-        # at BDF-1 the predictor is the previous value, so Newton starts from d = 0
-        sol, iters = implicit_step(scheme, h, extrapolate_increment(h), linearise, 1e-13)
-        assert iters >= 2
-        assert len(calls) == iters + 1
-        # every residual is taken at a new iterate
-        assert len({c[0] for c in calls}) == len(calls)
-        assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
-
     @pytest.mark.parametrize("updates", [1, 2, 3])
     def test_linearisations_are_updates_plus_one_and_jacobians_updates(self, updates):
         # u' = -u^3 by BDF-1 from u = 1, with the tolerance set between the
-        # residuals of the iterates so that Newton stops after ``updates``
-        scheme = bdf_coefficients(1)
-        h = [np.array([1.0])]
-        dt = 0.5
-
-        def residual(d):
-            return d / dt + (1.0 + d) ** 3
-
-        def jacobian(d):
-            return np.array([[1.0 / dt + 3.0 * (1.0 + d[0]) ** 2]])
-
-        d, norms = np.zeros(1), []
-        for _ in range(updates + 1):
-            norms.append(abs(residual(d)[0]))
-            d = d - np.linalg.solve(jacobian(d), residual(d))
-        tol = np.sqrt(norms[updates] * norms[updates - 1])
-        counts = {"linearise": 0, "jacobian": 0}
-
-        def linearise(d):
-            counts["linearise"] += 1
-
-            def solve(rhs, tol, reuse=False):
-                counts["jacobian"] += 1
-                return np.linalg.solve(jacobian(d), rhs)
-
-            return residual(d), solve
-
-        # at BDF-1 the predictor is the previous value, as in the iterates above
-        _, iters = implicit_step(scheme, h, extrapolate_increment(h), linearise, tol)
+        # residuals of the tight step's iterates so that Newton stops after
+        # ``updates``; the recorder counts the linearisations and solves
+        norms = cubic_step(1e-13)[2].norms
+        _, iters, _ = cubic_step(math.sqrt(norms[updates] * norms[updates - 1]))
         assert iters == updates
-        assert counts == {"linearise": updates + 1, "jacobian": updates}
 
     def test_nonconvergence_raises(self):
         scheme = bdf_coefficients(1)
@@ -390,63 +385,16 @@ class TestImplicitStep:
         sol, iters = implicit_step(bdf_coefficients(2), h, extrapolate_increment(h), linearise, 1e-12)
         assert (sol.tolist(), iters, solves) == ([4.0], 0, [])
 
-    def test_only_the_first_update_of_a_step_asks_for_reuse(self):
-        # u' = -u^3 by BDF-3, bootstrapped: in every step, of every segment,
-        # the first update asks for the held factor and no later one does
-        asked = []
-
-        def linearisation(scheme, step):
-            c0 = float(scheme.delta_f[0]) / step
-
-            def at_step(history, t):
-                flags = []
-                asked.append(flags)
-
-                def linearise(d):
-                    u = history[0] + d
-
-                    def solve(rhs, tol, reuse=False):
-                        flags.append(reuse)
-                        return rhs / (c0 + 3.0 * u**2)
-
-                    return bdf_increment_form(scheme, d, history, step) + u**3, solve
-
-                return extrapolate_increment(history), linearise
-
-            return at_step
-
-        _, counts, boot_counts = integrate(3, 0.25, 2.0, [np.array([1.0])], linearisation, TIGHT)
-        assert [len(flags) for flags in asked] == boot_counts + counts
-        assert max(counts) >= 2
-        assert all(flags == [True] + [False] * (len(flags) - 1) for flags in asked)
-
     @pytest.mark.parametrize("held, discarded", [(-1.0, True), (0.5, False)])
     def test_a_held_update_that_does_not_lower_the_residual_is_discarded(self, held, discarded):
-        # BDF-1 on u' = -u^3 from u = 1, with a model whose held update is
-        # ``held`` times the fresh one. Of the wrong sign it raises the
-        # residual: the step discards it and goes on from the predictor with
-        # fresh updates, so its iterates are the all-fresh path's, one update
-        # later. Half an update lowers the residual and is kept
-        dt = 0.5
-
-        def run(scale):
-            iterates = []
-
-            def linearise(d):
-                iterates.append(d.copy())
-
-                def solve(rhs, tol, reuse=False):
-                    return (scale if reuse else 1.0) * rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
-
-                return d / dt + (1.0 + d) ** 3, solve
-
-            h = [np.array([1.0])]
-            sol, iters = implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-13)
-            return sol, iters, iterates
-
-        fresh_sol, fresh_iters, fresh_iterates = run(1.0)
-        assert len(fresh_iterates) == fresh_iters + 1
-        sol, iters, iterates = run(held)
+        # BDF-1 on u' = -u^3 from u = 1, with a held update ``held`` times
+        # the fresh one. Of the wrong sign it raises the residual: the step
+        # discards it and goes on from the predictor with fresh updates, so
+        # its iterates are the all-fresh path's, one update later. Half an
+        # update lowers the residual and is kept
+        fresh_sol, fresh_iters, fresh = cubic_step(1e-13)
+        sol, iters, step = cubic_step(1e-13, held)
+        fresh_iterates, iterates = fresh.increments, step.increments
         if discarded:
             # the discard linearises the predictor again: one linearisation more
             assert iters == fresh_iters + 1 and len(iterates) == iters + 2
@@ -455,32 +403,7 @@ class TestImplicitStep:
         else:
             assert len(iterates) == iters + 1
             assert np.array_equal(iterates[1], 0.5 * fresh_iterates[1])
-            assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
-
-    def test_a_solve_holds_until_the_next_linearise(self):
-        # a model may keep a candidate's state in buffers of its run (the ROM
-        # writes each candidate's slope into one block), so a ``solve`` is
-        # valid only until the model's next ``linearise``: this model's solve
-        # raises when a later linearise ran. BDF-1 on u' = -u^3 with a held
-        # update of the wrong sign takes the discard path, which linearises
-        # the predictor again instead of reusing its first solve
-        dt, made = 0.5, []
-
-        def linearise(d):
-            made.append(d.copy())
-            own = len(made)
-
-            def solve(rhs, tol, reuse=False):
-                if len(made) != own:
-                    raise AssertionError(f"solve of linearisation {own} used after linearisation {len(made)}")
-                return (-1.0 if reuse else 1.0) * rhs / (1.0 / dt + 3.0 * (1.0 + d) ** 2)
-
-            return d / dt + (1.0 + d) ** 3, solve
-
-        h = [np.array([1.0])]
-        sol, iters = implicit_step(bdf_coefficients(1), h, extrapolate_increment(h), linearise, 1e-13)
-        assert len(made) == iters + 2 and np.array_equal(made[2], made[0])
-        assert abs((sol[0] - 1.0) / dt + sol[0] ** 3) <= 1e-13
+            assert abs((sol[0] - 1.0) / 0.5 + sol[0] ** 3) <= 1e-13
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
@@ -615,37 +538,16 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("q", range(1, 6))
     def test_callback_levels_are_called_once_per_run_step_and_candidate(self, q):
-        # per integrate call (one per bootstrap segment, one for the main
-        # loop), per implicit step, and per Newton candidate: one per update
-        # plus the predictor of each step
+        # the recorder's "levels" at every order: one run per bootstrap
+        # segment and one for the main loop, or the main loop alone when
+        # the q starting values are given, and one at_step per step
         dt, t_end = 0.1, 1.0
-        calls = {"run": [], "step": 0, "linearise": 0}
-        model = scalar_linearisation(-2.0)
-
-        def linearisation(scheme, step):
-            calls["run"].append((scheme.q, step))
-            at_step = model(scheme, step)
-
-            def counted_step(history, t):
-                calls["step"] += 1
-                predictor, linearise = at_step(history, t)
-
-                def counted(d):
-                    calls["linearise"] += 1
-                    return linearise(d)
-
-                return predictor, counted
-
-            return counted_step
-
-        _, counts, boot_counts = integrate(q, dt, t_end, [np.array([1.0])], linearisation, TIGHT)
-        plan = bootstrap_plan(q, dt)
-        assert len(calls["run"]) == len(plan) + 1
-        assert calls["run"] == [(order, step) for order, step, _ in plan] + [(q, dt)]
-        steps = len(counts) + len(boot_counts)
-        assert steps == sum(count for _, _, count in plan) + round(t_end / dt) - q + 1
-        assert calls["step"] == steps
-        assert calls["linearise"] == sum(counts) + sum(boot_counts) + steps
+        given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
+        for starting, runs in (([np.array([1.0])], len(bootstrap_plan(q, dt)) + 1), (given, 1)):
+            recorder = ContractRecorder(TIGHT)
+            _, counts, boot_counts = integrate(q, dt, t_end, starting, recorder.wrap(scalar_linearisation(-2.0)), TIGHT)
+            recorder.check(q, dt, counts, boot_counts)
+            assert len(recorder.runs) == runs and all(run.steps for run in recorder.runs)
 
     @pytest.mark.parametrize(
         "t_fail, where",
@@ -653,37 +555,51 @@ class TestIntegrate:
          (0.1, "bootstrap BDF-1 step n = 1 at t = 0.1 (step size 0.1)")],
     )
     def test_failure_names_order_step_and_time(self, t_fail, where):
-        def failing(scheme, step):
-            at_step = scalar_linearisation(-2.0)(scheme, step)
-
-            def failing_step(history, t):
-                predictor, linearise = at_step(history, t)
-                if abs(t - t_fail) < 1e-12:
-                    return predictor, lambda d: (np.array([1.0]), linearise(d)[1])  # unsatisfiable
-                return predictor, linearise
-
-            return failing_step
+        def failing(at_step, history, t):
+            predictor, linearise = at_step(history, t)
+            if abs(t - t_fail) < 1e-12:
+                return predictor, lambda d: (np.array([1.0]), linearise(d)[1])  # unsatisfiable
+            return predictor, linearise
 
         with pytest.raises(ConvergenceError) as info:
-            integrate(2, 0.1, 1.0, [np.array([1.0])], failing, TIGHT)
+            integrate(2, 0.1, 1.0, [np.array([1.0])], wrap_callbacks(scalar_linearisation(-2.0), step=failing), TIGHT)
         assert str(info.value).startswith(where + ": Newton did not converge")
         assert info.value.residual == 1.0
         assert isinstance(info.value.__cause__, ConvergenceError)
+
+    @pytest.mark.parametrize("raised", [math.nan, 0.25])
+    def test_a_failed_solve_carries_the_newton_residual(self, raised):
+        # a solve that fails at the main loop's step n = 3, without a
+        # residual of its own (nan, as a singular direct solve raises) or
+        # with one: the failure names the order, step, time and step size,
+        # and carries the norm of the Newton residual the solve was asked to
+        # remove, or the solve's own
+        times, asked = [], []
+
+        def step(at_step, history, t):
+            times.append(t)
+            return at_step(history, t)
+
+        def solve(model_solve, rhs, tol, reuse):
+            if round(times[-1] / 0.1) == 3:
+                asked.append(rhs)
+                raise ConvergenceError("the solve failed", raised)
+            return model_solve(rhs, tol, reuse=reuse)
+
+        with pytest.raises(ConvergenceError) as info:
+            integrate(2, 0.1, 1.0, [np.array([1.0])], wrap_callbacks(cubic_linearisation(), step=step, solve=solve), TIGHT)
+        assert info.value.message == "BDF-2 step n = 3 at t = 0.3 (step size 0.1): the solve failed"
+        assert len(asked) == 1 and isinstance(info.value.__cause__, ConvergenceError)
+        newton = math.sqrt(asked[0].dot(asked[0]))
+        assert newton > TIGHT and info.value.residual == (newton if math.isnan(raised) else raised)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     @pytest.mark.parametrize("n_starting", [1, 3])
     def test_rejects_a_tolerance_that_is_not_positive(self, bad, n_starting):
         # bootstrapped or given the q starting values, no step is taken
-        calls = []
-
-        def linearisation(scheme, step):
-            calls.append(step)
-            return scalar_linearisation(-2.0)(scheme, step)
-
         starting = [np.array([1.0])] * n_starting
         with pytest.raises(ValueError, match="newton_rule must be"):
-            integrate(3, 0.1, 1.0, starting, linearisation, bad)
-        assert calls == []
+            integrate(3, 0.1, 1.0, starting, unreachable_model, bad)
 
     @pytest.mark.parametrize(
         "q, dt, t_end, message",
@@ -704,32 +620,18 @@ class TestIntegrate:
         ],
     )
     def test_rejects_a_grid_that_check_step_rejects(self, q, dt, t_end, message):
-        calls = []
-
-        def linearisation(scheme, step):
-            calls.append(step)
-            return scalar_linearisation(-2.0)(scheme, step)
-
         for starting in ([np.array([1.0])], [np.array([1.0])] * q):
             with pytest.raises(ValueError, match=re.escape(message)):
-                integrate(q, dt, t_end, starting, linearisation, TIGHT)
-        assert calls == []
+                integrate(q, dt, t_end, starting, unreachable_model, TIGHT)
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_rejects_a_step_whose_window_overflows(self, q):
         # a finite T over a tiny dt: T/dt overflows, which is not an M of 0
-        calls = []
-
-        def linearisation(scheme, step):
-            calls.append(step)
-            return scalar_linearisation(-2.0)(scheme, step)
-
         for starting in ([np.array([1.0])], [np.array([1.0])] * q):
             with pytest.raises(ValueError, match=re.escape("dt = 1e-300 is too small for T = 10000000000.0")):
-                integrate(q, 1e-300, 1e10, starting, linearisation, TIGHT)
+                integrate(q, 1e-300, 1e10, starting, unreachable_model, TIGHT)
             with pytest.raises(ValueError, match="T must be positive and finite, got inf"):
-                integrate(q, 1e-300, np.inf, starting, linearisation, TIGHT)
-        assert calls == []
+                integrate(q, 1e-300, np.inf, starting, unreachable_model, TIGHT)
 
     def test_rejects_wrong_number_of_starting_values(self):
         with pytest.raises(ValueError, match="expected 1 or 3 starting values"):
@@ -741,27 +643,16 @@ class TestIntegrate:
         # reversed view: the states come back oldest first, and each
         # main-loop history is a C-contiguous forward slice of them
         dt, t_end = 0.1, 1.0
-        seen = []
-        model = scalar_linearisation(-2.0)
-
-        def linearisation(scheme, step):
-            at_step = model(scheme, step)
-
-            def recording(history, t):
-                seen.append((history, t))
-                return at_step(history, t)
-
-            return recording
-
+        recorder = ContractRecorder(TIGHT)
         u0 = np.array([1.0, -0.5, 2.0])
-        states, counts, _ = integrate(q, dt, t_end, [u0], linearisation, TIGHT)
+        states, counts, _ = integrate(q, dt, t_end, [u0], recorder.wrap(scalar_linearisation(-2.0)), TIGHT)
         assert states.shape == (11, 3) and np.array_equal(states[0], u0)
-        main = seen[len(seen) - len(counts) :]
-        assert [round(t / dt) for _, t in main] == list(range(q, 11))
-        for history, t in main:
-            n = round(t / dt)
-            assert history.flags.c_contiguous and np.shares_memory(history, states)
-            assert np.array_equal(history, states[n - q : n][::-1])
+        main = recorder.runs[-1].steps
+        assert [round(step.t / dt) for step in main] == list(range(q, 11))
+        for step in main:
+            n = round(step.t / dt)
+            assert step.history.flags.c_contiguous and np.shares_memory(step.history, states)
+            assert np.array_equal(step.history, states[n - q : n][::-1])
         # in time order: each state is exp(-2 t) u0 within BDF-1's 4% at this
         # step, while the reversed order would be off by up to 86%
         exact = np.exp(-2.0 * dt * np.arange(11))[:, None] * u0
@@ -803,46 +694,25 @@ def sweep_rom(sweep_fom):
     return romsys, rom.initial_coords(romsys, sweep_fom.states[0])
 
 
-def held_throughout(romsys, scheme, step):
-    """The ROM's callback with every update applying one fixed inverse
-    Jacobian: the ROM's fresh inverse at the run's first update, read off
-    column by column and never refined, serves the whole segment."""
-    at_step = rom.rom_linearisation(romsys, scheme, step)
+def fixed_inverse():
+    """A ``wrap_callbacks`` solve hook that applies one fixed inverse
+    Jacobian to every update: the model's fresh inverse at the first update
+    it is asked for, read off column by column and never refined, serves
+    the rest of a BDF-1 run, its one run."""
     inverse = []
 
-    def step_of(history, t):
-        predictor, linearise = at_step(history, t)
+    def fixed(solve, rhs, tol, reuse):
+        if not inverse:
+            inverse.append(np.column_stack([solve(e, tol) for e in np.eye(len(rhs))]))
+        return inverse[0].dot(rhs)
 
-        def held(d):
-            residual, solve = linearise(d)
-
-            def fixed(rhs, tol, reuse=False):
-                if not inverse:
-                    inverse.append(np.column_stack([solve(e, tol) for e in np.eye(len(rhs))]))
-                return inverse[0].dot(rhs)
-
-            return residual, fixed
-
-        return predictor, held
-
-    return step_of
+    return fixed
 
 
-def fresh_throughout(romsys, scheme, step):
-    """The ROM's callback with every update forming a fresh inverse Jacobian
-    at its own candidate."""
-    at_step = rom.rom_linearisation(romsys, scheme, step)
-
-    def step_of(history, t):
-        predictor, linearise = at_step(history, t)
-
-        def fresh(d):
-            residual, solve = linearise(d)
-            return residual, lambda rhs, tol, reuse=False: solve(rhs, tol)
-
-        return predictor, fresh
-
-    return step_of
+def always_fresh(solve, rhs, tol, reuse):
+    """A ``wrap_callbacks`` solve hook that asks every update for a fresh
+    inverse Jacobian at its own candidate."""
+    return solve(rhs, tol)
 
 
 class TestHeldFactor:
@@ -853,7 +723,7 @@ class TestHeldFactor:
         # first update, converges there
         romsys, coords0 = sweep_rom
         dt = DEFAULT_T / 32
-        held = partial(held_throughout, romsys)
+        held = wrap_callbacks(partial(rom.rom_linearisation, romsys), solve=fixed_inverse())
         with pytest.raises(ConvergenceError, match=re.escape("BDF-1 step n = 32 at t = 7.09064")):
             integrate(1, dt, DEFAULT_T, [coords0], held, "step-coupled")
         rt = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0))
@@ -883,7 +753,8 @@ class TestHeldFactor:
         dt = DEFAULT_T / 32
         tight = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0), 1e-13).coords
         held = rom.rom_integrate(romsys, 1, dt, DEFAULT_T, ("bootstrap", coords0)).coords
-        fresh, _, _ = integrate(1, dt, DEFAULT_T, [coords0], partial(fresh_throughout, romsys), "step-coupled")
+        fresh_linearisation = wrap_callbacks(partial(rom.rom_linearisation, romsys), solve=always_fresh)
+        fresh, _, _ = integrate(1, dt, DEFAULT_T, [coords0], fresh_linearisation, "step-coupled")
         assert np.abs(held - tight).max() <= 2.0 * np.abs(fresh - tight).max()
 
 
@@ -936,48 +807,37 @@ class TestPredictor:
             assert np.array_equal(at_step(history, 0.5)[0], extrapolate_increment(history))
 
 
-def discarding_linearisation(scheme, step):
-    """u' = -u^3 with a held update of the wrong sign: every step whose
-    predictor misses the tolerance discards its first update."""
-    c0 = float(scheme.delta_f[0]) / step
-
-    def at_step(history, t):
-        def linearise(d):
-            u = history[0] + d
-
-            def solve(rhs, tol, reuse=False):
-                return (-1.0 if reuse else 1.0) * rhs / (c0 + 3.0 * u**2)
-
-            return bdf_increment_form(scheme, d, history, step) + u**3, solve
-
-        return extrapolate_increment(history), linearise
-
-    return at_step
-
-
 class TestModelContract:
-    """Both real models keep ``implicit_step``'s contract over a whole
-    bootstrapped run, as ``ContractRecorder`` checks it; a stub model that
-    discards shows the recorder accepts the discard path."""
+    """Every model the driver steps keeps ``implicit_step``'s contract over
+    a whole run, as ``ContractRecorder`` checks it, and each case exercises
+    the clauses it is here for."""
 
-    @pytest.mark.parametrize("model", ["rom", "fom", "discarding stub"])
-    def test_a_run_keeps_the_driver_contract(self, sweep_fom, model):
+    @pytest.mark.parametrize("model", ["rom", "rom r10 bdf-1", "fom", "stub", "discarding stub"])
+    def test_a_run_keeps_the_driver_contract(self, sweep_fom, sweep_rom, model):
         # the desk protocol's grid (BDF-5, M 128), for the ROM at r 4 of its
-        # n_side 8 basis and for the FOM on n_side 4
-        system, q, dt = fom.brusselator_system(0.002), 5, DEFAULT_T / 128
+        # n_side 8 basis, the FOM on n_side 4 and the cubic stub; and the
+        # sweep's r-10 ROM on BDF-1, M 32, whose steps take several updates
+        system, q, m = fom.brusselator_system(0.002), 5, 128
         if model == "rom":
             snaps, basis = pod.build_pod_basis(sweep_fom, 1.0, pod.W0_ZERO, pod.H10)
             romsys = rom.rom_assemble(basis, 4, sweep_fom.space, system, snaps.mean)
             start = rom.initial_coords(romsys, sweep_fom.states[0])
             linearisation, rule = partial(rom.rom_linearisation, romsys), "step-coupled"
+        elif model == "rom r10 bdf-1":
+            romsys, start = sweep_rom
+            q, m, linearisation, rule = 1, 32, partial(rom.rom_linearisation, romsys), "step-coupled"
         elif model == "fom":
             space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
             start = fom.perturbed_equilibrium(space).ravel()
             linearisation, rule = fom.FomOperator(system, space).linearisation, 1e-10
         else:
-            start, linearisation, rule = np.array([1.0]), discarding_linearisation, TIGHT
-        recorder = ContractRecorder()
+            held = -1.0 if model == "discarding stub" else 1.0
+            start, linearisation, rule = np.array([1.0]), cubic_linearisation(held), TIGHT
+        recorder, dt = ContractRecorder(rule), DEFAULT_T / m
         _, counts, boot_counts = integrate(q, dt, DEFAULT_T, [start], recorder.wrap(linearisation), rule)
-        discards = recorder.check([*boot_counts, *counts])
-        assert recorder.linearisations > len(recorder.steps) > 128
+        discards = recorder.check(q, dt, counts, boot_counts)
+        # every run, the bootstrap segments' and the main loop's, takes steps
+        assert len(counts) == m - q + 1 and all(run.steps for run in recorder.runs)
+        if model in ("rom r10 bdf-1", "stub"):
+            assert max(counts) >= 2  # "reuse" and "updates" past the first update
         assert discards > 0 or model != "discarding stub"
