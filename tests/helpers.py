@@ -14,8 +14,10 @@ tests' one wrapper of a model's callback levels. It records a real
 ``tests/test_bdf.py`` runs it on the ROM at r 4 (BDF-5, M 128), the r-10
 ROM on BDF-1, M 32, the n_side 4 FOM, the u' = -u^3 stub, held and
 discarding, and the linear scalar model at every order. A contract change
-edits ``bdf.implicit_step``'s docstring and the recorder, and nothing else
-in the tests: no model or case restates a clause."""
+edits ``bdf.implicit_step``'s docstring and the recorder; no model
+restates a clause, and only ``TestImplicitStep``'s single-step tests
+(three of them state "updates", "reuse" and "stale solve" by hand on the
+stub) change besides."""
 
 import math
 from dataclasses import dataclass, field

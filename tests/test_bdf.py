@@ -314,6 +314,16 @@ class TestImplicitStep:
         assert iters == 1
         assert abs(sol[0] - 1.0 / 1.1) < 1e-13
 
+    def test_residual_evaluations_are_updates_plus_one(self):
+        # u' = -u^3 by BDF-1 from u = 1: Newton needs several updates, and the
+        # residual of each update's convergence check drives the next one
+        sol, iters, step = cubic_step(1e-13)
+        assert iters >= 2
+        assert len(step.increments) == iters + 1
+        # every residual is taken at a new iterate
+        assert len({d[0] for d in step.increments}) == len(step.increments)
+        assert abs((sol[0] - 1.0) / 0.5 + sol[0] ** 3) <= 1e-13
+
     @pytest.mark.parametrize("updates", [1, 2, 3])
     def test_linearisations_are_updates_plus_one_and_jacobians_updates(self, updates):
         # u' = -u^3 by BDF-1 from u = 1, with the tolerance set between the
@@ -385,6 +395,25 @@ class TestImplicitStep:
         sol, iters = implicit_step(bdf_coefficients(2), h, extrapolate_increment(h), linearise, 1e-12)
         assert (sol.tolist(), iters, solves) == ([4.0], 0, [])
 
+    def test_only_the_first_update_of_a_step_asks_for_reuse(self):
+        # u' = -u^3 by BDF-3, bootstrapped: in every step, of every segment,
+        # the first update asks for the held factor and no later one does
+        asked = []
+
+        def step(at_step, history, t):
+            asked.append([])
+            return at_step(history, t)
+
+        def solve(model_solve, rhs, tol, reuse):
+            asked[-1].append(reuse)
+            return model_solve(rhs, tol, reuse)
+
+        linearisation = wrap_callbacks(cubic_linearisation(), step=step, solve=solve)
+        _, counts, boot_counts = integrate(3, 0.25, 2.0, [np.array([1.0])], linearisation, TIGHT)
+        assert [len(flags) for flags in asked] == [*boot_counts, *counts]
+        assert max(counts) >= 2
+        assert all(flags == [True] + [False] * (len(flags) - 1) for flags in asked)
+
     @pytest.mark.parametrize("held, discarded", [(-1.0, True), (0.5, False)])
     def test_a_held_update_that_does_not_lower_the_residual_is_discarded(self, held, discarded):
         # BDF-1 on u' = -u^3 from u = 1, with a held update ``held`` times
@@ -404,6 +433,33 @@ class TestImplicitStep:
             assert len(iterates) == iters + 1
             assert np.array_equal(iterates[1], 0.5 * fresh_iterates[1])
             assert abs((sol[0] - 1.0) / 0.5 + sol[0] ** 3) <= 1e-13
+
+    def test_a_solve_holds_until_the_next_linearise(self):
+        # a model may keep a candidate's state in buffers of its run (the ROM
+        # writes each candidate's slope into one block), so a ``solve`` is
+        # valid only until the model's next ``linearise``: this model's solve
+        # raises when a later linearise ran. BDF-1 on u' = -u^3 with a held
+        # update of the wrong sign takes the discard path, which linearises
+        # the predictor again instead of reusing its first solve
+        made = []
+
+        def linearise(model_linearise, d):
+            made.append(d.copy())
+            own = len(made)
+            residual, model_solve = model_linearise(d)
+
+            def solve(rhs, tol, reuse=False):
+                if len(made) != own:
+                    raise AssertionError(f"solve of linearisation {own} used after linearisation {len(made)}")
+                return model_solve(rhs, tol, reuse)
+
+            return residual, solve
+
+        scheme, history = bdf_coefficients(1), np.ones((1, 1))
+        at_step = wrap_callbacks(cubic_linearisation(-1.0), linearise=linearise)(scheme, 0.5)
+        sol, iters = implicit_step(scheme, history, *at_step(history, 0.5), 1e-13)
+        assert len(made) == iters + 2 and np.array_equal(made[2], made[0])
+        assert abs((sol[0] - 1.0) / 0.5 + sol[0] ** 3) <= 1e-13
 
     def test_history_must_match_order(self):
         scheme = bdf_coefficients(2)
