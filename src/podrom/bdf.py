@@ -265,7 +265,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
 
     ``starting`` is [u_0], whose q - 1 further starting values are
     bootstrapped by ``run_bootstrap``, or the q values u_0..u_{q-1}. The
-    model enters at two levels: ``linearisation(scheme, dt)``, once per run,
+    model enters at two levels: ``linearisation(scheme, dt)``, once per run
+    (each bootstrap segment, and one run for the main loop when M >= q),
     forms its per-run constants and returns ``at_step(history, t)``, which,
     once per step, forms the per-step ones and returns (predictor,
     linearise) for ``implicit_step``. What a model holds across candidates
@@ -301,6 +302,8 @@ def integrate(q: int, dt: float, t_end: float, starting, linearisation, newton_r
     newest_first = np.empty((m_steps + 1,) + np.shape(starting[0]))  # row k holds u_{M - k}
     states = newest_first[::-1]
     states[:q] = starting[: m_steps + 1]
+    if m_steps < q:
+        return states, [], boot_counts
     scheme = bdf_coefficients(q)
     at_step = linearisation(scheme, dt)
     counts = []

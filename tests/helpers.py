@@ -10,7 +10,8 @@ fresh array per operation, and the driver contract's one check.
 That check is ``ContractRecorder``, built on ``wrap_callbacks``, the
 tests' one wrapper of a model's callback levels. It records a real
 ``bdf.integrate`` run and fails by the name of the clause a run breaks:
-"levels", "updates", "reuse", "stale solve", "history" or "predictor".
+"levels", "updates", "reuse", "stale solve", "history", "predictor" or
+"residual".
 ``tests/test_bdf.py`` runs it on the ROM at r 4 (BDF-5, M 128), the r-10
 ROM on BDF-1, M 32, the n_side 4 FOM, the u' = -u^3 stub, held and
 discarding, and the linear scalar model at every order. A contract change
@@ -275,9 +276,10 @@ def wrap_callbacks(linearisation, run=None, step=None, linearise=None, solve=Non
 @dataclass
 class RecordedStep:
     """One step's calls: its time, the history and predictor the driver and
-    the model handed over with their values at the handover, and its events,
+    the model handed over with their values at the handover, its events,
     ("linearise", d, residual norm) and ("solve", reuse, update), in call
-    order."""
+    order, and each residual ``linearise`` returned with its values at the
+    return."""
 
     t: float
     history: np.ndarray
@@ -285,6 +287,7 @@ class RecordedStep:
     predictor: np.ndarray
     predictor_values: np.ndarray
     events: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
 
     @property
     def increments(self):
@@ -315,8 +318,8 @@ class ContractRecorder:
     with its name:
 
     - "levels": one ``linearisation(scheme, dt)`` per bootstrap segment and
-      one for the main loop, with that run's (order, step), and one
-      ``at_step`` per step;
+      one for the main loop when M >= q, with that run's (order, step), and
+      one ``at_step`` per step;
     - "updates": a step starts from its predictor, and k updates take k
       solves and k + 1 linearisations, one more per discard. A discard
       linearises the predictor again right after a first update whose
@@ -329,10 +332,13 @@ class ContractRecorder:
     - "history": no callback writes to the history it was given;
     - "predictor": the predictor ``at_step`` returned, of a state's shape,
       stays unchanged until the step ends, because a discard restarts
-      from it.
+      from it;
+    - "residual": a residual ``linearise`` returned is the caller's to
+      keep, unchanged by every later callback of its step.
 
-    "stale solve", "history" and "predictor" are checked at the call, the
-    others by ``check`` after the run.
+    "stale solve", "history", "predictor" and "residual" are checked at the
+    call, the others by ``check`` after the run. ``linearisations``,
+    ``solves`` and ``fresh_solves`` count the recorded calls.
     """
 
     def __init__(self, newton_rule):
@@ -367,6 +373,7 @@ class ContractRecorder:
         self.linearisations += 1
         made = self.linearisations
         step.events.append(("linearise", increment, math.sqrt(residual.dot(residual))))
+        step.residuals.append((residual, np.array(residual)))
 
         def checked_solve(rhs, tol, reuse=False):
             assert made == self.linearisations, (
@@ -382,6 +389,21 @@ class ContractRecorder:
 
         return residual, checked_solve
 
+    def _reuse(self):
+        """Each recorded run's solves, as the ``reuse`` each was asked with."""
+        return [[e[1] for step in run.steps for e in step.events if e[0] == "solve"] for run in self.runs]
+
+    @property
+    def solves(self) -> int:
+        return sum(map(len, self._reuse()))
+
+    @property
+    def fresh_solves(self) -> int:
+        """The solves after which a model that holds one factor per run
+        holds a fresh one: each asked without ``reuse``, and each run's
+        first, which finds none held yet."""
+        return sum(run.count(False) + bool(run) for run in self._reuse())
+
     @staticmethod
     def _unchanged(step, call):
         assert np.array_equal(step.history, step.history_values), (
@@ -390,6 +412,10 @@ class ContractRecorder:
         assert np.array_equal(step.predictor, step.predictor_values), (
             f"predictor: {call} at t = {step.t:.6g} changes the step's predictor"
         )
+        for k, (residual, values) in enumerate(step.residuals):
+            assert np.array_equal(residual, values), (
+                f"residual: {call} at t = {step.t:.6g} changes the residual of the step's linearisation {k}"
+            )
 
     def check(self, q, dt, counts, boot_counts) -> int:
         """The recorded calls of ``integrate(q, dt, ...)`` against its plan,
@@ -398,7 +424,8 @@ class ContractRecorder:
         returned, in call order (the bootstrap's steps first); returns the
         number of discards."""
         plan = bootstrap_plan(q, dt) if boot_counts else []
-        want = [*plan, (q, dt, len(counts))]
+        main = [(q, dt, len(counts))] if counts else []  # no main-loop run at M < q
+        want = [*plan, *main]
         got = [(run.order, run.step, len(run.steps)) for run in self.runs]
         assert got == want, f"levels: {len(got)} runs of (order, step, steps), {got[:6]}, planned {want}"
         updates = [*boot_counts, *counts]

@@ -576,9 +576,12 @@ class TestIntegrate:
         m = round(t_end / dt)
         boot = sum(count for _, _, count in bootstrap_plan(q, dt)) if q > 1 else 0
         main = max(0, m - q + 1)
+        # the recorder's runs follow the plan, with no main-loop run at M < q
+        recorder = ContractRecorder(TIGHT)
         states, counts, boot_counts = integrate(
-            q, dt, t_end, [np.array([1.0])], scalar_linearisation(-2.0), TIGHT
+            q, dt, t_end, [np.array([1.0])], recorder.wrap(scalar_linearisation(-2.0)), TIGHT
         )
+        recorder.check(q, dt, counts, boot_counts)
         assert calls == {"implicit_step": boot + main, "run_bootstrap": int(q > 1)}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, boot)
         # one preallocated trajectory, also when M < q - 1 cuts the start
@@ -586,7 +589,9 @@ class TestIntegrate:
         # with the q starting values given, nothing is bootstrapped
         calls.update(implicit_step=0, run_bootstrap=0)
         given = [np.array([np.exp(-2.0 * j * dt)]) for j in range(q)]
-        states, counts, boot_counts = integrate(q, dt, t_end, given, scalar_linearisation(-2.0), TIGHT)
+        recorder = ContractRecorder(TIGHT)
+        states, counts, boot_counts = integrate(q, dt, t_end, given, recorder.wrap(scalar_linearisation(-2.0)), TIGHT)
+        recorder.check(q, dt, counts, boot_counts)
         assert calls == {"implicit_step": main, "run_bootstrap": 0}
         assert (len(states), len(counts), len(boot_counts)) == (m + 1, main, 0)
         assert isinstance(states, np.ndarray) and states.shape == (m + 1, 1)

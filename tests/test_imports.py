@@ -1,217 +1,253 @@
-"""Source hygiene: no module in the package imports a name it never uses,
-no function assigns a local name it never reads, no module (nor
-perfbench's workloads) imports or reads another module's underscored
-names, no module reads an environment variable, no module but ``fom``
-reads a system's forcing terms or exponent table, no function but the
-snapshot builders takes tau or the w0 mode, both models' Newton loops use
-none of numpy's dispatch-heavy forms of their kernels (``@`` and np.dot
-among them), the ROM's per-candidate closures allocate no array, the
-reduced system stores no array derived from another,
-harness formats a table value in ``write_csv`` alone, only
-``_main_loop_maxima`` names a study's ``_step`` key, each run rule's
-message is written in one function, the Newton rule reaches the time loop
-as data, a POD basis's
-inner product is set by its name alone, only the BDF first-difference
-form and the ROM's linearisation read the first-difference weights, the
-mesh and the space are built without a loop, no module reads a Matrix
-Market file back, only ``CsrMatrix.from_coo`` constructs a CSR matrix,
-the online CLI stage reaches no trajectory load, mesh, POD or ROM
-assembly, a step reads only the reduced system, only the config's
-``reaction_system`` looks a system up in ``SYSTEMS``, only ``RunConfig``
-spells the keys of a reduced file's record, every target that
-perfbench's tracer wraps still exists, the time loop's work passes
-through the traced names, and perfbench's workloads still run.
+"""Source rules: checks on the syntax trees of the package's modules, and of
+perfbench's workloads, for the invariants that the paper's claims and the
+design rest on and that no behaviour test would see break. They keep the
+code free of unused imports and locals, of reaches into another module's
+private names and of environment reads. They give each concept one owner:
+a system's forcing, the Newton rule, the first-difference form, a basis's
+inner product, a run rule's message, a reduced file's record. They keep
+numpy's dispatch-heavy forms and allocations out of the Newton loops, and
+offline work out of the online stage. Each test's docstring states its rule
+and the reason for it. The tests after the rules run perfbench's tracer and
+workloads on the package.
 
-Names imported from ``__future__`` and names a module lists in ``__all__``
-(a deliberate re-export) are exempt. A name counts as used when it appears
-as an identifier anywhere in the module, including string annotations.
+Every file is parsed once per session into a ``Source``: each node with its
+owner and line, and the file's functions. A rule is a node predicate handed
+to ``findings``, which returns a ``Finding``, "module:owner: what (line
+n)", for each node the predicate flags. To add a rule, write its predicate
+and a test that asserts on its findings, limited to some owners or
+excluding one where the rule names an owner, with the reason as the test's
+docstring.
 """
 
 import ast
 import importlib.util
 from collections import Counter
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import podrom
+from helpers import ContractRecorder
 from podrom import bdf, fom, mesh_fem, pod, rom
 
-MODULES = sorted(Path(podrom.__file__).parent.glob("*.py"))
+PACKAGE = Path(podrom.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+HARNESS, ROM = PACKAGE / "harness.py", PACKAGE / "rom.py"
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def imported_names(tree):
-    """{bound name: line} for every import statement of the module."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names[alias.asname or alias.name.split(".")[0]] = node.lineno
-    return names
+class Source(NamedTuple):
+    """One file, parsed once: its tree, each node with where it sits and its
+    line, and its functions by qualified name and by bare name."""
+
+    tree: ast.Module
+    nodes: list  # (node, "module:owner", line) for every node, parents first
+    functions: dict  # {"f" or "Class.method": def}, the top level's
+    by_name: dict  # {bare name: [defs]}, nested functions included
 
 
-def annotations(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg) and node.annotation is not None:
-            yield node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
-            yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
+@cache
+def source(path):
+    """The ``Source`` of the file at ``path``. A node's owner is the
+    top-level function or ``Class.method`` it sits in, a nested function's
+    nodes counting as their enclosing function's, and ``<module>`` outside
+    a function; a node without a line of its own takes its parent's."""
+    tree = ast.parse(path.read_text())
+    functions = {}
+    for top in tree.body:
+        if isinstance(top, FUNCTIONS):
+            functions[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            functions.update((f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, FUNCTIONS))
+    owners = {id(func): f"{path.name}:{name}" for name, func in functions.items()}
+    nodes, by_name = [], {}
+
+    def visit(node, where, line):
+        where, line = owners.get(id(node), where), getattr(node, "lineno", line)
+        nodes.append((node, where, line))
+        if isinstance(node, FUNCTIONS):
+            by_name.setdefault(node.name, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, line)
+
+    visit(tree, f"{path.name}:<module>", 0)
+    return Source(tree, nodes, functions, by_name)
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for annotation in annotations(tree):
-        for node in ast.walk(annotation):
-            # a quoted annotation such as "CsrMatrix" names its type in a string
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                expr = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+class Finding(NamedTuple):
+    """A node a rule flags: "module:owner", what it is, and its line."""
+
+    where: str
+    what: str
+    line: int
+
+    def __repr__(self):
+        return f"{self.where}: {self.what} (line {self.line})"
+
+
+def findings(predicate, paths=MODULES, owners=None, exclude=None):
+    """A ``Finding`` for each node of the files at ``paths`` that
+    ``predicate`` flags: it returns what it found, or True for the node's
+    own source. ``owners``, a set of "module:owner", limits the query to
+    their nodes, and ``exclude`` leaves out one owner's."""
+    found = []
+    for path in paths:
+        for node, where, line in source(path).nodes:
+            if (owners is None or where in owners) and where != exclude and (what := predicate(node)):
+                found.append(Finding(where, ast.unparse(node) if what is True else what, line))
+    return found
+
+
+def assert_no_findings(predicate, paths=MODULES, owners=None, exclude=None):
+    found = findings(predicate, paths, owners, exclude)
+    assert not found, found
+
+
+def within(*defs):
+    """The ids of every node of ``defs``, themselves included."""
+    return {id(node) for func in defs for node in ast.walk(func)}
+
+
+def string(matches, skip=frozenset()):
+    """A predicate: a string literal whose value ``matches``, outside ``skip``'s ids."""
+    return lambda node: (
+        isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip and matches(node.value)
+    )
+
+
+def attribute(name):
+    """A predicate: a use of ``.name``."""
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+
+def called(node):
+    """The bare name a call calls, or None for a call of another expression."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def annotation(node):
+    """The annotation ``node`` carries: a parameter's, an annotated
+    assignment's or a function's return, or None."""
+    return node.returns if isinstance(node, FUNCTIONS) else getattr(node, "annotation", None)
+
+
+def used_names(src):
+    """Every identifier of the module, with those its quoted annotations name."""
+    used = set()
+    for node, _, _ in src.nodes:
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif annotation(node) is not None:
+            for part in ast.walk(annotation(node)):
+                # a quoted annotation such as "CsrMatrix" names its type in a string
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    expr = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
 
 
 def exported_names(tree):
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return set(ast.literal_eval(node.value))
     return set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text())
-    lines = imported_names(tree)
-    unused = set(lines) - used_names(tree) - exported_names(tree)
-    assert not unused, ", ".join(f"{name} (line {lines[name]})" for name in sorted(unused))
+    """A module uses every name it imports, as an identifier anywhere in it
+    (a quoted annotation's included) or as a deliberate re-export listed in
+    ``__all__``; imports from ``__future__`` are exempt."""
+    src = source(path)
+    kept = used_names(src) | exported_names(src.tree)
+
+    def unused(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            return ", ".join(name for name in bound if name not in kept)
+        return None
+
+    assert_no_findings(unused, [path])
 
 
 def is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def defined_names(tree):
+def defined_names(src):
     """Every name the module binds itself: functions, classes, parameters,
     assigned names and assigned attributes (``self._x = ...``)."""
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    for node, _, _ in src.nodes:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.arg):
             names.add(node.arg)
-        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+            names.add(getattr(node, "id", getattr(node, "attr", None)))
     return names
-
-
-def foreign_private_names(tree):
-    """Imports of another module's underscored names, and reads of
-    underscored attributes that the module itself does not define."""
-    own = defined_names(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if is_private(alias.name):
-                    yield f"import of {node.module}.{alias.name} (line {node.lineno})"
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if any(is_private(part) for part in alias.name.split(".")):
-                    yield f"import of {alias.name} (line {node.lineno})"
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and is_private(node.attr)
-            and node.attr not in own
-        ):
-            yield f"read of .{node.attr} (line {node.lineno})"
 
 
 @pytest.mark.parametrize("path", [*MODULES, WORKLOADS], ids=lambda p: p.name)
 def test_no_reaching_into_private_names(path):
     """A module uses what other modules make public: a private name that
     another module needs is part of its interface and loses the underscore."""
-    found = list(foreign_private_names(ast.parse(path.read_text())))
-    assert not found, ", ".join(found)
+    own = defined_names(source(path))
+
+    def foreign_private(node):
+        if isinstance(node, ast.ImportFrom):
+            return ", ".join(f"import of {node.module}.{a.name}" for a in node.names if is_private(a.name))
+        if isinstance(node, ast.Import):
+            return ", ".join(f"import of {a.name}" for a in node.names if any(map(is_private, a.name.split("."))))
+        return (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and is_private(node.attr) and node.attr not in own
+        )
+
+    assert_no_findings(foreign_private, [path])
 
 
 ENVIRONMENT_READERS = {"environ", "getenv"}
 
 
-def environment_reads(tree):
-    """Reads of os.environ and calls of os.getenv, by attribute or by a
-    ``from os import`` of the name."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "os":
-            for alias in node.names:
-                if alias.name in ENVIRONMENT_READERS:
-                    yield f"import of os.{alias.name} (line {node.lineno})"
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "os"
-            and node.attr in ENVIRONMENT_READERS
-        ):
-            yield f"os.{node.attr} (line {node.lineno})"
+def reads_the_environment(node):
+    """os.environ or os.getenv, by attribute or by a ``from os import``."""
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return ", ".join(f"import of os.{a.name}" for a in node.names if a.name in ENVIRONMENT_READERS)
+    return (
+        isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os" and node.attr in ENVIRONMENT_READERS
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     """Every setting comes from the config or the command line, where it is
     validated and documented; none hides in the environment."""
-    found = list(environment_reads(ast.parse(path.read_text())))
-    assert not found, ", ".join(found)
-
-
-def attribute_uses(path, attr):
-    """Every use of ``.attr`` in the module at ``path``, by line."""
-    return [
-        f".{attr} (line {node.lineno})"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == attr
-    ]
+    assert_no_findings(reads_the_environment, [path])
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fom.py"], ids=lambda p: p.name)
 def test_only_the_system_reads_its_forcing(path):
     """The forcing's term format has one owner, ``fom.ReactionSystem``: other
     modules use its ``loads`` and ``amplitudes``, never ``.forcing``."""
-    found = attribute_uses(path, "forcing")
-    assert not found, ", ".join(found)
+    assert_no_findings(attribute("forcing"), [path])
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fom.py"], ids=lambda p: p.name)
 def test_only_the_system_reads_its_exponents(path):
     """A reaction's exponent table is ``fom.ReactionSystem``'s input only:
     other modules read its monomials as ``factors``, never ``.exponents``."""
-    found = attribute_uses(path, "exponents")
-    assert not found, ", ".join(found)
+    assert_no_findings(attribute("exponents"), [path])
 
 
 SNAPSHOT_SETTINGS = {"tau", "w0_mode"}
-SNAPSHOT_BUILDERS = {("pod.py", "build_snapshots"), ("pod.py", "build_pod_basis")}
-
-
-def snapshot_setting_parameters(path):
-    """Every parameter named ``tau`` or ``w0_mode`` of a function in the
-    module at ``path``, outside the snapshot builders."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            name = getattr(node, "name", "<lambda>")
-            if (path.name, name) in SNAPSHOT_BUILDERS:
-                continue
-            a = node.args
-            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
-                if arg is not None and arg.arg in SNAPSHOT_SETTINGS:
-                    yield f"{name}: {arg.arg} (line {node.lineno})"
+SNAPSHOT_BUILDERS = {"pod.py": ("build_snapshots", "build_pod_basis")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -219,8 +255,15 @@ def test_only_the_snapshot_builders_take_its_settings(path):
     """tau and the w0 mode are set once, when ``pod.build_snapshots`` (or
     ``pod.build_pod_basis`` through it) builds a snapshot set: code after
     that reads them from the set, never from a restated argument."""
-    found = list(snapshot_setting_parameters(path))
-    assert not found, ", ".join(found)
+    builders = SNAPSHOT_BUILDERS.get(path.name, ())
+
+    def takes_a_setting(node):
+        if isinstance(node, (*FUNCTIONS, ast.Lambda)) and getattr(node, "name", None) not in builders:
+            params = [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+            return ", ".join(f"takes {name}" for name in params if name in SNAPSHOT_SETTINGS)
+        return None
+
+    assert_no_findings(takes_a_setting, [path])
 
 
 #: the functions both models' Newton loops run per step, per candidate or per
@@ -241,18 +284,10 @@ NEWTON_LOOP = {
 DISPATCH_HEAVY = {"np.linalg.norm", "np.where", "np.tensordot", "np.dot", "np.concatenate"}
 
 
-def functions_by_qualified_name(tree):
-    """{name: node} for the module's functions and its classes' methods,
-    a method as ``Class.method``."""
-    found = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    found[f"{node.name}.{item.name}"] = item
-    return found
+def dispatch_heavy(node):
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func) in DISPATCH_HEAVY
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
 
 
 @pytest.mark.parametrize(
@@ -266,19 +301,9 @@ def test_newton_loop_avoids_dispatch_heavy_calls(module, name):
     a.dot(b) and an in-place write into a held buffer that give the same bits;
     in the functions the Newton loops run per step, candidate or Krylov
     iteration they are not used."""
-    path = Path(podrom.__file__).parent / module
-    func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
-    assert func is not None, f"{module}: {name} no longer exists"
-    found = [
-        f"{name}: {ast.unparse(node.func)} (line {node.lineno})"
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in DISPATCH_HEAVY
-    ] + [
-        f"{name}: {ast.unparse(node)} (line {node.lineno})"
-        for node in ast.walk(func)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-    ]
-    assert not found, ", ".join(found)
+    path = PACKAGE / module
+    assert name in source(path).functions, f"{module}: {name} no longer exists"
+    assert_no_findings(dispatch_heavy, [path], owners={f"{module}:{name}"})
 
 
 #: the numpy calls that make a new array from nothing or from other arrays;
@@ -290,26 +315,33 @@ ARRAY_CONSTRUCTORS = {
 }
 
 
+def allocates(node):
+    return isinstance(node, ast.Call) and (
+        ast.unparse(node.func) in ARRAY_CONSTRUCTORS or getattr(node.func, "attr", None) == "copy"
+    )
+
+
 @pytest.mark.parametrize("name", ["linearise", "solve"])
 def test_a_rom_candidate_allocates_no_array(name):
     """The ROM's per-candidate closures in ``rom_linearisation``, ``linearise``
     and ``solve``, call no array constructor and no ``.copy()``: the block
     (S^T; K^T; fixed), z = (1, c, d, 1) and the Jacobian buffer are formed
     once per run and written in place, so the layout stays per run."""
-    outer = functions_by_qualified_name(ast.parse((Path(podrom.__file__).parent / "rom.py").read_text()))
-    closures = [
-        node
-        for node in ast.walk(outer["rom_linearisation"])
-        if isinstance(node, ast.FunctionDef) and node.name == name
-    ]
+    src = source(ROM)
+    outer = within(src.functions["rom_linearisation"])
+    closures = [func for func in src.by_name.get(name, []) if id(func) in outer]
     assert len(closures) == 1, f"rom.py: rom_linearisation has {len(closures)} closures named {name}"
-    found = [
-        f"{name}: {ast.unparse(node.func)} (line {node.lineno})"
-        for node in ast.walk(closures[0])
-        if isinstance(node, ast.Call)
-        and (ast.unparse(node.func) in ARRAY_CONSTRUCTORS or getattr(node.func, "attr", None) == "copy")
-    ]
-    assert not found, ", ".join(found)
+    inside = within(*closures)
+    assert_no_findings(lambda node: id(node) in inside and allocates(node), [ROM])
+
+
+def is_derived_field(node):
+    """A dataclass field declared ``field(init=False)``."""
+    return (
+        isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in node.value.keywords)
+        and node.target.id
+    )
 
 
 @pytest.mark.parametrize("name", ["ReducedSystem", "RomSystem"])
@@ -318,23 +350,28 @@ def test_the_reduced_system_stores_no_derived_copy(name):
     over: it declares no ``field(init=False)`` and its methods set no
     attribute, but for ``monomial_rows``, the rows of the monomial index, so
     a second layout of a stored array cannot come back unnoticed."""
-    tree = ast.parse((Path(podrom.__file__).parent / "rom.py").read_text())
-    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
-    derived = [
-        f"{stmt.target.id} (line {stmt.lineno})"
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.value, ast.Call)
-        and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in stmt.value.keywords)
-    ] + [
-        f"self.{node.attr} (line {node.lineno})"
-        for method in cls.body
-        if isinstance(method, ast.FunctionDef)
-        for node in ast.walk(method)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-    ]
+    src = source(ROM)
+    [cls] = [node for node in src.tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    fields = {id(stmt) for stmt in cls.body}
+    methods = {f"rom.py:{qual}" for qual in src.functions if qual.startswith(f"{name}.")}
+    found = findings(lambda node: id(node) in fields and is_derived_field(node), [ROM]) + findings(
+        lambda node: isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store), [ROM], owners=methods
+    )
     allowed = {"ReducedSystem": ["monomial_rows", "self.monomial_rows"], "RomSystem": []}[name]
-    assert [entry.split(" (")[0] for entry in derived] == allowed, ", ".join(derived)
+    assert [f.what for f in found] == allowed, found
+
+
+def names_np_linalg(node):
+    """The ``np.linalg`` names of an attribute of a name or of an import."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [ast.unparse(node)]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return None
+    return ", ".join(n for n in names if n.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"]))
 
 
 def test_the_rom_factors_only_through_dense_lu_solve():
@@ -342,52 +379,30 @@ def test_the_rom_factors_only_through_dense_lu_solve():
     ``linalg.dense_lu_solve``, so a singular Jacobian raises its one
     SingularMatrixError and the tracer counts every factor: rom.py names
     nothing of ``np.linalg``, by attribute or by import."""
-    found = []
-    for node in ast.walk(ast.parse((Path(podrom.__file__).parent / "rom.py").read_text())):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            names = [ast.unparse(node)]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found += [
-            f"{name} (line {node.lineno})"
-            for name in names
-            if name in ("np.linalg", "numpy.linalg") or name.startswith(("np.linalg.", "numpy.linalg."))
-        ]
-    assert not found, ", ".join(found)
+    assert_no_findings(names_np_linalg, [ROM])
 
 
-def harness_string_holders(matches):
-    """The "function (line n)" of each string literal of harness.py that
-    ``matches``, docstrings aside: a bare string statement does nothing."""
-    tree = ast.parse((Path(podrom.__file__).parent / "harness.py").read_text())
-    skip = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
-    return {
-        f"{getattr(top, 'name', '<module>')} (line {node.lineno})"
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and matches(node.value) and id(node) not in skip
-    }
+def harness_strings(matches):
+    """harness.py's string literals that ``matches``, docstrings aside: a
+    bare string statement does nothing."""
+    bare = {id(node.value) for node, _, _ in source(HARNESS).nodes if isinstance(node, ast.Expr)}
+    return findings(string(matches, bare), [HARNESS])
 
 
 def test_only_write_csv_formats_a_table_value():
     """harness formats a table value in ``write_csv`` alone: a .6g format
     spec (an f-string's, ``format``'s or a %-format's) anywhere else in
     harness.py would be a second path that a table could drift along."""
-    holders = harness_string_holders(lambda text: ".6g" in text)
-    assert holders and all(h.startswith("write_csv ") for h in holders), ", ".join(sorted(holders))
+    found = harness_strings(lambda text: ".6g" in text)
+    assert {f.where for f in found} == {"harness.py:write_csv"}, found
 
 
 def test_only_the_maxima_helper_names_a_step_key():
     """A study row takes each pointwise-in-time maximum and its step from
     ``_main_loop_maxima``: a string ending in ``_step`` anywhere else in
     harness.py would be a second, hand-written (maximum, step) pair."""
-    holders = harness_string_holders(lambda text: text.endswith("_step"))
-    assert holders and all(h.startswith("_main_loop_maxima ") for h in holders), ", ".join(sorted(holders))
+    found = harness_strings(lambda text: text.endswith("_step"))
+    assert {f.where for f in found} == {"harness.py:_main_loop_maxima"}, found
 
 
 RULE_MESSAGES = {
@@ -409,17 +424,8 @@ def test_each_run_rule_has_one_owner(text):
     """A run rule's message is written in one function of the package: a
     second copy of the rule, in a config check or a study, could drift from
     the one the time loop applies."""
-    holders = set()
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
-        functions = functions_by_qualified_name(tree)
-        owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
-        holders.update(
-            f"{path.name}:{owner.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
-        )
-    assert holders == {RULE_MESSAGES[text]}, ", ".join(sorted(holders))
+    found = findings(string(lambda value: text in value))
+    assert {f.where for f in found} == {RULE_MESSAGES[text]}, found
 
 
 #: the functions that run the BDF-q loop, or a model or a study on it, whose
@@ -432,15 +438,6 @@ RULE_TAKERS = {
 }
 
 
-def tolerance_callables(path):
-    """Every function or lambda of the module at ``path`` whose parameters
-    are exactly (order, step): a tolerance callable, built or taken."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            if [a.arg for a in node.args.args] == ["order", "step"]:
-                yield f"{getattr(node, 'name', 'lambda')} (line {node.lineno})"
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_the_newton_rule_is_data(path):
     """The Newton rule reaches the time loop as data, "step-coupled" or a
@@ -448,18 +445,24 @@ def test_the_newton_rule_is_data(path):
     module builds a ``tol(order, step)`` callable, and the loop's functions,
     both models' integrators and the studies take the rule as their last
     parameter, under one name, ``newton_rule``."""
-    found = list(tolerance_callables(path))
-    functions = functions_by_qualified_name(ast.parse(path.read_text()))
-    found += [
-        f"{name} takes {functions[name].args.args[-1].arg} last"
-        for name in RULE_TAKERS.get(path.name, ())
-        if functions[name].args.args[-1].arg != "newton_rule"
-    ]
-    assert not found, ", ".join(found)
+    takers = {id(source(path).functions[name]) for name in RULE_TAKERS.get(path.name, ())}
+
+    def rule_not_data(node):
+        if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            params = [a.arg for a in node.args.args]
+            if params == ["order", "step"]:
+                return f"a tolerance callable {getattr(node, 'name', 'lambda')}(order, step)"
+            if id(node) in takers and params[-1] != "newton_rule":
+                return f"{node.name} takes {params[-1]} last"
+        return None
+
+    assert_no_findings(rule_not_data, [path])
 
 
 #: the inner products' names, as ``pod`` binds them and as their string values
 INNER_PRODUCT_NAMES = {"H10", "L2"}
+#: the functions that take the inner product's name, with no default
+NAME_TAKERS = {"pod.py": ("pod_basis", "build_pod_basis")}
 
 
 def names_an_inner_product(node):
@@ -479,25 +482,22 @@ def test_a_basis_takes_its_inner_product_from_its_name(path):
     apart from its operator, or a branch on the name elsewhere, could
     disagree with the operator the basis holds. A membership check against
     ``INNER_PRODUCTS``, as ``RunConfig`` makes, names neither."""
-    tree = ast.parse(path.read_text())
-    functions = functions_by_qualified_name(tree)
-    owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
-    found = []
-    for node in ast.walk(tree):
-        where = f"{path.name}:{owner.get(id(node), '<module>')}"
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "PodBasis":
-            if where != "pod.py:pod_basis":
-                found.append(f"PodBasis(...) in {where} (line {node.lineno})")
-        elif isinstance(node, ast.Compare) and where != "pod.py:gram_matrix":
-            operands = [node.left, *node.comparators]
-            if any(names_an_inner_product(n) for operand in operands for n in ast.walk(operand)):
-                found.append(f"{ast.unparse(node)} in {where} (line {node.lineno})")
-    if path.name == "pod.py":
-        for name in ("pod_basis", "build_pod_basis"):
-            args = functions[name].args
-            if args.defaults or any(d is not None for d in args.kw_defaults):
-                found.append(f"{name} has a parameter default")
-    assert not found, ", ".join(found)
+    takers = {id(source(path).functions[name]) for name in NAME_TAKERS.get(path.name, ())}
+    found = (
+        findings(lambda node: called(node) == "PodBasis", [path], exclude="pod.py:pod_basis")
+        + findings(
+            lambda node: isinstance(node, ast.Compare) and any(map(names_an_inner_product, ast.walk(node))),
+            [path],
+            exclude="pod.py:gram_matrix",
+        )
+        + findings(
+            lambda node: id(node) in takers
+            and (node.args.defaults or any(d is not None for d in node.args.kw_defaults))
+            and "a parameter default",
+            [path],
+        )
+    )
+    assert not found, found
 
 
 #: what the online stage must not reach: the FOM's states, the mesh and the
@@ -512,30 +512,20 @@ STEP_SIDE = {
 LIFTING = {"basis", "lift", "space", "modes"}
 
 
-def package_functions():
-    """{bare name: function nodes} over the package: functions, methods and
-    nested functions, each under its own name."""
-    found = {}
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.setdefault(node.name, []).append(node)
-    return found
-
-
-def reached_calls(name, functions):
-    """The bare name of every call that the package function ``name`` makes,
-    directly or through package functions it calls, matched by bare name."""
-    seen, todo = set(), [name]
+def reached(name):
+    """The ids of the nodes of the package functions that the package
+    function ``name`` runs: itself and those it calls directly or through
+    the others, by bare name, functions, methods and nested functions alike."""
+    seen, todo, inside = {name}, [name], set()
     while todo:
-        for func in functions.get(todo.pop(), []):
+        bare = todo.pop()
+        for func in (func for path in MODULES for func in source(path).by_name.get(bare, [])):
             for node in ast.walk(func):
-                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if called not in seen:
-                        seen.add(called)
-                        todo.append(called)
-    return seen
+                inside.add(id(node))
+                if called(node) not in seen:
+                    seen.add(called(node))
+                    todo.append(called(node))
+    return inside
 
 
 @pytest.mark.parametrize("command", ["cmd_rom", "cmd_convergence"])
@@ -543,10 +533,9 @@ def test_the_online_stage_reads_only_reduced_data(command):
     """``rom`` and ``convergence`` run from ``podrom pod``'s reduced system:
     no call they reach loads a trajectory, builds a mesh or a space, runs a
     POD or assembles a ROM, so their cost depends on r, not on the mesh."""
-    functions = package_functions()
-    assert command in functions, f"cli.py: {command} no longer exists"
-    found = reached_calls(command, functions) & OFFLINE_WORK
-    assert not found, ", ".join(sorted(found))
+    inside = reached(command)
+    assert inside, f"cli.py: {command} no longer exists"
+    assert_no_findings(lambda node: id(node) in inside and called(node) in OFFLINE_WORK)
 
 
 @pytest.mark.parametrize(
@@ -555,43 +544,36 @@ def test_the_online_stage_reads_only_reduced_data(command):
 def test_a_step_reads_only_the_reduced_system(module, name):
     """The step side takes a ``ReducedSystem`` and reads none of the basis,
     the lift, the space or the modes, which only a ``RomSystem`` holds."""
-    path = Path(podrom.__file__).parent / module
-    func = functions_by_qualified_name(ast.parse(path.read_text()))[name]
-    annotation = ast.unparse(func.args.args[0].annotation)
-    found = [] if annotation == "ReducedSystem" else [f"takes a {annotation}"]
-    found += [
-        f".{node.attr} (line {node.lineno})"
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr in LIFTING
-    ]
-    assert not found, ", ".join(found)
+    path = PACKAGE / module
+    first = source(path).functions[name].args.args[0]
 
+    def reads_lifting(node):
+        if node is first:
+            return ast.unparse(node.annotation) != "ReducedSystem" and f"takes a {ast.unparse(node.annotation)}"
+        return isinstance(node, ast.Attribute) and node.attr in LIFTING
 
-def subscript_holders(path, name):
-    """"module:function (line n)" of each subscript of ``name`` (bare or as an
-    attribute) in the module, a method as ``Class.method``, a nested function
-    under its enclosing one, and ``<module>`` outside any function."""
-    tree = ast.parse(path.read_text())
-    functions = functions_by_qualified_name(tree).items()
-    owners = {id(node): qual for qual, func in functions for node in ast.walk(func)}
-    return [
-        f"{path.name}:{owners.get(id(node), '<module>')} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Subscript)
-        and name in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
-    ]
+    assert_no_findings(reads_lifting, [path], owners={f"{module}:{name}"})
 
 
 def test_the_config_builds_its_one_reaction_system():
     """``SYSTEMS`` is subscripted in ``RunConfig.reaction_system`` alone: every
     stage, check and record takes the configured system from the config, so
     no second lookup can build it from another name or nu."""
-    holders = [holder for path in MODULES for holder in subscript_holders(path, "SYSTEMS")]
-    assert len(holders) == 1 and holders[0].startswith("harness.py:RunConfig.reaction_system "), ", ".join(holders)
+    found = findings(
+        lambda node: isinstance(node, ast.Subscript)
+        and "SYSTEMS" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    )
+    assert [f.where for f in found] == ["harness.py:RunConfig.reaction_system"], found
 
 
 #: the settings a reduced file records beyond the FOM run's
 POD_RECORD_KEYS = {"tau", "w0_mode", "inner_product"}
+
+
+def spells_the_record(node):
+    """A tuple, list, set or dict literal with a key of the POD record."""
+    spelled = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
+    return any(isinstance(e, ast.Constant) and e.value in POD_RECORD_KEYS for e in spelled)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -600,17 +582,8 @@ def test_the_config_states_its_record_once(path):
     tuple, list, set or dict literal that spells tau, w0_mode or
     inner_product outside ``RunConfig`` would be a second statement of the
     record, which a writer or a check could follow instead."""
-    tree = ast.parse(path.read_text())
-    functions = functions_by_qualified_name(tree)
-    owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
-    found = []
-    for node in ast.walk(tree):
-        spelled = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
-        if any(isinstance(e, ast.Constant) and e.value in POD_RECORD_KEYS for e in spelled):
-            where = owner.get(id(node), "<module>")
-            if not where.startswith("RunConfig."):
-                found.append(f"{where} (line {node.lineno})")
-    assert not found, ", ".join(found)
+    found = [f for f in findings(spells_the_record, [path]) if ":RunConfig." not in f.where]
+    assert not found, found
 
 
 #: the functions that may read a scheme's first-difference weights: the form
@@ -623,17 +596,8 @@ def test_one_first_difference_form():
     """BDF-q is written as first-order difference quotients in one place: a
     function that reads ``alpha_f`` outside ``FIRST_DIFFERENCE_READERS``
     would be a second copy of the form, one that neither model steps with."""
-    readers = set()
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
-        functions = functions_by_qualified_name(tree)
-        owner = {id(n): name for name, func in functions.items() for n in ast.walk(func)}
-        readers.update(
-            f"{path.name}:{owner.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "alpha_f"
-        )
-    assert readers == FIRST_DIFFERENCE_READERS, ", ".join(sorted(readers))
+    found = findings(lambda node: attribute("alpha_f")(node) and isinstance(node.ctx, ast.Load))
+    assert {f.where for f in found} == FIRST_DIFFERENCE_READERS, found
 
 
 #: the set-up every stage starts from, built by index arithmetic alone
@@ -644,39 +608,33 @@ LOOP_FREE = ("build_mesh", "build_space")
 def test_set_up_has_no_loop(name):
     """The mesh and the space are built without a Python loop over cells or
     edges: no ``for``, ``while`` or comprehension in ``mesh_fem``'s builders."""
-    path = Path(mesh_fem.__file__)
-    func = functions_by_qualified_name(ast.parse(path.read_text())).get(name)
-    assert func is not None, f"mesh_fem.py: {name} no longer exists"
-    found = [
-        f"{name}: {type(node).__name__} (line {getattr(node, 'lineno', func.lineno)})"
-        for node in ast.walk(func)
-        if isinstance(node, (ast.For, ast.While, ast.comprehension))
-    ]
-    assert not found, ", ".join(found)
+    path = PACKAGE / "mesh_fem.py"
+    assert name in source(path).functions, f"mesh_fem.py: {name} no longer exists"
+    loop = (ast.For, ast.While, ast.comprehension)
+    owners = {f"mesh_fem.py:{name}"}
+    assert_no_findings(lambda node: isinstance(node, loop) and type(node).__name__, [path], owners=owners)
 
 
 def unread_locals(func):
-    """Names ``func`` assigns but never reads, reads by nested functions
-    included. ``_``, and names declared global or nonlocal, are exempt."""
+    """"function: name" for each name the function ``func`` assigns but never
+    reads, reads by nested functions included. ``_``, and names declared
+    global or nonlocal, are exempt."""
+    if not isinstance(func, FUNCTIONS):
+        return None
     stored, read, declared = set(), set(), {"_"}
     for node in ast.walk(func):
         if isinstance(node, ast.Name):
             (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
         elif isinstance(node, (ast.Global, ast.Nonlocal)):
             declared.update(node.names)
-    return stored - read - declared
+    return ", ".join(f"{func.name}: {name}" for name in sorted(stored - read - declared))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
-    tree = ast.parse(path.read_text())
-    found = [
-        f"{node.name}: {name} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for name in sorted(unread_locals(node))
-    ]
-    assert not found, ", ".join(found)
+    """No function, nested ones included, assigns a local name that it never
+    reads: an unread local is dead code or a lost result."""
+    assert_no_findings(unread_locals, [path])
 
 
 def load_perfbench(path):
@@ -686,15 +644,11 @@ def load_perfbench(path):
     return module
 
 
-def load_tracing():
-    return load_perfbench(TRACING)
-
-
 def test_tracer_finds_every_target():
     """A traced target that no longer resolves drops its per-layer metrics
     from the benchmark's result line, so deleting or renaming one must be a
     deliberate change to the benchmark, made together with it."""
-    tracing = load_tracing()
+    tracing = load_perfbench(TRACING)
     missing = [
         f"{module}.{path}"
         for _, module, path, _, _ in tracing.TARGETS
@@ -716,59 +670,60 @@ def traced(tracing, call):
     return result, Counter(s[0] for s in tracer.spans), updates
 
 
-def held_factor_jacobians(updates, run_steps):
-    """The fresh inverse Jacobians (one ``dense_lu_solve`` each) the ROM forms
-    under ``bdf.implicit_step``'s rule, from the Newton updates per step in
-    call order, run by run (``run_steps`` steps each): each update after a
-    step's first forms one (a fresh update after a discarded first one
-    too), and a run's first update forms one, when no inverse is held yet;
-    every other first update refines the held one; a step of 0 updates
-    forms none."""
-    jacobians, start = 0, 0
-    for steps in run_steps:
-        run = updates[start : start + steps]
-        jacobians += sum(k - 1 for k in run if k) + any(run)
-        start += steps
-    assert start == len(updates)
-    return jacobians
+def recorded(monkeypatch, module):
+    """The ``ContractRecorder``s of the ``bdf.integrate`` calls that
+    ``module``'s integrator makes, one per call, each checked as it returns."""
+    recorders = []
+
+    def integrate(q, dt, t_end, starting, linearisation, newton_rule):
+        recorders.append(ContractRecorder(newton_rule))
+        result = bdf.integrate(q, dt, t_end, starting, recorders[-1].wrap(linearisation), newton_rule)
+        recorders[-1].check(q, dt, *result[1:])
+        return result
+
+    monkeypatch.setattr(module, "integrate", integrate)
+    return recorders
 
 
-def test_tracer_counts_every_linearisation():
+def test_tracer_counts_every_linearisation(monkeypatch):
     """perfbench reads the model's work from the traced names: a time loop
     that bypassed rom_residual, FomOperator.residual or implicit_step would
     report fewer calls there, and 0 implicit_step calls fail a traced unit.
-    Each model's Newton solve forms one Jacobian per update. The FOM runs
-    one linear solve per Jacobian; the ROM one dense factor per fresh
-    inverse, as many as the rule implies for the run, and refines its held
-    inverse for every other update. A bootstrapped run is one run_bootstrap
-    span, so its time is one wall time."""
-    tracing = load_tracing()
+    Each traced count is the one a ``ContractRecorder`` of the same run
+    counts: a residual per linearisation, a Jacobian per solve, and for the
+    FOM one linear solve per Jacobian; the ROM forms one dense factor per
+    fresh solve and refines its held inverse for every other solve. A
+    bootstrapped run is one run_bootstrap span, so its time is one wall
+    time."""
+    tracing = load_perfbench(TRACING)
     space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
     system = fom.brusselator_system(0.002)
     q, m, t_end = 3, 8, 1.6
     dt = t_end / m
     u0 = fom.perturbed_equilibrium(space)
 
+    recorders = recorded(monkeypatch, fom)
     traj, calls, updates = traced(tracing, lambda: fom.fom_integrate(system, space, u0, dt, t_end, q))
-    steps = sum(count for _, _, count in bdf.bootstrap_plan(q, dt)) + m - q + 1
-    assert calls["bdf.implicit_step"] == len(updates) == steps
-    assert calls["fom.FomOperator.residual"] == sum(updates) + steps
-    assert calls["fom.FomOperator.jacobian"] == sum(updates) > 0
+    [recorder] = recorders
+    assert calls["bdf.implicit_step"] == len(updates) == sum(len(run.steps) for run in recorder.runs)
+    assert calls["fom.FomOperator.residual"] == recorder.linearisations
+    assert calls["fom.FomOperator.jacobian"] == recorder.solves == sum(updates) > 0
     assert calls["linalg.krylov_solve"] == calls["fom.FomOperator.jacobian"]
     assert calls["bdf.run_bootstrap"] == 1
 
     snaps, basis = pod.build_pod_basis(traj, 1.0, pod.W0_ZERO, pod.H10)
     romsys = rom.rom_assemble(basis, 4, space, system, snaps.mean)
     coords0 = rom.initial_coords(romsys, traj.states[0])
+    recorders = recorded(monkeypatch, rom)
     rt, calls, updates = traced(
         tracing, lambda: rom.rom_integrate(romsys, q, dt, t_end, ("bootstrap", coords0))
     )
+    [recorder] = recorders
     assert updates == [*rt.bootstrap_iteration_counts, *rt.newton_iteration_counts]
-    assert calls["bdf.implicit_step"] == len(updates) == steps
-    assert calls["rom.rom_residual"] == sum(updates) + steps
-    run_steps = [count for _, _, count in bdf.bootstrap_plan(q, dt)] + [m - q + 1]
-    assert calls["rom.rom_jacobian"] == sum(updates)
-    assert calls["linalg.dense_lu_solve"] == held_factor_jacobians(updates, run_steps) > 0
+    assert calls["bdf.implicit_step"] == len(updates) == sum(len(run.steps) for run in recorder.runs)
+    assert calls["rom.rom_residual"] == recorder.linearisations
+    assert calls["rom.rom_jacobian"] == recorder.solves == sum(updates)
+    assert calls["linalg.dense_lu_solve"] == recorder.fresh_solves > 0
     assert calls["bdf.run_bootstrap"] == 1
 
 
@@ -779,7 +734,7 @@ def test_fom_newton_operator_assembles_no_matrix():
     per Jacobian. The POD and the ROM after it apply the space's element
     mass and stiffness too: the whole pipeline makes no CSR product and
     builds no block CSR matrix."""
-    tracing = load_tracing()
+    tracing = load_perfbench(TRACING)
     space = mesh_fem.build_space(mesh_fem.build_mesh(4), 2)
     system, t_end = fom.brusselator_system(0.002), 0.8
     u0 = fom.perturbed_equilibrium(space)
@@ -800,27 +755,18 @@ def test_fom_newton_operator_assembles_no_matrix():
     assert calls["linalg.krylov_solve"] == calls["fom.FomOperator.jacobian"] > 0
 
 
-def text_reads(tree):
-    """Uses of ``mmio.read``: the attribute, or the name imported from mmio."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mmio":
-            if any(alias.name == "read" for alias in node.names):
-                yield f"import of mmio.read (line {node.lineno})"
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "mmio"
-            and node.attr == "read"
-        ):
-            yield f"mmio.read (line {node.lineno})"
+def reads_text_back(node):
+    """A use of ``mmio.read``: the attribute, or the name imported from mmio."""
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mmio":
+        return any(alias.name == "read" for alias in node.names) and "import of mmio.read"
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "mmio" and node.attr == "read"
 
 
 def test_no_stage_reads_text_back():
     """Stages hand data to each other in numpy's own format (fom.traj's
     states as one .npy): Matrix Market files are exports, and no module of
     the package parses one back."""
-    found = [f"{path.name}: {use}" for path in MODULES for use in text_reads(ast.parse(path.read_text()))]
-    assert not found, ", ".join(found)
+    assert_no_findings(reads_text_back)
 
 
 #: the CSR stack, kept as the tests' assembled references: names read as a
@@ -828,23 +774,18 @@ def test_no_stage_reads_text_back():
 CSR_STACK = {"CsrMatrix", "csr_matvec", "block_csr", "assemble_elements", "assemble_mass", "assemble_stiffness"}
 
 
-def csr_stack_holders(path, tree):
-    """ids of the nodes that may use the CSR stack: those of linalg's "sparse
-    storage" section and of mesh_fem's ``assemble_*``, ``assemble_elements``
-    among them."""
+def csr_stack_holders(path):
+    """The code that may use the CSR stack: linalg's "sparse storage"
+    section and mesh_fem's ``assemble_*``, ``assemble_elements`` among them."""
+    src = source(path)
     if path.name == "linalg.py":
         lines = path.read_text().splitlines()
         start = lines.index("# sparse storage")
         end = lines.index(lines[start + 1], start + 2)  # the next section's rule
-        holders = [node for node in tree.body if start + 1 < node.lineno < end + 1]
-    elif path.name == "mesh_fem.py":
-        holders = [
-            func for name, func in functions_by_qualified_name(tree).items()
-            if name.startswith("assemble_")
-        ]
-    else:
-        holders = []
-    return {id(n) for holder in holders for n in ast.walk(holder)}
+        return [node for node in src.tree.body if start + 1 < node.lineno < end + 1]
+    if path.name == "mesh_fem.py":
+        return [func for name, func in src.functions.items() if name.startswith("assemble_")]
+    return []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -852,25 +793,28 @@ def test_the_csr_stack_is_a_leaf(path):
     """The pipeline forms no sparse matrix: the CSR stack stays in the package
     only as the tests' reference, so no code outside it uses it, and the
     stack can be deleted without touching another function."""
-    tree = ast.parse(path.read_text())
-    holders = csr_stack_holders(path, tree)
+    holders = csr_stack_holders(path)
     assert holders or path.name not in ("linalg.py", "mesh_fem.py"), "the CSR stack's holders moved"
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        fenced = name in CSR_STACK or name.startswith("assemble_reaction_")
-        if fenced and id(node) not in holders:
-            found.append(f"{name} (line {node.lineno})")
-    assert not found, ", ".join(found)
+    fenced = within(*holders)
+
+    def uses_the_stack(node):
+        name = getattr(node, "id", getattr(node, "attr", None)) if isinstance(node, (ast.Name, ast.Attribute)) else ""
+        return (name in CSR_STACK or name.startswith("assemble_reaction_")) and id(node) not in fenced and name
+
+    assert_no_findings(uses_the_stack, [path])
 
 
 #: the names of the refill plan, which kept a COO pattern to refill it
 REFILL_PLAN = {"CooPlan", "coo_plan"}
+
+
+def names_the_refill_plan(node):
+    """A ``CooPlan`` or ``coo_plan`` read, or defined by a def, a class or
+    an import, and a ``.plan`` attribute or method."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in REFILL_PLAN or node.attr == "plan") and f".{node.attr}"
+    name = getattr(node, "id", getattr(node, "name", None))
+    return (name in REFILL_PLAN or isinstance(node, FUNCTIONS) and name == "plan") and name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -878,24 +822,11 @@ def test_one_coo_assembly(path):
     """Every CSR matrix of the package comes from one COO assembly: only
     ``CsrMatrix.from_coo`` constructs a ``CsrMatrix``, and no ``CooPlan``,
     ``coo_plan`` or ``.plan`` attribute or method remains."""
-    tree = ast.parse(path.read_text())
-    functions = functions_by_qualified_name(tree)
-    from_coo = functions.get("CsrMatrix.from_coo")
-    assert from_coo or path.name != "linalg.py", "CsrMatrix.from_coo moved"
-    inside = {id(n) for n in ast.walk(from_coo)} if from_coo else set()
-    found = [f"method {name}" for name in functions if name.endswith(".plan")]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "CsrMatrix":
-            if id(node) not in inside:
-                found.append(f"CsrMatrix(...) (line {node.lineno})")
-        elif isinstance(node, ast.Attribute) and (node.attr in REFILL_PLAN or node.attr == "plan"):
-            found.append(f".{node.attr} (line {node.lineno})")
-        else:
-            # a name read, or defined by a def, a class or an import
-            name = getattr(node, "id", getattr(node, "name", None))
-            if name in REFILL_PLAN:
-                found.append(f"{name} (line {node.lineno})")
-    assert not found, ", ".join(found)
+    assert "CsrMatrix.from_coo" in source(path).functions or path.name != "linalg.py", "CsrMatrix.from_coo moved"
+    found = findings(
+        lambda node: called(node) == "CsrMatrix" and "CsrMatrix(...)", [path], exclude="linalg.py:CsrMatrix.from_coo"
+    ) + findings(names_the_refill_plan, [path])
+    assert not found, found
 
 
 @pytest.mark.parametrize("name", ["offline", "online", "sweep"])
